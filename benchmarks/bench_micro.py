@@ -6,24 +6,26 @@ the CI perf-smoke job via ``tools/bench_micro.py``:
 
 * **codec** — encode/decode throughput over a deterministic mix of
   representative frames (heartbeat batch, gossip hello, accusation,
-  lease request/reply).  Three paths: the allocating ``encode_message``,
-  the zero-copy ``encode_message_into`` scratch path the batched
-  transport uses, and ``decode_message`` reading straight from a shared
-  buffer through a ``memoryview`` (the ``recvmmsg`` drain path).
+  lease request/reply).  Three rows: ``encode_message`` (the ``bytes``
+  wrapper: one ``encode_message_into`` plus a buffer and a copy), the
+  zero-copy ``encode_message_into`` scratch path the transport uses, and
+  ``decode_message`` reading straight from a shared buffer through a
+  ``memoryview`` (the ``recvmmsg`` drain path).
   Frames/sec are machine-dependent, so the regression check compares
   them *normalized by the calibration score* (same scheme as the core
   bench).
 
 * **udp** — sustained localhost datagram throughput between two real
   processes: a sender flooding ``send_batch`` bursts and a receiver
-  counting decoded deliveries, once with ``batched=True`` on both ends
-  (raw socket + ``sendmmsg``/``recvmmsg``) and once with the default
-  asyncio datapath.  The headline number is the *delivered* ratio —
-  sustained throughput is receiver-bound, and the per-datagram asyncio
-  receive path is what batching exists to beat.  The recorded ratio is
-  gated (``>= MIN_UDP_RATIO`` at record time, with the check tolerance
-  applied on re-runs) so the batched path can never silently regress
-  into being pointless.
+  counting decoded deliveries, once as shipped on Linux (``sendmmsg``/
+  ``recvmmsg`` on the transport's raw socket) and once on the
+  per-datagram ``sendto``/``recvfrom`` fallback the same socket takes
+  where libc lacks the symbols — selected by patching
+  ``mmsg.available`` inside the bench's own two processes, not by any
+  switch in ``src/``.  The headline number is the *delivered* ratio:
+  the accelerator earns its ctypes surface only while it beats the
+  fallback, so a ratio below ``MIN_UDP_RATIO`` is never recorded (and
+  the check tolerance applies on re-runs).
 
 Both benches are wall-clock measurements of real syscalls; keep them
 short (a few seconds) — they run in CI on shared machines.
@@ -63,10 +65,11 @@ __all__ = [
     "compare_micro",
 ]
 
-#: The acceptance floor for the batched/unbatched delivered ratio at
-#: --update time; --check applies its tolerance on top (shared CI
-#: machines are noisy, a recorded 2x can legitimately re-measure lower).
-MIN_UDP_RATIO = 2.0
+#: The acceptance floor for the mmsg/fallback delivered ratio at --update
+#: time: below parity the accelerator does not pay for itself, and that
+#: is a finding to report, not a baseline to pin.  --check applies its
+#: tolerance on top (shared CI machines are noisy).
+MIN_UDP_RATIO = 1.0
 
 
 def codec_frame_mix() -> List[object]:
@@ -161,7 +164,7 @@ def _free_addr() -> tuple:
     return address
 
 
-def _udp_receiver(addresses, batched, conn) -> None:
+def _udp_receiver(addresses, accelerated, conn) -> None:
     """Receiver process: count decoded deliveries until told to stop."""
     import asyncio
 
@@ -170,8 +173,7 @@ def _udp_receiver(addresses, batched, conn) -> None:
     async def main() -> None:
         count = [0]
         transport = await UdpTransport(
-            1, addresses, lambda m: count.__setitem__(0, count[0] + 1),
-            batched=batched,
+            1, addresses, lambda m: count.__setitem__(0, count[0] + 1)
         ).open()
         conn.send("ready")
         while not conn.poll():
@@ -181,10 +183,20 @@ def _udp_receiver(addresses, batched, conn) -> None:
         transport.close()
         conn.send(count[0])
 
-    asyncio.run(main())
+    with _datapath(accelerated):
+        asyncio.run(main())
 
 
-def _udp_flood(batched: bool, seconds: float) -> Optional[Dict]:
+def _datapath(accelerated: bool):
+    """Patch ``mmsg.available`` for this process: a loop's first transport
+    asks it once, so a whole ``asyncio.run`` inside the patch runs either on
+    sendmmsg/recvmmsg or on the per-datagram fallback."""
+    from unittest import mock
+
+    return mock.patch.object(mmsg, "available", return_value=accelerated)
+
+
+def _udp_flood(accelerated: bool, seconds: float) -> Optional[Dict]:
     """One sender-process flood against one receiver process."""
     import asyncio
 
@@ -196,14 +208,12 @@ def _udp_flood(batched: bool, seconds: float) -> Optional[Dict]:
         return None
     addresses = {0: _free_addr(), 1: _free_addr()}
     parent, child = ctx.Pipe()
-    proc = ctx.Process(target=_udp_receiver, args=(addresses, batched, child))
+    proc = ctx.Process(target=_udp_receiver, args=(addresses, accelerated, child))
     proc.start()
     parent.recv()
 
     async def send() -> tuple:
-        transport = await UdpTransport(
-            0, addresses, lambda m: None, batched=batched
-        ).open()
+        transport = await UdpTransport(0, addresses, lambda m: None).open()
         message = AccuseMessage(sender_node=0, dest_node=1, group=1,
                                 accuser=0, accused=1, accused_phase=0)
         burst = [message] * 64
@@ -217,7 +227,8 @@ def _udp_flood(batched: bool, seconds: float) -> Optional[Dict]:
         transport.close()
         return sent, wall, syscalls
 
-    sent, wall, syscalls = asyncio.run(send())
+    with _datapath(accelerated):
+        sent, wall, syscalls = asyncio.run(send())
     parent.send("stop")
     delivered = parent.recv()
     proc.join(timeout=10)
@@ -229,17 +240,17 @@ def _udp_flood(batched: bool, seconds: float) -> Optional[Dict]:
 
 
 def run_udp_micro(seconds: float = 1.0, repeats: int = 2) -> Optional[Dict]:
-    """Batched-vs-unbatched sustained flood; None when sendmmsg is absent.
+    """mmsg-vs-fallback sustained flood; None when sendmmsg is absent.
 
-    Best delivered rate per path across ``repeats`` — the paths are
-    measured in separate runs, so per-run noise never favours one side.
+    Best delivered rate per side across ``repeats`` — the sides are
+    measured in separate runs, so per-run noise never favours one.
     """
     if not mmsg.available():
         return None
     best: Dict[str, Dict] = {}
-    for batched, key in ((True, "batched"), (False, "unbatched")):
+    for accelerated, key in ((True, "mmsg"), (False, "fallback")):
         for _ in range(repeats):
-            run = _udp_flood(batched, seconds)
+            run = _udp_flood(accelerated, seconds)
             if run is None:
                 return None
             if (
@@ -247,13 +258,10 @@ def run_udp_micro(seconds: float = 1.0, repeats: int = 2) -> Optional[Dict]:
                 or run["delivered_per_sec"] > best[key]["delivered_per_sec"]
             ):
                 best[key] = run
-    ratio = (
-        best["batched"]["delivered_per_sec"]
-        / best["unbatched"]["delivered_per_sec"]
-    )
+    ratio = best["mmsg"]["delivered_per_sec"] / best["fallback"]["delivered_per_sec"]
     return {
-        "batched": best["batched"],
-        "unbatched": best["unbatched"],
+        "mmsg": best["mmsg"],
+        "fallback": best["fallback"],
         "delivered_ratio": round(ratio, 2),
     }
 
@@ -278,9 +286,9 @@ def run_micro_bench(skip_udp: bool = False, progress=None) -> Dict:
         if progress and blob["udp"] is not None:
             udp = blob["udp"]
             progress(
-                f"udp: batched {udp['batched']['delivered_per_sec']:,.0f} "
-                f"delivered/s vs unbatched "
-                f"{udp['unbatched']['delivered_per_sec']:,.0f}/s "
+                f"udp: sendmmsg/recvmmsg {udp['mmsg']['delivered_per_sec']:,.0f} "
+                f"delivered/s vs per-datagram fallback "
+                f"{udp['fallback']['delivered_per_sec']:,.0f}/s "
                 f"(ratio {udp['delivered_ratio']:.2f}x)"
             )
         elif progress:
@@ -296,7 +304,7 @@ def compare_micro(baseline: dict, current: Dict, tolerance: float = 0.25) -> Lis
     * the UDP delivered ratio must stay above
       ``MIN_UDP_RATIO * (1 - tolerance)`` — the committed baseline is
       recorded at >= MIN_UDP_RATIO, and the tolerance absorbs shared-CI
-      noise without ever letting the batched path regress to parity.
+      noise.
     """
     failures: List[str] = []
     base = baseline.get("micro")
@@ -323,7 +331,7 @@ def compare_micro(baseline: dict, current: Dict, tolerance: float = 0.25) -> Lis
         floor = MIN_UDP_RATIO * (1.0 - tolerance)
         if udp["delivered_ratio"] < floor:
             failures.append(
-                f"udp: batched/unbatched delivered ratio "
+                f"udp: mmsg/fallback delivered ratio "
                 f"{udp['delivered_ratio']:.2f}x fell below {floor:.2f}x "
                 f"(recorded baseline {base['udp']['delivered_ratio']:.2f}x, "
                 f"gate {MIN_UDP_RATIO:.1f}x minus {tolerance * 100:.0f}% noise)"

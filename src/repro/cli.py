@@ -97,12 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-node logs land here (CI uploads them as artifacts)",
     )
     live.add_argument(
-        "--batched-udp",
-        action="store_true",
-        help="daemons use the raw-socket sendmmsg/recvmmsg datapath "
-        "(falls back to per-datagram sendto where unavailable)",
-    )
-    live.add_argument(
         "--uvloop",
         action="store_true",
         help="daemons install the uvloop event-loop policy when importable "
@@ -150,12 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="ChaosScript JSON applied to this node's transport "
         "(transport-level steps only)",
-    )
-    node.add_argument(
-        "--batched-udp",
-        action="store_true",
-        help="use the raw-socket sendmmsg/recvmmsg datapath "
-        "(falls back to per-datagram sendto where unavailable)",
     )
     node.add_argument(
         "--uvloop",
@@ -272,7 +260,6 @@ def _run_live(args: argparse.Namespace) -> int:
         stable_seconds=args.stable_seconds,
         timeout=args.timeout,
         log_dir=args.log_dir,
-        batched_udp=args.batched_udp,
         use_uvloop=args.uvloop,
     )
     print(report.summary(), flush=True)
@@ -299,7 +286,6 @@ def _run_node(args: argparse.Namespace) -> int:
             fd_variant=args.fd_variant,
             duration=args.duration,
             chaos_script=args.chaos_script,
-            batched_udp=args.batched_udp,
             use_uvloop=args.uvloop,
         )
     except ValueError as exc:

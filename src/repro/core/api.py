@@ -11,9 +11,7 @@ redesigned service surface.  Instead of threading a single
 any number of watchers with :meth:`GroupHandle.watch_leader`, read the
 leader with :meth:`GroupHandle.leader`, and reach the lease/lock tier
 anchored on the group's stable leader through :meth:`GroupHandle.lease`
-(per-name) or :meth:`GroupHandle.lease_client` (the raw client).  The old
-``on_leader_change=`` keyword still works but warns with
-:class:`DeprecationWarning`.
+(per-name) or :meth:`GroupHandle.lease_client` (the raw client).
 
 :class:`ServiceHost` ties a daemon to a workstation's lifecycle: when the
 node crashes the daemon dies with it; when the node recovers, the host boots
@@ -24,7 +22,6 @@ processes rejoining, e.g. S1's lower-id rejoin demotions, §6.2).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -50,7 +47,6 @@ class _JoinSpec:
     candidate: bool
     qos: Optional[FDQoS]
     algorithm: Optional[str]
-    on_leader_change: Optional[LeaderCallback]
 
 
 class LeaseHandle:
@@ -225,25 +221,14 @@ class Application:
         candidate: bool = True,
         qos: Optional[FDQoS] = None,
         algorithm: Optional[str] = None,
-        on_leader_change: Optional[LeaderCallback] = None,
     ) -> GroupHandle:
         """Join ``group``; the join is standing (re-applied after crashes).
 
-        Returns the group's :class:`GroupHandle`.  The ``on_leader_change``
-        keyword is deprecated — subscribe through
-        :meth:`GroupHandle.watch_leader` instead (any number of watchers).
+        Returns the group's :class:`GroupHandle`; subscribe to leader
+        changes through :meth:`GroupHandle.watch_leader` (any number of
+        watchers).
         """
-        if on_leader_change is not None:
-            warnings.warn(
-                "join(on_leader_change=...) is deprecated; use the returned "
-                "GroupHandle.watch_leader() instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self._leader_listeners.setdefault(group, []).append(on_leader_change)
-        spec = _JoinSpec(
-            group, candidate, qos, algorithm, self._dispatch_leader_change
-        )
+        spec = _JoinSpec(group, candidate, qos, algorithm)
         self._joins[group] = spec
         if self._handler is not None:
             self._execute_join(spec)
@@ -305,7 +290,7 @@ class Application:
                 group=spec.group,
                 candidate=spec.candidate,
                 qos=spec.qos,
-                on_leader_change=spec.on_leader_change,
+                on_leader_change=self._dispatch_leader_change,
                 algorithm=spec.algorithm,
             )
         )

@@ -78,12 +78,6 @@ class LiveNodeConfig:
     #: duplicate, reorder, heal) is supported live — host-level steps
     #: need the simulator's fault plane and are rejected at load time.
     chaos_script: Optional[Path] = None
-    #: Use the batched UDP datapath: a raw nonblocking socket with
-    #: sendmmsg/recvmmsg fan-out where libc provides them (see
-    #: :class:`~repro.runtime.realtime.UdpTransport`).  Off any Linux
-    #: fast path it degrades to per-datagram sendto/recvfrom — the flag
-    #: is always safe to set.
-    batched_udp: bool = False
     #: Install the uvloop event-loop policy when the package is importable;
     #: silently keeps the stdlib loop otherwise (uvloop is never a hard
     #: dependency).
@@ -153,9 +147,7 @@ async def run_node(config: LiveNodeConfig) -> None:
     scheduler = RealtimeScheduler(loop)
     node = Node(scheduler, config.node_id)
     addresses = {i: (config.host, port) for i, port in enumerate(config.ports)}
-    transport = UdpTransport(
-        config.node_id, addresses, node.deliver, batched=config.batched_udp
-    )
+    transport = UdpTransport(config.node_id, addresses, node.deliver)
     await transport.open()
 
     chaos_controller = None
@@ -386,7 +378,6 @@ def _spawn_node(
     fd_variant: str,
     duration: float,
     groups: int,
-    batched_udp: bool = False,
     use_uvloop: bool = False,
 ) -> subprocess.Popen:
     command = [
@@ -411,8 +402,6 @@ def _spawn_node(
         "--duration",
         str(duration),
     ]
-    if batched_udp:
-        command.append("--batched-udp")
     if use_uvloop:
         command.append("--uvloop")
     return subprocess.Popen(
@@ -659,7 +648,6 @@ def run_cluster(
     timeout: float = 20.0,
     log_dir: Optional[Path] = None,
     echo: bool = True,
-    batched_udp: bool = False,
     use_uvloop: bool = False,
 ) -> ClusterReport:
     """Boot an N-process localhost cluster and exercise a leader crash.
@@ -776,8 +764,7 @@ def run_cluster(
         for node_id in range(n_nodes):
             child = _spawn_node(
                 node_id, ports, host, algorithm, detection_time,
-                fd_variant, child_duration, groups,
-                batched_udp=batched_udp, use_uvloop=use_uvloop,
+                fd_variant, child_duration, groups, use_uvloop=use_uvloop,
             )
             children[node_id] = child
             log = open(log_dir / f"node-{node_id}.log", "w")

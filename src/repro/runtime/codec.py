@@ -40,12 +40,13 @@ Codec version 5 (the zero-copy datapath): the wire *layout* is byte-for-byte
 that of version 4 — only the version byte moves, marking daemons whose
 transport batches datagrams (``sendmmsg``/``recvmmsg``).  What changed is
 the codec's API surface: :func:`encode_message_into` packs a frame directly
-into a caller-owned reusable buffer (no per-part ``bytes`` allocations, no
-final join copy), and :func:`decode_message` accepts any buffer object
-(``bytes``, ``bytearray``, ``memoryview``) and parses it in place with
-``unpack_from`` — decoded messages hold only ints/floats/bools/strings/
-tuples, never a view of the input, so a receive scratch buffer can be
-reused for the next datagram immediately.
+into a caller-owned reusable buffer, and :func:`decode_message` accepts
+any buffer object (``bytes``, ``bytearray``, ``memoryview``) and parses it
+in place with ``unpack_from`` — decoded messages hold only ints/floats/
+bools/strings/tuples, never a view of the input, so a receive scratch
+buffer can be reused for the next datagram immediately.  There is one
+encoder per message type: :func:`encode_message` is ``bytes()`` of one
+:func:`encode_message_into`.
 
 Codec version 6 (the SWIM membership plane): three new node-level message
 types carry the randomized probe protocol — SWIM-PING (tag 9), SWIM-PING-REQ
@@ -68,7 +69,7 @@ state into the election.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, Optional, Tuple, Type
 
 from repro.net.message import (
     AccEntry,
@@ -104,6 +105,11 @@ _VERSION = 6
 #: a 64-cell batch with 4096-member deltas would not fit a datagram anyway —
 #: while still rejecting nonsense length prefixes before any allocation.
 MAX_FRAME_BYTES = 1 << 20
+
+#: First-guess buffer of :func:`encode_message`: protocol frames are a few
+#: hundred bytes, and zero-filling a full-size buffer per call would cost
+#: more than the encode itself.
+_TYPICAL_FRAME_BYTES = 4096
 
 _HEADER = struct.Struct("!IHBB")  # length, magic, version, type tag
 
@@ -250,258 +256,6 @@ def _swim_state_tag(state: str) -> int:
         raise CodecError(f"unknown swim state {state!r}") from None
 
 
-def _encode_swim_updates(updates: Tuple[SwimUpdate, ...]) -> List[bytes]:
-    return [
-        _SWIM_UPDATE.pack(
-            u.node,
-            _check_u32("swim incarnation", u.incarnation),
-            _swim_state_tag(u.state),
-        )
-        for u in updates
-    ]
-
-
-def _encode_members(members: Tuple[MemberInfo, ...]) -> List[bytes]:
-    return [
-        _MEMBER.pack(
-            m.pid, m.node, m.incarnation, m.candidate, m.present, m.joined_at
-        )
-        for m in members
-    ]
-
-
-def _encode_cell(cell: AliveCell, parts: List[bytes]) -> None:
-    has_leader = cell.local_leader is not None
-    has_acc = cell.local_leader_acc is not None
-    version, digest = _check_view(cell.view_version, cell.view_digest)
-    parts.append(
-        _CELL_FIXED.pack(cell.group, cell.pid, cell.acc_time, cell.phase)
-    )
-    parts.append(
-        _OPT_PID_ACC.pack(
-            has_leader,
-            has_acc,
-            cell.local_leader if has_leader else 0,
-            cell.local_leader_acc if has_acc else 0.0,
-        )
-    )
-    parts.append(
-        _CELL_VIEW.pack(version, digest, _check_count("delta records", len(cell.delta)))
-    )
-    parts.extend(_encode_members(cell.delta))
-
-
-def _encode_batch(message: BatchFrame) -> List[bytes]:
-    parts = [
-        _BATCH_FIXED.pack(
-            message.seq,
-            message.send_time,
-            message.interval,
-            _check_count("cells", len(message.cells)),
-        )
-    ]
-    for cell in message.cells:
-        _encode_cell(cell, parts)
-    parts.append(
-        _SWIM_COUNT.pack(_check_swim_count(len(message.swim_updates)))
-    )
-    parts.extend(_encode_swim_updates(message.swim_updates))
-    return parts
-
-
-def _encode_hello(message: HelloMessage) -> List[bytes]:
-    try:
-        kind = _HELLO_KINDS.index(message.kind)
-    except ValueError:
-        raise CodecError(f"unknown HELLO kind {message.kind!r}") from None
-    hint = message.leader_hint
-    version, digest = _check_view(message.view_version, message.view_digest)
-    parts = [
-        _HELLO_FIXED.pack(
-            message.group,
-            kind,
-            _check_count("members", len(message.members)),
-            _check_count("acc entries", len(message.acc_table)),
-            _check_count("trusted pids", len(message.trusted)),
-            hint is not None,
-            version,
-            digest,
-        )
-    ]
-    if hint is not None:
-        parts.append(_ACC_ENTRY.pack(hint.pid, hint.acc_time, hint.phase))
-    parts.extend(_encode_members(message.members))
-    parts.extend(_ACC_ENTRY.pack(e.pid, e.acc_time, e.phase) for e in message.acc_table)
-    parts.extend(_I32.pack(pid) for pid in message.trusted)
-    parts.append(
-        _HELLO_LEASES.pack(
-            _check_count("lease records", len(message.leases)),
-            _check_u64("lease digest", message.lease_digest),
-        )
-    )
-    parts.extend(_encode_lease_records(message.leases))
-    parts.append(
-        _SWIM_COUNT.pack(_check_swim_count(len(message.swim_updates)))
-    )
-    parts.extend(_encode_swim_updates(message.swim_updates))
-    return parts
-
-
-def _encode_lease_records(records: Tuple[LeaseRecord, ...]) -> List[bytes]:
-    return [
-        _LEASE_RECORD.pack(
-            _check_u64("lease id", r.lease),
-            r.holder,
-            _check_u64("lease token", r.token),
-            r.expiry,
-            r.granted_at,
-            r.released,
-            _check_u32("lease seq", r.seq),
-        )
-        for r in records
-    ]
-
-
-def _encode_lease_request(message: LeaseRequestMessage) -> List[bytes]:
-    try:
-        op = _LEASE_OPS.index(message.op)
-    except ValueError:
-        raise CodecError(f"unknown lease op {message.op!r}") from None
-    return [
-        _LEASE_REQUEST_BODY.pack(
-            message.group,
-            op,
-            _check_u64("lease id", message.lease),
-            message.client,
-            _check_u64("lease token", message.token),
-            message.ttl,
-            message.successor,
-            _check_u32("lease nonce", message.nonce),
-        )
-    ]
-
-
-def _encode_lease_reply(message: LeaseReplyMessage) -> List[bytes]:
-    try:
-        status = _LEASE_STATUSES.index(message.status)
-    except ValueError:
-        raise CodecError(f"unknown lease status {message.status!r}") from None
-    return [
-        _LEASE_REPLY_BODY.pack(
-            message.group,
-            status,
-            _check_u64("lease id", message.lease),
-            message.client,
-            _check_u64("lease token", message.token),
-            message.holder,
-            message.expiry,
-            message.retry_after,
-            message.leader_node,
-            message.handoff,
-            _check_u32("lease nonce", message.nonce),
-        )
-    ]
-
-
-def _encode_lease_event(message: LeaseEventMessage) -> List[bytes]:
-    return [
-        _LEASE_EVENT_BODY.pack(
-            message.group,
-            _check_u64("lease id", message.lease),
-            message.client,
-            message.holder,
-            _check_u64("lease token", message.token),
-            message.expiry,
-            message.released,
-            _check_u32("lease seq", message.seq),
-        )
-    ]
-
-
-def _encode_accuse(message: AccuseMessage) -> List[bytes]:
-    return [
-        _ACCUSE_BODY.pack(
-            message.group, message.accuser, message.accused, message.accused_phase
-        )
-    ]
-
-
-def _encode_rate_request(message: RateRequestMessage) -> List[bytes]:
-    return [_RATE_BODY.pack(message.interval)]
-
-
-def _encode_swim_ping(message: SwimPingMessage) -> List[bytes]:
-    parts = [
-        _SWIM_PING_BODY.pack(
-            _check_u32("swim nonce", message.nonce),
-            message.origin,
-            message.send_time,
-            _check_swim_count(len(message.updates)),
-        )
-    ]
-    parts.extend(_encode_swim_updates(message.updates))
-    return parts
-
-
-def _encode_swim_ping_req(message: SwimPingReqMessage) -> List[bytes]:
-    parts = [
-        _SWIM_PING_REQ_BODY.pack(
-            message.target,
-            _check_u32("swim nonce", message.nonce),
-            message.origin,
-            message.send_time,
-            _check_swim_count(len(message.updates)),
-        )
-    ]
-    parts.extend(_encode_swim_updates(message.updates))
-    return parts
-
-
-def _encode_swim_ack(message: SwimAckMessage) -> List[bytes]:
-    parts = [
-        _SWIM_ACK_BODY.pack(
-            _check_u32("swim nonce", message.nonce),
-            _check_u32("swim incarnation", message.incarnation),
-            message.echo_send_time,
-            _check_swim_count(len(message.updates)),
-        )
-    ]
-    parts.extend(_encode_swim_updates(message.updates))
-    return parts
-
-
-_ENCODERS: Dict[Type[Message], Tuple[int, Callable[[Message], List[bytes]]]] = {
-    BatchFrame: (_TAG_BATCH, _encode_batch),
-    HelloMessage: (_TAG_HELLO, _encode_hello),
-    AccuseMessage: (_TAG_ACCUSE, _encode_accuse),
-    RateRequestMessage: (_TAG_RATE_REQUEST, _encode_rate_request),
-    LeaseRequestMessage: (_TAG_LEASE_REQUEST, _encode_lease_request),
-    LeaseReplyMessage: (_TAG_LEASE_REPLY, _encode_lease_reply),
-    LeaseEventMessage: (_TAG_LEASE_EVENT, _encode_lease_event),
-    SwimPingMessage: (_TAG_SWIM_PING, _encode_swim_ping),
-    SwimPingReqMessage: (_TAG_SWIM_PING_REQ, _encode_swim_ping_req),
-    SwimAckMessage: (_TAG_SWIM_ACK, _encode_swim_ack),
-}
-
-
-def encode_message(message: Message) -> bytes:
-    """Serialize ``message`` into one self-delimiting binary frame."""
-    entry = _ENCODERS.get(type(message))
-    if entry is None:
-        raise CodecError(f"no wire encoding for {type(message).__name__}")
-    tag, encoder = entry
-    body = b"".join(
-        [_ROUTING.pack(message.sender_node, message.dest_node), *encoder(message)]
-    )
-    length = _HEADER.size - 4 + len(body)
-    if length + 4 > MAX_FRAME_BYTES:
-        raise CodecError(f"frame too large ({length + 4} bytes)")
-    return _HEADER.pack(length, _MAGIC, _VERSION, tag) + body
-
-
-# ----------------------------------------------------------------------
-# Zero-copy encoding (codec v5 fast path)
-# ----------------------------------------------------------------------
 def _members_into(members: Tuple[MemberInfo, ...], buf, pos: int) -> int:
     pack = _MEMBER.pack_into
     size = _MEMBER.size
@@ -533,9 +287,8 @@ def _cell_into(cell: AliveCell, buf, pos: int) -> int:
     return _members_into(cell.delta, buf, pos)
 
 
-def _swim_updates_into(updates: Tuple[SwimUpdate, ...], buf, pos: int) -> int:
-    _SWIM_COUNT.pack_into(buf, pos, _check_swim_count(len(updates)))
-    pos += _SWIM_COUNT.size
+def _swim_records_into(updates: Tuple[SwimUpdate, ...], buf, pos: int) -> int:
+    """The fixed-size update records alone; every caller writes the count."""
     pack = _SWIM_UPDATE.pack_into
     size = _SWIM_UPDATE.size
     for u in updates:
@@ -548,6 +301,12 @@ def _swim_updates_into(updates: Tuple[SwimUpdate, ...], buf, pos: int) -> int:
         )
         pos += size
     return pos
+
+
+def _swim_updates_into(updates: Tuple[SwimUpdate, ...], buf, pos: int) -> int:
+    """The piggyback block of BatchFrame/HELLO bodies: count byte + records."""
+    _SWIM_COUNT.pack_into(buf, pos, _check_swim_count(len(updates)))
+    return _swim_records_into(updates, buf, pos + _SWIM_COUNT.size)
 
 
 def _batch_into(message: BatchFrame, buf, pos: int) -> int:
@@ -713,20 +472,8 @@ def _swim_ping_into(message: SwimPingMessage, buf, pos: int) -> int:
         message.send_time,
         _check_swim_count(len(message.updates)),
     )
-    pos += _SWIM_PING_BODY.size
-    # The body structs end with the count byte the update lists follow, so
-    # reuse the list packer minus its own count prefix.
-    pack = _SWIM_UPDATE.pack_into
-    for u in message.updates:
-        pack(
-            buf,
-            pos,
-            u.node,
-            _check_u32("swim incarnation", u.incarnation),
-            _swim_state_tag(u.state),
-        )
-        pos += _SWIM_UPDATE.size
-    return pos
+    # The probe bodies end with the count byte their update records follow.
+    return _swim_records_into(message.updates, buf, pos + _SWIM_PING_BODY.size)
 
 
 def _swim_ping_req_into(message: SwimPingReqMessage, buf, pos: int) -> int:
@@ -739,18 +486,7 @@ def _swim_ping_req_into(message: SwimPingReqMessage, buf, pos: int) -> int:
         message.send_time,
         _check_swim_count(len(message.updates)),
     )
-    pos += _SWIM_PING_REQ_BODY.size
-    pack = _SWIM_UPDATE.pack_into
-    for u in message.updates:
-        pack(
-            buf,
-            pos,
-            u.node,
-            _check_u32("swim incarnation", u.incarnation),
-            _swim_state_tag(u.state),
-        )
-        pos += _SWIM_UPDATE.size
-    return pos
+    return _swim_records_into(message.updates, buf, pos + _SWIM_PING_REQ_BODY.size)
 
 
 def _swim_ack_into(message: SwimAckMessage, buf, pos: int) -> int:
@@ -762,18 +498,7 @@ def _swim_ack_into(message: SwimAckMessage, buf, pos: int) -> int:
         message.echo_send_time,
         _check_swim_count(len(message.updates)),
     )
-    pos += _SWIM_ACK_BODY.size
-    pack = _SWIM_UPDATE.pack_into
-    for u in message.updates:
-        pack(
-            buf,
-            pos,
-            u.node,
-            _check_u32("swim incarnation", u.incarnation),
-            _swim_state_tag(u.state),
-        )
-        pos += _SWIM_UPDATE.size
-    return pos
+    return _swim_records_into(message.updates, buf, pos + _SWIM_ACK_BODY.size)
 
 
 _ENCODERS_INTO: Dict[Type[Message], Tuple[int, Callable]] = {
@@ -793,30 +518,46 @@ _ENCODERS_INTO: Dict[Type[Message], Tuple[int, Callable]] = {
 def encode_message_into(message: Message, buf: bytearray) -> int:
     """Pack one frame into a caller-owned buffer; returns the frame length.
 
-    The zero-copy counterpart of :func:`encode_message`: the produced bytes
-    (``buf[:returned_length]``) are identical, but nothing is allocated —
-    every field is ``pack_into``-ed straight into ``buf``, which the caller
-    reuses across datagrams (one scratch per transport).  ``buf`` must be at
-    least :data:`MAX_FRAME_BYTES` long; a message that would overrun it is
-    rejected with :class:`CodecError` exactly like the allocating path.
+    The frame is ``buf[:returned_length]``; nothing is allocated — every
+    field is ``pack_into``-ed straight into ``buf``, which the caller reuses
+    across datagrams.  ``buf`` need only hold the frame (the transport
+    passes one 64 KiB datagram's worth); a message that would overrun it,
+    or :data:`MAX_FRAME_BYTES`, is refused with :class:`CodecError`, and
+    bytes past the frame are never touched.
     """
     entry = _ENCODERS_INTO.get(type(message))
     if entry is None:
         raise CodecError(f"no wire encoding for {type(message).__name__}")
     tag, encoder = entry
-    pos = _HEADER.size
-    _ROUTING.pack_into(buf, pos, message.sender_node, message.dest_node)
-    pos += _ROUTING.size
     try:
-        end = encoder(message, buf, pos)
+        _ROUTING.pack_into(buf, _HEADER.size, message.sender_node, message.dest_node)
+        end = encoder(message, buf, _HEADER.size + _ROUTING.size)
     except struct.error as exc:
-        # Either a frame larger than the scratch (== larger than the codec
-        # accepts) or an out-of-range field value; both are refusals.
+        # Either a frame larger than ``buf`` or an out-of-range field
+        # value; both are refusals.
         raise CodecError(f"frame too large or field out of range: {exc}") from None
     if end > MAX_FRAME_BYTES:
         raise CodecError(f"frame too large ({end} bytes)")
     _HEADER.pack_into(buf, 0, end - 4, _MAGIC, _VERSION, tag)
     return end
+
+
+def encode_message(message: Message) -> bytes:
+    """Serialize ``message`` into one self-delimiting binary frame.
+
+    ``bytes()`` of one :func:`encode_message_into` — a convenience for
+    tests, tools and stream transports; the datagram path encodes straight
+    into its own scratch and never comes through here.
+    """
+    buf = bytearray(_TYPICAL_FRAME_BYTES)
+    try:
+        end = encode_message_into(message, buf)
+    except CodecError:
+        # Bigger than the first guess — or a genuine refusal, which the
+        # full-size retry raises again.
+        buf = bytearray(MAX_FRAME_BYTES)
+        end = encode_message_into(message, buf)
+    return bytes(buf[:end])
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """ctypes bindings for Linux ``sendmmsg``/``recvmmsg``.
 
-CPython's :mod:`socket` module exposes neither syscall, so the batched
-UDP datapath (:class:`~repro.runtime.realtime.UdpTransport` with
-``batched=True``) binds them straight from libc.  One ``sendmmsg`` call
+CPython's :mod:`socket` module exposes neither syscall, so the UDP
+datapath (:class:`~repro.runtime.realtime.UdpTransport`) binds them
+straight from libc.  One ``sendmmsg`` call
 flushes a whole per-tick fan-out — every destination's ALIVE frame —
 through a single kernel crossing, and one ``recvmmsg`` drains every
 datagram already queued on the socket; per-datagram syscall overhead is
@@ -33,8 +33,6 @@ __all__ = [
     "MAX_BATCH",
     "available",
     "pin",
-    "send_many",
-    "recv_many",
     "SendBatcher",
     "RecvBatcher",
 ]
@@ -149,9 +147,8 @@ _IOV_SIZE = ctypes.sizeof(_iovec)
 class SendBatcher:
     """Reusable ``sendmmsg`` argument arrays for a hot send path.
 
-    The one-shot :func:`send_many` rebuilds every ctypes array per call,
-    which costs more Python time than the syscall it saves — fine for
-    tests, fatal for throughput.  A ``SendBatcher`` allocates the
+    Rebuilding the ctypes arrays per call costs more Python time than the
+    syscall saves, so a ``SendBatcher`` allocates the
     ``mmsghdr``/``iovec``/``sockaddr`` arrays once, pre-links the constant
     pointers, and leaves only two cheap stores per datagram on the hot
     path (:meth:`stage`): the iovec pair, packed straight into the array's
@@ -281,81 +278,3 @@ class RecvBatcher:
                 )
             )
         return out
-
-
-def send_many(
-    fd: int, datagrams: Sequence[Tuple[bytearray, int, Tuple[str, int]]]
-) -> int:
-    """Send up to :data:`MAX_BATCH` datagrams with one ``sendmmsg`` call.
-
-    ``datagrams`` holds ``(buffer, length, (host, port))`` triples; the
-    kernel copies each payload during the call, so the buffers (typically
-    the transport's reusable encode scratch) may be overwritten as soon
-    as this returns.  Returns how many datagrams the kernel accepted
-    (may be short on a full socket buffer); raises ``OSError`` —
-    ``BlockingIOError`` for EAGAIN — when not even the first one went.
-    """
-    assert _sendmmsg is not None, "call available() first"
-    n = len(datagrams)
-    if n > MAX_BATCH:
-        raise ValueError(f"batch of {n} exceeds MAX_BATCH={MAX_BATCH}")
-    msgs = (_mmsghdr * n)()
-    iovs = (_iovec * n)()
-    addrs = (_sockaddr_in * n)()
-    keep = []  # from_buffer views must outlive the syscall
-    for i, (buf, length, (host, port)) in enumerate(datagrams):
-        view = (ctypes.c_char * length).from_buffer(buf)
-        keep.append(view)
-        iovs[i].iov_base = ctypes.addressof(view)
-        iovs[i].iov_len = length
-        _fill_sockaddr(addrs[i], host, port)
-        hdr = msgs[i].msg_hdr
-        hdr.msg_name = ctypes.addressof(addrs[i])
-        hdr.msg_namelen = ctypes.sizeof(_sockaddr_in)
-        hdr.msg_iov = ctypes.pointer(iovs[i])
-        hdr.msg_iovlen = 1
-    sent = _sendmmsg(fd, msgs, n, 0)
-    if sent < 0:
-        err = ctypes.get_errno()
-        raise OSError(err, os.strerror(err))
-    return sent
-
-
-def recv_many(
-    fd: int, buffers: Sequence[bytearray]
-) -> List[Tuple[int, Tuple[str, int]]]:
-    """Receive up to ``len(buffers)`` datagrams with one ``recvmmsg`` call.
-
-    Each received payload lands in the corresponding (caller-owned,
-    reusable) buffer.  Returns ``(nbytes, (host, port))`` per datagram in
-    arrival order; raises ``BlockingIOError`` when the (nonblocking)
-    socket has nothing queued.
-    """
-    assert _recvmmsg is not None, "call available() first"
-    n = len(buffers)
-    if n > MAX_BATCH:
-        raise ValueError(f"batch of {n} exceeds MAX_BATCH={MAX_BATCH}")
-    msgs = (_mmsghdr * n)()
-    iovs = (_iovec * n)()
-    addrs = (_sockaddr_in * n)()
-    keep = []
-    for i, buf in enumerate(buffers):
-        view = (ctypes.c_char * len(buf)).from_buffer(buf)
-        keep.append(view)
-        iovs[i].iov_base = ctypes.addressof(view)
-        iovs[i].iov_len = len(buf)
-        hdr = msgs[i].msg_hdr
-        hdr.msg_name = ctypes.addressof(addrs[i])
-        hdr.msg_namelen = ctypes.sizeof(_sockaddr_in)
-        hdr.msg_iov = ctypes.pointer(iovs[i])
-        hdr.msg_iovlen = 1
-    got = _recvmmsg(fd, msgs, n, 0, None)
-    if got < 0:
-        err = ctypes.get_errno()
-        raise OSError(err, os.strerror(err))
-    out: List[Tuple[int, Tuple[str, int]]] = []
-    for i in range(got):
-        sa = addrs[i]
-        source = (socket.inet_ntoa(bytes(sa.sin_addr)), socket.ntohs(sa.sin_port))
-        out.append((msgs[i].msg_len, source))
-    return out

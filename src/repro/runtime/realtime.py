@@ -27,17 +27,13 @@ from __future__ import annotations
 import asyncio
 import socket
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.net.message import Message
 from repro.runtime import mmsg
-from repro.runtime.codec import (
-    CodecError,
-    decode_message,
-    encode_message,
-    encode_message_into,
-)
+from repro.runtime.codec import CodecError, decode_message, encode_message_into
 
 __all__ = ["RealtimeHandle", "RealtimeScheduler", "TransportStats", "UdpTransport"]
 
@@ -138,13 +134,73 @@ class TransportStats:
     frames_rejected: int = 0
     #: Sends dropped because the destination node id has no known address.
     unroutable: int = 0
-    #: sendmmsg/recvmmsg syscalls issued (batched mode only) — the whole
-    #: point of batching is that this grows much slower than frames_sent.
+    #: Encoded datagrams the kernel refused (full socket buffer, a short
+    #: ``sendmmsg``, a failed ``sendto``): writes are synchronous and nothing
+    #: is queued, so these are real losses the failure detector must absorb.
+    send_dropped: int = 0
+    #: sendmmsg/recvmmsg syscalls issued (0 where libc lacks them) — the
+    #: whole point of batching is that this grows much slower than
+    #: frames_sent.
     batch_syscalls: int = 0
     last_error: Optional[str] = field(default=None, repr=False)
 
 
-class UdpTransport(asyncio.DatagramProtocol):
+#: UDP payloads cannot exceed 65507 bytes, so a 64 KiB buffer always fits
+#: one datagram (the codec enforces its own MAX_FRAME_BYTES on top).
+_DATAGRAM_MAX = 65536
+#: Datagrams one ``recvmmsg`` drain can take.
+_RX_SLOTS = 32
+#: Off-book senders (lease clients) whose address is remembered, least
+#: recently heard evicted first.  ``sender_node`` is whatever a datagram
+#: claims, so without a cap a spoofer grows the table without bound.
+_LEARNED_MAX = 1024
+
+
+class _LoopScratch:
+    """Datagram buffers and ``mmsg`` batchers shared by one loop's transports.
+
+    Every transport runs on its loop's thread, and neither a receive drain
+    nor a send fan-out ever nests inside another, so the transports of one
+    loop can take turns on one set of buffers: a process hosting several
+    (an in-process cluster, a daemon re-booting) pays for the ~2 MiB of
+    receive slots once, not per transport.
+    """
+
+    def __init__(self) -> None:
+        #: Encode scratch for single sends.
+        self.tx = bytearray(_DATAGRAM_MAX)
+        #: Per-slot encode scratch for send_batch; grown on demand.  Each
+        #: slot is pinned (``tx_slot_views``) so its buffer address
+        #: (``tx_slot_addrs``) stays valid for the batcher's iovecs.
+        self.tx_slots: list = []
+        self.tx_slot_views: list = []
+        self.tx_slot_addrs: list = []
+        #: Receive buffers for one recvmmsg drain, and the two batchers;
+        #: platforms without the libc symbols go per datagram and need none.
+        use_mmsg = mmsg.available()
+        self.rx_buffers = [
+            bytearray(_DATAGRAM_MAX) for _ in range(_RX_SLOTS if use_mmsg else 0)
+        ]
+        self.rx_batcher = mmsg.RecvBatcher(self.rx_buffers) if use_mmsg else None
+        self.tx_batcher = mmsg.SendBatcher() if use_mmsg else None
+
+    def tx_slot(self, index: int) -> bytearray:
+        """Slot ``index`` of the fan-out scratch, allocated on first use."""
+        if index == len(self.tx_slots):
+            buf = bytearray(_DATAGRAM_MAX)
+            view, base = mmsg.pin(buf)
+            self.tx_slots.append(buf)
+            self.tx_slot_views.append(view)
+            self.tx_slot_addrs.append(base)
+        return self.tx_slots[index]
+
+
+#: event loop -> its scratch, created by the first transport opened on the
+#: loop and released with it.
+_scratch_by_loop: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+class UdpTransport:
     """Real UDP datagram transport for one node of a cluster.
 
     ``addresses`` maps every node id (including the local one) to its
@@ -155,65 +211,43 @@ class UdpTransport(asyncio.DatagramProtocol):
 
     Senders outside the static address book (lease clients are not cluster
     members) are *learned*: the source address of their last datagram is
-    remembered, and :meth:`send` falls back to it, so a daemon can answer
-    a client it was never configured with.  Static entries always win —
-    a learned address can never shadow a cluster node.
+    remembered (for the :data:`_LEARNED_MAX` most recently heard), and
+    :meth:`send` falls back to it, so a daemon can answer a client it was
+    never configured with.  Static entries always win — a learned address
+    can never shadow a cluster node, and the book is never evicted.
 
-    With ``batched=True`` the transport bypasses asyncio's datagram
-    machinery entirely: a raw nonblocking socket, written *synchronously*
-    from :meth:`send`/:meth:`send_batch` and drained via
-    ``loop.add_reader``.  Synchronous writes are what make the zero-copy
-    encode scratch safe — asyncio's ``DatagramTransport.sendto`` keeps a
-    reference to the data object when the socket would block, so a
-    reusable buffer handed to it could be overwritten while still queued.
+    The datapath is a raw nonblocking socket, written *synchronously* from
+    :meth:`send`/:meth:`send_batch` and drained via ``loop.add_reader``.
+    Synchronous writes are what make the zero-copy encode scratch safe: the
+    kernel has copied the payload by the time the call returns, so the
+    buffer can be reused for the next datagram — and a datagram the kernel
+    refuses is dropped and counted (``stats.send_dropped``), never queued.
     On Linux, :meth:`send_batch` flushes a whole fan-out with one
     ``sendmmsg`` call and the read side drains bursts with ``recvmmsg``
-    (see :mod:`repro.runtime.mmsg`); elsewhere batched mode degrades to
-    per-datagram ``sendto``/``recvfrom`` on the same raw socket.
+    (see :mod:`repro.runtime.mmsg`); elsewhere the same socket goes per
+    datagram through ``sendto``/``recvfrom``.
 
     Create, then ``await transport.open()`` to bind the local socket.
     """
-
-    #: Per-datagram buffer size: UDP payloads cannot exceed 65507 bytes,
-    #: so 64 KiB scratch always fits one frame (the codec enforces its own
-    #: MAX_FRAME_BYTES on top).
-    _DATAGRAM_MAX = 65536
 
     def __init__(
         self,
         node_id: int,
         addresses: Dict[int, Tuple[str, int]],
         deliver: Callable[[Message], None],
-        *,
-        batched: bool = False,
     ) -> None:
         if node_id not in addresses:
             raise ValueError(f"node {node_id} missing from the address book")
         self.node_id = node_id
         self._addresses = dict(addresses)
-        #: node id -> last seen source address, for off-book senders.
+        #: node id -> last seen source address, for off-book senders;
+        #: insertion-ordered, least recently heard first.
         self._learned: Dict[int, Tuple[str, int]] = {}
         self._deliver = deliver
-        self._transport: Optional[asyncio.DatagramTransport] = None
-        self.batched = batched
-        #: Raw nonblocking socket (batched mode only).
         self._sock: Optional[socket.socket] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        #: Reusable encode scratch for single sends (batched mode).
-        self._tx_scratch = bytearray(self._DATAGRAM_MAX) if batched else None
-        #: Per-slot encode scratch for send_batch; grown on demand.  Each
-        #: slot is pinned (``_tx_slot_views``) so its buffer address
-        #: (``_tx_slot_addrs``) stays valid for the batcher's iovecs.
-        self._tx_slots: list = []
-        self._tx_slot_views: list = []
-        self._tx_slot_addrs: list = []
-        use_mmsg = batched and mmsg.available()
-        #: Reusable receive buffers for one recvmmsg drain.
-        self._rx_buffers = (
-            [bytearray(self._DATAGRAM_MAX) for _ in range(32)] if use_mmsg else []
-        )
-        self._rx_batcher = mmsg.RecvBatcher(self._rx_buffers) if use_mmsg else None
-        self._tx_batcher = mmsg.SendBatcher() if use_mmsg else None
+        #: The loop's shared buffers, attached in :meth:`open`.
+        self._scratch: Optional[_LoopScratch] = None
         self.stats = TransportStats()
 
     # ------------------------------------------------------------------
@@ -222,44 +256,39 @@ class UdpTransport(asyncio.DatagramProtocol):
     async def open(self) -> "UdpTransport":
         """Bind the local UDP socket; returns self for chaining."""
         loop = asyncio.get_running_loop()
-        if self.batched:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            try:
-                sock.setblocking(False)
-                # Bigger kernel buffers absorb whole-fan-in bursts between
-                # reader callbacks; best-effort (OS caps silently apply).
-                for option in (socket.SO_RCVBUF, socket.SO_SNDBUF):
-                    try:
-                        sock.setsockopt(socket.SOL_SOCKET, option, 1 << 20)
-                    except OSError:  # pragma: no cover - exotic kernels
-                        pass
-                sock.bind(self._addresses[self.node_id])
-            except OSError:
-                sock.close()
-                raise
-            self._sock = sock
-            self._loop = loop
-            loop.add_reader(sock.fileno(), self._drain_rx)
-            return self
-        await loop.create_datagram_endpoint(
-            lambda: self, local_addr=self._addresses[self.node_id]
-        )
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            # Bigger kernel buffers absorb whole-fan-in bursts between
+            # reader callbacks; best-effort (OS caps silently apply).
+            for option in (socket.SO_RCVBUF, socket.SO_SNDBUF):
+                try:
+                    sock.setsockopt(socket.SOL_SOCKET, option, 1 << 20)
+                except OSError:  # pragma: no cover - exotic kernels
+                    pass
+            sock.bind(self._addresses[self.node_id])
+        except OSError:
+            sock.close()
+            raise
+        scratch = _scratch_by_loop.get(loop)
+        if scratch is None:
+            scratch = _scratch_by_loop[loop] = _LoopScratch()
+        self._scratch = scratch
+        self._sock = sock
+        self._loop = loop
+        loop.add_reader(sock.fileno(), self._drain_rx)
         return self
 
     def close(self) -> None:
         """Close the socket; subsequent sends are silently dropped."""
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
         if self._sock is not None:
-            if self._loop is not None:
-                self._loop.remove_reader(self._sock.fileno())
+            self._loop.remove_reader(self._sock.fileno())
             self._sock.close()
             self._sock = None
 
     @property
     def open_for_traffic(self) -> bool:
-        return self._transport is not None or self._sock is not None
+        return self._sock is not None
 
     # ------------------------------------------------------------------
     # Transport protocol (repro.runtime.base.Transport)
@@ -270,55 +299,46 @@ class UdpTransport(asyncio.DatagramProtocol):
             address = self._learned.get(dest_node)
         return address
 
-    def send(self, message: Message) -> None:
-        """Encode and transmit ``message`` to its destination's endpoint.
-
-        Best-effort, like the UDP it rides on: unroutable destinations and
-        encoding failures are counted and dropped, never raised — a daemon
-        must not die because one gossip round referenced a node that
-        already left the address book.
-        """
-        if self._sock is not None:
-            self._send_raw(message)
-            return
-        if self._transport is None:
-            return
-        address = self._route(message.dest_node)
-        if address is None:
-            self.stats.unroutable += 1
-            return
+    def _encode(self, message: Message, buf: bytearray) -> int:
+        """Frame length in ``buf``, or 0 for a message the codec refuses."""
         try:
-            data = encode_message(message)
+            return encode_message_into(message, buf)
         except CodecError as exc:  # pragma: no cover - needs a broken message
             self.stats.frames_rejected += 1
             self.stats.last_error = str(exc)
-            return
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(data)
-        self._transport.sendto(data, address)
+            return 0
 
-    def _send_raw(self, message: Message) -> None:
-        """Batched-mode single send: zero-copy encode, synchronous write."""
-        address = self._route(message.dest_node)
-        if address is None:
-            self.stats.unroutable += 1
-            return
-        scratch = self._tx_scratch
+    def _sendto(self, buf: bytearray, end: int, address: Tuple[str, int]) -> None:
+        """One synchronous ``sendto``; a kernel refusal is a counted drop."""
         try:
-            end = encode_message_into(message, scratch)
-        except CodecError as exc:  # pragma: no cover - needs a broken message
-            self.stats.frames_rejected += 1
-            self.stats.last_error = str(exc)
-            return
-        try:
-            self._sock.sendto(memoryview(scratch)[:end], address)
-        except (BlockingIOError, InterruptedError):
-            return  # full socket buffer: UDP drops, the FD absorbs it
+            self._sock.sendto(memoryview(buf)[:end], address)
         except OSError as exc:
+            # Full socket buffer, ICMP port-unreachable for a crashed peer:
+            # exactly the loss the failure detector exists to absorb.
+            self.stats.send_dropped += 1
             self.stats.last_error = str(exc)
             return
         self.stats.frames_sent += 1
         self.stats.bytes_sent += end
+
+    def send(self, message: Message) -> None:
+        """Encode and transmit ``message`` to its destination's endpoint.
+
+        Best-effort, like the UDP it rides on: unroutable destinations,
+        encoding failures and kernel refusals are counted and dropped,
+        never raised — a daemon must not die because one gossip round
+        referenced a node that already left the address book.
+        """
+        if self._sock is None:
+            return
+        address = self._route(message.dest_node)
+        if address is None:
+            self.stats.unroutable += 1
+            return
+        scratch = self._scratch.tx
+        end = self._encode(message, scratch)
+        if end:
+            self._sendto(scratch, end, address)
 
     def send_batch(self, messages: Iterable[Message]) -> None:
         """Transmit a whole fan-out; one ``sendmmsg`` syscall per chunk.
@@ -326,17 +346,17 @@ class UdpTransport(asyncio.DatagramProtocol):
         The realtime twin of :meth:`repro.net.network.Network.send_batch`.
         Each message is encoded into its own reusable scratch slot (safe
         because the kernel copies payloads during the syscall) and the
-        chunk goes out in one kernel crossing.  Without a raw socket or
-        without libc ``sendmmsg`` this degrades to a :meth:`send` loop —
-        same datagrams, more syscalls.
+        chunk goes out in one kernel crossing.  Without libc ``sendmmsg``
+        this is a :meth:`send` loop — same datagrams, more syscalls.
         """
-        batcher = self._tx_batcher
-        if self._sock is None or batcher is None:
+        if self._sock is None:
+            return
+        scratch = self._scratch
+        batcher = scratch.tx_batcher
+        if batcher is None:
             for message in messages:
                 self.send(message)
             return
-        slots = self._tx_slots
-        slot_addrs = self._tx_slot_addrs
         count = 0
         pending: list = []  # (length, address) per staged slot
         for message in messages:
@@ -349,25 +369,16 @@ class UdpTransport(asyncio.DatagramProtocol):
             except OSError:
                 # Non-IPv4 book entry (hostname): this one datagram takes
                 # the scalar path; the rest of the batch stays fast.
-                self._send_raw(message)
+                self.send(message)
                 continue
             if count == mmsg.MAX_BATCH:
                 self._flush_slots(count, pending)
                 count = 0
                 pending = []
-            if count == len(slots):
-                buf = bytearray(self._DATAGRAM_MAX)
-                view, base = mmsg.pin(buf)
-                slots.append(buf)
-                self._tx_slot_views.append(view)
-                slot_addrs.append(base)
-            try:
-                end = encode_message_into(message, slots[count])
-            except CodecError as exc:  # pragma: no cover - broken message
-                self.stats.frames_rejected += 1
-                self.stats.last_error = str(exc)
+            end = self._encode(message, scratch.tx_slot(count))
+            if not end:
                 continue
-            batcher.stage(count, slot_addrs[count], end, sa)
+            batcher.stage(count, scratch.tx_slot_addrs[count], end, sa)
             pending.append((end, address))
             count += 1
         if count:
@@ -375,32 +386,27 @@ class UdpTransport(asyncio.DatagramProtocol):
 
     def _flush_slots(self, count: int, pending: list) -> None:
         """One sendmmsg call; whatever the kernel refused is dropped (UDP)."""
+        stats = self.stats
         try:
-            sent = self._tx_batcher.send(self._sock.fileno(), count)
+            sent = self._scratch.tx_batcher.send(self._sock.fileno(), count)
         except (BlockingIOError, InterruptedError):
+            stats.send_dropped += count
             return
         except OSError as exc:
             # Unexpected kernel refusal: take the scalar path so the
             # datagrams still flow, just without the batched syscall.
-            self.stats.last_error = str(exc)
-            for index in range(count):
-                end, address = pending[index]
-                try:
-                    self._sock.sendto(
-                        memoryview(self._tx_slots[index])[:end], address
-                    )
-                except OSError:
-                    continue
-                self.stats.frames_sent += 1
-                self.stats.bytes_sent += end
+            stats.last_error = str(exc)
+            for index, (end, address) in enumerate(pending):
+                self._sendto(self._scratch.tx_slots[index], end, address)
             return
-        self.stats.batch_syscalls += 1
-        self.stats.frames_sent += sent
+        stats.batch_syscalls += 1
+        stats.frames_sent += sent
+        stats.send_dropped += count - sent  # short write: socket buffer full
         for end, _ in pending[:sent]:
-            self.stats.bytes_sent += end
+            stats.bytes_sent += end
 
     # ------------------------------------------------------------------
-    # Receive path (shared by both modes)
+    # Receive path
     # ------------------------------------------------------------------
     def _ingest(self, data, addr: Tuple[str, int]) -> None:
         """Decode one datagram and deliver; garbage is counted, not fatal."""
@@ -414,18 +420,23 @@ class UdpTransport(asyncio.DatagramProtocol):
             self.stats.frames_rejected += 1
             self.stats.last_error = str(exc)
             return
-        if message.sender_node not in self._addresses:
-            self._learned[message.sender_node] = addr
+        sender = message.sender_node
+        if sender not in self._addresses:
+            learned = self._learned
+            learned.pop(sender, None)  # re-insert: most recently heard last
+            learned[sender] = addr
+            if len(learned) > _LEARNED_MAX:
+                del learned[next(iter(learned))]
         self._deliver(message)
 
     def _drain_rx(self) -> None:
-        """Reader callback (batched mode): drain every queued datagram."""
+        """Reader callback: drain every queued datagram."""
         sock = self._sock
         if sock is None:  # closed between readiness and dispatch
             return
-        batcher = self._rx_batcher
+        batcher = self._scratch.rx_batcher
         if batcher is not None:
-            buffers = self._rx_buffers
+            buffers = self._scratch.rx_buffers
             fd = sock.fileno()
             while True:
                 try:
@@ -443,29 +454,12 @@ class UdpTransport(asyncio.DatagramProtocol):
                     self._ingest(memoryview(buffers[i])[:nbytes], source)
                 if len(received) < len(buffers):
                     return  # socket drained
-        while True:  # no recvmmsg: per-datagram drain on the raw socket
+        while True:  # no recvmmsg: per-datagram drain on the same socket
             try:
-                data, source = sock.recvfrom(self._DATAGRAM_MAX)
+                data, source = sock.recvfrom(_DATAGRAM_MAX)
             except (BlockingIOError, InterruptedError):
                 return
             except OSError as exc:
                 self.stats.last_error = str(exc)
                 return
             self._ingest(data, source)
-
-    # ------------------------------------------------------------------
-    # asyncio.DatagramProtocol callbacks (default mode)
-    # ------------------------------------------------------------------
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self._transport = transport  # type: ignore[assignment]
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        self._transport = None
-
-    def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
-        self._ingest(data, addr)
-
-    def error_received(self, exc: OSError) -> None:
-        # ICMP port-unreachable for a crashed peer etc.: exactly the lossy
-        # behaviour the failure detector exists to absorb.
-        self.stats.last_error = str(exc)

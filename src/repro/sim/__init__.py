@@ -12,10 +12,10 @@ while the identical service code also runs on the realtime asyncio engine
 (:mod:`repro.runtime.realtime`).
 """
 
+from repro.runtime.timers import PeriodicTimer, VariableTimer
 from repro.sim.engine import DriftingScheduler, Event, SimulationError, Simulator
 from repro.sim.process import Component
 from repro.sim.rng import RngRegistry
-from repro.sim.timers import PeriodicTimer, VariableTimer
 
 __all__ = [
     "Component",

@@ -259,20 +259,6 @@ class TestGroupHandle:
         sim.run_until(5.0)
         assert first and first == second
 
-    def test_deprecated_callback_kwarg_warns_but_works(self, sim):
-        network, hosts, _ = build_hosts(sim)
-        seen = []
-        app = Application(pid=0)
-        with pytest.warns(DeprecationWarning):
-            app.join(1, on_leader_change=lambda g, leader: seen.append(leader))
-        hosts[0].add_application(app)
-        for host in hosts[1:]:
-            host.add_application(Application(pid=host.node.node_id))
-        for host in hosts:
-            host.start()
-        sim.run_until(5.0)
-        assert seen, "deprecated callback never fired"
-
     def test_leave_via_handle_clears_everything(self, sim):
         network, hosts, _ = build_hosts(sim)
         apps = start_group(sim, hosts)

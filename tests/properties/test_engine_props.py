@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime.timers import VariableTimer
 from repro.sim.engine import Simulator
-from repro.sim.timers import VariableTimer
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False), max_size=50

@@ -27,6 +27,7 @@ from repro.runtime.codec import (
     CodecError,
     decode_message,
     encode_message,
+    encode_message_into,
 )
 
 MEMBERS = (
@@ -137,6 +138,139 @@ ROUND_TRIP_CASES = [
 ]
 
 
+#: Golden codec-v6 frames, one per wire tag (2-11) plus both shapes of every
+#: optional: HELLO with and without ``leader_hint``, cells with and without
+#: ``local_leader``/``local_leader_acc``, non-empty members / accusation
+#: table / trusted list / lease records / SWIM piggyback.  The hex was
+#: recorded from the list-building ``encode_message`` of PR 12 — the last
+#: commit that carried two encoders — so these bytes, not a twin
+#: implementation, are what pins the layout: a daemon built from this tree
+#: must interoperate with one built from that.
+GOLDEN_FRAMES = [
+    (
+        "hello-bare",
+        HelloMessage(sender_node=0, dest_node=1),
+        "0000002f03a90602000000000000000100000000000000000000000000000000"
+        "00000000000000000000000000000000000000",
+    ),
+    (
+        "hello-full",
+        HelloMessage(
+            sender_node=4, dest_node=5, group=1, kind="reply", members=MEMBERS,
+            view_version=12, view_digest=2**64 - 1,
+            leader_hint=AccEntry(pid=3, acc_time=55.5, phase=1),
+            acc_table=ACC_TABLE, trusted=(0, 5, 2**31 - 1), leases=LEASES,
+            lease_digest=0xDEADBEEF, swim_updates=SWIM_UPDATES,
+        ),
+        "0000012603a9060200000004000000050000000102000300020003010000000c"
+        "ffffffffffffffff00000003404bc00000000000000000010000000100000004"
+        "00000000001e8487010140294000000000000000000900000000000000000000"
+        "0000000000000000000000007fffffffffffffff4000000000000000010141da"
+        "13b860000000000000010000000000000000000000000000000741da13b86000"
+        "00007fffffff00000000000000057fffffff000200000000deadbeefffffffff"
+        "ffffffff000003e80000001f50000302405b2000000000004059200000000000"
+        "00000000000000000000000000ffffffff000000000000000000000000000000"
+        "00000000000000000001ffffffff030000000000000000007fffffff7fffffff"
+        "01000000070000000302",
+    ),
+    (
+        "accuse",
+        AccuseMessage(
+            sender_node=1, dest_node=2, group=3, accuser=4, accused=5,
+            accused_phase=6,
+        ),
+        "0000001c03a90603000000010000000200000003000000040000000500000006",
+    ),
+    (
+        "rate-request",
+        RateRequestMessage(sender_node=9, dest_node=8, interval=0.0625),
+        "0000001403a9060400000009000000083fb0000000000000",
+    ),
+    (
+        "batch-cells",
+        BatchFrame(
+            sender_node=3, dest_node=11, seq=2**40, send_time=1.75e9, interval=0.25,
+            cells=(
+                AliveCell(
+                    group=1, pid=5, acc_time=123.5, phase=7, local_leader=2,
+                    local_leader_acc=99.125, delta=MEMBERS,
+                    view_version=2**31, view_digest=2**63 + 17,
+                ),
+                AliveCell(group=2, pid=5),
+                AliveCell(group=3, pid=0, local_leader=4, local_leader_acc=None),
+            ),
+            swim_updates=SWIM_UPDATES,
+        ),
+        "0000012003a90605000000030000000b000001000000000041da13b860000000"
+        "3fd000000000000000030000000100000005405ee00000000000000000070101"
+        "000000024058c800000000008000000080000000000000110003000000010000"
+        "000400000000001e848701014029400000000000000000090000000000000000"
+        "00000000000000000000000000007fffffffffffffff40000000000000000101"
+        "41da13b860000000000000020000000500000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000300000000"
+        "0000000000000000000000000100000000040000000000000000000000000000"
+        "0000000000000000030000000000000000007fffffff7fffffff010000000700"
+        "00000302",
+    ),
+    (
+        "lease-request",
+        LeaseRequestMessage(
+            sender_node=12, dest_node=0, group=1, op="transfer", lease=7,
+            client=1000, token=(5 << 28) | 260, ttl=2.0, successor=1001, nonce=17,
+        ),
+        "0000003503a906060000000c0000000000000001040000000000000007000003"
+        "e800000000500001044000000000000000000003e900000011",
+    ),
+    (
+        "lease-reply",
+        LeaseReplyMessage(
+            sender_node=0, dest_node=12, group=1, status="granted", lease=7,
+            client=1000, token=(5 << 28) | 260, holder=1000, expiry=108.5,
+            retry_after=0.5, leader_node=0, handoff=1002, nonce=21,
+        ),
+        "0000004503a90607000000000000000c00000001000000000000000007000003"
+        "e80000000050000104000003e8405b2000000000003fe0000000000000000000"
+        "00000003ea00000015",
+    ),
+    (
+        "lease-event",
+        LeaseEventMessage(
+            sender_node=0, dest_node=12, group=1, lease=2**64 - 1, client=1001,
+            holder=1000, token=(5 << 28) | 260, expiry=108.5, released=False, seq=3,
+        ),
+        "0000003503a90608000000000000000c00000001ffffffffffffffff000003e9"
+        "000003e80000000050000104405b2000000000000000000003",
+    ),
+    (
+        "swim-ping",
+        SwimPingMessage(
+            sender_node=3, dest_node=7, nonce=2**32 - 1, origin=5,
+            send_time=1.75e9, updates=SWIM_UPDATES,
+        ),
+        "0000003803a906090000000300000007ffffffff0000000541da13b860000000"
+        "030000000000000000007fffffff7fffffff01000000070000000302",
+    ),
+    (
+        "swim-ping-req",
+        SwimPingReqMessage(
+            sender_node=4, dest_node=6, target=9, nonce=12, origin=4,
+            send_time=44.5, updates=SWIM_UPDATES,
+        ),
+        "0000003c03a9060a0000000400000006000000090000000c0000000440464000"
+        "00000000030000000000000000007fffffff7fffffff01000000070000000302",
+    ),
+    (
+        "swim-ack",
+        SwimAckMessage(
+            sender_node=9, dest_node=4, nonce=12, incarnation=2**31 - 1,
+            echo_send_time=44.5, updates=SWIM_UPDATES,
+        ),
+        "0000003803a9060b00000009000000040000000c7fffffff4046400000000000"
+        "030000000000000000007fffffff7fffffff01000000070000000302",
+    ),
+]
+
+
 def _case_id(message: Message) -> str:
     return type(message).__name__
 
@@ -187,6 +321,29 @@ class TestRoundTrip:
     def test_frames_are_deterministic(self):
         for message in ROUND_TRIP_CASES:
             assert encode_message(message) == encode_message(message)
+
+
+class TestGoldenFrames:
+    """Byte-for-byte wire compatibility with the recorded v6 layout."""
+
+    @pytest.mark.parametrize(
+        "message, frame",
+        [(m, bytes.fromhex(h)) for _, m, h in GOLDEN_FRAMES],
+        ids=[name for name, _, _ in GOLDEN_FRAMES],
+    )
+    def test_encoders_and_decoder_agree_with_the_fixture(self, message, frame):
+        assert encode_message(message) == frame
+        # The transport's scratch is reused forever: stale bytes everywhere.
+        scratch = bytearray(b"\xa5" * (len(frame) + 64))
+        end = encode_message_into(message, scratch)
+        assert bytes(scratch[:end]) == frame
+        assert scratch[end:] == b"\xa5" * 64
+        assert decode_message(frame) == message
+
+    def test_every_tag_has_a_fixture(self):
+        tags = sorted({bytes.fromhex(h)[7] for _, _, h in GOLDEN_FRAMES})
+        assert tags == list(range(2, 12))
+        assert all(bytes.fromhex(h)[6] == 6 for _, _, h in GOLDEN_FRAMES)
 
 
 class TestRejection:

@@ -258,23 +258,26 @@ class TestRoundTrip:
 #: live send path reuses one scratch buffer for the process lifetime, so
 #: stale bytes from *previous* frames are always present past the end of
 #: the current one.  Any aliasing or under-write bug shows up as
-#: cross-example contamination.
-_SCRATCH = bytearray(MAX_FRAME_BYTES)
+#: cross-example contamination.  It starts dirty for the same reason.
+_SCRATCH = bytearray(b"\xa5" * MAX_FRAME_BYTES)
 
 
 class TestZeroCopy:
-    """The zero-copy fast path must be indistinguishable from the copying one.
+    """A long-lived, dirty scratch must be invisible in what the codec does.
 
     ``encode_message_into`` writes into a caller-owned scratch buffer and
     ``decode_message`` accepts a memoryview of it without an intermediate
-    ``bytes()`` copy — exactly what the batched UDP transport does per
-    datagram.  Three contracts:
+    ``bytes()`` copy — exactly what the UDP transport does per datagram.
+    Three contracts:
 
-    * the scratch prefix is byte-for-byte what ``encode_message`` returns;
+    * the frame packed over stale bytes is byte-for-byte the one packed
+      into the fresh zeroed buffer ``encode_message`` uses — every byte of
+      a frame is written, none inherited (the layout itself is pinned by
+      the golden frames in ``test_codec.py``);
     * decoding from the shared buffer and then clobbering it must not
       change the decoded message (no field may alias the buffer);
     * truncated / bit-flipped frames viewed from the shared buffer fail
-      only with ``CodecError``, same as the copying path.
+      only with ``CodecError``, same as from ``bytes``.
     """
 
     @given(message=any_message)

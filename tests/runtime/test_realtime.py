@@ -6,13 +6,15 @@ seconds.
 """
 
 import asyncio
+import errno
 import socket
 import time
 
 import pytest
 
 from repro.net.message import AccuseMessage, AliveCell, BatchFrame, MemberInfo
-from repro.runtime import mmsg
+from repro.runtime import mmsg, realtime
+from repro.runtime.codec import encode_message
 from repro.runtime.realtime import RealtimeScheduler, UdpTransport
 
 
@@ -87,17 +89,13 @@ def _free_ports(n):
     return ports
 
 
-async def _open_pair(batched=(False, False)):
+async def _open_pair(hosts=("127.0.0.1", "127.0.0.1")):
     """Two transports on free localhost ports, delivering into lists."""
     ports = _free_ports(2)
-    addresses = {0: ("127.0.0.1", ports[0]), 1: ("127.0.0.1", ports[1])}
+    addresses = {0: (hosts[0], ports[0]), 1: (hosts[1], ports[1])}
     inboxes = ([], [])
-    t0 = await UdpTransport(
-        0, addresses, inboxes[0].append, batched=batched[0]
-    ).open()
-    t1 = await UdpTransport(
-        1, addresses, inboxes[1].append, batched=batched[1]
-    ).open()
+    t0 = await UdpTransport(0, addresses, inboxes[0].append).open()
+    t1 = await UdpTransport(1, addresses, inboxes[1].append).open()
     return t0, t1, inboxes
 
 
@@ -191,22 +189,63 @@ class TestUdpTransport:
         with pytest.raises(ValueError):
             UdpTransport(5, {0: ("127.0.0.1", 1)}, lambda m: None)
 
+    def test_learned_addresses_are_capped_and_the_book_always_wins(self):
+        """``sender_node`` is whatever a datagram claims: 10 000 spoofed
+        off-book ids must not grow the table past its cap, must not evict
+        a client that keeps talking, and can never shadow a book entry."""
+        book = {0: ("127.0.0.1", 9000), 1: ("127.0.0.1", 9001)}
+        transport = UdpTransport(0, book, lambda message: None)
+        cap = realtime._LEARNED_MAX
+        client = 5_000
+        client_addr = None
+        for i in range(10_000):
+            if i % (cap // 2) == 0:  # the real client, from a moving port
+                client_addr = ("127.0.0.1", 20_000 + i)
+                transport._ingest(encode_message(_accuse(client, 0)), client_addr)
+            spoofed = encode_message(_accuse(100_000 + i, 0))
+            transport._ingest(spoofed, ("10.6.6.6", 1 + i % 60_000))
+        transport._ingest(encode_message(_accuse(1, 0)), ("10.6.6.6", 666))
+        assert len(transport._learned) == cap
+        assert transport._route(client) == client_addr
+        assert transport._route(1) == book[1]
+        assert transport._route(100_000) is None  # oldest spoof: evicted
+
 
 def _accuse(src, dst, phase=0):
     return AccuseMessage(sender_node=src, dest_node=dst, group=1,
                          accuser=src, accused=dst, accused_phase=phase)
 
 
+class _RefusingSocket:
+    """Stands in for a transport's socket: ``sendto`` raises ``error`` on
+    every ``every``-th call (counting from the first), else really sends."""
+
+    def __init__(self, real, error, every=1):
+        self._real = real
+        self._error = error
+        self._every = every
+        self._calls = 0
+
+    def fileno(self):
+        return self._real.fileno()
+
+    def sendto(self, data, address):
+        self._calls += 1
+        if (self._calls - 1) % self._every == 0:
+            raise self._error
+        return self._real.sendto(data, address)
+
+
 class TestBatchedUdpTransport:
-    """The batched datapath (raw socket + sendmmsg/recvmmsg) must be wire-
-    compatible with the asyncio one: same frames, same delivery, fewer
-    syscalls.  Everything here also exercises the zero-copy encode scratch
-    — consecutive sends reuse one buffer, so any aliasing bug corrupts the
-    second frame."""
+    """The datapath's batching (sendmmsg/recvmmsg on the raw socket) must
+    be invisible on the wire: same frames, same delivery, fewer syscalls —
+    and counted drops where the kernel refuses.  Everything here also
+    exercises the zero-copy encode scratch — consecutive sends reuse one
+    buffer, so any aliasing bug corrupts the second frame."""
 
     def test_batched_round_trip_both_directions(self):
         async def main():
-            t0, t1, inboxes = await _open_pair(batched=(True, True))
+            t0, t1, inboxes = await _open_pair()
             try:
                 message = BatchFrame(
                     sender_node=0, dest_node=1, seq=3,
@@ -229,23 +268,9 @@ class TestBatchedUdpTransport:
 
         run(main())
 
-    def test_batched_interops_with_asyncio_transport(self):
-        async def main():
-            t0, t1, inboxes = await _open_pair(batched=(True, False))
-            try:
-                t0.send(_accuse(0, 1))
-                assert await _wait_for(lambda: len(inboxes[1]) == 1)
-                t1.send(_accuse(1, 0))
-                assert await _wait_for(lambda: len(inboxes[0]) == 1)
-            finally:
-                t0.close()
-                t1.close()
-
-        run(main())
-
     def test_scratch_reuse_does_not_corrupt_consecutive_sends(self):
         async def main():
-            t0, t1, inboxes = await _open_pair(batched=(True, True))
+            t0, t1, inboxes = await _open_pair()
             try:
                 # Big frame then small frame through the same scratch: the
                 # second must not carry the first's stale tail bytes.
@@ -269,7 +294,7 @@ class TestBatchedUdpTransport:
     @pytest.mark.skipif(not mmsg.available(), reason="no sendmmsg on this host")
     def test_send_batch_uses_one_syscall_per_chunk(self):
         async def main():
-            t0, t1, inboxes = await _open_pair(batched=(True, True))
+            t0, t1, inboxes = await _open_pair()
             try:
                 frames = [
                     BatchFrame(sender_node=0, dest_node=1, seq=i)
@@ -292,7 +317,7 @@ class TestBatchedUdpTransport:
     @pytest.mark.skipif(not mmsg.available(), reason="no sendmmsg on this host")
     def test_send_batch_chunks_above_max_batch(self):
         async def main():
-            t0, t1, inboxes = await _open_pair(batched=(True, True))
+            t0, t1, inboxes = await _open_pair()
             try:
                 count = mmsg.MAX_BATCH + 5
                 t0.send_batch(
@@ -310,7 +335,7 @@ class TestBatchedUdpTransport:
 
     def test_send_batch_counts_unroutable_and_keeps_going(self):
         async def main():
-            t0, t1, inboxes = await _open_pair(batched=(True, True))
+            t0, t1, inboxes = await _open_pair()
             try:
                 t0.send_batch([
                     BatchFrame(sender_node=0, dest_node=1, seq=0),
@@ -327,16 +352,17 @@ class TestBatchedUdpTransport:
         run(main())
 
     def test_send_batch_falls_back_without_sendmmsg(self, monkeypatch):
-        """With the libc symbols unavailable the batched transport must
-        still deliver — per-datagram sendto/recvfrom on the same raw
-        socket.  Availability is decided at construction time, so the
-        patch precedes the transports."""
+        """With the libc symbols unavailable the transport must still
+        deliver — per-datagram sendto/recvfrom on the same raw socket.
+        Availability is decided when a loop's first transport opens, so
+        the patch precedes the transports."""
         monkeypatch.setattr("repro.runtime.mmsg.available", lambda: False)
 
         async def main():
-            t0, t1, inboxes = await _open_pair(batched=(True, True))
+            t0, t1, inboxes = await _open_pair()
             try:
-                assert t0._tx_batcher is None and t1._rx_batcher is None
+                assert t0._scratch.tx_batcher is None
+                assert t1._scratch.rx_batcher is None
                 t0.send_batch([
                     BatchFrame(sender_node=0, dest_node=1, seq=i)
                     for i in range(5)
@@ -350,9 +376,13 @@ class TestBatchedUdpTransport:
 
         run(main())
 
-    def test_asyncio_transport_send_batch_is_a_send_loop(self):
+    def test_hostname_destination_takes_the_send_loop(self):
+        """A book entry that is not a dotted quad cannot be staged into a
+        sockaddr_in, so its datagrams leave through per-datagram sendto
+        (which resolves the name) instead of the sendmmsg chunk."""
+
         async def main():
-            t0, t1, inboxes = await _open_pair(batched=(False, False))
+            t0, t1, inboxes = await _open_pair(hosts=("127.0.0.1", "localhost"))
             try:
                 t0.send_batch([
                     BatchFrame(sender_node=0, dest_node=1, seq=i)
@@ -369,7 +399,7 @@ class TestBatchedUdpTransport:
 
     def test_batched_garbage_datagrams_are_dropped(self):
         async def main():
-            t0, t1, inboxes = await _open_pair(batched=(True, True))
+            t0, t1, inboxes = await _open_pair()
             try:
                 junk = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
                 junk.sendto(b"\xde\xad\xbe\xef junk", t1._addresses[1])
@@ -386,13 +416,86 @@ class TestBatchedUdpTransport:
 
     def test_batched_send_after_close_is_a_noop(self):
         async def main():
-            t0, t1, _ = await _open_pair(batched=(True, True))
+            t0, t1, _ = await _open_pair()
             t1.close()
             t0.close()
             assert not t0.open_for_traffic
             t0.send(_accuse(0, 1))
             t0.send_batch([_accuse(0, 1)])
             assert t0.stats.frames_sent == 0
+
+        run(main())
+
+    def test_refused_single_send_is_a_counted_drop(self):
+        async def main():
+            t0, t1, _ = await _open_pair()
+            real = t0._sock
+            try:
+                t0._sock = _RefusingSocket(real, BlockingIOError())
+                t0.send(_accuse(0, 1))
+                assert t0.stats.send_dropped == 1
+                assert t0.stats.frames_sent == t0.stats.bytes_sent == 0
+            finally:
+                t0._sock = real
+                t0.close()
+                t1.close()
+
+        run(main())
+
+    @pytest.mark.skipif(not mmsg.available(), reason="no sendmmsg on this host")
+    def test_refused_and_short_sendmmsg_are_counted_drops(self, monkeypatch):
+        outcomes = [BlockingIOError(), 3]  # full buffer, then 3 of 5 taken
+
+        def fake_send(batcher, fd, count):
+            outcome = outcomes.pop(0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(mmsg.SendBatcher, "send", fake_send)
+
+        async def main():
+            t0, t1, _ = await _open_pair()
+            try:
+                burst = [_accuse(0, 1, phase=i) for i in range(5)]
+                t0.send_batch(burst)
+                assert t0.stats.send_dropped == 5
+                assert t0.stats.frames_sent == 0
+                t0.send_batch(burst)
+                assert t0.stats.send_dropped == 7
+                assert t0.stats.frames_sent == 3
+                assert t0.stats.bytes_sent == 3 * len(encode_message(burst[0]))
+            finally:
+                t0.close()
+                t1.close()
+
+        run(main())
+
+    @pytest.mark.skipif(not mmsg.available(), reason="no sendmmsg on this host")
+    def test_sendmmsg_error_fallback_counts_each_skipped_datagram(
+        self, monkeypatch
+    ):
+        def fake_send(batcher, fd, count):
+            raise OSError(errno.EPERM, "sendmmsg refused")
+
+        monkeypatch.setattr(mmsg.SendBatcher, "send", fake_send)
+
+        async def main():
+            t0, t1, inboxes = await _open_pair()
+            real = t0._sock
+            try:
+                # The per-datagram fallback gets every other one through.
+                t0._sock = _RefusingSocket(real, OSError(errno.ENOBUFS, "no"), every=2)
+                t0.send_batch([_accuse(0, 1, phase=i) for i in range(6)])
+                assert t0.stats.send_dropped == 3
+                assert t0.stats.frames_sent == 3
+                assert t0.stats.batch_syscalls == 0
+                assert await _wait_for(lambda: len(inboxes[1]) == 3)
+                assert [m.accused_phase for m in inboxes[1]] == [1, 3, 5]
+            finally:
+                t0._sock = real
+                t0.close()
+                t1.close()
 
         run(main())
 
@@ -410,22 +513,31 @@ class TestMmsgBindings:
         tx.setblocking(False)
         return tx, rx
 
+    def _send(self, tx, datagrams):
+        """Stage ``(payload, destination)`` pairs, then one sendmmsg."""
+        batcher = mmsg.SendBatcher()
+        pins = []  # pinned views must outlive the syscall
+        for index, (payload, destination) in enumerate(datagrams):
+            view, base = mmsg.pin(bytearray(payload))
+            pins.append(view)
+            batcher.stage(index, base, len(payload), batcher.sockaddr(destination))
+        return batcher.send(tx.fileno(), len(datagrams))
+
     def test_send_many_recv_many_round_trip(self):
+        """Many datagrams out through one SendBatcher call, back in through
+        one RecvBatcher's fixed buffers, payloads and sources intact."""
         tx, rx = self._socket_pair()
         try:
             dest = rx.getsockname()
             payloads = [b"alpha", b"bravo-longer", b"c"]
-            datagrams = [
-                (bytearray(p), len(p), dest) for p in payloads
-            ]
-            sent = mmsg.send_many(tx.fileno(), datagrams)
-            assert sent == 3
+            assert self._send(tx, [(p, dest) for p in payloads]) == 3
             deadline = time.monotonic() + 2.0
             received = []
             buffers = [bytearray(128) for _ in range(8)]
+            batcher = mmsg.RecvBatcher(buffers)
             while len(received) < 3 and time.monotonic() < deadline:
                 try:
-                    got = mmsg.recv_many(rx.fileno(), buffers)
+                    got = batcher.recv(rx.fileno())
                 except BlockingIOError:
                     time.sleep(0.005)
                     continue
@@ -444,15 +556,15 @@ class TestMmsgBindings:
         rx_b.bind(("127.0.0.1", 0))
         rx_b.setblocking(False)
         try:
-            sent = mmsg.send_many(tx.fileno(), [
-                (bytearray(b"to-a"), 4, rx_a.getsockname()),
-                (bytearray(b"to-b"), 4, rx_b.getsockname()),
+            sent = self._send(tx, [
+                (b"to-a", rx_a.getsockname()),
+                (b"to-b", rx_b.getsockname()),
             ])
             assert sent == 2
             deadline = time.monotonic() + 2.0
             got_a = got_b = None
             while (got_a is None or got_b is None) and time.monotonic() < deadline:
-                for sock, want in ((rx_a, b"to-a"), (rx_b, b"to-b")):
+                for sock in (rx_a, rx_b):
                     try:
                         data, _ = sock.recvfrom(64)
                     except BlockingIOError:
@@ -473,30 +585,16 @@ class TestMmsgBindings:
         _, rx = self._socket_pair()
         try:
             with pytest.raises(BlockingIOError):
-                mmsg.recv_many(rx.fileno(), [bytearray(64)])
+                mmsg.RecvBatcher([bytearray(64)]).recv(rx.fileno())
         finally:
             rx.close()
 
     def test_oversize_batch_is_rejected(self):
-        tx, rx = self._socket_pair()
-        try:
-            dest = rx.getsockname()
-            too_many = [(bytearray(b"x"), 1, dest)] * (mmsg.MAX_BATCH + 1)
-            with pytest.raises(ValueError):
-                mmsg.send_many(tx.fileno(), too_many)
-        finally:
-            tx.close()
-            rx.close()
+        with pytest.raises(ValueError):
+            mmsg.RecvBatcher([bytearray(1)] * (mmsg.MAX_BATCH + 1))
 
     def test_hostname_destination_raises_os_error(self):
         """Non-dotted-quad hosts must fail loudly so the transport can
         take its per-datagram fallback, not silently misroute."""
-        tx, rx = self._socket_pair()
-        try:
-            with pytest.raises(OSError):
-                mmsg.send_many(
-                    tx.fileno(), [(bytearray(b"x"), 1, ("localhost", 1))]
-                )
-        finally:
-            tx.close()
-            rx.close()
+        with pytest.raises(OSError):
+            mmsg.SendBatcher().sockaddr(("localhost", 1))

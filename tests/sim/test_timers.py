@@ -1,6 +1,6 @@
 """Unit tests for PeriodicTimer and VariableTimer."""
 
-from repro.sim.timers import PeriodicTimer, VariableTimer
+from repro.runtime.timers import PeriodicTimer, VariableTimer
 
 
 class TestPeriodicTimer:
