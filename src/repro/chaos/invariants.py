@@ -329,11 +329,12 @@ def check_no_double_grant(
     holdings: Dict[int, _Holding] = {}
     max_token: Dict[int, int] = {}
     violations: List[Violation] = []
-    lease_events = sorted(
-        (e for e in events if e.kind == "lease" and e.group == group),
-        key=lambda e: e.time,
-    )
-    for event in lease_events:
+    # Folded in recording (causal) order, not stamp order: a ``heal``
+    # resyncs drifted clocks, stepping a leader's stamps back past its own
+    # earlier events — sorted, a release can land after the grant it enabled.
+    for event in events:
+        if event.kind != "lease" or event.group != group:
+            continue
         match = _LEASE_EVENT.match(event.label or "")
         if match is None:
             continue

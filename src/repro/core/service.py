@@ -302,6 +302,9 @@ class GroupRuntime(GroupContext):
         self._lease_watchers: Dict[int, Dict[int, int]] = {}
         self._lease_flush_pending = False
         self._lease_probe_pending = False
+        #: When the current leader's lease digest first disagreed with
+        #: ours, with no agreement from it since (None: none pending).
+        self._lease_diverged_since: Optional[float] = None
 
         self.algorithm = create_algorithm(algorithm_name, self)
         #: Per-sender cell-stream monitors; only ``senders_only`` election
@@ -501,6 +504,7 @@ class GroupRuntime(GroupContext):
         if leader == self._leader_view:
             return
         self._leader_view = leader
+        self._lease_diverged_since = None
         self.service.trace.record_view(self.scheduler.now, self.group, self.pid, leader)
         manager = self.lease_manager
         if leader == self.pid:
@@ -611,14 +615,17 @@ class GroupRuntime(GroupContext):
             else:
                 self._sync_membership_dependents()
         if message.leases:
+            # Hub and spoke: only a tenure-active leader owes what it
+            # learns onward; a follower's peers hear the same leader.
+            relay = self.lease_manager.tenure_active
             if self._lease_watchers:
                 # Watched leases changed by *gossiped* records (e.g. a
                 # competing tenure's grants converging) push events too,
                 # not just changes this leader decided itself.
-                for lease in self.lease_ledger.merge_report(message.leases):
+                for lease in self.lease_ledger.merge_report(message.leases, relay):
                     self._notify_lease_watchers(lease)
             else:
-                self.lease_ledger.merge(message.leases)
+                self.lease_ledger.merge(message.leases, relay)
         if message.kind == "join":
             self._send_hello_reply(message.sender_node)
         elif message.kind == "reply":
@@ -631,15 +638,52 @@ class GroupRuntime(GroupContext):
         if changed and not service._swim:
             # SWIM already queued the coalesced reaction above.
             self.algorithm.on_membership_changed()
-        # Anti-entropy: diverging digests after the merge trigger a full
-        # sync (a join is already answered with a full-view reply).  The
-        # lease ledger shares the mechanism: a diverged lease digest pushes
-        # the full ledger along with the full view.
-        if message.kind != "join" and (
-            message.view_digest != self.view.digest64()
-            or message.lease_digest != self.lease_ledger.digest64()
-        ):
-            self._push_sync(message.sender_node)
+        # Anti-entropy: a view digest still diverging after the merge
+        # triggers a full-view sync (a join is already answered with a
+        # full-view reply); the ledger has its own, debounced trigger.
+        if message.kind != "join":
+            view = message.view_digest != self.view.digest64()
+            leases = self._lease_sync_due(message)
+            if view or leases:
+                self._push_sync(message.sender_node, view, leases)
+
+    def _lease_sync_due(self, message: HelloMessage) -> bool:
+        """Does ``message``'s lease digest call for a full-ledger sync?
+
+        A follower's digest trails its leader's by the flush in flight, so
+        a mismatch is *lag* until it has outlived a hello period with no
+        agreeing digest from the leader in between; only then is it
+        *divergence* (a lost flush, a record the new leader never got).
+        Only followers keep that clock, against their current leader: its
+        digests arrive densely (every flush, the once-per-T_D probe), a
+        follower's reach anyone too rarely to tell lag from loss, and any
+        inequality between the two shows on the follower's side anyway.
+        A ledger ``sync`` that leaves its receiver unequal is answered at
+        once — the sender already waited — so a pair converges in two
+        pushes.
+        """
+        if message.lease_digest == self.lease_ledger.digest64():
+            if (
+                self._lease_diverged_since is not None
+                and message.sender_node == self._leader_node()
+            ):
+                self._lease_diverged_since = None
+            return False
+        if message.kind == "sync" and (message.leases or not message.members):
+            return True  # a ledger sync (an empty one carries neither half)
+        if message.sender_node != self._leader_node():
+            return False
+        now = self.scheduler.now
+        since = self._lease_diverged_since
+        if since is None:
+            self._lease_diverged_since = since = now
+        return now - since >= self.service.config.hello_period
+
+    def _leader_node(self) -> Optional[int]:
+        """The node hosting the current leader view, if known (never a
+        hello's sender when that leader is the local process)."""
+        leader = self._leader_view
+        return None if leader is None else self.view.node_of(leader)
 
     def handle_accuse(self, message: AccuseMessage) -> None:
         if message.accused == self.pid:
@@ -770,11 +814,7 @@ class GroupRuntime(GroupContext):
         if decision is None:
             # Not the leader (or tenure not yet active): redirect with our
             # best hint of where the leader lives.
-            leader_node = -1
-            if self._leader_view is not None:
-                node = self.view.node_of(self._leader_view)
-                if node is not None:
-                    leader_node = node
+            leader_node = self._leader_node()
             reply = LeaseReplyMessage(
                 sender_node=my_node,
                 dest_node=message.sender_node,
@@ -782,7 +822,7 @@ class GroupRuntime(GroupContext):
                 status="redirect",
                 lease=message.lease,
                 client=message.client,
-                leader_node=leader_node,
+                leader_node=-1 if leader_node is None else leader_node,
                 nonce=message.nonce,
             )
         else:
@@ -911,8 +951,8 @@ class GroupRuntime(GroupContext):
         post-heal grant is minted against the unmerged ledger.  So while a
         tenure is active and the ledger is non-empty, the leader probes
         every peer with a digest-only HELLO once per detection time; a
-        peer whose lease digest diverges answers with a full-ledger sync,
-        and the leader's resulting delta flush converges everyone else.
+        follower still diverged a hello period later syncs its ledger in,
+        and the leader's answer and delta flush converge everyone else.
         The probe never arms while the lease plane is unused (empty
         ledger), keeping lease-free runs event-for-event identical.
         """
@@ -920,7 +960,7 @@ class GroupRuntime(GroupContext):
             self._lease_probe_pending
             or self._shut_down
             or not self.lease_manager.tenure_active
-            or self.lease_ledger.version == 0
+            or len(self.lease_ledger) == 0
         ):
             return
         self._lease_probe_pending = True
@@ -931,7 +971,7 @@ class GroupRuntime(GroupContext):
         if (
             self._shut_down
             or not self.lease_manager.tenure_active
-            or self.lease_ledger.version == 0
+            or len(self.lease_ledger) == 0
         ):
             return
         my_node = self.service.node.node_id
@@ -1195,8 +1235,11 @@ class GroupRuntime(GroupContext):
                 fields["swim_updates"] = updates
         return fields
 
-    def _push_sync(self, dest_node: int) -> None:
-        """Push the full view to a diverged peer (rate-limited anti-entropy).
+    def _push_sync(
+        self, dest_node: int, view: bool = True, leases: bool = False
+    ) -> None:
+        """Push the diverged half (full view, full ledger or both) to a
+        peer — rate-limited anti-entropy.
 
         Convergence takes at most two pushes: after the peer merges our full
         view its records are a superset of ours, and its answering sync (its
@@ -1216,9 +1259,8 @@ class GroupRuntime(GroupContext):
                 return  # budget exhausted; the gossip rounds converge the rest
             self._sync_budget = (window, spent + 1)
         self._next_sync[dest_node] = now + self.service.config.hello_period
-        view = self.view
-        ledger = self.lease_ledger
-        if self.service._swim:
+        members = records = ()
+        if view and self.service._swim:
             # Bounded sync: stream the record set in fixed windows, one per
             # rate-limited push, rotating a per-destination cursor through
             # version space (wrapping back to 0 so records the peer lost
@@ -1228,14 +1270,17 @@ class GroupRuntime(GroupContext):
             # alone: the window is keyed to the sync rotation, not to what
             # the delta path owes.
             cursor = self._sync_cursor.get(dest_node, 0)
-            if cursor >= view.version:
+            if cursor >= self.view.version:
                 cursor = 0
-            members, high = view.delta_window(cursor, _SWIM_SYNC_CAP)
+            members, high = self.view.delta_window(cursor, _SWIM_SYNC_CAP)
             self._sync_cursor[dest_node] = high
-        else:
-            members = view.digest()
-            self._sent_version[dest_node] = view.version
-        self._lease_sent_version[dest_node] = ledger.version
+        elif view:
+            members = self.view.digest()
+            self._sent_version[dest_node] = self.view.version
+        if leases:
+            records = self.lease_ledger.full()
+            self._lease_sent_version[dest_node] = self.lease_ledger.version
+            self._lease_diverged_since = None
         self.transport.send(
             HelloMessage(
                 sender_node=self.service.node.node_id,
@@ -1243,7 +1288,7 @@ class GroupRuntime(GroupContext):
                 group=self.group,
                 kind="sync",
                 members=members,
-                leases=ledger.full(),
+                leases=records,
                 **self._hello_fields(),
             )
         )

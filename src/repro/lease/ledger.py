@@ -14,13 +14,18 @@ release of a grant bumps ``seq``); at equal seq a release beats the grant
 it refers to, and the remaining tie-breaks make the order total over
 arbitrary records.
 
-Ledgers support the same delta-gossip protocol as membership views: every
-effective change bumps :attr:`LeaseLedger.version` and stamps the changed
-record, :meth:`delta_since` ships only what a destination has not seen, and
+Replication is leader-anchored: only a tenure-active leader mints records,
+so only it *owes them onward*.  A change merged with ``relay=True`` (the
+writer's own mutations, and whatever a leader learns) bumps
+:attr:`LeaseLedger.version`, stamps the record and enters the change log
+behind :meth:`delta_since`; a follower merges what it is told with
+``relay=False`` — table, digest and ``max_token`` move, the change log does
+not, so nothing is re-gossiped to peers that hear the same leader.
 :meth:`digest64` (XOR of per-record 64-bit hashes, incrementally
-maintained) triggers a full-ledger anti-entropy sync on mismatch.  This is
-how lease state reaches a newly elected leader: it merges the ledger from
-gossip and resumes granting *above* every token it has seen.
+maintained) is the anti-entropy check: a mismatch with the leader that
+*persists* repairs with :meth:`full`.  A newly elected leader therefore
+already holds what the old one flushed, and resumes granting *above* every
+token it has seen.
 """
 
 from __future__ import annotations
@@ -96,8 +101,9 @@ class LeaseLedger:
     def __init__(self, group: int) -> None:
         self.group = group
         self._records: Dict[int, LeaseRecord] = {}
-        #: Bumped on every effective change (delta-gossip stamps).
+        #: Bumped on every *relayed* change (delta-gossip stamps).
         self.version = 0
+        #: lease -> version of its change-log entry (0: learned, not owed).
         self._record_versions: Dict[int, int] = {}
         #: Change log (parallel version/record lists, version-ascending)
         #: behind :meth:`delta_since` — a bisect instead of a full-table
@@ -115,8 +121,12 @@ class LeaseLedger:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def merge_record(self, record: LeaseRecord) -> bool:
-        """Merge one record; returns True if the ledger changed."""
+    def merge_record(self, record: LeaseRecord, relay: bool = True) -> bool:
+        """Merge one record; returns True if the ledger changed.
+
+        ``relay=False`` merges a record this replica merely *learned*: it
+        is stored but never owed onward through :meth:`delta_since`.
+        """
         current = self._records.get(record.lease)
         if current is not None:
             # Inline the total order of :func:`prefer_lease_record` with the
@@ -139,12 +149,15 @@ class LeaseLedger:
                 return False
             self._digest64 ^= lease_record_digest64(current)
         self._records[record.lease] = record
-        self.version += 1
-        self._record_versions[record.lease] = self.version
-        self._log_versions.append(self.version)
-        self._log_records.append(record)
-        if len(self._log_versions) > max(64, 2 * len(self._records)):
-            self._compact_log()
+        if relay:
+            self.version += 1
+            self._record_versions[record.lease] = self.version
+            self._log_versions.append(self.version)
+            self._log_records.append(record)
+            if len(self._log_versions) > max(64, 2 * len(self._records)):
+                self._compact_log()
+        else:
+            self._record_versions[record.lease] = 0
         self._digest64 ^= lease_record_digest64(record)
         if record.token > self.max_token:
             self.max_token = record.token
@@ -152,24 +165,28 @@ class LeaseLedger:
         return True
 
     def _compact_log(self) -> None:
-        """Drop superseded change-log entries (lossless: every live record
-        keeps its exact change version, so any ``delta_since`` answer is
-        unchanged)."""
-        versions = self._record_versions
+        """Drop superseded change-log entries (lossless: every relayed
+        record keeps its exact change version and learned ones stay out,
+        so any ``delta_since`` answer is unchanged)."""
+        records = self._records
         live = sorted(
-            (versions[lease], record) for lease, record in self._records.items()
+            (version, records[lease])
+            for lease, version in self._record_versions.items()
+            if version
         )
         self._log_versions = [version for version, _ in live]
         self._log_records = [record for _, record in live]
 
-    def merge(self, records: Iterable[LeaseRecord]) -> bool:
+    def merge(self, records: Iterable[LeaseRecord], relay: bool = True) -> bool:
         """Merge many records; returns True if any changed the ledger."""
         changed = False
         for record in records:
-            changed |= self.merge_record(record)
+            changed |= self.merge_record(record, relay)
         return changed
 
-    def merge_report(self, records: Iterable[LeaseRecord]) -> Tuple[int, ...]:
+    def merge_report(
+        self, records: Iterable[LeaseRecord], relay: bool = True
+    ) -> Tuple[int, ...]:
         """Merge many records; returns the ids of leases that changed.
 
         The watcher fan-out path: a leader merging gossiped records needs
@@ -178,7 +195,7 @@ class LeaseLedger:
         """
         changed: List[int] = []
         for record in records:
-            if self.merge_record(record):
+            if self.merge_record(record, relay):
                 changed.append(record.lease)
         return tuple(changed)
 
@@ -219,10 +236,10 @@ class LeaseLedger:
         return self._digest64
 
     def delta_since(self, version: int) -> Tuple[LeaseRecord, ...]:
-        """Records changed after ``version``, in change order.
+        """Relayed records changed after ``version``, in change order.
 
         Empty in steady state (checked without allocation);
-        ``delta_since(0)`` is the full ledger.
+        ``delta_since(0)`` is everything this replica owes onward.
         """
         if version >= self.version:
             return ()

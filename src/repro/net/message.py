@@ -353,11 +353,11 @@ class HelloMessage(Message):
     one round trip instead of electing itself (the paper's service keeps
     recovering processes from disrupting the group, §1).
 
-    The lease tier rides the same anti-entropy machinery: ``leases``
-    carries the sender's lease-ledger *delta* since the last send to this
-    destination (full ledger on ``"sync"``), and ``lease_digest`` the
-    64-bit digest of its full ledger, so lease state reaches a new leader
-    through the gossip paths that already exist for membership.
+    The lease tier rides the same messages, leader to follower: ``leases``
+    carries the records the sender *owes* this destination since the last
+    send (a leader's own mutations; the full ledger on a ledger ``"sync"``
+    or a ``"reply"``), and ``lease_digest`` the 64-bit digest of its full
+    ledger, which a follower checks against its leader's for divergence.
     """
 
     group: int = 0

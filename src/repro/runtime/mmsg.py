@@ -141,6 +141,8 @@ if struct.calcsize("NN") == ctypes.sizeof(_iovec):
     _IOVEC_PACK = struct.Struct("NN").pack_into
 
 _SA_SIZE = ctypes.sizeof(_sockaddr_in)
+#: Cap on a :class:`SendBatcher`'s per-destination sockaddr cache.
+SA_CACHE_MAX = 1024
 _IOV_SIZE = ctypes.sizeof(_iovec)
 
 
@@ -184,18 +186,23 @@ class SendBatcher:
             hdr.msg_iov = ctypes.pointer(self._iovs[i])
             hdr.msg_iovlen = 1
         self._msg_ptr = ctypes.cast(self._msgs, ctypes.POINTER(_mmsghdr))
-        #: (host, port) -> packed 16-byte sockaddr_in.  Cluster address
-        #: books are small and static, so this converges immediately.
+        #: (host, port) -> packed 16-byte sockaddr_in, most recently used
+        #: last.  Cluster address books are small and static, but replies
+        #: also go to whatever address a client datagram came from, so the
+        #: table is capped like the transport's learned addresses.
         self._sa_cache: dict = {}
 
     def sockaddr(self, address: Tuple[str, int]) -> bytes:
         """Packed sockaddr for ``address`` (cached); OSError on hostnames."""
-        sa = self._sa_cache.get(address)
+        cache = self._sa_cache
+        sa = cache.pop(address, None)
         if sa is None:
             raw = _sockaddr_in()
             _fill_sockaddr(raw, address[0], address[1])
             sa = bytes(raw)
-            self._sa_cache[address] = sa
+            if len(cache) >= SA_CACHE_MAX:
+                del cache[next(iter(cache))]
+        cache[address] = sa
         return sa
 
     if _IOVEC_PACK is not None:

@@ -287,6 +287,22 @@ class TestNoDoubleGrant:
         report = check(trace)
         assert report.ok
 
+    def test_events_fold_in_recording_order_not_stamp_order(self):
+        trace = build_trace()
+        all_view(trace, 1.0, 0)
+        # A leader whose clock drifted ahead grants and takes the release
+        # back; a heal then resyncs its clock (a step *backwards*), so the
+        # grant the release enabled is stamped before the release itself.
+        # Sorted by stamp this reads grant, grant, release: a double grant.
+        lease_event(trace, 79.9, 0, "grant", client=1000, token=100,
+                    expiry=83.0)
+        lease_event(trace, 80.242, 0, "release", client=1000, token=100,
+                    expiry=80.242)
+        lease_event(trace, 80.086, 0, "grant", client=1001, token=200,
+                    expiry=83.086)
+        report = check(trace)
+        assert report.ok, report.violations
+
     def test_renew_extends_and_never_shrinks(self):
         trace = build_trace()
         all_view(trace, 1.0, 0)

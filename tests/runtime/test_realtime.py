@@ -593,6 +593,23 @@ class TestMmsgBindings:
         with pytest.raises(ValueError):
             mmsg.RecvBatcher([bytearray(1)] * (mmsg.MAX_BATCH + 1))
 
+    def test_sockaddr_cache_is_capped_and_keeps_the_hot_addresses(self):
+        """Replies go to whatever source address a datagram claimed:
+        10 000 distinct ones must not grow the loop-shared cache past its
+        cap, nor evict the peers every round sends to."""
+        batcher = mmsg.SendBatcher()
+        peers = [("127.0.0.1", 9000 + i) for i in range(5)]
+        packed = [batcher.sockaddr(peer) for peer in peers]
+        for i in range(10_000):
+            batcher.sockaddr(("10.6.6.6", 1 + i))
+            if i % 100 == 0:
+                for peer in peers:
+                    batcher.sockaddr(peer)
+        assert len(batcher._sa_cache) == mmsg.SA_CACHE_MAX
+        assert all(peer in batcher._sa_cache for peer in peers)
+        assert [batcher.sockaddr(peer) for peer in peers] == packed
+        assert ("10.6.6.6", 1) not in batcher._sa_cache  # oldest: evicted
+
     def test_hostname_destination_raises_os_error(self):
         """Non-dotted-quad hosts must fail loudly so the transport can
         take its per-datagram fallback, not silently misroute."""

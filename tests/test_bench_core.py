@@ -236,5 +236,23 @@ class TestBenchCliProfileCompose:
         bench = _load_bench_cli()
         monkeypatch.setitem(bench_core.DURATIONS, "quick", 10.0)
         dump = tmp_path / "cell.pstats"
-        assert bench.main(["--profile", "heartbeat", "--profile-out", str(dump)]) == 0
+        assert bench.main(
+            ["--quick", "--profile", "heartbeat", "--profile-out", str(dump)]
+        ) == 0
         assert pstats.Stats(str(dump)).total_calls > 0
+
+    def test_profile_runs_the_cells_own_horizon(self, monkeypatch):
+        bench = _load_bench_cli()
+        monkeypatch.setitem(
+            bench_core.CELL_DURATIONS, "lease_load", {"full": 60.0, "quick": 2.0}
+        )
+        horizons = []
+        build = bench.build_system
+
+        def spy(config):
+            horizons.append(config.duration)
+            return build(config)
+
+        monkeypatch.setattr(bench, "build_system", spy)
+        assert bench.main(["--quick", "--profile", "lease_load"]) == 0
+        assert horizons == [2.0]  # not DURATIONS["quick"]

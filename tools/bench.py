@@ -44,6 +44,7 @@ for entry in (str(ROOT / "src"), str(ROOT)):
         sys.path.insert(0, entry)
 
 from benchmarks.bench_core import (  # noqa: E402
+    CELL_DURATIONS,
     CORE_CELLS,
     DURATIONS,
     build_system,
@@ -85,12 +86,13 @@ def _git_state() -> tuple:
         return "unknown", False
 
 
-def _profile(cell: str, out: Path = None) -> int:
+def _profile(cell: str, mode: str, out: Path = None) -> int:
     import cProfile
     import pstats
 
     make = CORE_CELLS[cell]
-    duration = DURATIONS["quick"]
+    # The cell's own horizon for this mode: the run that is measured.
+    duration = CELL_DURATIONS.get(cell, DURATIONS)[mode]
     system = build_system(make(duration))
     profiler = cProfile.Profile()
     profiler.enable()
@@ -197,10 +199,10 @@ def main(argv=None) -> int:
                 print(f"n={n}: swim costs {ratio * 100:.1f}% of all_pairs per node")
         return 0
 
-    if args.profile and not (args.check or args.update):
-        return _profile(args.profile, args.profile_out)
-
     mode = "quick" if args.quick else "full"
+    if args.profile and not (args.check or args.update):
+        return _profile(args.profile, mode, args.profile_out)
+
     cells = args.cells.split(",") if args.cells else None
     profiler = None
     if args.profile_out is not None:
