@@ -96,12 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=Path("live-cluster-logs"),
         help="per-node logs land here (CI uploads them as artifacts)",
     )
-    live.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="daemons install the uvloop event-loop policy when importable "
-        "(silently keeps the stdlib loop otherwise)",
-    )
 
     node = sub.add_parser("node", help="run one live daemon (spawned by `live`)")
     node.add_argument("--node-id", type=int, required=True)
@@ -144,12 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="ChaosScript JSON applied to this node's transport "
         "(transport-level steps only)",
-    )
-    node.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="install the uvloop event-loop policy when importable "
-        "(silently keeps the stdlib loop otherwise)",
     )
 
     lease = sub.add_parser(
@@ -201,14 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--period",
         type=float,
         default=1.0,
-        help="fallback/deadman cadence s (the poll period with --no-push)",
+        help="deadman re-subscribe cadence s (the polling fallback)",
     )
     watch.add_argument("--duration", type=float, default=10.0, help="watch this long")
-    watch.add_argument(
-        "--no-push",
-        action="store_true",
-        help="legacy poll-only watch (no server-push subscription)",
-    )
 
     transfer = lease_sub.add_parser(
         "transfer",
@@ -260,7 +243,6 @@ def _run_live(args: argparse.Namespace) -> int:
         stable_seconds=args.stable_seconds,
         timeout=args.timeout,
         log_dir=args.log_dir,
-        use_uvloop=args.uvloop,
     )
     print(report.summary(), flush=True)
     return 0 if report.ok else 1
@@ -286,7 +268,6 @@ def _run_node(args: argparse.Namespace) -> int:
             fd_variant=args.fd_variant,
             duration=args.duration,
             chaos_script=args.chaos_script,
-            use_uvloop=args.uvloop,
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -342,7 +323,6 @@ def _run_lease(args: argparse.Namespace) -> int:
         period=args.period,
         duration=args.duration,
         contact_node=args.contact_node,
-        push=not args.no_push,
     ))
 
 

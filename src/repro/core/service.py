@@ -142,11 +142,6 @@ class ServiceConfig:
     loss_window: int = 512
     delay_window: int = 64
     estimator_ready_threshold: int = 8
-    #: Emit an out-of-schedule frame round when election-relevant state
-    #: changes (accusation bumps, local-leader changes).  Disable only for
-    #: the ablation study: without it every demotion splits the group for
-    #: up to a heartbeat period.
-    urgent_flush: bool = True
     #: Steady-state cell refresh period.  Heartbeat *frames* flow at the
     #: FD-negotiated η per node pair, but an ``all_candidates`` group's
     #: election payload rides along only when it changed — plus one
@@ -526,7 +521,10 @@ class GroupRuntime(GroupContext):
         self.service.batcher.set_active(self.group, self.algorithm.wants_to_send())
 
     def request_flush(self) -> None:
-        if not self._shut_down and self.service.config.urgent_flush:
+        # Out-of-schedule frame round on accusation bumps and local-leader
+        # changes: without it every demotion splits the group for up to a
+        # heartbeat period.
+        if not self._shut_down:
             self.service.batcher.flush()
 
     def _send_all(self, messages: List) -> None:

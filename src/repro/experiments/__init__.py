@@ -5,8 +5,8 @@ configuration (network behaviour, churn model, FD QoS, algorithm, duration,
 seed); :mod:`repro.experiments.runner` builds the full simulated system from
 a configuration, runs it, and returns the paper's metrics;
 :mod:`repro.experiments.figures` encodes the exact parameter grids of
-Figures 3-8 together with the paper's reported numbers, so benchmarks and
-EXPERIMENTS.md can print paper-vs-measured side by side;
+Figures 3-8 together with the paper's reported numbers, so the CLI's
+``--figure`` sweeps (and RESULTS.md) print paper-vs-measured side by side;
 :mod:`repro.experiments.orchestrator` shards a sweep of cells across worker
 processes, with resumable on-disk caching
 (:mod:`repro.experiments.cache`) and lossless JSON persistence

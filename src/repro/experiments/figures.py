@@ -7,8 +7,8 @@ printed graphs are approximate and marked ``approx=True`` (the reproduction
 compares *shapes*: who wins, by what rough factor, where crossovers fall).
 
 Durations default to one virtual hour per cell (the paper ran 1-5 days);
-benchmarks pass smaller durations for quick regeneration and EXPERIMENTS.md
-records longer runs.
+``--duration``/``--warmup`` shorten them for quick regeneration, and
+RESULTS.md records one committed run with its exact command line.
 """
 
 from __future__ import annotations

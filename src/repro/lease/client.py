@@ -35,8 +35,7 @@ Protocol behaviour:
   :class:`~repro.net.message.LeaseEventMessage` on every change of the
   watched lease — zero steady-state request traffic.  A deadman timer
   re-subscribes when events stop arriving (leader moved, events lost),
-  which doubles as the polling fallback; ``push=False`` keeps the legacy
-  poll-only mode.
+  which doubles as the polling fallback.
 * a holder can :meth:`~LeaseClient.transfer` its lease to a successor
   without waiting out the TTL (the successor's fencing token still
   strictly advances), and a preferred client can
@@ -162,7 +161,7 @@ class _Op:
 class _Watch:
     """One active watch subscription on one lease."""
 
-    __slots__ = ("name", "lease", "callback", "period", "push", "last",
+    __slots__ = ("name", "lease", "callback", "period", "last",
                  "timer", "op", "stopped")
 
     def __init__(
@@ -171,18 +170,16 @@ class _Watch:
         lease: int,
         callback: Callable[[LeaseReplyMessage], None],
         period: float,
-        push: bool,
     ) -> None:
         self.name = name
         self.lease = lease
         self.callback = callback
         self.period = period
-        self.push = push
         #: Last (holder, token) delivered; None until the first reply.
         self.last: Optional[Tuple[int, int]] = None
-        #: Deadman/poll timer (push: re-subscribe; poll: next query).
+        #: Deadman timer: fires a re-subscribe.
         self.timer = None
-        #: The in-flight subscribe/poll op, cancellable on stop.
+        #: The in-flight subscribe op, cancellable on stop.
         self.op: Optional[_Op] = None
         self.stopped = False
 
@@ -226,7 +223,7 @@ class LeaseClient:
         self._reads: Dict[int, _Op] = {}
         self._grants: Dict[int, LeaseGrant] = {}
         self._renew_timers: Dict[int, object] = {}
-        #: Active watches per lease id (push and poll mode alike).
+        #: Active watches per lease id.
         self._watches: Dict[int, List[_Watch]] = {}
         #: lease id -> (name, callback) for a pending handoff request.
         self._handoff_pending: Dict[int, Tuple[str, Optional[Callable]]] = {}
@@ -281,26 +278,22 @@ class LeaseClient:
         name: str,
         callback: Callable[[LeaseReplyMessage], None],
         period: float = 1.0,
-        *,
-        push: bool = True,
     ) -> Callable[[], None]:
         """Watch ``name``; fire ``callback`` whenever (holder, token) moves.
 
-        Push mode (the default): one ``watch`` op subscribes at the leader,
-        whose reply seeds the state; thereafter the leader pushes an event
-        on every change, so a quiet lease costs no request traffic at all.
-        ``period`` survives as the fallback cadence — it paces the deadman
-        re-subscribe when no holder (or no leader) is known and pads the
-        re-subscribe deadline past a held lease's expiry.  ``push=False``
-        keeps the legacy poll-every-``period`` behaviour (the only mode
-        before push notifications existed; its ``period`` meant the poll
-        interval, which the fallback semantics deliberately generalize).
+        One ``watch`` op subscribes at the leader, whose reply seeds the
+        state; thereafter the leader pushes an event on every change, so a
+        quiet lease costs no request traffic at all.  ``period`` is the
+        fallback cadence — it paces the deadman re-subscribe when no holder
+        (or no leader) is known and pads the re-subscribe deadline past a
+        held lease's expiry.
 
         ``callback`` receives ``info``-status replies; push-sourced ones
-        carry ``nonce == 0``, polled ones a real nonce.  Returns a function
-        that stops the watch (cancelling any in-flight subscribe op).
+        carry ``nonce == 0``, (re-)subscribe replies a real nonce.  Returns
+        a function that stops the watch (cancelling any in-flight subscribe
+        op).
         """
-        watch = _Watch(name, lease_id(name), callback, period, push)
+        watch = _Watch(name, lease_id(name), callback, period)
         self._watches.setdefault(watch.lease, []).append(watch)
         self._watch_subscribe(watch)
 
@@ -313,7 +306,7 @@ class LeaseClient:
                 watch.timer = None
             op = watch.op
             if op is not None:
-                # The in-flight subscribe/poll op dies with the watch — it
+                # The in-flight subscribe op dies with the watch — it
                 # must not keep resending through the timeout machinery.
                 watch.op = None
                 self._cancel_read(op)
@@ -325,7 +318,7 @@ class LeaseClient:
                     pass
                 if not peers:
                     del self._watches[watch.lease]
-                    if watch.push and not self._closed:
+                    if not self._closed:
                         # Best-effort unsubscribe: fire-and-forget (no
                         # reply, no retries — a lost unwatch merely costs
                         # ignored events until the tenure ends).
@@ -593,21 +586,20 @@ class LeaseClient:
             op.callback(reply)
 
     # ------------------------------------------------------------------
-    # Watch machinery (push with deadman fallback; legacy polling)
+    # Watch machinery (push with deadman fallback)
     # ------------------------------------------------------------------
     def _watch_subscribe(self, watch: _Watch) -> None:
-        """(Re-)send the subscribe/poll op for one watch.
+        """(Re-)send the subscribe op for one watch.
 
-        In push mode the op doubles as everything at once: the initial
-        subscription, the resubscribe after a leader change (the op rides
-        the normal redirect machinery to wherever the leader now lives),
-        and the fallback poll when events stop arriving.
+        The op doubles as everything at once: the initial subscription,
+        the resubscribe after a leader change (the op rides the normal
+        redirect machinery to wherever the leader now lives), and the
+        fallback poll when events stop arriving.
         """
         if watch.stopped or self._closed:
             return
-        kind = "watch" if watch.push else "query"
         op = _Op(
-            kind,
+            "watch",
             watch.name,
             watch.lease,
             0,
@@ -631,17 +623,17 @@ class LeaseClient:
             watch.callback(reply)
 
     def _watch_arm(self, watch: _Watch, holder: int, expiry: float) -> None:
-        """Arm the deadman (push) or poll (legacy) timer.
+        """Arm the deadman timer.
 
-        Push mode with a live holder: the next event should arrive well
-        before ``expiry`` (renewals extend it), so the deadman fires only
-        when pushes stopped — leader died or moved, events lost.  No
-        holder (or no reliable expiry): fall back to pacing at ``period``.
+        With a live holder the next event should arrive well before
+        ``expiry`` (renewals extend it), so the deadman fires only when
+        pushes stopped — leader died or moved, events lost.  No holder (or
+        no reliable expiry): fall back to pacing at ``period``.
         """
         if watch.timer is not None:
             self.scheduler.cancel(watch.timer)
         now = self.scheduler.now
-        if watch.push and holder >= 0 and expiry > now:
+        if holder >= 0 and expiry > now:
             delay = (expiry - now) + 0.5 * watch.period
         else:
             delay = watch.period
@@ -660,7 +652,7 @@ class LeaseClient:
     def _on_event(self, event: LeaseEventMessage) -> None:
         """One pushed ledger change from the leader (fire-and-forget).
 
-        Feeds every push watch on the lease (normalized to the same
+        Feeds every watch on the lease (normalized to the same
         (holder, token) key space as query replies — a released or expired
         record reads as "no holder") and completes a pending handoff
         request when the lease just became ours.
@@ -673,7 +665,7 @@ class LeaseClient:
             holder, token, expiry = event.holder, event.token, event.expiry
         else:
             holder, token, expiry = -1, 0, 0.0
-        #: nonce 0 marks a push-sourced reply (polled replies carry the
+        #: nonce 0 marks a push-sourced reply (subscribe replies carry the
         #: op's real nonce) — observable by callbacks and the live CLI.
         reply = LeaseReplyMessage(
             sender_node=event.sender_node,
@@ -702,7 +694,7 @@ class LeaseClient:
             if callback is not None:
                 callback(reply)
         for watch in tuple(self._watches.get(event.lease, ())):
-            if watch.stopped or not watch.push:
+            if watch.stopped:
                 continue
             self._watch_deliver(watch, reply)
             self._watch_arm(watch, holder, expiry)

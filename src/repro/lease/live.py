@@ -202,13 +202,12 @@ async def watch_main(
     period: float = 1.0,
     duration: float = 10.0,
     contact_node: int = 0,
-    push: bool = True,
 ) -> int:
     """Watch ``name``; print ``HOLDER`` lines on every ownership change.
 
     Each line reports how the change arrived: ``via=push`` for a
     server-push event (the reply's nonce is 0), ``via=poll`` for a
-    polled/subscribe reply.
+    (re-)subscribe reply.
     """
     transport, client = await _open_client(
         host=host, ports=ports, group=group, client_id=client_id,
@@ -223,7 +222,7 @@ async def watch_main(
         )
 
     try:
-        stop = client.watch(name, on_change, period=period, push=push)
+        stop = client.watch(name, on_change, period=period)
         await asyncio.sleep(duration)
         stop()
         return 0

@@ -78,10 +78,6 @@ class LiveNodeConfig:
     #: duplicate, reorder, heal) is supported live — host-level steps
     #: need the simulator's fault plane and are rejected at load time.
     chaos_script: Optional[Path] = None
-    #: Install the uvloop event-loop policy when the package is importable;
-    #: silently keeps the stdlib loop otherwise (uvloop is never a hard
-    #: dependency).
-    use_uvloop: bool = False
 
     def __post_init__(self) -> None:
         if not 0 <= self.node_id < len(self.ports):
@@ -237,15 +233,6 @@ def node_main(config: LiveNodeConfig) -> int:
     line instead of a traceback: the parent orchestrator (and any human
     driving ``repro.cli node`` by hand) needs the reason, not the stack.
     """
-    if config.use_uvloop:
-        # Opt-in only, and import-gated: the container may not ship uvloop,
-        # and a missing accelerator must never stop a daemon from serving.
-        try:
-            import uvloop
-        except ImportError:
-            pass
-        else:
-            asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
     try:
         asyncio.run(run_node(config))
     except OSError as exc:
@@ -378,7 +365,6 @@ def _spawn_node(
     fd_variant: str,
     duration: float,
     groups: int,
-    use_uvloop: bool = False,
 ) -> subprocess.Popen:
     command = [
         sys.executable,
@@ -402,8 +388,6 @@ def _spawn_node(
         "--duration",
         str(duration),
     ]
-    if use_uvloop:
-        command.append("--uvloop")
     return subprocess.Popen(
         command,
         stdout=subprocess.PIPE,
@@ -413,46 +397,31 @@ def _spawn_node(
     )
 
 
-_GRANTED_RE = re.compile(r"^GRANTED lease=\S+ token=(\d+) ", re.MULTILINE)
-
-
-def _lease_acquire(
+def _lease_cli(
+    op: str,
+    name: str,
     ports: List[int],
     host: str,
     contact_node: int,
     client_id: int,
-    timeout: float,
-    log_path: Path,
-) -> Optional[int]:
-    """Run one ``repro lease acquire`` round trip; return its fencing token.
-
-    The client is a real subprocess speaking real UDP — the same code path
-    a user's ``repro lease acquire`` takes — so this exercises the learned
-    sender address plumbing, the redirect dance, and (after a kill) the
-    new leader's takeover grace.  None means no grant within ``timeout``;
-    the child's full output lands in ``log_path`` for post-mortems.
-    """
-    command = [
-        sys.executable,
-        "-m",
-        "repro.cli",
-        "lease",
-        "acquire",
-        "--ports",
-        ",".join(map(str, ports)),
-        "--host",
-        host,
-        "--name",
-        "smoke-lock",
-        "--contact-node",
-        str(contact_node),
-        "--client-id",
-        str(client_id),
-        "--ttl",
-        "2.0",
-        "--timeout",
-        str(timeout),
+    *extra: str,
+) -> List[str]:
+    """The ``python -m repro.cli lease <op> ...`` command line — the same
+    code path a user's ``repro lease`` takes, real UDP included."""
+    return [
+        sys.executable, "-m", "repro.cli", "lease", op,
+        "--ports", ",".join(map(str, ports)),
+        "--host", host,
+        "--name", name,
+        "--contact-node", str(contact_node),
+        "--client-id", str(client_id),
+        *extra,
     ]
+
+
+def _run_logged(command: List[str], timeout: float, log_path: Path) -> str:
+    """Run a lease client to completion; its full output is returned and
+    lands in ``log_path`` for post-mortems."""
     try:
         result = subprocess.run(
             command,
@@ -465,13 +434,35 @@ def _lease_acquire(
     except subprocess.TimeoutExpired as exc:
         output = f"{exc.stdout or ''}{exc.stderr or ''}\n(killed: wedged client)"
     log_path.write_text(output)
-    match = _GRANTED_RE.search(output)
-    return int(match.group(1)) if match else None
+    return output
 
 
+_GRANTED_RE = re.compile(r"^GRANTED lease=\S+ token=(\d+) ", re.MULTILINE)
 _TRANSFERRED_RE = re.compile(
     r"^TRANSFERRED lease=\S+ successor=\d+ token=(\d+)", re.MULTILINE
 )
+
+
+def _lease_acquire(
+    ports: List[int],
+    host: str,
+    contact_node: int,
+    client_id: int,
+    timeout: float,
+    log_path: Path,
+) -> Optional[int]:
+    """Run one ``repro lease acquire`` round trip; return its fencing token.
+
+    This exercises the learned sender address plumbing, the redirect
+    dance, and (after a kill) the new leader's takeover grace.  None means
+    no grant within ``timeout``.
+    """
+    command = _lease_cli(
+        "acquire", "smoke-lock", ports, host, contact_node, client_id,
+        "--ttl", "2.0", "--timeout", str(timeout),
+    )
+    match = _GRANTED_RE.search(_run_logged(command, timeout, log_path))
+    return int(match.group(1)) if match else None
 
 
 def _lease_transfer(
@@ -491,92 +482,16 @@ def _lease_transfer(
     grant (checked by the caller) — the same fencing contract the kill
     smoke asserts, but across a voluntary transfer instead of a failover.
     """
-    command = [
-        sys.executable,
-        "-m",
-        "repro.cli",
-        "lease",
-        "transfer",
-        "--ports",
-        ",".join(map(str, ports)),
-        "--host",
-        host,
-        "--name",
-        "handoff-lock",
-        "--contact-node",
-        str(contact_node),
-        "--client-id",
-        str(client_id),
-        "--successor",
-        str(successor),
-        "--ttl",
-        "2.0",
-        "--timeout",
-        str(timeout),
-    ]
-    try:
-        result = subprocess.run(
-            command,
-            capture_output=True,
-            text=True,
-            timeout=timeout + 10.0,
-            env=_child_env(),
-        )
-        output = result.stdout + result.stderr
-    except subprocess.TimeoutExpired as exc:
-        output = f"{exc.stdout or ''}{exc.stderr or ''}\n(killed: wedged client)"
-    log_path.write_text(output)
+    command = _lease_cli(
+        "transfer", "handoff-lock", ports, host, contact_node, client_id,
+        "--successor", str(successor), "--ttl", "2.0", "--timeout", str(timeout),
+    )
+    output = _run_logged(command, timeout, log_path)
     granted = _GRANTED_RE.search(output)
     transferred = _TRANSFERRED_RE.search(output)
     if granted is None or transferred is None:
         return None
     return int(granted.group(1)), int(transferred.group(1))
-
-
-def _spawn_lease_watch(
-    ports: List[int],
-    host: str,
-    contact_node: int,
-    client_id: int,
-    duration: float,
-    log: IO[str],
-) -> subprocess.Popen:
-    """Start a ``repro lease watch`` subprocess that outlives the kill.
-
-    The watcher subscribes to ``smoke-lock`` push notifications before the
-    leader is killed and keeps running across the failover; its contact
-    node must be a survivor so the post-kill resubscribe (deadman poll →
-    redirect) can find the new leader.  Its ``HOLDER ... via=push|poll``
-    lines stream into ``log`` for the orchestrator to parse.
-    """
-    command = [
-        sys.executable,
-        "-m",
-        "repro.cli",
-        "lease",
-        "watch",
-        "--ports",
-        ",".join(map(str, ports)),
-        "--host",
-        host,
-        "--name",
-        "smoke-lock",
-        "--contact-node",
-        str(contact_node),
-        "--client-id",
-        str(client_id),
-        "--period",
-        "1.0",
-        "--duration",
-        str(duration),
-    ]
-    return subprocess.Popen(
-        command,
-        stdout=log,
-        stderr=subprocess.STDOUT,
-        env=_child_env(),
-        text=True,
-    )
 
 
 def _pump_output(
@@ -590,11 +505,7 @@ def _pump_output(
 
 
 def _parse_leader(line: str) -> Optional[Tuple[int, int, Optional[int]]]:
-    """``LEADER node=2 group=1 leader=0 t=...`` → (2, 1, 0); else None.
-
-    Lines without a ``group`` field (single-group daemons predating the
-    scale-out) parse as group 1.
-    """
+    """``LEADER node=2 group=1 leader=0 t=...`` → (2, 1, 0); else None."""
     if not line.startswith("LEADER "):
         return None
     fields = dict(
@@ -602,7 +513,7 @@ def _parse_leader(line: str) -> Optional[Tuple[int, int, Optional[int]]]:
     )
     try:
         node = int(fields["node"])
-        group = int(fields.get("group", 1))
+        group = int(fields["group"])
         leader = None if fields["leader"] == "none" else int(fields["leader"])
     except (KeyError, ValueError):
         return None
@@ -648,7 +559,6 @@ def run_cluster(
     timeout: float = 20.0,
     log_dir: Optional[Path] = None,
     echo: bool = True,
-    use_uvloop: bool = False,
 ) -> ClusterReport:
     """Boot an N-process localhost cluster and exercise a leader crash.
 
@@ -764,7 +674,7 @@ def run_cluster(
         for node_id in range(n_nodes):
             child = _spawn_node(
                 node_id, ports, host, algorithm, detection_time,
-                fd_variant, child_duration, groups, use_uvloop=use_uvloop,
+                fd_variant, child_duration, groups,
             )
             children[node_id] = child
             log = open(log_dir / f"node-{node_id}.log", "w")
@@ -845,8 +755,15 @@ def run_cluster(
                     node for node in alive if node != report.first_leader
                 )
                 watch_log = open(watch_log_path, "w")
-                watch_child = _spawn_lease_watch(
-                    ports, host, contact, 1002, 4 * timeout + 30.0, watch_log,
+                watch_child = subprocess.Popen(
+                    _lease_cli(
+                        "watch", "smoke-lock", ports, host, contact, 1002,
+                        "--period", "1.0", "--duration", str(4 * timeout + 30.0),
+                    ),
+                    stdout=watch_log,  # HOLDER ... via=push|poll lines
+                    stderr=subprocess.STDOUT,
+                    env=_child_env(),
+                    text=True,
                 )
                 note(
                     "lease smoke: watcher (client 1002) subscribed via "

@@ -37,9 +37,8 @@ append-only, so earlier byte values are unchanged); LEASE-REPLY grew a
 LEASE-EVENT message (tag 8) pushes ledger changes to registered watchers.
 
 Codec version 5 (the zero-copy datapath): the wire *layout* is byte-for-byte
-that of version 4 — only the version byte moves, marking daemons whose
-transport batches datagrams (``sendmmsg``/``recvmmsg``).  What changed is
-the codec's API surface: :func:`encode_message_into` packs a frame directly
+that of version 4 — only the version byte moved.  What changed is the
+codec's API surface: :func:`encode_message_into` packs a frame directly
 into a caller-owned reusable buffer, and :func:`decode_message` accepts
 any buffer object (``bytes``, ``bytearray``, ``memoryview``) and parses it
 in place with ``unpack_from`` — decoded messages hold only ints/floats/

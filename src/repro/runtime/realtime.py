@@ -27,12 +27,10 @@ from __future__ import annotations
 import asyncio
 import socket
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.net.message import Message
-from repro.runtime import mmsg
 from repro.runtime.codec import CodecError, decode_message, encode_message_into
 
 __all__ = ["RealtimeHandle", "RealtimeScheduler", "TransportStats", "UdpTransport"]
@@ -134,13 +132,13 @@ class TransportStats:
     frames_rejected: int = 0
     #: Sends dropped because the destination node id has no known address.
     unroutable: int = 0
-    #: Encoded datagrams the kernel refused (full socket buffer, a short
-    #: ``sendmmsg``, a failed ``sendto``): writes are synchronous and nothing
-    #: is queued, so these are real losses the failure detector must absorb.
+    #: Encoded datagrams the kernel refused (full socket buffer, a failed
+    #: ``sendto``): writes are synchronous and nothing is queued, so these
+    #: are real losses the failure detector must absorb.
     send_dropped: int = 0
-    #: sendmmsg/recvmmsg syscalls issued (0 where libc lacks them) — the
-    #: whole point of batching is that this grows much slower than
-    #: frames_sent.
+    #: Always 0: the sendmmsg/recvmmsg path it counted is gone.  Kept only
+    #: because the benchmark sums it for its declared metric
+    #: ``runtime.batch_syscalls``, until a ``benchmark`` PR retires that.
     batch_syscalls: int = 0
     last_error: Optional[str] = field(default=None, repr=False)
 
@@ -148,56 +146,10 @@ class TransportStats:
 #: UDP payloads cannot exceed 65507 bytes, so a 64 KiB buffer always fits
 #: one datagram (the codec enforces its own MAX_FRAME_BYTES on top).
 _DATAGRAM_MAX = 65536
-#: Datagrams one ``recvmmsg`` drain can take.
-_RX_SLOTS = 32
 #: Off-book senders (lease clients) whose address is remembered, least
 #: recently heard evicted first.  ``sender_node`` is whatever a datagram
 #: claims, so without a cap a spoofer grows the table without bound.
 _LEARNED_MAX = 1024
-
-
-class _LoopScratch:
-    """Datagram buffers and ``mmsg`` batchers shared by one loop's transports.
-
-    Every transport runs on its loop's thread, and neither a receive drain
-    nor a send fan-out ever nests inside another, so the transports of one
-    loop can take turns on one set of buffers: a process hosting several
-    (an in-process cluster, a daemon re-booting) pays for the ~2 MiB of
-    receive slots once, not per transport.
-    """
-
-    def __init__(self) -> None:
-        #: Encode scratch for single sends.
-        self.tx = bytearray(_DATAGRAM_MAX)
-        #: Per-slot encode scratch for send_batch; grown on demand.  Each
-        #: slot is pinned (``tx_slot_views``) so its buffer address
-        #: (``tx_slot_addrs``) stays valid for the batcher's iovecs.
-        self.tx_slots: list = []
-        self.tx_slot_views: list = []
-        self.tx_slot_addrs: list = []
-        #: Receive buffers for one recvmmsg drain, and the two batchers;
-        #: platforms without the libc symbols go per datagram and need none.
-        use_mmsg = mmsg.available()
-        self.rx_buffers = [
-            bytearray(_DATAGRAM_MAX) for _ in range(_RX_SLOTS if use_mmsg else 0)
-        ]
-        self.rx_batcher = mmsg.RecvBatcher(self.rx_buffers) if use_mmsg else None
-        self.tx_batcher = mmsg.SendBatcher() if use_mmsg else None
-
-    def tx_slot(self, index: int) -> bytearray:
-        """Slot ``index`` of the fan-out scratch, allocated on first use."""
-        if index == len(self.tx_slots):
-            buf = bytearray(_DATAGRAM_MAX)
-            view, base = mmsg.pin(buf)
-            self.tx_slots.append(buf)
-            self.tx_slot_views.append(view)
-            self.tx_slot_addrs.append(base)
-        return self.tx_slots[index]
-
-
-#: event loop -> its scratch, created by the first transport opened on the
-#: loop and released with it.
-_scratch_by_loop: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class UdpTransport:
@@ -216,16 +168,13 @@ class UdpTransport:
     never configured with.  Static entries always win — a learned address
     can never shadow a cluster node, and the book is never evicted.
 
-    The datapath is a raw nonblocking socket, written *synchronously* from
-    :meth:`send`/:meth:`send_batch` and drained via ``loop.add_reader``.
-    Synchronous writes are what make the zero-copy encode scratch safe: the
-    kernel has copied the payload by the time the call returns, so the
-    buffer can be reused for the next datagram — and a datagram the kernel
-    refuses is dropped and counted (``stats.send_dropped``), never queued.
-    On Linux, :meth:`send_batch` flushes a whole fan-out with one
-    ``sendmmsg`` call and the read side drains bursts with ``recvmmsg``
-    (see :mod:`repro.runtime.mmsg`); elsewhere the same socket goes per
-    datagram through ``sendto``/``recvfrom``.
+    The datapath is a raw nonblocking socket: one synchronous ``sendto``
+    per datagram from :meth:`send`, one ``recvfrom`` per datagram from the
+    ``loop.add_reader`` callback.  Synchronous writes are what make the
+    zero-copy encode scratch safe: the kernel has copied the payload by the
+    time the call returns, so the one buffer is reused for the next
+    datagram — and a datagram the kernel refuses is dropped and counted
+    (``stats.send_dropped``), never queued.
 
     Create, then ``await transport.open()`` to bind the local socket.
     """
@@ -246,8 +195,8 @@ class UdpTransport:
         self._deliver = deliver
         self._sock: Optional[socket.socket] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        #: The loop's shared buffers, attached in :meth:`open`.
-        self._scratch: Optional[_LoopScratch] = None
+        #: Encode scratch, reused by every send (writes are synchronous).
+        self._scratch = bytearray(_DATAGRAM_MAX)
         self.stats = TransportStats()
 
     # ------------------------------------------------------------------
@@ -270,10 +219,6 @@ class UdpTransport:
         except OSError:
             sock.close()
             raise
-        scratch = _scratch_by_loop.get(loop)
-        if scratch is None:
-            scratch = _scratch_by_loop[loop] = _LoopScratch()
-        self._scratch = scratch
         self._sock = sock
         self._loop = loop
         loop.add_reader(sock.fileno(), self._drain_rx)
@@ -299,28 +244,6 @@ class UdpTransport:
             address = self._learned.get(dest_node)
         return address
 
-    def _encode(self, message: Message, buf: bytearray) -> int:
-        """Frame length in ``buf``, or 0 for a message the codec refuses."""
-        try:
-            return encode_message_into(message, buf)
-        except CodecError as exc:  # pragma: no cover - needs a broken message
-            self.stats.frames_rejected += 1
-            self.stats.last_error = str(exc)
-            return 0
-
-    def _sendto(self, buf: bytearray, end: int, address: Tuple[str, int]) -> None:
-        """One synchronous ``sendto``; a kernel refusal is a counted drop."""
-        try:
-            self._sock.sendto(memoryview(buf)[:end], address)
-        except OSError as exc:
-            # Full socket buffer, ICMP port-unreachable for a crashed peer:
-            # exactly the loss the failure detector exists to absorb.
-            self.stats.send_dropped += 1
-            self.stats.last_error = str(exc)
-            return
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += end
-
     def send(self, message: Message) -> None:
         """Encode and transmit ``message`` to its destination's endpoint.
 
@@ -331,79 +254,37 @@ class UdpTransport:
         """
         if self._sock is None:
             return
+        stats = self.stats
         address = self._route(message.dest_node)
         if address is None:
-            self.stats.unroutable += 1
-            return
-        scratch = self._scratch.tx
-        end = self._encode(message, scratch)
-        if end:
-            self._sendto(scratch, end, address)
-
-    def send_batch(self, messages: Iterable[Message]) -> None:
-        """Transmit a whole fan-out; one ``sendmmsg`` syscall per chunk.
-
-        The realtime twin of :meth:`repro.net.network.Network.send_batch`.
-        Each message is encoded into its own reusable scratch slot (safe
-        because the kernel copies payloads during the syscall) and the
-        chunk goes out in one kernel crossing.  Without libc ``sendmmsg``
-        this is a :meth:`send` loop — same datagrams, more syscalls.
-        """
-        if self._sock is None:
+            stats.unroutable += 1
             return
         scratch = self._scratch
-        batcher = scratch.tx_batcher
-        if batcher is None:
-            for message in messages:
-                self.send(message)
-            return
-        count = 0
-        pending: list = []  # (length, address) per staged slot
-        for message in messages:
-            address = self._route(message.dest_node)
-            if address is None:
-                self.stats.unroutable += 1
-                continue
-            try:
-                sa = batcher.sockaddr(address)
-            except OSError:
-                # Non-IPv4 book entry (hostname): this one datagram takes
-                # the scalar path; the rest of the batch stays fast.
-                self.send(message)
-                continue
-            if count == mmsg.MAX_BATCH:
-                self._flush_slots(count, pending)
-                count = 0
-                pending = []
-            end = self._encode(message, scratch.tx_slot(count))
-            if not end:
-                continue
-            batcher.stage(count, scratch.tx_slot_addrs[count], end, sa)
-            pending.append((end, address))
-            count += 1
-        if count:
-            self._flush_slots(count, pending)
-
-    def _flush_slots(self, count: int, pending: list) -> None:
-        """One sendmmsg call; whatever the kernel refused is dropped (UDP)."""
-        stats = self.stats
         try:
-            sent = self._scratch.tx_batcher.send(self._sock.fileno(), count)
-        except (BlockingIOError, InterruptedError):
-            stats.send_dropped += count
-            return
-        except OSError as exc:
-            # Unexpected kernel refusal: take the scalar path so the
-            # datagrams still flow, just without the batched syscall.
+            end = encode_message_into(message, scratch)
+        except CodecError as exc:  # pragma: no cover - needs a broken message
+            stats.frames_rejected += 1
             stats.last_error = str(exc)
-            for index, (end, address) in enumerate(pending):
-                self._sendto(self._scratch.tx_slots[index], end, address)
             return
-        stats.batch_syscalls += 1
-        stats.frames_sent += sent
-        stats.send_dropped += count - sent  # short write: socket buffer full
-        for end, _ in pending[:sent]:
-            stats.bytes_sent += end
+        try:
+            self._sock.sendto(memoryview(scratch)[:end], address)
+        except OSError as exc:
+            # Full socket buffer, ICMP port-unreachable for a crashed peer:
+            # exactly the loss the failure detector exists to absorb.
+            stats.send_dropped += 1
+            stats.last_error = str(exc)
+            return
+        stats.frames_sent += 1
+        stats.bytes_sent += end
+
+    def send_batch(self, messages: Iterable[Message]) -> None:
+        """Transmit a whole fan-out, one :meth:`send` per message.
+
+        The realtime twin of :meth:`repro.net.network.Network.send_batch`;
+        a refused or unroutable datagram does not stop the rest.
+        """
+        for message in messages:
+            self.send(message)
 
     # ------------------------------------------------------------------
     # Receive path
@@ -434,27 +315,7 @@ class UdpTransport:
         sock = self._sock
         if sock is None:  # closed between readiness and dispatch
             return
-        batcher = self._scratch.rx_batcher
-        if batcher is not None:
-            buffers = self._scratch.rx_buffers
-            fd = sock.fileno()
-            while True:
-                try:
-                    received = batcher.recv(fd)
-                except (BlockingIOError, InterruptedError):
-                    return
-                except OSError as exc:
-                    self.stats.last_error = str(exc)
-                    return
-                self.stats.batch_syscalls += 1
-                for i, (nbytes, source) in enumerate(received):
-                    # Zero-copy decode straight out of the reusable recv
-                    # buffer; decoded messages hold only scalars/tuples,
-                    # never views into it, so reuse next round is safe.
-                    self._ingest(memoryview(buffers[i])[:nbytes], source)
-                if len(received) < len(buffers):
-                    return  # socket drained
-        while True:  # no recvmmsg: per-datagram drain on the same socket
+        while True:
             try:
                 data, source = sock.recvfrom(_DATAGRAM_MAX)
             except (BlockingIOError, InterruptedError):

@@ -4,9 +4,9 @@ These drive the real stack — daemons, election, gossip, the client
 library — and verify the tentpole contract of the push watch path: a
 holder change reaches a subscribed watcher as a leader-pushed event
 (``nonce == 0``), a *quiet* watch costs zero steady-state request
-traffic (A/B-measured against a legacy polling watcher), and both modes
-survive a leader SIGKILL mid-watch.  The transfer/handoff flow is
-checked against the trace the chaos invariants read.
+traffic, and the watch survives a leader SIGKILL mid-watch.  The
+transfer/handoff flow is checked against the trace the chaos invariants
+read.
 """
 
 from __future__ import annotations
@@ -130,10 +130,9 @@ class TestPushDelivery:
 
 @pytest.mark.slow
 class TestZeroSteadyStatePolls:
-    def test_push_watcher_sends_nothing_while_a_poller_keeps_asking(self):
-        """The A/B the tentpole promises: with a holder quietly renewing,
-        a push watcher's request traffic is flat while the legacy polling
-        watcher pays one request per period."""
+    def test_quiet_watch_sends_no_requests(self):
+        """With a holder quietly renewing, a watcher's request traffic is
+        flat: it subscribed once and never needs to ask again."""
         system = build()
         sim = system.sim
         sim.run_until(20.0)
@@ -142,36 +141,25 @@ class TestZeroSteadyStatePolls:
         holder.acquire("ab-lock", 4.0)  # auto-renews for the whole test
         sim.run_until(sim.now + 3.0)
 
-        push_client, push_channel = make_client(
+        watcher, channel = make_client(
             system, 1, 2001, channel_cls=CountingChannel
         )
-        poll_client, poll_channel = make_client(
-            system, 3, 2003, channel_cls=CountingChannel
-        )
-        push_seen, poll_seen = [], []
-        push_client.watch("ab-lock", lambda r: push_seen.append(r),
-                          period=1.0, push=True)
-        poll_client.watch("ab-lock", lambda r: poll_seen.append(r),
-                          period=1.0, push=False)
-        sim.run_until(sim.now + 5.0)  # both subscribed and seeded
-        assert push_seen and push_seen[0].holder == 2002
-        assert poll_seen and poll_seen[0].holder == 2002
+        seen = []
+        watcher.watch("ab-lock", lambda r: seen.append(r), period=1.0)
+        sim.run_until(sim.now + 5.0)  # subscribed and seeded
+        assert seen and seen[0].holder == 2002
 
-        push_before = push_channel.submits
-        poll_before = poll_channel.submits
-        window = 30.0
-        sim.run_until(sim.now + window)
+        before = channel.submits
+        sim.run_until(sim.now + 30.0)
 
-        # The holder's renewals push events that keep re-arming the push
+        # The holder's renewals push events that keep re-arming the
         # watcher's deadman, so it never needs to ask again.
-        assert push_channel.submits == push_before
-        # The poller paid roughly one request per period over the window.
-        assert poll_channel.submits - poll_before >= window / 1.0 * 0.5
+        assert channel.submits == before
 
 
 @pytest.mark.slow
 class TestWatchAcrossLeaderKill:
-    def _run(self, push):
+    def test_push_watcher_survives_a_leader_kill(self):
         system = build()
         sim = system.sim
         sim.run_until(20.0)
@@ -198,8 +186,7 @@ class TestWatchAcrossLeaderKill:
 
         watcher, _ = make_client(system, spare[1], 2001)
         seen = []
-        watcher.watch("kill-lock", lambda r: seen.append(r),
-                      period=1.0, push=push)
+        watcher.watch("kill-lock", lambda r: seen.append(r), period=1.0)
         sim.run_until(sim.now + 3.0)
         assert any(r.holder == 2002 for r in seen)
 
@@ -211,24 +198,17 @@ class TestWatchAcrossLeaderKill:
 
         # The new tenure's takeover grace outlives the old grant, the
         # holder loses and re-acquires, and the watcher — having
-        # re-subscribed (push) or kept polling — sees the fresh token.
+        # re-subscribed — sees the fresh token.
         assert lost == ["kill-lock"]
         second = holder.grant("kill-lock")
         assert second is not None and second.token > first.token
         fresh = [r for r in seen
                  if r.holder == 2002 and r.token == second.token]
         assert fresh, "watcher never observed the post-kill re-grant"
-        if push:
-            # Delivered by the *new* leader's fan-out: the re-subscribe
-            # lands during the takeover grace, well before the re-grant.
-            assert fresh[0].nonce == 0
+        # Delivered by the *new* leader's fan-out: the re-subscribe
+        # lands during the takeover grace, well before the re-grant.
+        assert fresh[0].nonce == 0
         assert check_no_double_grant(system.trace.events, group=GROUP) == []
-
-    def test_push_watcher_survives_a_leader_kill(self):
-        self._run(push=True)
-
-    def test_polling_fallback_survives_a_leader_kill(self):
-        self._run(push=False)
 
 
 @pytest.mark.slow

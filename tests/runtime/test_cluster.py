@@ -45,9 +45,6 @@ class TestLineProtocol:
             None,
         )
 
-    def test_groupless_line_defaults_to_group_one(self):
-        assert _parse_leader("LEADER node=2 leader=0 t=17.5") == (2, 1, 0)
-
     @pytest.mark.parametrize(
         "line",
         [
@@ -57,6 +54,7 @@ class TestLineProtocol:
             "LEADER gibberish",
             "LEADER node=x leader=0",
             "noise LEADER node=0 leader=1",
+            pytest.param("LEADER node=2 leader=0 t=17.5", id="groupless LEADER"),
         ],
     )
     def test_non_leader_lines_are_ignored(self, line):

@@ -319,9 +319,10 @@ class TestZeroCopy:
     @given(message=any_message, cut=st.integers(min_value=0, max_value=64))
     @settings(max_examples=150)
     def test_truncated_scratch_never_escapes_codec_error(self, message, cut):
-        """A short recvmmsg read hands the decoder a prefix view whose
-        underlying buffer still holds the rest of the frame (and older
-        frames beyond it) — rejection must not peek past the view."""
+        """A truncated datagram read into a reused buffer hands the decoder
+        a prefix view whose underlying buffer still holds the rest of the
+        frame (and older frames beyond it) — rejection must not peek past
+        the view."""
         end = encode_message_into(message, _SCRATCH)
         keep = max(0, end - cut)
         if keep == end:
@@ -334,8 +335,8 @@ class TestZeroCopy:
     @given(message=any_message)
     @settings(max_examples=100)
     def test_decode_tolerates_offset_views(self, message):
-        """recvmmsg fills per-slot buffers; decoding must work from any
-        buffer region, not just offset zero."""
+        """A caller may receive into any region of a larger buffer;
+        decoding must work from there, not just offset zero."""
         offset = 7
         frame = encode_message(message)
         _SCRATCH[offset : offset + len(frame)] = frame

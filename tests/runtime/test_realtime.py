@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.net.message import AccuseMessage, AliveCell, BatchFrame, MemberInfo
-from repro.runtime import mmsg, realtime
+from repro.runtime import realtime
 from repro.runtime.codec import encode_message
 from repro.runtime.realtime import RealtimeScheduler, UdpTransport
 
@@ -226,9 +226,6 @@ class _RefusingSocket:
         self._every = every
         self._calls = 0
 
-    def fileno(self):
-        return self._real.fileno()
-
     def sendto(self, data, address):
         self._calls += 1
         if (self._calls - 1) % self._every == 0:
@@ -237,9 +234,8 @@ class _RefusingSocket:
 
 
 class TestBatchedUdpTransport:
-    """The datapath's batching (sendmmsg/recvmmsg on the raw socket) must
-    be invisible on the wire: same frames, same delivery, fewer syscalls —
-    and counted drops where the kernel refuses.  Everything here also
+    """``send_batch`` is a ``send`` loop: same frames, same delivery, and
+    counted drops where the kernel refuses.  Everything here also
     exercises the zero-copy encode scratch — consecutive sends reuse one
     buffer, so any aliasing bug corrupts the second frame."""
 
@@ -291,48 +287,6 @@ class TestBatchedUdpTransport:
 
         run(main())
 
-    @pytest.mark.skipif(not mmsg.available(), reason="no sendmmsg on this host")
-    def test_send_batch_uses_one_syscall_per_chunk(self):
-        async def main():
-            t0, t1, inboxes = await _open_pair()
-            try:
-                frames = [
-                    BatchFrame(sender_node=0, dest_node=1, seq=i)
-                    for i in range(10)
-                ]
-                t0.send_batch(frames)
-                assert t0.stats.batch_syscalls == 1
-                assert t0.stats.frames_sent == 10
-                assert await _wait_for(lambda: len(inboxes[1]) == 10)
-                assert [m.seq for m in inboxes[1]] == list(range(10))
-                # The receiver drained the burst with recvmmsg.
-                assert t1.stats.batch_syscalls >= 1
-                assert t1.stats.frames_received == 10
-            finally:
-                t0.close()
-                t1.close()
-
-        run(main())
-
-    @pytest.mark.skipif(not mmsg.available(), reason="no sendmmsg on this host")
-    def test_send_batch_chunks_above_max_batch(self):
-        async def main():
-            t0, t1, inboxes = await _open_pair()
-            try:
-                count = mmsg.MAX_BATCH + 5
-                t0.send_batch(
-                    BatchFrame(sender_node=0, dest_node=1, seq=i)
-                    for i in range(count)
-                )
-                assert t0.stats.batch_syscalls == 2
-                assert t0.stats.frames_sent == count
-                assert await _wait_for(lambda: len(inboxes[1]) == count)
-            finally:
-                t0.close()
-                t1.close()
-
-        run(main())
-
     def test_send_batch_counts_unroutable_and_keeps_going(self):
         async def main():
             t0, t1, inboxes = await _open_pair()
@@ -351,35 +305,9 @@ class TestBatchedUdpTransport:
 
         run(main())
 
-    def test_send_batch_falls_back_without_sendmmsg(self, monkeypatch):
-        """With the libc symbols unavailable the transport must still
-        deliver — per-datagram sendto/recvfrom on the same raw socket.
-        Availability is decided when a loop's first transport opens, so
-        the patch precedes the transports."""
-        monkeypatch.setattr("repro.runtime.mmsg.available", lambda: False)
-
-        async def main():
-            t0, t1, inboxes = await _open_pair()
-            try:
-                assert t0._scratch.tx_batcher is None
-                assert t1._scratch.rx_batcher is None
-                t0.send_batch([
-                    BatchFrame(sender_node=0, dest_node=1, seq=i)
-                    for i in range(5)
-                ])
-                assert t0.stats.batch_syscalls == 0
-                assert t0.stats.frames_sent == 5
-                assert await _wait_for(lambda: len(inboxes[1]) == 5)
-            finally:
-                t0.close()
-                t1.close()
-
-        run(main())
-
     def test_hostname_destination_takes_the_send_loop(self):
-        """A book entry that is not a dotted quad cannot be staged into a
-        sockaddr_in, so its datagrams leave through per-datagram sendto
-        (which resolves the name) instead of the sendmmsg chunk."""
+        """A book entry may be a hostname, not a dotted quad: ``sendto``
+        resolves it and the datagrams arrive like any others."""
 
         async def main():
             t0, t1, inboxes = await _open_pair(hosts=("127.0.0.1", "localhost"))
@@ -388,9 +316,9 @@ class TestBatchedUdpTransport:
                     BatchFrame(sender_node=0, dest_node=1, seq=i)
                     for i in range(4)
                 ])
-                assert t0.stats.batch_syscalls == 0
                 assert t0.stats.frames_sent == 4
                 assert await _wait_for(lambda: len(inboxes[1]) == 4)
+                assert [m.seq for m in inboxes[1]] == [0, 1, 2, 3]
             finally:
                 t0.close()
                 t1.close()
@@ -442,53 +370,18 @@ class TestBatchedUdpTransport:
 
         run(main())
 
-    @pytest.mark.skipif(not mmsg.available(), reason="no sendmmsg on this host")
-    def test_refused_and_short_sendmmsg_are_counted_drops(self, monkeypatch):
-        outcomes = [BlockingIOError(), 3]  # full buffer, then 3 of 5 taken
-
-        def fake_send(batcher, fd, count):
-            outcome = outcomes.pop(0)
-            if isinstance(outcome, Exception):
-                raise outcome
-            return outcome
-
-        monkeypatch.setattr(mmsg.SendBatcher, "send", fake_send)
-
-        async def main():
-            t0, t1, _ = await _open_pair()
-            try:
-                burst = [_accuse(0, 1, phase=i) for i in range(5)]
-                t0.send_batch(burst)
-                assert t0.stats.send_dropped == 5
-                assert t0.stats.frames_sent == 0
-                t0.send_batch(burst)
-                assert t0.stats.send_dropped == 7
-                assert t0.stats.frames_sent == 3
-                assert t0.stats.bytes_sent == 3 * len(encode_message(burst[0]))
-            finally:
-                t0.close()
-                t1.close()
-
-        run(main())
-
-    @pytest.mark.skipif(not mmsg.available(), reason="no sendmmsg on this host")
-    def test_sendmmsg_error_fallback_counts_each_skipped_datagram(
-        self, monkeypatch
-    ):
-        def fake_send(batcher, fd, count):
-            raise OSError(errno.EPERM, "sendmmsg refused")
-
-        monkeypatch.setattr(mmsg.SendBatcher, "send", fake_send)
-
+    def test_send_batch_drops_a_refused_datagram_only(self):
         async def main():
             t0, t1, inboxes = await _open_pair()
             real = t0._sock
             try:
-                # The per-datagram fallback gets every other one through.
+                # The kernel refuses every other datagram of the fan-out.
                 t0._sock = _RefusingSocket(real, OSError(errno.ENOBUFS, "no"), every=2)
-                t0.send_batch([_accuse(0, 1, phase=i) for i in range(6)])
+                burst = [_accuse(0, 1, phase=i) for i in range(6)]
+                t0.send_batch(burst)
                 assert t0.stats.send_dropped == 3
                 assert t0.stats.frames_sent == 3
+                assert t0.stats.bytes_sent == 3 * len(encode_message(burst[0]))
                 assert t0.stats.batch_syscalls == 0
                 assert await _wait_for(lambda: len(inboxes[1]) == 3)
                 assert [m.accused_phase for m in inboxes[1]] == [1, 3, 5]
@@ -498,120 +391,3 @@ class TestBatchedUdpTransport:
                 t1.close()
 
         run(main())
-
-
-@pytest.mark.skipif(not mmsg.available(), reason="no sendmmsg on this host")
-class TestMmsgBindings:
-    """Direct exercise of the ctypes layer on real localhost sockets."""
-
-    def _socket_pair(self):
-        rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        rx.bind(("127.0.0.1", 0))
-        rx.setblocking(False)
-        tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        tx.bind(("127.0.0.1", 0))
-        tx.setblocking(False)
-        return tx, rx
-
-    def _send(self, tx, datagrams):
-        """Stage ``(payload, destination)`` pairs, then one sendmmsg."""
-        batcher = mmsg.SendBatcher()
-        pins = []  # pinned views must outlive the syscall
-        for index, (payload, destination) in enumerate(datagrams):
-            view, base = mmsg.pin(bytearray(payload))
-            pins.append(view)
-            batcher.stage(index, base, len(payload), batcher.sockaddr(destination))
-        return batcher.send(tx.fileno(), len(datagrams))
-
-    def test_send_many_recv_many_round_trip(self):
-        """Many datagrams out through one SendBatcher call, back in through
-        one RecvBatcher's fixed buffers, payloads and sources intact."""
-        tx, rx = self._socket_pair()
-        try:
-            dest = rx.getsockname()
-            payloads = [b"alpha", b"bravo-longer", b"c"]
-            assert self._send(tx, [(p, dest) for p in payloads]) == 3
-            deadline = time.monotonic() + 2.0
-            received = []
-            buffers = [bytearray(128) for _ in range(8)]
-            batcher = mmsg.RecvBatcher(buffers)
-            while len(received) < 3 and time.monotonic() < deadline:
-                try:
-                    got = batcher.recv(rx.fileno())
-                except BlockingIOError:
-                    time.sleep(0.005)
-                    continue
-                for i, (nbytes, source) in enumerate(got):
-                    received.append((bytes(buffers[i][:nbytes]), source))
-            assert [p for p, _ in received] == payloads
-            tx_host, tx_port = tx.getsockname()
-            assert all(source == (tx_host, tx_port) for _, source in received)
-        finally:
-            tx.close()
-            rx.close()
-
-    def test_mixed_destinations_in_one_call(self):
-        tx, rx_a = self._socket_pair()
-        rx_b = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        rx_b.bind(("127.0.0.1", 0))
-        rx_b.setblocking(False)
-        try:
-            sent = self._send(tx, [
-                (b"to-a", rx_a.getsockname()),
-                (b"to-b", rx_b.getsockname()),
-            ])
-            assert sent == 2
-            deadline = time.monotonic() + 2.0
-            got_a = got_b = None
-            while (got_a is None or got_b is None) and time.monotonic() < deadline:
-                for sock in (rx_a, rx_b):
-                    try:
-                        data, _ = sock.recvfrom(64)
-                    except BlockingIOError:
-                        continue
-                    if sock is rx_a:
-                        got_a = data
-                    else:
-                        got_b = data
-                time.sleep(0.005)
-            assert got_a == b"to-a"
-            assert got_b == b"to-b"
-        finally:
-            tx.close()
-            rx_a.close()
-            rx_b.close()
-
-    def test_recv_on_empty_socket_raises_blocking_io(self):
-        _, rx = self._socket_pair()
-        try:
-            with pytest.raises(BlockingIOError):
-                mmsg.RecvBatcher([bytearray(64)]).recv(rx.fileno())
-        finally:
-            rx.close()
-
-    def test_oversize_batch_is_rejected(self):
-        with pytest.raises(ValueError):
-            mmsg.RecvBatcher([bytearray(1)] * (mmsg.MAX_BATCH + 1))
-
-    def test_sockaddr_cache_is_capped_and_keeps_the_hot_addresses(self):
-        """Replies go to whatever source address a datagram claimed:
-        10 000 distinct ones must not grow the loop-shared cache past its
-        cap, nor evict the peers every round sends to."""
-        batcher = mmsg.SendBatcher()
-        peers = [("127.0.0.1", 9000 + i) for i in range(5)]
-        packed = [batcher.sockaddr(peer) for peer in peers]
-        for i in range(10_000):
-            batcher.sockaddr(("10.6.6.6", 1 + i))
-            if i % 100 == 0:
-                for peer in peers:
-                    batcher.sockaddr(peer)
-        assert len(batcher._sa_cache) == mmsg.SA_CACHE_MAX
-        assert all(peer in batcher._sa_cache for peer in peers)
-        assert [batcher.sockaddr(peer) for peer in peers] == packed
-        assert ("10.6.6.6", 1) not in batcher._sa_cache  # oldest: evicted
-
-    def test_hostname_destination_raises_os_error(self):
-        """Non-dotted-quad hosts must fail loudly so the transport can
-        take its per-datagram fallback, not silently misroute."""
-        with pytest.raises(OSError):
-            mmsg.SendBatcher().sockaddr(("localhost", 1))

@@ -1,0 +1,50 @@
+"""The names ``benchmarks/spine/`` reaches for in ``src/`` must exist.
+
+Tier-1 does not collect ``benchmarks/spine`` and the spine's files may not
+change with the code they measure, so a rename under ``src/repro`` would
+otherwise break the benchmark silently.  Parsed, not imported: the spine
+modules import each other through their own ``sys.path`` set-up.
+"""
+
+import ast
+import dataclasses
+import importlib
+from pathlib import Path
+
+from repro.runtime.realtime import TransportStats, UdpTransport
+
+SPINE = Path(__file__).resolve().parents[1] / "benchmarks" / "spine"
+TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SPINE.glob("*.py"))}
+IMPORTS = sorted({
+    (node.module, alias.name)
+    for tree in TREES.values()
+    for node in ast.walk(tree)
+    if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro")
+    for alias in node.names
+})
+
+
+def test_every_name_the_spine_imports_from_repro_resolves():
+    assert len(IMPORTS) > 10  # the parse found the import lines at all
+    missing = [
+        f"{module}.{name}"
+        for module, name in IMPORTS
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
+
+
+def test_stat_fields_are_transport_stats_fields():
+    (stat_fields,) = [
+        ast.literal_eval(node.value)
+        for node in TREES["liveload.py"].body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["STAT_FIELDS"]
+    ]
+    assert stat_fields
+    assert set(stat_fields) <= {f.name for f in dataclasses.fields(TransportStats)}
+
+
+def test_udp_transport_keeps_send_batch():
+    # The spine's CountingTransport forwards send_batch unconditionally.
+    assert callable(UdpTransport.send_batch)
