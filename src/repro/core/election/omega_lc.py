@@ -45,7 +45,7 @@ Implementation notes:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.election.base import ElectionAlgorithm, GroupContext
 from repro.net.message import AccEntry, AliveCell, HelloMessage
@@ -85,6 +85,16 @@ class OmegaLc(ElectionAlgorithm):
         self._stamp_version = -1  # membership_version it was built at
         self._cached_local: Optional[Tuple[float, int]] = None
         self._cached_leader: Optional[Tuple[float, int]] = None
+        #: How many stage-2 sources carry _cached_leader: the own stage-1
+        #: choice plus every trusted forwarder whose forward evaluates to
+        #: exactly that key.  Losing a supporter leaves the minimum standing
+        #: while another remains, so after a leader crash the n − 2
+        #: re-forwards that all *tie* the dead leader cost one rescan (when
+        #: the last one goes), not one each.
+        self._supporters = 0
+        #: Full two-stage recomputes so far (read-only instrument: not
+        #: hashed, not on the wire).
+        self.full_recomputes = 0
         #: Ω_lc's wants_to_send is constant (is_candidate), so the sender
         #: needs syncing exactly once per start, not once per refresh.
         self._sender_synced = False
@@ -225,6 +235,26 @@ class OmegaLc(ElectionAlgorithm):
         leader = self._cached_leader
         return leader is not None and leader[1] == pid
 
+    def _forward_key(self, forward: Tuple[int, float]) -> Optional[Tuple[float, int]]:
+        """The stage-2 key a trusted forwarder's pair evaluates to — ranked
+        by the freshest accusation time known for the forwarded process —
+        or None when it names no present candidate (a stale forward)."""
+        pid, acc = forward
+        if not self.ctx.is_present_candidate(pid):
+            return None
+        known = self._acc_of(pid)
+        return (acc if acc >= known else known, pid)
+
+    def _add_source(self, key: Tuple[float, int]) -> None:
+        """Stage 2 gained the source ``key``: it ranks behind the cached
+        leader (which stands), ties it (one more supporter) or wins."""
+        leader = self._cached_leader
+        if leader is None or key < leader:
+            self._cached_leader = key
+            self._supporters = 1
+        elif key == leader:
+            self._supporters += 1
+
     def _repair_forward(
         self,
         forwarder: int,
@@ -236,84 +266,68 @@ class OmegaLc(ElectionAlgorithm):
         Forward churn dominates the mutation stream on wide cells (every
         sender re-forwards whenever *its* stage-1 choice flaps), yet almost
         never moves this process's minima.  Replacing forwarder's pair
-        changes exactly one stage-2 key: if the old key was not the cached
-        minimum it cannot have supported it (keys are unique per forwarded
-        pid-value and the minimum is a value, not an identity), so the only
-        effects possible are "nothing" or "the new key wins outright" — both
-        O(1).  Anything else (the old key was, or tied, the minimum) leaves
-        the stamps stale and the next readout recomputes in full.  Stage 1
-        never reads forwards, so the cached local choice is untouched.
+        changes exactly one stage-2 key: the old key either was one of the
+        cached minimum's supporters (a tie) or ranked behind it, the new
+        key joins the supporters, wins outright or ranks behind — all O(1).
+        Only when the *last* supporter goes is the minimum unknown; the
+        stamps are then left stale and the next readout recomputes in full.
+        Stage 1 never reads forwards, so the cached local choice is
+        untouched.
         """
-        ctx = self.ctx
-        if not ctx.trusted(forwarder):
-            # An untrusted forwarder contributes to neither computation.
-            self._stamp_mutations = self._mutations
-            return
-        cached = self._cached_leader
-        if old is not None and ctx.is_present_candidate(old[0]):
-            known = self._acc_of(old[0])
-            old_key = (old[1] if old[1] >= known else known, old[0])
-            if cached is None or old_key <= cached:
-                return  # the old forward may have carried the minimum
-        new_pid, new_acc = new
-        if ctx.is_present_candidate(new_pid):
-            known = self._acc_of(new_pid)
-            key = (new_acc if new_acc >= known else known, new_pid)
-            if cached is None or key < cached:
-                self._cached_leader = key
+        if self.ctx.trusted(forwarder):  # else: contributes to neither stage
+            cached = self._cached_leader
+            if cached is not None and old is not None and self._forward_key(old) == cached:
+                self._supporters -= 1
+            key = self._forward_key(new)
+            if key is not None:
+                self._add_source(key)
+            if cached is not None and not self._supporters:
+                return  # the old forward carried the minimum alone
         self._stamp_mutations = self._mutations
 
     def _repair_trust(self, pid: int) -> None:
         """Carry the valid memo across one trust addition, always possible.
 
         Trusting ``pid`` only *adds* ranking keys: its stage-1 candidate
-        key, and — as a newly live forwarder — its stage-2 forward key.
-        An added key either loses to a cached minimum (which then stands)
-        or beats it outright; both cases are O(1), the mirror image of
-        :meth:`_repair_forward`.  A cluster bootstrap is exactly one such
-        transition per peer, so recomputing the O(n) minima on each was a
-        quadratic term per node on wide cells.
+        key, and — as a newly live forwarder — its stage-2 forward key; the
+        mirror image of :meth:`_repair_forward`, all O(1).  A stage-1 key
+        reaches stage 2 only by becoming the local choice, and then it
+        undercuts the old one — so a local choice that supported the cached
+        leader is replaced by a new strict minimum, never a lost supporter.
+        A cluster bootstrap is exactly one such transition per peer, so
+        recomputing the O(n) minima on each was a quadratic term per node
+        on wide cells.
         """
-        ctx = self.ctx
-        local = self._cached_local
-        leader = self._cached_leader
-        if ctx.is_present_candidate(pid):
+        if self.ctx.is_present_candidate(pid):
             key = (self._acc_of(pid), pid)
+            local = self._cached_local
             if local is None or key < local:
-                local = key
-            if leader is None or key < leader:
-                leader = key
+                self._cached_local = key
+                self._add_source(key)
         forward = self._forwards.get(pid)
         if forward is not None:
-            fpid, facc = forward
-            if ctx.is_present_candidate(fpid):
-                known = self._acc_of(fpid)
-                fkey = (facc if facc >= known else known, fpid)
-                if leader is None or fkey < leader:
-                    leader = fkey
-        self._cached_local = local
-        self._cached_leader = leader
+            key = self._forward_key(forward)
+            if key is not None:
+                self._add_source(key)
         self._stamp_mutations = self._mutations
 
     def _repair_suspect(self, pid: int) -> None:
         """Carry the valid memo across one trust withdrawal, when possible.
 
         Suspecting ``pid`` *removes* its stage-1 key and its stage-2
-        forward key.  If neither could have supported a cached minimum —
-        ``pid`` is not a cached choice and its forward key ranks strictly
-        behind the cached leader — the minima stand.  Anything else leaves
-        the stamps stale and the next readout recomputes in full.
+        forward key.  If ``pid`` is not a cached choice and its forward was
+        not the cached leader's last supporter, the minima stand.  Anything
+        else leaves the stamps stale and the next readout recomputes in
+        full.
         """
         if self._is_choice_pid(pid):
             return
+        cached = self._cached_leader
         forward = self._forwards.get(pid)
-        if forward is not None:
-            fpid, facc = forward
-            if self.ctx.is_present_candidate(fpid):
-                known = self._acc_of(fpid)
-                fkey = (facc if facc >= known else known, fpid)
-                if self._cached_leader is None or fkey <= self._cached_leader:
-                    return  # the dying forward may have carried the minimum
+        if cached is not None and forward is not None and self._forward_key(forward) == cached:
+            self._supporters -= 1
+            if not self._supporters:
+                return  # the dying forward carried the minimum alone
         self._stamp_mutations = self._mutations
 
     # ------------------------------------------------------------------
@@ -331,25 +345,29 @@ class OmegaLc(ElectionAlgorithm):
 
     def _current(self) -> Tuple[Optional[Tuple[float, int]], Optional[Tuple[float, int]]]:
         """The memoized (stage-1, stage-2) choice pair (see __init__)."""
+        mutations = self._mutations
+        # Without a context version nothing ever stamps: -1 never matches.
+        version = self.ctx.membership_version if self._cache_enabled else -1
+        if self._stamp_mutations == mutations and self._stamp_version == version:
+            return self._cached_local, self._cached_leader
+        self.full_recomputes += 1
+        trusted = self.ctx.trust_checker()  # one snapshot serves both stages
+        local = self._compute_local_leader(trusted)
+        leader, supporters = self._compute_leader(local, trusted)
         if self._cache_enabled:
-            mutations = self._mutations
-            version = self.ctx.membership_version
-            if self._stamp_mutations == mutations and self._stamp_version == version:
-                return self._cached_local, self._cached_leader
-            local = self._compute_local_leader()
             self._cached_local = local
-            self._cached_leader = self._compute_leader(local)
+            self._cached_leader = leader
+            self._supporters = supporters
             self._stamp_mutations = mutations
             self._stamp_version = version
-            return local, self._cached_leader
-        local = self._compute_local_leader()
-        return local, self._compute_leader(local)
+        return local, leader
 
-    def _compute_local_leader(self) -> Optional[Tuple[float, int]]:
+    def _compute_local_leader(
+        self, trusted: Callable[[int], bool]
+    ) -> Optional[Tuple[float, int]]:
         ctx = self.ctx
         local_pid = ctx.local_pid
         info_get = self._info.get
-        trusted = ctx.trust_checker()
         best: Optional[Tuple[float, int]] = None
         for member in ctx.candidate_members():
             pid = member.pid
@@ -371,18 +389,20 @@ class OmegaLc(ElectionAlgorithm):
         return best
 
     def _compute_leader(
-        self, local: Optional[Tuple[float, int]]
-    ) -> Optional[Tuple[float, int]]:
+        self, local: Optional[Tuple[float, int]], trusted: Callable[[int], bool]
+    ) -> Tuple[Optional[Tuple[float, int]], int]:
+        """Stage 2 over ``local`` and the trusted forwards: the minimum and
+        how many sources carry it (ties counted as the scan meets them)."""
         ctx = self.ctx
-        trusted = ctx.trust_checker()
         is_present_candidate = ctx.is_present_candidate
-        # Inline of _acc_of, with the lookup chain hoisted: this loop runs
-        # once per forwarder per recompute (O(members) on wide cells).
+        # Inline of _forward_key, with the lookup chain hoisted: this loop
+        # runs once per forwarder per recompute (O(members) on wide cells).
         local_pid = ctx.local_pid
         own_acc = self.acc_time
         info_get = self._info.get
         member_joined_at = ctx.member_joined_at
         best = local
+        supporters = 0 if local is None else 1
         for forwarder, (pid, acc) in self._forwards.items():
             if not trusted(forwarder):
                 continue
@@ -398,9 +418,12 @@ class OmegaLc(ElectionAlgorithm):
                     joined = member_joined_at(pid)
                     known = joined if joined is not None else 0.0
             key = (acc if acc >= known else known, pid)
-            if best is None or key < best:
+            if key == best:
+                supporters += 1
+            elif best is None or key < best:
                 best = key
-        return best
+                supporters = 1
+        return best, supporters
 
     def local_leader(self) -> Optional[Tuple[float, int]]:
         """Stage 1: earliest (acc, pid) among trusted candidates ∪ self."""

@@ -263,7 +263,9 @@ class GroupRuntime(GroupContext):
         #: (empty-delta) gossip only to peers not covered by a fresh cell.
         self._hello_quiet_until = float("-inf")
         self._hello_stamp: Tuple[int, int] = (-1, -1)
-        self._hello_nodes: Tuple[int, ...] = ()
+        #: :meth:`_peer_nodes` memo and the view version it was built at.
+        self._peer_nodes_cache: Tuple[int, ...] = ()
+        self._peer_nodes_version = -1
         #: Remote nodes hosting present members (frame destinations).
         self._dest_nodes: Tuple[int, ...] = ()
         #: Nodes this group subscribed to on the shared FD plane.
@@ -1353,6 +1355,19 @@ class GroupRuntime(GroupContext):
             )
         )
 
+    def _peer_nodes(self) -> Tuple[int, ...]:
+        """Remote nodes hosting present members, each once, in member
+        order — the gossip rounds' visit order.  Rebuilt only when the
+        view version moves, not every hello period."""
+        view = self.view
+        if self._peer_nodes_version != view.version:
+            my_node = self.service.node.node_id
+            self._peer_nodes_cache = tuple(
+                dict.fromkeys(r.node for r in view.members() if r.node != my_node)
+            )
+            self._peer_nodes_version = view.version
+        return self._peer_nodes_cache
+
     def _send_hellos(self) -> None:
         """Periodic gossip: a membership *delta* (and digest) per peer node.
 
@@ -1393,7 +1408,7 @@ class GroupRuntime(GroupContext):
             oldest = now
             all_covered = True
             hellos = []
-            for node in self._hello_nodes:
+            for node in self._peer_nodes():
                 state = cell_state.get(node)
                 if state is not None and now - state[1] < hello_period:
                     if state[1] < oldest:
@@ -1421,21 +1436,12 @@ class GroupRuntime(GroupContext):
         my_node = self.service.node.node_id
         sent = self._sent_version
         lease_sent = self._lease_sent_version
-        sent_to = set()
-        #: Peer nodes in visit order — replayed by the fast path above
-        #: (stable while the membership version is unchanged).
-        nodes: List[int] = []
         #: Oldest covering-cell send time among skipped peers — the first
         #: coverage to lapse bounds the quiet window.
         oldest = now
         all_covered = True
         hellos = []
-        for record in self.view.members():
-            node = record.node
-            if node == my_node or node in sent_to:
-                continue
-            sent_to.add(node)
-            nodes.append(node)
+        for node in self._peer_nodes():
             delta = view.delta_since(sent.get(node, 0))
             lease_delta = ledger.delta_since(lease_sent.get(node, 0))
             if not delta and not lease_delta:
@@ -1464,7 +1470,6 @@ class GroupRuntime(GroupContext):
                 )
             )
         self._send_all(hellos)
-        self._hello_nodes = tuple(nodes)
         self._hello_stamp = (version, lease_version)
         if all_covered:
             self._hello_quiet_until = oldest + hello_period
@@ -1495,14 +1500,7 @@ class GroupRuntime(GroupContext):
         my_node = self.service.node.node_id
         sent = self._sent_version
         lease_sent = self._lease_sent_version
-        nodes: List[int] = []
-        seen = set()
-        for record in view.members():
-            node = record.node
-            if node == my_node or node in seen:
-                continue
-            seen.add(node)
-            nodes.append(node)
+        nodes = self._peer_nodes()
         count = len(nodes)
         if not count:
             return
@@ -1636,7 +1634,7 @@ class LeaderElectionService:
             # — cell-less, rumour-less frames are skipped and membership
             # rumours piggyback on every frame that does go out.
             payload_only=self._swim,
-            piggyback=self.plane.piggyback if self._swim else None,
+            rumours=self.plane if self._swim else None,
         )
         if self._swim:
             # A refutation of a suspicion about *us* must not wait a full

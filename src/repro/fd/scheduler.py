@@ -28,7 +28,7 @@ Per-destination state that must *not* be shared:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Protocol, Tuple
+from typing import Dict, Iterable, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.net.message import AliveCell, BatchFrame, SwimUpdate
 from repro.runtime.base import Scheduler, Transport
 from repro.runtime.timers import PeriodicTimer
 
-__all__ = ["CellSource", "AliveBatcher"]
+__all__ = ["CellSource", "RumourSource", "AliveBatcher"]
 
 
 class CellSource(Protocol):
@@ -57,6 +57,18 @@ class CellSource(Protocol):
         ...
 
 
+class RumourSource(Protocol):
+    """What the SWIM plane exposes to the batcher (membership rumours)."""
+
+    def has_rumours(self) -> bool:
+        """Would :meth:`piggyback` return anything?  Burns no budget."""
+        ...
+
+    def piggyback(self) -> Tuple[SwimUpdate, ...]:
+        """One bounded batch of updates; each call burns send budget."""
+        ...
+
+
 class AliveBatcher:
     """Emits one multiplexed heartbeat frame per destination node."""
 
@@ -68,7 +80,7 @@ class AliveBatcher:
         rng: np.random.Generator,
         meter: Optional[UsageMeter] = None,
         payload_only: bool = False,
-        piggyback: Optional[Callable[[], Tuple[SwimUpdate, ...]]] = None,
+        rumours: Optional[RumourSource] = None,
     ) -> None:
         self.scheduler = scheduler
         self.transport = transport
@@ -83,7 +95,7 @@ class AliveBatcher:
         self._payload_only = payload_only
         #: Optional per-frame membership-rumour source (SwimFdPlane's
         #: bounded piggyback batch; each call burns dissemination budget).
-        self._piggyback = piggyback
+        self._rumours = rumours
         #: group -> cell source; dict order is the frame's cell order.
         self._sources: Dict[int, CellSource] = {}
         self._active: Dict[int, bool] = {}
@@ -271,22 +283,28 @@ class AliveBatcher:
             # the key set is exact until the next invalidation).
             self._per_dest_scratch = {dest: [] for dest in order}
         per_dest = self._per_dest_scratch
+        emitted = False
         for group, source in self._sources.items():
             if not self._active.get(group):
                 continue
             for dest, cell in source.emit_cells():
                 per_dest[dest].append(cell)
-        if not per_dest:
-            return
+                emitted = True
+        payload_only = self._payload_only
+        rumours = self._rumours
+        # Read once per round: nothing below can queue a rumour, and while
+        # any is pending every destination gets its piggyback() call in
+        # order — the calls are the rumours' budget burn.
+        gossiping = rumours is not None and rumours.has_rumours()
+        if not per_dest or (payload_only and not emitted and not gossiping):
+            return  # SWIM mode with nothing to say: no destination walk
         now = self.scheduler.now
         interval = self.interval()
         seqs = self._seqs
         node_id = self.node_id
-        payload_only = self._payload_only
-        piggyback = self._piggyback
         frames = []
         for dest, cells in per_dest.items():
-            updates = piggyback() if piggyback is not None else ()
+            updates = rumours.piggyback() if gossiping else ()
             if payload_only and not cells and not updates:
                 # SWIM mode: the header is not the liveness signal, so a
                 # frame with nothing to say is not sent at all.  The seq

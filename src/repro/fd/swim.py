@@ -679,6 +679,10 @@ class SwimFdPlane:
         budget = max(MAX_PIGGYBACK, int(4 * math.log2(len(self.monitors) + 2)))
         self._rumours[update.node] = [update, budget]
 
+    def has_rumours(self) -> bool:
+        """Whether :meth:`piggyback` would return anything (burns nothing)."""
+        return bool(self._rumours)
+
     def piggyback(self) -> Tuple[SwimUpdate, ...]:
         """Up to :data:`MAX_PIGGYBACK` updates, freshest-first.
 

@@ -47,6 +47,7 @@ class FakeContext(GroupContext):
         self.sending: Optional[bool] = None
         self.flushes = 0
         self.algorithm = None  # set by attach()
+        self._version = 0
 
     # -- test-script controls -------------------------------------------
     def attach(self, algorithm):
@@ -54,7 +55,13 @@ class FakeContext(GroupContext):
         return algorithm
 
     def add_member(self, record: MemberInfo):
+        """Join, rejoin or tombstone: any replaced record is a new version."""
         self.members[record.pid] = record
+        self._version += 1
+
+    def remove_member(self, pid: int):
+        del self.members[pid]
+        self._version += 1
 
     def set_time(self, t: float):
         self._now = t
@@ -96,6 +103,10 @@ class FakeContext(GroupContext):
         record = self.members.get(pid)
         return record.joined_at if record is not None else None
 
+    @property
+    def membership_version(self):
+        return self._version
+
     def send_accuse(self, accused, accused_phase):
         self.accusations.append((accused, accused_phase))
 
@@ -112,3 +123,13 @@ class FakeContext(GroupContext):
 
     def request_flush(self):
         self.flushes += 1
+
+
+class BareFakeContext(FakeContext):
+    """A context that exposes no membership version, as the GroupContext
+    contract allows: algorithms that memoize on it (Ω_lc) must fall back
+    to recomputing on every readout."""
+
+    @property
+    def membership_version(self):
+        raise NotImplementedError

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.fd.scheduler import AliveBatcher
-from repro.net.message import AliveCell, BatchFrame
+from repro.metrics.usage import UsageMeter
+from repro.net.message import AliveCell, BatchFrame, SwimUpdate
 from repro.net.network import Network, NetworkConfig
 
 
@@ -29,12 +30,38 @@ class FakeSource:
             yield dest, AliveCell(group=self.group, pid=0, acc_time=self.acc_time)
 
 
-def make_batcher(sim, network, rng):
+class QuietSource(FakeSource):
+    """Every cell suppressed: the steady state of an unchanged group."""
+
+    def emit_cells(self):
+        return ()
+
+
+class FakeRumours:
+    """A scripted rumour source holding ``batches`` one-update batches."""
+
+    def __init__(self, batches=0):
+        self.batches = batches
+        self.calls = 0
+
+    def has_rumours(self):
+        return self.batches > 0
+
+    def piggyback(self):
+        self.calls += 1
+        if self.batches <= 0:
+            return ()
+        self.batches -= 1
+        return (SwimUpdate(node=9, incarnation=self.calls, state="suspect"),)
+
+
+def make_batcher(sim, network, rng, **kwargs):
     return AliveBatcher(
         scheduler=sim,
         transport=network,
         node_id=0,
         rng=rng.stream("batcher"),
+        **kwargs,
     )
 
 
@@ -152,6 +179,72 @@ class TestSilence:
         batcher.set_active(1, False)
         batcher.set_active(1, False)
         assert not batcher.active
+
+
+class TestPayloadOnly:
+    """SWIM mode: frames carry cells and rumours, the header is no signal."""
+
+    def test_nothing_to_say_sends_nothing_but_meters_the_timer(self, sim, network, rng):
+        meter = UsageMeter()
+        rumours = FakeRumours()
+        batcher = make_batcher(
+            sim, network, rng, meter=meter, payload_only=True, rumours=rumours
+        )
+        boxes = [collect(network, n) for n in (1, 2, 3)]
+        batcher.add_group(1, QuietSource(1, [1, 2, 3]), eta=0.25)
+        batcher.set_active(1, True)
+        sim.run_until(10.0)
+        assert boxes == [[], [], []]
+        assert batcher._seqs == {}  # no stream advanced: silence, not loss
+        assert rumours.calls == 0  # learnt from has_rumours(), burning nothing
+        ticks = meter.cpu_us / meter.cost_model.us_per_timer
+        assert 38 <= ticks <= 41  # ~10 s / 0.25 s: the wake-up is still charged
+
+    def test_pending_rumours_are_offered_to_every_destination_in_order(
+        self, sim, network, rng
+    ):
+        """While anything is pending the round is the per-destination loop
+        it always was — one piggyback() per destination, in destination
+        order: the calls are the rumours' dissemination budget."""
+        rumours = FakeRumours()
+        batcher = make_batcher(sim, network, rng, payload_only=True, rumours=rumours)
+        boxes = [collect(network, n) for n in (1, 2, 3)]
+        batcher.add_group(1, QuietSource(1, [1, 2, 3]), eta=0.25)
+        batcher.set_active(1, True)
+        sim.run_until(1.0)
+        rumours.batches = 2  # drains mid-round
+        batcher.flush()
+        sim.run_until(1.1)
+        assert rumours.calls == 3  # the third destination was still asked
+        carried = [[u.incarnation for f in box for u in f.swim_updates] for box in boxes]
+        assert carried == [[1], [2], []]
+        assert [len(box) for box in boxes] == [1, 1, 0]
+        assert batcher._seqs == {1: 1, 2: 1}
+
+    def test_cells_travel_without_asking_an_empty_rumour_buffer(self, sim, network, rng):
+        rumours = FakeRumours()
+        batcher = make_batcher(sim, network, rng, payload_only=True, rumours=rumours)
+        boxes = [collect(network, n) for n in (1, 2)]
+        batcher.add_group(1, FakeSource(1, [1]), eta=0.25)
+        batcher.add_group(2, QuietSource(2, [1, 2]), eta=0.25)
+        batcher.set_active(1, True)
+        batcher.set_active(2, True)
+        sim.run_until(1.0)
+        assert boxes[0] and not boxes[1]  # the cell-less destination is skipped
+        assert all(len(frame.cells) == 1 for frame in boxes[0])
+        assert rumours.calls == 0
+
+    def test_all_pairs_mode_sends_the_bare_header_every_period(self, sim, network, rng):
+        """Without payload_only the header *is* the liveness signal."""
+        batcher = make_batcher(sim, network, rng)
+        boxes = [collect(network, n) for n in (1, 2, 3)]
+        batcher.add_group(1, QuietSource(1, [1, 2, 3]), eta=0.25)
+        batcher.set_active(1, True)
+        sim.run_until(10.0)
+        for box in boxes:
+            assert 38 <= len(box) <= 41
+            assert all(frame.cells == () and frame.swim_updates == () for frame in box)
+            assert [frame.seq for frame in box] == list(range(len(box)))
 
 
 class TestRates:
