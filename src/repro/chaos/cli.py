@@ -219,7 +219,7 @@ def _run_replay(args: argparse.Namespace) -> int:
     print(
         f"replaying case seed {args.seed}: {len(config.script.steps)} steps, "
         f"{config.script.duration:.0f} virtual s, {config.n_nodes} nodes "
-        f"({replay_command(args.seed)})"
+        f"({replay_command(args.seed, profile)})"
     )
     if args.show_script:
         print(json.dumps(config.script.to_dict(), indent=2))

@@ -1,0 +1,251 @@
+"""One group's ALIVE cells: the batcher's :class:`~repro.fd.scheduler.
+CellSource` and the receive side of the same payload.
+
+A :class:`GroupCells` decides, per emission round, which destinations this
+group's cell must ride to (change-triggered, with a periodic refresh and two
+quiet-window fast paths), and ingests the cells peers send — election
+payload first, then the per-sender stream monitors Ω_l needs.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Optional, Tuple
+
+from repro.fd.plane import StreamMonitor
+from repro.net.message import AliveCell, BatchFrame
+
+__all__ = ["GroupCells"]
+
+#: Sentinel emit stamp that never compares equal to a real one: algorithms
+#: returning ``None`` from :meth:`ElectionAlgorithm.emit_stamp` disable the
+#: quiet-window emission fast path.
+_NEVER_EMITTED = object()
+
+
+class GroupCells:
+    """Cell emission and ingestion for one (group, local process) pair."""
+
+    __slots__ = (
+        "group", "pid", "scheduler", "view", "algorithm", "plane",  # read off the membership
+        "cell_state", "stream_monitors", "_membership", "_sent_version", "_batcher",
+        "_dest_nodes", "_refresh", "_emit_quiet_until", "_emit_stamp_version",
+        "_emit_stamp_alg", "_emit_template", "_emit_payload",
+    )
+
+    def __init__(self, membership, batcher) -> None:
+        self.group = membership.group
+        self.pid = membership.pid
+        self.scheduler = membership.scheduler
+        self.view = membership.view
+        self.algorithm = algorithm = membership.algorithm
+        self.plane = plane = membership.plane
+        self._batcher = batcher
+        #: The group's gossip engine: told when a cell moved the view or
+        #: showed a diverged digest; its shipped-version cursors say which
+        #: destinations are owed a delta (None: cells carry none).
+        self._membership = membership
+        self._sent_version = membership.sent_version if membership.cell_deltas else None
+        #: Steady-state re-send period of an unchanged cell under this plane.
+        self._refresh = plane.cell_refresh
+        #: Per-destination (election payload, send time) of the last cell,
+        #: for change-triggered emission with periodic refresh.
+        self.cell_state: Dict[int, Tuple[tuple, float]] = {}
+        #: Steady-state emission fast path: while neither the membership
+        #: version nor the algorithm's emit stamp has moved since the last
+        #: full round, the payload is provably unchanged — rounds reuse the
+        #: cached template below, skip entirely while no per-destination
+        #: refresh is due, and otherwise touch only the dests whose refresh
+        #: expired.  Any stamp move falls back to the full (slow) round.
+        self._emit_quiet_until = float("-inf")
+        self._emit_stamp_version = -1
+        self._emit_stamp_alg: object = _NEVER_EMITTED
+        self._emit_template: Optional[AliveCell] = None
+        self._emit_payload: tuple = ()
+        #: Remote nodes hosting present members (frame destinations).
+        self._dest_nodes: Tuple[int, ...] = ()
+        #: Per-sender cell-stream monitors; only ``senders_only`` election
+        #: algorithms (Ω_l) need them — node-level liveness cannot see a
+        #: *voluntarily* silent competitor.  None under ``all_candidates``.
+        self.stream_monitors: Optional[Dict[int, StreamMonitor]] = (
+            {} if algorithm.monitor_policy == "senders_only" else None
+        )
+
+    def stop(self) -> None:
+        if self.stream_monitors is not None:
+            for monitor in self.stream_monitors.values():
+                monitor.stop()
+            self.stream_monitors.clear()
+
+    def stream_monitor(self, pid: int) -> StreamMonitor:
+        """A new stream monitor for ``pid`` (``senders_only`` only)."""
+        monitor = StreamMonitor(
+            self.scheduler,
+            pid,
+            on_trust=self.algorithm.on_trust,
+            on_suspect=self.algorithm.on_suspect,
+        )
+        self.stream_monitors[pid] = monitor
+        return monitor
+
+    def handle_cell(self, sender: int, frame: BatchFrame, cell: AliveCell) -> None:
+        """Ingest one group cell of a received frame.
+
+        Payload before trust: the election must ingest the carried state
+        (in particular a rebooted sender's *fresh* accusation time) before
+        any trust transition triggers a leader recomputation — otherwise
+        every re-trust briefly elects the sender on stale state.  The
+        node-level monitor is fed *after* every cell of the frame (see
+        ``LeaderElectionService._handle_frame``); the per-stream monitors
+        below follow the same order within the cell.
+        """
+        changed = self.view.merge(cell.delta) if cell.delta else False
+        self.algorithm.on_alive(cell)
+        monitors = self.stream_monitors
+        if monitors is not None:
+            monitor = monitors.get(cell.pid)
+            if monitor is None:
+                monitor = self.stream_monitor(cell.pid)
+            monitor.on_cell(
+                frame.send_time + frame.interval + self.plane.delta_for(sender)
+            )
+        if changed:
+            self._membership.view_changed_by_cell()
+        if cell.view_digest != self.view.digest64():
+            self._membership.push_sync(sender)
+
+    def dest_nodes(self) -> Tuple[int, ...]:
+        """Frame destinations for this group (CellSource protocol)."""
+        return self._dest_nodes
+
+    def retarget(self, dest_nodes: Tuple[int, ...]) -> None:
+        """The members' nodes moved: new frame destinations."""
+        if dest_nodes != self._dest_nodes:
+            self._dest_nodes = dest_nodes
+            self._batcher.invalidate_dests()
+
+    def emit_cells(self):
+        """Yield ``(dest_node, cell)`` for one emission round.
+
+        The node-level FD header flows on every frame; a cell only needs to
+        ride along when it carries *news*.  Under ``all_candidates`` (node
+        liveness is process liveness) a destination's cell is therefore
+        suppressed while the election payload is unchanged, no membership
+        delta is owed, and a refresh went out within the refresh period —
+        the refresh repairs lost change cells and carries the anti-entropy
+        digest.  ``senders_only`` groups (Ω_l) emit every round: their
+        receivers' stream monitors feed on the cells themselves.
+
+        One template cell is built per round; destinations owing no
+        membership delta share it, so a steady-state round allocates at
+        most one cell per group regardless of fan-out.
+
+        Without shipped-version cursors (bounded dissemination) *every*
+        destination gets the shared template; see ``cell_deltas`` there.
+        """
+        dests = self._dest_nodes
+        if not dests:
+            return
+        view = self.view
+        version = view.version
+        suppressible = self.stream_monitors is None
+        now = self.scheduler.now
+        if (
+            suppressible
+            and version == self._emit_stamp_version
+            and self.algorithm.emit_stamp() == self._emit_stamp_alg
+        ):
+            # Stamps unchanged since the last full round: the payload is
+            # provably identical, every destination is version-current and
+            # owes no membership delta.  Skip the round outright while no
+            # per-destination refresh is due; otherwise refresh only the
+            # expired destinations, reusing the cached template cell (its
+            # fields equal what a rebuild would produce).
+            if now < self._emit_quiet_until:
+                return
+            refresh = self._refresh
+            template = self._emit_template
+            cell_state = self.cell_state
+            entry = None
+            oldest = now
+            for dest in dests:
+                state = cell_state.get(dest)
+                # A missing entry is a destination added by a *deferred*
+                # membership reaction (bounded gossip coalesces them) after
+                # the full round that stamped this version ran: send it the
+                # template now.
+                if state is not None:
+                    stamped = state[1]
+                    if now - stamped < refresh:
+                        if stamped < oldest:
+                            oldest = stamped
+                        continue
+                if entry is None:
+                    # One (payload, stamp) entry per round, shared by every
+                    # destination refreshed at this instant.
+                    entry = (self._emit_payload, now)
+                cell_state[dest] = entry
+                yield dest, template
+            self._emit_quiet_until = oldest + refresh
+            return
+        digest = view.digest64()
+        template = AliveCell(
+            group=self.group,
+            pid=self.pid,
+            view_version=version,
+            view_digest=digest,
+        )
+        self.algorithm.fill_alive(template)
+        payload = (
+            template.acc_time,
+            template.phase,
+            template.local_leader,
+            template.local_leader_acc,
+        )
+        stamp = self.algorithm.emit_stamp()
+        refresh = self._refresh
+        sent = self._sent_version
+        cell_state = self.cell_state
+        #: One shared (payload, stamp) entry for everything sent this round.
+        entry = (payload, now)
+        #: Oldest still-fresh per-destination send time this round relied
+        #: on — the first refresh to expire bounds the quiet window.
+        oldest = now
+        for dest in dests:
+            if sent is None or sent.get(dest, 0) >= version:
+                if suppressible:
+                    state = cell_state.get(dest)
+                    if (
+                        state is not None
+                        and state[0] == payload
+                        and now - state[1] < refresh
+                    ):
+                        if state[1] < oldest:
+                            oldest = state[1]
+                        continue
+                cell_state[dest] = entry
+                yield dest, template
+                continue
+            delta = view.delta_since(sent.get(dest, 0))
+            sent[dest] = version
+            cell_state[dest] = entry
+            cell = AliveCell(
+                group=self.group,
+                pid=self.pid,
+                acc_time=template.acc_time,
+                phase=template.phase,
+                local_leader=template.local_leader,
+                local_leader_acc=template.local_leader_acc,
+                delta=delta,
+                view_version=version,
+                view_digest=digest,
+            )
+            yield dest, cell
+        if suppressible and stamp is not None:
+            # Every destination now holds the current payload and version;
+            # the guards above re-run this full round the moment the
+            # membership version or the payload stamp moves.
+            self._emit_stamp_version = version
+            self._emit_stamp_alg = stamp
+            self._emit_template = template
+            self._emit_payload = payload
+            self._emit_quiet_until = oldest + refresh

@@ -1,0 +1,591 @@
+"""Group maintenance (paper §4, Figure 2): the view and everything that
+gossips it.
+
+One :class:`Membership` per hosted (group, local process) pair runs the
+HELLO protocol around the group's :class:`~repro.core.group.MembershipView`
+— join and reply, the periodic round, digest-triggered syncs, the per-peer
+shipped-version cursors — and aligns what depends on who the members are
+(FD-plane interest, frame destinations, per-peer state).
+
+**Flood or bounded dissemination** is one decision, taken once from the FD
+plane (:func:`membership_for`) and stated as two subclasses.  Where every
+frame header is a heartbeat the plane costs O(n²) anyway, so
+:class:`FloodMembership` may flood: the join goes to the whole bootstrap
+set, a round may message every peer, a sync ships the full view, cells
+carry owed deltas, and a view change is reacted to on the spot.  Where
+liveness is probed (SWIM) the plane exists precisely so no single event
+touches more than O(k) peers or ships more than a bounded payload, and
+:class:`BoundedMembership` bounds each of those: joins contact a few
+id-ring successors, rounds have a fan-out budget, deltas and syncs stream
+in fixed-size windows, cells carry no deltas, reactions coalesce — and the
+epidemic plane carries the rest.
+"""
+
+from __future__ import annotations
+
+import bisect
+from typing import Dict, List, Optional, Set, Tuple, Type
+
+from repro.core.group import MembershipView
+from repro.net.message import HelloMessage, MemberInfo
+from repro.runtime.timers import PeriodicTimer
+
+__all__ = ["Membership", "FloodMembership", "BoundedMembership", "membership_for"]
+
+#: Bounded-dissemination limits (see the module docstring).
+_SWIM_JOIN_FANOUT = 16
+_SWIM_GOSSIP_FANOUT = 16
+_SWIM_DELTA_CAP = 64
+_SWIM_SYNC_CAP = 128
+#: Bounded-mode membership-reaction coalescing window, seconds.  During an
+#: epidemic bootstrap every gossip message mutates the view; re-aligning
+#: FD interests and recomputing the O(candidates) election *per message*
+#: multiplies the O(n²) convergence traffic by another O(n) — the storm
+#: that melts a 1000-node bring-up.  Reactions are idempotent view
+#: re-alignments, so they coalesce to one run per window; 50 ms is far
+#: inside every detection/suspicion budget the plane hands out.
+_SWIM_MEMBERSHIP_COALESCE = 0.05
+
+
+class Membership:
+    """The gossip engine of one group's view; see the module docstring."""
+
+    __slots__ = (
+        # handed in
+        "ctx", "view", "group", "pid", "node_id", "qos", "scheduler", "transport", "plane",
+        "algorithm", "bootstrap", "hello_period", "meter", "forget_peer",
+        # owned
+        "sent_version", "_next_sync", "_peer_nodes_cache", "_peer_nodes_version",
+        "_interested_nodes", "_hello_timer", "_shut_down",
+        # the two riders and what the rounds read of them (see carry)
+        "_cells", "_cell_state", "_leases", "_ledger", "_lease_sent",
+    )
+
+    #: Whether ALIVE cells carry the membership delta a destination is owed.
+    cell_deltas: bool
+
+    def __init__(self, ctx, bootstrap, hello_period, first_round, meter, forget_peer) -> None:
+        #: The group runtime: election context, plane listener, and where
+        #: the identity and engine handles below are read off.
+        self.ctx = ctx
+        self.view: MembershipView = ctx.view
+        self.group = ctx.group
+        self.pid = ctx.pid
+        self.node_id = ctx.plane.node_id
+        self.qos = ctx.qos
+        self.scheduler = ctx.scheduler
+        self.transport = ctx.transport
+        self.plane = ctx.plane
+        self.algorithm = ctx.algorithm
+        #: The workstations configured to run the service (join targets).
+        self.bootstrap = bootstrap
+        self.hello_period = hello_period
+        self.meter = meter
+        #: Drops a peer's daemon-level state once no group watches it.
+        self.forget_peer = forget_peer
+        #: Highest own-view version already shipped (as delta or full view)
+        #: to each peer node — shared by ALIVE cells and gossip HELLOs.
+        self.sent_version: Dict[int, int] = {}
+        #: Anti-entropy rate limit: earliest time a full sync may be pushed
+        #: to each peer node again.
+        self._next_sync: Dict[int, float] = {}
+        #: :meth:`peer_nodes` memo and the view version it was built at.
+        self._peer_nodes_cache: Tuple[int, ...] = ()
+        self._peer_nodes_version = -1
+        #: Nodes this group subscribed to on the shared FD plane.
+        self._interested_nodes: Set[int] = set()
+        self._hello_timer = PeriodicTimer(
+            ctx.scheduler,
+            period_fn=lambda: hello_period,
+            callback=self.send_hellos,
+            initial_delay=first_round,
+        )
+        self._shut_down = False
+
+    def carry(self, cells, leases) -> None:
+        """Hand over the two riders built on top of this object: the cell
+        emitter (its per-destination send times tell the rounds which peers
+        a fresh cell covered) and the lease server (its ledger's deltas and
+        digest ride every HELLO)."""
+        self._cells = cells
+        self._cell_state = cells.cell_state
+        self._leases = leases
+        self._ledger = leases.ledger
+        self._lease_sent = leases.sent_version
+
+    def start(self) -> None:
+        self.announce_join()
+        self._hello_timer.start()
+        self.align()
+
+    def stop(self) -> None:
+        self._shut_down = True
+        self._hello_timer.stop()
+
+    def release(self) -> None:
+        """Drop every FD-plane subscription of this group."""
+        plane = self.plane
+        for node in self._interested_nodes:
+            if plane.unregister_interest(self.group, node):
+                self.forget_peer(node)
+        self._interested_nodes.clear()
+
+    def watch_node(self, node: int) -> None:
+        """Subscribe to ``node`` ahead of its membership record (hints)."""
+        if node not in self._interested_nodes:
+            self.plane.register_interest(self.group, node, self.qos, self.ctx)
+            self._interested_nodes.add(node)
+
+    def align(self) -> None:
+        """Align FD-plane interest and frame destinations with the members."""
+        if self._shut_down:
+            return
+        my_node = self.node_id
+        view = self.view
+        current = {record.node for record in view.members() if record.node != my_node}
+        self._cells.retarget(tuple(sorted(current)))
+        plane = self.plane
+        for node in current - self._interested_nodes:
+            plane.register_interest(self.group, node, self.qos, self.ctx)
+        for node in self._interested_nodes - current:
+            if plane.unregister_interest(self.group, node):
+                # No group watches this peer anymore: its requested rate
+                # must stop pinning the shared heartbeat interval.
+                self.forget_peer(node)
+            self._cell_state.pop(node, None)
+            self._lease_sent.pop(node, None)
+            self._forget_node(node)
+        self._interested_nodes = current
+        streams = self._cells.stream_monitors
+        if streams is None:
+            # all_candidates: node monitors exist for every candidate's
+            # workstation, born *suspected* — the record proves nothing
+            # about the process being up; trust comes from frames or an
+            # explicit trust seed (grant_grace).
+            for record in view.candidates():
+                if record.node != my_node:
+                    plane.ensure_monitor(record.node)
+        else:
+            # Drop stream monitors of processes that left the group.
+            for pid in list(streams):
+                if not view.is_present(pid):
+                    streams.pop(pid).stop()
+
+    def _forget_node(self, node: int) -> None:
+        self._next_sync.pop(node, None)
+        # Forget what we shipped: if the node id returns with a fresh
+        # daemon, its first cell must bootstrap with the full view.
+        self.sent_version.pop(node, None)
+
+    def view_changed_by_cell(self) -> None:
+        """A cell's delta moved the view: election first, then alignment."""
+        self._recompute()
+        self._realign()
+
+    def peer_nodes(self) -> Tuple[int, ...]:
+        """Remote nodes hosting present members, each once, in member
+        order — the gossip rounds' visit order.  Rebuilt only when the
+        view version moves, not every hello period."""
+        view = self.view
+        if self._peer_nodes_version != view.version:
+            my_node = self.node_id
+            self._peer_nodes_cache = tuple(
+                dict.fromkeys(r.node for r in view.members() if r.node != my_node)
+            )
+            self._peer_nodes_version = view.version
+        return self._peer_nodes_cache
+
+    def hello_fields(self, kind: str = "gossip") -> dict:
+        """What every HELLO of one round shares (all but the destination
+        and the per-peer deltas)."""
+        view = self.view
+        fields = {
+            "sender_node": self.node_id,
+            "group": self.group,
+            "kind": kind,
+            "view_version": view.version,
+            "view_digest": view.digest64(),
+            "lease_digest": self._ledger.digest64(),
+        }
+        # Piggyback the plane's bounded rumour batch on whatever HELLO
+        # round is going out (one batch per round: every message of the
+        # round carries it, the dissemination budget burns once).
+        updates = self.plane.piggyback()
+        if updates:
+            fields["swim_updates"] = updates
+        return fields
+
+    def handle_hello(self, message: HelloMessage) -> None:
+        if message.swim_updates:
+            self.plane.apply_updates(message.swim_updates)
+        changed = self.view.merge(message.members) if message.members else False
+        if changed:
+            self._realign()
+        if message.leases:
+            self._leases.merge_gossip(message.leases)
+        if message.kind == "join":
+            self._send_hello_reply(message.sender_node)
+        elif message.kind == "reply":
+            # Seed trust from the live responder's own trust report: these
+            # processes get one detection budget to speak for themselves.
+            for pid in message.trusted:
+                if pid != self.pid and self.view.is_present(pid):
+                    self.ctx.ensure_monitor(pid)
+            self.algorithm.on_hello_seed(message)
+        if changed:
+            self._recompute()
+        # Anti-entropy: a view digest still diverging after the merge
+        # triggers a full-view sync (a join is already answered with a
+        # full-view reply); the ledger has its own, debounced trigger.
+        if message.kind != "join":
+            view = message.view_digest != self.view.digest64()
+            leases = self._leases.sync_due(message)
+            if view or leases:
+                self.push_sync(message.sender_node, view, leases)
+
+    def push_sync(
+        self, dest_node: int, view: bool = True, leases: bool = False
+    ) -> None:
+        """Push the diverged half (full view, full ledger or both) to a
+        peer — rate-limited anti-entropy.
+
+        Convergence takes at most two pushes: after the peer merges our full
+        view its records are a superset of ours, and its answering sync (its
+        digest still differs) makes our view the same superset.
+        """
+        if self._shut_down:
+            return
+        now = self.scheduler.now
+        if now < self._next_sync.get(dest_node, 0.0):
+            return
+        members = self._sync_members(dest_node, view, now)
+        if members is None:
+            return  # budget exhausted; the gossip rounds converge the rest
+        self._next_sync[dest_node] = now + self.hello_period
+        records = self._leases.sync_for(dest_node) if leases else ()
+        self.transport.send(
+            HelloMessage(
+                dest_node=dest_node, members=members, leases=records, **self.hello_fields("sync")
+            )
+        )
+
+    def announce_join(self) -> None:
+        """Announce the join to the bootstrap peer set (paper: the
+        workstations configured to run the service)."""
+        my_node = self.node_id
+        view = self.view
+        digest = view.digest()
+        fields = self.hello_fields("join")
+        hellos = []
+        for node_id in self._join_targets([n for n in self.bootstrap if n != my_node]):
+            self.sent_version[node_id] = view.version
+            hellos.append(HelloMessage(dest_node=node_id, members=digest, **fields))
+        if hellos:
+            self.transport.send_batch(hellos)
+
+    def _send_hello_reply(self, dest_node: int) -> None:
+        trusted = self.ctx.trusted
+        trusted_pids = tuple(
+            [self.pid]
+            + [
+                record.pid
+                for record in self.view.members()
+                if record.pid != self.pid and trusted(record.pid)
+            ]
+        )
+        self.sent_version[dest_node] = self.view.version
+        self.transport.send(
+            HelloMessage(
+                dest_node=dest_node,
+                members=self.view.digest(),
+                leader_hint=self.algorithm.leader_hint(),
+                acc_table=self.algorithm.acc_entries(),
+                trusted=trusted_pids,
+                leases=self._leases.full_for(dest_node),
+                **self.hello_fields("reply"),
+            )
+        )
+
+    def send_hellos(self) -> None:
+        """Periodic gossip: a membership *delta* (and digest) per peer node.
+
+        Steady state ships an empty delta — the digest doubles as the
+        anti-entropy heartbeat that lets a diverged peer notice and repair
+        even when this group's cells are silent.  A peer that received a
+        cell within the last hello period already holds our current digest
+        (cells carry it), so its gossip is skipped entirely — in a healthy
+        all-candidates group the cell refreshes replace gossip wholesale,
+        removing the last O(groups × node pairs) steady-state message
+        stream.
+        """
+        if self._shut_down:
+            return
+        self.meter.on_timer(self.group)
+        self._round(self.scheduler.now)
+
+
+class FloodMembership(Membership):
+    """Gossip for a plane that heartbeats every node pair anyway."""
+
+    __slots__ = ("_hello_quiet_until", "_hello_stamp")
+
+    cell_deltas = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: The gossip-tick analogue of the cell emitter's quiet window:
+        #: while the (view, ledger) version pair is unchanged since the last
+        #: full round, every peer provably owes no delta — rounds iterate
+        #: the cached peer-node order and send (empty-delta) gossip only to
+        #: peers not covered by a fresh cell.
+        self._hello_quiet_until = float("-inf")
+        self._hello_stamp: Tuple[int, int] = (-1, -1)
+
+    #: A view change is reacted to on the spot, in two steps whose order
+    #: around the rest of the HELLO handling is digest-pinned.
+    _realign = Membership.align
+
+    def _recompute(self) -> None:
+        self.algorithm.on_membership_changed()
+
+    def _join_targets(self, peers: List[int]) -> List[int]:
+        return peers
+
+    def _sync_members(
+        self, dest_node: int, view: bool, now: float
+    ) -> Optional[Tuple[MemberInfo, ...]]:
+        if not view:
+            return ()
+        self.sent_version[dest_node] = self.view.version
+        return self.view.digest()
+
+    def _round(self, now: float) -> None:
+        view = self.view
+        version = view.version
+        ledger = self._ledger
+        lease_version = ledger.version
+        hello_period = self.hello_period
+        cell_state = self._cell_state
+        if self._hello_stamp == (version, lease_version):
+            # Versions unchanged since the last completed round: every
+            # peer provably owes no membership or lease delta (a round
+            # either verified that or shipped the delta and stamped the
+            # peer current).  Skip the round outright while every covering
+            # cell is still inside the hello period; otherwise gossip
+            # (empty deltas) only to the uncovered peers, in the cached
+            # peer order.
+            if now < self._hello_quiet_until:
+                return
+            fields = None
+            oldest = now
+            all_covered = True
+            hellos = []
+            for node in self.peer_nodes():
+                state = cell_state.get(node)
+                if state is not None and now - state[1] < hello_period:
+                    if state[1] < oldest:
+                        oldest = state[1]
+                    continue
+                all_covered = False
+                if fields is None:
+                    fields = self.hello_fields()
+                hellos.append(HelloMessage(dest_node=node, **fields))
+            if hellos:
+                self.transport.send_batch(hellos)
+            if all_covered:
+                self._hello_quiet_until = oldest + hello_period
+            return
+        fields = self.hello_fields()
+        sent = self.sent_version
+        lease_sent = self._lease_sent
+        #: Oldest covering-cell send time among skipped peers — the first
+        #: coverage to lapse bounds the quiet window.
+        oldest = now
+        all_covered = True
+        hellos = []
+        for node in self.peer_nodes():
+            delta = view.delta_since(sent.get(node, 0))
+            lease_delta = ledger.delta_since(lease_sent.get(node, 0))
+            if not delta and not lease_delta:
+                state = cell_state.get(node)
+                if state is not None and now - state[1] < hello_period:
+                    # A fresh cell already carried our view digest — but
+                    # cells never carry lease deltas, so an owed delta
+                    # (checked above) still forces the gossip out.
+                    if state[1] < oldest:
+                        oldest = state[1]
+                    continue
+            all_covered = False
+            if delta:
+                sent[node] = version
+            if lease_delta:
+                lease_sent[node] = lease_version
+            hellos.append(
+                HelloMessage(dest_node=node, members=delta, leases=lease_delta, **fields)
+            )
+        if hellos:
+            self.transport.send_batch(hellos)
+        self._hello_stamp = (version, lease_version)
+        if all_covered:
+            self._hello_quiet_until = oldest + hello_period
+        else:
+            # An uncovered peer gets gossip every round: a quiet window
+            # carried over from an earlier stamp must not suppress it.
+            self._hello_quiet_until = float("-inf")
+
+
+class BoundedMembership(Membership):
+    """Gossip for a probed (SWIM) plane: nothing floods."""
+
+    __slots__ = ("_sync_cursor", "_gossip_cursor", "_sync_budget", "_reaction_pending")
+
+    #: Membership flows exclusively through the bounded hello gossip (which
+    #: owns the shipped-version cursor), so a mass bootstrap costs the
+    #: epidemic O(k·n) instead of every node streaming its whole view to
+    #: every destination — a cell's delta is an O(view) scan per owing
+    #: destination, which at 1000 nodes is exactly the O(n²)-per-round
+    #: storm the plane exists to avoid.  (The cell's digest still lets a
+    #: diverged receiver trigger an anti-entropy sync.)
+    cell_deltas = False
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: Sync rotation: per-destination version cursor through the record
+        #: set, so bounded sync windows cover everything over successive
+        #: pushes.
+        self._sync_cursor: Dict[int, int] = {}
+        #: Gossip rotation cursor (bounded hello fan-out).
+        self._gossip_cursor = 0
+        #: Anti-entropy budget: outgoing digest-repair syncs per hello
+        #: period (window start, syncs spent).  The per-destination limit
+        #: alone still allows O(peers) syncs per second while the whole
+        #: cluster is diverged — a mass bootstrap would answer every
+        #: received message with a sync.  Regular gossip converges the rest.
+        self._sync_budget = (0.0, 0)
+        #: True while a deferred election-recompute/dependent-alignment
+        #: callback is pending (see ``_SWIM_MEMBERSHIP_COALESCE``).
+        self._reaction_pending = False
+
+    def _realign(self) -> None:
+        """Coalesce membership-change reactions.
+
+        The election recompute and the dependent re-alignment are pure
+        functions of the *current* view, so when gossip lands a burst of
+        mutations only the last state matters.  One callback per
+        ``_SWIM_MEMBERSHIP_COALESCE`` window serves the whole burst.
+        """
+        if self._reaction_pending or self._shut_down:
+            return
+        self._reaction_pending = True
+        self.scheduler.schedule(_SWIM_MEMBERSHIP_COALESCE, self._react)
+
+    def _recompute(self) -> None:
+        pass  # queued with the re-alignment above
+
+    def _react(self) -> None:
+        self._reaction_pending = False
+        if self._shut_down:
+            return
+        self.algorithm.on_membership_changed()
+        self.align()
+
+    def _forget_node(self, node: int) -> None:
+        super()._forget_node(node)
+        self._sync_cursor.pop(node, None)
+
+    def _join_targets(self, peers: List[int]) -> List[int]:
+        """This node's id-ring successors only, whose replies seed the view;
+        gossip and the epidemic plane spread the newcomer to everyone else.
+        The cap is what keeps a mass bootstrap O(k·n) messages, not O(n²)."""
+        if len(peers) <= _SWIM_JOIN_FANOUT:
+            return peers
+        peers.sort()
+        start = bisect.bisect_left(peers, self.node_id)
+        return [peers[(start + i) % len(peers)] for i in range(_SWIM_JOIN_FANOUT)]
+
+    def _sync_members(
+        self, dest_node: int, view: bool, now: float
+    ) -> Optional[Tuple[MemberInfo, ...]]:
+        window, spent = self._sync_budget
+        if now - window >= self.hello_period:
+            window, spent = now, 0
+        if spent >= _SWIM_GOSSIP_FANOUT:
+            return None
+        self._sync_budget = (window, spent + 1)
+        if not view:
+            return ()
+        # Bounded sync: stream the record set in fixed windows, one per
+        # rate-limited push, rotating a per-destination cursor through
+        # version space (wrapping back to 0 so records the peer lost
+        # long ago are re-covered).  Convergence takes O(V / window)
+        # pushes instead of one unbounded message — the trade the SWIM
+        # plane exists to make.  The shipped-version cursor is left
+        # alone: the window is keyed to the sync rotation, not to what
+        # the delta path owes.
+        cursor = self._sync_cursor.get(dest_node, 0)
+        if cursor >= self.view.version:
+            cursor = 0
+        members, high = self.view.delta_window(cursor, _SWIM_SYNC_CAP)
+        self._sync_cursor[dest_node] = high
+        return members
+
+    def _round(self, now: float) -> None:
+        """Bounded fan-out, windowed deltas.
+
+        At most :data:`_SWIM_GOSSIP_FANOUT` peers get a HELLO per period,
+        chosen by rotating a cursor over the peer list so everyone is
+        eventually visited, and each carries at most
+        :data:`_SWIM_DELTA_CAP` membership records — the shipped-version
+        cursor advances only to the window's watermark, streaming the rest
+        across rounds.  Peers that owe nothing and were covered by a fresh
+        cell are skipped for free, so the steady-state cost matches the
+        flood round's quiet path while the worst case stays O(k).
+        """
+        view = self.view
+        version = view.version
+        ledger = self._ledger
+        lease_version = ledger.version
+        hello_period = self.hello_period
+        cell_state = self._cell_state
+        sent = self.sent_version
+        lease_sent = self._lease_sent
+        nodes = self.peer_nodes()
+        count = len(nodes)
+        if not count:
+            return
+        fields = None
+        budget = _SWIM_GOSSIP_FANOUT
+        start = self._gossip_cursor % count
+        hellos = []
+        for i in range(count):
+            node = nodes[(start + i) % count]
+            last = sent.get(node, 0)
+            lease_last = lease_sent.get(node, 0)
+            state = cell_state.get(node)
+            covered = state is not None and now - state[1] < hello_period
+            if covered and last >= version and lease_last >= lease_version:
+                continue
+            if budget <= 0:
+                # Out of fan-out; resume here next period.
+                self._gossip_cursor = (start + i) % count
+                break
+            budget -= 1
+            delta, high = view.delta_window(last, _SWIM_DELTA_CAP)
+            sent[node] = high
+            lease_delta = ledger.delta_since(lease_last)
+            if lease_delta:
+                lease_sent[node] = lease_version
+            if fields is None:
+                fields = self.hello_fields()
+            hellos.append(
+                HelloMessage(dest_node=node, members=delta, leases=lease_delta, **fields)
+            )
+        else:
+            self._gossip_cursor = start
+        if hellos:
+            self.transport.send_batch(hellos)
+
+
+def membership_for(plane) -> Type[Membership]:
+    """The gossip strategy that matches ``plane``'s cost model."""
+    return FloodMembership if plane.header_is_liveness else BoundedMembership

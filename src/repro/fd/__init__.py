@@ -16,7 +16,8 @@ This package implements the three modules of the paper's Figure 1:
   trust/suspect notifications.
 * :mod:`repro.fd.plane` — the **shared node-level FD plane**: one monitor
   and estimator per node pair, shared by every hosted group, with a
-  trust/suspect fan-out bus toward the groups' elections.
+  trust/suspect fan-out bus toward the groups' elections
+  (:mod:`repro.fd.swim` is the probing alternative on the same base).
 
 :mod:`repro.fd.qos` holds the QoS types and the closed-form NFD-S analysis
 used by the configurator; :mod:`repro.fd.nfde` adds Chen et al.'s NFD-E

@@ -9,8 +9,11 @@ workstation, so one failure detector per **node pair** suffices — every
 group's election consumes the same trust/suspect output, translated from
 nodes to the pids hosted there.
 
-:class:`NodeFdPlane` owns, per peer node: one monitor (NFD-S or NFD-E), one
-persistent :class:`~repro.fd.estimator.LinkQualityEstimator`, and the set of
+:class:`FdPlaneBase` is the half of the :class:`~repro.runtime.base.FdPlane`
+contract that every plane shares (interest table, strictest-QoS rule, trust
+readout, listener fan-out); :class:`~repro.fd.swim.SwimFdPlane` is its other
+subclass.  :class:`NodeFdPlane` owns, per peer node: one monitor (NFD-S or
+NFD-E), one persistent :class:`~repro.fd.estimator.LinkQualityEstimator`, and the set of
 *interested* groups with their FD QoS.  The effective QoS of a node pair is
 the strictest (smallest detection time) among the interested groups, so no
 group's detection bound is ever loosened by sharing.  Trust transitions fan
@@ -27,16 +30,26 @@ sends, so this costs one timer per group, not one per (group, peer).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Protocol, Tuple, Type
+from typing import Any, Callable, Dict, Iterator, Optional, Protocol, Tuple, Type
 
 from repro.fd.configurator import ConfiguratorCache, bootstrap_params
 from repro.fd.estimator import LinkQualityEstimator
 from repro.fd.monitor import MonitorEvents, NfdsMonitor
 from repro.fd.qos import FDParams, FDQoS
 from repro.metrics.usage import UsageMeter
+from repro.net.message import BatchFrame
+from repro.runtime.base import FdPlane
 from repro.sim.vector import deadline_timer
 
-__all__ = ["PlaneListener", "NodeFdPlane", "StreamMonitor"]
+__all__ = ["CELL_REFRESH", "PlaneListener", "FdPlaneBase", "NodeFdPlane", "StreamMonitor"]
+
+#: Steady-state cell refresh period, seconds.  Heartbeat *frames* flow at
+#: the FD-negotiated η per node pair, but an ``all_candidates`` group's
+#: election payload rides along only when it changed — plus one periodic
+#: refresh per this many seconds, which repairs lost change cells and
+#: doubles as membership anti-entropy.  This is what keeps heartbeat bytes
+#: O(node pairs) instead of O(groups × node pairs).
+CELL_REFRESH = 1.0
 
 
 class PlaneListener(Protocol):
@@ -47,37 +60,44 @@ class PlaneListener(Protocol):
     def on_node_suspect(self, node: int) -> None: ...
 
 
-class NodeFdPlane:
-    """One failure detector per peer *node*, shared by every hosted group."""
+class FdPlaneBase(FdPlane):
+    """What every node-level plane shares: the per-node interest table with
+    its strictest-QoS rule, the trust readout over ``monitors``, the grace
+    guard and the listener fan-out.  Subclasses supply the evidence — how a
+    peer's ``monitors`` entry is made, fed and torn down."""
+
+    #: See :class:`~repro.runtime.base.FdPlane`; the all-pairs default.
+    header_is_liveness = True
 
     def __init__(
         self,
         scheduler,
         node_id: int,
-        monitor_class: Type[NfdsMonitor],
         cache: ConfiguratorCache,
-        loss_window: int = 512,
-        delay_window: int = 64,
-        ready_threshold: int = 8,
         meter: Optional[UsageMeter] = None,
     ) -> None:
         self.scheduler = scheduler
         self.node_id = node_id
-        self._monitor_class = monitor_class
         self._cache = cache
-        self._loss_window = loss_window
-        self._delay_window = delay_window
-        self._ready_threshold = ready_threshold
         self._meter = meter
-        self.monitors: Dict[int, NfdsMonitor] = {}
-        #: Estimators persist across monitor churn: link quality outlives
-        #: any one group's interest in the peer.
-        self._estimators: Dict[int, LinkQualityEstimator] = {}
+        #: node -> per-peer state (``trusted`` / ``trusted_since`` at least).
+        self.monitors: Dict[int, Any] = {}
         #: node -> group -> (qos, listener); insertion order = fan-out order.
         self._interests: Dict[int, Dict[int, Tuple[FDQoS, PlaneListener]]] = {}
         #: node -> strictest QoS among interested groups.
         self._effective_qos: Dict[int, FDQoS] = {}
         self._shut_down = False
+
+    @property
+    def cell_refresh(self) -> float:
+        """Effective steady-state cell re-send cadence.  Where the header
+        is the liveness signal the refresh doubles as its payload repair
+        and tracks :data:`CELL_REFRESH` exactly.  Otherwise liveness comes
+        from the probe ring and membership news from rumours, so the
+        refresh is pure loss-repair anti-entropy and runs 4× slower — this
+        is where the per-destination steady wire cost drops from O(n)
+        full-rate streams to a trickle."""
+        return CELL_REFRESH if self.header_is_liveness else 4.0 * CELL_REFRESH
 
     # ------------------------------------------------------------------
     # Interest registration (the fan-out bus)
@@ -85,11 +105,8 @@ class NodeFdPlane:
     def register_interest(
         self, group: int, node: int, qos: FDQoS, listener: PlaneListener
     ) -> None:
-        """Subscribe ``group`` to trust transitions of ``node``.
-
-        The node pair's monitor (if any) is re-tightened to the strictest
-        QoS among all subscribed groups.
-        """
+        """Subscribe ``group`` to trust transitions of ``node``; the pair
+        is re-tightened to the strictest QoS among all subscribed groups."""
         if node == self.node_id or self._shut_down:
             return
         self._interests.setdefault(node, {})[group] = (qos, listener)
@@ -110,21 +127,8 @@ class NodeFdPlane:
             return False
         del self._interests[node]
         self._effective_qos.pop(node, None)
-        monitor = self.monitors.pop(node, None)
-        if monitor is not None:
-            monitor.stop()
+        self._drop_peer(node)
         return True
-
-    def forget_node(self, node: int) -> None:
-        """Drop the departed peer's link-quality history.
-
-        Estimators deliberately outlive their monitor across *re*-monitoring
-        of a live pair, but once no group cares about the node the history
-        describes a process that may never come back — keeping it leaks one
-        estimator per departed node over a long churn run.  A returning node
-        simply warms up a fresh estimator, exactly like a first contact.
-        """
-        self._estimators.pop(node, None)
 
     def _refresh_qos(self, node: int) -> None:
         qos = min(
@@ -132,43 +136,14 @@ class NodeFdPlane:
             key=lambda q: q.detection_time,
         )
         self._effective_qos[node] = qos
-        monitor = self.monitors.get(node)
-        if monitor is not None and monitor.qos is not qos:
-            monitor.qos = qos
-            # Re-derive the timeout shift immediately: a strict-QoS group
-            # must not inherit a looser group's detection bound until the
-            # next periodic reconfiguration comes around.  With a warm
-            # estimator the configurator gives the exact parameters; before
-            # that, the bootstrap values of the new QoS bound δ from above.
-            if monitor.estimator.ready:
-                monitor.reconfigure()
-            else:
-                params = bootstrap_params(qos)
-                if params.delta < monitor.delta:
-                    monitor.delta = params.delta
-                if params.eta < monitor.desired_eta:
-                    monitor.desired_eta = params.eta
+        self._qos_changed(node, qos)
 
-    # ------------------------------------------------------------------
-    # Monitor plumbing
-    # ------------------------------------------------------------------
-    def _estimator(self, node: int) -> LinkQualityEstimator:
-        estimator = self._estimators.get(node)
-        if estimator is None:
-            estimator = LinkQualityEstimator(
-                loss_window=self._loss_window,
-                delay_window=self._delay_window,
-                ready_threshold=self._ready_threshold,
-            )
-            self._estimators[node] = estimator
-        return estimator
+    def ensure_monitor(self, node: int):
+        """The peer's ``monitors`` entry, created *untrusted* if missing.
 
-    def ensure_monitor(self, node: int) -> Optional[NfdsMonitor]:
-        """The node pair's monitor, created *suspected* if missing.
-
-        A monitor born here has no evidence the peer is up (a bare
-        membership record proves nothing); trust comes from received frames
-        or an explicit :meth:`grant_grace` seed.
+        An entry born here has no evidence the peer is up (a bare
+        membership record proves nothing); trust comes from first-hand
+        evidence or an explicit :meth:`grant_grace` seed.
         """
         if node == self.node_id or self._shut_down:
             return None
@@ -177,27 +152,8 @@ class NodeFdPlane:
             qos = self._effective_qos.get(node)
             if qos is None:
                 return None  # no group cares about this node
-            monitor = self._monitor_class(
-                scheduler=self.scheduler,
-                pid=node,  # the monitored identity is the peer node
-                qos=qos,
-                estimator=self._estimator(node),
-                cache=self._cache,
-                events=MonitorEvents(
-                    on_trust=self._fan_trust, on_suspect=self._fan_suspect
-                ),
-                meter=self._meter,
-            )
-            self.monitors[node] = monitor
+            monitor = self.monitors[node] = self._new_monitor(node, qos)
         return monitor
-
-    def observe_frame(
-        self, sender: int, seq: int, send_time: float, interval: float
-    ) -> None:
-        """Feed one received frame header to the sender's node monitor."""
-        monitor = self.ensure_monitor(sender)
-        if monitor is not None:
-            monitor.on_alive(seq, send_time, interval)
 
     def trusted(self, node: int) -> bool:
         """Node-level FD output (a node always trusts itself)."""
@@ -223,33 +179,20 @@ class NodeFdPlane:
         return max(0.0, now - monitor.trusted_since)
 
     def grant_grace(self, node: int) -> None:
-        """Optimistically trust ``node`` for one detection budget.
+        """Optimistically trust ``node`` for one budget (:meth:`_grant`).
 
         Used to seed a joiner's view from a live peer's trust report; a
-        monitor with first-hand evidence ignores the grace (see
-        :meth:`~repro.fd.monitor.NfdsMonitor.grant_grace`).
+        peer with any first-hand evidence ignores the grace, so the (very
+        common) hint for an already-observed peer costs one dict hit.
         """
         monitor = self.monitors.get(node)
-        if monitor is not None:
-            # Mirror of NfdsMonitor.grant_grace's guard: a monitor with any
-            # first-hand evidence ignores grace, so the (very common) hint
-            # for an already-observed peer costs one dict hit, not a call
-            # chain into the monitor.
-            if monitor.alives_received > 0 or monitor.suspicions > 0 or monitor.trusted:
+        if monitor is None:
+            monitor = self.ensure_monitor(node)
+            if monitor is None:
                 return
-            monitor.grant_grace()
+        if monitor.alives_received > 0 or monitor.suspicions > 0 or monitor.trusted:
             return
-        monitor = self.ensure_monitor(node)
-        if monitor is not None:
-            monitor.grant_grace()
-
-    def delta_for(self, node: int) -> float:
-        """Current timeout shift δ toward ``node`` (bootstrap if unknown)."""
-        monitor = self.monitors.get(node)
-        if monitor is not None:
-            return monitor.delta
-        qos = self._effective_qos.get(node)
-        return bootstrap_params(qos if qos is not None else FDQoS()).delta
+        self._grant(node, monitor)
 
     # ------------------------------------------------------------------
     # Fan-out (node -> every interested group)
@@ -261,6 +204,103 @@ class NodeFdPlane:
     def _fan_suspect(self, node: int) -> None:
         for _, listener in list(self._interests.get(node, {}).values()):
             listener.on_node_suspect(node)
+
+    def shutdown(self) -> None:
+        """Crash path: drop every peer and all interest."""
+        self._shut_down = True
+        self.monitors.clear()
+        self._interests.clear()
+        self._effective_qos.clear()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        trusted = sorted(n for n, m in self.monitors.items() if m.trusted)
+        return f"{type(self).__name__}(node={self.node_id}, trusted={trusted})"
+
+
+class NodeFdPlane(FdPlaneBase):
+    """One failure detector per peer *node*, shared by every hosted group."""
+
+    def __init__(
+        self,
+        scheduler,
+        node_id: int,
+        monitor_class: Type[NfdsMonitor],
+        cache: ConfiguratorCache,
+        meter: Optional[UsageMeter] = None,
+    ) -> None:
+        super().__init__(scheduler, node_id, cache, meter)
+        self._monitor_class = monitor_class
+        #: Estimators persist across monitor churn: link quality outlives
+        #: any one group's interest in the peer.
+        self._estimators: Dict[int, LinkQualityEstimator] = {}
+
+    def _drop_peer(self, node: int) -> None:
+        monitor = self.monitors.pop(node, None)
+        if monitor is not None:
+            monitor.stop()
+
+    def forget_node(self, node: int) -> None:
+        """Drop the departed peer's link-quality history.
+
+        Estimators deliberately outlive their monitor across *re*-monitoring
+        of a live pair, but once no group cares about the node the history
+        describes a process that may never come back — keeping it leaks one
+        estimator per departed node over a long churn run.  A returning node
+        simply warms up a fresh estimator, exactly like a first contact.
+        """
+        self._estimators.pop(node, None)
+
+    def _qos_changed(self, node: int, qos: FDQoS) -> None:
+        monitor = self.monitors.get(node)
+        if monitor is not None and monitor.qos is not qos:
+            monitor.qos = qos
+            # Re-derive the timeout shift immediately: a strict-QoS group
+            # must not inherit a looser group's detection bound until the
+            # next periodic reconfiguration comes around.  With a warm
+            # estimator the configurator gives the exact parameters; before
+            # that, the bootstrap values of the new QoS bound δ from above.
+            if monitor.estimator.ready:
+                monitor.reconfigure()
+            else:
+                params = bootstrap_params(qos)
+                if params.delta < monitor.delta:
+                    monitor.delta = params.delta
+                if params.eta < monitor.desired_eta:
+                    monitor.desired_eta = params.eta
+
+    # ------------------------------------------------------------------
+    # Monitor plumbing
+    # ------------------------------------------------------------------
+    def _new_monitor(self, node: int, qos: FDQoS) -> NfdsMonitor:
+        estimator = self._estimators.get(node)
+        if estimator is None:
+            estimator = self._estimators[node] = LinkQualityEstimator()
+        return self._monitor_class(
+            scheduler=self.scheduler,
+            pid=node,  # the monitored identity is the peer node
+            qos=qos,
+            estimator=estimator,
+            cache=self._cache,
+            events=MonitorEvents(on_trust=self._fan_trust, on_suspect=self._fan_suspect),
+            meter=self._meter,
+        )
+
+    def observe_frame(self, frame: BatchFrame) -> None:
+        """Feed one received frame header to the sender's node monitor."""
+        monitor = self.ensure_monitor(frame.sender_node)
+        if monitor is not None:
+            monitor.on_alive(frame.seq, frame.send_time, frame.interval)
+
+    def _grant(self, node: int, monitor: NfdsMonitor) -> None:
+        monitor.grant_grace()  # one detection budget
+
+    def delta_for(self, node: int) -> float:
+        """Current timeout shift δ toward ``node`` (bootstrap if unknown)."""
+        monitor = self.monitors.get(node)
+        if monitor is not None:
+            return monitor.delta
+        qos = self._effective_qos.get(node)
+        return bootstrap_params(qos if qos is not None else FDQoS()).delta
 
     # ------------------------------------------------------------------
     # Reconfiguration
@@ -277,23 +317,11 @@ class NodeFdPlane:
             if monitor.estimator.ready:
                 yield node, monitor.reconfigure()
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def shutdown(self) -> None:
         """Crash path: disarm every monitor, drop all interest."""
-        if self._shut_down:
-            return
-        self._shut_down = True
         for monitor in self.monitors.values():
             monitor.stop()
-        self.monitors.clear()
-        self._interests.clear()
-        self._effective_qos.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        trusted = sorted(n for n, m in self.monitors.items() if m.trusted)
-        return f"NodeFdPlane(node={self.node_id}, trusted={trusted})"
+        super().shutdown()
 
 
 class StreamMonitor:

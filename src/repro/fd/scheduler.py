@@ -33,11 +33,11 @@ from typing import Dict, Iterable, Optional, Protocol, Tuple
 import numpy as np
 
 from repro.metrics.usage import UsageMeter
-from repro.net.message import AliveCell, BatchFrame, SwimUpdate
-from repro.runtime.base import Scheduler, Transport
+from repro.net.message import AliveCell, BatchFrame
+from repro.runtime.base import FdPlane, Scheduler, Transport
 from repro.runtime.timers import PeriodicTimer
 
-__all__ = ["CellSource", "RumourSource", "AliveBatcher"]
+__all__ = ["CellSource", "AliveBatcher"]
 
 
 class CellSource(Protocol):
@@ -57,18 +57,6 @@ class CellSource(Protocol):
         ...
 
 
-class RumourSource(Protocol):
-    """What the SWIM plane exposes to the batcher (membership rumours)."""
-
-    def has_rumours(self) -> bool:
-        """Would :meth:`piggyback` return anything?  Burns no budget."""
-        ...
-
-    def piggyback(self) -> Tuple[SwimUpdate, ...]:
-        """One bounded batch of updates; each call burns send budget."""
-        ...
-
-
 class AliveBatcher:
     """Emits one multiplexed heartbeat frame per destination node."""
 
@@ -79,23 +67,23 @@ class AliveBatcher:
         node_id: int,
         rng: np.random.Generator,
         meter: Optional[UsageMeter] = None,
-        payload_only: bool = False,
-        rumours: Optional[RumourSource] = None,
+        plane: Optional[FdPlane] = None,
     ) -> None:
         self.scheduler = scheduler
         self.transport = transport
         self.node_id = node_id
         self._rng = rng
         self._meter = meter
-        #: SWIM mode: the frame *header* is not the liveness signal (the
-        #: probe ring is), so cell-less, rumour-less frames are skipped
-        #: entirely — sequence numbers pause, which receivers already treat
-        #: as silence rather than loss.  This is where the O(n²) steady
-        #: header traffic actually disappears.
-        self._payload_only = payload_only
-        #: Optional per-frame membership-rumour source (SwimFdPlane's
-        #: bounded piggyback batch; each call burns dissemination budget).
-        self._rumours = rumours
+        #: The FD plane the frames serve (None: headers are heartbeats and
+        #: nothing is piggybacked).  Where the frame *header* is not the
+        #: liveness signal (SWIM: the probe ring is), cell-less, rumour-less
+        #: frames are skipped entirely — sequence numbers pause, which
+        #: receivers already treat as silence rather than loss.  This is
+        #: where the O(n²) steady header traffic actually disappears.
+        self._payload_only = plane is not None and not plane.header_is_liveness
+        #: Per-frame membership-rumour source (the plane's bounded
+        #: piggyback batch; each call burns dissemination budget).
+        self._rumours = plane
         #: group -> cell source; dict order is the frame's cell order.
         self._sources: Dict[int, CellSource] = {}
         self._active: Dict[int, bool] = {}
@@ -327,13 +315,7 @@ class AliveBatcher:
         # The whole fan-out in one transport call: a batch-aware transport
         # drains the burst through one delivery sentinel instead of one
         # engine event per frame.
-        send_batch = getattr(self.transport, "send_batch", None)
-        if send_batch is not None:
-            send_batch(frames)
-        else:
-            send = self.transport.send
-            for frame in frames:
-                send(frame)
+        self.transport.send_batch(frames)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         active = sorted(g for g, a in self._active.items() if a)

@@ -29,10 +29,11 @@ What stays the paper's math:
   estimator state is kept only for *currently probed* peers under a bounded
   LRU, so memory is O(k), not O(n).
 
-The plane exposes the :class:`~repro.fd.plane.NodeFdPlane` surface (interest
-registration, ``monitors`` with ``.trusted``/``.trusted_since``, grace
-grants, the trust/suspect listener bus), so the election layer cannot tell
-which plane fired — that is the selection seam's contract.
+The plane satisfies the :class:`~repro.runtime.base.FdPlane` contract and
+shares :class:`~repro.fd.plane.FdPlaneBase` with the default plane (interest
+registration, ``monitors`` with ``.trusted``/``.trusted_since``, the
+trust/suspect listener bus), so the election layer cannot tell which plane
+fired — that is the selection seam's contract.
 
 Timer story: ONE periodic timer per plane.  Probe timeouts and
 suspect→confirm escalations are swept each tick instead of owning per-probe
@@ -47,10 +48,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.fd.configurator import ConfiguratorCache, bootstrap_params
 from repro.fd.estimator import LinkQualityEstimator
-from repro.fd.plane import PlaneListener
+from repro.fd.plane import FdPlaneBase, PlaneListener
 from repro.fd.qos import FDParams, FDQoS
 from repro.metrics.usage import UsageMeter
 from repro.net.message import (
+    BatchFrame,
     SwimAckMessage,
     SwimPingMessage,
     SwimPingReqMessage,
@@ -61,6 +63,12 @@ from repro.runtime.timers import PeriodicTimer
 
 __all__ = ["SwimFdPlane", "SwimPeerState"]
 
+#: Peers probed per protocol period (k).
+PROBE_FANOUT = 2
+#: Indirect ping-req relays tried before declaring suspicion (j).
+INDIRECT_RELAYS = 3
+#: Bound of the estimator LRU over currently-probed peers (O(k) memory).
+LINKS_CAP = max(16, 4 * (PROBE_FANOUT + INDIRECT_RELAYS))
 #: Max piggybacked updates per message (SWIM bounds every payload).
 MAX_PIGGYBACK = 8
 #: Rumour buffer capacity; new rumours evict the most-disseminated one.
@@ -70,9 +78,9 @@ _INF = float("inf")
 
 
 class SwimPeerState:
-    """Per-peer SWIM state; duck-typed to the monitor surface the service
-    reads (``trusted``, ``trusted_since``, ``alives_received``,
-    ``suspicions``)."""
+    """Per-peer SWIM state: a ``monitors`` entry of the
+    :class:`~repro.runtime.base.FdPlane` contract (``trusted``,
+    ``trusted_since``) plus the evidence counters and rumour precedence."""
 
     __slots__ = (
         "node",
@@ -153,8 +161,11 @@ class _LinkState:
         self.next_seq = 0
 
 
-class SwimFdPlane:
-    """Randomized-probing FD plane with the NodeFdPlane surface."""
+class SwimFdPlane(FdPlaneBase):
+    """Randomized-probing FD plane (see the module docstring)."""
+
+    #: The probe ring, not the frame header, is the liveness signal.
+    header_is_liveness = False
 
     def __init__(
         self,
@@ -163,37 +174,17 @@ class SwimFdPlane:
         node_id: int,
         rng,
         cache: ConfiguratorCache,
-        probe_fanout: int = 2,
-        indirect_relays: int = 3,
-        loss_window: int = 512,
-        delay_window: int = 64,
-        ready_threshold: int = 8,
-        grace_floor: float = 0.0,
         meter: Optional[UsageMeter] = None,
     ) -> None:
-        self.scheduler = scheduler
+        super().__init__(scheduler, node_id, cache, meter)
         self.transport = transport
-        self.node_id = node_id
         self._rng = rng
-        self._cache = cache
-        self.probe_fanout = max(1, probe_fanout)
-        self.indirect_relays = max(0, indirect_relays)
-        self._loss_window = loss_window
-        self._delay_window = delay_window
-        self._ready_threshold = ready_threshold
         #: Minimum optimistic-trust horizon.  On wide rings first-hand
         #: evidence for most peers arrives with their cell-refresh round
         #: (the probe ring reaches any given peer only every ring/k
         #: periods), so grace must outlive that delay or a mass bootstrap
         #: dissolves into a cluster-wide false-suspicion wave.
-        self._grace_floor = max(0.0, grace_floor)
-        self._meter = meter
-
-        #: node -> peer state; the service's trust checker indexes this.
-        self.monitors: Dict[int, SwimPeerState] = {}
-        #: node -> group -> (qos, listener); insertion order = fan-out order.
-        self._interests: Dict[int, Dict[int, Tuple[FDQoS, PlaneListener]]] = {}
-        self._effective_qos: Dict[int, FDQoS] = {}
+        self._grace_floor = 2.0 * self.cell_refresh
         #: Strictest QoS across every interest — the probed subset shares
         #: one (η, δ) because the probe schedule is plane-wide.
         self._plane_qos: Optional[FDQoS] = None
@@ -212,66 +203,53 @@ class SwimFdPlane:
         self.incarnation = 0
         #: node -> [winning update, remaining piggyback sends].
         self._rumours: "OrderedDict[int, list]" = OrderedDict()
-        #: Bounded estimator LRU over currently-probed peers (O(k) memory).
+        #: Bounded estimator LRU over currently-probed peers.
         self._links: "OrderedDict[int, _LinkState]" = OrderedDict()
-        self._links_cap = max(16, 4 * (self.probe_fanout + self.indirect_relays))
         #: Urgent-dissemination hook (the batcher's flush), set by the
         #: service once the batcher exists.
         self._flush_hook: Optional[Callable[[], None]] = None
-
-        self._timer = PeriodicTimer(
-            scheduler,
-            period_fn=lambda: self._params.eta,
-            callback=self._tick,
-        )
-        self._timer_started = False
-        self._shut_down = False
+        #: The plane's single timer, created at the first interest so its
+        #: random initial phase is drawn then.
+        self._timer: Optional[PeriodicTimer] = None
 
     def set_flush_hook(self, hook: Callable[[], None]) -> None:
         """Wire the urgent-dissemination hook (fresh rumours flush frames)."""
         self._flush_hook = hook
 
+    def message_handlers(self):
+        return {
+            SwimPingMessage: self.on_ping,
+            SwimPingReqMessage: self.on_ping_req,
+            SwimAckMessage: self.on_ack,
+        }
+
     # ------------------------------------------------------------------
-    # Interest registration (NodeFdPlane surface)
+    # Interest registration
     # ------------------------------------------------------------------
     def register_interest(
         self, group: int, node: int, qos: FDQoS, listener: PlaneListener
     ) -> None:
         if node == self.node_id or self._shut_down:
             return
-        self._interests.setdefault(node, {})[group] = (qos, listener)
-        self._refresh_qos(node)
+        super().register_interest(group, node, qos, listener)
         self._ring_stale = True
-        if not self._timer_started:
-            self._timer_started = True
+        if self._timer is None:
             # A random initial phase desynchronizes the cluster's probe
             # ticks, mirroring the heartbeat batcher's start-up jitter.
-            self._timer._initial_delay = float(
-                self._rng.uniform(0.0, self._params.eta)
+            self._timer = PeriodicTimer(
+                self.scheduler,
+                period_fn=lambda: self._params.eta,
+                callback=self._tick,
+                initial_delay=float(self._rng.uniform(0.0, self._params.eta)),
             )
             self._timer.start()
 
-    def unregister_interest(self, group: int, node: int) -> bool:
-        groups = self._interests.get(node)
-        if groups is None or group not in groups:
-            return False
-        del groups[group]
-        if groups:
-            self._refresh_qos(node)
-            return False
-        del self._interests[node]
-        self._effective_qos.pop(node, None)
+    def _drop_peer(self, node: int) -> None:
         self.monitors.pop(node, None)
         self._ring_stale = True
         self._refresh_plane_qos()
-        return True
 
-    def _refresh_qos(self, node: int) -> None:
-        qos = min(
-            (qos for qos, _ in self._interests[node].values()),
-            key=lambda q: q.detection_time,
-        )
-        self._effective_qos[node] = qos
+    def _qos_changed(self, node: int, qos: FDQoS) -> None:
         self._refresh_plane_qos()
 
     def _refresh_plane_qos(self) -> None:
@@ -286,54 +264,25 @@ class SwimFdPlane:
     # ------------------------------------------------------------------
     # Monitor surface
     # ------------------------------------------------------------------
-    def ensure_monitor(self, node: int) -> Optional[SwimPeerState]:
-        """The peer's state, created *untrusted* if missing (same birth
-        semantics as the default plane's monitors)."""
-        if node == self.node_id or self._shut_down:
-            return None
-        peer = self.monitors.get(node)
-        if peer is None:
-            if node not in self._effective_qos:
-                return None  # no group cares about this node
-            peer = SwimPeerState(node)
-            self.monitors[node] = peer
-        return peer
+    def _new_monitor(self, node: int, qos: FDQoS) -> SwimPeerState:
+        return SwimPeerState(node)
 
-    def observe_frame(
-        self, sender: int, seq: int, send_time: float, interval: float
-    ) -> None:
+    def observe_frame(self, frame: BatchFrame) -> None:
         """A heartbeat frame is first-hand alive evidence (no deadline: the
-        probe ring, not frame freshness, drives suspicion here)."""
-        self._evidence_alive(sender)
+        probe ring, not frame freshness, drives suspicion here).  Rumours
+        piggybacked on it are applied first — they ride after the frame's
+        cells for the same payload-before-trust reason the header does."""
+        if frame.swim_updates:
+            self.apply_updates(frame.swim_updates)
+        self._evidence_alive(frame.sender_node)
 
-    def trusted(self, node: int) -> bool:
-        if node == self.node_id:
-            return True
-        peer = self.monitors.get(node)
-        return peer is not None and peer.trusted
-
-    def trusted_for(self, node: int, now: float) -> float:
-        if node == self.node_id:
-            return now
-        peer = self.monitors.get(node)
-        if peer is None or not peer.trusted:
-            return 0.0
-        return max(0.0, now - peer.trusted_since)
-
-    def grant_grace(self, node: int) -> None:
-        """Optimistically trust ``node`` while the probe ring gets to it.
+    def _grant(self, node: int, peer: SwimPeerState) -> None:
+        """Trust ``node`` while the probe ring gets to it.
 
         Twice the detection budget: probe-based evidence has ring-round
         granularity, so the default plane's one-budget grace would expire
         before the first frame or ACK lands on larger rings.
         """
-        peer = self.monitors.get(node)
-        if peer is None:
-            peer = self.ensure_monitor(node)
-            if peer is None:
-                return
-        if peer.alives_received > 0 or peer.suspicions > 0 or peer.trusted:
-            return  # first-hand evidence: the grace would be a no-op
         qos = self._effective_qos.get(node)
         budget = (qos.detection_time if qos is not None else FDQoS().detection_time)
         now = self.scheduler.now
@@ -360,27 +309,12 @@ class SwimFdPlane:
             del self._probes[nonce]
 
     def shutdown(self) -> None:
-        if self._shut_down:
-            return
-        self._shut_down = True
-        self._timer.stop()
-        self.monitors.clear()
-        self._interests.clear()
-        self._effective_qos.clear()
+        if self._timer is not None:
+            self._timer.stop()
+        super().shutdown()
         self._probes.clear()
         self._rumours.clear()
         self._links.clear()
-
-    # ------------------------------------------------------------------
-    # Fan-out (node -> every interested group)
-    # ------------------------------------------------------------------
-    def _fan_trust(self, node: int) -> None:
-        for _, listener in list(self._interests.get(node, {}).values()):
-            listener.on_node_trust(node)
-
-    def _fan_suspect(self, node: int) -> None:
-        for _, listener in list(self._interests.get(node, {}).values()):
-            listener.on_node_suspect(node)
 
     # ------------------------------------------------------------------
     # The protocol period (the plane's single timer)
@@ -444,7 +378,7 @@ class SwimFdPlane:
         ring = self._ring
         params = self._params
         updates_budgeted = self.piggyback  # one bounded batch per message
-        for _ in range(self.probe_fanout):
+        for _ in range(PROBE_FANOUT):
             if self._ring_stale or self._ring_pos >= len(ring):
                 self._rebuild_ring()
                 ring = self._ring
@@ -496,9 +430,6 @@ class SwimFdPlane:
         Relays are the target's ring successors — deterministic (no extra
         RNG draws) yet round-varying, since the ring itself reshuffles.
         """
-        j = self.indirect_relays
-        if j <= 0:
-            return
         ring = self._ring
         if not ring:
             return
@@ -512,7 +443,7 @@ class SwimFdPlane:
             if peer is None or not peer.trusted:
                 continue
             relays.append(candidate)
-            if len(relays) >= j:
+            if len(relays) >= INDIRECT_RELAYS:
                 break
         nonce = probe.nonce
         for relay in relays:
@@ -709,20 +640,10 @@ class SwimFdPlane:
         links = self._links
         link = links.get(node)
         if link is None:
-            if len(links) >= self._links_cap:
+            if len(links) >= LINKS_CAP:
                 links.popitem(last=False)  # evict least-recently probed
-            link = _LinkState(
-                LinkQualityEstimator(
-                    loss_window=self._loss_window,
-                    delay_window=self._delay_window,
-                    ready_threshold=self._ready_threshold,
-                )
-            )
+            link = _LinkState(LinkQualityEstimator())
             links[node] = link
         else:
             links.move_to_end(node)
         return link
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        trusted = sorted(n for n, p in self.monitors.items() if p.trusted)
-        return f"SwimFdPlane(node={self.node_id}, trusted={trusted})"

@@ -10,6 +10,8 @@ leader and made safe under churn by **fencing tokens**:
 * :mod:`repro.lease.manager` — the leader-side grant logic: TTLs,
   monotonically increasing fencing tokens, takeover grace, majority
   guard and per-client throttling;
+* :mod:`repro.lease.server` — what the daemon hosts per group: request
+  routing, watcher registry, ledger replication over the group's gossip;
 * :mod:`repro.lease.client` — the client library: retry/backoff,
   leader-redirect following, watch;
 * :mod:`repro.lease.workload` — deterministic simulated client

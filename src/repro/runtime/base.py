@@ -9,7 +9,7 @@ daemon needs from its environment fits in three small protocols:
   callbacks (``schedule``/``schedule_at``/``cancel``), returning a
   cancellable :class:`TimerHandle`;
 * :class:`Transport` — "deliver this :class:`~repro.net.message.Message`
-  to its destination node" (``send``).
+  to its destination node" (``send``, and ``send_batch`` for a fan-out).
 
 Two engines implement them:
 
@@ -24,7 +24,9 @@ Two engines implement them:
 Every layer above the engine — timers, failure-detector monitors, the
 heartbeat scheduler, the daemon, the election algorithms — is written
 against these protocols only, so the exact same service code runs
-unchanged in both worlds.
+unchanged in both worlds.  A fourth protocol, :class:`FdPlane`, is the seam
+*inside* the daemon: what the service, the group runtimes and the frame
+batcher may ask of the failure-detection plane, whichever one was built.
 
 The protocols are ``runtime_checkable``; tests assert the concrete engines
 satisfy them with plain ``isinstance`` checks.  (As always with runtime
@@ -34,12 +36,15 @@ signatures.)
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, Mapping
+from typing import Optional, Protocol, Tuple, runtime_checkable
 
 if TYPE_CHECKING:  # typing-only: keep this module import-free at runtime
-    from repro.net.message import Message
+    from repro.fd.plane import PlaneListener
+    from repro.fd.qos import FDParams, FDQoS
+    from repro.net.message import BatchFrame, Message, SwimUpdate
 
-__all__ = ["Clock", "Scheduler", "TimerHandle", "Transport"]
+__all__ = ["Clock", "Scheduler", "TimerHandle", "Transport", "FdPlane"]
 
 
 @runtime_checkable
@@ -117,3 +122,74 @@ class Transport(Protocol):
     def send(self, message: "Message") -> None:
         """Best-effort delivery of ``message`` to its destination node."""
         ...
+
+    def send_batch(self, messages: Iterable["Message"]) -> None:
+        """One per-round fan-out: per message exactly :meth:`send`, in
+        order; an engine may carry the burst more cheaply (the simulator
+        drains it through one delivery sentinel, not one event each)."""
+        ...
+
+
+@runtime_checkable
+class FdPlane(Protocol):
+    """The node-level failure-detection plane, as the rest of the daemon
+    sees it — :class:`~repro.fd.plane.NodeFdPlane` (all pairs, the paper's)
+    and :class:`~repro.fd.swim.SwimFdPlane` (randomized probing) both
+    satisfy it, and nothing above may ask which one it holds.
+
+    Groups subscribe to peer *nodes* (a pair runs at the strictest QoS among
+    its subscribers; the last ``unregister_interest`` returns True and drops
+    the peer); trust transitions fan out to the subscribed listeners in
+    registration order.  ``monitors`` maps a peer node to its state, born
+    *untrusted* — a membership record proves nothing about the process —
+    and exposing at least ``trusted`` / ``trusted_since`` (the election's
+    fused trust check indexes it).  ``observe_frame`` runs after a frame's
+    cells were ingested.  ``grant_grace`` is optimistic trust for one
+    budget, ignored once evidence or a suspicion exists; ``trusted_for`` is
+    seconds of *continuous* trust (``now`` for the local node);
+    ``reconfigure_ready`` yields the pairs whose heartbeat rate the daemon
+    should renegotiate.  After ``shutdown`` every call is inert.
+    """
+
+    node_id: int
+    monitors: Mapping[int, Any]
+    #: Whether a frame *header* alone is the liveness signal (all pairs: one
+    #: freshness monitor per node pair, fed at η).  Where it is not, frames
+    #: and gossip are bounded dissemination carriers: the batcher skips
+    #: frames with nothing to say, cells refresh 4× slower
+    #: (``cell_refresh``, seconds), optimistic trust outlives that refresh,
+    #: and group gossip is bounded (see :mod:`repro.core.membership`).
+    header_is_liveness: bool
+    cell_refresh: float
+
+    def register_interest(
+        self, group: int, node: int, qos: "FDQoS", listener: "PlaneListener"
+    ) -> None: ...
+    def unregister_interest(self, group: int, node: int) -> bool: ...
+    def ensure_monitor(self, node: int) -> Optional[Any]: ...
+    def observe_frame(self, frame: "BatchFrame") -> None: ...
+    def trusted(self, node: int) -> bool: ...
+    def trusted_for(self, node: int, now: float) -> float: ...
+    def grant_grace(self, node: int) -> None: ...
+    def delta_for(self, node: int) -> float: ...
+    def reconfigure_ready(self) -> Iterator[Tuple[int, "FDParams"]]: ...
+    def forget_node(self, node: int) -> None: ...
+    def shutdown(self) -> None: ...
+
+    # The plane's own dissemination, with the defaults of a plane fed by
+    # frame headers alone (an explicit subclass inherits them): the
+    # node-level message types it consumes, by exact type; the rumours it
+    # piggybacks on frames and HELLOs and takes back; and how it asks for an
+    # out-of-schedule frame round.
+    def message_handlers(self) -> Dict[type, Callable[["Message"], None]]:
+        return {}
+
+    def apply_updates(self, updates: Tuple["SwimUpdate", ...]) -> None: ...
+
+    def has_rumours(self) -> bool:
+        return False
+
+    def piggyback(self) -> Tuple["SwimUpdate", ...]:
+        return ()
+
+    def set_flush_hook(self, hook: Callable[[], None]) -> None: ...

@@ -235,6 +235,26 @@ class TestChaosCli:
                 == 1
             )
 
+    def test_replay_banner_command_reproduces_the_same_case(self, capsys):
+        """The command the banner prints must carry the profile flags: run
+        as printed, it replays the same case (same digest), not the default
+        profile's."""
+
+        def replay(argv):
+            assert chaos_cli.main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            command = lines[0][lines[0].index("(python") + 1 : -1]
+            (digest,) = [line.split(":")[1].strip() for line in lines if "digest" in line]
+            return command, digest
+
+        flags = ["--nodes", "4", "--fd-plane", "swim", "--lease-clients", "5"]
+        command, digest = replay(["replay", "--seed", "3", *flags])
+        prefix = "python -m repro chaos "
+        assert command.startswith(prefix) and all(flag in command for flag in flags)
+        assert replay(command[len(prefix) :].split()) == (command, digest)
+        # ... and it *is* a different case from the bare-seed command.
+        assert replay(["replay", "--seed", "3", "--nodes", "4"])[1] != digest
+
     def test_run_cli_executes_script_file(self, tmp_path):
         from repro.chaos.script import drop, heal
 

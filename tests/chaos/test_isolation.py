@@ -19,6 +19,9 @@ class Sink:
     def send(self, message):
         self.messages.append(message)
 
+    def send_batch(self, messages):
+        self.messages.extend(messages)
+
 
 def make_transport(seed=0):
     sink = Sink()

@@ -16,6 +16,9 @@ class RecordingTransport:
     def send(self, message) -> None:
         self.sent.append(message)
 
+    def send_batch(self, messages) -> None:
+        self.sent.extend(messages)
+
 
 def msg(src: int, dst: int) -> HelloMessage:
     return HelloMessage(sender_node=src, dest_node=dst, group=1, kind="gossip")

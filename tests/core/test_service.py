@@ -230,10 +230,18 @@ class TestQoSPlumbing:
         group and surviving monitor teardown."""
         _, services, _ = build(sim)
         plane = services[0].plane
-        est1 = plane._estimator(2)
-        est2 = plane._estimator(2)
-        assert est1 is est2
-        assert plane._estimator(3) is not est1
+
+        class Quiet:
+            def on_node_trust(self, node): ...
+            def on_node_suspect(self, node): ...
+
+        for node in (2, 3):
+            plane.register_interest(1, node, FDQoS(), Quiet())
+        est1 = plane.ensure_monitor(2).estimator
+        assert plane.unregister_interest(1, 2)  # the last leaver: monitor gone
+        plane.register_interest(1, 2, FDQoS(), Quiet())
+        assert plane.ensure_monitor(2).estimator is est1
+        assert plane.ensure_monitor(3).estimator is not est1
 
     def test_departed_peer_rate_no_longer_pins_the_interval(self, sim):
         """A peer that left every hosted group must stop forcing the

@@ -1,0 +1,207 @@
+"""The :class:`~repro.runtime.base.FdPlane` contract, on both planes.
+
+Everything above the plane — the service, the group runtimes, the frame
+batcher — is written against this contract only, so whatever it promises
+must hold for :class:`NodeFdPlane` (frame headers are heartbeats) and
+:class:`SwimFdPlane` (a probe ring is) alike.  Evidence is fed the one way
+both planes share: received frames.  Nobody answers the swim plane's
+probes here, so on either plane a peer stays trusted exactly as long as
+its frames keep coming.
+"""
+
+import pytest
+
+from repro.fd.configurator import ConfiguratorCache
+from repro.fd.monitor import NfdsMonitor
+from repro.fd.plane import CELL_REFRESH, NodeFdPlane
+from repro.fd.qos import FDQoS
+from repro.fd.swim import SwimFdPlane
+from repro.net.message import (
+    BatchFrame,
+    SwimAckMessage,
+    SwimPingMessage,
+    SwimPingReqMessage,
+    SwimUpdate,
+)
+from repro.runtime.base import FdPlane, Transport
+
+PEER = 7
+
+
+class Wire:
+    """Swallows what the plane sends (the swim plane's probes)."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+    def send_batch(self, messages):
+        self.sent.extend(messages)
+
+
+class Listener:
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def on_node_trust(self, node):
+        self.log.append((self.name, "trust", node))
+
+    def on_node_suspect(self, node):
+        self.log.append((self.name, "suspect", node))
+
+
+@pytest.fixture(params=["all_pairs", "swim"])
+def plane(request, sim, rng):
+    shared = dict(scheduler=sim, node_id=0, cache=ConfiguratorCache())
+    if request.param == "swim":
+        return SwimFdPlane(transport=Wire(), rng=rng.stream("swim"), **shared)
+    return NodeFdPlane(monitor_class=NfdsMonitor, **shared)
+
+
+def feed(plane, sim, node, seconds, every=0.1):
+    """``node``'s frames keep arriving for ``seconds``."""
+    until = sim.now + seconds
+    seq = 0
+    while sim.now < until:
+        plane.observe_frame(
+            BatchFrame(sender_node=node, dest_node=0, seq=seq, send_time=sim.now, interval=0.25)
+        )
+        seq += 1
+        sim.run_until(sim.now + every)
+
+
+def watch(plane, log=None, group=1, node=PEER, name="a"):
+    log = [] if log is None else log
+    plane.register_interest(group, node, FDQoS(), Listener(name, log))
+    return log
+
+
+def test_satisfies_the_protocol(plane):
+    assert isinstance(plane, FdPlane)
+    assert isinstance(Wire(), Transport)
+
+
+def test_a_peer_is_born_untrusted(plane, sim):
+    log = watch(plane)
+    monitor = plane.ensure_monitor(PEER)
+    assert monitor is plane.monitors[PEER] and not monitor.trusted
+    assert not plane.trusted(PEER) and plane.trusted_for(PEER, sim.now) == 0.0
+    assert plane.ensure_monitor(PEER + 1) is None  # nobody cares about it
+    assert plane.ensure_monitor(0) is None and plane.trusted(0)  # itself
+    assert log == []
+
+
+def test_grace_trusts_a_peer_nothing_is_known_about(plane):
+    log = watch(plane)
+    plane.grant_grace(PEER)
+    assert plane.trusted(PEER) and log == [("a", "trust", PEER)]
+    plane.grant_grace(PEER)  # already trusted: nothing to add
+    assert log == [("a", "trust", PEER)]
+
+
+def test_grace_is_ignored_once_first_hand_evidence_exists(plane, sim):
+    log = watch(plane)
+    feed(plane, sim, PEER, 1.0)
+    assert plane.trusted(PEER)
+    sim.run_until(sim.now + 10.0)  # the frames stopped
+    assert not plane.trusted(PEER)
+    assert log == [("a", "trust", PEER), ("a", "suspect", PEER)]
+    plane.grant_grace(PEER)
+    assert not plane.trusted(PEER) and len(log) == 2
+
+
+def test_trusted_for_measures_continuous_trust(plane, sim):
+    watch(plane)
+    sim.run_until(2.0)
+    assert plane.trusted_for(0, sim.now) == sim.now  # as old as the plane
+    assert plane.trusted_for(PEER, sim.now) == 0.0
+    feed(plane, sim, PEER, 1.0)
+    first = plane.trusted_for(PEER, sim.now)
+    assert first == pytest.approx(1.0, abs=0.15)
+    feed(plane, sim, PEER, 2.0)
+    assert plane.trusted_for(PEER, sim.now) == pytest.approx(first + 2.0, abs=0.15)
+    sim.run_until(sim.now + 10.0)  # suspected ...
+    assert plane.trusted_for(PEER, sim.now) == 0.0
+    feed(plane, sim, PEER, 0.5)  # ... and re-trusted: the clock restarts
+    assert 0.0 < plane.trusted_for(PEER, sim.now) < 1.0
+
+
+def test_the_last_unregister_drops_the_peer(plane, sim):
+    watch(plane, group=1)
+    watch(plane, group=2)
+    feed(plane, sim, PEER, 0.5)
+    assert not plane.unregister_interest(3, PEER)  # never subscribed
+    assert not plane.unregister_interest(1, PEER)
+    assert plane.trusted(PEER)
+    assert plane.unregister_interest(2, PEER)
+    assert PEER not in plane.monitors and not plane.trusted(PEER)
+    assert plane.ensure_monitor(PEER) is None
+    assert not plane.unregister_interest(2, PEER)
+
+
+def test_transitions_fan_out_in_registration_order(plane, sim):
+    log = []
+    for name, group in (("first", 5), ("second", 2), ("third", 9)):
+        watch(plane, log, group=group, name=name)
+    feed(plane, sim, PEER, 0.5)
+    sim.run_until(sim.now + 10.0)
+    names = ["first", "second", "third"]
+    assert log == [(n, "trust", PEER) for n in names] + [(n, "suspect", PEER) for n in names]
+
+
+def test_every_call_is_inert_after_shutdown(plane, sim):
+    log = watch(plane)
+    feed(plane, sim, PEER, 0.5)
+    sent = len(plane.transport.sent) if hasattr(plane, "transport") else 0
+    del log[:]
+    plane.shutdown()
+    plane.shutdown()  # idempotent
+    watch(plane, log, group=2)
+    watch(plane, log, node=PEER + 1)
+    assert plane.ensure_monitor(PEER) is None and plane.monitors == {}
+    feed(plane, sim, PEER, 0.5)
+    plane.grant_grace(PEER)
+    plane.apply_updates((SwimUpdate(PEER, 1, "suspect"),))
+    assert not plane.trusted(PEER) and plane.trusted_for(PEER, sim.now) == 0.0
+    assert not plane.unregister_interest(1, PEER)
+    assert list(plane.reconfigure_ready()) == []
+    assert not plane.has_rumours() and plane.piggyback() == ()
+    plane.forget_node(PEER)
+    sim.run_until(sim.now + 10.0)
+    assert log == []
+    if hasattr(plane, "transport"):
+        assert len(plane.transport.sent) == sent  # the probe ring stopped
+
+
+def test_a_plane_fed_by_headers_disseminates_nothing(sim):
+    plane = NodeFdPlane(
+        scheduler=sim, node_id=0, monitor_class=NfdsMonitor, cache=ConfiguratorCache()
+    )
+    log = watch(plane)
+    feed(plane, sim, PEER, 0.5)
+    assert plane.header_is_liveness
+    assert plane.message_handlers() == {}
+    plane.apply_updates((SwimUpdate(PEER, 1, "suspect"),))
+    plane.set_flush_hook(lambda: log.append("flushed"))
+    assert plane.trusted(PEER) and log == [("a", "trust", PEER)]
+    assert plane.has_rumours() is False and plane.piggyback() == ()
+
+
+def test_a_probing_plane_names_the_messages_it_consumes(sim, rng):
+    plane = SwimFdPlane(
+        scheduler=sim, transport=Wire(), node_id=0, rng=rng.stream("swim"),
+        cache=ConfiguratorCache(),
+    )
+    assert not plane.header_is_liveness
+    assert plane.cell_refresh == 4.0 * CELL_REFRESH
+    assert set(plane.message_handlers()) == {
+        SwimPingMessage, SwimPingReqMessage, SwimAckMessage,
+    }
+    watch(plane)
+    feed(plane, sim, PEER, 0.5)
+    rumour = SwimUpdate(PEER, 1, "suspect")
+    plane.apply_updates((rumour,))
+    assert not plane.trusted(PEER)
+    assert plane.has_rumours() and plane.piggyback() == (rumour,)

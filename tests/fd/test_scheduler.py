@@ -38,7 +38,10 @@ class QuietSource(FakeSource):
 
 
 class FakeRumours:
-    """A scripted rumour source holding ``batches`` one-update batches."""
+    """A scripted plane whose header is no liveness signal, holding
+    ``batches`` one-update rumour batches."""
+
+    header_is_liveness = False
 
     def __init__(self, batches=0):
         self.batches = batches
@@ -188,7 +191,7 @@ class TestPayloadOnly:
         meter = UsageMeter()
         rumours = FakeRumours()
         batcher = make_batcher(
-            sim, network, rng, meter=meter, payload_only=True, rumours=rumours
+            sim, network, rng, meter=meter, plane=rumours
         )
         boxes = [collect(network, n) for n in (1, 2, 3)]
         batcher.add_group(1, QuietSource(1, [1, 2, 3]), eta=0.25)
@@ -207,7 +210,7 @@ class TestPayloadOnly:
         it always was — one piggyback() per destination, in destination
         order: the calls are the rumours' dissemination budget."""
         rumours = FakeRumours()
-        batcher = make_batcher(sim, network, rng, payload_only=True, rumours=rumours)
+        batcher = make_batcher(sim, network, rng, plane=rumours)
         boxes = [collect(network, n) for n in (1, 2, 3)]
         batcher.add_group(1, QuietSource(1, [1, 2, 3]), eta=0.25)
         batcher.set_active(1, True)
@@ -223,7 +226,7 @@ class TestPayloadOnly:
 
     def test_cells_travel_without_asking_an_empty_rumour_buffer(self, sim, network, rng):
         rumours = FakeRumours()
-        batcher = make_batcher(sim, network, rng, payload_only=True, rumours=rumours)
+        batcher = make_batcher(sim, network, rng, plane=rumours)
         boxes = [collect(network, n) for n in (1, 2)]
         batcher.add_group(1, FakeSource(1, [1]), eta=0.25)
         batcher.add_group(2, QuietSource(2, [1, 2]), eta=0.25)
@@ -235,7 +238,7 @@ class TestPayloadOnly:
         assert rumours.calls == 0
 
     def test_all_pairs_mode_sends_the_bare_header_every_period(self, sim, network, rng):
-        """Without payload_only the header *is* the liveness signal."""
+        """Without a plane that says otherwise the header *is* the liveness signal."""
         batcher = make_batcher(sim, network, rng)
         boxes = [collect(network, n) for n in (1, 2, 3)]
         batcher.add_group(1, QuietSource(1, [1, 2, 3]), eta=0.25)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fd.configurator import ConfiguratorCache
-from repro.fd.swim import MAX_PIGGYBACK, RUMOUR_BUFFER, SwimFdPlane
+from repro.fd.swim import LINKS_CAP, MAX_PIGGYBACK, RUMOUR_BUFFER, SwimFdPlane
 from repro.net.message import (
     SwimAckMessage,
     SwimPingMessage,
@@ -93,6 +93,10 @@ class ScriptedCluster:
                     send_time=message.send_time,
                 ),
             )
+
+    def send_batch(self, messages):
+        for message in messages:
+            self.send(message)
 
     def _deliver_ack(self, target, ping):
         if target not in self.alive:
@@ -384,8 +388,8 @@ class TestLeakRegression:
         )
         cluster.alive = set(range(1, 201))
         sim.run_until(20.0)
-        assert len(plane._links) <= plane._links_cap
-        assert plane._links_cap < 50  # O(k), not O(n)
+        assert len(plane._links) <= LINKS_CAP
+        assert LINKS_CAP < 50  # O(k), not O(n)
 
     def test_batcher_forgets_departed_peer_stream_state(self, sim, rng):
         from repro.fd.scheduler import AliveBatcher

@@ -114,7 +114,8 @@ class TestNfdeVariant:
 
     def test_unknown_variant_rejected(self):
         """Even a config whose eager validation was bypassed cannot reach
-        monitor creation: the daemon resolves the variant at boot."""
+        monitor creation: the daemon resolves the variant at boot (by plain
+        lookup — ``ServiceConfig`` is where the name is validated)."""
         from repro.core.service import LeaderElectionService
         from repro.sim.engine import Simulator
         from repro.sim.rng import RngRegistry
@@ -125,7 +126,7 @@ class TestNfdeVariant:
         network = Network(sim, NetworkConfig(n_nodes=2), rng)
         config = ServiceConfig()
         object.__setattr__(config, "fd_variant", "bogus")
-        with pytest.raises(ValueError, match="fd_variant"):
+        with pytest.raises(KeyError, match="bogus"):
             LeaderElectionService(
                 scheduler=sim,
                 transport=network,

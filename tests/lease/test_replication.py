@@ -145,7 +145,7 @@ class TestRepairDeadline:
         run_until(
             system,
             lambda: runtimes(system)[old].lease_ledger.version >= version + 5
-            and not runtimes(system)[old]._lease_flush_pending,
+            and not runtimes(system)[old].leases._flush_pending,
             limit=5.0,
         )
         system.network.node(old).crash()
