@@ -144,6 +144,7 @@ def _profile_from_args(args: argparse.Namespace) -> FuzzProfile:
 
 def _print_report(result: ChaosRunResult) -> None:
     report = result.report
+    print(f"fd plane             : {result.config.fd_plane}")
     print(f"script steps applied : {result.chaos_steps_applied}")
     print(f"trace digest         : {result.trace_digest}")
     if report.stabilized_at is not None:
@@ -256,6 +257,7 @@ def _run_script(args: argparse.Namespace) -> int:
             detection_time=profile.detection_time,
             n_lease_clients=profile.n_lease_clients,
             lease_transfer_ratio=profile.transfer_ratio,
+            fd_plane=profile.fd_plane,
         )
     except (ValueError, TypeError) as exc:
         print(f"invalid chaos script: {exc}", file=sys.stderr)

@@ -9,9 +9,10 @@ payload first, then the per-sender stream monitors Ω_l needs.
 
 from __future__ import annotations
 
+from math import ceil, log
 from typing import Dict, Optional, Tuple
 
-from repro.fd.plane import StreamMonitor
+from repro.fd.plane import CELL_REPEAT_CAP, CELL_REPEAT_MISS, StreamMonitor
 from repro.net.message import AliveCell, BatchFrame
 
 __all__ = ["GroupCells"]
@@ -22,6 +23,13 @@ __all__ = ["GroupCells"]
 _NEVER_EMITTED = object()
 
 
+def _sends_for(loss: float) -> int:
+    """How many consecutive frames a changed cell rides at observed ``loss``."""
+    if loss <= 0.0:
+        return 1
+    return min(CELL_REPEAT_CAP, ceil(log(CELL_REPEAT_MISS) / log(loss)))
+
+
 class GroupCells:
     """Cell emission and ingestion for one (group, local process) pair."""
 
@@ -29,7 +37,7 @@ class GroupCells:
         "group", "pid", "scheduler", "view", "algorithm", "plane",  # read off the membership
         "cell_state", "stream_monitors", "_membership", "_sent_version", "_batcher",
         "_dest_nodes", "_refresh", "_emit_quiet_until", "_emit_stamp_version",
-        "_emit_stamp_alg", "_emit_template", "_emit_payload",
+        "_emit_stamp_alg", "_emit_template", "_emit_payload", "cells_repeated",
     )
 
     def __init__(self, membership, batcher) -> None:
@@ -47,9 +55,12 @@ class GroupCells:
         self._sent_version = membership.sent_version if membership.cell_deltas else None
         #: Steady-state re-send period of an unchanged cell under this plane.
         self._refresh = plane.cell_refresh
-        #: Per-destination (election payload, send time) of the last cell,
-        #: for change-triggered emission with periodic refresh.
-        self.cell_state: Dict[int, Tuple[tuple, float]] = {}
+        #: Per-destination (election payload, time of its first send or last
+        #: refresh) — plus, only while there are any, the repeats still owed —
+        #: for change-triggered emission with loss-sized repeats and refresh.
+        self.cell_state: Dict[int, tuple] = {}
+        #: Instrumentation only: cells re-sent because a change was owed.
+        self.cells_repeated = 0
         #: Steady-state emission fast path: while neither the membership
         #: version nor the algorithm's emit stamp has moved since the last
         #: full round, the payload is provably unchanged — rounds reuse the
@@ -123,6 +134,15 @@ class GroupCells:
             self._dest_nodes = dest_nodes
             self._batcher.invalidate_dests()
 
+    def _repeat(self, dest: int, state: tuple) -> bool:
+        """Account one repeat to ``dest``; True while more are owed.  The
+        entry keeps its stamp: the refresh clock and the gossip's coverage
+        windows run from the change, not from its repeats."""
+        owed = state[2] - 1
+        self.cell_state[dest] = (state[0], state[1], owed) if owed else state[:2]
+        self.cells_repeated += 1
+        return owed > 0
+
     def emit_cells(self):
         """Yield ``(dest_node, cell)`` for one emission round.
 
@@ -130,10 +150,14 @@ class GroupCells:
         ride along when it carries *news*.  Under ``all_candidates`` (node
         liveness is process liveness) a destination's cell is therefore
         suppressed while the election payload is unchanged, no membership
-        delta is owed, and a refresh went out within the refresh period —
-        the refresh repairs lost change cells and carries the anti-entropy
-        digest.  ``senders_only`` groups (Ω_l) emit every round: their
-        receivers' stream monitors feed on the cells themselves.
+        delta is owed, no repeat is owed, and a refresh went out within the
+        refresh period.  A *changed* payload stays owed for the next k − 1
+        frames that flow to the destination anyway, k sized from the loss
+        the plane observes (:func:`_sends_for`: no repeat while no gap was
+        ever seen), so a lost frame costs one period; a newer change
+        restarts the count.  The refresh is the anti-entropy backstop and
+        carries the membership digest.  ``senders_only`` groups (Ω_l) emit
+        every round: their receivers' stream monitors feed on the cells.
 
         One template cell is built per round; destinations owing no
         membership delta share it, so a steady-state round allocates at
@@ -157,9 +181,9 @@ class GroupCells:
             # Stamps unchanged since the last full round: the payload is
             # provably identical, every destination is version-current and
             # owes no membership delta.  Skip the round outright while no
-            # per-destination refresh is due; otherwise refresh only the
-            # expired destinations, reusing the cached template cell (its
-            # fields equal what a rebuild would produce).
+            # per-destination refresh or repeat is due; otherwise touch only
+            # the destinations owed one, reusing the cached template cell
+            # (its fields equal what a rebuild would produce).
             if now < self._emit_quiet_until:
                 return
             refresh = self._refresh
@@ -167,6 +191,7 @@ class GroupCells:
             cell_state = self.cell_state
             entry = None
             oldest = now
+            owing = False
             for dest in dests:
                 state = cell_state.get(dest)
                 # A missing entry is a destination added by a *deferred*
@@ -178,6 +203,9 @@ class GroupCells:
                     if now - stamped < refresh:
                         if stamped < oldest:
                             oldest = stamped
+                        if len(state) > 2:
+                            owing = self._repeat(dest, state) or owing
+                            yield dest, template
                         continue
                 if entry is None:
                     # One (payload, stamp) entry per round, shared by every
@@ -185,7 +213,8 @@ class GroupCells:
                     entry = (self._emit_payload, now)
                 cell_state[dest] = entry
                 yield dest, template
-            self._emit_quiet_until = oldest + refresh
+            # While a repeat is still owed the very next frame carries it.
+            self._emit_quiet_until = now if owing else oldest + refresh
             return
         digest = view.digest64()
         template = AliveCell(
@@ -205,24 +234,35 @@ class GroupCells:
         refresh = self._refresh
         sent = self._sent_version
         cell_state = self.cell_state
-        #: One shared (payload, stamp) entry for everything sent this round.
+        #: One shared entry for every refresh or delta cell of this round,
+        #: one for every changed payload (the plane's loss is read once).
         entry = (payload, now)
+        changed = None
+        owing = False
         #: Oldest still-fresh per-destination send time this round relied
         #: on — the first refresh to expire bounds the quiet window.
         oldest = now
         for dest in dests:
             if sent is None or sent.get(dest, 0) >= version:
+                sending = entry
                 if suppressible:
                     state = cell_state.get(dest)
-                    if (
-                        state is not None
-                        and state[0] == payload
-                        and now - state[1] < refresh
-                    ):
+                    if state is None:
+                        pass  # first contact: one cell, as any refresh
+                    elif state[0] != payload:
+                        if changed is None:
+                            owed = _sends_for(self.plane.observed_loss()) - 1
+                            changed = (payload, now, owed) if owed else entry
+                            owing = owing or owed > 0
+                        sending = changed
+                    elif now - state[1] < refresh:
                         if state[1] < oldest:
                             oldest = state[1]
+                        if len(state) > 2:
+                            owing = self._repeat(dest, state) or owing
+                            yield dest, template
                         continue
-                cell_state[dest] = entry
+                cell_state[dest] = sending
                 yield dest, template
                 continue
             delta = view.delta_since(sent.get(dest, 0))
@@ -248,4 +288,4 @@ class GroupCells:
             self._emit_stamp_alg = stamp
             self._emit_template = template
             self._emit_payload = payload
-            self._emit_quiet_until = oldest + refresh
+            self._emit_quiet_until = now if owing else oldest + refresh

@@ -27,7 +27,7 @@ negative gap.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.fd.qos import LinkEstimate
 
@@ -132,6 +132,12 @@ class LinkQualityEstimator:
     @property
     def samples(self) -> int:
         return self._samples
+
+    def loss_counts(self) -> Tuple[float, float]:
+        """The raw decayed ``(lost, received)`` counters: no smoothing, so a
+        stream that never showed a gap reports exactly 0 lost — callers that
+        pool several streams sum these instead of averaging estimates."""
+        return self._lost, self._received
 
     def loss_probability(self) -> float:
         """Laplace-smoothed loss estimate (never exactly 0 or 1)."""

@@ -41,15 +41,23 @@ from repro.net.message import BatchFrame
 from repro.runtime.base import FdPlane
 from repro.sim.vector import deadline_timer
 
-__all__ = ["CELL_REFRESH", "PlaneListener", "FdPlaneBase", "NodeFdPlane", "StreamMonitor"]
+__all__ = ["CELL_REFRESH", "CELL_REPEAT_MISS", "CELL_REPEAT_CAP", "PlaneListener",
+           "FdPlaneBase", "NodeFdPlane", "StreamMonitor"]
 
 #: Steady-state cell refresh period, seconds.  Heartbeat *frames* flow at
 #: the FD-negotiated η per node pair, but an ``all_candidates`` group's
 #: election payload rides along only when it changed — plus one periodic
-#: refresh per this many seconds, which repairs lost change cells and
-#: doubles as membership anti-entropy.  This is what keeps heartbeat bytes
-#: O(node pairs) instead of O(groups × node pairs).
+#: refresh per this many seconds, the anti-entropy backstop for payload and
+#: membership alike.  This is what keeps heartbeat bytes O(node pairs)
+#: instead of O(groups × node pairs).
 CELL_REFRESH = 1.0
+
+#: Loss repair of a *changed* cell: it rides consecutive frames until the
+#: chance all were lost, at the loss this node observes, is at most the
+#: first number — but at most the second number of sends, so the repeats
+#: are over before the refresh above would have fired.
+CELL_REPEAT_MISS = 1e-3
+CELL_REPEAT_CAP = 4
 
 
 class PlaneListener(Protocol):
@@ -293,6 +301,16 @@ class NodeFdPlane(FdPlaneBase):
 
     def _grant(self, node: int, monitor: NfdsMonitor) -> None:
         monitor.grant_grace()  # one detection budget
+
+    def observed_loss(self) -> float:
+        # Pooled, not per link: one stream at 1 % loss shows its first gap
+        # after ~100 frames — blind for ~20 s after either end reboots.
+        lost = received = 0.0
+        for estimator in self._estimators.values():
+            stream_lost, stream_received = estimator.loss_counts()
+            lost += stream_lost
+            received += stream_received
+        return lost / (lost + received) if lost else 0.0
 
     def delta_for(self, node: int) -> float:
         """Current timeout shift δ toward ``node`` (bootstrap if unknown)."""

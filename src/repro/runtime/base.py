@@ -193,3 +193,9 @@ class FdPlane(Protocol):
         return ()
 
     def set_flush_hook(self, hook: Callable[[], None]) -> None: ...
+
+    def observed_loss(self) -> float:
+        """Fraction of peers' frames this node saw go missing, pooled over
+        the plane's incoming streams; exactly 0.0 until a gap was seen, and
+        on a plane that numbers no per-peer stream."""
+        return 0.0

@@ -266,6 +266,24 @@ class TestChaosCli:
         with mock.patch("repro.chaos.cli.FuzzProfile", lambda: FAST):
             assert chaos_cli.main(["run", "--script", str(path)]) == 0
 
+    def test_run_cli_runs_the_script_on_the_plane_it_was_given(self, tmp_path, capsys):
+        from repro.chaos.script import drop, heal
+
+        path = tmp_path / "scenario.json"
+        script = ChaosScript(steps=(drop(15.0, 0.2), heal(25.0)), duration=85.0)
+        path.write_text(json.dumps(script.to_dict()))
+
+        def run(*flags):
+            with mock.patch("repro.chaos.cli.FuzzProfile", lambda: FAST):
+                assert chaos_cli.main(["run", "--script", str(path), *flags]) == 0
+            fields = (line.partition(":") for line in capsys.readouterr().out.splitlines())
+            return {key.strip(): value.strip() for key, _, value in fields}
+
+        default, swim = run(), run("--fd-plane", "swim")
+        assert default["fd plane"] == "all_pairs" and swim["fd plane"] == "swim"
+        # Not just the label: a different plane is a different run.
+        assert default["trace digest"] != swim["trace digest"]
+
     def test_run_cli_rejects_bad_files(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert chaos_cli.main(["run", "--script", str(missing)]) == 2

@@ -70,6 +70,18 @@ class TestLossEstimation:
         est.observe(10, 1.0, 1.01)  # 9 lost
         assert est.loss_probability() > 0.5
 
+    def test_raw_counts_are_unsmoothed(self):
+        """Exactly zero lost on a gap-free stream (the smoothed estimate
+        never is); a gap shows at once and then decays, never to zero."""
+        est = LinkQualityEstimator(loss_window=64)
+        feed(est, 100)
+        lost, received = est.loss_counts()
+        assert lost == 0.0 and 0.0 < received <= 64.0
+        est.observe(102, 11.0, 11.01)  # 2 lost
+        assert est.loss_counts()[0] == 2.0
+        feed(est, 100, start_seq=103)
+        assert 0.0 < est.loss_counts()[0] < 2.0
+
     def test_adapts_when_conditions_change(self):
         """Exponential forgetting: a link that turns lossy is re-estimated."""
         rng = RngRegistry(5).stream("adapt")

@@ -60,14 +60,16 @@ def plane(request, sim, rng):
     return NodeFdPlane(monitor_class=NfdsMonitor, **shared)
 
 
+def frame(node, seq, now):
+    return BatchFrame(sender_node=node, dest_node=0, seq=seq, send_time=now, interval=0.25)
+
+
 def feed(plane, sim, node, seconds, every=0.1):
     """``node``'s frames keep arriving for ``seconds``."""
     until = sim.now + seconds
     seq = 0
     while sim.now < until:
-        plane.observe_frame(
-            BatchFrame(sender_node=node, dest_node=0, seq=seq, send_time=sim.now, interval=0.25)
-        )
+        plane.observe_frame(frame(node, seq, sim.now))
         seq += 1
         sim.run_until(sim.now + every)
 
@@ -173,6 +175,39 @@ def test_every_call_is_inert_after_shutdown(plane, sim):
     assert log == []
     if hasattr(plane, "transport"):
         assert len(plane.transport.sent) == sent  # the probe ring stopped
+
+
+def test_no_loss_is_observed_until_a_gap_is_seen(plane, sim):
+    watch(plane)
+    assert plane.observed_loss() == 0.0  # nothing heard yet
+    feed(plane, sim, PEER, 2.0)
+    assert plane.observed_loss() == 0.0  # exactly: a gap-free stream
+
+
+def test_all_pairs_pools_the_observed_loss_over_its_streams(sim):
+    plane = NodeFdPlane(
+        scheduler=sim, node_id=0, monitor_class=NfdsMonitor, cache=ConfiguratorCache()
+    )
+    for node in (PEER, PEER + 1):
+        watch(plane, node=node)
+    for seq in range(50):
+        plane.observe_frame(frame(PEER, seq, sim.now))
+    for seq in (0, 2):  # one frame of this young stream went missing
+        plane.observe_frame(frame(PEER + 1, seq, sim.now))
+    assert 1 / 60 < plane.observed_loss() < 1 / 40  # ≈ 1 lost of 53, not 1 of 3
+    plane.forget_node(PEER + 1)
+    assert plane.observed_loss() == 0.0
+
+
+def test_the_probing_plane_numbers_no_stream_and_reports_no_loss(sim, rng):
+    plane = SwimFdPlane(
+        scheduler=sim, transport=Wire(), node_id=0, rng=rng.stream("swim"),
+        cache=ConfiguratorCache(),
+    )
+    watch(plane)
+    for seq in (0, 5, 9):
+        plane.observe_frame(frame(PEER, seq, sim.now))
+    assert plane.observed_loss() == 0.0
 
 
 def test_a_plane_fed_by_headers_disseminates_nothing(sim):

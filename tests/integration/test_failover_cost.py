@@ -6,12 +6,18 @@ nodes agree again.  Each survivor rescans when it suspects the dead leader
 itself and when the last forward naming it goes (≈ 2), the rejoin moves the
 membership version (≈ 1–2): ≈ 4 n in all.  Rescanning on every re-forward
 that *ties* the dead leader — n − 2 of them per survivor — made it ≈ n².
+
+And a lost change cell costs one η, not one ``CELL_REFRESH``: the second
+half drops exactly one survivor→survivor change cell of a failover and
+times how long the dead leader stays in some survivor's view.
 """
 
 import pytest
 
+from repro.chaos.transport import ChaosTransport
 from repro.experiments.runner import build_system
 from repro.experiments.scenario import ExperimentConfig
+from repro.net.message import BatchFrame
 
 GROUP = 1
 WARMUP = 6.0
@@ -75,3 +81,90 @@ def test_failover_recomputes_are_linear_in_group_size(plane):
     assert 32 <= small <= 6 * 32
     large = failover_recomputes(64, plane)
     assert large <= 2.6 * small
+
+
+class DropOneChangeCell(ChaosTransport):
+    """Once armed, cuts ``pair`` for exactly the next frame on it whose
+    cell differs from the last cell that pair carried."""
+
+    pair = None
+    armed = False
+    dropped = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._last = {}
+
+    def send(self, message):
+        if type(message) is BatchFrame and message.cells:
+            key = (message.sender_node, message.dest_node)
+            cell = message.cells[0]
+            payload = (cell.acc_time, cell.phase, cell.local_leader, cell.local_leader_acc)
+            if self.armed and key == self.pair and payload != self._last.get(key):
+                self.armed = False
+                self.dropped += 1
+                self.cut_link(*key)
+                super().send(message)
+                self.clear_cuts()
+                return
+            self._last[key] = payload
+        super().send(message)
+
+
+LOSSY_WARMUP = 20.0  # every node has seen a gap by then (1 % of ~1 300 frames)
+
+
+def lossy_system(seed, **links):
+    """12 nodes sending through a :class:`DropOneChangeCell`, warmed up."""
+
+    def wrap(network, sim, rng):
+        return DropOneChangeCell(network, sim, rng.stream("chaos.transport"))
+
+    config = ExperimentConfig(
+        name="lost-change-cell", n_nodes=12, seed=seed, node_churn=False,
+        duration=60.0, warmup=LOSSY_WARMUP, **links,
+    )
+    system = build_system(config, transport_wrapper=wrap)
+    system.sim.run_until(LOSSY_WARMUP)
+    leader = agreed_leader(system, 12)
+    assert leader is not None
+    return system, leader
+
+
+def repeats(system):
+    return sum(
+        host.service.group_runtime(GROUP).cells.cells_repeated
+        for host in system.hosts
+        if host.service is not None
+    )
+
+
+@pytest.mark.parametrize("seed, pair", [(1, (0, 1)), (2, (3, 8)), (3, (10, 2))])
+def test_a_lost_change_cell_costs_one_period_not_one_refresh(seed, pair):
+    system, leader = lossy_system(seed, link_delay_mean=0.010, link_loss_prob=0.01)
+    sim, transport = system.sim, system.transport
+    survivors = [host for host in system.hosts if host.service.node.node_id != leader]
+    sender, receiver = survivors[pair[0]].service, survivors[pair[1]].service
+    assert sender.plane.observed_loss() > 0.001  # it has something to size k from
+    transport.pair = (sender.node.node_id, receiver.node.node_id)
+    transport.armed = True
+    detection = system.config.qos.detection_time
+    eta = max(host.service.batcher.interval() for host in survivors)
+    system.network.node(leader).crash()
+    killed = sim.now
+    sim.run_until(killed + detection + 2 * eta)
+    assert transport.dropped == 1
+    stale = [h.service.node.node_id for h in survivors if h.service.leader_of(GROUP) == leader]
+    assert stale == []  # the parent waits out the refresh: ≈ 2.05 s
+
+
+def test_on_a_network_that_loses_nothing_nothing_is_sent_twice():
+    # Constant-delay, loss-free links: no sequence gap is ever observed, so
+    # a failover puts on the wire exactly what it did before repeats
+    # existed — the byte total below was measured on the parent commit.
+    system, leader = lossy_system(3, link_delay_mean=0.0, link_loss_prob=0.0)
+    system.network.node(leader).crash()
+    system.sim.run_until(30.0)
+    assert agreed_leader(system, 11) not in (None, leader)
+    assert repeats(system) == 0
+    assert sum(system.network.node(n).meter.bytes_sent for n in range(12)) == 1_641_470
