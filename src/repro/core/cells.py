@@ -36,7 +36,7 @@ class GroupCells:
     __slots__ = (
         "group", "pid", "scheduler", "view", "algorithm", "plane",  # read off the membership
         "cell_state", "stream_monitors", "_membership", "_sent_version", "_batcher",
-        "_dest_nodes", "_refresh", "_emit_quiet_until", "_emit_stamp_version",
+        "_dest_nodes", "refresh", "_emit_quiet_until", "_emit_stamp_version",
         "_emit_stamp_alg", "_emit_template", "_emit_payload", "cells_repeated",
     )
 
@@ -53,8 +53,9 @@ class GroupCells:
         #: destinations are owed a delta (None: cells carry none).
         self._membership = membership
         self._sent_version = membership.sent_version if membership.cell_deltas else None
-        #: Steady-state re-send period of an unchanged cell under this plane.
-        self._refresh = plane.cell_refresh
+        #: Steady-state re-send period of an unchanged cell under this plane
+        #: (the horizon inside which the gossip rounds call a peer covered).
+        self.refresh = plane.cell_refresh
         #: Per-destination (election payload, time of its first send or last
         #: refresh) — plus, only while there are any, the repeats still owed —
         #: for change-triggered emission with loss-sized repeats and refresh.
@@ -123,6 +124,8 @@ class GroupCells:
             self._membership.view_changed_by_cell()
         if cell.view_digest != self.view.digest64():
             self._membership.push_sync(sender)
+        elif self._sent_version is None:  # a no-op where cells carry deltas
+            self._membership.digests_agree(sender)
 
     def dest_nodes(self) -> Tuple[int, ...]:
         """Frame destinations for this group (CellSource protocol)."""
@@ -186,7 +189,7 @@ class GroupCells:
             # (its fields equal what a rebuild would produce).
             if now < self._emit_quiet_until:
                 return
-            refresh = self._refresh
+            refresh = self.refresh
             template = self._emit_template
             cell_state = self.cell_state
             entry = None
@@ -231,7 +234,7 @@ class GroupCells:
             template.local_leader_acc,
         )
         stamp = self.algorithm.emit_stamp()
-        refresh = self._refresh
+        refresh = self.refresh
         sent = self._sent_version
         cell_state = self.cell_state
         #: One shared entry for every refresh or delta cell of this round,

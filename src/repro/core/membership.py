@@ -56,7 +56,7 @@ class Membership:
         "algorithm", "bootstrap", "hello_period", "meter", "forget_peer",
         # owned
         "sent_version", "_next_sync", "_peer_nodes_cache", "_peer_nodes_version",
-        "_interested_nodes", "_hello_timer", "_shut_down",
+        "_interested_nodes", "_hello_timer", "_shut_down", "hellos_sent",
         # the two riders and what the rounds read of them (see carry)
         "_cells", "_cell_state", "_leases", "_ledger", "_lease_sent",
     )
@@ -101,6 +101,10 @@ class Membership:
             initial_delay=first_round,
         )
         self._shut_down = False
+        #: Instrumentation only: round HELLOs sent with nothing owed / with a
+        #: view or ledger delta, and digest-repair syncs pushed (the join and
+        #: reply handshake, bounded by the join fan-out, is not counted).
+        self.hellos_sent = {"empty": 0, "delta": 0, "sync": 0}
 
     def carry(self, cells, leases) -> None:
         """Hand over the two riders built on top of this object: the cell
@@ -210,7 +214,7 @@ class Membership:
         # Piggyback the plane's bounded rumour batch on whatever HELLO
         # round is going out (one batch per round: every message of the
         # round carries it, the dissemination budget burns once).
-        updates = self.plane.piggyback()
+        updates = self.plane.piggyback("hello")
         if updates:
             fields["swim_updates"] = updates
         return fields
@@ -242,6 +246,13 @@ class Membership:
             leases = self._leases.sync_due(message)
             if view or leases:
                 self.push_sync(message.sender_node, view, leases)
+            if not view:
+                self.digests_agree(message.sender_node)
+
+    def digests_agree(self, node: int) -> None:
+        """A HELLO (its members merged) or a cell from ``node`` carried our
+        own view digest.  Nothing to do where cells share the shipped-version
+        cursor (flood); bounded gossip stops owing the peer a delta."""
 
     def push_sync(
         self, dest_node: int, view: bool = True, leases: bool = False
@@ -262,6 +273,7 @@ class Membership:
         if members is None:
             return  # budget exhausted; the gossip rounds converge the rest
         self._next_sync[dest_node] = now + self.hello_period
+        self.hellos_sent["sync"] += 1
         records = self._leases.sync_for(dest_node) if leases else ()
         self.transport.send(
             HelloMessage(
@@ -306,17 +318,26 @@ class Membership:
             )
         )
 
+    def _send_round(self, hellos: List[HelloMessage]) -> None:
+        if hellos:
+            self.transport.send_batch(hellos)
+            deltas = sum(1 for hello in hellos if hello.members or hello.leases)
+            self.hellos_sent["delta"] += deltas
+            self.hellos_sent["empty"] += len(hellos) - deltas
+
     def send_hellos(self) -> None:
         """Periodic gossip: a membership *delta* (and digest) per peer node.
 
         Steady state ships an empty delta — the digest doubles as the
         anti-entropy heartbeat that lets a diverged peer notice and repair
-        even when this group's cells are silent.  A peer that received a
-        cell within the last hello period already holds our current digest
-        (cells carry it), so its gossip is skipped entirely — in a healthy
-        all-candidates group the cell refreshes replace gossip wholesale,
-        removing the last O(groups × node pairs) steady-state message
-        stream.
+        even when this group's cells are silent.  A peer a cell still covers
+        already holds our current digest (cells carry it), so its gossip is
+        skipped entirely: in a healthy all-candidates group the cell
+        refreshes replace gossip wholesale, removing the last
+        O(groups × node pairs) steady-state message stream.  *Covered* is
+        the strategy's call: within the last hello period where cells
+        refresh that often (flood), within the emitter's own refresh
+        horizon where they refresh slower (bounded).
         """
         if self._shut_down:
             return
@@ -390,8 +411,7 @@ class FloodMembership(Membership):
                 if fields is None:
                     fields = self.hello_fields()
                 hellos.append(HelloMessage(dest_node=node, **fields))
-            if hellos:
-                self.transport.send_batch(hellos)
+            self._send_round(hellos)
             if all_covered:
                 self._hello_quiet_until = oldest + hello_period
             return
@@ -423,8 +443,7 @@ class FloodMembership(Membership):
             hellos.append(
                 HelloMessage(dest_node=node, members=delta, leases=lease_delta, **fields)
             )
-        if hellos:
-            self.transport.send_batch(hellos)
+        self._send_round(hellos)
         self._hello_stamp = (version, lease_version)
         if all_covered:
             self._hello_quiet_until = oldest + hello_period
@@ -493,6 +512,13 @@ class BoundedMembership(Membership):
         super()._forget_node(node)
         self._sync_cursor.pop(node, None)
 
+    def digests_agree(self, node: int) -> None:
+        # Digest equality is view equality (anti-entropy's own premise): the
+        # peer holds every record we do, so the delta our merge of *its* news
+        # just made us owe it — an echo, n² of them per membership change —
+        # is not owed.
+        self.sent_version[node] = self.view.version
+
     def _join_targets(self, peers: List[int]) -> List[int]:
         """This node's id-ring successors only, whose replies seed the view;
         gossip and the epidemic plane spread the newcomer to everyone else.
@@ -537,15 +563,19 @@ class BoundedMembership(Membership):
         eventually visited, and each carries at most
         :data:`_SWIM_DELTA_CAP` membership records — the shipped-version
         cursor advances only to the window's watermark, streaming the rest
-        across rounds.  Peers that owe nothing and were covered by a fresh
-        cell are skipped for free, so the steady-state cost matches the
-        flood round's quiet path while the worst case stays O(k).
+        across rounds.  Peers that owe nothing and that a cell still covers
+        are skipped for free.  Coverage lasts the emitter's refresh period
+        (plus one hello period, to ride out the round on which the refresh
+        falls due): an empty-delta HELLO carries nothing but the view digest
+        the cell delivered, and the lease digest has its own carrier (the
+        lease server's probe).  So the steady-state cost matches the flood
+        round's quiet path — zero — while the worst case stays O(k).
         """
         view = self.view
         version = view.version
         ledger = self._ledger
         lease_version = ledger.version
-        hello_period = self.hello_period
+        horizon = self._cells.refresh + self.hello_period
         cell_state = self._cell_state
         sent = self.sent_version
         lease_sent = self._lease_sent
@@ -562,7 +592,7 @@ class BoundedMembership(Membership):
             last = sent.get(node, 0)
             lease_last = lease_sent.get(node, 0)
             state = cell_state.get(node)
-            covered = state is not None and now - state[1] < hello_period
+            covered = state is not None and now - state[1] < horizon
             if covered and last >= version and lease_last >= lease_version:
                 continue
             if budget <= 0:
@@ -582,8 +612,7 @@ class BoundedMembership(Membership):
             )
         else:
             self._gossip_cursor = start
-        if hellos:
-            self.transport.send_batch(hellos)
+        self._send_round(hellos)
 
 
 def membership_for(plane) -> Type[Membership]:

@@ -28,6 +28,7 @@ Per-destination state that must *not* be shared:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Iterable, Optional, Protocol, Tuple
 
 import numpy as np
@@ -281,8 +282,11 @@ class AliveBatcher:
         payload_only = self._payload_only
         rumours = self._rumours
         # Read once per round: nothing below can queue a rumour, and while
-        # any is pending every destination gets its piggyback() call in
-        # order — the calls are the rumours' budget burn.
+        # any is pending every destination gets its piggyback() call — the
+        # calls are the rumours' budget burn.  They are made in id-ring order
+        # from this node's successor, not in frame order: a budget shorter
+        # than the fan-out then reaches a different arc of the ring from
+        # every holder, instead of the same lowest ids from all of them.
         gossiping = rumours is not None and rumours.has_rumours()
         if not per_dest or (payload_only and not emitted and not gossiping):
             return  # SWIM mode with nothing to say: no destination walk
@@ -290,9 +294,13 @@ class AliveBatcher:
         interval = self.interval()
         seqs = self._seqs
         node_id = self.node_id
+        if gossiping:
+            ring = sorted(per_dest)
+            after = bisect_right(ring, node_id)
+            handed = {dest: rumours.piggyback("frame") for dest in ring[after:] + ring[:after]}
         frames = []
         for dest, cells in per_dest.items():
-            updates = rumours.piggyback() if gossiping else ()
+            updates = handed[dest] if gossiping else ()
             if payload_only and not cells and not updates:
                 # SWIM mode: the header is not the liveness signal, so a
                 # frame with nothing to say is not sent at all.  The seq

@@ -13,8 +13,18 @@ bounded by one ring round, SWIM §4.3).  A missed direct ACK escalates to
 ``j`` indirect ``ping-req`` relays before the target is declared suspect,
 which keeps one lossy direct path from producing a false suspicion.
 Alive/suspect/confirm updates disseminate epidemically by piggybacking
-bounded batches on whatever already travels: probe traffic, heartbeat
-:class:`~repro.net.message.BatchFrame` fan-outs, and HELLO gossip.
+bounded batches on whatever already travels.  Three carriers ask
+:meth:`SwimFdPlane.piggyback` for one, each call burning one send of every
+rumour handed: the heartbeat :class:`~repro.net.message.BatchFrame` fan-out
+(one batch per destination, offered in id-ring order from the node's
+successor so that holders cover different arcs — the carrier that brings a
+suspicion to the whole group, on the flush it causes), probe traffic (one
+per ping, ping-req and ack) and HELLO gossip (one per round, shared by the
+round's messages; rare since quiet rounds send nothing).  A rumour is queued
+*before* the transition it reports is fanned to the listeners — state before
+the reaction to it, as with a cell's payload before trust: the reaction may
+flush the frames, and a flush that leaves without the rumour costs it a
+whole η.
 
 What stays the paper's math:
 
@@ -203,6 +213,8 @@ class SwimFdPlane(FdPlaneBase):
         self.incarnation = 0
         #: node -> [winning update, remaining piggyback sends].
         self._rumours: "OrderedDict[int, list]" = OrderedDict()
+        #: Instrumentation only: non-empty rumour batches handed to each carrier.
+        self.batches_handed = {"frame": 0, "probe": 0, "hello": 0}
         #: Bounded estimator LRU over currently-probed peers.
         self._links: "OrderedDict[int, _LinkState]" = OrderedDict()
         #: Urgent-dissemination hook (the batcher's flush), set by the
@@ -579,6 +591,9 @@ class SwimFdPlane(FdPlaneBase):
         now = self.scheduler.now
         peer.incarnation = incoming.incarnation
         peer.status = incoming.state
+        # Winning news keeps travelling — queued before the fan (module
+        # docstring): the flush the fan may cause must find the rumour.
+        self._queue_rumour(incoming)
         if incoming.state == "alive":
             if not peer.trusted:
                 peer.trusted = True
@@ -596,7 +611,6 @@ class SwimFdPlane(FdPlaneBase):
                 self._fan_suspect(node)
             elif incoming.state == "confirm":
                 peer.confirm_at = _INF  # confirmed elsewhere; stop our clock
-        self._queue_rumour(incoming)  # winning news keeps travelling
 
     def _queue_rumour(self, update: SwimUpdate) -> None:
         existing = self._rumours.get(update.node)
@@ -614,7 +628,7 @@ class SwimFdPlane(FdPlaneBase):
         """Whether :meth:`piggyback` would return anything (burns nothing)."""
         return bool(self._rumours)
 
-    def piggyback(self) -> Tuple[SwimUpdate, ...]:
+    def piggyback(self, carrier: str = "probe") -> Tuple[SwimUpdate, ...]:
         """Up to :data:`MAX_PIGGYBACK` updates, freshest-first.
 
         Preferring the *least*-disseminated rumours (highest remaining
@@ -624,6 +638,7 @@ class SwimFdPlane(FdPlaneBase):
         rumours = self._rumours
         if not rumours:
             return ()
+        self.batches_handed[carrier] += 1
         picked = sorted(rumours.items(), key=lambda kv: (-kv[1][1], kv[0]))
         out = []
         for node, entry in picked[:MAX_PIGGYBACK]:

@@ -189,7 +189,7 @@ class FdPlane(Protocol):
     def has_rumours(self) -> bool:
         return False
 
-    def piggyback(self) -> Tuple["SwimUpdate", ...]:
+    def piggyback(self, carrier: str = "probe") -> Tuple["SwimUpdate", ...]:
         return ()
 
     def set_flush_hook(self, hook: Callable[[], None]) -> None: ...

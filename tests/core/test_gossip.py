@@ -1,0 +1,163 @@
+"""What the bounded (swim) gossip spends on news everyone already has.
+
+Counts only, through ``Membership.hellos_sent`` (round HELLOs with nothing
+owed / with a delta, and digest-repair syncs): a quiet group whose cells
+cover every peer sends no round HELLO at all, a rejoin costs the group a
+number of HELLOs linear in n, and a peer that shows our own view digest is
+owed no delta — while the flood strategy, which shares the shipped-version
+cursor with its cells, does exactly what it did.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.experiments.runner import build_system
+from repro.experiments.scenario import ExperimentConfig
+from repro.net.message import AliveCell, BatchFrame, HelloMessage
+
+GROUP = 1
+BOOTSTRAP = 10.0
+HELLO_PERIOD = 1.0
+
+
+def group_of(n, plane):
+    config = ExperimentConfig(
+        name=f"gossip-{plane}-{n}", n_nodes=n, seed=3, node_churn=False,
+        duration=60.0, warmup=BOOTSTRAP, fd_plane=plane,
+    )
+    system = build_system(config)
+    system.sim.run_until(BOOTSTRAP)
+    return system
+
+
+def runtimes(system):
+    return [
+        host.service.group_runtime(GROUP) for host in system.hosts if host.service is not None
+    ]
+
+
+def hellos(system):
+    total = Counter()
+    for runtime in runtimes(system):
+        total.update(runtime.membership.hellos_sent)
+    return total
+
+
+def rejoin_hellos(system, node=5):
+    """HELLOs the survivors and the rebooted daemon spend on one rejoin (the
+    crash itself moves no view; the victim's counters die with its daemon)."""
+    victim = system.network.node(node)
+    victim.crash()
+    system.sim.run_until(system.sim.now + 6.0)
+    before = hellos(system)
+    victim.recover()
+    system.sim.run_until(system.sim.now + 10.0)
+    views = {runtime.view.digest64() for runtime in runtimes(system)}
+    assert len(views) == 1 and len(runtimes(system)) == len(system.hosts)
+    return hellos(system) - before
+
+
+def test_a_quiet_swim_group_sends_no_round_hello():
+    system = group_of(32, "swim")
+    now = system.sim.now
+    for runtime in runtimes(system):
+        assert len(runtime.membership.peer_nodes()) == 31
+        horizon = runtime.cells.refresh + HELLO_PERIOD
+        stamps = [state[1] for state in runtime.cells.cell_state.values()]
+        assert len(stamps) == 31 and all(now - stamp < horizon for stamp in stamps)
+    before = hellos(system)
+    system.sim.run_until(now + 10 * HELLO_PERIOD)
+    # The parent: 16 empty-delta HELLOs per node per period, three periods
+    # in four (cells refresh every 4 s, coverage lapsed after 1 s) ≈ 4 000.
+    assert hellos(system) - before == Counter()
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_a_rejoin_costs_the_swim_group_hellos_linear_in_n(n):
+    spent = rejoin_hellos(group_of(n, "swim"))
+    # A pair settles the news with one HELLO, not one each way (n/2 a node),
+    # and a node spends at most its fan-out for the periods a cell refresh
+    # takes to bring it every peer's digest (16 × 4).  Measured 271 and
+    # 2 441; the parent, echoing every merged record back to all n − 1
+    # peers, spent 985 and 17 423 on deltas and syncs.
+    assert 0 < spent["delta"] + spent["sync"] <= n * min(n // 2, 64)
+    assert spent["empty"] <= n  # nor does coverage lapse meanwhile
+
+
+def hello_from(sender, receiver, digest):
+    return HelloMessage(
+        sender_node=sender.membership.node_id,
+        dest_node=receiver.membership.node_id,
+        group=GROUP,
+        view_version=sender.view.version,
+        view_digest=digest,
+        lease_digest=receiver.leases.ledger.digest64(),
+    )
+
+
+def cell_from(sender, digest):
+    cell = AliveCell(
+        group=GROUP, pid=sender.pid, view_version=sender.view.version, view_digest=digest
+    )
+    sender.algorithm.fill_alive(cell)
+    frame = BatchFrame(
+        sender_node=sender.membership.node_id, dest_node=0, send_time=sender.scheduler.now
+    )
+    return frame, cell
+
+
+def deliver(kind, sender, receiver, digest):
+    if kind == "hello":
+        receiver.membership.handle_hello(hello_from(sender, receiver, digest))
+    else:
+        receiver.cells.handle_cell(sender.membership.node_id, *cell_from(sender, digest))
+
+
+@pytest.fixture(scope="module", params=["swim", "all_pairs"])
+def pair(request):
+    """(plane, receiver, sender) of a converged four-node group."""
+    receiver, sender = runtimes(group_of(4, request.param))[:2]
+    assert receiver.view.digest64() == sender.view.digest64()
+    return request.param, receiver, sender
+
+
+@pytest.mark.parametrize("kind", ["hello", "cell"])
+def test_an_agreeing_digest_stamps_the_bounded_cursor_only(pair, kind):
+    plane, receiver, sender = pair
+    membership, peer = receiver.membership, sender.membership.node_id
+    version = receiver.view.version
+    membership.sent_version[peer] = version - 1  # as after merging the peer's news
+    deliver(kind, sender, receiver, receiver.view.digest64())
+    # Flood shares the cursor with its cells: stamping it would move which
+    # cell carries a delta, and with it every all-pairs digest.
+    assert membership.sent_version[peer] == (version if plane == "swim" else version - 1)
+
+
+@pytest.mark.parametrize("kind", ["hello", "cell"])
+def test_a_differing_digest_never_stamps_and_asks_for_a_sync(pair, kind):
+    _, receiver, sender = pair
+    membership, peer = receiver.membership, sender.membership.node_id
+    version = receiver.view.version
+    membership.sent_version[peer] = version - 1
+    membership._next_sync.pop(peer, None)
+    syncs = membership.hellos_sent["sync"]
+    deliver(kind, sender, receiver, receiver.view.digest64() ^ 1)
+    assert membership.hellos_sent["sync"] == syncs + 1
+    # (a flood sync ships the whole view and stamps; a bounded one streams a
+    # window off its own rotation and leaves the delta cursor alone)
+    assert membership.sent_version[peer] == (version if membership.cell_deltas else version - 1)
+
+
+def test_the_flood_strategy_gossips_exactly_as_before():
+    # Same two scenarios on the all-pairs plane; the digest and the counts
+    # (taken off the wire there) were measured on the parent commit.
+    system = group_of(32, "all_pairs")
+    before = hellos(system)
+    system.sim.run_until(system.sim.now + 10 * HELLO_PERIOD)
+    assert hellos(system) - before == Counter(empty=1382)
+    assert rejoin_hellos(system) == Counter(empty=1273, delta=90, sync=40)
+    assert system.trace.digest() == PARENT_FLOOD_DIGEST
+
+
+PARENT_FLOOD_DIGEST = "63cb787c3c32ad3888fc82361e153641d19070c3d12907f947806147af7c1957"

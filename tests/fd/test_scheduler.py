@@ -1,5 +1,7 @@
 """Unit tests for the node-level ALIVE batcher."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.fd.scheduler import AliveBatcher
@@ -50,7 +52,7 @@ class FakeRumours:
     def has_rumours(self):
         return self.batches > 0
 
-    def piggyback(self):
+    def piggyback(self, carrier="probe"):
         self.calls += 1
         if self.batches <= 0:
             return ()
@@ -58,11 +60,11 @@ class FakeRumours:
         return (SwimUpdate(node=9, incarnation=self.calls, state="suspect"),)
 
 
-def make_batcher(sim, network, rng, **kwargs):
+def make_batcher(sim, network, rng, node_id=0, **kwargs):
     return AliveBatcher(
         scheduler=sim,
         transport=network,
-        node_id=0,
+        node_id=node_id,
         rng=rng.stream("batcher"),
         **kwargs,
     )
@@ -206,9 +208,9 @@ class TestPayloadOnly:
     def test_pending_rumours_are_offered_to_every_destination_in_order(
         self, sim, network, rng
     ):
-        """While anything is pending the round is the per-destination loop
-        it always was — one piggyback() per destination, in destination
-        order: the calls are the rumours' dissemination budget."""
+        """While anything is pending every destination gets its piggyback()
+        call, in id-ring order from the node's successor (node 0: plain
+        destination order): the calls are the rumours' dissemination budget."""
         rumours = FakeRumours()
         batcher = make_batcher(sim, network, rng, plane=rumours)
         boxes = [collect(network, n) for n in (1, 2, 3)]
@@ -223,6 +225,27 @@ class TestPayloadOnly:
         assert carried == [[1], [2], []]
         assert [len(box) for box in boxes] == [1, 1, 0]
         assert batcher._seqs == {1: 1, 2: 1}
+
+    def test_two_holders_hand_a_short_budget_to_different_arcs_of_the_ring(self, sim, rng):
+        """A budget shorter than the fan-out goes to the holder's id-ring
+        successors — from every holder to the same lowest ids, it reached
+        nobody else.  The order frames are *sent* in stays destination order."""
+        sent = []
+        wire = SimpleNamespace(send_batch=sent.extend)
+        for holder in (1, 4):
+            rumours = FakeRumours()
+            batcher = make_batcher(sim, wire, rng, node_id=holder, plane=rumours)
+            batcher.add_group(1, QuietSource(1, [n for n in range(6) if n != holder]), eta=0.25)
+            batcher.set_active(1, True)
+            sim.run_until(sim.now + 1.0)
+            rumours.batches = 2
+            batcher.flush()
+            assert rumours.calls == 5
+            batcher.shutdown()
+        handed = [
+            (f.sender_node, f.dest_node, [u.incarnation for u in f.swim_updates]) for f in sent
+        ]
+        assert handed == [(1, 2, [1]), (1, 3, [2]), (4, 0, [2]), (4, 5, [1])]
 
     def test_cells_travel_without_asking_an_empty_rumour_buffer(self, sim, network, rng):
         rumours = FakeRumours()

@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fd.configurator import ConfiguratorCache
+from repro.fd.scheduler import AliveBatcher
 from repro.fd.swim import LINKS_CAP, MAX_PIGGYBACK, RUMOUR_BUFFER, SwimFdPlane
 from repro.net.message import (
+    BatchFrame,
     SwimAckMessage,
     SwimPingMessage,
     SwimPingReqMessage,
@@ -27,6 +29,8 @@ from repro.net.message import (
     swim_update_wins,
 )
 from repro.fd.qos import FDQoS
+
+from tests.fd.test_scheduler import QuietSource
 
 
 class Listener:
@@ -112,12 +116,12 @@ class ScriptedCluster:
         )
 
 
-def make_plane(sim, rng, peers, cluster=None, **kw):
+def make_plane(sim, rng, peers, cluster=None, node_id=0, **kw):
     cluster = cluster if cluster is not None else ScriptedCluster(sim)
     plane = SwimFdPlane(
         scheduler=sim,
         transport=cluster,
-        node_id=0,
+        node_id=node_id,
         rng=rng.stream("swim.0"),
         cache=ConfiguratorCache(),
         **kw,
@@ -269,6 +273,39 @@ updates_about = st.builds(
     incarnation=st.integers(min_value=0, max_value=6),
     state=st.sampled_from(("alive", "suspect", "confirm")),
 )
+
+
+class TestRumourCarriers:
+    def test_the_flush_a_rumoured_suspicion_causes_carries_the_rumour(self, sim, rng):
+        """Queue before fan: the suspect transition moves the election's
+        choice, which flushes the batcher *inside* the fan — a rumour queued
+        after it finds the flush gone (empty, in payload-only mode not even
+        sent) and waits a whole η for the next round."""
+        plane, cluster, listener = make_plane(sim, rng, peers=[1, 2, 3])
+        batcher = AliveBatcher(sim, cluster, 0, rng.stream("batcher"), plane=plane)
+        batcher.add_group(1, QuietSource(1, [1, 2, 3]), eta=0.25)
+        batcher.set_active(1, True)
+        listener.on_node_suspect = lambda node: batcher.flush()  # the election's reaction
+        plane.grant_grace(3)
+        assert plane.trusted(3) and not plane.has_rumours()
+        rumour = SwimUpdate(node=3, incarnation=0, state="suspect")
+        plane.apply_updates((rumour,))
+        assert not plane.trusted(3)
+        frames = [m for m in cluster.sent if isinstance(m, BatchFrame)]
+        assert [f.dest_node for f in frames] == [1, 2, 3]
+        assert all(f.swim_updates == (rumour,) for f in frames)
+        assert plane.batches_handed == {"frame": 3, "probe": 0, "hello": 0}
+
+    def test_batches_are_counted_by_carrier_and_only_when_handed(self, sim, rng):
+        plane, cluster, listener = make_plane(sim, rng, peers=[1, 2, 3])
+        assert plane.piggyback("hello") == () and plane.piggyback() == ()
+        assert plane.batches_handed == {"frame": 0, "probe": 0, "hello": 0}
+        plane.grant_grace(2)
+        plane.apply_updates((SwimUpdate(node=2, incarnation=0, state="suspect"),))
+        assert len(plane.piggyback("hello")) == 1
+        plane.on_ping(SwimPingMessage(sender_node=1, dest_node=0, nonce=7, origin=1))
+        assert cluster.sent[-1].updates  # the ack carried a batch
+        assert plane.batches_handed == {"frame": 0, "probe": 1, "hello": 1}
 
 
 class TestUpdateProperties:

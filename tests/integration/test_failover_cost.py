@@ -17,7 +17,7 @@ import pytest
 from repro.chaos.transport import ChaosTransport
 from repro.experiments.runner import build_system
 from repro.experiments.scenario import ExperimentConfig
-from repro.net.message import BatchFrame
+from repro.net.message import BatchFrame, HelloMessage
 
 GROUP = 1
 WARMUP = 6.0
@@ -168,3 +168,55 @@ def test_on_a_network_that_loses_nothing_nothing_is_sent_twice():
     assert agreed_leader(system, 11) not in (None, leader)
     assert repeats(system) == 0
     assert sum(system.network.node(n).meter.bytes_sent for n in range(12)) == 1_641_470
+
+
+class HelloTimes(ChaosTransport):
+    """Notes when each HELLO is handed to the wire."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.hellos = []
+
+    def send(self, message):
+        if type(message) is HelloMessage:
+            self.hellos.append(self.scheduler.now)
+        super().send(message)
+
+
+def test_a_suspicion_rumour_reaches_every_swim_survivor_on_the_flush_it_causes():
+    # 50 nodes, loss-free 25 µs links.  The first survivor to time a probe
+    # out queues the rumour and flushes; each receiver queues it *before*
+    # the suspicion moves its election and flushes in turn, and each holder
+    # hands its budgeted batches to its own ring successors — two or three
+    # hops.  The parent's flush left without the rumour and every holder
+    # spent its budget on ids 0–21: the rest waited for a ping, an ack or a
+    # HELLO to bring it, 0.19 s in the median and up to 0.8 s.
+    def wrap(network, sim, rng):
+        return HelloTimes(network, sim, rng.stream("chaos.transport"))
+
+    config = ExperimentConfig(
+        name="rumour-rides-the-flush", n_nodes=50, seed=3, node_churn=False,
+        duration=DEADLINE, warmup=WARMUP, fd_plane="swim",
+    )
+    system = build_system(config, transport_wrapper=wrap)
+    sim = system.sim
+    sim.run_until(WARMUP)
+    leader = agreed_leader(system, 50)
+    assert leader is not None
+    suspected = {}
+    for host in system.hosts:
+        plane, node = host.service.plane, host.service.node.node_id
+        if node != leader:
+            def note(peer, node=node, fan=plane._fan_suspect):
+                if peer == leader:
+                    suspected.setdefault(node, sim.now)
+                fan(peer)
+            plane._fan_suspect = note
+    system.network.node(leader).crash()
+    sim.run_until(sim.now + 5.0)
+    assert len(suspected) == 49
+    first, last = min(suspected.values()), max(suspected.values())
+    assert last - first < 1e-3
+    assert not [t for t in system.transport.hellos if first <= t <= last]
+    frames = sum(h.service.plane.batches_handed["frame"] for h in system.hosts if h.service)
+    assert frames >= 49  # the carrier was the frame fan-out
