@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,6 +34,7 @@ from repro.chaos.fuzz import (
 from repro.chaos.run import ChaosRunConfig, ChaosRunResult, run_scripted
 from repro.chaos.script import ChaosScript
 from repro.core.election.registry import available_algorithms
+from repro.core.service import FD_PLANES
 
 __all__ = ["build_parser", "main"]
 
@@ -72,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--fd-plane",
             default=None,
-            choices=["all_pairs", "swim"],
+            choices=FD_PLANES,
             help="node-level FD plane the cases run under",
         )
 
@@ -119,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _profile_from_args(args: argparse.Namespace) -> FuzzProfile:
-    profile = FuzzProfile()
     changes = {}
     if args.nodes is not None:
         changes["n_nodes"] = args.nodes
@@ -135,11 +136,7 @@ def _profile_from_args(args: argparse.Namespace) -> FuzzProfile:
         changes["transfer_ratio"] = args.transfer_ratio
     if args.fd_plane is not None:
         changes["fd_plane"] = args.fd_plane
-    if changes:
-        from dataclasses import replace
-
-        profile = replace(profile, **changes)
-    return profile
+    return replace(FuzzProfile(), **changes)
 
 
 def _print_report(result: ChaosRunResult) -> None:
@@ -162,8 +159,7 @@ def _print_report(result: ChaosRunResult) -> None:
             print(f"  [{violation.invariant}] t={violation.time:.2f} {violation.detail}")
 
 
-def _run_fuzz(args: argparse.Namespace) -> int:
-    profile = _profile_from_args(args)
+def _run_fuzz(args: argparse.Namespace, profile: FuzzProfile) -> int:
     if args.runs < 1:
         print(f"--runs must be >= 1 (got {args.runs})", file=sys.stderr)
         return 2
@@ -214,8 +210,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _run_replay(args: argparse.Namespace) -> int:
-    profile = _profile_from_args(args)
+def _run_replay(args: argparse.Namespace, profile: FuzzProfile) -> int:
     config = config_for_case(args.seed, profile)
     print(
         f"replaying case seed {args.seed}: {len(config.script.steps)} steps, "
@@ -235,7 +230,7 @@ def _run_replay(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _run_script(args: argparse.Namespace) -> int:
+def _run_script(args: argparse.Namespace, profile: FuzzProfile) -> int:
     try:
         record = json.loads(args.script.read_text())
     except OSError as exc:
@@ -246,7 +241,6 @@ def _run_script(args: argparse.Namespace) -> int:
         return 2
     try:
         script = ChaosScript.from_dict(record)
-        profile = _profile_from_args(args)
         config = ChaosRunConfig(
             name=f"chaos/script/{args.script.stem}",
             script=script,
@@ -275,12 +269,17 @@ def _run_script(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        profile = _profile_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.command == "fuzz":
-        return _run_fuzz(args)
+        return _run_fuzz(args, profile)
     if args.command == "replay":
-        return _run_replay(args)
-    return _run_script(args)
+        return _run_replay(args, profile)
+    return _run_script(args, profile)
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from repro.chaos.script import (
     partition,
     reorder,
 )
+from repro.core.service import FD_PLANES
 from repro.experiments.orchestrator import run_sweep
 from repro.experiments.scenario import ExperimentConfig
 from repro.fd.qos import FDQoS
@@ -127,6 +128,11 @@ class FuzzProfile:
         if not 0.0 <= self.transfer_ratio <= 1.0:
             raise ValueError(
                 f"transfer_ratio must be in [0, 1] (got {self.transfer_ratio})"
+            )
+        if self.fd_plane not in FD_PLANES:
+            raise ValueError(
+                f"unknown fd_plane {self.fd_plane!r} "
+                f"(expected one of {', '.join(FD_PLANES)})"
             )
 
 

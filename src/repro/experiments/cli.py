@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.election.registry import available_algorithms
+from repro.core.service import FD_PLANES
 from repro.experiments.figures import cells_for, figure_names
 from repro.experiments.orchestrator import CellOutcome, format_progress, run_sweep
 from repro.experiments.report import format_figure_results
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--fd-plane",
-        choices=["all_pairs", "swim"],
+        choices=FD_PLANES,
         default="all_pairs",
         help="node-level FD plane: all_pairs (paper, O(n^2)) or swim (O(k*n))",
     )
@@ -176,8 +177,7 @@ def _print_progress(done: int, total: int, outcome: CellOutcome) -> None:
     print(format_progress(done, total, outcome), file=sys.stderr)
 
 
-def _run_single_cell(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
+def _run_single_cell(config: ExperimentConfig) -> int:
     print(
         f"running {config.algorithm} on {config.n_nodes} workstations for "
         f"{config.duration:.0f} virtual seconds (warmup {config.warmup:.0f} s, "
@@ -215,16 +215,19 @@ def _print_cell_metrics(result: ExperimentResult) -> None:
         )
 
 
-def _run_figure_sweep(args: argparse.Namespace) -> int:
+def _figure_grids(args: argparse.Namespace) -> dict:
     figures = figure_names() if args.figure == "all" else [args.figure]
-    cells = []
-    cells_by_figure = {}
-    for figure in figures:
-        grid = cells_for(
+    return {
+        figure: cells_for(
             figure, duration=args.duration, warmup=args.warmup, seed=args.seed
         )
-        cells_by_figure[figure] = grid
-        cells.extend(grid)
+        for figure in figures
+    }
+
+
+def _run_figure_sweep(args: argparse.Namespace, cells_by_figure: dict) -> int:
+    figures = list(cells_by_figure)
+    cells = [cell for grid in cells_by_figure.values() for cell in grid]
     horizon = (
         f"{args.duration:.0f} virtual s per cell"
         if args.duration is not None
@@ -312,9 +315,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.workers < 1:
         parser.error(f"--workers must be >= 1 (got {args.workers})")
     _reject_inapplicable_flags(parser, args)
-    if args.figure is not None:
-        return _run_figure_sweep(args)
-    return _run_single_cell(args)
+    sweep = args.figure is not None
+    try:
+        work = _figure_grids(args) if sweep else config_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return _run_figure_sweep(args, work) if sweep else _run_single_cell(work)
 
 
 if __name__ == "__main__":

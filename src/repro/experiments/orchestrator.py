@@ -54,11 +54,8 @@ from repro.sim.rng import RngRegistry
 __all__ = [
     "SWEEP_SCHEMA",
     "CellOutcome",
-    "ShardedResult",
     "SweepResult",
     "run_sweep",
-    "run_sharded",
-    "shard_config",
     "derive_cell_seeds",
     "default_cell_runner",
     "format_progress",
@@ -123,153 +120,6 @@ def _execute_cell(payload: Tuple[int, Dict[str, Any], Optional[str]]) -> Dict[st
         "events_executed": int(result.get("events_executed", 0)),
         "result": result,
     }
-
-
-# ---------------------------------------------------------------------------
-# Sharded cells: one workload split across cores inside one invocation
-# ---------------------------------------------------------------------------
-def shard_config(config: ExperimentConfig, shards: int) -> List[ExperimentConfig]:
-    """Split one multi-group (or multi-client) cell into independent shards.
-
-    Groups are partitioned into contiguous ranges and lease clients into
-    near-equal counts; each shard gets a seed derived from the parent's via
-    :meth:`RngRegistry.derive_seed` keyed by shard index, so the split is
-    deterministic and adding shards never perturbs existing ones.  Every
-    shard keeps the full node count — a shard is the same deployment
-    carrying its slice of the workload, which is what makes the union of
-    shard traces a meaningful (merged) run record.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1 (got {shards})")
-    divisible = max(config.n_groups, config.n_lease_clients)
-    if shards > divisible:
-        raise ValueError(
-            f"cannot split {config.n_groups} groups / "
-            f"{config.n_lease_clients} lease clients into {shards} shards"
-        )
-
-    def split(total: int) -> List[int]:
-        base, extra = divmod(total, shards)
-        return [base + (1 if i < extra else 0) for i in range(shards)]
-
-    group_counts = split(config.n_groups)
-    client_counts = (
-        split(config.n_lease_clients) if config.n_lease_clients > 0 else [0] * shards
-    )
-    configs: List[ExperimentConfig] = []
-    next_group = config.group
-    for index in range(shards):
-        configs.append(
-            config.with_(
-                name=f"{config.name}/shard{index}",
-                group=next_group,
-                n_groups=max(group_counts[index], 1),
-                n_lease_clients=client_counts[index],
-                seed=RngRegistry.derive_seed(config.seed, f"shard/{index}"),
-            )
-        )
-        next_group += max(group_counts[index], 1)
-    return configs
-
-
-def _execute_shard(payload: Tuple[int, Dict[str, Any]]) -> Dict[str, Any]:
-    """Top-level (picklable) worker entry: run one shard, ship its trace.
-
-    The trace crosses the process boundary as canonical digest-line
-    renderings (:func:`~repro.metrics.trace.digest_line`) paired with their
-    virtual timestamps, ready for the parent's virtual-time merge.
-    """
-    from repro.experiments.runner import build_system
-    from repro.metrics.trace import digest_line
-
-    index, config_dict = payload
-    config = config_from_dict(config_dict)
-    started = time.perf_counter()
-    system = build_system(config)
-    system.sim.run_until(config.duration)
-    wall = time.perf_counter() - started
-    return {
-        "index": index,
-        "wall_seconds": wall,
-        "events_executed": system.sim.events_executed,
-        "wire_bytes": sum(
-            node.meter.bytes_sent for node in system.network.nodes.values()
-        ),
-        "trace": [
-            (event.time, digest_line(event)) for event in system.trace.events
-        ],
-    }
-
-
-@dataclass
-class ShardedResult:
-    """One sharded cell run: per-shard measurements plus the merged view."""
-
-    config: ExperimentConfig
-    shards: List[ExperimentConfig]
-    workers: int
-    #: Makespan of the whole sharded run (parallel wall, not the sum).
-    wall_seconds: float
-    shard_walls: List[float]
-    events_executed: int
-    wire_bytes: int
-    #: Digest of all shard traces merged in virtual-time order; identical
-    #: for any worker count (the sharded-determinism contract).
-    digest: str
-
-    @property
-    def events_per_sec(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.events_executed / self.wall_seconds
-
-
-def run_sharded(
-    config: ExperimentConfig,
-    shards: int,
-    workers: Optional[int] = None,
-) -> ShardedResult:
-    """Run one cell as ``shards`` independent simulations across cores.
-
-    ``workers=None`` uses one process per shard (bounded by CPU count);
-    ``workers=1`` runs every shard sequentially in-process — the result,
-    including the merged trace digest, is identical either way.
-    """
-    shard_configs = shard_config(config, shards)
-    if workers is None:
-        workers = min(shards, os.cpu_count() or 1)
-    payloads = [
-        (index, config_to_dict(shard)) for index, shard in enumerate(shard_configs)
-    ]
-    started = time.perf_counter()
-    raws: List[Optional[Dict[str, Any]]] = [None] * shards
-    if workers == 1:
-        for payload in payloads:
-            raw = _execute_shard(payload)
-            raws[raw["index"]] = raw
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, shards),
-            initializer=_worker_init,
-            initargs=(list(sys.path),),
-        ) as pool:
-            for raw in pool.map(_execute_shard, payloads):
-                raws[raw["index"]] = raw
-    wall = time.perf_counter() - started
-
-    from repro.metrics.trace import merged_trace_digest
-
-    traces = [raw["trace"] for raw in raws]
-    return ShardedResult(
-        config=config,
-        shards=shard_configs,
-        workers=workers,
-        wall_seconds=wall,
-        shard_walls=[raw["wall_seconds"] for raw in raws],
-        events_executed=sum(raw["events_executed"] for raw in raws),
-        wire_bytes=sum(raw["wire_bytes"] for raw in raws),
-        digest=merged_trace_digest(traces),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.core.service import FD_PLANES
 from repro.fd.qos import FDQoS
 
 __all__ = ["LossyNetwork", "ExperimentConfig"]
@@ -86,10 +87,10 @@ class ExperimentConfig:
             raise ValueError(f"need at least 2 nodes (got {self.n_nodes})")
         if self.n_groups < 1:
             raise ValueError(f"need at least 1 group (got {self.n_groups})")
-        if self.fd_plane not in ("all_pairs", "swim"):
+        if self.fd_plane not in FD_PLANES:
             raise ValueError(
                 f"unknown fd_plane {self.fd_plane!r} "
-                "(expected 'all_pairs' or 'swim')"
+                f"(expected one of {', '.join(FD_PLANES)})"
             )
         if self.n_lease_clients < 0:
             raise ValueError(

@@ -26,15 +26,13 @@ verifies.
 from __future__ import annotations
 
 import hashlib
-import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "digest_line",
-    "merged_trace_digest",
     "trace_digest",
 ]
 
@@ -61,9 +59,7 @@ def digest_line(event: TraceEvent) -> str:
     """The canonical one-line rendering :func:`trace_digest` hashes.
 
     ``repr`` round-trips floats exactly, so two lines match iff the events
-    match bit-for-bit (timestamps included).  Exposed so sharded runs can
-    ship renderings across process boundaries and merge them by virtual
-    time without re-serializing :class:`TraceEvent` objects.
+    match bit-for-bit (timestamps included).
     """
     return (
         f"{event.time!r}|{event.kind}|{event.group}|{event.pid}"
@@ -80,30 +76,6 @@ def trace_digest(events: Iterable[TraceEvent]) -> str:
     hasher = hashlib.sha256()
     for event in events:
         hasher.update(digest_line(event).encode("utf-8"))
-    return hasher.hexdigest()
-
-
-def merged_trace_digest(shard_traces: List[List[Tuple[float, str]]]) -> str:
-    """Digest of several shards' traces merged in virtual-time order.
-
-    Each shard contributes ``(time, line)`` pairs already in its own
-    virtual-time order (traces are append-only); the merge totals the
-    order by ``(time, shard index, position)``, so the result depends only
-    on the shard *contents* — never on worker count, scheduling or
-    completion order.  Equal-time events across shards resolve by shard
-    index, mirroring how independent simulations have no cross-ordering to
-    preserve.
-    """
-    hasher = hashlib.sha256()
-
-    def keyed(shard: int, trace: List[Tuple[float, str]]):
-        return (
-            (time, shard, position) for position, (time, _) in enumerate(trace)
-        )
-
-    streams = [keyed(shard, trace) for shard, trace in enumerate(shard_traces)]
-    for time, shard, position in heapq.merge(*streams):
-        hasher.update(shard_traces[shard][position][1].encode("utf-8"))
     return hasher.hexdigest()
 
 

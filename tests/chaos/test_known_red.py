@@ -1,0 +1,31 @@
+"""The fuzz seeds known to violate an invariant, tracked by the suite.
+
+Strict: the PR that fixes one must delete its marker, and a PR that
+promises no behaviour change visibly leaves both as they are.
+"""
+
+import pytest
+
+from repro.chaos.fuzz import FuzzProfile, config_for_case
+from repro.chaos.run import run_scripted
+
+
+@pytest.mark.parametrize(
+    "case_seed, profile",
+    [
+        pytest.param(
+            7353800664946477217,
+            FuzzProfile(),
+            marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1a"),
+            id="1a-all_pairs",
+        ),
+        pytest.param(
+            1623593096556592143,
+            FuzzProfile(fd_plane="swim"),
+            marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1b"),
+            id="1b-swim",
+        ),
+    ],
+)
+def test_known_red_seed(case_seed, profile):
+    assert run_scripted(config_for_case(case_seed, profile)).ok

@@ -52,6 +52,22 @@ class TestMain:
         assert "KB/s" in out
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--duration", "20", "--warmup", "30"], "must exceed warmup"),
+            (["--nodes", "1"], "at least 2 nodes"),
+            (["--lease-transfer-ratio", "2"], "lease_transfer_ratio"),
+            (["--figure", "fig8", "--duration", "20", "--warmup", "30"], "must exceed warmup"),
+        ],
+    )
+    def test_config_errors_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestSweepSurface:
     def test_sweep_flags_parse(self):
         args = build_parser().parse_args(

@@ -10,7 +10,7 @@ fixed-seed cell.
 
 If this test fails, the change altered simulation behaviour.  That can be
 legitimate (a protocol fix, a new default) — then update the constants here
-*and* re-run ``tools/bench.py --update`` (both modes) so the committed
+*and* re-run ``python benchmarks/bench_core.py --update`` so the committed
 ``BENCH_core.json`` digests move in the same commit, and say so in the PR.
 If the change was *not* supposed to alter behaviour (a refactor, a perf
 optimization), the failure is the bug: something perturbed the RNG draw

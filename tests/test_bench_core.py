@@ -1,258 +1,152 @@
-"""Unit tests for the core-bench regression check (benchmarks/bench_core.py).
+"""Unit tests for the pin checker behind ``BENCH_core.json``.
 
-The comparison logic is what gates CI (perf-smoke), so it gets direct unit
-coverage against synthetic baselines: calibration-normalized throughput,
-digest pinning, allocation growth, and the failure modes of a malformed
-baseline.  One small integration test actually measures a (shrunken) cell.
+The comparison gates CI (the ``pins`` job), so it is covered against
+synthetic baselines; the run and the file handling against a shrunken
+``heartbeat`` cell.
 """
+
+import json
 
 import pytest
 
 from benchmarks import bench_core
-from benchmarks.bench_core import (
-    BenchResult,
-    CellResult,
-    compare_results,
-    run_cell,
-)
+from benchmarks.bench_core import compare_results, main, run_cell
 
 
-def make_current(events_per_sec=100_000.0, calibration=10_000.0, digest="d1",
-                 blocks=5_000, peak_kib=1000.0):
-    result = BenchResult(mode="quick", calibration_kops=calibration)
-    result.cells["heartbeat"] = CellResult(
-        name="heartbeat",
-        duration=120.0,
-        events=120_000,
-        wall_seconds=1.2,
-        events_per_sec=events_per_sec,
-        digest=digest,
-        alloc_peak_kib=peak_kib,
-        alloc_live_blocks=blocks,
-    )
-    return result
-
-
-def make_baseline(events_per_sec=100_000.0, calibration=10_000.0, digest="d1",
-                  blocks=5_000, peak_kib=1000.0):
-    return {
-        "modes": {
-            "quick": {
-                "calibration_kops": calibration,
-                "cells": {
-                    "heartbeat": {
-                        "events": 120_000,
-                        "events_per_sec": events_per_sec,
-                        "digest": digest,
-                        "alloc_live_blocks": blocks,
-                        "alloc_peak_kib": peak_kib,
-                    }
-                },
-            }
-        }
+def make_cell(**changes):
+    cell = {
+        "duration_virtual_s": 300.0,
+        "events": 120_000,
+        "digest": "d1",
+        "wire_bytes": 9_000,
+        "alloc_peak_kib": 1000.0,
+        "alloc_live_blocks": 5_000,
     }
+    cell.update(changes)
+    return {"heartbeat": cell}
+
+
+@pytest.fixture
+def tiny_heartbeat(monkeypatch):
+    config = bench_core.CORE_CELLS["heartbeat"].with_(duration=10.0, warmup=2.5)
+    monkeypatch.setitem(bench_core.CORE_CELLS, "heartbeat", config)
 
 
 class TestCompareResults:
     def test_identical_results_pass(self):
-        assert compare_results(make_baseline(), make_current()) == []
-
-    def test_small_regression_within_tolerance_passes(self):
-        current = make_current(events_per_sec=85_000.0)
-        assert compare_results(make_baseline(), current, tolerance=0.20) == []
-
-    def test_large_regression_fails(self):
-        current = make_current(events_per_sec=75_000.0)
-        failures = compare_results(make_baseline(), current, tolerance=0.20)
-        assert len(failures) == 1
-        assert "normalized throughput regressed" in failures[0]
-
-    def test_calibration_normalizes_slow_hardware(self):
-        """A machine half as fast as the baseline's (half the calibration,
-        half the throughput) must NOT fail the check."""
-        current = make_current(events_per_sec=50_000.0, calibration=5_000.0)
-        assert compare_results(make_baseline(), current, tolerance=0.20) == []
-
-    def test_calibration_exposes_true_regression_on_fast_hardware(self):
-        """Twice the hardware speed but the same events/sec IS a regression."""
-        current = make_current(events_per_sec=100_000.0, calibration=20_000.0)
-        failures = compare_results(make_baseline(), current, tolerance=0.20)
-        assert len(failures) == 1
+        assert compare_results(make_cell(), make_cell()) == []
 
     def test_digest_change_fails_regardless_of_speed(self):
-        current = make_current(events_per_sec=500_000.0, digest="d2")
-        failures = compare_results(make_baseline(), current)
-        assert any("digest changed" in failure for failure in failures)
+        failures = compare_results(make_cell(), make_cell(digest="d2"))
+        assert len(failures) == 1
+        assert "heartbeat: digest changed (d1 -> d2)" in failures[0]
 
     def test_event_count_change_fails_even_with_same_digest(self):
         """Traces are sparse: a steady-state perturbation can keep the
         digest while moving the event count — the gate checks both."""
-        current = make_current()
-        current.cells["heartbeat"].events = 120_001
-        failures = compare_results(make_baseline(), current)
-        assert any("event count changed" in failure for failure in failures)
+        failures = compare_results(make_cell(), make_cell(events=120_001))
+        assert len(failures) == 1
+        assert "heartbeat: events changed (120000 -> 120001)" in failures[0]
+
+    def test_wire_bytes_change_fails(self):
+        failures = compare_results(make_cell(), make_cell(wire_bytes=9_001))
+        assert len(failures) == 1
+        assert "heartbeat: wire_bytes changed (9000 -> 9001)" in failures[0]
 
     def test_allocation_growth_fails(self):
-        current = make_current(blocks=7_000)
-        failures = compare_results(make_baseline(blocks=5_000), current)
+        assert compare_results(make_cell(), make_cell(alloc_live_blocks=6_000)) == []
+        failures = compare_results(make_cell(), make_cell(alloc_live_blocks=7_000))
         assert any("allocation blocks grew" in failure for failure in failures)
 
     def test_peak_memory_growth_fails(self):
         """Peak matters independently of live blocks: a transiently-held
         quadratic buffer is freed by teardown but shows up here."""
-        current = make_current(peak_kib=2000.0)
-        failures = compare_results(make_baseline(peak_kib=1000.0), current)
-        assert any("peak traced memory grew" in failure for failure in failures)
-
-    def test_sharded_cell_exempt_from_throughput_gate(self):
-        """Sharded makespan depends on the core count, which calibration
-        cannot normalize — only the exact pins (digest/events/wire) hold."""
-        current = make_current(events_per_sec=10_000.0)  # 10x "regression"
-        current.cells["heartbeat"].shards = 4
-        current.cells["heartbeat"].workers = 1
-        baseline = make_baseline()
-        baseline["modes"]["quick"]["cells"]["heartbeat"]["shards"] = 4
-        assert compare_results(baseline, current) == []
-
-    def test_sharded_cell_digest_still_pinned(self):
-        current = make_current(digest="d2")
-        current.cells["heartbeat"].shards = 4
-        baseline = make_baseline()
-        baseline["modes"]["quick"]["cells"]["heartbeat"]["shards"] = 4
-        failures = compare_results(baseline, current)
-        assert any("digest changed" in failure for failure in failures)
+        failures = compare_results(make_cell(), make_cell(alloc_peak_kib=2000.0))
+        assert any("peak traced KiB grew" in failure for failure in failures)
 
     def test_absolute_alloc_budget_enforced(self, monkeypatch):
         monkeypatch.setitem(bench_core.ALLOC_BUDGETS, "heartbeat", 6_000)
-        ok = compare_results(make_baseline(), make_current(blocks=5_000))
-        assert ok == []
+        assert compare_results(make_cell(), make_cell()) == []
         failures = compare_results(
-            make_baseline(blocks=7_000), make_current(blocks=7_000)
+            make_cell(alloc_live_blocks=7_000), make_cell(alloc_live_blocks=7_000)
         )
         assert any("absolute budget" in failure for failure in failures)
 
-    def test_missing_mode_reported(self):
-        failures = compare_results({"modes": {}}, make_current())
-        assert failures == ["baseline has no 'quick' mode section"]
+    def test_unmeasured_allocations_are_not_compared(self):
+        exempt = make_cell(alloc_peak_kib=None, alloc_live_blocks=None)
+        assert compare_results(exempt, exempt) == []
 
     def test_missing_cell_reported(self):
-        baseline = make_baseline()
-        del baseline["modes"]["quick"]["cells"]["heartbeat"]
-        failures = compare_results(baseline, make_current())
-        assert failures == ["heartbeat: not present in baseline"]
+        assert compare_results({}, make_cell()) == ["heartbeat: not present in baseline"]
 
 
 class TestRunCell:
-    def test_measures_a_tiny_cell(self, monkeypatch):
-        monkeypatch.setitem(bench_core.DURATIONS, "quick", 10.0)
-        result = run_cell("heartbeat", mode="quick", repeats=1,
-                          measure_allocations=False)
-        assert result.events > 0
-        assert result.events_per_sec > 0
-        assert len(result.digest) == 64
-        assert result.alloc_live_blocks is None
+    def test_measures_a_tiny_cell(self, tiny_heartbeat):
+        cell = run_cell("heartbeat")
+        assert cell["duration_virtual_s"] == 10.0
+        assert cell["events"] > 0
+        assert cell["wire_bytes"] > 0
+        assert len(cell["digest"]) == 64
+        assert cell["alloc_live_blocks"] > 0
+        assert cell["alloc_peak_kib"] > 0
 
-    def test_fixed_seed_cell_is_deterministic(self, monkeypatch):
-        monkeypatch.setitem(bench_core.DURATIONS, "quick", 10.0)
-        first = run_cell("heartbeat", mode="quick", repeats=1,
-                         measure_allocations=False)
-        second = run_cell("heartbeat", mode="quick", repeats=1,
-                          measure_allocations=False)
-        assert first.digest == second.digest
-        assert first.events == second.events
+    def test_fixed_seed_cell_is_deterministic(self, tiny_heartbeat):
+        first, second = run_cell("heartbeat"), run_cell("heartbeat")
+        assert [first[pin] for pin in bench_core.EXACT_PINS] == [
+            second[pin] for pin in bench_core.EXACT_PINS
+        ]
 
-    def test_repeats_must_agree(self, monkeypatch):
-        """run_cell cross-checks repeats: a nondeterministic cell must fail
-        loudly instead of silently recording the last repeat's digest."""
-        monkeypatch.setitem(bench_core.DURATIONS, "quick", 10.0)
+    def test_repeats_must_agree(self, tiny_heartbeat, monkeypatch):
+        """The traced run is the cell's repeat: one that disagrees with the
+        untraced run fails loudly instead of recording either digest."""
         seeds = iter([1, 2])
         real_build = bench_core.build_system
-
-        def nondeterministic_build(config):
-            from dataclasses import replace
-
-            return real_build(replace(config, seed=next(seeds)))
-
-        monkeypatch.setattr(bench_core, "build_system", nondeterministic_build)
+        monkeypatch.setattr(
+            bench_core,
+            "build_system",
+            lambda config: real_build(config.with_(seed=next(seeds))),
+        )
         with pytest.raises(AssertionError, match="nondeterministic"):
-            run_cell("heartbeat", mode="quick", repeats=2,
-                     measure_allocations=False)
+            run_cell("heartbeat")
 
-    def test_agreeing_repeats_pass(self, monkeypatch):
-        monkeypatch.setitem(bench_core.DURATIONS, "quick", 10.0)
-        result = run_cell("heartbeat", mode="quick", repeats=2,
-                          measure_allocations=False)
-        assert result.events > 0
+    def test_agreeing_repeats_pass(self, tiny_heartbeat, monkeypatch):
+        traced = run_cell("heartbeat")
+        monkeypatch.setattr(bench_core, "NO_ALLOC_CELLS", frozenset({"heartbeat"}))
+        exempt = run_cell("heartbeat")
+        assert exempt["alloc_live_blocks"] is None
+        assert exempt["digest"] == traced["digest"]
 
     def test_unknown_cell_raises(self):
         with pytest.raises(KeyError):
-            run_cell("nope", mode="quick")
+            run_cell("nope")
 
 
-def _load_bench_cli():
-    """tools/bench.py is a script, not a package module — load it by path."""
-    import importlib.util
-    from pathlib import Path
+class TestMain:
+    def test_update_then_check_round_trips(self, tiny_heartbeat, tmp_path, capsys):
+        path = tmp_path / "pins.json"
+        common = ["--cells", "heartbeat", "--baseline", str(path)]
+        assert main(common + ["--update"]) == 0
+        assert main(common + ["--check"]) == 0
+        blob = json.loads(path.read_text())
+        blob["cells"]["heartbeat"]["events"] += 1
+        path.write_text(json.dumps(blob))
+        capsys.readouterr()
+        assert main(common + ["--check"]) == 1
+        assert "FAIL heartbeat: events changed" in capsys.readouterr().out
 
-    path = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
-    spec = importlib.util.spec_from_file_location("tools_bench", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    def test_update_cells_keeps_the_other_cells_pins(self, tiny_heartbeat, tmp_path):
+        path = tmp_path / "pins.json"
+        lossy = make_cell()["heartbeat"]
+        path.write_text(json.dumps({"schema": 2, "cells": {"lossy": lossy}}))
+        assert main(["--cells", "heartbeat", "--baseline", str(path), "--update"]) == 0
+        cells = json.loads(path.read_text())["cells"]
+        assert cells["lossy"] == lossy
+        assert list(cells) == ["heartbeat", "lossy"]  # CORE_CELLS order
 
-
-class TestBenchCliProfileCompose:
-    """--profile-out must compose with --check/--cells (one invocation both
-    gates the perf run and captures where its time went), and keep its old
-    standalone behaviour with bare --profile."""
-
-    def test_profile_out_composes_with_check_and_cells(self, tmp_path, monkeypatch):
-        import json
-        import pstats
-
-        bench = _load_bench_cli()
-        monkeypatch.setitem(bench_core.DURATIONS, "quick", 10.0)
-        baseline = tmp_path / "baseline.json"
-        dump = tmp_path / "gate.pstats"
-        common = [
-            "--quick", "--cells", "heartbeat", "--no-allocations",
-            "--baseline", str(baseline),
-        ]
-        assert bench.main(common + ["--update"]) == 0
-        assert "heartbeat" in json.loads(baseline.read_text())["modes"]["quick"]["cells"]
-        # Tolerance is huge on purpose: this test pins the *composition*
-        # (check ran, profile dumped, digest still gated), not throughput.
-        code = bench.main(
-            common
-            + ["--check", "--tolerance", "50.0", "--profile-out", str(dump)]
-        )
-        assert code == 0
-        stats = pstats.Stats(str(dump))
-        assert stats.total_calls > 0
-
-    def test_bare_profile_still_short_circuits(self, tmp_path, monkeypatch):
-        import pstats
-
-        bench = _load_bench_cli()
-        monkeypatch.setitem(bench_core.DURATIONS, "quick", 10.0)
-        dump = tmp_path / "cell.pstats"
-        assert bench.main(
-            ["--quick", "--profile", "heartbeat", "--profile-out", str(dump)]
-        ) == 0
-        assert pstats.Stats(str(dump)).total_calls > 0
-
-    def test_profile_runs_the_cells_own_horizon(self, monkeypatch):
-        bench = _load_bench_cli()
-        monkeypatch.setitem(
-            bench_core.CELL_DURATIONS, "lease_load", {"full": 60.0, "quick": 2.0}
-        )
-        horizons = []
-        build = bench.build_system
-
-        def spy(config):
-            horizons.append(config.duration)
-            return build(config)
-
-        monkeypatch.setattr(bench, "build_system", spy)
-        assert bench.main(["--quick", "--profile", "lease_load"]) == 0
-        assert horizons == [2.0]  # not DURATIONS["quick"]
+    def test_schema_1_baseline_refused(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"schema": 1, "modes": {"full": {"cells": {}}}}))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--cells", "heartbeat", "--baseline", str(path), "--check"])
+        assert exit_info.value.code == 2
+        assert "schema 1" in (err := capsys.readouterr().err) and "--update" in err

@@ -156,3 +156,10 @@ class TestForwarding:
             cli.main(["chaos", "explode"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["replay", "--seed", "0"], ["fuzz"]])
+    def test_chaos_profile_errors_are_usage_errors(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chaos", *command, "--lease-clients", "-1"])
+        assert exc.value.code == 2
+        assert "n_lease_clients must be >= 0" in capsys.readouterr().err

@@ -17,14 +17,28 @@ MAX_LINES = 800
 #: shrink (lower it when the file does) and disappears at the limit; their
 #: review is ROADMAP items 2 / 3c.
 CEILINGS = {"runtime/cluster.py": 878, "runtime/codec.py": 870}
+#: Lines of Python under ``src/``.  Raised only by editing it here, in the
+#: diff that needs the room; lowered when the tree is 150 lines under it.
+SRC_LINES_CEILING = 18_809
 
 
-def test_no_module_outgrows_the_limit():
+def _module_sizes():
     sizes = {
         str(path.relative_to(PACKAGE)): len(path.read_text().splitlines())
         for path in PACKAGE.rglob("*.py")
     }
     assert len(sizes) > 50  # the walk found the package at all
+    return sizes
+
+
+def test_src_stays_under_its_line_ceiling():
+    total = sum(_module_sizes().values())
+    assert total <= SRC_LINES_CEILING
+    assert total > SRC_LINES_CEILING - 150, "lower the ceiling: the tree shrank"
+
+
+def test_no_module_outgrows_the_limit():
+    sizes = _module_sizes()
     too_long = {
         name: size for name, size in sizes.items() if size > CEILINGS.get(name, MAX_LINES)
     }
