@@ -58,7 +58,7 @@ class Membership:
         "sent_version", "_next_sync", "_peer_nodes_cache", "_peer_nodes_version",
         "_interested_nodes", "_hello_timer", "_shut_down", "hellos_sent",
         # the two riders and what the rounds read of them (see carry)
-        "_cells", "_cell_state", "_leases", "_ledger", "_lease_sent",
+        "_cells", "_cell_state", "_leases", "_ledger", "_lease_sent", "_cover_horizon",
     )
 
     #: Whether ALIVE cells carry the membership delta a destination is owed.
@@ -113,6 +113,9 @@ class Membership:
         digest ride every HELLO)."""
         self._cells = cells
         self._cell_state = cells.cell_state
+        #: A peer is *covered* while its last cell is younger than this (one
+        #: hello period rides out the round on which the refresh falls due).
+        self._cover_horizon = cells.refresh + self.hello_period
         self._leases = leases
         self._ledger = leases.ledger
         self._lease_sent = leases.sent_version
@@ -335,9 +338,8 @@ class Membership:
         skipped entirely: in a healthy all-candidates group the cell
         refreshes replace gossip wholesale, removing the last
         O(groups × node pairs) steady-state message stream.  *Covered* is
-        the strategy's call: within the last hello period where cells
-        refresh that often (flood), within the emitter's own refresh
-        horizon where they refresh slower (bounded).
+        one rule for both strategies: the peer's last cell is younger than
+        the emitter's refresh horizon (``_cover_horizon``, see :meth:`carry`).
         """
         if self._shut_down:
             return
@@ -385,14 +387,14 @@ class FloodMembership(Membership):
         version = view.version
         ledger = self._ledger
         lease_version = ledger.version
-        hello_period = self.hello_period
+        horizon = self._cover_horizon
         cell_state = self._cell_state
         if self._hello_stamp == (version, lease_version):
             # Versions unchanged since the last completed round: every
             # peer provably owes no membership or lease delta (a round
             # either verified that or shipped the delta and stamped the
             # peer current).  Skip the round outright while every covering
-            # cell is still inside the hello period; otherwise gossip
+            # cell is still inside the horizon; otherwise gossip
             # (empty deltas) only to the uncovered peers, in the cached
             # peer order.
             if now < self._hello_quiet_until:
@@ -403,7 +405,7 @@ class FloodMembership(Membership):
             hellos = []
             for node in self.peer_nodes():
                 state = cell_state.get(node)
-                if state is not None and now - state[1] < hello_period:
+                if state is not None and now - state[1] < horizon:
                     if state[1] < oldest:
                         oldest = state[1]
                     continue
@@ -413,7 +415,7 @@ class FloodMembership(Membership):
                 hellos.append(HelloMessage(dest_node=node, **fields))
             self._send_round(hellos)
             if all_covered:
-                self._hello_quiet_until = oldest + hello_period
+                self._hello_quiet_until = oldest + horizon
             return
         fields = self.hello_fields()
         sent = self.sent_version
@@ -428,7 +430,7 @@ class FloodMembership(Membership):
             lease_delta = ledger.delta_since(lease_sent.get(node, 0))
             if not delta and not lease_delta:
                 state = cell_state.get(node)
-                if state is not None and now - state[1] < hello_period:
+                if state is not None and now - state[1] < horizon:
                     # A fresh cell already carried our view digest — but
                     # cells never carry lease deltas, so an owed delta
                     # (checked above) still forces the gossip out.
@@ -446,7 +448,7 @@ class FloodMembership(Membership):
         self._send_round(hellos)
         self._hello_stamp = (version, lease_version)
         if all_covered:
-            self._hello_quiet_until = oldest + hello_period
+            self._hello_quiet_until = oldest + horizon
         else:
             # An uncovered peer gets gossip every round: a quiet window
             # carried over from an earlier stamp must not suppress it.
@@ -564,18 +566,16 @@ class BoundedMembership(Membership):
         :data:`_SWIM_DELTA_CAP` membership records — the shipped-version
         cursor advances only to the window's watermark, streaming the rest
         across rounds.  Peers that owe nothing and that a cell still covers
-        are skipped for free.  Coverage lasts the emitter's refresh period
-        (plus one hello period, to ride out the round on which the refresh
-        falls due): an empty-delta HELLO carries nothing but the view digest
-        the cell delivered, and the lease digest has its own carrier (the
-        lease server's probe).  So the steady-state cost matches the flood
-        round's quiet path — zero — while the worst case stays O(k).
+        are skipped for free: an empty-delta HELLO carries nothing but the
+        view digest the cell delivered, and the lease digest has its own
+        carrier (the lease server's probe).  So the steady-state cost matches
+        the flood round's quiet path — zero — while the worst case stays O(k).
         """
         view = self.view
         version = view.version
         ledger = self._ledger
         lease_version = ledger.version
-        horizon = self._cells.refresh + self.hello_period
+        horizon = self._cover_horizon
         cell_state = self._cell_state
         sent = self.sent_version
         lease_sent = self._lease_sent

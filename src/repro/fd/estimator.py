@@ -8,10 +8,11 @@ sequence-number gaps for losses, and ``arrival_time − send_time`` for delays
 
 Two design points worth calling out:
 
-* **Loss floor.** A finite window can never certify pL = 0, so the estimator
-  applies Laplace smoothing: pL = (lost + 1) / (lost + received + 2).  With
-  the default effective window of 512 messages the floor is ≈ 0.002.  This
-  floor is behaviourally important: it forces the configurator to budget a
+* **Loss floor.** A finite window can never certify pL = 0, so the estimate
+  is the decayed ratio lost / (lost + received) floored at 1 / window (≈ 0.002
+  at the default 512 messages) — no prior: a stream that showed no gap is at
+  the floor from its first reconfiguration.  The floor is behaviourally
+  important: it forces the configurator to budget a
   few extra heartbeat periods inside δ even on a loss-free LAN, which is why
   the service's measured detection time on the paper's LAN sits near
   0.83·T_D^U rather than collapsing toward T_D^U/2 (see DESIGN.md §3).
@@ -19,9 +20,10 @@ Two design points worth calling out:
   decay exponentially, so the estimator tracks changing network conditions —
   the paper's adaptivity requirement — with O(1) state and no timestamps.
 
-Sequence numbers restart when the sender's workstation reboots (volatile
-counters); a regression is therefore treated as a stream restart, not as a
-negative gap.
+A late frame is not a lost frame: one that fills a gap counted within the last
+``REORDER_WINDOW`` sequence numbers takes its loss back.  Sequence numbers
+restart when the sender's workstation reboots (volatile counters): a regression
+beyond that window re-anchors the stream, and gaps are counted again.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ from typing import Optional, Tuple
 
 from repro.fd.qos import LinkEstimate
 
-__all__ = ["LinkQualityEstimator"]
+__all__ = ["LinkQualityEstimator", "REORDER_WINDOW"]
+
+#: Sequence numbers a late frame may trail by; further back is a restart.
+REORDER_WINDOW = 64
+_WINDOW_MASK = (1 << REORDER_WINDOW) - 1
 
 
 class LinkQualityEstimator:
@@ -43,13 +49,14 @@ class LinkQualityEstimator:
         "_loss_decay",
         "_delay_alpha",
         "_ready_threshold",
-        "default_estimate",
+        "_loss_floor",
         "_received",
         "_lost",
         "_delay_mean",
         "_delay_var",
         "_samples",
         "_last_seq",
+        "_gaps",
     )
 
     def __init__(
@@ -57,17 +64,13 @@ class LinkQualityEstimator:
         loss_window: int = 512,
         delay_window: int = 64,
         ready_threshold: int = 8,
-        default_estimate: Optional[LinkEstimate] = None,
     ) -> None:
         if loss_window < 2 or delay_window < 2:
             raise ValueError("windows must be at least 2 messages")
         self._loss_decay = 1.0 - 1.0 / loss_window
         self._delay_alpha = 1.0 / delay_window
         self._ready_threshold = ready_threshold
-        #: Returned until enough samples arrived; deliberately pessimistic.
-        self.default_estimate = default_estimate or LinkEstimate(
-            loss_prob=1.0 / 16.0, delay_mean=0.050, delay_std=0.050
-        )
+        self._loss_floor = 1.0 / loss_window
         # Exponentially-decayed counters.
         self._received = 0.0
         self._lost = 0.0
@@ -76,6 +79,8 @@ class LinkQualityEstimator:
         self._delay_var = 0.0
         self._samples = 0
         self._last_seq: Optional[int] = None
+        #: Bit d set: sequence number ``_last_seq - d`` was counted as lost.
+        self._gaps = 0
 
     # ------------------------------------------------------------------
     # Observation
@@ -84,7 +89,9 @@ class LinkQualityEstimator:
         """Record one received heartbeat.
 
         ``seq`` is the sender's per-stream sequence number; ``send_time`` is
-        the sender's timestamp carried in the message.
+        the sender's timestamp carried in the message.  A regression that
+        fills a counted gap takes the loss back, one beyond ``REORDER_WINDOW``
+        is the sender's restart, any other is a duplicate (delay sample only).
         """
         gap = 0
         last_seq = self._last_seq
@@ -93,12 +100,21 @@ class LinkQualityEstimator:
         elif seq > last_seq:
             gap = seq - last_seq - 1
             self._last_seq = seq
-        # seq <= last_seq: reordered duplicate or a sender restart; in both
-        # cases no loss information can be extracted, only the delay sample.
+            if gap >= REORDER_WINDOW:
+                self._gaps = _WINDOW_MASK - 1
+            elif gap or self._gaps:
+                self._gaps = (self._gaps << (gap + 1) | (2 << gap) - 2) & _WINDOW_MASK
+        elif last_seq - seq >= REORDER_WINDOW:
+            self._last_seq = seq
+            self._gaps = 0
+        elif self._gaps >> (last_seq - seq) & 1:
+            self._gaps ^= 1 << (last_seq - seq)
+            gap = -1
 
         decay = self._loss_decay
         self._received = self._received * decay + 1.0
-        self._lost = self._lost * decay + gap
+        lost = self._lost * decay + gap
+        self._lost = lost if lost > 0.0 else 0.0
 
         delay = arrival_time - send_time
         if delay < 0.0:
@@ -140,13 +156,11 @@ class LinkQualityEstimator:
         return self._lost, self._received
 
     def loss_probability(self) -> float:
-        """Laplace-smoothed loss estimate (never exactly 0 or 1)."""
-        return (self._lost + 1.0) / (self._lost + self._received + 2.0)
+        """Decayed loss ratio floored at 1 / loss_window (never 0 or 1)."""
+        return max(self._lost / (self._lost + self._received or 1.0), self._loss_floor)
 
     def estimate(self) -> LinkEstimate:
-        """Current (pL, Ed, Sd), or the pessimistic default before warm-up."""
-        if not self.ready:
-            return self.default_estimate
+        """Current (pL, Ed, Sd); callers wait for :attr:`ready`."""
         delay_mean = max(self._delay_mean, 1e-9)
         delay_std = math.sqrt(max(self._delay_var, 0.0))
         return LinkEstimate(

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.metrics.usage import UsageMeter
 from repro.net.message import AliveCell, BatchFrame
-from repro.runtime.base import FdPlane, Scheduler, Transport
+from repro.runtime.base import FdPlane, Scheduler, TimerHandle, Transport
 from repro.runtime.timers import PeriodicTimer
 
 __all__ = ["CellSource", "AliveBatcher"]
@@ -97,6 +97,8 @@ class AliveBatcher:
         #: Created on first resume so the random initial phase is drawn
         #: against the *actual* bootstrap interval of the hosted groups.
         self._timer: Optional[PeriodicTimer] = None
+        #: The armed zero-delay callback of a requested :meth:`flush`.
+        self._flush_handle: Optional[TimerHandle] = None
         #: Memoized union of every active group's destinations, in the
         #: exact first-seen order the per-tick rebuild would produce.
         #: ``None`` = stale; group registrations, activity flips and
@@ -218,6 +220,8 @@ class AliveBatcher:
         if not self.active:
             return
         self.active = False
+        self.scheduler.cancel(self._flush_handle)
+        self._flush_handle = None
         if self._timer is not None:
             self._timer.stop()
 
@@ -232,17 +236,23 @@ class AliveBatcher:
     # Emission
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Emit one out-of-schedule round *now* and restart the period.
+        """Request one out-of-schedule round at the end of the current
+        instant (the period restarts from it).
 
         Used when election-relevant state changes (an accusation bumped a
         group's accusation time, a local leader changed): waiting up to a
         full period to tell the group would leave it split over the old and
         new leader for that long.  An early extra frame can only extend
         receivers' freshness deadlines, so this is always safe — and since
-        frames are multiplexed, one group's urgency refreshes everyone.
+        frames are multiplexed, one group's urgency refreshes everyone.  Any
+        number of requests in one instant emit one round with the final
+        state, not a burst whose frames overtake each other on the link.
         """
-        if not self.active:
-            return
+        if self.active and self._flush_handle is None:
+            self._flush_handle = self.scheduler.schedule(0.0, self._flush_now)
+
+    def _flush_now(self) -> None:
+        self._flush_handle = None
         self._tick()
         self._timer.start()  # next regular tick one full period from now
 

@@ -22,9 +22,7 @@ suspicion to the whole group, on the flush it causes), probe traffic (one
 per ping, ping-req and ack) and HELLO gossip (one per round, shared by the
 round's messages; rare since quiet rounds send nothing).  A rumour is queued
 *before* the transition it reports is fanned to the listeners — state before
-the reaction to it, as with a cell's payload before trust: the reaction may
-flush the frames, and a flush that leaves without the rumour costs it a
-whole η.
+the reaction to it, as with a cell's payload before trust.
 
 What stays the paper's math:
 

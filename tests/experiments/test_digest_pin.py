@@ -40,8 +40,13 @@ PINNED_CONFIG = dict(
 #: wakes into shared sentinel wakes, removing 672 pure-bookkeeping engine
 #: events.  The *digest* is unchanged — the pool fires real expirations at
 #: bit-identical virtual times; only the executed-event count moved.
-PINNED_EVENTS = 5047
-PINNED_DIGEST = "2f1b955793b10d8646854d011edf6e18268c5cc78b07a1db2ac4ac3ac5e270d8"
+#: PR 24 (the estimator stops inventing loss): no loss seen is the window's
+#: floor from the first reconfiguration, so this loss-free cell runs at the
+#: LAN's η = 0.33 s instead of the 0.12–0.25 s the prior of 1/2 asked for,
+#: same-instant flushes are one round, and covered peers get no empty
+#: HELLO: 5 047 → 3 497 events, and the digest moved with the timing.
+PINNED_EVENTS = 3497
+PINNED_DIGEST = "be83119772d9865738ab8bd045b0532b5de94c987f78e510bb1921fc9b3fc2a1"
 
 
 class TestDigestPin:

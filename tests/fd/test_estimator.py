@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fd.estimator import LinkQualityEstimator
+from repro.fd.estimator import REORDER_WINDOW, LinkQualityEstimator
 from repro.sim.rng import RngRegistry
 
 
@@ -24,8 +24,10 @@ class TestWarmup:
     def test_not_ready_initially(self):
         est = LinkQualityEstimator()
         assert not est.ready
-        default = est.estimate()
-        assert default == est.default_estimate
+        # No stand-in estimate: every caller waits for ``ready``; what an
+        # impatient one would read is the loss floor and no delay history.
+        assert est.samples == 0
+        assert est.loss_probability() == 1.0 / 512.0
 
     def test_ready_after_threshold(self):
         est = LinkQualityEstimator(ready_threshold=8)
@@ -41,13 +43,48 @@ class TestWarmup:
 
 class TestLossEstimation:
     def test_loss_floor_without_losses(self):
-        """A loss-free stream estimates the Laplace floor, never zero —
+        """A loss-free stream estimates the window's floor, never zero —
         this floor drives the LAN configuration (DESIGN.md §3)."""
         est = LinkQualityEstimator(loss_window=512)
         feed(est, 2000)
-        p = est.loss_probability()
-        assert 0.0 < p < 0.01
-        assert p == pytest.approx(1.0 / 514.0, rel=0.2)
+        assert est.loss_probability() == 1.0 / 512.0
+
+    def test_no_loss_seen_is_the_floor_from_the_first_reconfiguration(self):
+        """No evidence-free prior: the 8 samples that make the estimator
+        ready already give the floor (a prior of 1/2 said 0.1 here and
+        needed ≈ 250 frames to wash out)."""
+        est = LinkQualityEstimator()
+        feed(est, 8)
+        assert est.ready
+        assert est.estimate().loss_prob == 1.0 / 512.0
+
+    def test_one_drop_in_ten_is_a_tenth_and_decays_as_one_over_n(self):
+        est = LinkQualityEstimator()
+        for seq in (0, 1, 2, 3, 5, 6, 7, 8, 9):
+            est.observe(seq, seq * 0.1, seq * 0.1 + 0.01)
+        assert est.loss_probability() == pytest.approx(0.1, rel=0.01)
+        feed(est, 90, start_seq=10)
+        assert est.loss_probability() == pytest.approx(0.01, rel=0.1)
+        feed(est, 5000, start_seq=100)
+        assert est.loss_probability() == 1.0 / 512.0  # forgotten: the floor
+
+    def test_reordering_without_a_drop_is_not_loss(self):
+        """Adjacent swaps and 3-deep bursts delivered backwards: every gap
+        the early frame opened is taken back by the late one."""
+        est = LinkQualityEstimator()
+        order = []
+        for base in range(0, 300, 6):
+            order += [base + 1, base, base + 2, base + 5, base + 4, base + 3]
+        for seq in order:
+            est.observe(seq, seq * 0.1, seq * 0.1 + 0.01)
+        assert est.loss_counts()[0] == 0.0
+        assert est.loss_probability() == 1.0 / 512.0
+
+    def test_a_duplicate_takes_nothing_back(self):
+        est = LinkQualityEstimator()
+        for seq in (0, 1, 4, 2, 2, 1, 4):  # 3 is lost; 2 arrives late, twice
+            est.observe(seq, seq * 0.1, seq * 0.1 + 0.01)
+        assert est.loss_counts()[0] == pytest.approx(1.0, rel=0.02)
 
     def test_loss_rate_tracks_truth(self):
         rng = RngRegistry(5).stream("loss")
@@ -63,6 +100,25 @@ class TestLossEstimation:
         est.observe(0, 100.0, 100.01)
         after = est.loss_probability()
         assert after <= before * 1.05
+
+    def test_gaps_are_counted_again_after_a_restart(self):
+        """A regression beyond the reorder window re-anchors the stream: the
+        survivor is not loss-blind until the new counter passes the old."""
+        est = LinkQualityEstimator()
+        feed(est, 500)
+        est.observe(0, 100.0, 100.01)  # sender rebooted
+        assert est.loss_counts()[0] == 0.0
+        est.observe(1, 100.1, 100.11)
+        est.observe(4, 100.4, 100.41)  # 2 and 3 lost
+        assert est.loss_counts()[0] == 2.0
+        assert est.loss_probability() > 1.0 / 512.0
+
+    def test_a_short_lived_stream_restart_is_blind_for_at_most_the_window(self):
+        est = LinkQualityEstimator()
+        feed(est, REORDER_WINDOW // 2)  # old stream died young
+        for seq in range(0, 3 * REORDER_WINDOW, 2):  # new one drops every other
+            est.observe(seq, 100.0 + seq, 100.01 + seq)
+        assert est.loss_counts()[0] > REORDER_WINDOW / 2
 
     def test_gap_counted_as_loss(self):
         est = LinkQualityEstimator(loss_window=64)

@@ -176,6 +176,48 @@ class TestSilence:
         sim.run_until(2.1)  # just the link delay of the activation flush
         assert {cell.group for cell in box[-1].cells} == {1, 2}
 
+    def test_flushes_in_one_instant_emit_one_round_with_the_final_state(
+        self, sim, network, rng
+    ):
+        """A flush is a request served at the end of the instant: five of
+        them are one frame per destination carrying the last state, not
+        five frames microseconds apart that overtake each other."""
+        batcher = make_batcher(sim, network, rng)
+        boxes = [collect(network, n) for n in (1, 2)]
+        source = FakeSource(1, [1, 2])
+        batcher.add_group(1, source, eta=0.25)
+        batcher.set_active(1, True)
+        sim.run_until(1.0)
+        counts = [len(box) for box in boxes]
+        seqs = dict(batcher._seqs)
+        for acc_time in (1.0, 2.0, 3.0, 4.0, 5.0):
+            source.acc_time = acc_time
+            batcher.flush()
+        assert batcher._seqs == seqs  # nothing left yet
+        sim.run_until(1.1)  # the link delay; no regular tick before 1.25
+        assert [len(box) for box in boxes] == [count + 1 for count in counts]
+        assert all(box[-1].send_time == 1.0 for box in boxes)
+        assert all(box[-1].cells[0].acc_time == 5.0 for box in boxes)
+        sim.run_until(2.0)
+        later = [m.send_time for m in boxes[0] if m.send_time > 1.0]
+        assert later[0] == pytest.approx(1.25)  # the period restarted at the flush
+
+    @pytest.mark.parametrize("stop", ["pause", "shutdown"])
+    def test_a_pending_flush_dies_with_the_stream(self, sim, network, rng, stop):
+        batcher = make_batcher(sim, network, rng)
+        box = collect(network, 1)
+        batcher.add_group(1, FakeSource(1, [1]), eta=0.25)
+        batcher.set_active(1, True)
+        sim.run_until(1.0)
+        count, seqs = len(box), dict(batcher._seqs)
+        batcher.flush()
+        if stop == "pause":
+            batcher.set_active(1, False)
+        else:
+            batcher.shutdown()
+        sim.run_until(3.0)
+        assert len(box) == count and batcher._seqs == seqs
+
     def test_set_active_idempotent(self, sim, network, rng):
         batcher = make_batcher(sim, network, rng)
         batcher.add_group(1, FakeSource(1, [1]), eta=0.25)
@@ -240,6 +282,7 @@ class TestPayloadOnly:
             sim.run_until(sim.now + 1.0)
             rumours.batches = 2
             batcher.flush()
+            sim.run_until(sim.now)  # the flush is a request: served this instant
             assert rumours.calls == 5
             batcher.shutdown()
         handed = [

@@ -277,10 +277,11 @@ updates_about = st.builds(
 
 class TestRumourCarriers:
     def test_the_flush_a_rumoured_suspicion_causes_carries_the_rumour(self, sim, rng):
-        """Queue before fan: the suspect transition moves the election's
-        choice, which flushes the batcher *inside* the fan — a rumour queued
-        after it finds the flush gone (empty, in payload-only mode not even
-        sent) and waits a whole η for the next round."""
+        """The suspect transition moves the election's choice, which asks
+        the batcher for a flush *inside* the fan: the round that serves it,
+        at the end of the instant, must carry the rumour to every peer (not
+        leave empty — in payload-only mode not even sent — and make the
+        rumour wait a whole η)."""
         plane, cluster, listener = make_plane(sim, rng, peers=[1, 2, 3])
         batcher = AliveBatcher(sim, cluster, 0, rng.stream("batcher"), plane=plane)
         batcher.add_group(1, QuietSource(1, [1, 2, 3]), eta=0.25)
@@ -291,6 +292,7 @@ class TestRumourCarriers:
         rumour = SwimUpdate(node=3, incarnation=0, state="suspect")
         plane.apply_updates((rumour,))
         assert not plane.trusted(3)
+        sim.run_until(sim.now)  # the flush is a request: served this instant
         frames = [m for m in cluster.sent if isinstance(m, BatchFrame)]
         assert [f.dest_node for f in frames] == [1, 2, 3]
         assert all(f.swim_updates == (rumour,) for f in frames)

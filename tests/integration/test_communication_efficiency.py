@@ -5,6 +5,8 @@ by counting steady-state ALIVE traffic per sender, and verify the quadratic
 vs linear scaling of the two algorithms.
 """
 
+import pytest
+
 from repro.experiments.runner import build_system
 from repro.experiments.scenario import ExperimentConfig
 from repro.net.message import BatchFrame
@@ -87,4 +89,15 @@ class TestScaling:
         s3.sim.run_until(60.0)
         s2_cpu = sum(n.meter.cpu_us for n in s2.network.nodes.values())
         s3_cpu = sum(n.meter.cpu_us for n in s3.network.nodes.values())
-        assert s2_cpu > 2.5 * s3_cpu
+        # The gap is the ratio of message rates.  S2: n(n − 1) streams at η.
+        # S3: the leader's n − 1 streams at η, plus — η does not touch these
+        # — a HELLO per second on each of the (n − 1)² pairs whose sender
+        # emits no cell to cover the peer.  With no loss seen η is the LAN's
+        # 0.33 s (it was 0.25 s and below under the estimator's prior, when
+        # this asserted > 2.5×): 90.8 against 40.1 messages/s, 2.26×;
+        # measured 162 774 µs against 67 468 µs, 2.41× (S2 lost a third of
+        # its cost, S3 only its leader's share).
+        n, eta = 6, s2.hosts[0].service.batcher.interval()
+        assert eta == pytest.approx(0.33, rel=0.01)
+        modelled = (n * (n - 1) / eta) / ((n - 1) / eta + (n - 1) ** 2 / 1.0)
+        assert s2_cpu / s3_cpu == pytest.approx(modelled, rel=0.1)

@@ -12,12 +12,16 @@ half drops exactly one survivor→survivor change cell of a failover and
 times how long the dead leader stays in some survivor's view.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.chaos.transport import ChaosTransport
 from repro.experiments.runner import build_system
 from repro.experiments.scenario import ExperimentConfig
-from repro.net.message import BatchFrame, HelloMessage
+from repro.fd.configurator import configure
+from repro.fd.qos import LinkEstimate
+from repro.net.message import BatchFrame, HelloMessage, RateRequestMessage
 
 GROUP = 1
 WARMUP = 6.0
@@ -160,14 +164,85 @@ def test_a_lost_change_cell_costs_one_period_not_one_refresh(seed, pair):
 
 def test_on_a_network_that_loses_nothing_nothing_is_sent_twice():
     # Constant-delay, loss-free links: no sequence gap is ever observed, so
-    # a failover puts on the wire exactly what it did before repeats
-    # existed — the byte total below was measured on the parent commit.
+    # a failover repeats nothing.  The byte total was 1 641 470 while the
+    # estimator's prior of 1/2 held η at 0.12–0.17 s for the first minute;
+    # with no loss seen the estimate is the window's floor from the first
+    # reconfiguration, η is the LAN's 0.33 s, and a quiet group whose cells
+    # cover every peer sends no empty HELLO: 1 025 188.
     system, leader = lossy_system(3, link_delay_mean=0.0, link_loss_prob=0.0)
     system.network.node(leader).crash()
     system.sim.run_until(30.0)
     assert agreed_leader(system, 11) not in (None, leader)
     assert repeats(system) == 0
-    assert sum(system.network.node(n).meter.bytes_sent for n in range(12)) == 1_641_470
+    assert sum(system.network.node(n).meter.bytes_sent for n in range(12)) == 1_025_188
+
+
+class RateRequests(ChaosTransport):
+    """Counts RATE-REQUESTs per directed node pair."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = Counter()
+
+    def send(self, message):
+        if type(message) is RateRequestMessage:
+            self.asked[message.sender_node, message.dest_node] += 1
+        super().send(message)
+
+
+def test_on_a_lan_that_loses_nothing_eta_is_the_configurators_answer_for_it():
+    # The exponential-delay twin (32 nodes, 25 µs mean, loss-free; boot and
+    # one leader kill).  Frames may overtake each other, but a late frame is
+    # not a lost one and same-instant flushes are one round: nobody observes
+    # loss, nothing is repeated (the parent repeated ≈ 1 % of changed cells
+    # here), and every monitor asks once, for the η the configurator gives
+    # the estimator's loss floor — not the most pessimistic of 31 priors.
+    def wrap(network, sim, rng):
+        return RateRequests(network, sim, rng.stream("chaos.transport"))
+
+    config = ExperimentConfig(
+        name="loss-free-lan", n_nodes=32, seed=3, node_churn=False, duration=DEADLINE, warmup=6.0
+    )
+    system = build_system(config, transport_wrapper=wrap)
+    sim = system.sim
+    sim.run_until(6.0)
+    leader = agreed_leader(system, 32)
+    assert leader is not None
+
+    def services():
+        return [host.service for host in system.hosts if host.service is not None]
+
+    def lan_eta(monitor):
+        measured = monitor.estimator.estimate()
+        floor = LinkEstimate(1.0 / 512.0, measured.delay_mean, measured.delay_std)
+        return configure(config.qos, floor).eta
+
+    def holds(asked=1, unasked=()):
+        for service in services():
+            assert service.plane.observed_loss() == 0.0
+            for monitor in service.plane.monitors.values():
+                assert monitor.estimator.ready
+                assert monitor.desired_eta == lan_eta(monitor)
+                if service.node.node_id not in unasked:
+                    assert service.batcher.interval() >= monitor.desired_eta
+        assert repeats(system) == 0
+        assert max(system.transport.asked.values()) == asked
+
+    holds()
+    assert len(system.transport.asked) == 32 * 31
+    eta = services()[0].batcher.interval()
+    assert eta == pytest.approx(0.33 * config.qos.detection_time, rel=0.01)
+    system.network.node(leader).crash()
+    sim.run_until(12.0)
+    assert agreed_leader(system, 31) not in (None, leader)
+    holds()
+    system.network.node(leader).recover()
+    sim.run_until(24.0)
+    assert agreed_leader(system, 32) is not None
+    # The rebooted daemon is a new one and asks its peers afresh; they, whose
+    # answer for it has not moved, do not ask again — it stays at the
+    # bootstrap η (safe, dearer; ROADMAP 8e).
+    holds(asked=2, unasked={leader})
 
 
 class HelloTimes(ChaosTransport):

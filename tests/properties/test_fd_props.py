@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fd.configurator import configure
-from repro.fd.estimator import LinkQualityEstimator
+from repro.fd.estimator import REORDER_WINDOW, LinkQualityEstimator
 from repro.fd.qos import (
     FDQoS,
     LinkEstimate,
@@ -97,10 +97,49 @@ class TestEstimatorProperties:
         estimator.observe(received + gap, float(received + gap), float(received + gap))
         p = estimator.loss_probability()
         true_ratio = gap / (received + gap + 1)
-        # Laplace smoothing keeps it within the open interval but it must
-        # be within a coarse band of the truth.
+        # The floor and a received frame keep it within the open interval,
+        # but it must be within a coarse band of the truth.
         assert 0.0 < p < 1.0
         if gap == 0:
             assert p < 0.3
         elif true_ratio > 0.5:
             assert p > 0.3
+
+    @given(
+        frames=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=REORDER_WINDOW - 1)),
+            max_size=300,
+        ),
+        reach=st.integers(min_value=0, max_value=REORDER_WINDOW - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_late_frame_is_not_a_lost_frame(self, frames, reach):
+        """Frame 0 opens the stream; frame i is ``dropped`` or delivered up
+        to ``reach`` (< the reorder window) positions late.  No drop ⇒ the
+        lost count is exactly 0 whatever the order; with drops it is the
+        in-order count to within the forgetting applied while a frame was
+        late (each drop's gap opens ≤ reach arrivals off its in-order place,
+        each late frame's refund comes ≤ 2·reach arrivals after its gap),
+        and at no point negative."""
+        sent = [(0, 0)] + [
+            (seq, seq + late % (reach + 1))
+            for seq, (dropped, late) in enumerate(frames, start=1)
+            if not dropped
+        ]
+        in_order = LinkQualityEstimator()
+        for seq, _ in sent:
+            in_order.observe(seq, float(seq), seq + 0.001)
+        shuffled = LinkQualityEstimator()
+        newest = overtaken = 0
+        for seq, _ in sorted(sent, key=lambda frame: frame[1]):
+            shuffled.observe(seq, float(seq), seq + 0.001)
+            assert shuffled.loss_counts()[0] >= 0.0
+            overtaken += seq < newest
+            newest = max(newest, seq)
+        lost, expected = shuffled.loss_counts()[0], in_order.loss_counts()[0]
+        drops = sent[-1][0] + 1 - len(sent)
+        if drops == 0:
+            assert lost == 0.0
+        forgotten = 1.0 - (1.0 - 1.0 / 512.0) ** (2 * reach + 1)
+        assert abs(lost - expected) <= (drops + overtaken) * forgotten + 1e-9
+        assert 0.0 < shuffled.loss_probability() < 1.0
