@@ -2,9 +2,10 @@
 CellSource` and the receive side of the same payload.
 
 A :class:`GroupCells` decides, per emission round, which destinations this
-group's cell must ride to (change-triggered, with a periodic refresh and two
-quiet-window fast paths), and ingests the cells peers send — election
-payload first, then the per-sender stream monitors Ω_l needs.
+group's cell must ride to (change-triggered, first repeated on an early
+round under loss, with a refresh and two quiet-window fast paths), and
+ingests the cells peers send — election payload, then the stream monitors
+Ω_l needs — unless their frame was overtaken.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ class GroupCells:
 
     __slots__ = (
         "group", "pid", "scheduler", "view", "algorithm", "plane",  # read off the membership
-        "cell_state", "stream_monitors", "_membership", "_sent_version", "_batcher",
+        "cell_state", "stream_monitors", "_membership", "_sent_version", "_batcher", "owing",
         "_dest_nodes", "refresh", "_emit_quiet_until", "_emit_stamp_version",
-        "_emit_stamp_alg", "_emit_template", "_emit_payload", "cells_repeated",
+        "_emit_stamp_alg", "_emit_template", "_emit_payload", "cells_repeated", "frame_anchor",
     )
 
     def __init__(self, membership, batcher) -> None:
@@ -62,6 +63,10 @@ class GroupCells:
         self.cell_state: Dict[int, tuple] = {}
         #: Instrumentation only: cells re-sent because a change was owed.
         self.cells_repeated = 0
+        #: The last round sent a change still owed a repeat (CellSource).
+        self.owing = False
+        #: Sender node -> (seq, send_time) of the newest frame ingested.
+        self.frame_anchor: Dict[int, Tuple[int, float]] = {}
         #: Steady-state emission fast path: while neither the membership
         #: version nor the algorithm's emit stamp has moved since the last
         #: full round, the payload is provably unchanged — rounds reuse the
@@ -108,9 +113,18 @@ class GroupCells:
         every re-trust briefly elects the sender on stale state.  The
         node-level monitor is fed *after* every cell of the frame (see
         ``LeaderElectionService._handle_frame``); the per-stream monitors
-        below follow the same order within the cell.
+        below follow the same order within the cell.  A frame older in both
+        ``seq`` and ``send_time`` than the newest ingested from its sender
+        was overtaken: only its (order-free) membership delta merges.  One
+        count alone would take a reboot or a clock resync for a late frame.
         """
         changed = self.view.merge(cell.delta) if cell.delta else False
+        anchor = self.frame_anchor.get(sender)
+        if anchor is not None and frame.seq < anchor[0] and frame.send_time < anchor[1]:
+            if changed:
+                self._membership.view_changed_by_cell()
+            return
+        self.frame_anchor[sender] = (frame.seq, frame.send_time)
         self.algorithm.on_alive(cell)
         monitors = self.stream_monitors
         if monitors is not None:
@@ -154,13 +168,14 @@ class GroupCells:
         liveness is process liveness) a destination's cell is therefore
         suppressed while the election payload is unchanged, no membership
         delta is owed, no repeat is owed, and a refresh went out within the
-        refresh period.  A *changed* payload stays owed for the next k − 1
-        frames that flow to the destination anyway, k sized from the loss
-        the plane observes (:func:`_sends_for`: no repeat while no gap was
-        ever seen), so a lost frame costs one period; a newer change
-        restarts the count.  The refresh is the anti-entropy backstop and
-        carries the membership digest.  ``senders_only`` groups (Ω_l) emit
-        every round: their receivers' stream monitors feed on the cells.
+        refresh period.  A *changed* payload is owed k − 1 more rounds, k
+        sized from the observed loss (:func:`_sends_for`: none while no gap
+        was seen): :attr:`owing` makes the first an early round η/8 later
+        (a lost change costs η/8), the rest ride the regular rounds, spread
+        in time against a burst of loss; a newer change restarts the count.
+        The refresh is the anti-entropy backstop and carries the membership
+        digest.  ``senders_only`` groups (Ω_l) emit every round: their
+        receivers' stream monitors feed on the cells.
 
         One template cell is built per round; destinations owing no
         membership delta share it, so a steady-state round allocates at
@@ -169,6 +184,7 @@ class GroupCells:
         Without shipped-version cursors (bounded dissemination) *every*
         destination gets the shared template; see ``cell_deltas`` there.
         """
+        self.owing = False
         dests = self._dest_nodes
         if not dests:
             return
@@ -256,7 +272,8 @@ class GroupCells:
                         if changed is None:
                             owed = _sends_for(self.plane.observed_loss()) - 1
                             changed = (payload, now, owed) if owed else entry
-                            owing = owing or owed > 0
+                            self.owing = owed > 0
+                            owing = owing or self.owing
                         sending = changed
                     elif now - state[1] < refresh:
                         if state[1] < oldest:

@@ -25,9 +25,9 @@ Implementation notes:
   producing Figure 7's demotions.
 * The forwarding stage lets p adopt a leader whose link to p is crashed, as
   long as some process p still hears forwards it.  It also slightly delays
-  the demotion of a *really* crashed leader (forwards keep naming it for up
-  to one heartbeat period after the forwarders suspect it), which is the
-  paper's explanation for S2's marginally larger Tr versus S1.
+  the demotion of a *really* crashed leader (its forwards last until the
+  forwarders' changed cells land, η/8 later per lost cell here, up to one
+  heartbeat period in the paper): the paper's reason for S2's larger Tr.
 * Accusation times are **monotonic** per process (they start at the join
   time and only ever move forward to "now"), so any two reports about the
   same process can be reconciled by taking the larger value.  The

@@ -160,6 +160,7 @@ class Membership:
                 # must stop pinning the shared heartbeat interval.
                 self.forget_peer(node)
             self._cell_state.pop(node, None)
+            self._cells.frame_anchor.pop(node, None)
             self._lease_sent.pop(node, None)
             self._forget_node(node)
         self._interested_nodes = current

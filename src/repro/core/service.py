@@ -462,8 +462,9 @@ class LeaderElectionService:
         self.plane.set_flush_hook(self.batcher.flush)
         #: Node-level message types the plane consumes (probe traffic).
         self._plane_handlers = self.plane.message_handlers()
-        #: Last η requested from each peer node (rate-change hysteresis).
-        self._last_requested_rate: Dict[int, float] = {}
+        #: Last η requested from each peer node and its monitor's suspicion
+        #: count then (rate-change hysteresis).
+        self._last_requested_rate: Dict[int, Tuple[float, int]] = {}
         self._reconfig_timer = PeriodicTimer(
             scheduler,
             period_fn=lambda: service_config.reconfig_interval,
@@ -628,10 +629,15 @@ class LeaderElectionService:
             return
         self.node.meter.on_timer()
         for peer, params in self.plane.reconfigure_ready():
-            last = self._last_requested_rate.get(peer)
-            if last is not None and abs(params.eta - last) <= RATE_CHANGE_THRESHOLD * last:
+            monitor = self.plane.monitors[peer]
+            if not monitor.trusted:
+                continue  # a dead peer is not asked
+            # One suspected since it was last asked may be a rebooted daemon
+            # at the bootstrap η: it is asked again, moved answer or not.
+            last, seen = self._last_requested_rate.get(peer, (0.0, -1))
+            if seen == monitor.suspicions and abs(params.eta - last) <= RATE_CHANGE_THRESHOLD * last:
                 continue
-            self._last_requested_rate[peer] = params.eta
+            self._last_requested_rate[peer] = (params.eta, monitor.suspicions)
             self.transport.send(
                 RateRequestMessage(
                     sender_node=self.node.node_id,

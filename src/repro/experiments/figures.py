@@ -34,7 +34,6 @@ __all__ = [
     "fig8_cells",
     "figure_names",
     "cells_for",
-    "all_figure_cells",
     "headline_cost_cells",
 ]
 
@@ -417,15 +416,3 @@ def cells_for(
     if warmup is not None:
         kwargs["warmup"] = warmup
     return grid(**kwargs)
-
-
-def all_figure_cells(
-    duration: Optional[float] = None,
-    warmup: Optional[float] = None,
-    seed: int = 1,
-) -> List[FigureCell]:
-    """The paper's full Figure 3-8 (+ §6.6 headline) grid, concatenated."""
-    cells: List[FigureCell] = []
-    for figure in FIGURE_GRIDS:
-        cells.extend(cells_for(figure, duration=duration, warmup=warmup, seed=seed))
-    return cells

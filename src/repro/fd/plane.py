@@ -41,8 +41,8 @@ from repro.net.message import BatchFrame
 from repro.runtime.base import FdPlane
 from repro.sim.vector import deadline_timer
 
-__all__ = ["CELL_REFRESH", "CELL_REPEAT_MISS", "CELL_REPEAT_CAP", "PlaneListener",
-           "FdPlaneBase", "NodeFdPlane", "StreamMonitor"]
+__all__ = ["CELL_REFRESH", "CELL_REPEAT_MISS", "CELL_REPEAT_CAP", "CELL_REPEAT_SPACING",
+           "PlaneListener", "FdPlaneBase", "NodeFdPlane", "StreamMonitor"]
 
 #: Steady-state cell refresh period, seconds.  Heartbeat *frames* flow at
 #: the FD-negotiated η per node pair, but an ``all_candidates`` group's
@@ -52,12 +52,13 @@ __all__ = ["CELL_REFRESH", "CELL_REPEAT_MISS", "CELL_REPEAT_CAP", "PlaneListener
 #: instead of O(groups × node pairs).
 CELL_REFRESH = 1.0
 
-#: Loss repair of a *changed* cell: it rides consecutive frames until the
-#: chance all were lost, at the loss this node observes, is at most the
-#: first number — but at most the second number of sends, so the repeats
-#: are over before the refresh above would have fired.
+#: Loss repair of a *changed* cell: it rides consecutive rounds until the
+#: chance all were lost, at the observed loss, is at most the first number,
+#: in at most the second number of sends (over before the refresh fires);
+#: the first repeat leaves this fraction of the period after the change.
 CELL_REPEAT_MISS = 1e-3
 CELL_REPEAT_CAP = 4
+CELL_REPEAT_SPACING = 0.125
 
 
 class PlaneListener(Protocol):

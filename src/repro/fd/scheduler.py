@@ -33,6 +33,7 @@ from typing import Dict, Iterable, Optional, Protocol, Tuple
 
 import numpy as np
 
+from repro.fd.plane import CELL_REPEAT_SPACING
 from repro.metrics.usage import UsageMeter
 from repro.net.message import AliveCell, BatchFrame
 from repro.runtime.base import FdPlane, Scheduler, TimerHandle, Transport
@@ -56,6 +57,9 @@ class CellSource(Protocol):
         frame header alone (the node-level FD needs no payload).
         """
         ...
+
+    #: Read-only, after a round: it sent a change still owed a repeat.
+    owing: bool
 
 
 class AliveBatcher:
@@ -246,9 +250,12 @@ class AliveBatcher:
         receivers' freshness deadlines, so this is always safe — and since
         frames are multiplexed, one group's urgency refreshes everyone.  Any
         number of requests in one instant emit one round with the final
-        state, not a burst whose frames overtake each other on the link.
+        state, not a burst whose frames overtake each other on the link.  A
+        pending early repeat round (see :meth:`_tick`) is brought forward.
         """
-        if self.active and self._flush_handle is None:
+        pending = self._flush_handle
+        if self.active and (pending is None or pending.time > self.scheduler.now):
+            self.scheduler.cancel(pending)
             self._flush_handle = self.scheduler.schedule(0.0, self._flush_now)
 
     def _flush_now(self) -> None:
@@ -260,6 +267,9 @@ class AliveBatcher:
     _NO_CELLS: Tuple[AliveCell, ...] = ()
 
     def _tick(self) -> None:
+        """One round.  If it left a source :attr:`~CellSource.owing`, one
+        more leaves ``CELL_REPEAT_SPACING · interval()`` later via the
+        :meth:`flush` path (it restarts the period, dies with the stream)."""
         if self._meter is not None:
             self._meter.on_timer()
         # Every destination of an emitting group gets a frame — the FD
@@ -282,13 +292,17 @@ class AliveBatcher:
             # the key set is exact until the next invalidation).
             self._per_dest_scratch = {dest: [] for dest in order}
         per_dest = self._per_dest_scratch
-        emitted = False
+        emitted = owing = False
         for group, source in self._sources.items():
             if not self._active.get(group):
                 continue
             for dest, cell in source.emit_cells():
                 per_dest[dest].append(cell)
                 emitted = True
+            owing = owing or source.owing
+        if owing and self._flush_handle is None:
+            delay = CELL_REPEAT_SPACING * self.interval()
+            self._flush_handle = self.scheduler.schedule(delay, self._flush_now)
         payload_only = self._payload_only
         rumours = self._rumours
         # Read once per round: nothing below can queue a rumour, and while

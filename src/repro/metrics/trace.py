@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "TraceEvent",
@@ -133,12 +133,6 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def for_group(self, group: int) -> Iterator[TraceEvent]:
-        """Events relevant to one group: its own plus node-level events."""
-        for event in self.events:
-            if event.group == group or event.group is None:
-                yield event
-
     def groups(self) -> List[int]:
         """All group ids that appear in the trace, in first-seen order.
 

@@ -174,10 +174,5 @@ class Network:
             sender.meter.on_send(message.wire_bytes(), message.wire_shares())
             link.transmit_batched(message, deliver, batch)
 
-    def broadcast(self, messages: Iterable[Message]) -> None:
-        """Send each message; a convenience for per-destination fan-out."""
-        for message in messages:
-            self.send(message)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Network(n={len(self.nodes)})"

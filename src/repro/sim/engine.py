@@ -359,10 +359,6 @@ class Simulator:
         if not self._stopped:
             self._now = max(self._now, time)
 
-    def run_for(self, duration: float) -> None:
-        """Run for ``duration`` seconds of virtual time."""
-        self.run_until(self._now + duration)
-
     def run(self) -> None:
         """Run until the event queue is exhausted or :meth:`stop` is called."""
         self._stopped = False

@@ -1,10 +1,12 @@
-"""Loss-sized repeats of a changed ALIVE cell (``GroupCells.emit_cells``).
+"""Loss-sized repeats of a changed ALIVE cell (``GroupCells.emit_cells``),
+and the overtaken-frame guard on ingest (``GroupCells.handle_cell``).
 
-A changed election payload goes to each destination on the next frame and
+A changed election payload goes to each destination on the next round and
 then rides k − 1 more, k sized from the loss the plane observes; nothing is
 sent twice while no loss was ever seen.  The fakes below stand in for
 everything a :class:`GroupCells` reads off its membership, so each test
-scripts exactly one thing: the payload, the clock and the observed loss.
+scripts exactly one thing: the payload, the clock and the observed loss —
+or, on the receive side, the order frames arrive in.
 """
 
 from types import SimpleNamespace
@@ -12,8 +14,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.cells import GroupCells
+from repro.experiments.runner import build_system
+from repro.experiments.scenario import ExperimentConfig
 from repro.fd.plane import CELL_REFRESH, CELL_REPEAT_CAP
-from repro.net.message import MemberInfo
+from repro.net.message import AliveCell, BatchFrame, MemberInfo
 
 ETA = 0.2
 DESTS = (1, 2, 3)
@@ -38,12 +42,20 @@ class Algorithm:
     def emit_stamp(self):
         return self.stamp
 
+    def on_alive(self, cell):
+        self.forward = cell.local_leader
+
 
 class View:
     version = 1
 
     def __init__(self):
         self.records = ()
+        self.merged = []
+
+    def merge(self, delta):
+        self.merged.extend(delta)
+        return True
 
     def digest64(self):
         return 7
@@ -84,7 +96,11 @@ def make_cells(loss, cell_deltas=True, dests=DESTS):
         plane=Plane(loss),
         cell_deltas=cell_deltas,
         sent_version={dest: 1 for dest in dests},
+        syncs=[],
+        view_moves=[],
     )
+    membership.push_sync = membership.syncs.append
+    membership.view_changed_by_cell = lambda: membership.view_moves.append(True)
     cells = GroupCells(membership, SimpleNamespace(invalidate_dests=lambda: None))
     cells.retarget(dests)
     return cells
@@ -182,6 +198,21 @@ def test_after_the_last_repeat_rounds_are_skipped_until_the_refresh():
     assert tick(cells) == {}
 
 
+def test_owing_marks_only_the_round_that_sent_the_change():
+    # The batcher arms one early round after it; the repeats themselves
+    # (fast path) ride what comes next without arming another.
+    cells = make_cells(loss=0.1)  # 3 sends
+    rounds_until_quiet(cells)
+    assert not cells.owing
+    cells.algorithm.change()
+    owed = []
+    for _ in range(4):  # the full round, two fast-path repeats, a quiet round
+        tick(cells)
+        owed.append(cells.owing)
+    assert owed == [True, False, False, False]
+    assert cells.cells_repeated == 2 * len(DESTS)
+
+
 def test_neither_a_first_contact_nor_a_refresh_is_repeated():
     cells = make_cells(loss=0.5)
     assert rounds_until_quiet(cells) == 1  # first contact: nothing *changed*
@@ -222,3 +253,68 @@ def test_bounded_membership_is_unaffected():
     assert len({id(cell) for _, cell in sent}) == 1
     assert tick(cells) == {}
     assert cells.cells_repeated == 0
+
+
+# ----------------------------------------------------------------------
+# Receive side: a frame overtaken on the link cannot rewind the election
+# ----------------------------------------------------------------------
+
+SENDER = 4
+L, M = 8, 9  # two forwards the sender names, in that order
+
+
+def frame(seq, send_time, forward, delta=(), digest=7):
+    """One frame from SENDER carrying a cell that forwards ``forward``."""
+    cell = AliveCell(group=1, pid=SENDER, local_leader=forward, delta=delta, view_digest=digest)
+    return BatchFrame(
+        sender_node=SENDER, dest_node=0, seq=seq, send_time=send_time, cells=(cell,)
+    )
+
+
+def ingest(cells, *frames):
+    for received in frames:
+        cells.handle_cell(SENDER, received, received.cells[0])
+    return cells.algorithm.forward
+
+
+def test_a_frame_overtaken_by_its_successor_cannot_rewind_the_forward():
+    cells = make_cells(loss=0.01)
+    record = MemberInfo(pid=5, node=5, incarnation=1, candidate=True, present=True, joined_at=0.0)
+    before = frame(5, 10.0, L, delta=(record,), digest=99)  # sent first, diverged digest
+    after = frame(6, 10.2, M)
+    assert ingest(cells, after, before) == M  # the parent went back to L
+    membership = cells._membership
+    assert cells.view.merged == [record]  # the delta still merges, order-free
+    assert membership.view_moves == [True]
+    assert membership.syncs == []  # an overtaken digest is no divergence
+    assert cells.frame_anchor[SENDER] == (6, 10.2)
+
+
+def test_in_order_frames_are_all_ingested():
+    cells = make_cells(loss=0.01)
+    assert ingest(cells, frame(5, 10.0, L)) == L
+    assert ingest(cells, frame(6, 10.2, M)) == M
+
+
+def test_a_rebooted_sender_restarts_its_seq_and_is_ingested():
+    cells = make_cells(loss=0.01)
+    assert ingest(cells, frame(6, 10.2, M), frame(0, 11.0, L)) == L
+    assert ingest(cells, frame(1, 11.2, M)) == M  # the anchor moved to the new stream
+
+
+def test_a_resynced_clock_steps_send_time_back_and_is_ingested():
+    cells = make_cells(loss=0.01)
+    assert ingest(cells, frame(6, 10.2, M), frame(7, 10.1, L)) == L
+
+
+def test_the_anchor_goes_when_the_peer_leaves_the_view():
+    config = ExperimentConfig(
+        name="anchor-goes", n_nodes=4, seed=3, node_churn=False, duration=30.0, warmup=5.0
+    )
+    system = build_system(config)
+    system.sim.run_until(5.0)
+    cells = system.hosts[0].service.group_runtime(1).cells
+    assert set(cells.frame_anchor) == {1, 2, 3}
+    system.hosts[3].service.leave(3, 1)  # pid == node id in build_system
+    system.sim.run_until(8.0)
+    assert set(cells.frame_anchor) == {1, 2}

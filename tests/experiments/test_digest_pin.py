@@ -45,7 +45,10 @@ PINNED_CONFIG = dict(
 #: LAN's η = 0.33 s instead of the 0.12–0.25 s the prior of 1/2 asked for,
 #: same-instant flushes are one round, and covered peers get no empty
 #: HELLO: 5 047 → 3 497 events, and the digest moved with the timing.
-PINNED_EVENTS = 3497
+#: Survivors re-ask a peer suspected since they last asked it for a rate,
+#: so a rebooted workstation leaves the bootstrap η = 0.25 s for the LAN's
+#: 0.33 s instead of keeping it: 3 497 → 3 377 events, the digest unchanged.
+PINNED_EVENTS = 3377
 PINNED_DIGEST = "be83119772d9865738ab8bd045b0532b5de94c987f78e510bb1921fc9b3fc2a1"
 
 

@@ -9,6 +9,8 @@ from repro.metrics.usage import UsageMeter
 from repro.net.message import AliveCell, BatchFrame, SwimUpdate
 from repro.net.network import Network, NetworkConfig
 
+from tests.core.test_cells import make_cells
+
 
 @pytest.fixture
 def network(sim, rng):
@@ -18,6 +20,8 @@ def network(sim, rng):
 
 class FakeSource:
     """A scripted cell source for one group (no suppression: every round)."""
+
+    owing = False
 
     def __init__(self, group, dests, acc_time=0.0):
         self.group = group
@@ -226,6 +230,102 @@ class TestSilence:
         batcher.set_active(1, False)
         batcher.set_active(1, False)
         assert not batcher.active
+
+
+def changing_cells(sim, loss, group=1):
+    """A real :class:`GroupCells` to nodes 1–3 on the simulator's clock, at
+    the observed ``loss`` (its membership faked as in the cells tests)."""
+    cells = make_cells(loss=loss)
+    cells.scheduler = sim
+    cells.group = group
+    return cells
+
+
+class TestEarlyRepeatRound:
+    """A round that sends a change still owed a repeat arms one more round
+    an eighth of a period later — through the flush path, so it restarts
+    the period and dies with the stream; later repeats ride regular ticks."""
+
+    CHANGE = 1.1  # off the 0.25 s grid the boot flush started
+
+    def changed(self, sim, network, rng, sources):
+        batcher = make_batcher(sim, network, rng)
+        for cells in sources:
+            batcher.add_group(cells.group, cells, eta=0.25)
+            batcher.set_active(cells.group, True)
+        sim.run_until(self.CHANGE)
+        for cells in sources:
+            cells.algorithm.change()
+        batcher.flush()
+        return batcher
+
+    def since_change(self, box):
+        """``(ms after the change, acc_times carried)`` per frame from it on."""
+        return [
+            (round((frame.send_time - self.CHANGE) * 1e3, 6), [c.acc_time for c in frame.cells])
+            for frame in box
+            if frame.send_time >= self.CHANGE
+        ]
+
+    def test_an_owed_repeat_rides_one_round_an_eighth_of_a_period_later(self, sim, network, rng):
+        box = collect(network, 1)
+        batcher = self.changed(sim, network, rng, [changing_cells(sim, loss=0.01)])
+        assert batcher.interval() == 0.25
+        sim.run_until(1.5)
+        # change, its one repeat (k = 2 at 1 %), then the period from there
+        assert self.since_change(box) == [(0.0, [1.0]), (31.25, [1.0]), (281.25, [])]
+
+    def test_owing_sources_in_one_round_arm_one_early_round(self, sim, network, rng):
+        box = collect(network, 1)
+        sources = [changing_cells(sim, loss=0.01, group=group) for group in (1, 2, 3)]
+        self.changed(sim, network, rng, sources)
+        sim.run_until(1.5)
+        assert self.since_change(box) == [
+            (0.0, [1.0, 1.0, 1.0]), (31.25, [1.0, 1.0, 1.0]), (281.25, [])
+        ]
+
+    def test_later_repeats_ride_the_regular_ticks(self, sim, network, rng):
+        # At 10 % loss a change is sent three times: the change, one early
+        # round, then the next regular tick — spread in time, as a burst of
+        # loss (a crashed link) needs, not three rounds inside η/4.
+        box = collect(network, 1)
+        self.changed(sim, network, rng, [changing_cells(sim, loss=0.1)])
+        sim.run_until(1.5)
+        assert self.since_change(box) == [
+            (0.0, [1.0]), (31.25, [1.0]), (281.25, [1.0])
+        ]
+
+    def test_a_node_that_saw_no_loss_arms_none(self, sim, network, rng):
+        box = collect(network, 1)
+        self.changed(sim, network, rng, [changing_cells(sim, loss=0.0)])
+        sim.run_until(1.5)
+        assert self.since_change(box) == [(0.0, [1.0]), (250.0, [])]  # the regular tick
+
+    def test_a_flush_brings_a_pending_early_round_forward(self, sim, network, rng):
+        box = collect(network, 1)
+        cells = changing_cells(sim, loss=0.1)  # 3 sends
+        batcher = self.changed(sim, network, rng, [cells])
+        sim.run_until(self.CHANGE + 0.01)
+        cells.algorithm.change()
+        batcher.flush()  # the early round was due at +31.25 ms
+        sim.run_until(1.5)
+        assert self.since_change(box)[:4] == [
+            (0.0, [1.0]), (10.0, [2.0]), (41.25, [2.0]), (291.25, [2.0])
+        ]
+
+    @pytest.mark.parametrize("stop", ["pause", "shutdown"])
+    def test_a_pending_early_round_dies_with_the_stream(self, sim, network, rng, stop):
+        box = collect(network, 1)
+        batcher = self.changed(sim, network, rng, [changing_cells(sim, loss=0.01)])
+        sim.run_until(self.CHANGE + 0.01)  # the change round has landed
+        assert batcher._flush_handle is not None  # the early round is armed
+        count, seqs = len(box), dict(batcher._seqs)
+        if stop == "pause":
+            batcher.set_active(1, False)
+        else:
+            batcher.shutdown()
+        sim.run_until(3.0)
+        assert len(box) == count and batcher._seqs == seqs
 
 
 class TestPayloadOnly:

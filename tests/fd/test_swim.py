@@ -441,6 +441,8 @@ class TestLeakRegression:
         )
 
         class Source:
+            owing = False
+
             def dest_nodes(self):
                 return (1, 2, 3)
 

@@ -1,5 +1,6 @@
 """Unit tests for the trace recorder."""
 
+from repro.metrics.leadership import leader_intervals
 from repro.metrics.trace import TraceRecorder
 
 
@@ -15,14 +16,18 @@ class TestTraceRecorder:
         kinds = [e.kind for e in trace.events]
         assert kinds == ["join", "view", "crash", "recover", "leave"]
 
-    def test_for_group_includes_node_events(self):
+    def test_a_node_event_reaches_each_groups_analysis(self):
         trace = TraceRecorder()
-        trace.record_join(0.0, group=1, pid=1, node=1)
-        trace.record_join(0.0, group=2, pid=1, node=1)
-        trace.record_crash(1.0, node=1)
-        events = list(trace.for_group(1))
-        assert len(events) == 2  # the group-1 join and the crash
-        assert {e.kind for e in events} == {"join", "crash"}
+        for group in (1, 2):
+            trace.record_join(0.0, group=group, pid=1, node=1)
+            trace.record_view(0.5, group=group, pid=1, leader=1)
+        trace.record_leave(1.0, group=2, pid=1)
+        trace.record_crash(2.0, node=1)  # node-level: no group of its own
+        ends = {
+            group: [(i.start, i.end) for i in leader_intervals(trace.events, group, 3.0)]
+            for group in (1, 2)
+        }
+        assert ends == {1: [(0.5, 2.0)], 2: [(0.5, 1.0)]}
 
     def test_groups_enumeration(self):
         trace = TraceRecorder()

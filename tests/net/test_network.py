@@ -86,10 +86,10 @@ class TestSendPath:
         assert received == []
         assert network.node(1).meter.messages_received == 0
 
-    def test_broadcast_helper(self, sim, network):
+    def test_send_batch_fans_out(self, sim, network):
         received = []
         for n in (1, 2, 3):
             network.node(n).set_receiver(received.append)
-        network.broadcast([alive(0, n) for n in (1, 2, 3)])
+        network.send_batch([alive(0, n) for n in (1, 2, 3)])
         sim.run_until(1.0)
         assert len(received) == 3

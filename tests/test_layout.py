@@ -19,7 +19,7 @@ MAX_LINES = 800
 CEILINGS = {"runtime/cluster.py": 878, "runtime/codec.py": 870}
 #: Lines of Python under ``src/``.  Raised only by editing it here, in the
 #: diff that needs the room; lowered when the tree is 150 lines under it.
-SRC_LINES_CEILING = 18_831
+SRC_LINES_CEILING = 18_842
 
 
 def _module_sizes():
