@@ -26,6 +26,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.core.service import ServiceConfig  # noqa: E402
+from repro.fd.qos import FDQoS  # noqa: E402
 from repro.runtime.cluster import run_cluster  # noqa: E402
 
 N_NODES = int(sys.argv[1]) if len(sys.argv) > 1 else 3
@@ -39,7 +41,7 @@ def main() -> int:
     )
     report = run_cluster(
         N_NODES,
-        detection_time=DETECTION_TIME,
+        service=ServiceConfig(default_qos=FDQoS(detection_time=DETECTION_TIME)),
         kill_leader=True,
         log_dir=Path("live-cluster-logs"),
     )

@@ -22,7 +22,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.chaos.fuzz import (
     FuzzProfile,
@@ -33,8 +33,7 @@ from repro.chaos.fuzz import (
 )
 from repro.chaos.run import ChaosRunConfig, ChaosRunResult, run_scripted
 from repro.chaos.script import ChaosScript
-from repro.core.election.registry import available_algorithms
-from repro.core.service import FD_PLANES
+from repro.flags import SIMULATOR_FLAGS, add_flags, apply_flags
 
 __all__ = ["build_parser", "main"]
 
@@ -46,37 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         "invariant checks, seed-replayable fuzzing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_profile_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--nodes", type=int, default=None, help="cluster size")
-        p.add_argument(
-            "--groups", type=int, default=None, help="hosted groups per daemon"
-        )
-        p.add_argument(
-            "--algorithm", default=None, choices=available_algorithms()
-        )
-        p.add_argument(
-            "--detection-time", type=float, default=None, help="FD QoS bound T_D^U, s"
-        )
-        p.add_argument(
-            "--lease-clients",
-            type=int,
-            default=None,
-            help="lease clients contending on the primary group",
-        )
-        p.add_argument(
-            "--transfer-ratio",
-            type=float,
-            default=None,
-            help="probability a lease cycle ends in a transfer instead of "
-            "a release",
-        )
-        p.add_argument(
-            "--fd-plane",
-            default=None,
-            choices=FD_PLANES,
-            help="node-level FD plane the cases run under",
-        )
 
     fuzz = sub.add_parser(
         "fuzz", help="run N seeded random scenarios and check all invariants"
@@ -92,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--artifact", type=Path, default=None, help="write the batch JSON here"
     )
-    add_profile_flags(fuzz)
+    add_flags(fuzz, SIMULATOR_FLAGS)
 
     replay = sub.add_parser(
         "replay", help="re-run one fuzz case bit-identically from its seed"
@@ -106,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--show-script", action="store_true", help="print the generated script"
     )
-    add_profile_flags(replay)
+    add_flags(replay, SIMULATOR_FLAGS)
 
     run = sub.add_parser("run", help="run one scenario from a script file")
     run.add_argument("--script", type=Path, required=True, help="ChaosScript JSON")
@@ -116,32 +84,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="if the run fails, shrink the script to a minimal reproduction",
     )
-    add_profile_flags(run)
+    add_flags(run, SIMULATOR_FLAGS)
     return parser
 
 
 def _profile_from_args(args: argparse.Namespace) -> FuzzProfile:
-    changes = {}
-    if args.nodes is not None:
-        changes["n_nodes"] = args.nodes
-    if args.groups is not None:
-        changes["n_groups"] = args.groups
-    if args.algorithm is not None:
-        changes["algorithm"] = args.algorithm
-    if args.detection_time is not None:
-        changes["detection_time"] = args.detection_time
-    if args.lease_clients is not None:
-        changes["n_lease_clients"] = args.lease_clients
-    if args.transfer_ratio is not None:
-        changes["transfer_ratio"] = args.transfer_ratio
-    if args.fd_plane is not None:
-        changes["fd_plane"] = args.fd_plane
-    return replace(FuzzProfile(), **changes)
+    profile = FuzzProfile()
+    return replace(profile, system=apply_flags(args, profile.system))
 
 
 def _print_report(result: ChaosRunResult) -> None:
     report = result.report
-    print(f"fd plane             : {result.config.fd_plane}")
+    print(f"fd plane             : {result.config.system.fd_plane}")
     print(f"script steps applied : {result.chaos_steps_applied}")
     print(f"trace digest         : {result.trace_digest}")
     if report.stabilized_at is not None:
@@ -167,8 +121,7 @@ def _run_fuzz(args: argparse.Namespace, profile: FuzzProfile) -> int:
         print(f"--workers must be >= 1 (got {args.workers})", file=sys.stderr)
         return 2
 
-    def progress(done: int, total: int, outcome) -> None:
-        record = outcome if isinstance(outcome, dict) else outcome.record
+    def progress(done: int, total: int, record: Dict[str, Any]) -> None:
         verdict = "ok" if record.get("ok") else "FAIL"
         print(
             f"[{done}/{total}] seed={record.get('case_seed')} {verdict}",
@@ -214,7 +167,7 @@ def _run_replay(args: argparse.Namespace, profile: FuzzProfile) -> int:
     config = config_for_case(args.seed, profile)
     print(
         f"replaying case seed {args.seed}: {len(config.script.steps)} steps, "
-        f"{config.script.duration:.0f} virtual s, {config.n_nodes} nodes "
+        f"{config.script.duration:.0f} virtual s, {config.system.n_nodes} nodes "
         f"({replay_command(args.seed, profile)})"
     )
     if args.show_script:
@@ -242,16 +195,10 @@ def _run_script(args: argparse.Namespace, profile: FuzzProfile) -> int:
     try:
         script = ChaosScript.from_dict(record)
         config = ChaosRunConfig(
-            name=f"chaos/script/{args.script.stem}",
             script=script,
-            n_nodes=profile.n_nodes,
-            n_groups=profile.n_groups,
-            algorithm=profile.algorithm,
-            seed=args.seed,
-            detection_time=profile.detection_time,
-            n_lease_clients=profile.n_lease_clients,
-            lease_transfer_ratio=profile.transfer_ratio,
-            fd_plane=profile.fd_plane,
+            system=profile.system.with_(
+                name=f"chaos/script/{args.script.stem}", seed=args.seed
+            ),
         )
     except (ValueError, TypeError) as exc:
         print(f"invalid chaos script: {exc}", file=sys.stderr)

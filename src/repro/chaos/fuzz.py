@@ -1,10 +1,10 @@
 """Randomized scenario fuzzing: seeded grammar, parallel runs, shrinking.
 
-The fuzzer closes the loop the ISSUE demands: *generate* adversarial
-scenarios from a seed, *run* them through the experiment orchestrator in
-parallel, *check* the paper's invariants on every one, and — when a run
-fails — *shrink* the script to a minimal step list and hand the user a
-one-line replay command that reproduces the failure bit-identically.
+The fuzzer closes the loop: *generate* adversarial scenarios from a seed,
+*run* them in parallel worker processes (the orchestrator's pool), *check*
+the paper's invariants on every one, and — when a run fails — *shrink*
+the script to a minimal step list and hand the user a one-line replay
+command that reproduces the failure bit-identically.
 
 The seed-replay contract
 ------------------------
@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,32 +49,46 @@ from repro.chaos.script import (
     partition,
     reorder,
 )
-from repro.core.service import FD_PLANES
-from repro.experiments.orchestrator import run_sweep
+from repro.experiments.orchestrator import map_in_pool
 from repro.experiments.scenario import ExperimentConfig
-from repro.fd.qos import FDQoS
+from repro.flags import SIMULATOR_FLAGS, flag_argv
 from repro.sim.rng import RngRegistry
 
 __all__ = [
+    "FUZZ_SYSTEM",
     "FuzzProfile",
     "FuzzFailure",
     "FuzzResult",
     "case_seed",
     "generate_script",
     "config_for_case",
-    "fuzz_cell_runner",
     "run_fuzz",
     "shrink_failure",
     "replay_command",
 ]
 
-#: Dotted reference the orchestrator workers resolve (must stay importable).
-FUZZ_RUNNER_REF = "repro.chaos.fuzz:fuzz_cell_runner"
+#: The deployment a fuzz case attacks unless its profile says otherwise.
+#: Two groups per daemon, so every batch exercises the shared FD plane's
+#: isolation (group-scoped faults, the cross-group invariant) alongside the
+#: classic single-group adversaries; three lease clients, so every case
+#: checks the lease tier's ``no-double-grant`` safety, a quarter of whose
+#: cycles end in a transfer (handoff token monotonicity).  The FD plane is
+#: a system setting, deliberately NOT a grammar draw: the grammar's draw
+#: order is API (a new draw would shift every pinned replay seed), so the
+#: swim plane is fuzzed by re-running the same seed battery on it.
+FUZZ_SYSTEM = ExperimentConfig(
+    name="chaos/fuzz",
+    n_nodes=6,
+    n_groups=2,
+    n_lease_clients=3,
+    lease_transfer_ratio=0.25,
+)
 
 
 @dataclass(frozen=True)
 class FuzzProfile:
-    """The grammar's knobs.  Replay must use the profile of the original run.
+    """The grammar's knobs and the system it attacks.  Replay must use the
+    profile of the original run.
 
     Chaos starts only after ``chaos_start`` (the group needs a few seconds
     to form), every generated script heals at the end of its chaos window,
@@ -81,14 +96,6 @@ class FuzzProfile:
     QoS-derived stabilization bound so a healthy service always passes.
     """
 
-    n_nodes: int = 6
-    #: Hosted groups per daemon: 2 by default since the multi-group
-    #: scale-out, so every batch exercises the shared FD plane's isolation
-    #: (group-scoped faults, cross-group invariant) alongside the classic
-    #: single-group adversaries.
-    n_groups: int = 2
-    algorithm: str = "omega_lc"
-    detection_time: float = 1.0
     min_steps: int = 1
     max_steps: int = 5
     chaos_start: float = 20.0
@@ -99,41 +106,13 @@ class FuzzProfile:
     max_drop: float = 0.6
     max_jitter: float = 1.0
     max_burst_downtime: float = 5.0
-    #: Lease clients contending on the primary group — every fuzz case
-    #: exercises the lease tier's ``no-double-grant`` safety invariant
-    #: under the generated adversary by default.
-    n_lease_clients: int = 3
-    #: Probability a lease cycle ends in a transfer instead of a release,
-    #: so every batch also fuzzes handoff token monotonicity.
-    transfer_ratio: float = 0.25
-    #: Node-level FD plane the generated cases run under.  A profile knob,
-    #: deliberately NOT a grammar draw: the grammar's draw order is API (a
-    #: new draw would shift every pinned replay seed), so the swim plane is
-    #: fuzzed by re-running the same seed battery with this set to "swim".
-    fd_plane: str = "all_pairs"
+    system: ExperimentConfig = FUZZ_SYSTEM
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 2:
-            raise ValueError(f"need at least 2 nodes (got {self.n_nodes})")
-        if self.n_groups < 1:
-            raise ValueError(f"need at least 1 group (got {self.n_groups})")
         if not 1 <= self.min_steps <= self.max_steps:
             raise ValueError("need 1 <= min_steps <= max_steps")
         if self.settle <= self.hold:
             raise ValueError("settle window must exceed the hold requirement")
-        if self.n_lease_clients < 0:
-            raise ValueError(
-                f"n_lease_clients must be >= 0 (got {self.n_lease_clients})"
-            )
-        if not 0.0 <= self.transfer_ratio <= 1.0:
-            raise ValueError(
-                f"transfer_ratio must be in [0, 1] (got {self.transfer_ratio})"
-            )
-        if self.fd_plane not in FD_PLANES:
-            raise ValueError(
-                f"unknown fd_plane {self.fd_plane!r} "
-                f"(expected one of {', '.join(FD_PLANES)})"
-            )
 
 
 #: Step kinds the grammar draws from, with weights.  Transport-level steps
@@ -159,6 +138,7 @@ def case_seed(master_seed: int, index: int) -> int:
 def generate_script(seed: int, profile: Optional[FuzzProfile] = None) -> ChaosScript:
     """Generate one scenario from the seeded grammar (pure in its inputs)."""
     profile = profile if profile is not None else FuzzProfile()
+    n_nodes = profile.system.n_nodes
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
     n_steps = int(rng.integers(profile.min_steps, profile.max_steps + 1))
     heal_at = profile.chaos_start + profile.chaos_window
@@ -174,14 +154,14 @@ def generate_script(seed: int, profile: Optional[FuzzProfile] = None) -> ChaosSc
     for at in times:
         kind = kinds[int(rng.choice(len(kinds), p=weights))]
         if kind == "partition":
-            nodes = list(rng.permutation(profile.n_nodes))
-            split = int(rng.integers(1, profile.n_nodes))
+            nodes = list(rng.permutation(n_nodes))
+            split = int(rng.integers(1, n_nodes))
             steps.append(
                 partition(at, [sorted(int(n) for n in nodes[:split])])
             )
         elif kind == "asym_link":
             src, dst = (
-                int(n) for n in rng.choice(profile.n_nodes, size=2, replace=False)
+                int(n) for n in rng.choice(n_nodes, size=2, replace=False)
             )
             steps.append(asym_link(at, src, dst))
         elif kind == "drop":
@@ -192,14 +172,14 @@ def generate_script(seed: int, profile: Optional[FuzzProfile] = None) -> ChaosSc
             steps.append(reorder(at, float(rng.uniform(0.05, profile.max_jitter))))
         elif kind == "group_fault":
             # Target any hosted group; a rate high enough to bite.
-            target = 1 + int(rng.integers(profile.n_groups))
+            target = 1 + int(rng.integers(profile.system.n_groups))
             steps.append(group_fault(at, target, float(rng.uniform(0.3, 1.0))))
         elif kind == "clock_drift":
-            node = int(rng.integers(profile.n_nodes))
+            node = int(rng.integers(n_nodes))
             skew = float(rng.uniform(-profile.max_skew, profile.max_skew))
             steps.append(clock_drift(at, node, skew))
         else:  # churn_burst
-            k = int(rng.integers(1, profile.n_nodes))
+            k = int(rng.integers(1, n_nodes))
             if rng.random() < 0.5:
                 # Fast reboot: the node comes back on its own mid-chaos.
                 downtime = float(rng.uniform(2.0, profile.max_burst_downtime))
@@ -225,64 +205,22 @@ def config_for_case(
     """The full run config of one fuzz case (script + system seed)."""
     profile = profile if profile is not None else FuzzProfile()
     return ChaosRunConfig(
-        name=f"chaos/fuzz/{seed}",
         script=generate_script(seed, profile),
-        n_nodes=profile.n_nodes,
-        n_groups=profile.n_groups,
-        algorithm=profile.algorithm,
-        seed=RngRegistry.derive_seed(seed, "chaos.system"),
-        detection_time=profile.detection_time,
+        system=profile.system.with_(
+            name=f"chaos/fuzz/{seed}",
+            seed=RngRegistry.derive_seed(seed, "chaos.system"),
+        ),
         hold=profile.hold,
-        n_lease_clients=profile.n_lease_clients,
-        lease_transfer_ratio=profile.transfer_ratio,
-        fd_plane=profile.fd_plane,
     )
 
 
-# ----------------------------------------------------------------------
-# Orchestrator integration
-# ----------------------------------------------------------------------
-def _experiment_cell(seed: int, profile: FuzzProfile) -> ExperimentConfig:
-    """The orchestrator-visible cell for one case.
-
-    The cell's ``seed`` is the *case seed* — the worker regenerates the
-    script and the system seed from it, so the payload the pool pickles is
-    just this small config.  The profile's grammar knobs ride on the
-    fields ExperimentConfig shares (nodes, algorithm, QoS); the rest are
-    :class:`FuzzProfile` defaults, which the replay contract pins.
-    """
-    script = generate_script(seed, profile)
-    return ExperimentConfig(
-        name=f"chaos/fuzz/{seed}",
-        algorithm=profile.algorithm,
-        n_nodes=profile.n_nodes,
-        n_groups=profile.n_groups,
-        duration=script.duration,
-        warmup=0.0,
-        seed=seed,
-        node_churn=False,
-        qos=FDQoS(detection_time=profile.detection_time),
-        fd_plane=profile.fd_plane,
-        n_lease_clients=profile.n_lease_clients,
-        lease_transfer_ratio=profile.transfer_ratio,
-    )
-
-
-def fuzz_cell_runner(config: ExperimentConfig) -> Dict[str, Any]:
-    """Orchestrator worker entry: run the fuzz case encoded in ``config``."""
-    profile = FuzzProfile(
-        n_nodes=config.n_nodes,
-        n_groups=config.n_groups,
-        algorithm=config.algorithm,
-        detection_time=config.qos.detection_time,
-        n_lease_clients=config.n_lease_clients,
-        transfer_ratio=config.lease_transfer_ratio,
-        fd_plane=config.fd_plane,
-    )
-    result = run_scripted(config_for_case(config.seed, profile))
-    record = result.to_dict()
-    record["case_seed"] = config.seed
-    return record
+def _case_record(
+    case: Tuple[int, FuzzProfile],
+    runner: Callable[[ChaosRunConfig], ChaosRunResult] = run_scripted,
+) -> Dict[str, Any]:
+    """Run one ``(case_seed, profile)`` case: the whole of what a worker gets."""
+    seed, profile = case
+    return dict(runner(config_for_case(seed, profile)).to_dict(), case_seed=seed)
 
 
 @dataclass
@@ -346,29 +284,13 @@ class FuzzResult:
 def replay_command(seed: int, profile: Optional[FuzzProfile] = None) -> str:
     """The one-liner that reproduces a case bit-identically.
 
-    The CLI-expressible profile knobs (nodes, algorithm, detection time)
-    are appended whenever they differ from the defaults — a replay under
-    a different profile is a different case, so the command must carry
-    everything the CLI can vary.
+    Every chaos flag whose value differs from the default profile's is
+    appended — a replay under a different system is a different case, so
+    the command must carry everything the CLI can vary.
     """
-    command = f"python -m repro chaos replay --seed {seed}"
-    if profile is not None:
-        defaults = FuzzProfile()
-        if profile.n_nodes != defaults.n_nodes:
-            command += f" --nodes {profile.n_nodes}"
-        if profile.n_groups != defaults.n_groups:
-            command += f" --groups {profile.n_groups}"
-        if profile.algorithm != defaults.algorithm:
-            command += f" --algorithm {profile.algorithm}"
-        if profile.detection_time != defaults.detection_time:
-            command += f" --detection-time {profile.detection_time}"
-        if profile.n_lease_clients != defaults.n_lease_clients:
-            command += f" --lease-clients {profile.n_lease_clients}"
-        if profile.transfer_ratio != defaults.transfer_ratio:
-            command += f" --transfer-ratio {profile.transfer_ratio}"
-        if profile.fd_plane != defaults.fd_plane:
-            command += f" --fd-plane {profile.fd_plane}"
-    return command
+    system = (profile if profile is not None else FuzzProfile()).system
+    argv = flag_argv(system, SIMULATOR_FLAGS, base=FuzzProfile().system)
+    return " ".join(["python -m repro chaos replay --seed", str(seed), *argv])
 
 
 def run_fuzz(
@@ -378,73 +300,35 @@ def run_fuzz(
     profile: Optional[FuzzProfile] = None,
     workers: int = 1,
     shrink: bool = True,
-    progress: Optional[Callable[[int, int, Any], None]] = None,
+    progress: Optional[Callable[[int, int, Dict[str, Any]], None]] = None,
     runner: Callable[[ChaosRunConfig], ChaosRunResult] = run_scripted,
 ) -> FuzzResult:
     """Fuzz ``runs`` seeded scenarios; shrink every failure.
 
-    Cases run through :func:`repro.experiments.orchestrator.run_sweep`
-    (sharded across ``workers`` processes; ``workers=1`` stays fully
-    in-process, which tests use to monkeypatch regressions).  ``runner``
-    is the single-case executor used for in-process shrinking.
+    Each case goes to a worker process as ``(case_seed, profile)`` and is
+    regenerated there (``workers=1`` stays fully in-process, which tests
+    use to monkeypatch regressions).  ``runner`` executes every case and
+    every shrink candidate; with ``workers > 1`` it must pickle.
+    ``progress(done, runs, record)`` is called in completion order.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1 (got {runs})")
     profile = profile if profile is not None else FuzzProfile()
-    if workers > 1 and profile != FuzzProfile(
-        n_nodes=profile.n_nodes,
-        n_groups=profile.n_groups,
-        algorithm=profile.algorithm,
-        detection_time=profile.detection_time,
-        n_lease_clients=profile.n_lease_clients,
-        transfer_ratio=profile.transfer_ratio,
-        fd_plane=profile.fd_plane,
-    ):
-        # Workers rebuild the profile from the fields that ride on
-        # ExperimentConfig; any other customized knob (grammar sizes,
-        # windows, hold) would silently generate *different* scenarios in
-        # the workers than the parent shrinks and replays.
-        raise ValueError(
-            "workers > 1 supports only the CLI-expressible profile knobs "
-            "(n_nodes, n_groups, algorithm, detection_time, "
-            "n_lease_clients, transfer_ratio, fd_plane); run custom-grammar "
-            "profiles with workers=1"
-        )
-    seeds = [case_seed(master_seed, index) for index in range(runs)]
-    cells = [_experiment_cell(seed, profile) for seed in seeds]
-    # The sweep orchestrator shards the cases across worker processes; the
-    # custom runner reference makes each worker execute the *chaos* case
-    # (regenerated from the cell's seed), not the default experiment.
-    # workers=1 keeps everything in the calling process, so tests can
-    # monkeypatch regressions into the election and see them caught.
-    if workers == 1:
-        started = time.perf_counter()
-        records = []
-        for index, seed in enumerate(seeds):
-            record = dict(
-                runner(config_for_case(seed, profile)).to_dict(), case_seed=seed
-            )
-            records.append(record)
-            if progress is not None:
-                progress(index + 1, runs, record)
-        wall = time.perf_counter() - started
-    else:
-        sweep = run_sweep(
-            cells,
-            name=f"chaos-fuzz/{master_seed}",
-            workers=workers,
-            runner=FUZZ_RUNNER_REF,
-            progress=progress,
-        )
-        records = [outcome.record for outcome in sweep.outcomes]
-        wall = sweep.wall_seconds
+    cases = [(case_seed(master_seed, index), profile) for index in range(runs)]
+    records: List[Dict[str, Any]] = [{} for _ in cases]
+    started = time.perf_counter()
+    completed = map_in_pool(partial(_case_record, runner=runner), cases, workers)
+    for done, (index, record) in enumerate(completed, 1):
+        records[index] = record
+        if progress is not None:
+            progress(done, runs, record)
 
     result = FuzzResult(
         master_seed=master_seed,
         runs=runs,
         profile=profile,
         records=records,
-        wall_seconds=wall,
+        wall_seconds=time.perf_counter() - started,
     )
     for record in records:
         if record.get("ok"):

@@ -29,62 +29,28 @@ from repro.chaos.script import ChaosScript
 from repro.chaos.transport import ChaosTransport
 from repro.experiments.runner import build_system
 from repro.experiments.scenario import ExperimentConfig
-from repro.fd.qos import FDQoS
 from repro.metrics.trace import trace_digest
 from repro.net.network import Network
 from repro.sim.engine import DriftingScheduler, Simulator
 
 __all__ = ["ChaosRunConfig", "ChaosRunResult", "SimFaultPlane", "run_scripted"]
 
-#: The group every chaos scenario elects in (the paper's single-group setup).
-CHAOS_GROUP = 1
-
 
 @dataclass(frozen=True)
 class ChaosRunConfig:
     """Everything needed to reproduce one chaos run bit-for-bit."""
 
-    name: str
     script: ChaosScript
-    n_nodes: int = 6
-    #: Hosted groups per daemon (ids CHAOS_GROUP .. CHAOS_GROUP+n_groups-1);
-    #: every group's invariants are checked, plus cross-group isolation.
-    n_groups: int = 1
-    algorithm: str = "omega_lc"
-    seed: int = 1
-    detection_time: float = 1.0
-    link_delay_mean: float = 0.025e-3
-    link_loss_prob: float = 0.0
+    #: The deployment under attack (its name and seed name the run).  Every
+    #: hosted group's invariants are checked, plus cross-group isolation;
+    #: lease clients feed the ``no-double-grant`` checker.
+    system: ExperimentConfig
     #: Seconds an agreed leader must hold to count as stable.
     hold: float = 15.0
     #: Override the QoS-derived post-heal stabilization bound (None = derive).
     stabilize_bound: Optional[float] = None
-    #: Lease clients contending on the primary group during the run (their
-    #: grants feed the ``no-double-grant`` checker).
-    n_lease_clients: int = 0
-    #: Probability a lease cycle ends in a transfer instead of a release
-    #: (exercises handoff token monotonicity under the adversary).
-    lease_transfer_ratio: float = 0.0
-    #: Node-level FD plane under test ("all_pairs" or "swim").  A profile
-    #: knob, deliberately not a fuzz-grammar draw: adding a draw would
-    #: shift every pinned replay seed, so swim coverage comes from running
-    #: the same seed battery under a swim profile.
-    fd_plane: str = "all_pairs"
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 2:
-            raise ValueError(f"need at least 2 nodes (got {self.n_nodes})")
-        if self.n_groups < 1:
-            raise ValueError(f"need at least 1 group (got {self.n_groups})")
-        if self.n_lease_clients < 0:
-            raise ValueError(
-                f"n_lease_clients must be >= 0 (got {self.n_lease_clients})"
-            )
-        if not 0.0 <= self.lease_transfer_ratio <= 1.0:
-            raise ValueError(
-                "lease_transfer_ratio must be in [0, 1] "
-                f"(got {self.lease_transfer_ratio})"
-            )
         if self.script.heal_time is None:
             raise ValueError("chaos scripts must end with a heal() step")
         if self.script.heal_time >= self.script.duration:
@@ -94,27 +60,11 @@ class ChaosRunConfig:
         """A copy running a different script (the shrinker's move)."""
         return replace(self, script=script)
 
-    @property
-    def qos(self) -> FDQoS:
-        return FDQoS(detection_time=self.detection_time)
-
     def experiment_config(self) -> ExperimentConfig:
-        """The :class:`ExperimentConfig` for the underlying system build."""
-        return ExperimentConfig(
-            name=self.name,
-            algorithm=self.algorithm,
-            n_nodes=self.n_nodes,
-            n_groups=self.n_groups,
-            duration=self.script.duration,
-            warmup=0.0,
-            seed=self.seed,
-            link_delay_mean=self.link_delay_mean,
-            link_loss_prob=self.link_loss_prob,
-            node_churn=False,
-            qos=self.qos,
-            fd_plane=self.fd_plane,
-            n_lease_clients=self.n_lease_clients,
-            lease_transfer_ratio=self.lease_transfer_ratio,
+        """The system build: the script is the whole run and the only fault
+        schedule, so no warm-up and no §6.1 churn."""
+        return replace(
+            self.system, duration=self.script.duration, warmup=0.0, node_churn=False
         )
 
 
@@ -135,17 +85,17 @@ class ChaosRunResult:
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-safe record (the fuzz artifact's per-case payload)."""
+        system = self.config.system
         return {
             "kind": "chaos-run",
-            "name": self.config.name,
-            "seed": self.config.seed,
-            "n_nodes": self.config.n_nodes,
-            "n_groups": self.config.n_groups,
-            "n_lease_clients": self.config.n_lease_clients,
-            "lease_transfer_ratio": self.config.lease_transfer_ratio,
-            "algorithm": self.config.algorithm,
-            "fd_plane": self.config.fd_plane,
-            "detection_time": self.config.detection_time,
+            **{
+                name: getattr(system, name)
+                for name in (
+                    "name", "seed", "n_nodes", "n_groups", "n_lease_clients",
+                    "lease_transfer_ratio", "algorithm", "fd_plane",
+                )
+            },
+            "detection_time": system.qos.detection_time,
             "ok": self.ok,
             "report": self.report.to_dict(),
             "trace_digest": self.trace_digest,
@@ -238,13 +188,13 @@ def run_scripted(config: ChaosRunConfig) -> ChaosRunResult:
     controller.start()
     system.sim.run_until(config.script.duration)
 
-    groups = tuple(range(CHAOS_GROUP, CHAOS_GROUP + config.n_groups))
+    groups = config.system.groups
     report = check_invariants(
         system.trace.events,
-        group=CHAOS_GROUP,
+        group=groups[0],
         end_time=config.script.duration,
         heal_time=config.script.heal_time,
-        qos=config.qos,
+        qos=config.system.qos,
         hold=config.hold,
         stabilize_bound=config.stabilize_bound,
     )
@@ -254,7 +204,7 @@ def run_scripted(config: ChaosRunConfig) -> ChaosRunResult:
             group=group,
             end_time=config.script.duration,
             heal_time=config.script.heal_time,
-            qos=config.qos,
+            qos=config.system.qos,
             hold=config.hold,
             stabilize_bound=config.stabilize_bound,
         )

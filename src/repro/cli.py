@@ -26,7 +26,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.core.election.registry import available_algorithms
+from repro.core.service import ServiceConfig
+from repro.flags import LIVE_FLAGS, NODE_FLAGS, add_flags, apply_flags
 
 __all__ = ["build_parser", "main"]
 
@@ -44,13 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="boot an N-process localhost UDP cluster, kill the leader, "
         "verify re-election",
     )
-    live.add_argument("--nodes", type=int, default=3, help="daemon processes")
-    live.add_argument(
-        "--groups",
-        type=int,
-        default=1,
-        help="groups hosted per daemon (ids 1..N; one shared FD plane)",
-    )
+    add_flags(live, LIVE_FLAGS, ServiceConfig)
+    # A laptop-sized cluster by default, not the paper's twelve workstations.
+    live.set_defaults(nodes=3, groups=1)
     live.add_argument("--host", default="127.0.0.1")
     live.add_argument(
         "--base-port",
@@ -58,18 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="first UDP port (node i uses base+i); default: pick free ports",
     )
-    live.add_argument(
-        "--algorithm", default="omega_lc", choices=available_algorithms()
-    )
-    live.add_argument(
-        "--qos",
-        "--detection-time",
-        dest="detection_time",
-        type=float,
-        default=1.0,
-        help="FD QoS bound T_D^U, s (--detection-time is an alias)",
-    )
-    live.add_argument("--fd-variant", default="nfds", choices=("nfds", "nfde"))
     live.add_argument(
         "--no-kill",
         action="store_true",
@@ -108,24 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument(
         "--group", type=int, default=1, help="first hosted group id"
     )
-    node.add_argument(
-        "--groups",
-        type=int,
-        default=1,
-        help="number of hosted groups (ids group..group+N-1)",
-    )
-    node.add_argument(
-        "--algorithm", default="omega_lc", choices=available_algorithms()
-    )
-    node.add_argument(
-        "--qos",
-        "--detection-time",
-        dest="detection_time",
-        type=float,
-        default=1.0,
-        help="FD QoS bound T_D^U, s (--detection-time is an alias)",
-    )
-    node.add_argument("--fd-variant", default="nfds", choices=("nfds", "nfde"))
+    add_flags(node, NODE_FLAGS, ServiceConfig)
+    node.set_defaults(groups=1)
     node.add_argument(
         "--duration",
         type=float,
@@ -224,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_live(args: argparse.Namespace) -> int:
+def _run_live(args: argparse.Namespace, service: ServiceConfig) -> int:
     from repro.runtime.cluster import run_cluster
 
     ports = None
@@ -235,9 +204,7 @@ def _run_live(args: argparse.Namespace) -> int:
         groups=args.groups,
         host=args.host,
         ports=ports,
-        algorithm=args.algorithm,
-        detection_time=args.detection_time,
-        fd_variant=args.fd_variant,
+        service=service,
         kill_leader=not args.no_kill,
         lease_smoke=args.lease_smoke,
         stable_seconds=args.stable_seconds,
@@ -263,9 +230,7 @@ def _run_node(args: argparse.Namespace) -> int:
             ports=ports,
             host=args.host,
             groups=tuple(range(args.group, args.group + args.groups)),
-            algorithm=args.algorithm,
-            detection_time=args.detection_time,
-            fd_variant=args.fd_variant,
+            service=apply_flags(args, ServiceConfig()),
             duration=args.duration,
             chaos_script=args.chaos_script,
         )
@@ -344,7 +309,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"--nodes must be >= 2 (got {args.nodes})")
         if args.groups < 1:
             parser.error(f"--groups must be >= 1 (got {args.groups})")
-        return _run_live(args)
+        try:
+            service = apply_flags(args, ServiceConfig())
+        except ValueError as exc:
+            parser.error(str(exc))
+        return _run_live(args, service)
     if args.command == "lease":
         return _run_lease(args)
     return _run_node(args)

@@ -49,7 +49,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.cells import GroupCells
 from repro.core.election.base import GroupContext
-from repro.core.election.registry import create_algorithm
+from repro.core.election.registry import available_algorithms, create_algorithm
 from repro.core.group import MembershipView, make_incarnation
 from repro.core.membership import membership_for
 from repro.fd.configurator import ConfiguratorCache, bootstrap_params
@@ -115,6 +115,11 @@ class ServiceConfig:
         """Validate eagerly: a bad config must fail at construction, not
         deep inside the first join (or, worse, the first monitor creation
         minutes into a run)."""
+        if self.algorithm not in available_algorithms():
+            raise ValueError(
+                f"unknown election algorithm {self.algorithm!r} "
+                f"(known: {', '.join(available_algorithms())})"
+            )
         if self.fd_variant not in FD_MONITORS:
             raise ValueError(
                 f"unknown fd_variant {self.fd_variant!r} "

@@ -21,9 +21,8 @@ __all__ = ["ResultCache", "CACHE_SCHEMA"]
 #: Bump when the cached record layout changes; older entries become misses.
 CACHE_SCHEMA = "repro.cell/1"
 
-#: ``cache_key`` is the filename key (config hash, salted with the runner
-#: reference for custom runners); ``config_hash`` is always the plain config
-#: hash, kept for provenance when inspecting entries by hand.
+#: ``cache_key`` is the filename key: the config hash, kept once more as
+#: ``config_hash`` for provenance when inspecting entries by hand.
 _REQUIRED_KEYS = ("schema", "cache_key", "config_hash", "seed", "result")
 
 

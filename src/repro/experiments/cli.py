@@ -27,14 +27,12 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.core.election.registry import available_algorithms
-from repro.core.service import FD_PLANES
 from repro.experiments.figures import cells_for, figure_names
 from repro.experiments.orchestrator import CellOutcome, format_progress, run_sweep
 from repro.experiments.report import format_figure_results
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.scenario import ExperimentConfig
-from repro.fd.qos import FDQoS
+from repro.flags import SIMULATOR_FLAGS, add_flags, apply_flags
 from repro.metrics.stats import rate_confidence_interval
 
 __all__ = ["build_parser", "main"]
@@ -49,20 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run one leader-election experiment cell, or a whole "
         "figure sweep through the parallel orchestrator (paper §6).",
     )
-    parser.add_argument(
-        "--algorithm",
-        default="omega_lc",
-        choices=available_algorithms(),
-        help="election algorithm (S1=omega_id, S2=omega_lc, S3=omega_l)",
-    )
-    parser.add_argument("--nodes", type=int, default=12, help="workstations")
-    parser.add_argument(
-        "--groups",
-        type=int,
-        default=1,
-        help="groups hosted per daemon (one shared FD plane; metrics are "
-        "reported for the primary group)",
-    )
+    add_flags(parser, SIMULATOR_FLAGS, ExperimentConfig)
     parser.add_argument(
         "--duration",
         type=float,
@@ -83,33 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-churn", action="store_true", help="disable workstation churn")
     parser.add_argument("--node-mttf", type=float, default=600.0)
     parser.add_argument("--node-mttr", type=float, default=5.0)
-    parser.add_argument(
-        "--qos",
-        "--detection-time",
-        dest="detection_time",
-        type=float,
-        default=1.0,
-        help="FD QoS bound T_D^U, s (--detection-time is an alias)",
-    )
-    parser.add_argument(
-        "--fd-plane",
-        choices=FD_PLANES,
-        default="all_pairs",
-        help="node-level FD plane: all_pairs (paper, O(n^2)) or swim (O(k*n))",
-    )
-    parser.add_argument(
-        "--lease-clients",
-        type=int,
-        default=0,
-        help="simulated lease clients contending on the primary group's locks",
-    )
-    parser.add_argument(
-        "--lease-transfer-ratio",
-        type=float,
-        default=0.0,
-        help="probability a lease cycle ends in a transfer to another "
-        "client instead of a release",
-    )
 
     sweep = parser.add_argument_group("sweep orchestration")
     sweep.add_argument(
@@ -151,11 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
+    cell = ExperimentConfig(
         name=f"cli/{args.algorithm}",
-        algorithm=args.algorithm,
-        n_nodes=args.nodes,
-        n_groups=args.groups,
         duration=args.duration if args.duration is not None else 1800.0,
         warmup=args.warmup if args.warmup is not None else 300.0,
         seed=args.seed,
@@ -166,11 +121,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         node_churn=not args.no_churn,
         node_mttf=args.node_mttf,
         node_mttr=args.node_mttr,
-        qos=FDQoS(detection_time=args.detection_time),
-        fd_plane=args.fd_plane,
-        n_lease_clients=args.lease_clients,
-        lease_transfer_ratio=args.lease_transfer_ratio,
     )
+    return apply_flags(args, cell)
 
 
 def _print_progress(done: int, total: int, outcome: CellOutcome) -> None:
@@ -266,19 +218,8 @@ def _run_figure_sweep(args: argparse.Namespace, cells_by_figure: dict) -> int:
 #: Flags that configure the single cell and are meaningless against a
 #: figure's predefined grid (duration/warmup/seed apply to both modes).
 _SINGLE_CELL_ONLY = (
-    "algorithm",
-    "nodes",
-    "delay",
-    "loss",
-    "link_mttf",
-    "link_mttr",
-    "no_churn",
-    "node_mttf",
-    "node_mttr",
-    "detection_time",
-    "fd_plane",
-    "lease_clients",
-    "lease_transfer_ratio",
+    *SIMULATOR_FLAGS, "delay", "loss", "link_mttf", "link_mttr", "no_churn",
+    "node_mttf", "node_mttr",
 )
 #: Flags that only the orchestrated sweep mode consumes.
 _SWEEP_ONLY = ("resume", "artifact", "sweep_seed")

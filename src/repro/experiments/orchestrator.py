@@ -27,23 +27,20 @@ whether a sweep runs with 1 worker or 16.
 
 from __future__ import annotations
 
-import hashlib
-import importlib
 import json
 import os
 import subprocess
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.scenario import ExperimentConfig
 from repro.experiments.serialize import (
-    config_from_dict,
     config_hash,
     config_to_dict,
     result_from_dict,
@@ -57,7 +54,7 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "derive_cell_seeds",
-    "default_cell_runner",
+    "map_in_pool",
     "format_progress",
     "git_sha",
 ]
@@ -69,30 +66,6 @@ SWEEP_SCHEMA = "repro.sweep/1"
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
-def default_cell_runner(config: ExperimentConfig) -> Dict[str, Any]:
-    """Run one cell and return its JSON-safe result payload."""
-    result = run_experiment(config)
-    return result_to_dict(result)
-
-
-def _resolve_runner(runner_ref: Optional[str]) -> Callable[[ExperimentConfig], Dict[str, Any]]:
-    """Resolve a ``"module:function"`` reference (None = the default runner).
-
-    Resolution happens *inside the worker*, so custom runners living in
-    modules with registration side effects (plugin algorithms) work under
-    both the fork and spawn start methods.
-    """
-    if runner_ref is None:
-        return default_cell_runner
-    module_name, _, attr = runner_ref.partition(":")
-    if not module_name or not attr:
-        raise ValueError(
-            f"runner must be a 'module:function' reference (got {runner_ref!r})"
-        )
-    module = importlib.import_module(module_name)
-    return getattr(module, attr)
-
-
 def _worker_init(parent_sys_path: List[str]) -> None:
     """Mirror the parent's import paths (needed under the spawn method).
 
@@ -104,22 +77,38 @@ def _worker_init(parent_sys_path: List[str]) -> None:
     sys.path[:0] = [entry for entry in parent_sys_path if entry not in sys.path]
 
 
-def _execute_cell(payload: Tuple[int, Dict[str, Any], Optional[str]]) -> Dict[str, Any]:
-    """Top-level (hence picklable) worker entry: run one serialized cell."""
-    index, config_dict, runner_ref = payload
-    config = config_from_dict(config_dict)
-    runner = _resolve_runner(runner_ref)
+def map_in_pool(
+    function: Callable[[Any], Any], payloads: Sequence[Any], workers: int
+) -> Iterator[Tuple[int, Any]]:
+    """``(index, function(payloads[index]))`` for every payload, in
+    completion order.
+
+    ``workers=1`` runs everything in the calling process, in order;
+    otherwise the payloads are sharded across up to ``workers`` processes,
+    so ``function`` and every payload must pickle.
+    """
+    if workers == 1 or not payloads:
+        yield from enumerate(map(function, payloads))
+        return
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(payloads)),
+        initializer=_worker_init,
+        initargs=(list(sys.path),),
+    ) as pool:
+        futures = {
+            pool.submit(function, payload): index
+            for index, payload in enumerate(payloads)
+        }
+        for future in as_completed(futures):
+            yield futures[future], future.result()
+
+
+def _run_cell(config: ExperimentConfig) -> Tuple[float, Dict[str, Any]]:
+    """Top-level (hence picklable) worker entry: one cell's wall time and
+    JSON-safe result payload."""
     started = time.perf_counter()
-    result = runner(config)
-    wall = time.perf_counter() - started
-    return {
-        "index": index,
-        "config_hash": config_hash(config),
-        "seed": config.seed,
-        "wall_seconds": wall,
-        "events_executed": int(result.get("events_executed", 0)),
-        "result": result,
-    }
+    record = result_to_dict(run_experiment(config))
+    return time.perf_counter() - started, record
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +133,7 @@ class CellOutcome:
         return self.events_executed / self.wall_seconds
 
     def experiment_result(self) -> ExperimentResult:
-        """Rehydrate the full result (default-runner cells only)."""
+        """Rehydrate the full result."""
         return result_from_dict(self.record)
 
 
@@ -234,18 +223,6 @@ def format_progress(done: int, total: int, outcome: CellOutcome) -> str:
     )
 
 
-def _cache_key(key: str, runner: Optional[str]) -> str:
-    """The on-disk cache key for a cell.
-
-    A custom runner produces a differently-shaped record from the same
-    config, so the runner reference participates in the key — a cache
-    directory shared between runners can never serve the wrong shape.
-    """
-    if runner is None:
-        return key
-    return hashlib.sha256(f"{key}:{runner}".encode("utf-8")).hexdigest()
-
-
 def run_sweep(
     configs: Sequence[ExperimentConfig],
     *,
@@ -254,7 +231,6 @@ def run_sweep(
     resume: bool = False,
     cache_dir: Optional[Path] = None,
     artifact_path: Optional[Path] = None,
-    runner: Optional[str] = None,
     sweep_seed: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> SweepResult:
@@ -266,8 +242,6 @@ def run_sweep(
     there for the next resume.  ``resume`` without a ``cache_dir`` is an
     error (there is nothing to resume from).
     ``artifact_path`` — where to write the sweep's JSON artifact (optional).
-    ``runner`` — ``"module:function"`` replacing the default cell runner,
-    for sweeps over plugin algorithms or custom measurements.
     ``sweep_seed`` — reseed cells via :func:`derive_cell_seeds` first.
     ``progress`` — called as ``progress(done, total, outcome)`` after every
     cell, in completion order.
@@ -300,11 +274,7 @@ def run_sweep(
     # ------------------------------------------------------------------
     pending: List[int] = []
     for index, key in enumerate(hashes):
-        cached_record = (
-            cache.load(_cache_key(key, runner))
-            if (resume and cache is not None)
-            else None
-        )
+        cached_record = cache.load(key) if (resume and cache is not None) else None
         if cached_record is not None:
             finish(
                 CellOutcome(
@@ -323,51 +293,32 @@ def run_sweep(
     # ------------------------------------------------------------------
     # Execute what remains, sharded across workers.
     # ------------------------------------------------------------------
-    def absorb(raw: Dict[str, Any]) -> None:
-        index = raw["index"]
+    configs_to_run = [cells[index] for index in pending]
+    for position, (wall, record) in map_in_pool(_run_cell, configs_to_run, workers):
+        index = pending[position]
         outcome = CellOutcome(
             index=index,
             config=cells[index],
-            config_hash=raw["config_hash"],
+            config_hash=hashes[index],
             cached=False,
-            wall_seconds=raw["wall_seconds"],
-            events_executed=raw["events_executed"],
-            record=raw["result"],
+            wall_seconds=wall,
+            events_executed=int(record["events_executed"]),
+            record=record,
         )
         if cache is not None:
-            key = _cache_key(outcome.config_hash, runner)
             cache.store(
-                key,
+                outcome.config_hash,
                 {
                     "schema": CACHE_SCHEMA,
-                    "cache_key": key,
+                    "cache_key": outcome.config_hash,
                     "config_hash": outcome.config_hash,
-                    "runner": runner,
-                    "seed": raw["seed"],
+                    "seed": outcome.config.seed,
                     "wall_seconds": outcome.wall_seconds,
                     "events_executed": outcome.events_executed,
                     "result": outcome.record,
                 },
             )
         finish(outcome)
-
-    payloads = [
-        (index, config_to_dict(cells[index]), runner) for index in pending
-    ]
-    if payloads and workers == 1:
-        for payload in payloads:
-            absorb(_execute_cell(payload))
-    elif payloads:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(payloads)),
-            initializer=_worker_init,
-            initargs=(list(sys.path),),
-        ) as pool:
-            futures = {pool.submit(_execute_cell, payload) for payload in payloads}
-            while futures:
-                completed, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in completed:
-                    absorb(future.result())
 
     wall = time.perf_counter() - started
     sweep = SweepResult(

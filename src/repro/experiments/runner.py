@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.api import Application, ServiceHost
-from repro.core.service import ServiceConfig
 from repro.experiments.scenario import ExperimentConfig
 from repro.fd.configurator import ConfiguratorCache
 from repro.lease.workload import LeaseWorkload
@@ -27,7 +26,6 @@ from repro.metrics.leadership import LeadershipMetrics, analyze_leadership
 from repro.metrics.trace import TraceRecorder
 from repro.metrics.usage import UsageReport
 from repro.net.faults import LinkChurnInjector, NodeChurnInjector
-from repro.net.links import LinkConfig
 from repro.net.network import Network, NetworkConfig
 from repro.runtime.base import Scheduler, Transport
 from repro.sim.engine import Simulator
@@ -110,14 +108,10 @@ def build_system(
     """
     sim = Simulator()
     rng = RngRegistry(config.seed)
-    link_config = LinkConfig(
-        delay_mean=config.link_delay_mean,
-        loss_prob=config.link_loss_prob,
-        mttf=config.link_mttf,
-        mttr=config.link_mttr if config.link_mttf is not None else None,
-    )
     network = Network(
-        sim, NetworkConfig(n_nodes=config.n_nodes, default_link=link_config), rng
+        sim,
+        NetworkConfig(n_nodes=config.n_nodes, default_link=config.link_config()),
+        rng,
     )
     transport: Transport = (
         transport_wrapper(network, sim, rng) if transport_wrapper is not None else network
@@ -132,11 +126,7 @@ def build_system(
     }
     trace = TraceRecorder()
     cache = ConfiguratorCache()
-    service_config = ServiceConfig(
-        algorithm=config.algorithm,
-        default_qos=config.qos,
-        fd_plane=config.fd_plane,
-    )
+    service_config = config.service_config()
     peer_nodes = tuple(range(config.n_nodes))
 
     hosts: List[ServiceHost] = []

@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.core.service import FD_PLANES
+from repro.core.service import ServiceConfig
 from repro.fd.qos import FDQoS
+from repro.net.links import LinkConfig
 
 __all__ = ["LossyNetwork", "ExperimentConfig"]
 
@@ -87,11 +88,9 @@ class ExperimentConfig:
             raise ValueError(f"need at least 2 nodes (got {self.n_nodes})")
         if self.n_groups < 1:
             raise ValueError(f"need at least 1 group (got {self.n_groups})")
-        if self.fd_plane not in FD_PLANES:
-            raise ValueError(
-                f"unknown fd_plane {self.fd_plane!r} "
-                f"(expected one of {', '.join(FD_PLANES)})"
-            )
+        # The daemon's and the links' own checks, now rather than at build.
+        self.service_config()
+        self.link_config()
         if self.n_lease_clients < 0:
             raise ValueError(
                 f"n_lease_clients must be >= 0 (got {self.n_lease_clients})"
@@ -110,6 +109,21 @@ class ExperimentConfig:
     def groups(self) -> "tuple[int, ...]":
         """The hosted group ids (primary first)."""
         return tuple(range(self.group, self.group + self.n_groups))
+
+    def service_config(self) -> ServiceConfig:
+        """The daemon settings every simulated node runs."""
+        return ServiceConfig(
+            algorithm=self.algorithm, default_qos=self.qos, fd_plane=self.fd_plane
+        )
+
+    def link_config(self) -> LinkConfig:
+        """The behaviour of every directed link."""
+        return LinkConfig(
+            delay_mean=self.link_delay_mean,
+            loss_prob=self.link_loss_prob,
+            mttf=self.link_mttf,
+            mttr=self.link_mttr if self.link_mttf is not None else None,
+        )
 
     def with_(self, **changes) -> "ExperimentConfig":
         """A modified copy (convenience for sweeps)."""

@@ -47,7 +47,7 @@ from typing import Dict, IO, List, Optional, Tuple
 from repro.core.api import Application
 from repro.core.commands import CommandHandler
 from repro.core.service import LeaderElectionService, ServiceConfig
-from repro.fd.qos import FDQoS
+from repro.flags import NODE_FLAGS, flag_argv
 from repro.net.node import Node
 from repro.runtime.realtime import RealtimeScheduler, UdpTransport
 from repro.sim.rng import RngRegistry
@@ -68,9 +68,8 @@ class LiveNodeConfig:
     host: str = "127.0.0.1"
     #: Group ids this daemon hosts (all served by one shared FD plane).
     groups: Tuple[int, ...] = (1,)
-    algorithm: str = "omega_lc"
-    detection_time: float = 1.0
-    fd_variant: str = "nfds"
+    #: The daemon's settings; every hosted group joins with its default QoS.
+    service: ServiceConfig = field(default_factory=ServiceConfig)
     #: Seconds to serve before exiting voluntarily (None: until killed).
     duration: Optional[float] = None
     #: Optional ChaosScript JSON file applied to this node's transport.
@@ -83,10 +82,6 @@ class LiveNodeConfig:
         if not 0 <= self.node_id < len(self.ports):
             raise ValueError(
                 f"node_id {self.node_id} out of range for {len(self.ports)} ports"
-            )
-        if self.detection_time <= 0:
-            raise ValueError(
-                f"detection_time must be positive (got {self.detection_time})"
             )
         if not self.groups:
             raise ValueError("need at least one group")
@@ -175,11 +170,7 @@ async def run_node(config: LiveNodeConfig) -> None:
         transport=send_transport,
         node=node,
         peer_nodes=tuple(range(len(config.ports))),
-        config=ServiceConfig(
-            algorithm=config.algorithm,
-            default_qos=FDQoS(detection_time=config.detection_time),
-            fd_variant=config.fd_variant,
-        ),
+        config=config.service,
         # Distinct per-node seeds: emission phases must desynchronize.
         rng=RngRegistry(seed=config.node_id + 1),
     )
@@ -195,11 +186,7 @@ async def run_node(config: LiveNodeConfig) -> None:
     # through the public handle API — the same surface simulated code uses.
     app = Application(pid=config.node_id)
     for group in config.groups:
-        handle = app.join(
-            group,
-            candidate=True,
-            qos=FDQoS(detection_time=config.detection_time),
-        )
+        handle = app.join(group, candidate=True, qos=config.service.default_qos)
         handle.watch_leader(on_leader_change)
     app.bind(CommandHandler(service))
     _emit(f"READY node={config.node_id} port={config.ports[config.node_id]}")
@@ -360,33 +347,18 @@ def _spawn_node(
     node_id: int,
     ports: List[int],
     host: str,
-    algorithm: str,
-    detection_time: float,
-    fd_variant: str,
+    service: ServiceConfig,
     duration: float,
     groups: int,
 ) -> subprocess.Popen:
     command = [
-        sys.executable,
-        "-m",
-        "repro.cli",
-        "node",
-        "--node-id",
-        str(node_id),
-        "--ports",
-        ",".join(map(str, ports)),
-        "--host",
-        host,
-        "--groups",
-        str(groups),
-        "--algorithm",
-        algorithm,
-        "--detection-time",
-        str(detection_time),
-        "--fd-variant",
-        fd_variant,
-        "--duration",
-        str(duration),
+        sys.executable, "-m", "repro.cli", "node",
+        "--node-id", str(node_id),
+        "--ports", ",".join(map(str, ports)),
+        "--host", host,
+        "--groups", str(groups),
+        *flag_argv(service, NODE_FLAGS),
+        "--duration", str(duration),
     ]
     return subprocess.Popen(
         command,
@@ -550,9 +522,7 @@ def run_cluster(
     groups: int = 1,
     host: str = "127.0.0.1",
     ports: Optional[List[int]] = None,
-    algorithm: str = "omega_lc",
-    detection_time: float = 1.0,
-    fd_variant: str = "nfds",
+    service: ServiceConfig = ServiceConfig(),
     kill_leader: bool = True,
     lease_smoke: bool = False,
     stable_seconds: float = 1.5,
@@ -563,8 +533,10 @@ def run_cluster(
     """Boot an N-process localhost cluster and exercise a leader crash.
 
     Each daemon hosts ``groups`` groups (ids 1..groups) over one shared FD
-    plane.  Phases: elect (for every group, all nodes agree on one leader
-    and hold it for ``stable_seconds``) → kill (SIGKILL the process of
+    plane and runs ``service`` — the settings ``repro node`` takes a flag
+    for (algorithm, T_D^U, FD variant) reach it.  Phases: elect (for every
+    group, all nodes agree on one leader and hold it for
+    ``stable_seconds``) → kill (SIGKILL the process of
     group 1's leader — a workstation crash that hits every group hosted
     there) → re-elect (for every group, all survivors agree on one alive
     leader and hold it; group 1's must be *new*).  ``timeout`` bounds each
@@ -672,10 +644,7 @@ def run_cluster(
         )
         start_time = time.time()
         for node_id in range(n_nodes):
-            child = _spawn_node(
-                node_id, ports, host, algorithm, detection_time,
-                fd_variant, child_duration, groups,
-            )
+            child = _spawn_node(node_id, ports, host, service, child_duration, groups)
             children[node_id] = child
             log = open(log_dir / f"node-{node_id}.log", "w")
             logs[node_id] = log

@@ -12,10 +12,10 @@ import pytest
 
 from repro.chaos import cli as chaos_cli
 from repro.chaos.fuzz import (
+    FUZZ_SYSTEM,
     FuzzProfile,
     case_seed,
     config_for_case,
-    fuzz_cell_runner,
     generate_script,
     replay_command,
     run_fuzz,
@@ -24,10 +24,13 @@ from repro.chaos.fuzz import (
 from repro.chaos.run import run_scripted
 from repro.chaos.script import ChaosScript, Heal
 from repro.core.election.omega_lc import OmegaLc
+from repro.experiments.serialize import canonical_json
+from repro.fd.qos import FDQoS
+from repro.flags import SIMULATOR_FLAGS, FLAGS
 
 #: Small, fast grammar for tests (one case ≈ 0.3 s of wall clock).
 FAST = FuzzProfile(
-    n_nodes=4,
+    system=FUZZ_SYSTEM.with_(n_nodes=4),
     chaos_start=15.0,
     chaos_window=20.0,
     settle=60.0,
@@ -35,11 +38,22 @@ FAST = FuzzProfile(
     max_steps=3,
 )
 
+#: A value off the fuzz default for every chaos flag.
+OFF_DEFAULT = {
+    "nodes": 4,
+    "groups": 3,
+    "algorithm": "omega_l",
+    "detection_time": 0.5,
+    "lease_clients": 7,
+    "lease_transfer_ratio": 0.6,
+    "fd_plane": "swim",
+}
+
 #: Like FAST but with a chaos window wide enough that a sustained leader
 #: crash outlives the leader-validity bound (~20 s) before the heal
 #: revives it — the window the regression test needs.
 WIDE = FuzzProfile(
-    n_nodes=4,
+    system=FUZZ_SYSTEM.with_(n_nodes=4),
     chaos_start=15.0,
     chaos_window=45.0,
     settle=60.0,
@@ -86,29 +100,34 @@ class TestSeedReplayContract:
         assert first.trace_digest == second.trace_digest
         assert first.events_executed == second.events_executed
 
-    def test_cell_runner_matches_direct_run(self):
-        # The orchestrator worker path and the in-process path must agree
-        # bit-for-bit, or --workers would change fuzz verdicts.
-        seed = case_seed(0, 1)
-        profile = FuzzProfile()
-        from repro.chaos.fuzz import _experiment_cell
-
-        record = fuzz_cell_runner(_experiment_cell(seed, profile))
-        direct = run_scripted(config_for_case(seed, profile))
-        assert record["trace_digest"] == direct.trace_digest
-        assert record["ok"] == direct.ok
-
     def test_replay_command_names_the_case_seed(self):
         assert replay_command(123) == "python -m repro chaos replay --seed 123"
 
     def test_replay_command_carries_non_default_profile_flags(self):
-        profile = FuzzProfile(n_nodes=8, detection_time=2.0, n_lease_clients=7)
+        profile = FuzzProfile(
+            system=FUZZ_SYSTEM.with_(
+                n_nodes=8, qos=FDQoS(detection_time=2.0), n_lease_clients=7
+            )
+        )
         command = replay_command(123, profile)
         assert "--nodes 8" in command
-        assert "--detection-time 2.0" in command
+        assert "--qos 2.0" in command
         assert "--lease-clients 7" in command
         assert "--algorithm" not in command  # default stays implicit
         assert replay_command(123, FuzzProfile()) == replay_command(123)
+
+    @pytest.mark.parametrize("flag", SIMULATOR_FLAGS)
+    def test_replay_command_parses_back_to_the_same_profile(self, flag):
+        """Every chaos flag set off its default survives the round trip
+        replay_command → chaos CLI → FuzzProfile."""
+        field, value = FLAGS[flag].field(FUZZ_SYSTEM), OFF_DEFAULT[flag]
+        if field == "qos":
+            value = FDQoS(detection_time=value)
+        profile = FuzzProfile(system=FUZZ_SYSTEM.with_(**{field: value}))
+        assert profile != FuzzProfile()
+        argv = replay_command(99, profile).split()[4:]  # from "replay" on
+        args = chaos_cli.build_parser().parse_args(argv)
+        assert chaos_cli._profile_from_args(args) == profile
 
 
 class TestRunFuzz:
@@ -131,12 +150,15 @@ class TestRunFuzz:
         with pytest.raises(ValueError):
             run_fuzz(0, 0, profile=FAST)
 
-    def test_rejects_custom_grammar_profiles_with_workers(self):
-        # Workers can only rebuild the CLI-expressible knobs, so a
-        # custom-grammar profile across processes would fuzz one scenario
-        # and shrink another.
-        with pytest.raises(ValueError, match="workers=1"):
-            run_fuzz(2, 0, profile=FAST, workers=2)
+    def test_workers_give_the_in_process_records(self):
+        # Workers get (case_seed, profile), custom grammar included: a
+        # batch across processes fuzzes the very cases the parent would
+        # run, shrink and replay.
+        serial = run_fuzz(3, 0, profile=FAST, workers=1)
+        parallel = run_fuzz(3, 0, profile=FAST, workers=2)
+        assert [canonical_json(record) for record in parallel.records] == [
+            canonical_json(record) for record in serial.records
+        ]
 
     def test_injected_regression_is_caught_and_shrunk(self):
         # Master seed 2's first WIDE case carries a sustained churn burst

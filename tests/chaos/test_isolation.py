@@ -7,6 +7,7 @@ from repro.chaos.invariants import check_cross_group_isolation
 from repro.chaos.run import ChaosRunConfig, run_scripted
 from repro.chaos.script import ChaosScript, GroupFault, group_fault, heal
 from repro.chaos.transport import ChaosTransport
+from repro.experiments.scenario import ExperimentConfig
 from repro.metrics.trace import TraceRecorder
 from repro.net.message import AccuseMessage, AliveCell, BatchFrame, HelloMessage
 from repro.sim.engine import Simulator
@@ -220,7 +221,8 @@ class TestEndToEndIsolation:
             duration=160.0,
         )
         config = ChaosRunConfig(
-            name="isolation-e2e", script=script, n_nodes=5, n_groups=2, seed=3
+            script=script,
+            system=ExperimentConfig(name="isolation-e2e", n_nodes=5, n_groups=2, seed=3),
         )
         result = run_scripted(config)
         assert result.ok, [v.to_dict() for v in result.report.violations]

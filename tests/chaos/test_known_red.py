@@ -6,7 +6,7 @@ promises no behaviour change visibly leaves both as they are.
 
 import pytest
 
-from repro.chaos.fuzz import FuzzProfile, config_for_case
+from repro.chaos.fuzz import FUZZ_SYSTEM, FuzzProfile, config_for_case
 from repro.chaos.run import run_scripted
 
 
@@ -21,7 +21,7 @@ from repro.chaos.run import run_scripted
         ),
         pytest.param(
             1623593096556592143,
-            FuzzProfile(fd_plane="swim"),
+            FuzzProfile(system=FUZZ_SYSTEM.with_(fd_plane="swim")),
             marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1b"),
             id="1b-swim",
         ),

@@ -23,25 +23,27 @@ from repro.chaos.script import (
     reorder,
 )
 from repro.core.election.omega_lc import OmegaLc
+from repro.experiments.scenario import ExperimentConfig
 
 
-def config_with(steps, duration=120.0, heal_at=40.0, **kwargs) -> ChaosRunConfig:
+def config_with(steps, duration=120.0, heal_at=40.0, **system) -> ChaosRunConfig:
     script = ChaosScript(steps=(*steps, heal(heal_at)), duration=duration)
-    defaults = dict(name="test", script=script, n_nodes=4, seed=5)
-    defaults.update(kwargs)
-    return ChaosRunConfig(**defaults)
+    return ChaosRunConfig(
+        script=script,
+        system=ExperimentConfig(name="test", **{"n_nodes": 4, "seed": 5, **system}),
+    )
 
 
 class TestConfigValidation:
     def test_script_must_heal(self):
         script = ChaosScript(steps=(drop(1.0, 0.5),), duration=60.0)
         with pytest.raises(ValueError, match="heal"):
-            ChaosRunConfig(name="x", script=script)
+            ChaosRunConfig(script=script, system=ExperimentConfig(name="x"))
 
     def test_script_needs_a_settle_window(self):
         script = ChaosScript(steps=(heal(60.0),), duration=60.0)
         with pytest.raises(ValueError, match="settle"):
-            ChaosRunConfig(name="x", script=script)
+            ChaosRunConfig(script=script, system=ExperimentConfig(name="x"))
 
     def test_controller_rejects_host_steps_without_plane(self, sim, rng):
         from repro.chaos.transport import ChaosTransport
@@ -126,9 +128,7 @@ class TestDeterminism:
 
     def test_different_seed_different_digest(self):
         base = config_with([drop(20.0, 0.4)])
-        other = ChaosRunConfig(
-            name=base.name, script=base.script, n_nodes=base.n_nodes, seed=99
-        )
+        other = ChaosRunConfig(script=base.script, system=base.system.with_(seed=99))
         assert run_scripted(base).trace_digest != run_scripted(other).trace_digest
 
 

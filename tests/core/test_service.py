@@ -37,6 +37,25 @@ class TestServiceConfigValidation:
     def test_nfde_variant_is_valid(self):
         ServiceConfig(fd_variant="nfde")
 
+    def test_unknown_algorithm_rejected_eagerly(self):
+        with pytest.raises(ValueError, match="election algorithm 'bogus'"):
+            ServiceConfig(algorithm="bogus")
+
+    def test_registered_algorithm_is_accepted(self):
+        from repro.core.election import registry
+        from repro.core.election.omega_id import OmegaId
+
+        class Plugged(OmegaId):
+            name = "plugged-for-test"
+
+        try:
+            registry.register_algorithm(Plugged)
+            assert ServiceConfig(algorithm="plugged-for-test").algorithm == (
+                "plugged-for-test"
+            )
+        finally:
+            registry._REGISTRY.pop("plugged-for-test", None)
+
     def test_unknown_fd_variant_rejected_eagerly(self):
         with pytest.raises(ValueError, match="fd_variant"):
             ServiceConfig(fd_variant="nfd-x")

@@ -33,6 +33,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--algorithm", "raft"])
 
+    def test_transfer_ratio_alias(self):
+        for spelling in ("--lease-transfer-ratio", "--transfer-ratio"):
+            args = build_parser().parse_args([spelling, "0.5"])
+            assert config_from_args(args).lease_transfer_ratio == 0.5
+
 
 class TestMain:
     def test_end_to_end_run(self, capsys):
@@ -59,6 +64,8 @@ class TestMain:
             (["--nodes", "1"], "at least 2 nodes"),
             (["--lease-transfer-ratio", "2"], "lease_transfer_ratio"),
             (["--figure", "fig8", "--duration", "20", "--warmup", "30"], "must exceed warmup"),
+            (["--loss", "1.5"], "loss_prob must be in [0, 1)"),
+            (["--delay", "-1"], "delay_mean must be >= 0"),
         ],
     )
     def test_config_errors_are_usage_errors(self, argv, message, capsys):

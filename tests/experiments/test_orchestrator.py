@@ -139,19 +139,6 @@ class TestResume:
         third = run_sweep(cells, workers=1, resume=True, cache_dir=tmp_path)
         assert all(o.cached for o in third.outcomes)
 
-    def test_cache_is_runner_aware(self, tmp_path):
-        """A cache dir shared across runners must never serve the wrong shape."""
-        cells = grid(1)
-        run_sweep(cells, workers=1, cache_dir=tmp_path)
-        sweep = run_sweep(
-            cells,
-            workers=1,
-            resume=True,
-            cache_dir=tmp_path,
-            runner="repro.experiments.orchestrator:default_cell_runner",
-        )
-        assert not sweep.outcomes[0].cached
-
     def test_wrong_schema_entry_is_a_miss(self, tmp_path):
         cells = grid(1)
         run_sweep(cells, workers=1, cache_dir=tmp_path)

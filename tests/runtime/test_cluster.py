@@ -11,6 +11,9 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.service import ServiceConfig
+from repro.fd.qos import FDQoS
+from repro.flags import NODE_FLAGS, apply_flags, flag_argv
 from repro.runtime.cluster import (
     LiveNodeConfig,
     _LeaderBoard,
@@ -31,7 +34,11 @@ class TestLiveNodeConfig:
 
     def test_detection_time_must_be_positive(self):
         with pytest.raises(ValueError, match="detection_time"):
-            LiveNodeConfig(node_id=0, ports=(9001,), detection_time=0.0)
+            LiveNodeConfig(
+                node_id=0,
+                ports=(9001,),
+                service=ServiceConfig(default_qos=FDQoS(detection_time=0.0)),
+            )
 
 
 class TestLineProtocol:
@@ -136,6 +143,14 @@ class TestCli:
         )
         assert args.node_id == 1
         assert args.ports == "9001,9002"
+
+    def test_spawned_daemon_argv_carries_the_service(self):
+        service = ServiceConfig(
+            algorithm="omega_l", default_qos=FDQoS(detection_time=0.5), fd_variant="nfde"
+        )
+        argv = flag_argv(service, NODE_FLAGS)
+        args = build_parser().parse_args(["node", "--node-id", "0", "--ports", "1,2", *argv])
+        assert apply_flags(args, ServiceConfig()) == service
 
     def test_bad_ports_string_is_a_usage_error(self):
         exit_code = main(["node", "--node-id", "0", "--ports", "9001,abc"])

@@ -36,6 +36,28 @@ class TestArgumentErrors:
         assert rc == 2
         assert "comma-separated integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chaos", "replay", "--seed", "0", "--detection-time", "0"],
+             "detection_time must be > 0"),
+            (["chaos", "replay", "--seed", "0", "--qos", "-1"],
+             "detection_time must be > 0"),
+            (["live", "--nodes", "2", "--qos", "0"], "detection_time must be > 0"),
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, argv, message, capsys):
+        # Refused where the config is built: no traceback, no daemon spawned.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_node_rejects_bad_qos(self, capsys):
+        rc = cli.main(["node", "--node-id", "0", "--ports", "0,0", "--qos", "0"])
+        assert rc == 2
+        assert "detection_time must be > 0" in capsys.readouterr().err
+
     def test_node_rejects_out_of_range_node_id(self, capsys):
         rc = cli.main(["node", "--node-id", "5", "--ports", "47001,47002"])
         assert rc == 2

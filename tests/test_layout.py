@@ -16,10 +16,10 @@ MAX_LINES = 800
 #: Modules over the limit when it was introduced.  An entry may only
 #: shrink (lower it when the file does) and disappears at the limit; their
 #: review is ROADMAP items 2 / 3c.
-CEILINGS = {"runtime/cluster.py": 878, "runtime/codec.py": 870}
+CEILINGS = {"runtime/cluster.py": 847, "runtime/codec.py": 870}
 #: Lines of Python under ``src/``.  Raised only by editing it here, in the
 #: diff that needs the room; lowered when the tree is 150 lines under it.
-SRC_LINES_CEILING = 18_842
+SRC_LINES_CEILING = 18_615
 
 
 def _module_sizes():
@@ -62,6 +62,42 @@ def test_the_service_decides_the_plane_once():
     assert stray == []
     assert source.count("SwimFdPlane(") == 1  # one construction site
     assert sum("swim" in line.lower() for line in source.splitlines()) <= 10
+
+
+#: Settings that ServiceConfig / ExperimentConfig declare, once.
+SHARED_SETTINGS = {
+    "algorithm", "fd_plane", "fd_variant", "detection_time", "n_lease_clients",
+    "lease_transfer_ratio", "transfer_ratio", "n_nodes", "link_loss_prob",
+}
+#: Dataclasses that hold one of those names without copying a setting: the
+#: QoS triple itself, the simulated network's size, a join command's own
+#: algorithm, and a live cluster's observed report.
+NOT_COPIES = {"FDQoS", "NetworkConfig", "Join", "_JoinSpec", "ClusterReport"}
+
+
+def test_settings_are_declared_once():
+    """Chaos, fuzz and live configs compose ExperimentConfig / ServiceConfig
+    instead of re-declaring their fields."""
+    declaring = {
+        node.name: {
+            statement.target.id
+            for statement in node.body
+            if isinstance(statement, ast.AnnAssign)
+            and isinstance(statement.target, ast.Name)
+        }
+        & SHARED_SETTINGS
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(decorator) for decorator in node.decorator_list)
+    }
+    copies = {
+        name: fields
+        for name, fields in declaring.items()
+        if fields and name not in {"ServiceConfig", "ExperimentConfig", *NOT_COPIES}
+    }
+    assert copies == {}
+    assert NOT_COPIES <= set(declaring), "drop the entry: the class is gone"
 
 
 def test_components_are_slotted_and_do_not_import_the_service():

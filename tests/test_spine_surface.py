@@ -9,6 +9,7 @@ modules import each other through their own ``sys.path`` set-up.
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 from repro.runtime.realtime import TransportStats, UdpTransport
@@ -32,6 +33,27 @@ def test_every_name_the_spine_imports_from_repro_resolves():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_every_keyword_the_spine_passes_to_a_repro_callable_is_a_parameter():
+    """``ExperimentConfig(fd_plane=...)``, ``ServiceConfig(default_qos=...)``
+    and the rest: a renamed field would only fail when the spine runs."""
+    imported = {name: getattr(importlib.import_module(module), name) for module, name in IMPORTS}
+    calls = [
+        (node.func.id, keyword.arg)
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in imported
+        for keyword in node.keywords
+        if keyword.arg is not None
+    ]
+    assert {"ExperimentConfig", "ServiceConfig", "FDQoS"} <= {name for name, _ in calls}
+    unknown = [
+        f"{name}({keyword}=...)"
+        for name, keyword in calls
+        if keyword not in inspect.signature(imported[name]).parameters
+    ]
+    assert unknown == []
 
 
 def test_stat_fields_are_transport_stats_fields():
