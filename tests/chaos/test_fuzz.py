@@ -100,6 +100,19 @@ class TestSeedReplayContract:
         assert first.trace_digest == second.trace_digest
         assert first.events_executed == second.events_executed
 
+    def test_cell_runner_matches_direct_run(self):
+        # The worker path and the in-process path must agree bit-for-bit,
+        # or --workers would change fuzz verdicts.
+        seed = case_seed(0, 1)
+        profile = FuzzProfile()
+        from repro.chaos.fuzz import _case_record
+
+        record = _case_record((seed, profile))
+        direct = run_scripted(config_for_case(seed, profile))
+        assert record["trace_digest"] == direct.trace_digest
+        assert record["ok"] == direct.ok
+        assert record["case_seed"] == seed
+
     def test_replay_command_names_the_case_seed(self):
         assert replay_command(123) == "python -m repro chaos replay --seed 123"
 
