@@ -58,7 +58,7 @@ class Membership:
         "sent_version", "_next_sync", "_peer_nodes_cache", "_peer_nodes_version",
         "_interested_nodes", "_hello_timer", "_shut_down", "hellos_sent",
         # the two riders and what the rounds read of them (see carry)
-        "_cells", "_cell_state", "_leases", "_ledger", "_lease_sent", "_cover_horizon",
+        "_cells", "_cell_state", "_leases", "_ledger", "_cover_horizon",
     )
 
     #: Whether ALIVE cells carry the membership delta a destination is owed.
@@ -102,15 +102,16 @@ class Membership:
         )
         self._shut_down = False
         #: Instrumentation only: round HELLOs sent with nothing owed / with a
-        #: view or ledger delta, and digest-repair syncs pushed (the join and
-        #: reply handshake, bounded by the join fan-out, is not counted).
+        #: view delta, and digest-repair syncs pushed (the join and reply
+        #: handshake, bounded by the join fan-out, is not counted).
         self.hellos_sent = {"empty": 0, "delta": 0, "sync": 0}
 
     def carry(self, cells, leases) -> None:
         """Hand over the two riders built on top of this object: the cell
         emitter (its per-destination send times tell the rounds which peers
-        a fresh cell covered) and the lease server (its ledger's deltas and
-        digest ride every HELLO)."""
+        a fresh cell covered) and the lease server.  The ledger rides the
+        leader's cells, not the rounds; HELLOs carry its digest and its
+        repairs (the NACK, the join reply, the full-ledger sync)."""
         self._cells = cells
         self._cell_state = cells.cell_state
         #: A peer is *covered* while its last cell is younger than this (one
@@ -118,7 +119,6 @@ class Membership:
         self._cover_horizon = cells.refresh + self.hello_period
         self._leases = leases
         self._ledger = leases.ledger
-        self._lease_sent = leases.sent_version
 
     def start(self) -> None:
         self.announce_join()
@@ -161,7 +161,7 @@ class Membership:
                 self.forget_peer(node)
             self._cell_state.pop(node, None)
             self._cells.frame_anchor.pop(node, None)
-            self._lease_sent.pop(node, None)
+            self._leases.forget(node)
             self._forget_node(node)
         self._interested_nodes = current
         streams = self._cells.stream_monitors
@@ -229,8 +229,7 @@ class Membership:
         changed = self.view.merge(message.members) if message.members else False
         if changed:
             self._realign()
-        if message.leases:
-            self._leases.merge_gossip(message.leases)
+        leases = self._leases.on_hello(message)
         if message.kind == "join":
             self._send_hello_reply(message.sender_node)
         elif message.kind == "reply":
@@ -244,10 +243,9 @@ class Membership:
             self._recompute()
         # Anti-entropy: a view digest still diverging after the merge
         # triggers a full-view sync (a join is already answered with a
-        # full-view reply); the ledger has its own, debounced trigger.
+        # full-view reply); a ledger sync left unequal is answered too.
         if message.kind != "join":
             view = message.view_digest != self.view.digest64()
-            leases = self._leases.sync_due(message)
             if view or leases:
                 self.push_sync(message.sender_node, view, leases)
             if not view:
@@ -278,10 +276,14 @@ class Membership:
             return  # budget exhausted; the gossip rounds converge the rest
         self._next_sync[dest_node] = now + self.hello_period
         self.hellos_sent["sync"] += 1
-        records = self._leases.sync_for(dest_node) if leases else ()
+        records, version = self._leases.ledger_for(dest_node, sync=True) if leases else ((), None)
         self.transport.send(
             HelloMessage(
-                dest_node=dest_node, members=members, leases=records, **self.hello_fields("sync")
+                dest_node=dest_node,
+                members=members,
+                leases=records,
+                lease_version=version,
+                **self.hello_fields("sync"),
             )
         )
 
@@ -310,6 +312,7 @@ class Membership:
             ]
         )
         self.sent_version[dest_node] = self.view.version
+        records, version = self._leases.ledger_for(dest_node, sync=False)
         self.transport.send(
             HelloMessage(
                 dest_node=dest_node,
@@ -317,7 +320,8 @@ class Membership:
                 leader_hint=self.algorithm.leader_hint(),
                 acc_table=self.algorithm.acc_entries(),
                 trusted=trusted_pids,
-                leases=self._leases.full_for(dest_node),
+                leases=records,
+                lease_version=version,
                 **self.hello_fields("reply"),
             )
         )
@@ -325,7 +329,7 @@ class Membership:
     def _send_round(self, hellos: List[HelloMessage]) -> None:
         if hellos:
             self.transport.send_batch(hellos)
-            deltas = sum(1 for hello in hellos if hello.members or hello.leases)
+            deltas = sum(1 for hello in hellos if hello.members)
             self.hellos_sent["delta"] += deltas
             self.hellos_sent["empty"] += len(hellos) - deltas
 
@@ -358,12 +362,12 @@ class FloodMembership(Membership):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         #: The gossip-tick analogue of the cell emitter's quiet window:
-        #: while the (view, ledger) version pair is unchanged since the last
-        #: full round, every peer provably owes no delta — rounds iterate
-        #: the cached peer-node order and send (empty-delta) gossip only to
-        #: peers not covered by a fresh cell.
+        #: while the view version is unchanged since the last full round,
+        #: every peer provably owes no delta — rounds iterate the cached
+        #: peer-node order and send (empty-delta) gossip only to peers not
+        #: covered by a fresh cell.
         self._hello_quiet_until = float("-inf")
-        self._hello_stamp: Tuple[int, int] = (-1, -1)
+        self._hello_stamp = -1
 
     #: A view change is reacted to on the spot, in two steps whose order
     #: around the rest of the HELLO handling is digest-pinned.
@@ -386,15 +390,13 @@ class FloodMembership(Membership):
     def _round(self, now: float) -> None:
         view = self.view
         version = view.version
-        ledger = self._ledger
-        lease_version = ledger.version
         horizon = self._cover_horizon
         cell_state = self._cell_state
-        if self._hello_stamp == (version, lease_version):
-            # Versions unchanged since the last completed round: every
-            # peer provably owes no membership or lease delta (a round
-            # either verified that or shipped the delta and stamped the
-            # peer current).  Skip the round outright while every covering
+        if self._hello_stamp == version:
+            # Version unchanged since the last completed round: every
+            # peer provably owes no membership delta (a round either
+            # verified that or shipped the delta and stamped the peer
+            # current).  Skip the round outright while every covering
             # cell is still inside the horizon; otherwise gossip
             # (empty deltas) only to the uncovered peers, in the cached
             # peer order.
@@ -420,7 +422,6 @@ class FloodMembership(Membership):
             return
         fields = self.hello_fields()
         sent = self.sent_version
-        lease_sent = self._lease_sent
         #: Oldest covering-cell send time among skipped peers — the first
         #: coverage to lapse bounds the quiet window.
         oldest = now
@@ -428,26 +429,19 @@ class FloodMembership(Membership):
         hellos = []
         for node in self.peer_nodes():
             delta = view.delta_since(sent.get(node, 0))
-            lease_delta = ledger.delta_since(lease_sent.get(node, 0))
-            if not delta and not lease_delta:
+            if not delta:
                 state = cell_state.get(node)
                 if state is not None and now - state[1] < horizon:
-                    # A fresh cell already carried our view digest — but
-                    # cells never carry lease deltas, so an owed delta
-                    # (checked above) still forces the gossip out.
+                    # A fresh cell already carried our view digest.
                     if state[1] < oldest:
                         oldest = state[1]
                     continue
             all_covered = False
             if delta:
                 sent[node] = version
-            if lease_delta:
-                lease_sent[node] = lease_version
-            hellos.append(
-                HelloMessage(dest_node=node, members=delta, leases=lease_delta, **fields)
-            )
+            hellos.append(HelloMessage(dest_node=node, members=delta, **fields))
         self._send_round(hellos)
-        self._hello_stamp = (version, lease_version)
+        self._hello_stamp = version
         if all_covered:
             self._hello_quiet_until = oldest + horizon
         else:
@@ -568,18 +562,14 @@ class BoundedMembership(Membership):
         cursor advances only to the window's watermark, streaming the rest
         across rounds.  Peers that owe nothing and that a cell still covers
         are skipped for free: an empty-delta HELLO carries nothing but the
-        view digest the cell delivered, and the lease digest has its own
-        carrier (the lease server's probe).  So the steady-state cost matches
+        view digest the cell delivered.  So the steady-state cost matches
         the flood round's quiet path — zero — while the worst case stays O(k).
         """
         view = self.view
         version = view.version
-        ledger = self._ledger
-        lease_version = ledger.version
         horizon = self._cover_horizon
         cell_state = self._cell_state
         sent = self.sent_version
-        lease_sent = self._lease_sent
         nodes = self.peer_nodes()
         count = len(nodes)
         if not count:
@@ -591,10 +581,8 @@ class BoundedMembership(Membership):
         for i in range(count):
             node = nodes[(start + i) % count]
             last = sent.get(node, 0)
-            lease_last = lease_sent.get(node, 0)
             state = cell_state.get(node)
-            covered = state is not None and now - state[1] < horizon
-            if covered and last >= version and lease_last >= lease_version:
+            if state is not None and now - state[1] < horizon and last >= version:
                 continue
             if budget <= 0:
                 # Out of fan-out; resume here next period.
@@ -603,14 +591,9 @@ class BoundedMembership(Membership):
             budget -= 1
             delta, high = view.delta_window(last, _SWIM_DELTA_CAP)
             sent[node] = high
-            lease_delta = ledger.delta_since(lease_last)
-            if lease_delta:
-                lease_sent[node] = lease_version
             if fields is None:
                 fields = self.hello_fields()
-            hellos.append(
-                HelloMessage(dest_node=node, members=delta, leases=lease_delta, **fields)
-            )
+            hellos.append(HelloMessage(dest_node=node, members=delta, **fields))
         else:
             self._gossip_cursor = start
         self._send_round(hellos)

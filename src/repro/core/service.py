@@ -180,14 +180,14 @@ class GroupRuntime(GroupContext):
             meter=service.node.meter,
             forget_peer=service.forget_peer,
         )
-        #: The batcher's cell source and the receive side of the same cells.
-        self.cells = cells = GroupCells(membership, service.batcher)
-        self._stream_monitors = cells.stream_monitors
-        #: The lease tier: the replicated ledger rides the group's gossip,
+        #: The lease tier: the replicated ledger rides the leader's cells,
         #: the manager grants only while the local pid leads.
         self.leases = leases = LeaseServer(membership, qos.detection_time, service.trace)
         self.lease_ledger = leases.ledger
         self.lease_manager = leases.manager
+        #: The batcher's cell source and the receive side of the same cells.
+        self.cells = cells = GroupCells(membership, service.batcher, leases)
+        self._stream_monitors = cells.stream_monitors
         membership.carry(cells, leases)
         # The components' entry points, bound once (dispatch, client library).
         self.handle_cell = cells.handle_cell

@@ -6,12 +6,12 @@ the application.  This package supplies the canonical answer — a lease
 leader and made safe under churn by **fencing tokens**:
 
 * :mod:`repro.lease.ledger` — the replicated lease table (a last-writer-
-  wins CRDT mirroring the membership view, gossiped the same way);
+  wins CRDT mirroring the membership view);
 * :mod:`repro.lease.manager` — the leader-side grant logic: TTLs,
   monotonically increasing fencing tokens, takeover grace, majority
   guard and per-client throttling;
 * :mod:`repro.lease.server` — what the daemon hosts per group: request
-  routing, watcher registry, ledger replication over the group's gossip;
+  routing, watcher registry, ledger replication on the leader's frames;
 * :mod:`repro.lease.client` — the client library: retry/backoff,
   leader-redirect following, watch;
 * :mod:`repro.lease.workload` — deterministic simulated client

@@ -21,11 +21,12 @@ writer's own mutations, and whatever a leader learns) bumps
 behind :meth:`delta_since`; a follower merges what it is told with
 ``relay=False`` — table, digest and ``max_token`` move, the change log does
 not, so nothing is re-gossiped to peers that hear the same leader.
+The leader ships :meth:`delta_window` to each follower on its frames;
 :meth:`digest64` (XOR of per-record 64-bit hashes, incrementally
-maintained) is the anti-entropy check: a mismatch with the leader that
-*persists* repairs with :meth:`full`.  A newly elected leader therefore
-already holds what the old one flushed, and resumes granting *above* every
-token it has seen.
+maintained) is the anti-entropy check: a follower whose ledger still
+differs from the leader's after a gap-free segment repairs with
+:meth:`full`.  A newly elected leader therefore already holds what the old
+one shipped, and resumes granting *above* every token it has seen.
 """
 
 from __future__ import annotations
@@ -252,6 +253,18 @@ class LeaseLedger:
             for i in range(start, len(log_versions))
             if current[(record := log_records[i]).lease] == log_versions[i]
         )
+
+    def delta_window(
+        self, version: int, limit: int
+    ) -> Tuple[Tuple[LeaseRecord, ...], int]:
+        """:meth:`delta_since` cut at ``limit`` records, and the version it
+        brings a replica to: the last included record's when cut, else
+        :attr:`version` (the shape of the view's ``delta_window``)."""
+        records = self.delta_since(version)
+        if len(records) <= limit:
+            return records, self.version
+        records = records[:limit]
+        return records, self._record_versions[records[-1].lease]
 
     def __len__(self) -> int:
         return len(self._records)

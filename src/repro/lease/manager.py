@@ -67,7 +67,7 @@ class LeaseDecision:
     holder: int = -1
     expiry: float = 0.0
     retry_after: float = 0.0
-    #: True iff the ledger changed (the runtime flushes deltas to peers).
+    #: True iff the ledger changed (watchers are pushed the new record).
     changed: bool = False
     #: Client id of a pending handoff requester attached to a granted
     #: renew (-1 when none) — the holder's cue to transfer the lease.

@@ -3,12 +3,25 @@
 One :class:`LeaseServer` per hosted (group, local process) pair owns the
 replicated ledger, the leader-side manager and everything that connects
 them to the wire: the majority guard, request / reply / event routing, the
-leader's watcher registry, ledger replication (coalesced delta flush,
-once-per-T_D digest probe) and the follower's divergence clock.
+leader's watcher registry, and ledger replication.
 
-The ledger *rides the group's gossip* (:mod:`repro.core.membership`): the
-server is handed that engine for the peer order and the HELLO fields, and
-the engine reads the ledger and the shipped-version cursors kept here.
+Replication is hub and spoke and rides the frames the leader sends every
+follower each η anyway: while its tenure is active and its ledger
+non-empty, its cell to follower ``d`` carries a
+:class:`~repro.net.message.LedgerSegment` — the records since ``d``'s
+shipped cursor, the version they bring ``d`` to and the ledger digest (no
+records on a refresh).  The follower keeps the version it has applied
+contiguously from each leader's node; a segment starting past it is a gap,
+answered by one small NACK HELLO per gap per hello period, which rewinds
+the cursor so the next frame re-sends exactly what was missed.  The join
+reply and the ledger sync state the version their records bring the
+receiver to as well.  Both sides drop a peer's cursor and applied version
+when it leaves the view, joins, or sends frames numbered afresh (its daemon
+restarted).  What a cursor cannot see — records learned under another
+leader, a healed partition, a leader whose ledger is empty — shows as
+unequal digests after an in-order, gap-free segment, or as a segment-less
+cell from the leader, and the full-ledger sync repairs it.
+
 The server is fully passive (no timers, no RNG draws) until lease traffic
 arrives, so groups without clients behave bit-identically to a lease-free
 service.
@@ -26,9 +39,18 @@ from repro.net.message import (
     LeaseRecord,
     LeaseReplyMessage,
     LeaseRequestMessage,
+    LedgerSegment,
 )
 
-__all__ = ["LeaseServer"]
+__all__ = ["LEDGER_SEGMENT_CAP", "LeaseServer"]
+
+#: Records per segment: 16 groups' cells of 64 records each still fit one
+#: UDP datagram (65 507 B).  A backlog streams over consecutive frames.
+LEDGER_SEGMENT_CAP = 64
+
+_NEVER = float("-inf")
+#: (version applied from a leader's node, time of the last NACK to it).
+_NOTHING_APPLIED = (0, _NEVER)
 
 
 class LeaseServer:
@@ -37,9 +59,8 @@ class LeaseServer:
     __slots__ = (
         "_gossip", "group", "pid", "node_id", "scheduler", "transport", "view",
         "hello_period", "plane",  # the gossip engine and what is read off it
-        "universe", "ledger", "manager", "sent_version", "_leader", "_clients",
-        "_event_sinks", "_watchers", "_flush_pending", "_probe_pending",
-        "_diverged_since", "_shut_down",
+        "universe", "ledger", "manager", "shipped", "_applied", "_head", "counts",
+        "_leader", "_clients", "_event_sinks", "_watchers", "_shut_down",
     )
 
     def __init__(self, gossip, detection_time: float, trace) -> None:
@@ -65,8 +86,15 @@ class LeaseServer:
             trace=trace,
             pid=pid,
         )
-        #: Highest ledger version already shipped to each peer node.
-        self.sent_version: Dict[int, int] = {}
+        #: Leader side: the ledger version shipped to each follower node.
+        self.shipped: Dict[int, int] = {}
+        #: Follower side, per leader node: see :data:`_NOTHING_APPLIED`.
+        self._applied: Dict[int, Tuple[int, float]] = {}
+        #: The cached :meth:`head` segment.
+        self._head: Optional[LedgerSegment] = None
+        #: Instrumentation only: records shipped on segments, NACKs sent,
+        #: records a NACK put back in flight, full-ledger syncs sent.
+        self.counts = {"shipped": 0, "nacks": 0, "resent": 0, "syncs": 0}
         #: The group's current leader view, as last told.
         self._leader: Optional[int] = None
         #: Local clients awaiting replies, keyed by client id.
@@ -78,22 +106,15 @@ class LeaseServer:
         #: the new leader) and refreshed by every ``watch`` op, so entries
         #: for dead watchers last at most one tenure.
         self._watchers: Dict[int, Dict[int, int]] = {}
-        self._flush_pending = False
-        self._probe_pending = False
-        #: When the current leader's lease digest first disagreed with
-        #: ours, with no agreement from it since (None: none pending).
-        self._diverged_since: Optional[float] = None
         self._shut_down = False
 
     def on_leader_view(self, leader: Optional[int]) -> None:
         """The group's leader view changed: start or end the local tenure."""
         self._leader = leader
-        self._diverged_since = None
         manager = self.manager
         if leader == self.pid:
             if not manager.tenure_active:
                 manager.on_tenure_start(self.scheduler.now)
-                self._ensure_probe()
         elif manager.tenure_active:
             manager.on_tenure_end()
             # Watch subscriptions are anchored to this tenure; watchers
@@ -260,8 +281,6 @@ class LeaseServer:
                 handoff=decision.handoff,
                 nonce=message.nonce,
             )
-            if decision.changed:
-                self._schedule_flush()
         if reply.dest_node == my_node:
             self.handle_reply(reply)
         else:
@@ -315,10 +334,73 @@ class LeaseServer:
                 self.transport.send(event)
 
     # ------------------------------------------------------------------
-    # Replication: what the gossip engine asks on every HELLO
+    # Replication: the leader's side (its cells carry the segments)
+    # ------------------------------------------------------------------
+    def head(self) -> Optional[LedgerSegment]:
+        """The segment of a follower owed nothing, which every cell of a
+        tenure-active leader carries at least (None while not leading or
+        while the ledger is empty: no carrier, no bytes).  Rebuilt when the
+        ledger moves or a cursor rewinds, so its identity stamps the cells'
+        quiet window."""
+        ledger = self.ledger
+        if not (self.manager.tenure_active and len(ledger)):
+            return None
+        head = self._head
+        if head is None or head.top != ledger.version or head.digest != ledger.digest64():
+            head = self._head = LedgerSegment(ledger.version, ledger.version, ledger.digest64())
+        return head
+
+    def segment(self, node: int) -> LedgerSegment:
+        """What ``node`` is owed since its cursor, at most
+        :data:`LEDGER_SEGMENT_CAP` records; the cursor advances only to the
+        version those records bring it to."""
+        base = self.shipped.get(node, 0)
+        records, top = self.ledger.delta_window(base, LEDGER_SEGMENT_CAP)
+        self.shipped[node] = top
+        self.counts["shipped"] += len(records)
+        return LedgerSegment(base, top, self.ledger.digest64(), records)
+
+    def _rewind(self, node: int, applied: int) -> None:
+        """A NACK: ``node`` applied only up to ``applied``; its next frame
+        re-sends ``delta_since(applied)``.  (Not flushed: an extra round's
+        frames overtake the regular ones on the link, and every follower
+        that sees a later segment first reads a gap.)"""
+        shipped = self.shipped.get(node, 0)
+        if applied >= shipped:
+            return
+        ledger = self.ledger
+        self.counts["resent"] += len(ledger.delta_since(applied)) - len(ledger.delta_since(shipped))
+        self.shipped[node] = applied
+        self._head = None
+
+    def ledger_for(self, node: int, sync: bool) -> Tuple[Tuple[LeaseRecord, ...], Optional[int]]:
+        """The ledger half of a repair sync to ``node`` (the whole ledger)
+        or of a join reply to its fresh daemon (nothing applied from it yet;
+        the whole ledger from the tenure-active leader only, none from the
+        other members) — and, from that leader, the version the records
+        bring ``node`` to (its cursor moves there)."""
+        leading = self.manager.tenure_active
+        if sync:
+            self.counts["syncs"] += 1
+        else:
+            self.forget(node)
+        records = self.ledger.full() if sync or leading else ()
+        if not (records and leading):
+            return records, None
+        self.shipped[node] = version = self.ledger.version
+        return records, version
+
+    def forget(self, node: int) -> None:
+        """``node`` left the view or its daemon restarted: its cursor and
+        applied version go."""
+        self.shipped.pop(node, None)
+        self._applied.pop(node, None)
+
+    # ------------------------------------------------------------------
+    # Replication: the receiving side
     # ------------------------------------------------------------------
     def merge_gossip(self, records: Tuple[LeaseRecord, ...]) -> None:
-        """Merge the lease records a HELLO carried."""
+        """Merge the lease records a segment or HELLO carried."""
         # Hub and spoke: only a tenure-active leader owes what it
         # learns onward; a follower's peers hear the same leader.
         relay = self.manager.tenure_active
@@ -331,118 +413,67 @@ class LeaseServer:
         else:
             self.ledger.merge(records, relay)
 
-    def sync_due(self, message: HelloMessage) -> bool:
-        """Does ``message``'s lease digest call for a full-ledger sync?
+    def ingest(self, sender: int, segment: Optional[LedgerSegment], in_order: bool) -> None:
+        """A cell from ``sender`` carried ``segment`` (or none).
 
-        A follower's digest trails its leader's by the flush in flight, so
-        a mismatch is *lag* until it has outlived a hello period with no
-        agreeing digest from the leader in between; only then is it
-        *divergence* (a lost flush, a record the new leader never got).
-        Only followers keep that clock, against their current leader: its
-        digests arrive densely (every flush, the once-per-T_D probe), a
-        follower's reach anyone too rarely to tell lag from loss, and any
-        inequality between the two shows on the follower's side anyway.
+        Its records always merge (an overtaken frame's too: merge is
+        order-free).  From an in-order frame, a segment starting past the
+        version applied from ``sender`` is a gap: the applied version stays
+        and one NACK per gap per hello period names it.  Otherwise the
+        applied version moves to ``top`` — and a complete segment from the
+        current leader that leaves the digests unequal shows divergence no
+        cursor can see (records learned under another leader, a healed
+        partition): the full-ledger sync repairs it.  So does a cell from
+        the current leader with no segment while this ledger is not empty:
+        that leader's is (or its tenure has not started yet).
+        """
+        if segment is None:
+            if in_order and len(self.ledger) and sender == self._leader_node():
+                self._gossip.push_sync(sender, view=False, leases=True)
+            return
+        if segment.records:
+            self.merge_gossip(segment.records)
+        if not in_order:
+            return
+        applied, nacked = self._applied.get(sender, _NOTHING_APPLIED)
+        if segment.base > applied:
+            now = self.scheduler.now
+            if now - nacked >= self.hello_period:
+                self._applied[sender] = (applied, now)
+                self.counts["nacks"] += 1
+                fields = self._gossip.hello_fields()
+                self.transport.send(HelloMessage(dest_node=sender, lease_version=applied, **fields))
+            return
+        if segment.top < applied:
+            return  # a reply or sync already brought us past it
+        self._applied[sender] = (segment.top, _NEVER)
+        if (
+            len(segment.records) < LEDGER_SEGMENT_CAP  # a full one may be cut short
+            and segment.digest != self.ledger.digest64()
+            and sender == self._leader_node()
+        ):
+            self._gossip.push_sync(sender, view=False, leases=True)
+
+    def on_hello(self, message: HelloMessage) -> bool:
+        """The ledger half of a HELLO; True when a ledger sync must answer.
+
+        A NACK rewinds its sender's cursor; a reply's or sync's records
+        merge and their stated version counts as applied from the sender.
         A ledger ``sync`` that leaves its receiver unequal is answered at
-        once — the sender already waited — so a pair converges in two
-        pushes.
+        once (an empty one carries neither half), so a pair converges in
+        two pushes.
         """
-        if message.lease_digest == self.ledger.digest64():
-            if (
-                self._diverged_since is not None
-                and message.sender_node == self._leader_node()
-            ):
-                self._diverged_since = None
-            return False
-        if message.kind == "sync" and (message.leases or not message.members):
-            return True  # a ledger sync (an empty one carries neither half)
-        if message.sender_node != self._leader_node():
-            return False
-        now = self.scheduler.now
-        since = self._diverged_since
-        if since is None:
-            self._diverged_since = since = now
-        return now - since >= self.hello_period
-
-    def full_for(self, node: int) -> Tuple[LeaseRecord, ...]:
-        """The whole ledger, for a join reply to ``node`` (stamped shipped)."""
-        self.sent_version[node] = self.ledger.version
-        return self.ledger.full()
-
-    def sync_for(self, node: int) -> Tuple[LeaseRecord, ...]:
-        """The whole ledger, for a repair sync to ``node``: the divergence
-        it answers is settled, so the clock restarts."""
-        self._diverged_since = None
-        return self.full_for(node)
-
-    # ------------------------------------------------------------------
-    # Replication: the leader's own pushes
-    # ------------------------------------------------------------------
-    def _schedule_flush(self) -> None:
-        """Coalesce ledger deltas into one push ~20 ms after a mutation.
-
-        Replication is asynchronous by design (safety rests on fencing
-        tokens, not on synchronous replication); the short delay batches a
-        burst of grants into one HELLO per peer.
-        """
-        if self._flush_pending or self._shut_down:
-            return
-        self._flush_pending = True
-        self.scheduler.schedule(0.02, self._flush_deltas)
-        self._ensure_probe()
-
-    def _flush_deltas(self) -> None:
-        self._flush_pending = False
-        if self._shut_down:
-            return
-        ledger = self.ledger
-        version = ledger.version
-        sent = self.sent_version
-        fields = self._gossip.hello_fields()
-        hellos = []
-        for node in self._gossip.peer_nodes():
-            delta = ledger.delta_since(sent.get(node, 0))
-            if not delta:
-                continue
-            sent[node] = version
-            hellos.append(HelloMessage(dest_node=node, leases=delta, **fields))
-        if hellos:
-            self.transport.send_batch(hellos)
-
-    def _ensure_probe(self) -> None:
-        """Arm the leader's periodic lease anti-entropy probe.
-
-        Frames anti-entropy the *membership* digest, but a ledger can
-        diverge while both replicas are static — e.g. a healed partition
-        where each side granted during the split and neither has granted
-        since.  Nothing then triggers convergence until someone mutates,
-        which is exactly when it is too late: the stale side's first
-        post-heal grant is minted against the unmerged ledger.  So while a
-        tenure is active and the ledger is non-empty, the leader probes
-        every peer with a digest-only HELLO once per detection time; a
-        follower still diverged a hello period later syncs its ledger in,
-        and the leader's answer and delta flush converge everyone else.
-        The probe never arms while the lease plane is unused (empty
-        ledger), keeping lease-free runs event-for-event identical.
-        """
-        if (
-            self._probe_pending
-            or self._shut_down
-            or not self.manager.tenure_active
-            or len(self.ledger) == 0
-        ):
-            return
-        self._probe_pending = True
-        self.scheduler.schedule(self.manager.detection_time, self._probe)
-
-    def _probe(self) -> None:
-        self._probe_pending = False
-        if (
-            self._shut_down
-            or not self.manager.tenure_active
-            or len(self.ledger) == 0
-        ):
-            return
-        fields = self._gossip.hello_fields()
-        for node in self._gossip.peer_nodes():
-            self.transport.send(HelloMessage(dest_node=node, **fields))
-        self._ensure_probe()
+        sender, version = message.sender_node, message.lease_version
+        if message.leases:
+            self.merge_gossip(message.leases)
+        if version is not None:
+            if message.kind == "gossip":
+                self._rewind(sender, version)
+            else:
+                applied = self._applied.get(sender, _NOTHING_APPLIED)[0]
+                self._applied[sender] = (max(applied, version), _NEVER)
+        return (
+            message.kind == "sync"
+            and bool(message.leases or not message.members)
+            and message.lease_digest != self.ledger.digest64()
+        )

@@ -40,6 +40,7 @@ __all__ = [
     "MemberInfo",
     "AccEntry",
     "LeaseRecord",
+    "LedgerSegment",
     "SwimUpdate",
     "swim_update_wins",
     "Message",
@@ -123,6 +124,29 @@ class LeaseRecord:
     granted_at: float
     released: bool
     seq: int
+
+
+@dataclass(frozen=True, slots=True)
+class LedgerSegment:
+    """The lease ledger riding a tenure-active leader's cell to one follower.
+
+    ``records`` are the leader's own changes with versions in (``base``,
+    ``top``]: ``base`` is what it had shipped that follower, ``top`` where
+    these records bring it (see :meth:`repro.lease.ledger.LeaseLedger.
+    delta_window`), ``digest`` the leader's whole-ledger digest.  With no
+    records it is the ledger's anti-entropy heartbeat (``base == top``).
+    """
+
+    base: int
+    top: int
+    digest: int
+    records: Tuple[LeaseRecord, ...] = ()
+
+    #: base (4) + top (4) + digest (8) + record count (2).
+    _BASE_BYTES = 18
+
+    def payload_bytes(self) -> int:
+        return self._BASE_BYTES + _LEASE_ENTRY_BYTES * len(self.records)
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,7 +265,10 @@ class AliveCell:
       destination was sent (usually empty in steady state);
     * ``view_version``/``view_digest`` — the sender's full-view version and
       64-bit order-independent digest; a receiver whose merged view hashes
-      differently triggers a full HELLO sync (anti-entropy).
+      differently triggers a full HELLO sync (anti-entropy);
+    * ``leases`` — only on a tenure-active leader's cells, while its lease
+      ledger is non-empty: the :class:`LedgerSegment` this destination is
+      owed (the lease tier's replication carrier; absent, it costs nothing).
 
     Cells are not messages: they have no routing and no packet overhead of
     their own.  The node-level FD fields (seq, send_time, interval) live on
@@ -257,6 +284,7 @@ class AliveCell:
     delta: Tuple[MemberInfo, ...] = ()
     view_version: int = 0
     view_digest: int = 0
+    leases: Optional[LedgerSegment] = None
 
     #: group (4) + pid (4) + acc_time (8) + phase (4) + local leader
     #: flag+pid+acc (13) + view_version (4) + view_digest (8) + delta
@@ -264,7 +292,8 @@ class AliveCell:
     _BASE_BYTES = 46
 
     def payload_bytes(self) -> int:
-        return self._BASE_BYTES + _MEMBER_ENTRY_BYTES * len(self.delta)
+        size = self._BASE_BYTES + _MEMBER_ENTRY_BYTES * len(self.delta)
+        return size if self.leases is None else size + self.leases.payload_bytes()
 
 
 @dataclass(slots=True)
@@ -353,11 +382,15 @@ class HelloMessage(Message):
     one round trip instead of electing itself (the paper's service keeps
     recovering processes from disrupting the group, §1).
 
-    The lease tier rides the same messages, leader to follower: ``leases``
-    carries the records the sender *owes* this destination since the last
-    send (a leader's own mutations; the full ledger on a ledger ``"sync"``
-    or a ``"reply"``), and ``lease_digest`` the 64-bit digest of its full
-    ledger, which a follower checks against its leader's for divergence.
+    The lease ledger's regular carrier is the leader's cells (see
+    :class:`LedgerSegment`); HELLOs carry only its repairs.  ``leases`` is the
+    sender's full ledger on a ledger ``"sync"`` or on the tenure-active
+    leader's ``"reply"`` (every other reply carries none), ``lease_digest``
+    the 64-bit digest of its full ledger, which a ledger sync's receiver
+    checks.  ``lease_version`` is absent but on two shapes: a leader's reply
+    or sync with records names the ledger version they bring the receiver to,
+    and a follower's ``"gossip"`` HELLO naming the version it has applied
+    from its leader is a NACK — a segment overran it.
     """
 
     group: int = 0
@@ -370,6 +403,7 @@ class HelloMessage(Message):
     trusted: Tuple[int, ...] = ()
     leases: Tuple[LeaseRecord, ...] = ()
     lease_digest: int = 0
+    lease_version: Optional[int] = None
     #: SWIM piggyback block (swim plane only; zero cost when empty).
     swim_updates: Tuple[SwimUpdate, ...] = ()
 
@@ -385,6 +419,8 @@ class HelloMessage(Message):
         if self.leader_hint is not None:
             size += _ACC_ENTRY_BYTES
         size += _LEASE_ENTRY_BYTES * len(self.leases)
+        if self.lease_version is not None:
+            size += 4
         if self.swim_updates:
             size += 1 + _SWIM_UPDATE_BYTES * len(self.swim_updates)
         return size

@@ -55,6 +55,12 @@ updates) through which alive/suspect/confirm rumours ride the delta-gossip
 traffic that flows anyway.  The block sits after each body's existing
 fields, so v5 layouts are a strict prefix of v6.
 
+Codec version 7 (the lease ledger rides the leader's frames): a cell ends
+with a presence byte and, when set, a :class:`~repro.net.message.
+LedgerSegment` (base and top versions, digest, record count, records); a
+HELLO's lease block ends with a presence byte and, when set, the u32
+``lease_version``.  Absent, each costs only its presence byte.
+
 Strings never appear on the wire: enumerated fields
 (:attr:`HelloMessage.kind`, the SWIM update state) travel as one byte.
 Optional fields carry a one-byte presence flag.  Decoding is strict — unknown magic, version, type
@@ -80,6 +86,7 @@ from repro.net.message import (
     LeaseRecord,
     LeaseReplyMessage,
     LeaseRequestMessage,
+    LedgerSegment,
     MemberInfo,
     Message,
     RateRequestMessage,
@@ -98,7 +105,7 @@ __all__ = [
 ]
 
 _MAGIC = 0x03A9  # Ω, fittingly
-_VERSION = 6
+_VERSION = 7
 
 #: Upper bound on a frame we are willing to decode (or encode).  Generous —
 #: a 64-cell batch with 4096-member deltas would not fit a datagram anyway —
@@ -150,6 +157,9 @@ _ACC_ENTRY = struct.Struct("!idi")  # pid, acc_time, phase
 _OPT_PID_ACC = struct.Struct("!??id")  # has_leader, has_acc, leader, acc
 _U16 = struct.Struct("!H")
 _I32 = struct.Struct("!i")
+_U32 = struct.Struct("!I")
+_FLAG = struct.Struct("!?")  # presence of an optional field (codec v7)
+_SEGMENT = struct.Struct("!IIQH")  # base, top, ledger digest, n_records (v7)
 _BATCH_FIXED = struct.Struct("!qddH")  # seq, send_time, interval, n_cells
 _CELL_FIXED = struct.Struct("!iidi")  # group, pid, acc_time, phase
 _CELL_VIEW = struct.Struct("!IQH")  # view_version, view_digest, n_delta
@@ -282,8 +292,20 @@ def _cell_into(cell: AliveCell, buf, pos: int) -> int:
     _CELL_VIEW.pack_into(
         buf, pos, version, digest, _check_count("delta records", len(cell.delta))
     )
-    pos += _CELL_VIEW.size
-    return _members_into(cell.delta, buf, pos)
+    pos = _members_into(cell.delta, buf, pos + _CELL_VIEW.size)
+    segment = cell.leases
+    _FLAG.pack_into(buf, pos, segment is not None)
+    if segment is None:
+        return pos + _FLAG.size
+    _SEGMENT.pack_into(
+        buf,
+        pos + _FLAG.size,
+        _check_u32("ledger base", segment.base),
+        _check_u32("ledger top", segment.top),
+        _check_u64("lease digest", segment.digest),
+        _check_count("lease records", len(segment.records)),
+    )
+    return _lease_records_into(segment.records, buf, pos + _FLAG.size + _SEGMENT.size)
 
 
 def _swim_records_into(updates: Tuple[SwimUpdate, ...], buf, pos: int) -> int:
@@ -386,8 +408,13 @@ def _hello_into(message: HelloMessage, buf, pos: int) -> int:
         _check_count("lease records", len(message.leases)),
         _check_u64("lease digest", message.lease_digest),
     )
-    pos += _HELLO_LEASES.size
-    pos = _lease_records_into(message.leases, buf, pos)
+    pos = _lease_records_into(message.leases, buf, pos + _HELLO_LEASES.size)
+    version = message.lease_version
+    _FLAG.pack_into(buf, pos, version is not None)
+    pos += _FLAG.size
+    if version is not None:
+        _U32.pack_into(buf, pos, _check_u32("lease version", version))
+        pos += _U32.size
     return _swim_updates_into(message.swim_updates, buf, pos)
 
 
@@ -583,6 +610,10 @@ def _decode_cell(reader: _Reader) -> AliveCell:
     has_leader, has_acc, leader, leader_acc = reader.unpack(_OPT_PID_ACC)
     view_version, view_digest, n_delta = reader.unpack(_CELL_VIEW)
     delta = _decode_members(reader, n_delta)
+    segment = None
+    if reader.unpack(_FLAG)[0]:
+        base, top, digest, n_records = reader.unpack(_SEGMENT)
+        segment = LedgerSegment(base, top, digest, _decode_lease_records(reader, n_records))
     return AliveCell(
         group=group,
         pid=pid,
@@ -593,6 +624,7 @@ def _decode_cell(reader: _Reader) -> AliveCell:
         delta=delta,
         view_version=view_version,
         view_digest=view_digest,
+        leases=segment,
     )
 
 
@@ -644,6 +676,7 @@ def _decode_hello(reader: _Reader, sender: int, dest: int) -> HelloMessage:
     trusted = tuple(reader.unpack(_I32)[0] for _ in range(n_trusted))
     n_leases, lease_digest = reader.unpack(_HELLO_LEASES)
     leases = _decode_lease_records(reader, n_leases)
+    lease_version = reader.unpack(_U32)[0] if reader.unpack(_FLAG)[0] else None
     swim_updates = _decode_swim_block(reader)
     return HelloMessage(
         sender_node=sender,
@@ -658,6 +691,7 @@ def _decode_hello(reader: _Reader, sender: int, dest: int) -> HelloMessage:
         trusted=trusted,
         leases=leases,
         lease_digest=lease_digest,
+        lease_version=lease_version,
         swim_updates=swim_updates,
     )
 

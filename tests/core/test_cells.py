@@ -1,5 +1,6 @@
 """Loss-sized repeats of a changed ALIVE cell (``GroupCells.emit_cells``),
-and the overtaken-frame guard on ingest (``GroupCells.handle_cell``).
+the ledger segments a leader's cells carry, and the overtaken-frame guard
+on ingest (``GroupCells.handle_cell``).
 
 A changed election payload goes to each destination on the next round and
 then rides k − 1 more, k sized from the loss the plane observes; nothing is
@@ -17,7 +18,8 @@ from repro.core.cells import GroupCells
 from repro.experiments.runner import build_system
 from repro.experiments.scenario import ExperimentConfig
 from repro.fd.plane import CELL_REFRESH, CELL_REPEAT_CAP
-from repro.net.message import AliveCell, BatchFrame, MemberInfo
+from repro.lease.server import LEDGER_SEGMENT_CAP
+from repro.net.message import AliveCell, BatchFrame, LedgerSegment, MemberInfo
 
 ETA = 0.2
 DESTS = (1, 2, 3)
@@ -76,6 +78,48 @@ class Plane:
         return self.loss
 
 
+class NoLedger:
+    """A lease server with nothing to replicate (no cell carries a segment)
+    that logs the senders it is told restarted."""
+
+    ledger = SimpleNamespace(max_token=0)  # holds no record
+
+    def __init__(self):
+        self.forgotten = []
+
+    def head(self):
+        return None
+
+    def forget(self, node):
+        self.forgotten.append(node)
+
+
+class Ledger:
+    """A tenure-active leader's lease server, reduced to what the cells read:
+    version ``v``'s record is the int ``v``."""
+
+    ledger = SimpleNamespace(max_token=0)  # holds no record
+
+    def __init__(self):
+        self.version = 1
+        self.shipped = {}
+        self._head = None
+
+    def write(self, records=1):
+        self.version += records
+
+    def head(self):
+        if self._head is None or self._head.top != self.version:
+            self._head = LedgerSegment(self.version, self.version, 7)
+        return self._head
+
+    def segment(self, dest):
+        base = self.shipped.get(dest, 0)
+        top = min(self.version, base + LEDGER_SEGMENT_CAP)
+        self.shipped[dest] = top
+        return LedgerSegment(base, top, 7, tuple(range(base + 1, top + 1)))
+
+
 class WalkCounting(tuple):
     """A destination tuple that counts how often it is walked."""
 
@@ -86,7 +130,7 @@ class WalkCounting(tuple):
         return super().__iter__()
 
 
-def make_cells(loss, cell_deltas=True, dests=DESTS):
+def make_cells(loss, cell_deltas=True, dests=DESTS, leases=None):
     membership = SimpleNamespace(
         group=1,
         pid=0,
@@ -101,7 +145,8 @@ def make_cells(loss, cell_deltas=True, dests=DESTS):
     )
     membership.push_sync = membership.syncs.append
     membership.view_changed_by_cell = lambda: membership.view_moves.append(True)
-    cells = GroupCells(membership, SimpleNamespace(invalidate_dests=lambda: None))
+    batcher = SimpleNamespace(invalidate_dests=lambda: None)
+    cells = GroupCells(membership, batcher, NoLedger() if leases is None else leases)
     cells.retarget(dests)
     return cells
 
@@ -256,6 +301,66 @@ def test_bounded_membership_is_unaffected():
 
 
 # ----------------------------------------------------------------------
+# The lease ledger riding a leader's cells
+# ----------------------------------------------------------------------
+
+
+def segments(cells):
+    """One round ETA later: ``{dest: (base, top, number of records)}``."""
+    cells.scheduler.now += ETA
+    return {
+        dest: (cell.leases.base, cell.leases.top, len(cell.leases.records))
+        for dest, cell in cells.emit_cells()
+    }
+
+
+def test_a_ledger_delta_makes_the_cell_due_and_rides_once():
+    cells = make_cells(loss=0.0, leases=Ledger())
+    assert segments(cells) == {dest: (0, 1, 1) for dest in DESTS}  # first contact
+    assert segments(cells) == {}
+    cells._leases.write(3)
+    assert segments(cells) == {dest: (1, 4, 3) for dest in DESTS}
+    assert segments(cells) == {}
+    assert not cells.owing  # a ledger delta never arms the early round
+    cells.scheduler.now += CELL_REFRESH
+    assert segments(cells) == {dest: (4, 4, 0) for dest in DESTS}  # the head
+
+
+def test_under_loss_the_next_frame_shows_a_lost_delta_as_a_gap():
+    cells = make_cells(loss=0.01, leases=Ledger())
+    segments(cells)
+    cells._leases.write(2)
+    assert segments(cells) == {dest: (1, 3, 2) for dest in DESTS}
+    assert not cells.owing
+    # The repeat carries the head: base 3 is past what a follower that lost
+    # the delta has applied, so it NACKs one frame later.
+    assert segments(cells) == {dest: (3, 3, 0) for dest in DESTS}
+    assert segments(cells) == {}
+
+
+def test_a_backlog_streams_over_consecutive_frames():
+    ledger = Ledger()
+    cells = make_cells(loss=0.0, leases=ledger)
+    segments(cells)
+    ledger.write(LEDGER_SEGMENT_CAP + 5)
+    top = 1 + LEDGER_SEGMENT_CAP
+    assert segments(cells) == {dest: (1, top, LEDGER_SEGMENT_CAP) for dest in DESTS}
+    assert segments(cells) == {dest: (top, top + 5, 5) for dest in DESTS}
+    assert segments(cells) == {}
+
+
+def test_a_rewound_cursor_ends_the_quiet_window():
+    ledger = Ledger()
+    cells = make_cells(loss=0.0, leases=ledger)
+    segments(cells)
+    ledger.write(2)
+    segments(cells)
+    ledger.shipped[2] = 1  # a NACK: node 2 applied only version 1
+    ledger._head = None
+    assert segments(cells) == {2: (1, 3, 2)}
+
+
+# ----------------------------------------------------------------------
 # Receive side: a frame overtaken on the link cannot rewind the election
 # ----------------------------------------------------------------------
 
@@ -288,6 +393,7 @@ def test_a_frame_overtaken_by_its_successor_cannot_rewind_the_forward():
     assert membership.view_moves == [True]
     assert membership.syncs == []  # an overtaken digest is no divergence
     assert cells.frame_anchor[SENDER] == (6, 10.2)
+    assert cells._leases.forgotten == []  # late, not restarted
 
 
 def test_in_order_frames_are_all_ingested():
@@ -300,11 +406,14 @@ def test_a_rebooted_sender_restarts_its_seq_and_is_ingested():
     cells = make_cells(loss=0.01)
     assert ingest(cells, frame(6, 10.2, M), frame(0, 11.0, L)) == L
     assert ingest(cells, frame(1, 11.2, M)) == M  # the anchor moved to the new stream
+    # What the lease tier applied from, or shipped to, the old daemon goes.
+    assert cells._leases.forgotten == [SENDER]
 
 
 def test_a_resynced_clock_steps_send_time_back_and_is_ingested():
     cells = make_cells(loss=0.01)
     assert ingest(cells, frame(6, 10.2, M), frame(7, 10.1, L)) == L
+    assert cells._leases.forgotten == []  # the same daemon, numbering on
 
 
 def test_the_anchor_goes_when_the_peer_leaves_the_view():
@@ -318,3 +427,15 @@ def test_the_anchor_goes_when_the_peer_leaves_the_view():
     system.hosts[3].service.leave(3, 1)  # pid == node id in build_system
     system.sim.run_until(8.0)
     assert set(cells.frame_anchor) == {1, 2}
+
+
+def test_a_cell_without_a_segment_reaches_a_non_empty_ledger_only():
+    cells = make_cells(loss=0.01)
+    leases = cells._leases
+    told = []
+    leases.ingest = lambda sender, segment, in_order: told.append((sender, segment, in_order))
+    ingest(cells, frame(5, 10.0, L))
+    assert told == []  # an empty ledger has nothing a leader could lack
+    cells._ledger = SimpleNamespace(max_token=3)  # holds records
+    ingest(cells, frame(6, 10.2, L))
+    assert told == [(SENDER, None, True)]

@@ -14,6 +14,7 @@ from repro.net.message import (
     LeaseRecord,
     LeaseReplyMessage,
     LeaseRequestMessage,
+    LedgerSegment,
     MemberInfo,
     Message,
     RateRequestMessage,
@@ -29,6 +30,7 @@ from repro.runtime.codec import (
     encode_message,
     encode_message_into,
 )
+from repro.lease.server import LEDGER_SEGMENT_CAP
 
 MEMBERS = (
     MemberInfo(pid=1, node=4, incarnation=2_000_007, candidate=True,
@@ -91,6 +93,17 @@ ROUND_TRIP_CASES = [
     HelloMessage(  # codec v3: lease delta + ledger digest ride the HELLO
         sender_node=3, dest_node=6, group=1, kind="sync", leases=LEASES,
         lease_digest=2**64 - 1),
+    HelloMessage(  # codec v7: a leader's sync states the version it brings
+        sender_node=3, dest_node=6, group=1, kind="sync", leases=LEASES,
+        lease_digest=7, lease_version=0),
+    HelloMessage(sender_node=6, dest_node=3, group=1, lease_version=2**32 - 1),  # a NACK
+    BatchFrame(  # codec v7: the ledger rides a leader's cells
+        sender_node=0, dest_node=4,
+        cells=(
+            AliveCell(group=1, pid=0, leases=LedgerSegment(3, 9, 2**64 - 1, LEASES)),
+            AliveCell(group=2, pid=0, delta=MEMBERS, leases=LedgerSegment(0, 0, 0)),
+        ),
+    ),
     AccuseMessage(sender_node=1, dest_node=2, group=3, accuser=4,
                   accused=5, accused_phase=6),
     RateRequestMessage(sender_node=9, dest_node=8, interval=0.0625),
@@ -138,20 +151,23 @@ ROUND_TRIP_CASES = [
 ]
 
 
-#: Golden codec-v6 frames, one per wire tag (2-11) plus both shapes of every
-#: optional: HELLO with and without ``leader_hint``, cells with and without
-#: ``local_leader``/``local_leader_acc``, non-empty members / accusation
-#: table / trusted list / lease records / SWIM piggyback.  The hex was
-#: recorded from the list-building ``encode_message`` of PR 12 — the last
-#: commit that carried two encoders — so these bytes, not a twin
-#: implementation, are what pins the layout: a daemon built from this tree
-#: must interoperate with one built from that.
+#: Golden codec-v7 frames, one per wire tag (2-11) plus both shapes of every
+#: optional: HELLO with and without ``leader_hint`` and ``lease_version``,
+#: cells with and without ``local_leader``/``local_leader_acc`` and a ledger
+#: segment, non-empty members / accusation table / trusted list / lease
+#: records / SWIM piggyback.  The v6 frames were recorded from the
+#: list-building ``encode_message`` of the last commit that carried two
+#: encoders; their v7 bytes are those with the version byte moved and a
+#: zero presence byte inserted after each cell and before each HELLO's
+#: piggyback block, and the three v7 shapes were packed by hand from the
+#: layout in the codec's docstring.  So these bytes, not a twin
+#: implementation, are what pins the layout.
 GOLDEN_FRAMES = [
     (
         "hello-bare",
         HelloMessage(sender_node=0, dest_node=1),
-        "0000002f03a90602000000000000000100000000000000000000000000000000"
-        "00000000000000000000000000000000000000",
+        "0000003003a90702000000000000000100000000000000000000000000000000"
+        "0000000000000000000000000000000000000000",
     ),
     (
         "hello-full",
@@ -162,7 +178,7 @@ GOLDEN_FRAMES = [
             acc_table=ACC_TABLE, trusted=(0, 5, 2**31 - 1), leases=LEASES,
             lease_digest=0xDEADBEEF, swim_updates=SWIM_UPDATES,
         ),
-        "0000012603a9060200000004000000050000000102000300020003010000000c"
+        "0000012703a9070200000004000000050000000102000300020003010000000c"
         "ffffffffffffffff00000003404bc00000000000000000010000000100000004"
         "00000000001e8487010140294000000000000000000900000000000000000000"
         "0000000000000000000000007fffffffffffffff4000000000000000010141da"
@@ -170,8 +186,29 @@ GOLDEN_FRAMES = [
         "00007fffffff00000000000000057fffffff000200000000deadbeefffffffff"
         "ffffffff000003e80000001f50000302405b2000000000004059200000000000"
         "00000000000000000000000000ffffffff000000000000000000000000000000"
-        "00000000000000000001ffffffff030000000000000000007fffffff7fffffff"
-        "01000000070000000302",
+        "00000000000000000001ffffffff00030000000000000000007fffffff7fffff"
+        "ff01000000070000000302",
+    ),
+    (
+        "hello-nack",
+        HelloMessage(
+            sender_node=5, dest_node=0, group=1, view_version=4, view_digest=77,
+            lease_digest=0xDEADBEEF, lease_version=2**32 - 1,
+        ),
+        "0000003403a90702000000050000000000000001000000000000000000000004"
+        "000000000000004d000000000000deadbeef01ffffffff00",
+    ),
+    (
+        "hello-sync-stated",
+        HelloMessage(
+            sender_node=0, dest_node=5, group=1, kind="sync", leases=LEASES,
+            lease_digest=2**64 - 1, lease_version=12,
+        ),
+        "0000008603a90702000000000000000500000001030000000000000000000000"
+        "00000000000000000002ffffffffffffffffffffffffffffffff000003e80000"
+        "001f50000302405b200000000000405920000000000000000000000000000000"
+        "000000ffffffff00000000000000000000000000000000000000000000000001"
+        "ffffffff010000000c00",
     ),
     (
         "accuse",
@@ -179,12 +216,12 @@ GOLDEN_FRAMES = [
             sender_node=1, dest_node=2, group=3, accuser=4, accused=5,
             accused_phase=6,
         ),
-        "0000001c03a90603000000010000000200000003000000040000000500000006",
+        "0000001c03a90703000000010000000200000003000000040000000500000006",
     ),
     (
         "rate-request",
         RateRequestMessage(sender_node=9, dest_node=8, interval=0.0625),
-        "0000001403a9060400000009000000083fb0000000000000",
+        "0000001403a9070400000009000000083fb0000000000000",
     ),
     (
         "batch-cells",
@@ -201,16 +238,35 @@ GOLDEN_FRAMES = [
             ),
             swim_updates=SWIM_UPDATES,
         ),
-        "0000012003a90605000000030000000b000001000000000041da13b860000000"
+        "0000012303a90705000000030000000b000001000000000041da13b860000000"
         "3fd000000000000000030000000100000005405ee00000000000000000070101"
         "000000024058c800000000008000000080000000000000110003000000010000"
         "000400000000001e848701014029400000000000000000090000000000000000"
         "00000000000000000000000000007fffffffffffffff40000000000000000101"
-        "41da13b860000000000000020000000500000000000000000000000000000000"
-        "0000000000000000000000000000000000000000000000000000000300000000"
-        "0000000000000000000000000100000000040000000000000000000000000000"
-        "0000000000000000030000000000000000007fffffff7fffffff010000000700"
-        "00000302",
+        "41da13b860000000000000000200000005000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000030000"
+        "0000000000000000000000000000010000000004000000000000000000000000"
+        "0000000000000000000000030000000000000000007fffffff7fffffff010000"
+        "00070000000302",
+    ),
+    (
+        "batch-ledger",
+        BatchFrame(
+            sender_node=0, dest_node=4, seq=9, send_time=12.5, interval=0.2,
+            cells=(
+                AliveCell(group=1, pid=0, leases=LedgerSegment(5, 7, 2**64 - 1, LEASES)),
+                AliveCell(group=2, pid=0, leases=LedgerSegment(7, 7, 0xDEADBEEF)),
+            ),
+        ),
+        "000000ff03a90705000000000000000400000000000000094029000000000000"
+        "3fc999999999999a000200000001000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000010000000500"
+        "000007ffffffffffffffff0002ffffffffffffffff000003e80000001f500003"
+        "02405b200000000000405920000000000000000000000000000000000000ffff"
+        "ffff00000000000000000000000000000000000000000000000001ffffffff00"
+        "0000020000000000000000000000000000000000000000000000000000000000"
+        "00000000000000000000000000000001000000070000000700000000deadbeef"
+        "000000",
     ),
     (
         "lease-request",
@@ -218,7 +274,7 @@ GOLDEN_FRAMES = [
             sender_node=12, dest_node=0, group=1, op="transfer", lease=7,
             client=1000, token=(5 << 28) | 260, ttl=2.0, successor=1001, nonce=17,
         ),
-        "0000003503a906060000000c0000000000000001040000000000000007000003"
+        "0000003503a907060000000c0000000000000001040000000000000007000003"
         "e800000000500001044000000000000000000003e900000011",
     ),
     (
@@ -228,7 +284,7 @@ GOLDEN_FRAMES = [
             client=1000, token=(5 << 28) | 260, holder=1000, expiry=108.5,
             retry_after=0.5, leader_node=0, handoff=1002, nonce=21,
         ),
-        "0000004503a90607000000000000000c00000001000000000000000007000003"
+        "0000004503a90707000000000000000c00000001000000000000000007000003"
         "e80000000050000104000003e8405b2000000000003fe0000000000000000000"
         "00000003ea00000015",
     ),
@@ -238,7 +294,7 @@ GOLDEN_FRAMES = [
             sender_node=0, dest_node=12, group=1, lease=2**64 - 1, client=1001,
             holder=1000, token=(5 << 28) | 260, expiry=108.5, released=False, seq=3,
         ),
-        "0000003503a90608000000000000000c00000001ffffffffffffffff000003e9"
+        "0000003503a90708000000000000000c00000001ffffffffffffffff000003e9"
         "000003e80000000050000104405b2000000000000000000003",
     ),
     (
@@ -247,7 +303,7 @@ GOLDEN_FRAMES = [
             sender_node=3, dest_node=7, nonce=2**32 - 1, origin=5,
             send_time=1.75e9, updates=SWIM_UPDATES,
         ),
-        "0000003803a906090000000300000007ffffffff0000000541da13b860000000"
+        "0000003803a907090000000300000007ffffffff0000000541da13b860000000"
         "030000000000000000007fffffff7fffffff01000000070000000302",
     ),
     (
@@ -256,7 +312,7 @@ GOLDEN_FRAMES = [
             sender_node=4, dest_node=6, target=9, nonce=12, origin=4,
             send_time=44.5, updates=SWIM_UPDATES,
         ),
-        "0000003c03a9060a0000000400000006000000090000000c0000000440464000"
+        "0000003c03a9070a0000000400000006000000090000000c0000000440464000"
         "00000000030000000000000000007fffffff7fffffff01000000070000000302",
     ),
     (
@@ -265,7 +321,7 @@ GOLDEN_FRAMES = [
             sender_node=9, dest_node=4, nonce=12, incarnation=2**31 - 1,
             echo_send_time=44.5, updates=SWIM_UPDATES,
         ),
-        "0000003803a9060b00000009000000040000000c7fffffff4046400000000000"
+        "0000003803a9070b00000009000000040000000c7fffffff4046400000000000"
         "030000000000000000007fffffff7fffffff01000000070000000302",
     ),
 ]
@@ -290,6 +346,8 @@ class TestRoundTrip:
             for cell in decoded.cells:
                 assert isinstance(cell, AliveCell)
                 assert isinstance(cell.delta, tuple)
+                if cell.leases is not None:
+                    assert isinstance(cell.leases.records, tuple)
                 for member in cell.delta:
                     assert isinstance(member, MemberInfo)
         if isinstance(decoded, HelloMessage):
@@ -324,7 +382,7 @@ class TestRoundTrip:
 
 
 class TestGoldenFrames:
-    """Byte-for-byte wire compatibility with the recorded v6 layout."""
+    """Byte-for-byte wire compatibility with the recorded v7 layout."""
 
     @pytest.mark.parametrize(
         "message, frame",
@@ -343,7 +401,7 @@ class TestGoldenFrames:
     def test_every_tag_has_a_fixture(self):
         tags = sorted({bytes.fromhex(h)[7] for _, _, h in GOLDEN_FRAMES})
         assert tags == list(range(2, 12))
-        assert all(bytes.fromhex(h)[6] == 6 for _, _, h in GOLDEN_FRAMES)
+        assert all(bytes.fromhex(h)[6] == 7 for _, _, h in GOLDEN_FRAMES)
 
 
 class TestRejection:
@@ -450,3 +508,50 @@ class TestSizeModel:
             modelled = message.payload_bytes() + 8  # frame header
             assert real <= 2 * modelled + 32
             assert modelled <= 2 * real + 32
+
+
+def _overhead(message) -> int:
+    """Codec bytes the size model does not charge (frame header aside)."""
+    return len(encode_message(message)) - message.payload_bytes()
+
+
+def _record(lease: int) -> LeaseRecord:
+    return LeaseRecord(lease=lease, holder=1, token=lease, expiry=1.0, granted_at=0.0,
+                       released=False, seq=0)
+
+
+class TestLedgerFieldsModelExactly:
+    """The wire fields the ledger's frame carrier added are modelled at exactly
+    the bytes the codec writes, and cost nothing when absent."""
+
+    @pytest.mark.parametrize("n_records", [0, 1, LEDGER_SEGMENT_CAP])
+    def test_a_segment_costs_what_it_encodes(self, n_records):
+        segment = LedgerSegment(3, 9, 2**64 - 1, tuple(_record(i) for i in range(n_records)))
+        for delta in ((), MEMBERS):
+            bare = AliveCell(group=1, pid=5, local_leader=2, delta=delta)
+            carrying = AliveCell(group=1, pid=5, local_leader=2, delta=delta, leases=segment)
+            frames = [BatchFrame(sender_node=0, dest_node=1, cells=(cell,)) for cell in (bare, carrying)]
+            assert _overhead(frames[1]) == _overhead(frames[0])
+            assert carrying.payload_bytes() - bare.payload_bytes() == 18 + 41 * n_records
+
+    def test_a_stated_version_costs_what_it_encodes(self):
+        for kind, leases in (("gossip", ()), ("sync", LEASES), ("reply", LEASES)):
+            bare = HelloMessage(sender_node=0, dest_node=1, kind=kind, leases=leases)
+            stated = HelloMessage(sender_node=0, dest_node=1, kind=kind, leases=leases,
+                                  lease_version=12)
+            assert _overhead(stated) == _overhead(bare)
+            assert stated.payload_bytes() - bare.payload_bytes() == 4
+
+    def test_absent_fields_leave_the_model_as_it_was(self):
+        # The model's figures for lease-free traffic are pinned by every
+        # lease-free wire_bytes pin: unchanged by the new fields' absence.
+        assert AliveCell(group=1, pid=5).payload_bytes() == 46
+        assert HelloMessage(sender_node=0, dest_node=1).payload_bytes() == 34
+
+    def test_a_full_segment_fits_a_datagram_in_all_sixteen_groups(self):
+        full = LedgerSegment(0, 64, 1, tuple(_record(i) for i in range(LEDGER_SEGMENT_CAP)))
+        cells = tuple(
+            AliveCell(group=g, pid=0, local_leader=1, local_leader_acc=2.0, leases=full)
+            for g in range(16)
+        )
+        assert len(encode_message(BatchFrame(sender_node=0, dest_node=1, cells=cells))) <= 65_507

@@ -28,6 +28,7 @@ from repro.net.message import (
     LeaseRecord,
     LeaseReplyMessage,
     LeaseRequestMessage,
+    LedgerSegment,
     MemberInfo,
     RateRequestMessage,
     SwimAckMessage,
@@ -63,6 +64,25 @@ acc_entries = st.builds(AccEntry, pid=I32, acc_time=F64, phase=I32)
 U32 = st.integers(min_value=0, max_value=2**32 - 1)
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
+lease_records = st.builds(
+    LeaseRecord,
+    lease=U64,
+    holder=I32,
+    token=U64,
+    expiry=F64,
+    granted_at=F64,
+    released=st.booleans(),
+    seq=U32,
+)
+
+segments = st.builds(
+    LedgerSegment,
+    base=U32,
+    top=U32,
+    digest=U64,
+    records=st.lists(lease_records, max_size=4).map(tuple),
+)
+
 cells = st.builds(
     AliveCell,
     group=I32,
@@ -74,6 +94,7 @@ cells = st.builds(
     delta=st.lists(members, max_size=8).map(tuple),
     view_version=U32,
     view_digest=U64,
+    leases=st.none() | segments,
 )
 
 swim_updates = st.builds(
@@ -94,17 +115,6 @@ batch_frames = st.builds(
     swim_updates=st.lists(swim_updates, max_size=8).map(tuple),
 )
 
-lease_records = st.builds(
-    LeaseRecord,
-    lease=U64,
-    holder=I32,
-    token=U64,
-    expiry=F64,
-    granted_at=F64,
-    released=st.booleans(),
-    seq=U32,
-)
-
 hello_messages = st.builds(
     HelloMessage,
     sender_node=I32,
@@ -119,6 +129,7 @@ hello_messages = st.builds(
     trusted=st.lists(I32, max_size=8).map(tuple),
     leases=st.lists(lease_records, max_size=8).map(tuple),
     lease_digest=U64,
+    lease_version=st.none() | U32,
 )
 
 accuse_messages = st.builds(
