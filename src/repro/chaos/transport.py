@@ -191,18 +191,21 @@ class ChaosTransport:
                 if rate is not None and self._rng.random() < rate:
                     self.stats.dropped_group += 1
                     return
-            elif type(message) is BatchFrame and message.cells:
+            elif type(message) is BatchFrame and (message.cells or message.ack is not None):
                 # Strip doomed cells; the frame (the shared FD header plus
                 # every other group's cells) still goes through.  Draws
                 # happen only for cells of faulted groups, in cell order,
-                # so RNG consumption stays exactly script-determined.
+                # so RNG consumption stays exactly script-determined.  An
+                # echo acknowledges every group's cells of a frame at once,
+                # which a frame stripped in transit makes a lie: echoes go
+                # while any group is faulted (the cells are re-sent).
                 kept = tuple(
                     cell
                     for cell in message.cells
                     if (rate := faults.get(cell.group)) is None
                     or self._rng.random() >= rate
                 )
-                if len(kept) != len(message.cells):
+                if len(kept) != len(message.cells) or message.ack is not None:
                     self.stats.dropped_group_cells += len(message.cells) - len(kept)
                     message = BatchFrame(
                         sender_node=message.sender_node,

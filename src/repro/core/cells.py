@@ -2,20 +2,27 @@
 CellSource` and the receive side of the same payload.
 
 A :class:`GroupCells` decides, per emission round, which destinations this
-group's cell must ride to (change-triggered, first repeated on an early
-round under loss, with a refresh and two quiet-window fast paths), and
-ingests the cells peers send — election payload, then the stream monitors
-Ω_l needs — unless their frame was overtaken.  A tenure-active leader's
-cells also carry the lease ledger to each follower (see
-:mod:`repro.lease.server`): a ledger delta owed makes a cell due.
+group's cell must ride to, and ingests the cells peers send — election
+payload, then the stream monitors Ω_l needs — unless their frame was
+overtaken.  A tenure-active leader's cells also carry the lease ledger to
+each follower (see :mod:`repro.lease.server`).
+
+On the all-pairs plane a cell is *owed* to a destination from the frame that
+first carried its current content (a changed payload, a membership delta, a
+ledger segment, a first contact or a refresh) until that destination echoes
+a ``seq`` at least as new (``BatchFrame.ack``, recorded here for every
+in-order frame whose cells were ingested).  Meanwhile it rides again, a
+re-sent delta from what was last acknowledged: a crashed link is repaired by
+the first frame after the heal, and the refresh is pure anti-entropy.  On
+swim an echo would cost a datagram: a change is sent once, the refresh
+repairs it.
 """
 
 from __future__ import annotations
 
-from math import ceil, log
 from typing import Dict, Optional, Tuple
 
-from repro.fd.plane import CELL_REPEAT_CAP, CELL_REPEAT_MISS, StreamMonitor
+from repro.fd.plane import StreamMonitor
 from repro.net.message import AliveCell, BatchFrame
 
 __all__ = ["GroupCells"]
@@ -26,13 +33,6 @@ __all__ = ["GroupCells"]
 _NEVER_EMITTED = object()
 
 
-def _sends_for(loss: float) -> int:
-    """How many consecutive frames a changed cell rides at observed ``loss``."""
-    if loss <= 0.0:
-        return 1
-    return min(CELL_REPEAT_CAP, ceil(log(CELL_REPEAT_MISS) / log(loss)))
-
-
 class GroupCells:
     """Cell emission and ingestion for one (group, local process) pair."""
 
@@ -41,7 +41,7 @@ class GroupCells:
         "cell_state", "stream_monitors", "_membership", "_sent_version", "_batcher", "owing",
         "_leases", "_ledger", "_dest_nodes", "refresh", "_emit_quiet_until", "_emit_stamp_version",
         "_emit_stamp_alg", "_emit_head", "_emit_template", "_emit_payload", "cells_repeated",
-        "frame_anchor",
+        "frame_anchor", "owed", "_seqs", "_acks",
     )
 
     def __init__(self, membership, batcher, leases) -> None:
@@ -52,6 +52,9 @@ class GroupCells:
         self.algorithm = algorithm = membership.algorithm
         self.plane = plane = membership.plane
         self._batcher = batcher
+        #: The batcher's next seq per destination and echo per peer.
+        self._seqs = batcher.seqs
+        self._acks = batcher.acks
         #: The group's gossip engine: told when a cell moved the view or
         #: showed a diverged digest; its shipped-version cursors say which
         #: destinations are owed a delta (None: cells carry none).
@@ -64,23 +67,26 @@ class GroupCells:
         #: (the horizon inside which the gossip rounds call a peer covered).
         self.refresh = plane.cell_refresh
         #: Per-destination (election payload, time of its first send or last
-        #: refresh) — plus, only while there are any, the repeats still owed —
-        #: for change-triggered emission with loss-sized repeats and refresh.
+        #: refresh, ledger head), for change-triggered emission and the refresh.
         self.cell_state: Dict[int, tuple] = {}
-        #: Instrumentation only: cells re-sent because a change (of the
-        #: payload, or a ledger delta) was owed.
+        #: Destination -> (seq of the first frame that carried its current
+        #: content, at its ``cell_state`` time; the view version it held
+        #: before); ``all_candidates`` on all-pairs only (None: no echoes).
+        self.owed: Optional[Dict[int, Tuple[int, int]]] = (
+            {} if plane.header_is_liveness and algorithm.monitor_policy == "all_candidates"
+            else None
+        )
+        #: Instrumentation only: cells re-sent because they were still owed.
         self.cells_repeated = 0
-        #: The last round sent a change still owed a repeat (CellSource).
+        #: The last round sent a changed payload on a node that has seen loss.
         self.owing = False
         #: Sender node -> (seq, send_time) of the newest frame ingested.
         self.frame_anchor: Dict[int, Tuple[int, float]] = {}
         #: Steady-state emission fast path: while neither the membership
         #: version, the algorithm's emit stamp nor the ledger head (see
-        #: ``LeaseServer.head``) has moved since the last full round, the
-        #: payload is provably unchanged — rounds reuse the
-        #: cached template below, skip entirely while no per-destination
-        #: refresh is due, and otherwise touch only the dests whose refresh
-        #: expired.  Any stamp move falls back to the full (slow) round.
+        #: ``LeaseServer.head``) has moved since the last full round, rounds
+        #: reuse the cached template below and are skipped while no refresh
+        #: or owed cell is due.
         self._emit_quiet_until = float("-inf")
         self._emit_stamp_version = -1
         self._emit_stamp_alg: object = _NEVER_EMITTED
@@ -125,8 +131,8 @@ class GroupCells:
         below follow the same order within the cell.  A frame older in both
         ``seq`` and ``send_time`` than the newest ingested from its sender
         was overtaken: only its (order-free) membership delta and ledger
-        records merge.  One count alone would take a reboot or a clock resync
-        for a late frame.
+        records merge, and it is not echoed.  One count alone would take a
+        reboot or a clock resync for a late frame.
         """
         changed = self.view.merge(cell.delta) if cell.delta else False
         anchor = self.frame_anchor.get(sender)
@@ -137,6 +143,7 @@ class GroupCells:
                 # Numbered afresh, sent later: the sender's daemon restarted
                 # (its join may never have reached us).
                 self._leases.forget(sender)
+                self.forget_sent(sender)
         # A token floor means records its leader may lack (an attribute read:
         # the lease-free path stays a compare).
         if cell.leases is not None or self._ledger.max_token:
@@ -146,6 +153,8 @@ class GroupCells:
                 self._membership.view_changed_by_cell()
             return
         self.frame_anchor[sender] = (frame.seq, frame.send_time)
+        if self.owed is not None:
+            self._acks[sender] = frame.seq
         self.algorithm.on_alive(cell)
         monitors = self.stream_monitors
         if monitors is not None:
@@ -172,40 +181,44 @@ class GroupCells:
             self._dest_nodes = dest_nodes
             self._batcher.invalidate_dests()
 
-    def _repeat(self, dest: int, state: tuple) -> bool:
-        """Account one repeat to ``dest``; True while more are owed.  The
-        entry keeps its stamp: the refresh clock and the gossip's coverage
-        windows run from the change, not from its repeats."""
-        owed = state[2] - 1
-        self.cell_state[dest] = (state[0], state[1], owed) if owed else state[:2]
-        self.cells_repeated += 1
-        return owed > 0
+    def forget(self, node: int) -> None:
+        """``node`` left the view: what it was sent and acknowledged goes,
+        and so do the lease cursors; a return starts with a first contact."""
+        self.cell_state.pop(node, None)
+        self.frame_anchor.pop(node, None)
+        if self.owed is not None:
+            self.owed.pop(node, None)
+        self._leases.forget(node)
 
-    def emit_cells(self):
+    def forget_sent(self, node: int) -> None:
+        """All-pairs: ``node`` may hold nothing we sent (it restarted, or it
+        was silent and echoed nothing): its next frame is a first contact."""
+        if self.owed is not None and self.cell_state.pop(node, None) is not None:
+            self.owed.pop(node, None)
+            self._emit_quiet_until = float("-inf")
+
+    def on_ack(self, node: int, seq: int) -> None:
+        """``node``'s frames echo ``seq``: the cell owed it since then, or
+        since earlier, arrived."""
+        owed = self.owed
+        if owed:
+            entry = owed.get(node)
+            if entry is not None and entry[0] <= seq:
+                del owed[node]
+
+    def emit_cells(self, resend_after: float = 0.0):
         """Yield ``(dest_node, cell)`` for one emission round.
 
-        The node-level FD header flows on every frame; a cell only needs to
-        ride along when it carries *news*.  Under ``all_candidates`` (node
-        liveness is process liveness) a destination's cell is therefore
-        suppressed while the election payload is unchanged, no membership
-        or ledger delta is owed, no repeat is owed, and a refresh went out
-        within the refresh period.  A *changed* payload — or a ledger delta
-        — is owed k − 1 more rounds, k sized from the observed loss
-        (:func:`_sends_for`: none while no gap was seen); the repeat shows a
-        follower that lost the delta its gap.  For a changed payload
-        :attr:`owing` makes the first an early round η/8 later (a lost
-        change costs η/8), the rest ride the regular rounds, spread in time
-        against a burst of loss; a newer change restarts the count.  The
-        refresh is the anti-entropy backstop and carries the membership
-        digest (and the ledger head).  ``senders_only`` groups (Ω_l) emit
-        every round: their receivers' stream monitors feed on the cells.
-
-        One template cell is built per round; destinations owing no delta
-        share it, so a steady-state round allocates at most one cell per
-        group regardless of fan-out.
-
-        Without shipped-version cursors (bounded dissemination) no
-        destination is owed a membership delta; see ``cell_deltas`` there.
+        The FD header flows on every frame; under ``all_candidates`` a
+        cell rides along only with *news* — a changed payload or ledger
+        head, a membership or ledger delta, a first contact, the refresh —
+        or while owed (see the module docstring): then once it has been
+        owed ``resend_after`` seconds (the batcher's choice: an overdue
+        echo on a regular tick, at once on the early round, never on a
+        flush).  A changed payload on a node that has seen frame loss sets
+        :attr:`owing` (the batcher arms an early round).  ``senders_only``
+        groups (Ω_l) emit every round: their receivers' stream monitors feed
+        on the cells.  Destinations owing no delta share one template cell.
         """
         self.owing = False
         dests = self._dest_nodes
@@ -216,134 +229,113 @@ class GroupCells:
         suppressible = self.stream_monitors is None
         now = self.scheduler.now
         head = self._leases.head()
+        stamp = self.algorithm.emit_stamp()
         if (
             suppressible
             and version == self._emit_stamp_version
             and head is self._emit_head
-            and self.algorithm.emit_stamp() == self._emit_stamp_alg
+            and stamp == self._emit_stamp_alg
         ):
             # Stamps unchanged since the last full round: the payload is
-            # provably identical, every destination is version-current and
-            # owes no membership or ledger delta.  Skip the round outright
-            # while no per-destination refresh or repeat is due; otherwise
-            # touch only the destinations owed one, reusing the cached
-            # template cell (its fields equal what a rebuild would produce).
+            # provably identical and no ledger delta is due.  Skip the round
+            # outright while no refresh or owed cell is due; otherwise reuse
+            # the cached template cell (its fields equal what a rebuild would
+            # produce).
             if now < self._emit_quiet_until:
                 return
-            refresh = self.refresh
-            template = self._emit_template
-            cell_state = self.cell_state
-            entry = None
-            oldest = now
-            owing = False
-            for dest in dests:
-                state = cell_state.get(dest)
-                # A missing entry is a destination added by a *deferred*
-                # membership reaction (bounded gossip coalesces them) after
-                # the full round that stamped this version ran: send it the
-                # template now.
-                if state is not None:
-                    stamped = state[1]
-                    if now - stamped < refresh:
-                        if stamped < oldest:
-                            oldest = stamped
-                        if len(state) > 2:
-                            owing = self._repeat(dest, state) or owing
-                            yield dest, template
-                        continue
-                if entry is None:
-                    # One (payload, stamp) entry per round, shared by every
-                    # destination refreshed at this instant.
-                    entry = (self._emit_payload, now)
-                cell_state[dest] = entry
-                yield dest, template
-            # While a repeat is still owed the very next frame carries it.
-            self._emit_quiet_until = now if owing else oldest + refresh
-            return
-        digest = view.digest64()
-        template = AliveCell(
-            group=self.group,
-            pid=self.pid,
-            view_version=version,
-            view_digest=digest,
-            leases=head,
-        )
-        self.algorithm.fill_alive(template)
-        payload = (
-            template.acc_time,
-            template.phase,
-            template.local_leader,
-            template.local_leader_acc,
-        )
-        stamp = self.algorithm.emit_stamp()
+            template, payload = self._emit_template, self._emit_payload
+        else:
+            template = AliveCell(
+                group=self.group,
+                pid=self.pid,
+                view_version=version,
+                view_digest=view.digest64(),
+                leases=head,
+            )
+            self.algorithm.fill_alive(template)
+            payload = (
+                template.acc_time,
+                template.phase,
+                template.local_leader,
+                template.local_leader_acc,
+            )
+            stamp = self.algorithm.emit_stamp()
+        owed = self.owed
+        seqs = self._seqs
+        trusted = self.plane.trusted
+        cell_state = self.cell_state
         refresh = self.refresh
         sent = self._sent_version
         shipped = None if head is None else self._leases.shipped
-        cell_state = self.cell_state
-        #: One shared entry for every refresh or delta cell of this round,
-        #: one for every changed payload or ledger delta (the plane's loss
-        #: is read once).
-        entry = (payload, now)
-        repeated = None
-        owing = backlog = False
+        #: One shared entry for every destination sent new content.
+        entry = (payload, now, head)
         #: Oldest still-fresh per-destination send time this round relied
         #: on — the first refresh to expire bounds the quiet window.
         oldest = now
+        changed = backlog = False
         for dest in dests:
             lease_owed = shipped is not None and shipped.get(dest, 0) < head.top
-            if sent is None or sent.get(dest, 0) >= version:
-                delta = ()
-                sending = entry
-                if suppressible:
-                    state = cell_state.get(dest)
-                    if state is None:
-                        pass  # first contact: one cell, as any refresh
-                    elif state[0] != payload or lease_owed:
-                        if repeated is None:
-                            repeats = _sends_for(self.plane.observed_loss()) - 1
-                            repeated = (payload, now, repeats) if repeats else entry
-                            owing = owing or repeats > 0
-                        if state[0] != payload:
-                            self.owing = repeats > 0
-                        sending = repeated
-                    elif now - state[1] < refresh:
-                        if state[1] < oldest:
-                            oldest = state[1]
-                        if len(state) > 2:
-                            owing = self._repeat(dest, state) or owing
-                            yield dest, template
-                        continue
-                cell_state[dest] = sending
-                if not lease_owed:
-                    yield dest, template
+            state = cell_state.get(dest)
+            pending = owed.get(dest) if owed else None
+            held = version if sent is None else sent.get(dest, 0)
+            news = lease_owed or held < version
+            if state is None or state[0] != payload:
+                news = True
+                changed = changed or state is not None
+            elif owed is not None and state[2] != head:
+                news = True  # the ledger head moved: its digest is content too
+            elif pending is not None and not news:
+                if now - state[1] < resend_after:
                     continue
-            else:
-                delta = view.delta_since(sent.get(dest, 0))
-                sent[dest] = version
+                if not trusted(dest):
+                    del owed[dest]  # silent: re-trusted, it gets a first contact
+                    continue
+                self.cells_repeated += 1
+            elif suppressible and not news and now - state[1] < refresh:
+                if state[1] < oldest:
+                    oldest = state[1]
+                continue
+            if pending is not None:
+                held = pending[1]  # a re-sent delta starts at the last acked
+            if news or pending is None:
                 cell_state[dest] = entry
+                if owed is not None and trusted(dest):
+                    owed[dest] = (seqs.get(dest, 0), held)
+            if held < version:
+                sent[dest] = version
             segment = head
             if lease_owed:
                 segment = self._leases.segment(dest)
                 backlog = backlog or segment.top < head.top
-            yield dest, AliveCell(
-                group=self.group,
-                pid=self.pid,
-                acc_time=template.acc_time,
-                phase=template.phase,
-                local_leader=template.local_leader,
-                local_leader_acc=template.local_leader_acc,
-                delta=delta,
-                view_version=version,
-                view_digest=digest,
-                leases=segment,
-            )
+            yield dest, self._cell(template, held, segment)
+        if changed and owed is not None:
+            self.owing = self.plane.observed_loss() > 0.0
         if suppressible and stamp is not None and not backlog:
             # Every destination now holds the current payload, version and
-            # ledger; the guards above re-run this full round the moment the
-            # membership version, the payload stamp or the head moves.
+            # ledger, or is owed them; the guards above re-run this full
+            # round the moment the membership version, the payload stamp or
+            # the head moves.
             self._emit_stamp_version = version
             self._emit_stamp_alg = stamp
             self._emit_head = head
             self._emit_template = template
             self._emit_payload = payload
-            self._emit_quiet_until = now if owing else oldest + refresh
+            self._emit_quiet_until = now if owed else oldest + refresh
+
+    def _cell(self, template: AliveCell, held: int, segment) -> AliveCell:
+        """The template, or its copy carrying the membership records since
+        version ``held`` and ``segment`` in place of the ledger head."""
+        if held >= template.view_version and segment is template.leases:
+            return template
+        return AliveCell(
+            group=self.group,
+            pid=self.pid,
+            acc_time=template.acc_time,
+            phase=template.phase,
+            local_leader=template.local_leader,
+            local_leader_acc=template.local_leader_acc,
+            delta=self.view.delta_since(held) if held < template.view_version else (),
+            view_version=template.view_version,
+            view_digest=template.view_digest,
+            leases=segment,
+        )

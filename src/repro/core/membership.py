@@ -159,9 +159,7 @@ class Membership:
                 # No group watches this peer anymore: its requested rate
                 # must stop pinning the shared heartbeat interval.
                 self.forget_peer(node)
-            self._cell_state.pop(node, None)
-            self._cells.frame_anchor.pop(node, None)
-            self._leases.forget(node)
+            self._cells.forget(node)
             self._forget_node(node)
         self._interested_nodes = current
         streams = self._cells.stream_monitors
@@ -388,40 +386,19 @@ class FloodMembership(Membership):
         return self.view.digest()
 
     def _round(self, now: float) -> None:
+        # Version unchanged since the last completed round: every peer
+        # provably owes no membership delta (a round either verified that
+        # or shipped the delta and stamped the peer current), so the round
+        # is skipped outright while every covering cell is still inside
+        # the horizon.
         view = self.view
         version = view.version
+        if self._hello_stamp == version and now < self._hello_quiet_until:
+            return
         horizon = self._cover_horizon
         cell_state = self._cell_state
-        if self._hello_stamp == version:
-            # Version unchanged since the last completed round: every
-            # peer provably owes no membership delta (a round either
-            # verified that or shipped the delta and stamped the peer
-            # current).  Skip the round outright while every covering
-            # cell is still inside the horizon; otherwise gossip
-            # (empty deltas) only to the uncovered peers, in the cached
-            # peer order.
-            if now < self._hello_quiet_until:
-                return
-            fields = None
-            oldest = now
-            all_covered = True
-            hellos = []
-            for node in self.peer_nodes():
-                state = cell_state.get(node)
-                if state is not None and now - state[1] < horizon:
-                    if state[1] < oldest:
-                        oldest = state[1]
-                    continue
-                all_covered = False
-                if fields is None:
-                    fields = self.hello_fields()
-                hellos.append(HelloMessage(dest_node=node, **fields))
-            self._send_round(hellos)
-            if all_covered:
-                self._hello_quiet_until = oldest + horizon
-            return
-        fields = self.hello_fields()
         sent = self.sent_version
+        fields = None
         #: Oldest covering-cell send time among skipped peers — the first
         #: coverage to lapse bounds the quiet window.
         oldest = now
@@ -439,15 +416,13 @@ class FloodMembership(Membership):
             all_covered = False
             if delta:
                 sent[node] = version
+            if fields is None:
+                fields = self.hello_fields()
             hellos.append(HelloMessage(dest_node=node, members=delta, **fields))
         self._send_round(hellos)
         self._hello_stamp = version
-        if all_covered:
-            self._hello_quiet_until = oldest + horizon
-        else:
-            # An uncovered peer gets gossip every round: a quiet window
-            # carried over from an earlier stamp must not suppress it.
-            self._hello_quiet_until = float("-inf")
+        # An uncovered peer gets gossip every round.
+        self._hello_quiet_until = oldest + horizon if all_covered else float("-inf")
 
 
 class BoundedMembership(Membership):

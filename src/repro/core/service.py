@@ -378,6 +378,7 @@ class GroupRuntime(GroupContext):
         """The shared plane started trusting ``node``: fan out per pid."""
         if self._shut_down:
             return
+        self.cells.forget_sent(node)
         view = self.view
         for pid in view.pids_on_node(node):
             if pid != self.pid and view.is_present(pid):
@@ -600,6 +601,7 @@ class LeaderElectionService:
         transition fans out (payload before trust, see
         :meth:`~repro.core.cells.GroupCells.handle_cell`); rumours
         piggybacked on the frame are the plane's to read, with the header.
+        An echo naming a frame never sent (stale across a restart) is ignored.
         """
         sender = frame.sender_node
         groups = self._groups
@@ -607,6 +609,10 @@ class LeaderElectionService:
             runtime = groups.get(cell.group)
             if runtime is not None:
                 runtime.handle_cell(sender, frame, cell)
+        ack = frame.ack
+        if ack is not None and ack < self.batcher.seqs.get(sender, 0):
+            for runtime in groups.values():
+                runtime.cells.on_ack(sender, ack)
         self.plane.observe_frame(frame)
 
     # ------------------------------------------------------------------

@@ -41,24 +41,24 @@ from repro.net.message import BatchFrame
 from repro.runtime.base import FdPlane
 from repro.sim.vector import deadline_timer
 
-__all__ = ["CELL_REFRESH", "CELL_REPEAT_MISS", "CELL_REPEAT_CAP", "CELL_REPEAT_SPACING",
+__all__ = ["CELL_REFRESH", "SWIM_CELL_REFRESH", "CELL_ECHO_WAIT", "CELL_EARLY_ROUND",
            "PlaneListener", "FdPlaneBase", "NodeFdPlane", "StreamMonitor"]
 
-#: Steady-state cell refresh period, seconds.  Heartbeat *frames* flow at
-#: the FD-negotiated η per node pair, but an ``all_candidates`` group's
-#: election payload rides along only when it changed — plus one periodic
-#: refresh per this many seconds, the anti-entropy backstop for payload and
-#: membership alike.  This is what keeps heartbeat bytes O(node pairs)
-#: instead of O(groups × node pairs).
-CELL_REFRESH = 1.0
-
-#: Loss repair of a *changed* cell: it rides consecutive rounds until the
-#: chance all were lost, at the observed loss, is at most the first number,
-#: in at most the second number of sends (over before the refresh fires);
-#: the first repeat leaves this fraction of the period after the change.
-CELL_REPEAT_MISS = 1e-3
-CELL_REPEAT_CAP = 4
-CELL_REPEAT_SPACING = 0.125
+#: Cell refresh period, seconds.  Heartbeat *frames* flow at the negotiated
+#: η per node pair, but an ``all_candidates`` group's cell rides along only
+#: until its destination acknowledges it (see :mod:`repro.core.cells`) — and
+#: once per this period, the anti-entropy for view digests and ledger heads.
+#: This keeps heartbeat bytes O(node pairs), not O(groups × node pairs).
+CELL_REFRESH = 8.0
+#: Swim's: no echo travels there (it would cost a datagram), so a change is
+#: sent once and this refresh is also its loss repair.
+SWIM_CELL_REFRESH = 4.0
+#: Periods after which a regular round re-sends an unacknowledged cell (the
+#: destination's next frame, which echoes it, is due within one).
+CELL_ECHO_WAIT = 1.5
+#: On a node that has seen frame loss, a changed payload arms one more round
+#: this fraction of a period later: it re-sends every unacknowledged cell.
+CELL_EARLY_ROUND = 0.125
 
 
 class PlaneListener(Protocol):
@@ -75,8 +75,9 @@ class FdPlaneBase(FdPlane):
     guard and the listener fan-out.  Subclasses supply the evidence — how a
     peer's ``monitors`` entry is made, fed and torn down."""
 
-    #: See :class:`~repro.runtime.base.FdPlane`; the all-pairs default.
+    #: See :class:`~repro.runtime.base.FdPlane`; the all-pairs defaults.
     header_is_liveness = True
+    cell_refresh = CELL_REFRESH
 
     def __init__(
         self,
@@ -96,17 +97,6 @@ class FdPlaneBase(FdPlane):
         #: node -> strictest QoS among interested groups.
         self._effective_qos: Dict[int, FDQoS] = {}
         self._shut_down = False
-
-    @property
-    def cell_refresh(self) -> float:
-        """Effective steady-state cell re-send cadence.  Where the header
-        is the liveness signal the refresh doubles as its payload repair
-        and tracks :data:`CELL_REFRESH` exactly.  Otherwise liveness comes
-        from the probe ring and membership news from rumours, so the
-        refresh is pure loss-repair anti-entropy and runs 4× slower — this
-        is where the per-destination steady wire cost drops from O(n)
-        full-rate streams to a trickle."""
-        return CELL_REFRESH if self.header_is_liveness else 4.0 * CELL_REFRESH
 
     # ------------------------------------------------------------------
     # Interest registration (the fan-out bus)

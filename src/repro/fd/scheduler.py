@@ -23,7 +23,9 @@ Per-destination state that must *not* be shared:
   must not be scored as message loss downstream;
 * requested rates — each receiver's configurator may ask for its own η; the
   sender emits at the fastest rate any *group* bootstraps or any *peer*
-  requested (extra heartbeats only improve the slower receivers' detection).
+  requested (extra heartbeats only improve the slower receivers' detection);
+* echoes — the next frame to a peer whose cells were ingested carries the
+  newest such ``seq`` back (``BatchFrame.ack``; see :mod:`repro.core.cells`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Dict, Iterable, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.fd.plane import CELL_REPEAT_SPACING
+from repro.fd.plane import CELL_ECHO_WAIT, CELL_EARLY_ROUND
 from repro.metrics.usage import UsageMeter
 from repro.net.message import AliveCell, BatchFrame
 from repro.runtime.base import FdPlane, Scheduler, TimerHandle, Transport
@@ -49,16 +51,17 @@ class CellSource(Protocol):
         """Nodes this group's frames must reach (cells or not)."""
         ...
 
-    def emit_cells(self) -> Iterable[Tuple[int, AliveCell]]:
+    def emit_cells(self, resend_after: float) -> Iterable[Tuple[int, AliveCell]]:
         """Yield ``(dest_node, cell)`` pairs for one emission round.
 
         May yield fewer destinations than :meth:`dest_nodes`: a group whose
         election payload is unchanged suppresses its cell and relies on the
-        frame header alone (the node-level FD needs no payload).
+        frame header alone (the node-level FD needs no payload).  A cell
+        unacknowledged ``resend_after`` seconds after it was sent rides again.
         """
         ...
 
-    #: Read-only, after a round: it sent a change still owed a repeat.
+    #: Read-only, after a round: it sent a change on a node that saw loss.
     owing: bool
 
 
@@ -97,7 +100,9 @@ class AliveBatcher:
         #: peer node -> peer-requested η (node-level RATE-REQUESTs).
         self._requested: Dict[int, float] = {}
         #: dest node -> next sequence number (pauses during silence).
-        self._seqs: Dict[int, int] = {}
+        self.seqs: Dict[int, int] = {}
+        #: peer node -> the seq its next frame echoes (set by cell ingestion).
+        self.acks: Dict[int, int] = {}
         #: Created on first resume so the random initial phase is drawn
         #: against the *actual* bootstrap interval of the hosted groups.
         self._timer: Optional[PeriodicTimer] = None
@@ -194,7 +199,8 @@ class AliveBatcher:
         counter per departed peer over a long churn run.
         """
         self._requested.pop(node, None)
-        self._seqs.pop(node, None)
+        self.seqs.pop(node, None)
+        self.acks.pop(node, None)
 
     # ------------------------------------------------------------------
     # Activity
@@ -251,25 +257,31 @@ class AliveBatcher:
         frames are multiplexed, one group's urgency refreshes everyone.  Any
         number of requests in one instant emit one round with the final
         state, not a burst whose frames overtake each other on the link.  A
-        pending early repeat round (see :meth:`_tick`) is brought forward.
+        flush carries news only; a pending early round (see :meth:`_tick`)
+        is brought forward and stays one.
         """
         pending = self._flush_handle
         if self.active and (pending is None or pending.time > self.scheduler.now):
             self.scheduler.cancel(pending)
-            self._flush_handle = self.scheduler.schedule(0.0, self._flush_now)
+            resend_after = float("inf") if pending is None else 0.0
+            self._flush_handle = self.scheduler.schedule(0.0, self._flush_now, resend_after)
 
-    def _flush_now(self) -> None:
+    def _flush_now(self, resend_after: float = 0.0) -> None:
         self._flush_handle = None
-        self._tick()
+        self._tick(resend_after)
         self._timer.start()  # next regular tick one full period from now
 
     #: Shared empty-cells tuple: steady-state frames are mostly cell-less.
     _NO_CELLS: Tuple[AliveCell, ...] = ()
 
-    def _tick(self) -> None:
-        """One round.  If it left a source :attr:`~CellSource.owing`, one
-        more leaves ``CELL_REPEAT_SPACING · interval()`` later via the
-        :meth:`flush` path (it restarts the period, dies with the stream)."""
+    def _tick(self, resend_after: Optional[float] = None) -> None:
+        """One round: a regular tick re-sends what was unacknowledged for
+        ``CELL_ECHO_WAIT`` periods, an early round all of it.  If it left a source
+        :attr:`~CellSource.owing`, one more leaves ``CELL_EARLY_ROUND ·
+        interval()`` later via the :meth:`flush` path (it restarts the
+        period, dies with the stream)."""
+        if resend_after is None:
+            resend_after = CELL_ECHO_WAIT * self.interval()
         if self._meter is not None:
             self._meter.on_timer()
         # Every destination of an emitting group gets a frame — the FD
@@ -296,12 +308,12 @@ class AliveBatcher:
         for group, source in self._sources.items():
             if not self._active.get(group):
                 continue
-            for dest, cell in source.emit_cells():
+            for dest, cell in source.emit_cells(resend_after):
                 per_dest[dest].append(cell)
                 emitted = True
             owing = owing or source.owing
         if owing and self._flush_handle is None:
-            delay = CELL_REPEAT_SPACING * self.interval()
+            delay = CELL_EARLY_ROUND * self.interval()
             self._flush_handle = self.scheduler.schedule(delay, self._flush_now)
         payload_only = self._payload_only
         rumours = self._rumours
@@ -316,7 +328,8 @@ class AliveBatcher:
             return  # SWIM mode with nothing to say: no destination walk
         now = self.scheduler.now
         interval = self.interval()
-        seqs = self._seqs
+        seqs = self.seqs
+        acks = self.acks
         node_id = self.node_id
         if gossiping:
             ring = sorted(per_dest)
@@ -341,6 +354,7 @@ class AliveBatcher:
                     interval=interval,
                     cells=tuple(cells) if cells else self._NO_CELLS,
                     swim_updates=updates,
+                    ack=acks.pop(dest, None) if acks else None,
                 )
             )
             cells.clear()

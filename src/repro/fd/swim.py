@@ -56,7 +56,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.fd.configurator import ConfiguratorCache, bootstrap_params
 from repro.fd.estimator import LinkQualityEstimator
-from repro.fd.plane import FdPlaneBase, PlaneListener
+from repro.fd.plane import SWIM_CELL_REFRESH, FdPlaneBase, PlaneListener
 from repro.fd.qos import FDParams, FDQoS
 from repro.metrics.usage import UsageMeter
 from repro.net.message import (
@@ -174,6 +174,7 @@ class SwimFdPlane(FdPlaneBase):
 
     #: The probe ring, not the frame header, is the liveness signal.
     header_is_liveness = False
+    cell_refresh = SWIM_CELL_REFRESH
 
     def __init__(
         self,

@@ -11,8 +11,8 @@ group size, the increase under worse links, the S2/S3 gap — emerges from the
 actual number and size of messages the protocols exchange, not from the
 calibration.
 
-Bandwidth needs no modelling: the network counts real on-wire bytes
-(:meth:`repro.net.message.Message.wire_bytes`).
+Bandwidth is modelled too: the network counts :meth:`repro.net.message.
+Message.wire_bytes`, a per-type size model, not the bytes the codec writes.
 
 Since the multi-group scale-out, meters also keep a **per-group ledger**:
 each packet's bytes are attributed to the groups riding in it via

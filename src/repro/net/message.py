@@ -306,6 +306,10 @@ class BatchFrame(Message):
     sender's current period ``interval`` toward this destination.  The
     sequence pauses — never skips — while the sender has no cells for this
     destination, so voluntary silence is not scored as message loss.
+
+    ``ack`` (all-pairs only) echoes the newest ``seq`` of the destination's
+    stream to the sender whose cells were ingested since the last echo,
+    acknowledging them (see :mod:`repro.core.cells`); None costs no bytes.
     """
 
     seq: int = 0
@@ -315,12 +319,16 @@ class BatchFrame(Message):
     #: SWIM piggyback block (swim plane only; always empty under the
     #: all-pairs plane, where it costs zero wire bytes).
     swim_updates: Tuple[SwimUpdate, ...] = ()
+    ack: Optional[int] = None
 
-    #: seq (4) + send_time (8) + interval (8) + cell count (2).
+    #: seq (4) + send_time (8) + interval (8) + cell count (2); the echo (8).
     _BASE_BYTES = 22
+    _ACK_BYTES = 8
 
     def payload_bytes(self) -> int:
         size = self._BASE_BYTES
+        if self.ack is not None:
+            size += self._ACK_BYTES
         if self.swim_updates:
             # Count byte + entries; absent entirely when empty so the
             # default plane's wire model is byte-identical to codec v5.

@@ -156,9 +156,9 @@ class FdPlane(Protocol):
     #: Whether a frame *header* alone is the liveness signal (all pairs: one
     #: freshness monitor per node pair, fed at η).  Where it is not, frames
     #: and gossip are bounded dissemination carriers: the batcher skips
-    #: frames with nothing to say, cells refresh 4× slower
-    #: (``cell_refresh``, seconds), optimistic trust outlives that refresh,
-    #: and group gossip is bounded (see :mod:`repro.core.membership`).
+    #: frames with nothing to say, no echo acknowledges a cell (the
+    #: ``cell_refresh``, seconds, is its repair), optimistic trust outlives
+    #: that refresh, and group gossip is bounded (see :mod:`repro.core.membership`).
     header_is_liveness: bool
     cell_refresh: float
 

@@ -61,6 +61,10 @@ LedgerSegment` (base and top versions, digest, record count, records); a
 HELLO's lease block ends with a presence byte and, when set, the u32
 ``lease_version``.  Absent, each costs only its presence byte.
 
+Codec version 8 (changes are acknowledged): a BatchFrame may carry an i64
+echo (:attr:`~repro.net.message.BatchFrame.ack`) after its fixed header,
+flagged by the top bit of the cell count: a frame without one is its v7 layout.
+
 Strings never appear on the wire: enumerated fields
 (:attr:`HelloMessage.kind`, the SWIM update state) travel as one byte.
 Optional fields carry a one-byte presence flag.  Decoding is strict — unknown magic, version, type
@@ -105,7 +109,7 @@ __all__ = [
 ]
 
 _MAGIC = 0x03A9  # Ω, fittingly
-_VERSION = 7
+_VERSION = 8
 
 #: Upper bound on a frame we are willing to decode (or encode).  Generous —
 #: a 64-cell batch with 4096-member deltas would not fit a datagram anyway —
@@ -161,6 +165,8 @@ _U32 = struct.Struct("!I")
 _FLAG = struct.Struct("!?")  # presence of an optional field (codec v7)
 _SEGMENT = struct.Struct("!IIQH")  # base, top, ledger digest, n_records (v7)
 _BATCH_FIXED = struct.Struct("!qddH")  # seq, send_time, interval, n_cells
+_I64 = struct.Struct("!q")  # the frame's echoed seq (v8)
+_HAS_ACK = 0x8000  # top bit of n_cells: the echo follows the fixed header
 _CELL_FIXED = struct.Struct("!iidi")  # group, pid, acc_time, phase
 _CELL_VIEW = struct.Struct("!IQH")  # view_version, view_digest, n_delta
 _HELLO_FIXED = struct.Struct("!iBHHH?IQ")  # group, kind, n_members, n_acc,
@@ -331,15 +337,15 @@ def _swim_updates_into(updates: Tuple[SwimUpdate, ...], buf, pos: int) -> int:
 
 
 def _batch_into(message: BatchFrame, buf, pos: int) -> int:
-    _BATCH_FIXED.pack_into(
-        buf,
-        pos,
-        message.seq,
-        message.send_time,
-        message.interval,
-        _check_count("cells", len(message.cells)),
-    )
+    n_cells, ack = _check_count("cells", len(message.cells)), message.ack
+    if n_cells & _HAS_ACK:
+        raise CodecError(f"too many cells to encode ({n_cells})")
+    count = n_cells if ack is None else n_cells | _HAS_ACK
+    _BATCH_FIXED.pack_into(buf, pos, message.seq, message.send_time, message.interval, count)
     pos += _BATCH_FIXED.size
+    if ack is not None:
+        _I64.pack_into(buf, pos, ack)
+        pos += _I64.size
     for cell in message.cells:
         pos = _cell_into(cell, buf, pos)
     return _swim_updates_into(message.swim_updates, buf, pos)
@@ -642,7 +648,8 @@ def _decode_swim_block(reader: _Reader) -> Tuple[SwimUpdate, ...]:
 
 def _decode_batch(reader: _Reader, sender: int, dest: int) -> BatchFrame:
     seq, send_time, interval, n_cells = reader.unpack(_BATCH_FIXED)
-    cells = tuple(_decode_cell(reader) for _ in range(n_cells))
+    ack = reader.unpack(_I64)[0] if n_cells & _HAS_ACK else None
+    cells = tuple(_decode_cell(reader) for _ in range(n_cells & ~_HAS_ACK))
     swim_updates = _decode_swim_block(reader)
     return BatchFrame(
         sender_node=sender,
@@ -652,6 +659,7 @@ def _decode_batch(reader: _Reader, sender: int, dest: int) -> BatchFrame:
         interval=interval,
         cells=cells,
         swim_updates=swim_updates,
+        ack=ack,
     )
 
 

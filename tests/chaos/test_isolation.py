@@ -67,6 +67,17 @@ class TestGroupFaultOverlay:
         assert delivered.cells == ()
         assert delivered.seq == 0  # header intact: the node FD keeps eating
 
+    def test_an_echo_does_not_cross_while_a_group_is_faulted(self):
+        # It would acknowledge the faulted group's cells a stripped frame
+        # never delivered; without a fault it flows untouched.
+        transport, sink = make_transport()
+        echo = BatchFrame(sender_node=0, dest_node=1, seq=4, ack=9)
+        transport.send(echo)
+        transport.set_group_fault(2, 0.5)
+        transport.send(echo)
+        assert [message.ack for message in sink.messages] == [9, None]
+        assert sink.messages[1].seq == 4  # the header still flows
+
     def test_partial_rate_is_probabilistic_per_cell(self):
         transport, sink = make_transport(seed=7)
         transport.set_group_fault(2, 0.5)

@@ -1,28 +1,30 @@
-"""Loss-sized repeats of a changed ALIVE cell (``GroupCells.emit_cells``),
-the ledger segments a leader's cells carry, and the overtaken-frame guard
-on ingest (``GroupCells.handle_cell``).
+"""Acknowledged cells (``GroupCells.emit_cells`` / ``on_ack``), the ledger
+segments a leader's cells carry, and the overtaken-frame guard and echo on
+ingest (``GroupCells.handle_cell``).
 
-A changed election payload goes to each destination on the next round and
-then rides k − 1 more, k sized from the loss the plane observes; nothing is
-sent twice while no loss was ever seen.  The fakes below stand in for
-everything a :class:`GroupCells` reads off its membership, so each test
-scripts exactly one thing: the payload, the clock and the observed loss —
-or, on the receive side, the order frames arrive in.
+On the all-pairs plane a cell is owed to a destination from the frame that
+first carried its current content until that destination's echo covers
+that frame: it rides every early round meanwhile, and a regular tick once
+the echo is overdue (a flush carries news only).  The swim plane sends a change once.  The
+fakes below stand in for everything a :class:`GroupCells` reads off its
+membership and batcher, so each test scripts exactly one thing: the
+payload, the clock, the echoes and the observed loss — or, on the receive
+side, the order frames arrive in.
 """
 
 from types import SimpleNamespace
 
-import pytest
-
 from repro.core.cells import GroupCells
 from repro.experiments.runner import build_system
 from repro.experiments.scenario import ExperimentConfig
-from repro.fd.plane import CELL_REFRESH, CELL_REPEAT_CAP
+from repro.fd.plane import CELL_REFRESH, SWIM_CELL_REFRESH
 from repro.lease.server import LEDGER_SEGMENT_CAP
 from repro.net.message import AliveCell, BatchFrame, LedgerSegment, MemberInfo
 
 ETA = 0.2
 DESTS = (1, 2, 3)
+#: A regular tick's re-send threshold (the batcher's CELL_ECHO_WAIT · η).
+TICK = 1.5 * ETA
 
 
 class Algorithm:
@@ -67,15 +69,20 @@ class View:
 
 
 class Plane:
-    cell_refresh = CELL_REFRESH
-
-    def __init__(self, loss):
+    def __init__(self, loss, swim):
         self.loss = loss
         self.reads = 0
+        self.header_is_liveness = not swim
+        #: Destinations whose frames are not heard (no echo can come back).
+        self.silent = set()
+        self.cell_refresh = SWIM_CELL_REFRESH if swim else CELL_REFRESH
 
     def observed_loss(self):
         self.reads += 1
         return self.loss
+
+    def trusted(self, node):
+        return node not in self.silent
 
 
 class NoLedger:
@@ -94,13 +101,12 @@ class NoLedger:
         self.forgotten.append(node)
 
 
-class Ledger:
+class Ledger(NoLedger):
     """A tenure-active leader's lease server, reduced to what the cells read:
     version ``v``'s record is the int ``v``."""
 
-    ledger = SimpleNamespace(max_token=0)  # holds no record
-
     def __init__(self):
+        super().__init__()
         self.version = 1
         self.shipped = {}
         self._head = None
@@ -130,31 +136,268 @@ class WalkCounting(tuple):
         return super().__iter__()
 
 
-def make_cells(loss, cell_deltas=True, dests=DESTS, leases=None):
+def make_cells(loss=0.0, swim=False, dests=DESTS, leases=None):
     membership = SimpleNamespace(
         group=1,
         pid=0,
         scheduler=SimpleNamespace(now=0.0),
         view=View(),
         algorithm=Algorithm(),
-        plane=Plane(loss),
-        cell_deltas=cell_deltas,
+        plane=Plane(loss, swim),
+        cell_deltas=not swim,
         sent_version={dest: 1 for dest in dests},
         syncs=[],
         view_moves=[],
     )
     membership.push_sync = membership.syncs.append
     membership.view_changed_by_cell = lambda: membership.view_moves.append(True)
-    batcher = SimpleNamespace(invalidate_dests=lambda: None)
+    membership.digests_agree = lambda node: None
+    batcher = SimpleNamespace(invalidate_dests=lambda: None, seqs={}, acks={})
     cells = GroupCells(membership, batcher, NoLedger() if leases is None else leases)
     cells.retarget(dests)
     return cells
 
 
-def tick(cells, dt=ETA):
-    """One frame round ``dt`` later: ``{dest: acc_time carried}``."""
+def emit(cells, dt=ETA, resend_after=0.0):
+    """One frame round ``dt`` later: ``{dest: cell}``.  Every destination's
+    frame is numbered, cell or not (the header flows every round)."""
     cells.scheduler.now += dt
-    return {dest: cell.acc_time for dest, cell in cells.emit_cells()}
+    sent = dict(cells.emit_cells(resend_after))
+    dests = cells.dest_nodes()
+    for index in range(len(dests)):  # indexed: a walk is the emitter's to count
+        cells._seqs[dests[index]] = cells._seqs.get(dests[index], 0) + 1
+    return sent
+
+
+def tick(cells, dt=ETA, resend_after=0.0):
+    """:func:`emit`, reduced to ``{dest: acc_time carried}``."""
+    return {dest: cell.acc_time for dest, cell in emit(cells, dt, resend_after).items()}
+
+
+def echo(cells, *dests):
+    """Each destination's frame echoes the last frame it was sent."""
+    for dest in dests or DESTS:
+        cells.on_ack(dest, cells._seqs[dest] - 1)
+
+
+def settle(cells):
+    """First contact, echoed: every destination holds the payload."""
+    assert tick(cells) == {dest: cells.algorithm.acc_time for dest in DESTS}
+    echo(cells)
+
+
+def test_a_change_rides_every_frame_until_its_echo():
+    cells = make_cells()
+    settle(cells)
+    assert tick(cells) == {}
+    cells.algorithm.change()
+    assert tick(cells) == {dest: 1.0 for dest in DESTS}
+    assert tick(cells) == {dest: 1.0 for dest in DESTS}  # nothing echoed yet
+    echo(cells, 1)
+    assert tick(cells) == {2: 1.0, 3: 1.0}
+    echo(cells, 2, 3)
+    assert tick(cells) == {} and tick(cells) == {}
+    assert cells.owed == {}
+    assert cells.cells_repeated == 1 * len(DESTS) + 2
+
+
+def test_no_observed_loss_sends_a_change_exactly_once():
+    # Echoed before the next regular tick, as a LAN echoes it: one send, and
+    # no early round (nothing was ever seen lost).
+    cells = make_cells(loss=0.0)
+    settle(cells)
+    cells.algorithm.change()
+    assert tick(cells, resend_after=TICK) == {dest: 1.0 for dest in DESTS}
+    assert not cells.owing
+    echo(cells)
+    assert tick(cells, resend_after=TICK) == {} and tick(cells, resend_after=TICK) == {}
+    assert cells.cells_repeated == 0
+
+
+def test_one_percent_loss_rides_exactly_the_next_frame_too():
+    # The change arms the early round, which re-sends to every destination
+    # not yet echoed; the echo then ends it.
+    cells = make_cells(loss=0.01)
+    settle(cells)
+    cells.algorithm.change()
+    assert tick(cells, resend_after=TICK) == {dest: 1.0 for dest in DESTS}
+    assert cells.owing
+    assert tick(cells, dt=ETA / 8) == {dest: 1.0 for dest in DESTS}  # the early round
+    echo(cells)
+    assert tick(cells, resend_after=TICK) == {}
+    assert cells.cells_repeated == len(DESTS)
+
+
+def test_an_echo_of_a_frame_before_the_change_acknowledges_nothing():
+    cells = make_cells()
+    settle(cells)
+    tick(cells)
+    before = {dest: cells._seqs[dest] - 1 for dest in DESTS}  # header-only frames
+    cells.algorithm.change()
+    tick(cells)
+    for dest, seq in before.items():
+        cells.on_ack(dest, seq)
+    assert tick(cells) == {dest: 1.0 for dest in DESTS}
+
+
+def test_a_second_change_restarts_the_count_with_the_new_payload():
+    # The cell is owed from the frame that first carried the newer payload.
+    cells = make_cells()
+    settle(cells)
+    cells.algorithm.change()
+    tick(cells)
+    first = cells._seqs[1] - 1
+    cells.algorithm.change()
+    assert tick(cells) == {dest: 2.0 for dest in DESTS}
+    cells.on_ack(1, first)  # an echo of 1.0 does not cover 2.0
+    assert tick(cells) == {dest: 2.0 for dest in DESTS}
+    echo(cells)
+    assert tick(cells) == {}
+
+
+def test_a_regular_tick_re_sends_only_once_the_echo_is_overdue():
+    cells = make_cells()
+    settle(cells)
+    cells.algorithm.change()
+    assert tick(cells, resend_after=TICK) == {dest: 1.0 for dest in DESTS}  # news
+    assert tick(cells, resend_after=TICK) == {}  # η after: the echo may be on its way
+    assert tick(cells, resend_after=TICK) == {dest: 1.0 for dest in DESTS}  # 2η: overdue
+    assert tick(cells, dt=0.0, resend_after=float("inf")) == {}  # a flush: news only
+    assert tick(cells, dt=0.0) == {dest: 1.0 for dest in DESTS}  # the early round: at once
+
+
+def test_owing_marks_only_the_round_that_sent_the_change():
+    for loss, armed in ((0.0, False), (0.01, True)):
+        cells = make_cells(loss=loss)
+        tick(cells)
+        assert not cells.owing  # a first contact is not a change
+        cells.algorithm.change()
+        owing = []
+        for _ in range(3):  # the change, two re-sends
+            tick(cells)
+            owing.append(cells.owing)
+        assert owing == [armed, False, False]
+
+
+def test_loss_is_read_once_per_changed_round_and_never_on_quiet_ones():
+    cells = make_cells(loss=0.1)
+    settle(cells)
+    cells.algorithm.change()
+    tick(cells)
+    assert cells.plane.reads == 1  # once, not once per destination
+    tick(cells)
+    echo(cells)
+    tick(cells)
+    assert cells.plane.reads == 1  # re-sends and quiet rounds: never
+
+
+def test_neither_a_first_contact_nor_a_refresh_is_repeated():
+    # Once echoed; neither arms the early round, and both are owed until then.
+    cells = make_cells(loss=0.5)
+    assert tick(cells) and not cells.owing
+    echo(cells)
+    assert tick(cells) == {}
+    cells.scheduler.now += CELL_REFRESH
+    assert tick(cells) == {dest: 0.0 for dest in DESTS} and not cells.owing
+    echo(cells)
+    assert tick(cells) == {}
+    assert cells.cells_repeated == 0
+
+
+def test_after_the_last_repeat_rounds_are_skipped_until_the_refresh():
+    dests = WalkCounting(DESTS)
+    cells = make_cells(loss=0.01, dests=dests)
+    settle(cells)
+    cells.algorithm.change()
+    tick(cells)
+    due = cells.scheduler.now + CELL_REFRESH
+    assert tick(cells)  # the re-send, then its echo
+    echo(cells)
+    assert tick(cells) == {}  # one walk finds every echo in
+    walks = WalkCounting.walks
+    while cells.scheduler.now + ETA < due:
+        assert tick(cells) == {}
+    assert WalkCounting.walks == walks  # skipped outright: no destination walk
+    # The refresh clock runs from the change, not from its re-send.
+    cells.scheduler.now = due
+    assert tick(cells, dt=1e-6) == {dest: 1.0 for dest in DESTS}
+    assert tick(cells) == {dest: 1.0 for dest in DESTS}  # owed too
+    echo(cells)
+    assert tick(cells) == {}
+
+
+def test_a_delta_owing_destination_gets_its_delta_cell_once_as_before():
+    cells = make_cells()
+    settle(cells)
+    record = MemberInfo(pid=9, node=9, incarnation=1, candidate=True, present=True, joined_at=0.0)
+    cells.view.records = (record,)
+    cells.view.version = 2
+    cells._sent_version[1] = 2  # a HELLO already brought node 1 to version 2
+    sent = emit(cells)
+    assert sent[2].delta == sent[3].delta == (record,)
+    assert 1 not in sent  # version-current, payload unchanged, refresh fresh
+    echo(cells, 2)
+    # Not echoed: the delta goes again, from the version last echoed.
+    sent = emit(cells)
+    assert list(sent) == [3] and sent[3].delta == (record,)
+    assert cells._sent_version[3] == 2
+    echo(cells, 3)
+    assert tick(cells) == {}
+
+
+def test_a_restarted_destination_is_re_sent_the_payload_on_the_next_frame():
+    cells = make_cells()
+    settle(cells)
+    assert tick(cells) == {}
+    # Node 2's daemon restarts: its frames are numbered afresh, sent later.
+    ingest(cells, frame(40, 10.0, L, sender=2), frame(0, 11.0, L, sender=2))
+    assert cells._leases.forgotten == [2]
+    assert tick(cells) == {2: 0.0}
+    echo(cells, 2)
+    assert tick(cells) == {}
+
+
+def test_a_destination_not_heard_from_is_sent_a_change_once_and_again_when_heard():
+    # A passive member, a crashed daemon or a cut link's far end echoes
+    # nothing: it is not owed, and its frames' return re-sends the payload.
+    cells = make_cells()
+    settle(cells)
+    cells.plane.silent = {3}
+    cells.algorithm.change()
+    assert tick(cells) == {dest: 1.0 for dest in DESTS}
+    assert set(cells.owed) == {1, 2}
+    echo(cells, 1, 2)
+    assert tick(cells) == {} and tick(cells) == {}
+    cells.plane.silent = set()
+    cells.forget_sent(3)
+    assert tick(cells) == {3: 1.0}
+    assert tick(cells) == {3: 1.0}  # owed now, until echoed
+    echo(cells, 3)
+    assert tick(cells) == {}
+    cells.plane.silent = {2}  # crashed with a change owed: dropped when due
+    cells.algorithm.change()
+    tick(cells)
+    assert set(cells.owed) == {1, 3}
+
+
+def test_bounded_membership_is_unaffected():
+    # The swim plane: no echo travels (it would cost a datagram), the
+    # refresh repairs, and the bounded membership carries no cell deltas.
+    cells = make_cells(swim=True)
+    assert cells.owed is None and cells.refresh == SWIM_CELL_REFRESH
+    assert rounds_until_quiet(cells) == 1
+    cells.algorithm.change()
+    cells.scheduler.now += ETA
+    sent = list(cells.emit_cells(0.0))
+    assert [dest for dest, _ in sent] == list(DESTS)
+    assert len({id(cell) for _, cell in sent}) == 1
+    assert tick(cells) == {}
+    assert not cells.owing and cells.cells_repeated == 0
+    ingest(cells, frame(5, 10.0, L))
+    assert cells._acks == {}
+    # A restarted sender takes its lease cursors only, as before.
+    ingest(cells, frame(0, 11.0, L))
+    assert cells._leases.forgotten == [SENDER] and SENDER not in cells.cell_state
 
 
 def rounds_until_quiet(cells, limit=10):
@@ -169,157 +412,22 @@ def rounds_until_quiet(cells, limit=10):
     raise AssertionError("the cell never stopped riding")
 
 
-def test_no_observed_loss_sends_a_change_exactly_once():
-    cells = make_cells(loss=0.0)
-    assert rounds_until_quiet(cells) == 1  # first contact
-    cells.algorithm.change()
-    assert tick(cells) == {dest: 1.0 for dest in DESTS}
-    assert tick(cells) == {} and tick(cells) == {}
-    assert cells.cells_repeated == 0
-    assert all(len(state) == 2 for state in cells.cell_state.values())  # as before
-
-
-def test_one_percent_loss_rides_exactly_the_next_frame_too():
-    cells = make_cells(loss=0.01)
-    rounds_until_quiet(cells)
-    before = cells.cells_repeated
-    cells.algorithm.change()
-    assert tick(cells) == {dest: 1.0 for dest in DESTS}
-    assert tick(cells) == {dest: 1.0 for dest in DESTS}  # the repeat
-    assert tick(cells) == {}
-    assert cells.cells_repeated - before == len(DESTS)
-
-
-@pytest.mark.parametrize(
-    "loss, sends",
-    [(0.0005, 1), (0.01, 2), (0.1, 3), (0.5, CELL_REPEAT_CAP), (0.99, CELL_REPEAT_CAP)],
-)
-def test_sends_follow_the_observed_loss_up_to_the_cap(loss, sends):
-    cells = make_cells(loss=loss)
-    rounds_until_quiet(cells)
-    cells.algorithm.change()
-    assert rounds_until_quiet(cells) == sends
-    assert sends * ETA < CELL_REFRESH  # over before the refresh would fire
-
-
-def test_loss_is_read_once_per_changed_round_and_never_on_quiet_ones():
-    cells = make_cells(loss=0.1)
-    rounds_until_quiet(cells)
-    reads = cells.plane.reads
-    cells.algorithm.change()
-    tick(cells)
-    assert cells.plane.reads == reads + 1  # once, not once per destination
-    rounds_until_quiet(cells)
-    tick(cells)
-    assert cells.plane.reads == reads + 1  # repeats and quiet rounds: never
-
-
-def test_a_second_change_restarts_the_count_with_the_new_payload():
-    cells = make_cells(loss=0.1)  # 3 sends
-    rounds_until_quiet(cells)
-    cells.algorithm.change()
-    assert tick(cells) == {dest: 1.0 for dest in DESTS}
-    assert tick(cells) == {dest: 1.0 for dest in DESTS}
-    cells.algorithm.change()  # one repeat of 1.0 still owed: superseded
-    for _ in range(3):
-        assert tick(cells) == {dest: 2.0 for dest in DESTS}
-    assert tick(cells) == {}
-
-
-def test_after_the_last_repeat_rounds_are_skipped_until_the_refresh():
-    dests = WalkCounting(DESTS)
-    cells = make_cells(loss=0.01, dests=dests)
-    rounds_until_quiet(cells)
-    cells.algorithm.change()
-    tick(cells)
-    changed_at = cells.scheduler.now
-    assert tick(cells)  # the repeat
-    walks = WalkCounting.walks
-    while cells.scheduler.now + ETA < changed_at + CELL_REFRESH:
-        assert tick(cells) == {}
-    assert WalkCounting.walks == walks  # skipped outright: no destination walk
-    # The refresh clock runs from the change, not from the repeat.
-    assert tick(cells) == {dest: 1.0 for dest in DESTS}
-    assert tick(cells) == {}
-
-
-def test_owing_marks_only_the_round_that_sent_the_change():
-    # The batcher arms one early round after it; the repeats themselves
-    # (fast path) ride what comes next without arming another.
-    cells = make_cells(loss=0.1)  # 3 sends
-    rounds_until_quiet(cells)
-    assert not cells.owing
-    cells.algorithm.change()
-    owed = []
-    for _ in range(4):  # the full round, two fast-path repeats, a quiet round
-        tick(cells)
-        owed.append(cells.owing)
-    assert owed == [True, False, False, False]
-    assert cells.cells_repeated == 2 * len(DESTS)
-
-
-def test_neither_a_first_contact_nor_a_refresh_is_repeated():
-    cells = make_cells(loss=0.5)
-    assert rounds_until_quiet(cells) == 1  # first contact: nothing *changed*
-    before = cells.cells_repeated
-    cells.scheduler.now += CELL_REFRESH
-    assert rounds_until_quiet(cells) == 1
-    assert cells.cells_repeated == before
-
-
-def test_a_delta_owing_destination_gets_its_delta_cell_once_as_before():
-    cells = make_cells(loss=0.5)
-    rounds_until_quiet(cells)
-    assert tick(cells, CELL_REFRESH)  # start from a fresh refresh
-    before = cells.cells_repeated
-    record = MemberInfo(
-        pid=9, node=9, incarnation=1, candidate=True, present=True, joined_at=0.0
-    )
-    cells.view.records = (record,)
-    cells.view.version = 2
-    cells._sent_version[1] = 2  # only 2 and 3 owe the delta
-    cells.scheduler.now += ETA
-    sent = dict(cells.emit_cells())
-    assert sent[2].delta == sent[3].delta == (record,)
-    assert 1 not in sent  # version-current, payload unchanged, refresh fresh
-    assert tick(cells) == {}
-    assert cells.cells_repeated == before
-
-
-def test_bounded_membership_is_unaffected():
-    # No shipped-version cursors (the swim membership): every destination
-    # takes the shared template, once — the swim plane reports 0.0 loss.
-    cells = make_cells(loss=0.0, cell_deltas=False)
-    rounds_until_quiet(cells)
-    cells.algorithm.change()
-    cells.scheduler.now += ETA
-    sent = list(cells.emit_cells())
-    assert [dest for dest, _ in sent] == list(DESTS)
-    assert len({id(cell) for _, cell in sent}) == 1
-    assert tick(cells) == {}
-    assert cells.cells_repeated == 0
-
-
-# ----------------------------------------------------------------------
-# The lease ledger riding a leader's cells
-# ----------------------------------------------------------------------
-
-
 def segments(cells):
     """One round ETA later: ``{dest: (base, top, number of records)}``."""
-    cells.scheduler.now += ETA
     return {
         dest: (cell.leases.base, cell.leases.top, len(cell.leases.records))
-        for dest, cell in cells.emit_cells()
+        for dest, cell in emit(cells).items()
     }
 
 
 def test_a_ledger_delta_makes_the_cell_due_and_rides_once():
-    cells = make_cells(loss=0.0, leases=Ledger())
+    cells = make_cells(leases=Ledger())
     assert segments(cells) == {dest: (0, 1, 1) for dest in DESTS}  # first contact
+    echo(cells)
     assert segments(cells) == {}
     cells._leases.write(3)
     assert segments(cells) == {dest: (1, 4, 3) for dest in DESTS}
+    echo(cells)
     assert segments(cells) == {}
     assert not cells.owing  # a ledger delta never arms the early round
     cells.scheduler.now += CELL_REFRESH
@@ -329,32 +437,37 @@ def test_a_ledger_delta_makes_the_cell_due_and_rides_once():
 def test_under_loss_the_next_frame_shows_a_lost_delta_as_a_gap():
     cells = make_cells(loss=0.01, leases=Ledger())
     segments(cells)
+    echo(cells)
     cells._leases.write(2)
     assert segments(cells) == {dest: (1, 3, 2) for dest in DESTS}
     assert not cells.owing
-    # The repeat carries the head: base 3 is past what a follower that lost
-    # the delta has applied, so it NACKs one frame later.
+    # The unechoed cell rides on with the head: base 3 is past what a
+    # follower that lost the delta has applied, so it NACKs one frame later.
     assert segments(cells) == {dest: (3, 3, 0) for dest in DESTS}
+    echo(cells)
     assert segments(cells) == {}
 
 
 def test_a_backlog_streams_over_consecutive_frames():
     ledger = Ledger()
-    cells = make_cells(loss=0.0, leases=ledger)
+    cells = make_cells(leases=ledger)
     segments(cells)
+    echo(cells)
     ledger.write(LEDGER_SEGMENT_CAP + 5)
     top = 1 + LEDGER_SEGMENT_CAP
     assert segments(cells) == {dest: (1, top, LEDGER_SEGMENT_CAP) for dest in DESTS}
     assert segments(cells) == {dest: (top, top + 5, 5) for dest in DESTS}
+    echo(cells)
     assert segments(cells) == {}
 
 
 def test_a_rewound_cursor_ends_the_quiet_window():
     ledger = Ledger()
-    cells = make_cells(loss=0.0, leases=ledger)
+    cells = make_cells(leases=ledger)
     segments(cells)
     ledger.write(2)
     segments(cells)
+    echo(cells)
     ledger.shipped[2] = 1  # a NACK: node 2 applied only version 1
     ledger._head = None
     assert segments(cells) == {2: (1, 3, 2)}
@@ -368,17 +481,17 @@ SENDER = 4
 L, M = 8, 9  # two forwards the sender names, in that order
 
 
-def frame(seq, send_time, forward, delta=(), digest=7):
-    """One frame from SENDER carrying a cell that forwards ``forward``."""
-    cell = AliveCell(group=1, pid=SENDER, local_leader=forward, delta=delta, view_digest=digest)
+def frame(seq, send_time, forward, delta=(), digest=7, sender=SENDER):
+    """One frame from ``sender`` carrying a cell that forwards ``forward``."""
+    cell = AliveCell(group=1, pid=sender, local_leader=forward, delta=delta, view_digest=digest)
     return BatchFrame(
-        sender_node=SENDER, dest_node=0, seq=seq, send_time=send_time, cells=(cell,)
+        sender_node=sender, dest_node=0, seq=seq, send_time=send_time, cells=(cell,)
     )
 
 
 def ingest(cells, *frames):
     for received in frames:
-        cells.handle_cell(SENDER, received, received.cells[0])
+        cells.handle_cell(received.sender_node, received, received.cells[0])
     return cells.algorithm.forward
 
 
@@ -393,6 +506,7 @@ def test_a_frame_overtaken_by_its_successor_cannot_rewind_the_forward():
     assert membership.view_moves == [True]
     assert membership.syncs == []  # an overtaken digest is no divergence
     assert cells.frame_anchor[SENDER] == (6, 10.2)
+    assert cells._acks == {SENDER: 6}  # the overtaken frame is not echoed
     assert cells._leases.forgotten == []  # late, not restarted
 
 
@@ -400,12 +514,14 @@ def test_in_order_frames_are_all_ingested():
     cells = make_cells(loss=0.01)
     assert ingest(cells, frame(5, 10.0, L)) == L
     assert ingest(cells, frame(6, 10.2, M)) == M
+    assert cells._acks == {SENDER: 6}
 
 
 def test_a_rebooted_sender_restarts_its_seq_and_is_ingested():
     cells = make_cells(loss=0.01)
     assert ingest(cells, frame(6, 10.2, M), frame(0, 11.0, L)) == L
     assert ingest(cells, frame(1, 11.2, M)) == M  # the anchor moved to the new stream
+    assert cells._acks == {SENDER: 1}  # the echo follows the new numbering
     # What the lease tier applied from, or shipped to, the old daemon goes.
     assert cells._leases.forgotten == [SENDER]
 

@@ -160,12 +160,15 @@ def test_the_flood_strategy_gossips_exactly_as_before():
     # made redundant (1 382 of them in ten quiet periods here, 1 273 around
     # the rejoin).  The deltas a rejoin owes are unchanged; the digest
     # moved with η (no invented loss: the LAN's η from the first
-    # reconfiguration) and the coalesced flushes.
+    # reconfiguration) and the coalesced flushes.  Re-pinned when changes
+    # became acknowledged: a survivor that sees the rebooted daemon's frames
+    # numbered afresh forgets what it sent it, so until its next frame
+    # carries the payload that peer is uncovered — three rounds fell there.
     system = group_of(32, "all_pairs")
     before = hellos(system)
     system.sim.run_until(system.sim.now + 10 * HELLO_PERIOD)
     assert hellos(system) - before == Counter()
-    assert rejoin_hellos(system) == Counter(delta=90, sync=30)
+    assert rejoin_hellos(system) == Counter(delta=90, sync=30, empty=3)
     assert system.trace.digest() == FLOOD_DIGEST
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.service import LeaderElectionService, ServiceConfig
 from repro.fd.qos import FDQoS
 from repro.metrics.trace import TraceRecorder
+from repro.net.message import BatchFrame
 from repro.net.network import Network, NetworkConfig
 from repro.sim.rng import RngRegistry
 
@@ -205,6 +206,29 @@ class TestElection:
         services[0].register(0)
         with pytest.raises(ValueError, match="unknown election algorithm"):
             services[0].join(0, group=1, algorithm="raft")
+
+
+class TestEchoes:
+    def test_an_echo_clears_what_it_covers_and_one_of_a_frame_never_sent_nothing(self, sim):
+        _, services, _ = build(sim)
+        TestElection().join_all(sim, services)
+        sim.run_until(5.0)
+        service, peer = services[0], services[1]
+        cells = service.group_runtime(1).cells
+        last = service.batcher.seqs[1] - 1  # the newest frame node 0 sent node 1
+        cells.owed[1] = (last, cells.view.version)
+
+        def echo(ack):
+            seq = peer.batcher.seqs[0]
+            peer.batcher.seqs[0] = seq + 1
+            frame = BatchFrame(sender_node=1, dest_node=0, seq=seq, send_time=sim.now,
+                               interval=peer.batcher.interval(), ack=ack)
+            service.handle_message(frame)
+
+        echo(last + 1)  # a stale echo from across a restart: never sent
+        assert 1 in cells.owed
+        echo(last)
+        assert 1 not in cells.owed
 
 
 class TestCrashPath:

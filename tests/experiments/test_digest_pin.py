@@ -48,7 +48,9 @@ PINNED_CONFIG = dict(
 #: Survivors re-ask a peer suspected since they last asked it for a rate,
 #: so a rebooted workstation leaves the bootstrap η = 0.25 s for the LAN's
 #: 0.33 s instead of keeping it: 3 497 → 3 377 events, the digest unchanged.
-PINNED_EVENTS = 3377
+#: Changes acknowledged, not refreshed (an 8 s refresh, echoes on frames):
+#: 3 377 → 3 378 events, the digest unchanged.
+PINNED_EVENTS = 3378
 PINNED_DIGEST = "be83119772d9865738ab8bd045b0532b5de94c987f78e510bb1921fc9b3fc2a1"
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.fd.configurator import ConfiguratorCache
 from repro.fd.monitor import NfdsMonitor
-from repro.fd.plane import CELL_REFRESH, NodeFdPlane
+from repro.fd.plane import SWIM_CELL_REFRESH, NodeFdPlane
 from repro.fd.qos import FDQoS
 from repro.fd.swim import SwimFdPlane
 from repro.net.message import (
@@ -230,7 +230,7 @@ def test_a_probing_plane_names_the_messages_it_consumes(sim, rng):
         cache=ConfiguratorCache(),
     )
     assert not plane.header_is_liveness
-    assert plane.cell_refresh == 4.0 * CELL_REFRESH
+    assert plane.cell_refresh == SWIM_CELL_REFRESH
     assert set(plane.message_handlers()) == {
         SwimPingMessage, SwimPingReqMessage, SwimAckMessage,
     }

@@ -31,7 +31,7 @@ class FakeSource:
     def dest_nodes(self):
         return tuple(self.dests)
 
-    def emit_cells(self):
+    def emit_cells(self, resend=True):
         for dest in self.dests:
             yield dest, AliveCell(group=self.group, pid=0, acc_time=self.acc_time)
 
@@ -39,7 +39,7 @@ class FakeSource:
 class QuietSource(FakeSource):
     """Every cell suppressed: the steady state of an unchanged group."""
 
-    def emit_cells(self):
+    def emit_cells(self, resend=True):
         return ()
 
 
@@ -123,6 +123,20 @@ class TestEmission:
         seqs = [m.seq for m in box]
         assert seqs == list(range(len(seqs)))
 
+    def test_an_echo_rides_the_next_frame_to_its_peer_once(self, sim, network, rng):
+        batcher = make_batcher(sim, network, rng)
+        boxes = {n: collect(network, n) for n in (1, 2)}
+        batcher.add_group(1, QuietSource(1, [1, 2]), eta=0.25)
+        batcher.set_active(1, True)
+        sim.run_until(1.0)
+        batcher.acks[1] = 7  # a cell of node 1's frame 7 was ingested
+        sim.run_until(1.6)
+        assert [frame.ack for frame in boxes[1] if frame.send_time > 1.0] == [7, None]
+        assert all(frame.ack is None for frame in boxes[2])
+        batcher.acks[1] = 8
+        batcher.forget_node(1)  # a departed peer's echo goes with its stream
+        assert batcher.acks == {}
+
     def test_payload_fields_stamped(self, sim, network, rng):
         batcher = make_batcher(sim, network, rng)
         box = collect(network, 1)
@@ -193,11 +207,11 @@ class TestSilence:
         batcher.set_active(1, True)
         sim.run_until(1.0)
         counts = [len(box) for box in boxes]
-        seqs = dict(batcher._seqs)
+        seqs = dict(batcher.seqs)
         for acc_time in (1.0, 2.0, 3.0, 4.0, 5.0):
             source.acc_time = acc_time
             batcher.flush()
-        assert batcher._seqs == seqs  # nothing left yet
+        assert batcher.seqs == seqs  # nothing left yet
         sim.run_until(1.1)  # the link delay; no regular tick before 1.25
         assert [len(box) for box in boxes] == [count + 1 for count in counts]
         assert all(box[-1].send_time == 1.0 for box in boxes)
@@ -213,14 +227,14 @@ class TestSilence:
         batcher.add_group(1, FakeSource(1, [1]), eta=0.25)
         batcher.set_active(1, True)
         sim.run_until(1.0)
-        count, seqs = len(box), dict(batcher._seqs)
+        count, seqs = len(box), dict(batcher.seqs)
         batcher.flush()
         if stop == "pause":
             batcher.set_active(1, False)
         else:
             batcher.shutdown()
         sim.run_until(3.0)
-        assert len(box) == count and batcher._seqs == seqs
+        assert len(box) == count and batcher.seqs == seqs
 
     def test_set_active_idempotent(self, sim, network, rng):
         batcher = make_batcher(sim, network, rng)
@@ -234,7 +248,8 @@ class TestSilence:
 
 def changing_cells(sim, loss, group=1):
     """A real :class:`GroupCells` to nodes 1–3 on the simulator's clock, at
-    the observed ``loss`` (its membership faked as in the cells tests)."""
+    the observed ``loss`` (its membership faked as in the cells tests).
+    Nothing echoes its cells: the collecting receivers send no frames."""
     cells = make_cells(loss=loss)
     cells.scheduler = sim
     cells.group = group
@@ -242,9 +257,10 @@ def changing_cells(sim, loss, group=1):
 
 
 class TestEarlyRepeatRound:
-    """A round that sends a change still owed a repeat arms one more round
-    an eighth of a period later — through the flush path, so it restarts
-    the period and dies with the stream; later repeats ride regular ticks."""
+    """A round that sends a change on a node that has seen loss arms one
+    more round an eighth of a period later, which re-sends every cell not
+    yet echoed — through the flush path, so it restarts the period and dies
+    with the stream; a regular tick re-sends once the echo is overdue."""
 
     CHANGE = 1.1  # off the 0.25 s grid the boot flush started
 
@@ -272,7 +288,8 @@ class TestEarlyRepeatRound:
         batcher = self.changed(sim, network, rng, [changing_cells(sim, loss=0.01)])
         assert batcher.interval() == 0.25
         sim.run_until(1.5)
-        # change, its one repeat (k = 2 at 1 %), then the period from there
+        # change, the early round, then the period from there: η after the
+        # first send the echo is not overdue yet
         assert self.since_change(box) == [(0.0, [1.0]), (31.25, [1.0]), (281.25, [])]
 
     def test_owing_sources_in_one_round_arm_one_early_round(self, sim, network, rng):
@@ -285,14 +302,14 @@ class TestEarlyRepeatRound:
         ]
 
     def test_later_repeats_ride_the_regular_ticks(self, sim, network, rng):
-        # At 10 % loss a change is sent three times: the change, one early
-        # round, then the next regular tick — spread in time, as a burst of
-        # loss (a crashed link) needs, not three rounds inside η/4.
+        # Never echoed, a change rides the early round and then every regular
+        # tick from the one its echo is overdue on (1.5 η after the change):
+        # spread in time, as a burst of loss (a crashed link) needs.
         box = collect(network, 1)
         self.changed(sim, network, rng, [changing_cells(sim, loss=0.1)])
-        sim.run_until(1.5)
+        sim.run_until(1.9)
         assert self.since_change(box) == [
-            (0.0, [1.0]), (31.25, [1.0]), (281.25, [1.0])
+            (0.0, [1.0]), (31.25, [1.0]), (281.25, []), (531.25, [1.0]), (781.25, [1.0])
         ]
 
     def test_a_node_that_saw_no_loss_arms_none(self, sim, network, rng):
@@ -303,14 +320,15 @@ class TestEarlyRepeatRound:
 
     def test_a_flush_brings_a_pending_early_round_forward(self, sim, network, rng):
         box = collect(network, 1)
-        cells = changing_cells(sim, loss=0.1)  # 3 sends
+        cells = changing_cells(sim, loss=0.1)
         batcher = self.changed(sim, network, rng, [cells])
         sim.run_until(self.CHANGE + 0.01)
         cells.algorithm.change()
         batcher.flush()  # the early round was due at +31.25 ms
         sim.run_until(1.5)
+        # The flush carries the newer change and arms its own early round.
         assert self.since_change(box)[:4] == [
-            (0.0, [1.0]), (10.0, [2.0]), (41.25, [2.0]), (291.25, [2.0])
+            (0.0, [1.0]), (10.0, [2.0]), (41.25, [2.0]), (291.25, [])
         ]
 
     @pytest.mark.parametrize("stop", ["pause", "shutdown"])
@@ -319,13 +337,13 @@ class TestEarlyRepeatRound:
         batcher = self.changed(sim, network, rng, [changing_cells(sim, loss=0.01)])
         sim.run_until(self.CHANGE + 0.01)  # the change round has landed
         assert batcher._flush_handle is not None  # the early round is armed
-        count, seqs = len(box), dict(batcher._seqs)
+        count, seqs = len(box), dict(batcher.seqs)
         if stop == "pause":
             batcher.set_active(1, False)
         else:
             batcher.shutdown()
         sim.run_until(3.0)
-        assert len(box) == count and batcher._seqs == seqs
+        assert len(box) == count and batcher.seqs == seqs
 
 
 class TestPayloadOnly:
@@ -342,7 +360,7 @@ class TestPayloadOnly:
         batcher.set_active(1, True)
         sim.run_until(10.0)
         assert boxes == [[], [], []]
-        assert batcher._seqs == {}  # no stream advanced: silence, not loss
+        assert batcher.seqs == {}  # no stream advanced: silence, not loss
         assert rumours.calls == 0  # learnt from has_rumours(), burning nothing
         ticks = meter.cpu_us / meter.cost_model.us_per_timer
         assert 38 <= ticks <= 41  # ~10 s / 0.25 s: the wake-up is still charged
@@ -366,7 +384,7 @@ class TestPayloadOnly:
         carried = [[u.incarnation for f in box for u in f.swim_updates] for box in boxes]
         assert carried == [[1], [2], []]
         assert [len(box) for box in boxes] == [1, 1, 0]
-        assert batcher._seqs == {1: 1, 2: 1}
+        assert batcher.seqs == {1: 1, 2: 1}
 
     def test_two_holders_hand_a_short_budget_to_different_arcs_of_the_ring(self, sim, rng):
         """A budget shorter than the fan-out goes to the holder's id-ring

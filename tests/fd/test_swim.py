@@ -446,15 +446,15 @@ class TestLeakRegression:
             def dest_nodes(self):
                 return (1, 2, 3)
 
-            def emit_cells(self):
+            def emit_cells(self, resend=True):
                 return ()
 
         batcher.add_group(1, Source(), eta=0.25)
         batcher.set_active(1, True)
         sim.run_until(2.0)
-        assert set(batcher._seqs) == {1, 2, 3}
+        assert set(batcher.seqs) == {1, 2, 3}
         batcher.set_requested(2, 0.5)
         for node in (1, 2, 3):
             batcher.forget_node(node)
-        assert batcher._seqs == {}
+        assert batcher.seqs == {}
         assert batcher._requested == {}

@@ -9,7 +9,8 @@ that *ties* the dead leader — n − 2 of them per survivor — made it ≈ n²
 
 And a lost change cell costs one η, not one ``CELL_REFRESH``: the second
 half drops exactly one survivor→survivor change cell of a failover and
-times how long the dead leader stays in some survivor's view.
+times how long the dead leader stays in some survivor's view (the early
+round re-sends it, unacknowledged).
 """
 
 from collections import Counter
@@ -149,7 +150,7 @@ def test_a_lost_change_cell_costs_one_period_not_one_refresh(seed, pair):
     sim, transport = system.sim, system.transport
     survivors = [host for host in system.hosts if host.service.node.node_id != leader]
     sender, receiver = survivors[pair[0]].service, survivors[pair[1]].service
-    assert sender.plane.observed_loss() > 0.001  # it has something to size k from
+    assert sender.plane.observed_loss() > 0.001  # it arms the early round
     transport.pair = (sender.node.node_id, receiver.node.node_id)
     transport.armed = True
     detection = system.config.qos.detection_time
@@ -217,18 +218,19 @@ def test_the_last_survivor_leaves_a_dead_leader_within_one_early_round_of_suspec
 
 
 def test_on_a_network_that_loses_nothing_nothing_is_sent_twice():
-    # Constant-delay, loss-free links: no sequence gap is ever observed, so
-    # a failover repeats nothing.  The byte total was 1 641 470 while the
-    # estimator's prior of 1/2 held η at 0.12–0.17 s for the first minute;
-    # with no loss seen the estimate is the window's floor from the first
-    # reconfiguration, η is the LAN's 0.33 s, and a quiet group whose cells
-    # cover every peer sends no empty HELLO: 1 025 188.
+    # Constant-delay, loss-free links: every change is echoed before its
+    # echo is overdue, so a failover re-sends nothing.  The byte total was
+    # 1 641 470 while the estimator's prior of 1/2 held η at 0.12–0.17 s for
+    # the first minute; with no loss seen the estimate is the window's floor
+    # from the first reconfiguration, η is the LAN's 0.33 s, and a quiet
+    # group whose cells cover every peer sends no empty HELLO: 1 025 188.
+    # With a cell acknowledged instead of refreshed every second: 919 038.
     system, leader = lossy_system(3, link_delay_mean=0.0, link_loss_prob=0.0)
     system.network.node(leader).crash()
     system.sim.run_until(30.0)
     assert agreed_leader(system, 11) not in (None, leader)
     assert repeats(system) == 0
-    assert sum(system.network.node(n).meter.bytes_sent for n in range(12)) == 1_025_188
+    assert sum(system.network.node(n).meter.bytes_sent for n in range(12)) == 919_038
 
 
 class RateRequests(ChaosTransport):

@@ -141,3 +141,30 @@ class TestTotalLeaderIsolation:
         }
         assert len(views) == 1
         assert views.pop() != leader
+
+
+class TestABumpAcrossACrashedLink:
+    """Leader → victim down, victim → leader up: the victim's accusation
+    reaches the leader, whose bumped cell dies on the crashed link.  It stays
+    owed until the victim echoes it, so the first frame after the heal
+    carries it — the victim does not go on ranking the leader on the
+    accusation time it held before the outage until a refresh is due."""
+
+    def test_the_first_frame_after_the_heal_carries_the_bump(self):
+        config, system = build("omega_lc")
+        sim = system.sim
+        sim.run_until(20.0)
+        leader = system.hosts[0].service.leader_of(1)
+        victim = next(n for n in range(4) if n != leader)
+        # Healed between two frames, neither of them a 1 s refresh's.
+        cut_link(system, leader, victim, at=25.0, downtime=4.9)
+        sim.run_until(29.9)  # the heal
+        led = system.hosts[leader].service.group_runtime(1)
+        seen = system.hosts[victim].service.group_runtime(1).algorithm
+        assert seen._info[leader][0] < led.algorithm.acc_time  # the bump died on the link
+        monitor = system.hosts[victim].service.plane.monitors[leader]
+        heard = monitor.alives_received
+        while monitor.alives_received == heard:
+            sim.run_until(sim.now + 0.001)
+        assert seen._info[leader] == (led.algorithm.acc_time, led.algorithm.phase)
+        assert sim.now < led.cells.cell_state[victim][1] + led.cells.refresh

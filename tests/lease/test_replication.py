@@ -184,7 +184,9 @@ class TestWireContract:
         eta = system.hosts[leader].service.batcher.interval()
         settled = min(t for t, _ in samples if all(equal for u, equal in samples if u >= t))
         assert settled <= last + 2 * eta + 0.05
-        assert counts(system) == {"shipped": 10_305, "nacks": 44, "resent": 199, "syncs": 0}
+        # Re-pinned when changes became acknowledged (the ack's η timing
+        # moved every lossy run; was 10 305 / 44 / 199 / 0).
+        assert counts(system) == {"shipped": 10_302, "nacks": 40, "resent": 212, "syncs": 0}
 
 
 class TestRepairDeadline:

@@ -1,54 +1,77 @@
-"""A changed cell reaches a destination within k frames unless k in a row
-are lost — whatever else happens meanwhile; and however the link reorders
-one sender's frames, the receiver ends on the last forward sent.
+"""A changed cell is owed to a destination exactly until an echo covers it,
+and rides every round that may re-send it meanwhile — whatever is lost on
+the way out or back; and however the link reorders one sender's frames,
+the receiver ends on the last forward sent.
 
-``GroupCells.emit_cells`` is driven frame by frame against a scripted
-network: any interleaving of payload changes and per-destination drops in
-which no destination loses k consecutive frames (k being what the observed
-loss calls for).  Each destination must then hold the sender's current
-payload from the k-th frame after the latest change on.
-``GroupCells.handle_cell`` is fed one sender's frames in any arrival order.
+``GroupCells.emit_cells`` / ``on_ack`` are driven frame by frame against a
+scripted network: any interleaving of payload changes, regular ticks,
+early rounds and flushes, lost frames and lost echoes.  A destination must
+then hold the sender's current payload from the first delivered frame of a
+round that re-sends (an early round, or a regular tick once the echo is
+overdue), and no longer be owed anything exactly when an echo covers a
+frame that carried the current payload.  ``GroupCells.handle_cell`` is fed
+one sender's frames in any arrival order.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cells import _sends_for
+from tests.core.test_cells import DESTS, ETA, TICK, frame, ingest, make_cells, tick
 
-from tests.core.test_cells import DESTS, frame, ingest, make_cells, tick
-
-#: One frame round: does the payload change just before it, and which
-#: destinations would lose the frame (subject to the run-length cap).
+#: One frame round: does the payload change just before it, what kind of
+#: round it is, which destinations lose the frame, and which destinations'
+#: echoes of what they hold arrive after it.
+KINDS = {"tick": (ETA, TICK), "early": (ETA / 8, 0.0), "flush": (ETA / 8, float("inf"))}
 ROUNDS = st.lists(
-    st.tuples(st.booleans(), st.sets(st.sampled_from(DESTS))), min_size=1, max_size=40
+    st.tuples(
+        st.booleans(),
+        st.sampled_from(sorted(KINDS)),
+        st.sets(st.sampled_from(DESTS)),
+        st.sets(st.sampled_from(DESTS)),
+    ),
+    min_size=1,
+    max_size=30,  # 6 s at most: inside the refresh period
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(loss=st.sampled_from([0.0, 0.002, 0.01, 0.1, 0.5]), rounds=ROUNDS)
-def test_current_payload_is_held_within_k_frames_of_the_change(loss, rounds):
-    k = _sends_for(loss)
-    cells = make_cells(loss=loss)
-    holds = tick(cells)  # first contact (never repeated) gets through
-    lost_in_a_row = {dest: 0 for dest in DESTS}
-    frames_since_change = k
-    for change, drops in rounds:
+@settings(max_examples=300, deadline=None)
+@given(rounds=ROUNDS)
+def test_current_payload_is_held_from_the_first_delivered_frame_that_re_sends_it(rounds):
+    cells = make_cells()
+    holds = {}
+    #: dest -> (payload, seq of the first frame that carried it, its time).
+    first = {}
+    #: dest -> seq of the newest frame delivered with a cell, not echoed yet.
+    unechoed = {}
+    echoed = {}
+    for change, kind, drops, echoes in rounds:
         if change:
             cells.algorithm.change()
-            frames_since_change = 0
-        sent = tick(cells)
-        frames_since_change += 1
+        current = cells.algorithm.acc_time
+        dt, resend_after = KINDS[kind]
+        now = cells.scheduler.now + dt
+        owed_before = set(cells.owed)
+        seqs = {dest: cells._seqs.get(dest, 0) for dest in DESTS}
+        sent = tick(cells, dt, resend_after)
+        assert all(carried == current for carried in sent.values())
+        for dest in owed_before:
+            if now - first[dest][2] >= resend_after:
+                assert dest in sent  # it re-sends
+        for dest, carried in sent.items():
+            if first.get(dest, (None,))[0] != carried:
+                first[dest] = (carried, seqs[dest], now)
+            if dest not in drops:
+                holds[dest] = carried
+                unechoed[dest] = seqs[dest]
+        for dest in echoes:
+            if dest in unechoed:
+                echoed[dest] = unechoed.pop(dest)
+                cells.on_ack(dest, echoed[dest])
         for dest in DESTS:
-            # The frame header flows every round; a drop loses it whole.
-            if dest in drops and lost_in_a_row[dest] + 1 < k:
-                lost_in_a_row[dest] += 1
-                continue
-            lost_in_a_row[dest] = 0
-            if dest in sent:
-                holds[dest] = sent[dest]
-        assert all(carried == cells.algorithm.acc_time for carried in sent.values())
-        if frames_since_change >= k:
-            assert holds == {dest: cells.algorithm.acc_time for dest in DESTS}
+            covered = echoed.get(dest, -1) >= first[dest][1]
+            assert (dest in cells.owed) == (not covered)
+            if covered:
+                assert holds[dest] == current
 
 
 @st.composite

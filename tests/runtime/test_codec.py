@@ -64,6 +64,7 @@ LEASES = (
 #: integer values, every HELLO kind.
 ROUND_TRIP_CASES = [
     BatchFrame(sender_node=0, dest_node=1),
+    BatchFrame(sender_node=0, dest_node=1, seq=4, ack=3),  # codec v8: the echo
     BatchFrame(
         sender_node=3, dest_node=11, seq=2**40, send_time=1.75e9, interval=0.25,
         cells=(
@@ -151,22 +152,23 @@ ROUND_TRIP_CASES = [
 ]
 
 
-#: Golden codec-v7 frames, one per wire tag (2-11) plus both shapes of every
+#: Golden codec-v8 frames, one per wire tag (2-11) plus both shapes of every
 #: optional: HELLO with and without ``leader_hint`` and ``lease_version``,
 #: cells with and without ``local_leader``/``local_leader_acc`` and a ledger
-#: segment, non-empty members / accusation table / trusted list / lease
-#: records / SWIM piggyback.  The v6 frames were recorded from the
-#: list-building ``encode_message`` of the last commit that carried two
-#: encoders; their v7 bytes are those with the version byte moved and a
-#: zero presence byte inserted after each cell and before each HELLO's
-#: piggyback block, and the three v7 shapes were packed by hand from the
-#: layout in the codec's docstring.  So these bytes, not a twin
-#: implementation, are what pins the layout.
+#: segment, frames with and without an echo, non-empty members / accusation
+#: table / trusted list / lease records / SWIM piggyback.  The v6 frames
+#: were recorded from the list-building ``encode_message`` of the last
+#: commit that carried two encoders; their v7 bytes are those with the
+#: version byte moved and a zero presence byte inserted after each cell and
+#: before each HELLO's piggyback block, and the three v7 shapes were packed
+#: by hand from the layout in the codec's docstring; v8 moved the version
+#: byte again, and the echo's shape was packed by hand.  So these bytes,
+#: not a twin implementation, are what pins the layout.
 GOLDEN_FRAMES = [
     (
         "hello-bare",
         HelloMessage(sender_node=0, dest_node=1),
-        "0000003003a90702000000000000000100000000000000000000000000000000"
+        "0000003003a90802000000000000000100000000000000000000000000000000"
         "0000000000000000000000000000000000000000",
     ),
     (
@@ -178,7 +180,7 @@ GOLDEN_FRAMES = [
             acc_table=ACC_TABLE, trusted=(0, 5, 2**31 - 1), leases=LEASES,
             lease_digest=0xDEADBEEF, swim_updates=SWIM_UPDATES,
         ),
-        "0000012703a9070200000004000000050000000102000300020003010000000c"
+        "0000012703a9080200000004000000050000000102000300020003010000000c"
         "ffffffffffffffff00000003404bc00000000000000000010000000100000004"
         "00000000001e8487010140294000000000000000000900000000000000000000"
         "0000000000000000000000007fffffffffffffff4000000000000000010141da"
@@ -195,7 +197,7 @@ GOLDEN_FRAMES = [
             sender_node=5, dest_node=0, group=1, view_version=4, view_digest=77,
             lease_digest=0xDEADBEEF, lease_version=2**32 - 1,
         ),
-        "0000003403a90702000000050000000000000001000000000000000000000004"
+        "0000003403a90802000000050000000000000001000000000000000000000004"
         "000000000000004d000000000000deadbeef01ffffffff00",
     ),
     (
@@ -204,7 +206,7 @@ GOLDEN_FRAMES = [
             sender_node=0, dest_node=5, group=1, kind="sync", leases=LEASES,
             lease_digest=2**64 - 1, lease_version=12,
         ),
-        "0000008603a90702000000000000000500000001030000000000000000000000"
+        "0000008603a90802000000000000000500000001030000000000000000000000"
         "00000000000000000002ffffffffffffffffffffffffffffffff000003e80000"
         "001f50000302405b200000000000405920000000000000000000000000000000"
         "000000ffffffff00000000000000000000000000000000000000000000000001"
@@ -216,12 +218,12 @@ GOLDEN_FRAMES = [
             sender_node=1, dest_node=2, group=3, accuser=4, accused=5,
             accused_phase=6,
         ),
-        "0000001c03a90703000000010000000200000003000000040000000500000006",
+        "0000001c03a90803000000010000000200000003000000040000000500000006",
     ),
     (
         "rate-request",
         RateRequestMessage(sender_node=9, dest_node=8, interval=0.0625),
-        "0000001403a9070400000009000000083fb0000000000000",
+        "0000001403a9080400000009000000083fb0000000000000",
     ),
     (
         "batch-cells",
@@ -238,7 +240,7 @@ GOLDEN_FRAMES = [
             ),
             swim_updates=SWIM_UPDATES,
         ),
-        "0000012303a90705000000030000000b000001000000000041da13b860000000"
+        "0000012303a90805000000030000000b000001000000000041da13b860000000"
         "3fd000000000000000030000000100000005405ee00000000000000000070101"
         "000000024058c800000000008000000080000000000000110003000000010000"
         "000400000000001e848701014029400000000000000000090000000000000000"
@@ -258,7 +260,7 @@ GOLDEN_FRAMES = [
                 AliveCell(group=2, pid=0, leases=LedgerSegment(7, 7, 0xDEADBEEF)),
             ),
         ),
-        "000000ff03a90705000000000000000400000000000000094029000000000000"
+        "000000ff03a90805000000000000000400000000000000094029000000000000"
         "3fc999999999999a000200000001000000000000000000000000000000000000"
         "0000000000000000000000000000000000000000000000000000010000000500"
         "000007ffffffffffffffff0002ffffffffffffffff000003e80000001f500003"
@@ -269,12 +271,18 @@ GOLDEN_FRAMES = [
         "000000",
     ),
     (
+        "batch-ack",
+        BatchFrame(sender_node=2, dest_node=7, seq=5, send_time=3.5, interval=0.25, ack=2**40 + 3),
+        "0000002f03a908050000000200000007000000000000000540"
+        "0c0000000000003fd00000000000008000000001000000000300",
+    ),
+    (
         "lease-request",
         LeaseRequestMessage(
             sender_node=12, dest_node=0, group=1, op="transfer", lease=7,
             client=1000, token=(5 << 28) | 260, ttl=2.0, successor=1001, nonce=17,
         ),
-        "0000003503a907060000000c0000000000000001040000000000000007000003"
+        "0000003503a908060000000c0000000000000001040000000000000007000003"
         "e800000000500001044000000000000000000003e900000011",
     ),
     (
@@ -284,7 +292,7 @@ GOLDEN_FRAMES = [
             client=1000, token=(5 << 28) | 260, holder=1000, expiry=108.5,
             retry_after=0.5, leader_node=0, handoff=1002, nonce=21,
         ),
-        "0000004503a90707000000000000000c00000001000000000000000007000003"
+        "0000004503a90807000000000000000c00000001000000000000000007000003"
         "e80000000050000104000003e8405b2000000000003fe0000000000000000000"
         "00000003ea00000015",
     ),
@@ -294,7 +302,7 @@ GOLDEN_FRAMES = [
             sender_node=0, dest_node=12, group=1, lease=2**64 - 1, client=1001,
             holder=1000, token=(5 << 28) | 260, expiry=108.5, released=False, seq=3,
         ),
-        "0000003503a90708000000000000000c00000001ffffffffffffffff000003e9"
+        "0000003503a90808000000000000000c00000001ffffffffffffffff000003e9"
         "000003e80000000050000104405b2000000000000000000003",
     ),
     (
@@ -303,7 +311,7 @@ GOLDEN_FRAMES = [
             sender_node=3, dest_node=7, nonce=2**32 - 1, origin=5,
             send_time=1.75e9, updates=SWIM_UPDATES,
         ),
-        "0000003803a907090000000300000007ffffffff0000000541da13b860000000"
+        "0000003803a908090000000300000007ffffffff0000000541da13b860000000"
         "030000000000000000007fffffff7fffffff01000000070000000302",
     ),
     (
@@ -312,7 +320,7 @@ GOLDEN_FRAMES = [
             sender_node=4, dest_node=6, target=9, nonce=12, origin=4,
             send_time=44.5, updates=SWIM_UPDATES,
         ),
-        "0000003c03a9070a0000000400000006000000090000000c0000000440464000"
+        "0000003c03a9080a0000000400000006000000090000000c0000000440464000"
         "00000000030000000000000000007fffffff7fffffff01000000070000000302",
     ),
     (
@@ -321,7 +329,7 @@ GOLDEN_FRAMES = [
             sender_node=9, dest_node=4, nonce=12, incarnation=2**31 - 1,
             echo_send_time=44.5, updates=SWIM_UPDATES,
         ),
-        "0000003803a9070b00000009000000040000000c7fffffff4046400000000000"
+        "0000003803a9080b00000009000000040000000c7fffffff4046400000000000"
         "030000000000000000007fffffff7fffffff01000000070000000302",
     ),
 ]
@@ -382,7 +390,7 @@ class TestRoundTrip:
 
 
 class TestGoldenFrames:
-    """Byte-for-byte wire compatibility with the recorded v7 layout."""
+    """Byte-for-byte wire compatibility with the recorded v8 layout."""
 
     @pytest.mark.parametrize(
         "message, frame",
@@ -401,7 +409,7 @@ class TestGoldenFrames:
     def test_every_tag_has_a_fixture(self):
         tags = sorted({bytes.fromhex(h)[7] for _, _, h in GOLDEN_FRAMES})
         assert tags == list(range(2, 12))
-        assert all(bytes.fromhex(h)[6] == 7 for _, _, h in GOLDEN_FRAMES)
+        assert all(bytes.fromhex(h)[6] == 8 for _, _, h in GOLDEN_FRAMES)
 
 
 class TestRejection:
@@ -541,6 +549,13 @@ class TestLedgerFieldsModelExactly:
                                   lease_version=12)
             assert _overhead(stated) == _overhead(bare)
             assert stated.payload_bytes() - bare.payload_bytes() == 4
+
+    def test_the_echo_costs_what_it_encodes(self):
+        for cells in ((), (AliveCell(group=1, pid=5),)):
+            bare = BatchFrame(sender_node=0, dest_node=1, seq=9, cells=cells)
+            echoing = BatchFrame(sender_node=0, dest_node=1, seq=9, cells=cells, ack=8)
+            assert _overhead(echoing) == _overhead(bare)
+            assert echoing.payload_bytes() - bare.payload_bytes() == 8
 
     def test_absent_fields_leave_the_model_as_it_was(self):
         # The model's figures for lease-free traffic are pinned by every

@@ -15,9 +15,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 MAX_LINES = 800
 #: Modules over the limit when it was introduced.  An entry may only
 #: shrink (lower it when the file does) — save by the lines of a new wire
-#: field, in the diff that adds it (codec v7: 870 → 904) — and disappears
-#: at the limit; their review is ROADMAP items 2 / 3c.
-CEILINGS = {"runtime/cluster.py": 847, "runtime/codec.py": 904}
+#: field, in the diff that adds it (codec v7: 870 → 904, v8's echo: → 912)
+#: — and disappears at the limit; their review is ROADMAP items 2 / 3c.
+CEILINGS = {"runtime/cluster.py": 847, "runtime/codec.py": 912}
 #: Lines of Python under ``src/``.  Raised only by editing it here, in the
 #: diff that needs the room; lowered when the tree is 150 lines under it.
 SRC_LINES_CEILING = 18_750
