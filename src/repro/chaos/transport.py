@@ -196,9 +196,9 @@ class ChaosTransport:
                 # every other group's cells) still goes through.  Draws
                 # happen only for cells of faulted groups, in cell order,
                 # so RNG consumption stays exactly script-determined.  An
-                # echo acknowledges every group's cells of a frame at once,
-                # which a frame stripped in transit makes a lie: echoes go
-                # while any group is faulted (the cells are re-sent).
+                # echo acknowledges every cell its frame carried (a datagram
+                # arrives whole), which a frame stripped here makes a lie:
+                # echoes go while any group is faulted (cells are re-sent).
                 kept = tuple(
                     cell
                     for cell in message.cells

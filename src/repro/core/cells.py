@@ -10,19 +10,21 @@ each follower (see :mod:`repro.lease.server`).
 On the all-pairs plane a cell is *owed* to a destination from the frame that
 first carried its current content (a changed payload, a membership delta, a
 ledger segment, a first contact or a refresh) until that destination echoes
-a ``seq`` at least as new (``BatchFrame.ack``, recorded here for every
-in-order frame whose cells were ingested).  Meanwhile it rides again, a
-re-sent delta from what was last acknowledged: a crashed link is repaired by
-the first frame after the heal, and the refresh is pure anti-entropy.  On
-swim an echo would cost a datagram: a change is sent once, the refresh
-repairs it.
+a frame that carried it (``BatchFrame.ack``, the node's newest in-order frame
+with cells: it may have carried only other groups').  Meanwhile it rides the
+early round, and every frame once the echo is overdue, a re-sent delta from
+what was last acknowledged: a crashed link is repaired by the first frame
+after the heal, and the refresh is pure anti-entropy.  A destination not
+heard from cannot echo: on a node that has seen loss its news is re-sent
+blind, on the early round and once overdue.  On swim an echo would cost a
+datagram: a change is sent once, the refresh repairs it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.fd.plane import StreamMonitor
+from repro.fd.plane import CELL_ECHO_WAIT, StreamMonitor
 from repro.net.message import AliveCell, BatchFrame
 
 __all__ = ["GroupCells"]
@@ -31,6 +33,7 @@ __all__ = ["GroupCells"]
 #: returning ``None`` from :meth:`ElectionAlgorithm.emit_stamp` disable the
 #: quiet-window emission fast path.
 _NEVER_EMITTED = object()
+_BLIND = -1  # the frame run of an ``owed`` entry no echo can cover
 
 
 class GroupCells:
@@ -41,7 +44,7 @@ class GroupCells:
         "cell_state", "stream_monitors", "_membership", "_sent_version", "_batcher", "owing",
         "_leases", "_ledger", "_dest_nodes", "refresh", "_emit_quiet_until", "_emit_stamp_version",
         "_emit_stamp_alg", "_emit_head", "_emit_template", "_emit_payload", "cells_repeated",
-        "frame_anchor", "owed", "_seqs", "_acks",
+        "frame_anchor", "owed",
     )
 
     def __init__(self, membership, batcher, leases) -> None:
@@ -51,10 +54,8 @@ class GroupCells:
         self.view = membership.view
         self.algorithm = algorithm = membership.algorithm
         self.plane = plane = membership.plane
+        #: Its ``seqs`` (next per destination) and ``acks`` (echo per peer).
         self._batcher = batcher
-        #: The batcher's next seq per destination and echo per peer.
-        self._seqs = batcher.seqs
-        self._acks = batcher.acks
         #: The group's gossip engine: told when a cell moved the view or
         #: showed a diverged digest; its shipped-version cursors say which
         #: destinations are owed a delta (None: cells carry none).
@@ -69,10 +70,10 @@ class GroupCells:
         #: Per-destination (election payload, time of its first send or last
         #: refresh, ledger head), for change-triggered emission and the refresh.
         self.cell_state: Dict[int, tuple] = {}
-        #: Destination -> (seq of the first frame that carried its current
-        #: content, at its ``cell_state`` time; the view version it held
-        #: before); ``all_candidates`` on all-pairs only (None: no echoes).
-        self.owed: Optional[Dict[int, Tuple[int, int]]] = (
+        #: Destination -> (first, last seq of the newest run of frames that
+        #: all carried its current content, or ``_BLIND`` twice; the view
+        #: version it held before); ``all_candidates`` on all-pairs only.
+        self.owed: Optional[Dict[int, Tuple[int, int, int]]] = (
             {} if plane.header_is_liveness and algorithm.monitor_policy == "all_candidates"
             else None
         )
@@ -154,7 +155,7 @@ class GroupCells:
             return
         self.frame_anchor[sender] = (frame.seq, frame.send_time)
         if self.owed is not None:
-            self._acks[sender] = frame.seq
+            self._batcher.acks[sender] = frame.seq
         self.algorithm.on_alive(cell)
         monitors = self.stream_monitors
         if monitors is not None:
@@ -191,32 +192,29 @@ class GroupCells:
         self._leases.forget(node)
 
     def forget_sent(self, node: int) -> None:
-        """All-pairs: ``node`` may hold nothing we sent (it restarted, or it
-        was silent and echoed nothing): its next frame is a first contact."""
+        """All-pairs: ``node`` restarted or was not heard: its next frame is a first contact."""
         if self.owed is not None and self.cell_state.pop(node, None) is not None:
             self.owed.pop(node, None)
             self._emit_quiet_until = float("-inf")
 
     def on_ack(self, node: int, seq: int) -> None:
-        """``node``'s frames echo ``seq``: the cell owed it since then, or
-        since earlier, arrived."""
+        """``node`` echoes ``seq``: if that frame carried the owed cell, it arrived."""
         owed = self.owed
         if owed:
             entry = owed.get(node)
-            if entry is not None and entry[0] <= seq:
+            if entry is not None and entry[0] <= seq <= entry[1]:
                 del owed[node]
 
-    def emit_cells(self, resend_after: float = 0.0):
+    def emit_cells(self, early: bool):
         """Yield ``(dest_node, cell)`` for one emission round.
 
         The FD header flows on every frame; under ``all_candidates`` a
         cell rides along only with *news* — a changed payload or ledger
         head, a membership or ledger delta, a first contact, the refresh —
-        or while owed (see the module docstring): then once it has been
-        owed ``resend_after`` seconds (the batcher's choice: an overdue
-        echo on a regular tick, at once on the early round, never on a
-        flush).  A changed payload on a node that has seen frame loss sets
-        :attr:`owing` (the batcher arms an early round).  ``senders_only``
+        or while owed (see the module docstring): on the ``early`` round and,
+        from ``CELL_ECHO_WAIT`` periods after its news, on every round.  A
+        changed payload on a node that has seen frame loss sets
+        :attr:`owing` (the batcher arms the early round).  ``senders_only``
         groups (Ω_l) emit every round: their receivers' stream monitors feed
         on the cells.  Destinations owing no delta share one template cell.
         """
@@ -261,12 +259,15 @@ class GroupCells:
             )
             stamp = self.algorithm.emit_stamp()
         owed = self.owed
-        seqs = self._seqs
+        seqs = self._batcher.seqs
         trusted = self.plane.trusted
         cell_state = self.cell_state
         refresh = self.refresh
         sent = self._sent_version
         shipped = None if head is None else self._leases.shipped
+        overdue = CELL_ECHO_WAIT * self._batcher.interval() if owed else 0.0
+        wait = 0.0 if early else overdue
+        lossy = None  # has this node seen frame loss?  Read at most once.
         #: One shared entry for every destination sent new content.
         entry = (payload, now, head)
         #: Oldest still-fresh per-destination send time this round relied
@@ -285,9 +286,9 @@ class GroupCells:
             elif owed is not None and state[2] != head:
                 news = True  # the ledger head moved: its digest is content too
             elif pending is not None and not news:
-                if now - state[1] < resend_after:
+                if now - state[1] < wait:
                     continue
-                if not trusted(dest):
+                if pending[0] != _BLIND and not trusted(dest):
                     del owed[dest]  # silent: re-trusted, it gets a first contact
                     continue
                 self.cells_repeated += 1
@@ -296,11 +297,22 @@ class GroupCells:
                     oldest = state[1]
                 continue
             if pending is not None:
-                held = pending[1]  # a re-sent delta starts at the last acked
+                held = pending[2]  # a re-sent delta starts at the last acked
             if news or pending is None:
                 cell_state[dest] = entry
-                if owed is not None and trusted(dest):
-                    owed[dest] = (seqs.get(dest, 0), held)
+            if owed is not None:
+                seq = seqs.get(dest, 0)
+                if news or pending is None:  # a new run; blind if no echo can cover it
+                    if trusted(dest):
+                        owed[dest] = (seq, seq, held)
+                    elif lossy or lossy is None and (lossy := self.plane.observed_loss() > 0.0):
+                        owed[dest] = (_BLIND, _BLIND, held)
+                    elif pending is not None:
+                        del owed[dest]
+                elif pending[0] != _BLIND:  # the run grows while every frame carries it
+                    owed[dest] = (pending[0] if pending[1] == seq - 1 else seq, seq, held)
+                elif now - state[1] >= overdue:
+                    del owed[dest]  # sent blind on the early round and once overdue
             if held < version:
                 sent[dest] = version
             segment = head
@@ -309,7 +321,7 @@ class GroupCells:
                 backlog = backlog or segment.top < head.top
             yield dest, self._cell(template, held, segment)
         if changed and owed is not None:
-            self.owing = self.plane.observed_loss() > 0.0
+            self.owing = lossy if lossy is not None else self.plane.observed_loss() > 0.0
         if suppressible and stamp is not None and not backlog:
             # Every destination now holds the current payload, version and
             # ledger, or is owed them; the guards above re-run this full

@@ -50,14 +50,12 @@ __all__ = ["CELL_REFRESH", "SWIM_CELL_REFRESH", "CELL_ECHO_WAIT", "CELL_EARLY_RO
 #: once per this period, the anti-entropy for view digests and ledger heads.
 #: This keeps heartbeat bytes O(node pairs), not O(groups × node pairs).
 CELL_REFRESH = 8.0
-#: Swim's: no echo travels there (it would cost a datagram), so a change is
-#: sent once and this refresh is also its loss repair.
+#: Swim's: no echo travels there (it would cost a datagram), so it is loss repair too.
 SWIM_CELL_REFRESH = 4.0
-#: Periods after which a regular round re-sends an unacknowledged cell (the
-#: destination's next frame, which echoes it, is due within one).
+#: Periods after its news from which an unacknowledged cell rides every
+#: round (the destination's next frame, which echoes it, is due within one).
 CELL_ECHO_WAIT = 1.5
-#: On a node that has seen frame loss, a changed payload arms one more round
-#: this fraction of a period later: it re-sends every unacknowledged cell.
+#: A change on a node that has seen loss re-sends owed cells this many periods later.
 CELL_EARLY_ROUND = 0.125
 
 

@@ -35,7 +35,7 @@ from typing import Dict, Iterable, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.fd.plane import CELL_ECHO_WAIT, CELL_EARLY_ROUND
+from repro.fd.plane import CELL_EARLY_ROUND
 from repro.metrics.usage import UsageMeter
 from repro.net.message import AliveCell, BatchFrame
 from repro.runtime.base import FdPlane, Scheduler, TimerHandle, Transport
@@ -51,13 +51,12 @@ class CellSource(Protocol):
         """Nodes this group's frames must reach (cells or not)."""
         ...
 
-    def emit_cells(self, resend_after: float) -> Iterable[Tuple[int, AliveCell]]:
+    def emit_cells(self, early: bool) -> Iterable[Tuple[int, AliveCell]]:
         """Yield ``(dest_node, cell)`` pairs for one emission round.
 
         May yield fewer destinations than :meth:`dest_nodes`: a group whose
         election payload is unchanged suppresses its cell and relies on the
-        frame header alone (the node-level FD needs no payload).  A cell
-        unacknowledged ``resend_after`` seconds after it was sent rides again.
+        frame header alone (the node-level FD needs no payload).
         """
         ...
 
@@ -257,31 +256,25 @@ class AliveBatcher:
         frames are multiplexed, one group's urgency refreshes everyone.  Any
         number of requests in one instant emit one round with the final
         state, not a burst whose frames overtake each other on the link.  A
-        flush carries news only; a pending early round (see :meth:`_tick`)
-        is brought forward and stays one.
+        pending early round (see :meth:`_tick`) is brought forward.
         """
         pending = self._flush_handle
         if self.active and (pending is None or pending.time > self.scheduler.now):
             self.scheduler.cancel(pending)
-            resend_after = float("inf") if pending is None else 0.0
-            self._flush_handle = self.scheduler.schedule(0.0, self._flush_now, resend_after)
+            self._flush_handle = self.scheduler.schedule(0.0, self._flush_now, pending is not None)
 
-    def _flush_now(self, resend_after: float = 0.0) -> None:
+    def _flush_now(self, early: bool) -> None:
         self._flush_handle = None
-        self._tick(resend_after)
+        self._tick(early)
         self._timer.start()  # next regular tick one full period from now
 
     #: Shared empty-cells tuple: steady-state frames are mostly cell-less.
     _NO_CELLS: Tuple[AliveCell, ...] = ()
 
-    def _tick(self, resend_after: Optional[float] = None) -> None:
-        """One round: a regular tick re-sends what was unacknowledged for
-        ``CELL_ECHO_WAIT`` periods, an early round all of it.  If it left a source
-        :attr:`~CellSource.owing`, one more leaves ``CELL_EARLY_ROUND ·
-        interval()`` later via the :meth:`flush` path (it restarts the
-        period, dies with the stream)."""
-        if resend_after is None:
-            resend_after = CELL_ECHO_WAIT * self.interval()
+    def _tick(self, early: bool = False) -> None:
+        """One round.  If it left a source :attr:`~CellSource.owing`, the
+        ``early`` one leaves ``CELL_EARLY_ROUND · interval()`` later via the
+        :meth:`flush` path (it restarts the period, dies with the stream)."""
         if self._meter is not None:
             self._meter.on_timer()
         # Every destination of an emitting group gets a frame — the FD
@@ -308,13 +301,13 @@ class AliveBatcher:
         for group, source in self._sources.items():
             if not self._active.get(group):
                 continue
-            for dest, cell in source.emit_cells(resend_after):
+            for dest, cell in source.emit_cells(early):
                 per_dest[dest].append(cell)
                 emitted = True
             owing = owing or source.owing
         if owing and self._flush_handle is None:
             delay = CELL_EARLY_ROUND * self.interval()
-            self._flush_handle = self.scheduler.schedule(delay, self._flush_now)
+            self._flush_handle = self.scheduler.schedule(delay, self._flush_now, True)
         payload_only = self._payload_only
         rumours = self._rumours
         # Read once per round: nothing below can queue a rumour, and while

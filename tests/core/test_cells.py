@@ -3,9 +3,10 @@ segments a leader's cells carry, and the overtaken-frame guard and echo on
 ingest (``GroupCells.handle_cell``).
 
 On the all-pairs plane a cell is owed to a destination from the frame that
-first carried its current content until that destination's echo covers
-that frame: it rides every early round meanwhile, and a regular tick once
-the echo is overdue (a flush carries news only).  The swim plane sends a change once.  The
+first carried its current content until that destination echoes a frame
+that carried it: it rides every early round meanwhile, and every frame once
+the echo is overdue; a destination not heard from cannot echo, and under
+loss is re-sent its news blind.  The swim plane sends a change once.  The
 fakes below stand in for everything a :class:`GroupCells` reads off its
 membership and batcher, so each test scripts exactly one thing: the
 payload, the clock, the echoes and the observed loss — or, on the receive
@@ -17,14 +18,14 @@ from types import SimpleNamespace
 from repro.core.cells import GroupCells
 from repro.experiments.runner import build_system
 from repro.experiments.scenario import ExperimentConfig
-from repro.fd.plane import CELL_REFRESH, SWIM_CELL_REFRESH
+from repro.fd.plane import CELL_ECHO_WAIT, CELL_REFRESH, SWIM_CELL_REFRESH
 from repro.lease.server import LEDGER_SEGMENT_CAP
 from repro.net.message import AliveCell, BatchFrame, LedgerSegment, MemberInfo
 
 ETA = 0.2
 DESTS = (1, 2, 3)
-#: A regular tick's re-send threshold (the batcher's CELL_ECHO_WAIT · η).
-TICK = 1.5 * ETA
+#: Age from which a regular round re-sends an unechoed cell (CELL_ECHO_WAIT · η).
+TICK = CELL_ECHO_WAIT * ETA
 
 
 class Algorithm:
@@ -136,9 +137,15 @@ class WalkCounting(tuple):
         return super().__iter__()
 
 
-def make_cells(loss=0.0, swim=False, dests=DESTS, leases=None):
+def make_batcher():
+    """The batcher's state a :class:`GroupCells` shares: the next seq per
+    destination, the echo per peer, the period."""
+    return SimpleNamespace(invalidate_dests=lambda: None, seqs={}, acks={}, interval=lambda: ETA)
+
+
+def make_cells(loss=0.0, swim=False, dests=DESTS, leases=None, batcher=None, group=1):
     membership = SimpleNamespace(
-        group=1,
+        group=group,
         pid=0,
         scheduler=SimpleNamespace(now=0.0),
         view=View(),
@@ -152,32 +159,32 @@ def make_cells(loss=0.0, swim=False, dests=DESTS, leases=None):
     membership.push_sync = membership.syncs.append
     membership.view_changed_by_cell = lambda: membership.view_moves.append(True)
     membership.digests_agree = lambda node: None
-    batcher = SimpleNamespace(invalidate_dests=lambda: None, seqs={}, acks={})
+    batcher = make_batcher() if batcher is None else batcher
     cells = GroupCells(membership, batcher, NoLedger() if leases is None else leases)
     cells.retarget(dests)
     return cells
 
 
-def emit(cells, dt=ETA, resend_after=0.0):
+def emit(cells, dt=ETA, early=False):
     """One frame round ``dt`` later: ``{dest: cell}``.  Every destination's
     frame is numbered, cell or not (the header flows every round)."""
     cells.scheduler.now += dt
-    sent = dict(cells.emit_cells(resend_after))
+    sent = dict(cells.emit_cells(early))
     dests = cells.dest_nodes()
     for index in range(len(dests)):  # indexed: a walk is the emitter's to count
-        cells._seqs[dests[index]] = cells._seqs.get(dests[index], 0) + 1
+        cells._batcher.seqs[dests[index]] = cells._batcher.seqs.get(dests[index], 0) + 1
     return sent
 
 
-def tick(cells, dt=ETA, resend_after=0.0):
+def tick(cells, dt=ETA, early=False):
     """:func:`emit`, reduced to ``{dest: acc_time carried}``."""
-    return {dest: cell.acc_time for dest, cell in emit(cells, dt, resend_after).items()}
+    return {dest: cell.acc_time for dest, cell in emit(cells, dt, early).items()}
 
 
 def echo(cells, *dests):
     """Each destination's frame echoes the last frame it was sent."""
     for dest in dests or DESTS:
-        cells.on_ack(dest, cells._seqs[dest] - 1)
+        cells.on_ack(dest, cells._batcher.seqs[dest] - 1)
 
 
 def settle(cells):
@@ -186,19 +193,25 @@ def settle(cells):
     echo(cells)
 
 
-def test_a_change_rides_every_frame_until_its_echo():
+def everyone(acc_time):
+    return {dest: acc_time for dest in DESTS}
+
+
+def test_an_unechoed_change_rides_every_frame_once_its_echo_is_overdue():
     cells = make_cells()
     settle(cells)
     assert tick(cells) == {}
     cells.algorithm.change()
-    assert tick(cells) == {dest: 1.0 for dest in DESTS}
-    assert tick(cells) == {dest: 1.0 for dest in DESTS}  # nothing echoed yet
+    assert tick(cells) == everyone(1.0)
+    assert tick(cells) == {}  # η after: the echo may be on its way
+    assert tick(cells) == everyone(1.0)  # 2η: overdue
+    assert tick(cells) == everyone(1.0)  # and on every frame from then on
     echo(cells, 1)
     assert tick(cells) == {2: 1.0, 3: 1.0}
     echo(cells, 2, 3)
     assert tick(cells) == {} and tick(cells) == {}
     assert cells.owed == {}
-    assert cells.cells_repeated == 1 * len(DESTS) + 2
+    assert cells.cells_repeated == 2 * len(DESTS) + 2
 
 
 def test_no_observed_loss_sends_a_change_exactly_once():
@@ -207,10 +220,10 @@ def test_no_observed_loss_sends_a_change_exactly_once():
     cells = make_cells(loss=0.0)
     settle(cells)
     cells.algorithm.change()
-    assert tick(cells, resend_after=TICK) == {dest: 1.0 for dest in DESTS}
+    assert tick(cells) == everyone(1.0)
     assert not cells.owing
     echo(cells)
-    assert tick(cells, resend_after=TICK) == {} and tick(cells, resend_after=TICK) == {}
+    assert tick(cells) == {} and tick(cells) == {}
     assert cells.cells_repeated == 0
 
 
@@ -220,11 +233,11 @@ def test_one_percent_loss_rides_exactly_the_next_frame_too():
     cells = make_cells(loss=0.01)
     settle(cells)
     cells.algorithm.change()
-    assert tick(cells, resend_after=TICK) == {dest: 1.0 for dest in DESTS}
+    assert tick(cells) == everyone(1.0)
     assert cells.owing
-    assert tick(cells, dt=ETA / 8) == {dest: 1.0 for dest in DESTS}  # the early round
+    assert tick(cells, dt=ETA / 8, early=True) == everyone(1.0)
     echo(cells)
-    assert tick(cells, resend_after=TICK) == {}
+    assert tick(cells) == {} and tick(cells) == {}
     assert cells.cells_repeated == len(DESTS)
 
 
@@ -232,12 +245,47 @@ def test_an_echo_of_a_frame_before_the_change_acknowledges_nothing():
     cells = make_cells()
     settle(cells)
     tick(cells)
-    before = {dest: cells._seqs[dest] - 1 for dest in DESTS}  # header-only frames
+    before = {dest: cells._batcher.seqs[dest] - 1 for dest in DESTS}  # header-only frames
     cells.algorithm.change()
     tick(cells)
     for dest, seq in before.items():
         cells.on_ack(dest, seq)
-    assert tick(cells) == {dest: 1.0 for dest in DESTS}
+    assert set(cells.owed) == set(DESTS)
+    assert tick(cells, dt=ETA / 8, early=True) == everyone(1.0)
+
+
+def test_an_echo_of_a_frame_without_the_groups_cell_acknowledges_nothing():
+    # The echo is the node's: it names the newest frame whose cells were
+    # ingested, whichever group's they were.  Group 1's change is lost; the
+    # next frame carries only group 2's and is echoed.
+    batcher = make_batcher()
+    first, second = make_cells(batcher=batcher), make_cells(batcher=batcher, group=2)
+
+    def frames():
+        """One round of both groups: ``{group: {dest: acc_time}}``."""
+        sent = {}
+        for cells in (first, second):
+            cells.scheduler.now += ETA
+            sent[cells.group] = {dest: cell.acc_time for dest, cell in cells.emit_cells(False)}
+        for dest in DESTS:
+            batcher.seqs[dest] = batcher.seqs.get(dest, 0) + 1
+        return sent
+
+    def echoes():
+        for cells in (first, second):  # the service hands an echo to every group
+            echo(cells)
+
+    frames()
+    echoes()
+    first.algorithm.change()
+    assert frames() == {1: everyone(1.0), 2: {}}  # lost
+    second.algorithm.change()
+    assert frames() == {1: {}, 2: everyone(1.0)}  # delivered, echoed
+    echoes()
+    assert set(first.owed) == set(DESTS) and second.owed == {}
+    assert frames() == {1: everyone(1.0), 2: {}}  # overdue: re-sent
+    echoes()
+    assert first.owed == {}
 
 
 def test_a_second_change_restarts_the_count_with_the_new_payload():
@@ -246,24 +294,27 @@ def test_a_second_change_restarts_the_count_with_the_new_payload():
     settle(cells)
     cells.algorithm.change()
     tick(cells)
-    first = cells._seqs[1] - 1
+    first = cells._batcher.seqs[1] - 1
     cells.algorithm.change()
-    assert tick(cells) == {dest: 2.0 for dest in DESTS}
+    assert tick(cells) == everyone(2.0)
     cells.on_ack(1, first)  # an echo of 1.0 does not cover 2.0
-    assert tick(cells) == {dest: 2.0 for dest in DESTS}
+    assert tick(cells, dt=ETA / 8, early=True) == everyone(2.0)
     echo(cells)
     assert tick(cells) == {}
 
 
-def test_a_regular_tick_re_sends_only_once_the_echo_is_overdue():
+def test_a_regular_round_re_sends_only_once_the_echo_is_overdue():
     cells = make_cells()
     settle(cells)
     cells.algorithm.change()
-    assert tick(cells, resend_after=TICK) == {dest: 1.0 for dest in DESTS}  # news
-    assert tick(cells, resend_after=TICK) == {}  # η after: the echo may be on its way
-    assert tick(cells, resend_after=TICK) == {dest: 1.0 for dest in DESTS}  # 2η: overdue
-    assert tick(cells, dt=0.0, resend_after=float("inf")) == {}  # a flush: news only
-    assert tick(cells, dt=0.0) == {dest: 1.0 for dest in DESTS}  # the early round: at once
+    assert tick(cells) == everyone(1.0)  # news
+    assert tick(cells, dt=ETA / 2) == {}  # a flush: the echo may be on its way
+    assert tick(cells, dt=ETA / 2) == {}  # the regular tick η after
+    assert tick(cells, dt=0.75 * ETA) == everyone(1.0)  # a flush 1.75 η after: overdue
+    assert tick(cells, dt=0.0) == everyone(1.0)  # and every frame from then on
+    cells.algorithm.change()
+    assert tick(cells) == everyone(2.0)
+    assert tick(cells, dt=ETA / 8, early=True) == everyone(2.0)  # the early round: at once
 
 
 def test_owing_marks_only_the_round_that_sent_the_change():
@@ -273,7 +324,7 @@ def test_owing_marks_only_the_round_that_sent_the_change():
         assert not cells.owing  # a first contact is not a change
         cells.algorithm.change()
         owing = []
-        for _ in range(3):  # the change, two re-sends
+        for _ in range(3):  # the change, a round, a re-send
             tick(cells)
             owing.append(cells.owing)
         assert owing == [armed, False, False]
@@ -285,6 +336,7 @@ def test_loss_is_read_once_per_changed_round_and_never_on_quiet_ones():
     cells.algorithm.change()
     tick(cells)
     assert cells.plane.reads == 1  # once, not once per destination
+    tick(cells)
     tick(cells)
     echo(cells)
     tick(cells)
@@ -298,7 +350,7 @@ def test_neither_a_first_contact_nor_a_refresh_is_repeated():
     echo(cells)
     assert tick(cells) == {}
     cells.scheduler.now += CELL_REFRESH
-    assert tick(cells) == {dest: 0.0 for dest in DESTS} and not cells.owing
+    assert tick(cells) == everyone(0.0) and not cells.owing
     echo(cells)
     assert tick(cells) == {}
     assert cells.cells_repeated == 0
@@ -311,7 +363,7 @@ def test_after_the_last_repeat_rounds_are_skipped_until_the_refresh():
     cells.algorithm.change()
     tick(cells)
     due = cells.scheduler.now + CELL_REFRESH
-    assert tick(cells)  # the re-send, then its echo
+    assert tick(cells, dt=ETA / 8, early=True)  # the re-send, then its echo
     echo(cells)
     assert tick(cells) == {}  # one walk finds every echo in
     walks = WalkCounting.walks
@@ -320,8 +372,9 @@ def test_after_the_last_repeat_rounds_are_skipped_until_the_refresh():
     assert WalkCounting.walks == walks  # skipped outright: no destination walk
     # The refresh clock runs from the change, not from its re-send.
     cells.scheduler.now = due
-    assert tick(cells, dt=1e-6) == {dest: 1.0 for dest in DESTS}
-    assert tick(cells) == {dest: 1.0 for dest in DESTS}  # owed too
+    assert tick(cells, dt=1e-6) == everyone(1.0)
+    assert tick(cells) == {}
+    assert tick(cells) == everyone(1.0)  # owed too
     echo(cells)
     assert tick(cells) == {}
 
@@ -337,7 +390,9 @@ def test_a_delta_owing_destination_gets_its_delta_cell_once_as_before():
     assert sent[2].delta == sent[3].delta == (record,)
     assert 1 not in sent  # version-current, payload unchanged, refresh fresh
     echo(cells, 2)
-    # Not echoed: the delta goes again, from the version last echoed.
+    # Not echoed: once overdue the delta goes again, from the version last
+    # echoed.
+    assert emit(cells) == {}
     sent = emit(cells)
     assert list(sent) == [3] and sent[3].delta == (record,)
     assert cells._sent_version[3] == 2
@@ -359,25 +414,57 @@ def test_a_restarted_destination_is_re_sent_the_payload_on_the_next_frame():
 
 def test_a_destination_not_heard_from_is_sent_a_change_once_and_again_when_heard():
     # A passive member, a crashed daemon or a cut link's far end echoes
-    # nothing: it is not owed, and its frames' return re-sends the payload.
+    # nothing: on a node that has seen no loss it is not owed, and its
+    # frames' return re-sends the payload.
     cells = make_cells()
     settle(cells)
     cells.plane.silent = {3}
     cells.algorithm.change()
-    assert tick(cells) == {dest: 1.0 for dest in DESTS}
+    assert tick(cells) == everyone(1.0)
     assert set(cells.owed) == {1, 2}
     echo(cells, 1, 2)
     assert tick(cells) == {} and tick(cells) == {}
     cells.plane.silent = set()
     cells.forget_sent(3)
     assert tick(cells) == {3: 1.0}
+    assert tick(cells) == {}
     assert tick(cells) == {3: 1.0}  # owed now, until echoed
     echo(cells, 3)
     assert tick(cells) == {}
-    cells.plane.silent = {2}  # crashed with a change owed: dropped when due
     cells.algorithm.change()
     tick(cells)
+    cells.plane.silent = {2}  # crashed with the change owed: dropped when due
+    tick(cells)
+    assert tick(cells) == {1: 2.0, 3: 2.0}
     assert set(cells.owed) == {1, 3}
+
+
+def test_a_destination_not_heard_from_is_re_sent_its_news_blind_under_loss():
+    # It cannot echo, so on a node that has seen loss its news rides the
+    # early round a change arms and the first round once overdue, then stops.
+    cells = make_cells(loss=0.01)
+    settle(cells)
+    cells.plane.silent = {3}
+    cells.algorithm.change()
+    assert tick(cells) == everyone(1.0)
+    assert tick(cells, dt=ETA / 8, early=True) == everyone(1.0)
+    echo(cells)
+    assert set(cells.owed) == {3}  # no echo covers a blind send
+    assert tick(cells) == {}
+    assert tick(cells) == {3: 1.0}  # overdue
+    assert cells.owed == {}
+    assert tick(cells) == {} and tick(cells) == {}
+    record = MemberInfo(pid=9, node=9, incarnation=1, candidate=True, present=True, joined_at=0.0)
+    cells.view.records = (record,)
+    cells.view.version = 2  # a delta arms no early round
+    assert list(emit(cells)) == list(DESTS)
+    echo(cells, 1, 2)
+    assert emit(cells) == {}
+    sent = emit(cells)
+    assert list(sent) == [3] and sent[3].delta == (record,)
+    assert cells.owed == {}
+    assert tick(cells) == {} and tick(cells) == {}
+    assert cells.cells_repeated == len(DESTS) + 2
 
 
 def test_bounded_membership_is_unaffected():
@@ -388,13 +475,13 @@ def test_bounded_membership_is_unaffected():
     assert rounds_until_quiet(cells) == 1
     cells.algorithm.change()
     cells.scheduler.now += ETA
-    sent = list(cells.emit_cells(0.0))
+    sent = list(cells.emit_cells(True))
     assert [dest for dest, _ in sent] == list(DESTS)
     assert len({id(cell) for _, cell in sent}) == 1
     assert tick(cells) == {}
     assert not cells.owing and cells.cells_repeated == 0
     ingest(cells, frame(5, 10.0, L))
-    assert cells._acks == {}
+    assert cells._batcher.acks == {}
     # A restarted sender takes its lease cursors only, as before.
     ingest(cells, frame(0, 11.0, L))
     assert cells._leases.forgotten == [SENDER] and SENDER not in cells.cell_state
@@ -441,8 +528,9 @@ def test_under_loss_the_next_frame_shows_a_lost_delta_as_a_gap():
     cells._leases.write(2)
     assert segments(cells) == {dest: (1, 3, 2) for dest in DESTS}
     assert not cells.owing
-    # The unechoed cell rides on with the head: base 3 is past what a
-    # follower that lost the delta has applied, so it NACKs one frame later.
+    assert segments(cells) == {}
+    # Overdue, the unechoed cell rides on with the head: base 3 is past what
+    # a follower that lost the delta has applied, so it NACKs.
     assert segments(cells) == {dest: (3, 3, 0) for dest in DESTS}
     echo(cells)
     assert segments(cells) == {}
@@ -506,7 +594,7 @@ def test_a_frame_overtaken_by_its_successor_cannot_rewind_the_forward():
     assert membership.view_moves == [True]
     assert membership.syncs == []  # an overtaken digest is no divergence
     assert cells.frame_anchor[SENDER] == (6, 10.2)
-    assert cells._acks == {SENDER: 6}  # the overtaken frame is not echoed
+    assert cells._batcher.acks == {SENDER: 6}  # the overtaken frame is not echoed
     assert cells._leases.forgotten == []  # late, not restarted
 
 
@@ -514,14 +602,14 @@ def test_in_order_frames_are_all_ingested():
     cells = make_cells(loss=0.01)
     assert ingest(cells, frame(5, 10.0, L)) == L
     assert ingest(cells, frame(6, 10.2, M)) == M
-    assert cells._acks == {SENDER: 6}
+    assert cells._batcher.acks == {SENDER: 6}
 
 
 def test_a_rebooted_sender_restarts_its_seq_and_is_ingested():
     cells = make_cells(loss=0.01)
     assert ingest(cells, frame(6, 10.2, M), frame(0, 11.0, L)) == L
     assert ingest(cells, frame(1, 11.2, M)) == M  # the anchor moved to the new stream
-    assert cells._acks == {SENDER: 1}  # the echo follows the new numbering
+    assert cells._batcher.acks == {SENDER: 1}  # the echo follows the new numbering
     # What the lease tier applied from, or shipped to, the old daemon goes.
     assert cells._leases.forgotten == [SENDER]
 

@@ -216,7 +216,7 @@ class TestEchoes:
         service, peer = services[0], services[1]
         cells = service.group_runtime(1).cells
         last = service.batcher.seqs[1] - 1  # the newest frame node 0 sent node 1
-        cells.owed[1] = (last, cells.view.version)
+        cells.owed[1] = (last, last, cells.view.version)
 
         def echo(ack):
             seq = peer.batcher.seqs[0]

@@ -31,7 +31,7 @@ class FakeSource:
     def dest_nodes(self):
         return tuple(self.dests)
 
-    def emit_cells(self, resend=True):
+    def emit_cells(self, early):
         for dest in self.dests:
             yield dest, AliveCell(group=self.group, pid=0, acc_time=self.acc_time)
 
@@ -39,7 +39,7 @@ class FakeSource:
 class QuietSource(FakeSource):
     """Every cell suppressed: the steady state of an unchanged group."""
 
-    def emit_cells(self, resend=True):
+    def emit_cells(self, early):
         return ()
 
 

@@ -446,7 +446,7 @@ class TestLeakRegression:
             def dest_nodes(self):
                 return (1, 2, 3)
 
-            def emit_cells(self, resend=True):
+            def emit_cells(self, early):
                 return ()
 
         batcher.add_group(1, Source(), eta=0.25)

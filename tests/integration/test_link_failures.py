@@ -9,9 +9,22 @@ process disagreeing for the whole outage.
 
 import pytest
 
+from repro import (
+    Application,
+    LinkConfig,
+    Network,
+    NetworkConfig,
+    RngRegistry,
+    ServiceConfig,
+    ServiceHost,
+    Simulator,
+)
 from repro.experiments.runner import build_system
 from repro.experiments.scenario import ExperimentConfig
+from repro.fd.configurator import ConfiguratorCache
+from repro.fd.plane import CELL_REFRESH
 from repro.metrics.leadership import analyze_leadership
+from repro.metrics.trace import TraceRecorder
 
 
 def build(algorithm, seed=5, duration=90.0):
@@ -168,3 +181,53 @@ class TestABumpAcrossACrashedLink:
             sim.run_until(sim.now + 0.001)
         assert seen._info[leader] == (led.algorithm.acc_time, led.algorithm.phase)
         assert sim.now < led.cells.cell_state[victim][1] + led.cells.refresh
+
+
+class TestPassiveListenersUnderLoss:
+    """A passive listener's node sends no frames, so it echoes nothing: on
+    lossy links a new leader's cell must still reach it by blind re-sends,
+    not only by the refresh (which would leave it naming a dead leader for
+    up to ``CELL_REFRESH``)."""
+
+    CANDIDATES = (0, 1, 2)
+
+    def build(self, seed, n_nodes=8):
+        sim, rng = Simulator(), RngRegistry(seed)
+        link = LinkConfig(delay_mean=0.005, loss_prob=0.05)
+        network = Network(sim, NetworkConfig(n_nodes=n_nodes, default_link=link), rng)
+        trace, cache = TraceRecorder(), ConfiguratorCache()
+        handles = []
+        for node in range(n_nodes):
+            host = ServiceHost(
+                scheduler=sim, transport=network, node=network.node(node),
+                peer_nodes=tuple(range(n_nodes)), config=ServiceConfig(algorithm="omega_lc"),
+                rng=rng, trace=trace, configurator_cache=cache,
+            )
+            app = Application(pid=node)
+            handles.append(app.join(1, candidate=node in self.CANDIDATES))
+            host.add_application(app)
+            host.start()
+        return sim, network, handles
+
+    def test_they_follow_a_new_leader_well_inside_the_refresh(self):
+        lags = []
+        for seed in (1, 2, 3, 4):
+            sim, network, handles = self.build(seed)
+            sim.run_until(20.0)
+            for _ in range(2):  # kill the leader twice
+                alive = [c for c in self.CANDIDATES if network.nodes[c].up]
+                network.node(handles[alive[0]].leader()).crash()
+                alive = [c for c in alive if network.nodes[c].up]
+                while len({handles[c].leader() for c in alive} - {None}) != 1 or any(
+                    handles[c].leader() not in alive for c in alive
+                ):
+                    sim.run_until(sim.now + 0.005)
+                agreed, leader = sim.now, handles[alive[0]].leader()
+                waiting = set(range(len(self.CANDIDATES), len(handles)))
+                while waiting and sim.now < agreed + CELL_REFRESH:
+                    waiting -= {p for p in waiting if handles[p].leader() == leader}
+                    lags.append(sim.now - agreed)
+                    sim.run_until(sim.now + 0.005)
+                assert not waiting
+                sim.run_until(sim.now + 3.0)
+        assert max(lags) < 1.0

@@ -1,16 +1,17 @@
-"""A changed cell is owed to a destination exactly until an echo covers it,
-and rides every round that may re-send it meanwhile — whatever is lost on
-the way out or back; and however the link reorders one sender's frames,
+"""An echo acknowledges a changed cell only if its frame carried that cell,
+and an owed cell rides every round that may re-send it — whatever is lost
+on the way out or back; and however the link reorders one sender's frames,
 the receiver ends on the last forward sent.
 
 ``GroupCells.emit_cells`` / ``on_ack`` are driven frame by frame against a
 scripted network: any interleaving of payload changes, regular ticks,
-early rounds and flushes, lost frames and lost echoes.  A destination must
-then hold the sender's current payload from the first delivered frame of a
-round that re-sends (an early round, or a regular tick once the echo is
-overdue), and no longer be owed anything exactly when an echo covers a
-frame that carried the current payload.  ``GroupCells.handle_cell`` is fed
-one sender's frames in any arrival order.
+early rounds and flushes, lost frames, frames that carry another group's
+cell only, and echoes.  The echo is the receiving node's: it names the
+newest delivered frame that carried any cell.  A destination no longer owed
+must hold the sender's current payload, an echo of the newest frame that
+carried it ends the debt, and while owed the cell rides every early round
+and every round once ``CELL_ECHO_WAIT`` periods passed since it went out.
+``GroupCells.handle_cell`` is fed one sender's frames in any arrival order.
 """
 
 from hypothesis import given, settings
@@ -19,16 +20,12 @@ from hypothesis import strategies as st
 from tests.core.test_cells import DESTS, ETA, TICK, frame, ingest, make_cells, tick
 
 #: One frame round: does the payload change just before it, what kind of
-#: round it is, which destinations lose the frame, and which destinations'
-#: echoes of what they hold arrive after it.
-KINDS = {"tick": (ETA, TICK), "early": (ETA / 8, 0.0), "flush": (ETA / 8, float("inf"))}
+#: round it is, which destinations lose the frame, whose frame carries
+#: another group's cell, and which destinations echo what they got after it.
+KINDS = {"tick": (ETA, False), "early": (ETA / 8, True), "flush": (ETA / 8, False)}
+DEST_SETS = st.sets(st.sampled_from(DESTS))
 ROUNDS = st.lists(
-    st.tuples(
-        st.booleans(),
-        st.sampled_from(sorted(KINDS)),
-        st.sets(st.sampled_from(DESTS)),
-        st.sets(st.sampled_from(DESTS)),
-    ),
+    st.tuples(st.booleans(), st.sampled_from(sorted(KINDS)), DEST_SETS, DEST_SETS, DEST_SETS),
     min_size=1,
     max_size=30,  # 6 s at most: inside the refresh period
 )
@@ -36,42 +33,43 @@ ROUNDS = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(rounds=ROUNDS)
-def test_current_payload_is_held_from_the_first_delivered_frame_that_re_sends_it(rounds):
+def test_an_echo_ends_the_debt_only_for_a_frame_that_carried_the_cell(rounds):
     cells = make_cells()
     holds = {}
-    #: dest -> (payload, seq of the first frame that carried it, its time).
-    first = {}
-    #: dest -> seq of the newest frame delivered with a cell, not echoed yet.
+    #: dest -> (payload, time it first went out, seqs of the frames carrying it).
+    current_news = {}
+    #: dest -> seq of the newest frame delivered with any cell, not echoed yet.
     unechoed = {}
-    echoed = {}
-    for change, kind, drops, echoes in rounds:
+    for change, kind, drops, others, echoes in rounds:
         if change:
             cells.algorithm.change()
         current = cells.algorithm.acc_time
-        dt, resend_after = KINDS[kind]
+        dt, early = KINDS[kind]
         now = cells.scheduler.now + dt
         owed_before = set(cells.owed)
-        seqs = {dest: cells._seqs.get(dest, 0) for dest in DESTS}
-        sent = tick(cells, dt, resend_after)
+        seqs = {dest: cells._batcher.seqs.get(dest, 0) for dest in DESTS}
+        sent = tick(cells, dt, early)
         assert all(carried == current for carried in sent.values())
         for dest in owed_before:
-            if now - first[dest][2] >= resend_after:
+            if early or now - current_news[dest][1] >= TICK:
                 assert dest in sent  # it re-sends
         for dest, carried in sent.items():
-            if first.get(dest, (None,))[0] != carried:
-                first[dest] = (carried, seqs[dest], now)
+            if current_news.get(dest, (None,))[0] != carried:
+                current_news[dest] = (carried, now, [])
+            current_news[dest][2].append(seqs[dest])
             if dest not in drops:
                 holds[dest] = carried
-                unechoed[dest] = seqs[dest]
-        for dest in echoes:
-            if dest in unechoed:
-                echoed[dest] = unechoed.pop(dest)
-                cells.on_ack(dest, echoed[dest])
         for dest in DESTS:
-            covered = echoed.get(dest, -1) >= first[dest][1]
-            assert (dest in cells.owed) == (not covered)
-            if covered:
-                assert holds[dest] == current
+            if dest not in drops and (dest in sent or dest in others):
+                unechoed[dest] = seqs[dest]
+        for dest in echoes & set(unechoed):
+            ack = unechoed.pop(dest)
+            cells.on_ack(dest, ack)
+            if ack == current_news[dest][2][-1]:
+                assert dest not in cells.owed
+        for dest in DESTS:
+            if dest not in cells.owed:
+                assert holds.get(dest) == current
 
 
 @st.composite
