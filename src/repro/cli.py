@@ -255,6 +255,10 @@ def _run_lease(args: argparse.Namespace) -> int:
         print(f"--contact-node {args.contact_node} out of range for "
               f"{len(ports)} ports", file=sys.stderr)
         return 2
+    if args.lease_command == "transfer" and args.successor == args.client_id:
+        print(f"--successor {args.successor} is this client's own --client-id; "
+              "a lease cannot be transferred to its holder", file=sys.stderr)
+        return 2
     if args.lease_command == "acquire":
         return asyncio.run(acquire_main(
             name=args.name,

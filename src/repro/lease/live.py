@@ -23,6 +23,10 @@ Three entry points back ``repro lease acquire|watch|transfer``:
 * :func:`transfer_main` — acquire the lease, then hand it to a named
   successor; prints the pre- and post-transfer tokens so the smoke test
   can assert the fencing token advanced across the handoff.
+
+Their lines are the daemons' line protocol (``KIND key=value ...``,
+:func:`repro.runtime.cluster.emit_line`), which the orchestrator parses
+with the same parser as the daemons'.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from repro.net.message import (
     LeaseRequestMessage,
     Message,
 )
+from repro.runtime.cluster import emit_line
 from repro.runtime.realtime import RealtimeScheduler, UdpTransport
 from repro.sim.rng import RngRegistry
 
@@ -131,8 +136,28 @@ async def _open_client(
     return transport, client
 
 
-def _emit(line: str) -> None:
-    print(line, flush=True)
+async def _reply(name: str, timeout: float, call: Callable[[Callable], Optional[bool]]):
+    """Await the first reply to one client ``call`` (it takes the reply
+    callback): None after a ``REFUSED`` line when the client sent nothing
+    (``call`` returned False), or after a ``TIMEOUT`` line."""
+    reply: "asyncio.Future[LeaseReplyMessage]" = asyncio.get_running_loop().create_future()
+    if call(lambda message: reply.done() or reply.set_result(message)) is False:
+        emit_line("REFUSED", lease=name)
+        return None
+    try:
+        return await asyncio.wait_for(reply, timeout)
+    except asyncio.TimeoutError:
+        emit_line("TIMEOUT", lease=name, after=timeout)
+        return None
+
+
+async def _acquire(client: LeaseClient, name: str, ttl: float, timeout: float):
+    """Acquire ``name`` and await the grant; it is printed as a ``GRANTED``
+    line (None: no grant)."""
+    reply = await _reply(name, timeout, lambda done: client.acquire(name, ttl, done))
+    if reply is not None:
+        emit_line("GRANTED", lease=name, token=reply.token, expiry=f"{reply.expiry:.6f}")
+    return reply
 
 
 async def acquire_main(
@@ -155,37 +180,23 @@ async def acquire_main(
         LOST lease=<name>                  # grant lost mid-hold (failover)
         RELEASED lease=<name>
 
-    Exit 0 on a clean hold-and-release, 1 if no grant arrived within
-    ``timeout`` seconds.
+    Exit 0 on a clean hold-and-release, 1 (after ``TIMEOUT lease=<name>
+    after=<s>``) if no grant arrived within ``timeout`` seconds.
     """
     transport, client = await _open_client(
         host=host, ports=ports, group=group, client_id=client_id,
         contact_node=contact_node,
     )
-    loop = asyncio.get_running_loop()
-    granted: "asyncio.Future[LeaseReplyMessage]" = loop.create_future()
-    client.on_lost = lambda lost_name: _emit(f"LOST lease={lost_name}")
-
-    def on_granted(reply: LeaseReplyMessage) -> None:
-        if not granted.done():
-            granted.set_result(reply)
-
+    client.on_lost = lambda lost_name: emit_line("LOST", lease=lost_name)
     try:
-        client.acquire(name, ttl=ttl, callback=on_granted)
-        try:
-            reply = await asyncio.wait_for(granted, timeout)
-        except asyncio.TimeoutError:
-            _emit(f"TIMEOUT lease={name} after={timeout}")
+        if await _acquire(client, name, ttl, timeout) is None:
             return 1
-        _emit(
-            f"GRANTED lease={name} token={reply.token} expiry={reply.expiry:.6f}"
-        )
         if hold > 0.0:
             await asyncio.sleep(hold)
         if client.release(name):
             # Give the release datagram a beat to leave the socket.
             await asyncio.sleep(0.05)
-            _emit(f"RELEASED lease={name}")
+            emit_line("RELEASED", lease=name)
         return 0
     finally:
         client.close()
@@ -203,11 +214,12 @@ async def watch_main(
     duration: float = 10.0,
     contact_node: int = 0,
 ) -> int:
-    """Watch ``name``; print ``HOLDER`` lines on every ownership change.
+    """Watch ``name``; print a ``HOLDER`` line on every ownership change::
 
-    Each line reports how the change arrived: ``via=push`` for a
-    server-push event (the reply's nonce is 0), ``via=poll`` for a
-    (re-)subscribe reply.
+        HOLDER lease=<name> holder=<id> token=<t> via=push|poll
+
+    ``via=push`` for a server-push event (the reply's nonce is 0),
+    ``via=poll`` for a (re-)subscribe reply.
     """
     transport, client = await _open_client(
         host=host, ports=ports, group=group, client_id=client_id,
@@ -216,10 +228,7 @@ async def watch_main(
 
     def on_change(reply: LeaseReplyMessage) -> None:
         via = "push" if reply.nonce == 0 else "poll"
-        _emit(
-            f"HOLDER lease={name} holder={reply.holder} "
-            f"token={reply.token} via={via}"
-        )
+        emit_line("HOLDER", lease=name, holder=reply.holder, token=reply.token, via=via)
 
     try:
         stop = client.watch(name, on_change, period=period)
@@ -251,49 +260,26 @@ async def transfer_main(
         TRANSFERRED lease=<name> successor=<id> token=<t2>
 
     with ``t2 > t1`` (fencing tokens advance across a handoff).  Exit 0
-    on a completed transfer, 1 on timeout.
+    on a completed transfer; 1 after ``TIMEOUT``, ``DENIED lease=<name>
+    status=<s>``, or ``REFUSED lease=<name>`` (the client sent no
+    transfer: the grant was lost first, or ``successor`` is this client).
     """
     transport, client = await _open_client(
         host=host, ports=ports, group=group, client_id=client_id,
         contact_node=contact_node,
     )
-    loop = asyncio.get_running_loop()
-    granted: "asyncio.Future[LeaseReplyMessage]" = loop.create_future()
-    transferred: "asyncio.Future[LeaseReplyMessage]" = loop.create_future()
-
-    def on_granted(reply: LeaseReplyMessage) -> None:
-        if not granted.done():
-            granted.set_result(reply)
-
-    def on_transferred(reply: LeaseReplyMessage) -> None:
-        if not transferred.done():
-            transferred.set_result(reply)
-
     try:
-        client.acquire(name, ttl=ttl, callback=on_granted)
-        try:
-            reply = await asyncio.wait_for(granted, timeout)
-        except asyncio.TimeoutError:
-            _emit(f"TIMEOUT lease={name} after={timeout}")
+        if await _acquire(client, name, ttl, timeout) is None:
             return 1
-        _emit(
-            f"GRANTED lease={name} token={reply.token} expiry={reply.expiry:.6f}"
+        handoff = await _reply(
+            name, timeout, lambda done: client.transfer(name, successor, callback=done)
         )
-        if not client.transfer(name, successor, callback=on_transferred):
-            _emit(f"TIMEOUT lease={name} after={timeout}")
-            return 1
-        try:
-            handoff = await asyncio.wait_for(transferred, timeout)
-        except asyncio.TimeoutError:
-            _emit(f"TIMEOUT lease={name} after={timeout}")
+        if handoff is None:
             return 1
         if handoff.status != "granted":
-            _emit(f"DENIED lease={name} status={handoff.status}")
+            emit_line("DENIED", lease=name, status=handoff.status)
             return 1
-        _emit(
-            f"TRANSFERRED lease={name} successor={successor} "
-            f"token={handoff.token}"
-        )
+        emit_line("TRANSFERRED", lease=name, successor=successor, token=handoff.token)
         return 0
     finally:
         client.close()

@@ -11,20 +11,26 @@ Two layers:
   live``: spawns N ``repro.cli node`` subprocesses on localhost ports,
   waits for them to agree on one leader, kills the leader's process
   (SIGKILL — a workstation crash, no goodbye messages), waits for the
-  survivors to re-elect, and verifies the new leader is stable.  Per-node
+  survivors to re-elect, and verifies the new leader is stable.  Per-child
   output is teed into log files for post-mortems (CI uploads them as
   artifacts).
 
-The line protocol children speak (one event per line, ``key=value``)::
+Every child — daemon or ``repro lease`` client — speaks one line protocol,
+one event per line, ``KIND key=value ...``, written by :func:`emit_line`
+and read back by ``_parse_line``::
 
     READY node=2 port=47012
     LEADER node=2 group=1 leader=0 t=1721901758.482911
     DONE node=2
+    GRANTED lease=smoke-lock token=268435713 expiry=1721901760.482911
+    TRANSFERRED lease=handoff-lock successor=1004 token=536871169
+    HOLDER lease=smoke-lock holder=1001 token=805306625 via=push
 
 ``leader=none`` means the node currently sees no leader for that group.
 Since the multi-group scale-out a daemon hosts ``--groups N`` groups over
 one shared FD plane; every group elects (and re-elects) independently and
-the orchestrator tracks one leader board per group.
+the orchestrator tracks one leader board per group.  The lease clients'
+lines are documented in :mod:`repro.lease.live`.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
-import re
 import signal
 import socket
 import subprocess
@@ -52,7 +57,9 @@ from repro.net.node import Node
 from repro.runtime.realtime import RealtimeScheduler, UdpTransport
 from repro.sim.rng import RngRegistry
 
-__all__ = ["LiveNodeConfig", "ClusterReport", "run_node", "node_main", "run_cluster"]
+__all__ = [
+    "LiveNodeConfig", "ClusterReport", "emit_line", "run_node", "node_main", "run_cluster",
+]
 
 
 # ----------------------------------------------------------------------
@@ -89,9 +96,17 @@ class LiveNodeConfig:
             raise ValueError(f"duplicate group ids in {self.groups}")
 
 
-def _emit(line: str) -> None:
-    """One protocol line; flushed so parent pipes see it immediately."""
-    print(line, flush=True)
+def emit_line(kind: str, **fields: object) -> None:
+    """One protocol line, ``KIND key=value ...``; flushed so parent pipes
+    see it immediately."""
+    print(" ".join([kind, *(f"{key}={value}" for key, value in fields.items())]), flush=True)
+
+
+def _parse_line(line: str) -> Tuple[str, Dict[str, str]]:
+    """``KIND key=value ...`` → (KIND, {key: value}); words without ``=``
+    are dropped, and a blank line is ("", {})."""
+    kind, *words = line.split() or [""]
+    return kind, dict(word.split("=", 1) for word in words if "=" in word)
 
 
 async def run_node(config: LiveNodeConfig) -> None:
@@ -176,10 +191,9 @@ async def run_node(config: LiveNodeConfig) -> None:
     )
 
     def on_leader_change(group: int, leader: Optional[int]) -> None:
-        shown = "none" if leader is None else leader
-        _emit(
-            f"LEADER node={config.node_id} group={group} leader={shown} "
-            f"t={scheduler.now:.6f}"
+        emit_line(
+            "LEADER", node=config.node_id, group=group,
+            leader="none" if leader is None else leader, t=f"{scheduler.now:.6f}",
         )
 
     # One application process per node (pid = node id), driving the daemon
@@ -189,13 +203,10 @@ async def run_node(config: LiveNodeConfig) -> None:
         handle = app.join(group, candidate=True, qos=config.service.default_qos)
         handle.watch_leader(on_leader_change)
     app.bind(CommandHandler(service))
-    _emit(f"READY node={config.node_id} port={config.ports[config.node_id]}")
+    emit_line("READY", node=config.node_id, port=config.ports[config.node_id])
     if chaos_controller is not None:
         chaos_controller.start()
-        _emit(
-            f"CHAOS node={config.node_id} "
-            f"steps={len(chaos_controller.script.steps)}"
-        )
+        emit_line("CHAOS", node=config.node_id, steps=len(chaos_controller.script.steps))
 
     stop = asyncio.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -209,7 +220,7 @@ async def run_node(config: LiveNodeConfig) -> None:
         chaos_controller.stop()
     service.shutdown()
     transport.close()
-    _emit(f"DONE node={config.node_id}")
+    emit_line("DONE", node=config.node_id)
 
 
 def node_main(config: LiveNodeConfig) -> int:
@@ -246,14 +257,12 @@ class ClusterReport:
     reason: str = ""
     n_nodes: int = 0
     n_groups: int = 1
-    first_leader: Optional[int] = None
-    #: Per-group outcomes (the scalar fields mirror the primary group).
+    #: Per-group outcomes; group 1's leader is the one killed.
     first_leaders: Dict[int, int] = field(default_factory=dict)
     new_leaders: Dict[int, int] = field(default_factory=dict)
     #: Seconds from cluster start to the first whole-cluster agreement.
     election_seconds: Optional[float] = None
     killed_leader: Optional[int] = None
-    new_leader: Optional[int] = None
     #: Seconds from the leader kill to the survivors' agreement on one
     #: new leader — the live counterpart of the paper's Tr.
     reelection_seconds: Optional[float] = None
@@ -271,6 +280,14 @@ class ClusterReport:
     lease_watch_push_token: Optional[int] = None
     log_dir: Optional[Path] = None
     timeline: List[str] = field(default_factory=list)
+
+    @property
+    def first_leader(self) -> Optional[int]:
+        return self.first_leaders.get(1)
+
+    @property
+    def new_leader(self) -> Optional[int]:
+        return self.new_leaders.get(1)
 
     def summary(self) -> str:
         if not self.ok:
@@ -314,6 +331,10 @@ class ClusterReport:
         return "; ".join(parts)
 
 
+class _Abort(Exception):
+    """A failed phase; its message becomes :attr:`ClusterReport.reason`."""
+
+
 def _reserve_udp_ports(host: str, count: int) -> List[int]:
     """Pick ``count`` currently-free UDP ports by binding and releasing.
 
@@ -343,153 +364,14 @@ def _child_env() -> Dict[str, str]:
     return env
 
 
-def _spawn_node(
-    node_id: int,
-    ports: List[int],
-    host: str,
-    service: ServiceConfig,
-    duration: float,
-    groups: int,
-) -> subprocess.Popen:
-    command = [
-        sys.executable, "-m", "repro.cli", "node",
-        "--node-id", str(node_id),
-        "--ports", ",".join(map(str, ports)),
-        "--host", host,
-        "--groups", str(groups),
-        *flag_argv(service, NODE_FLAGS),
-        "--duration", str(duration),
-    ]
-    return subprocess.Popen(
-        command,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        env=_child_env(),
-        text=True,
-    )
-
-
-def _lease_cli(
-    op: str,
-    name: str,
-    ports: List[int],
-    host: str,
-    contact_node: int,
-    client_id: int,
-    *extra: str,
-) -> List[str]:
-    """The ``python -m repro.cli lease <op> ...`` command line — the same
-    code path a user's ``repro lease`` takes, real UDP included."""
-    return [
-        sys.executable, "-m", "repro.cli", "lease", op,
-        "--ports", ",".join(map(str, ports)),
-        "--host", host,
-        "--name", name,
-        "--contact-node", str(contact_node),
-        "--client-id", str(client_id),
-        *extra,
-    ]
-
-
-def _run_logged(command: List[str], timeout: float, log_path: Path) -> str:
-    """Run a lease client to completion; its full output is returned and
-    lands in ``log_path`` for post-mortems."""
-    try:
-        result = subprocess.run(
-            command,
-            capture_output=True,
-            text=True,
-            timeout=timeout + 10.0,
-            env=_child_env(),
-        )
-        output = result.stdout + result.stderr
-    except subprocess.TimeoutExpired as exc:
-        output = f"{exc.stdout or ''}{exc.stderr or ''}\n(killed: wedged client)"
-    log_path.write_text(output)
-    return output
-
-
-_GRANTED_RE = re.compile(r"^GRANTED lease=\S+ token=(\d+) ", re.MULTILINE)
-_TRANSFERRED_RE = re.compile(
-    r"^TRANSFERRED lease=\S+ successor=\d+ token=(\d+)", re.MULTILINE
-)
-
-
-def _lease_acquire(
-    ports: List[int],
-    host: str,
-    contact_node: int,
-    client_id: int,
-    timeout: float,
-    log_path: Path,
-) -> Optional[int]:
-    """Run one ``repro lease acquire`` round trip; return its fencing token.
-
-    This exercises the learned sender address plumbing, the redirect
-    dance, and (after a kill) the new leader's takeover grace.  None means
-    no grant within ``timeout``.
-    """
-    command = _lease_cli(
-        "acquire", "smoke-lock", ports, host, contact_node, client_id,
-        "--ttl", "2.0", "--timeout", str(timeout),
-    )
-    match = _GRANTED_RE.search(_run_logged(command, timeout, log_path))
-    return int(match.group(1)) if match else None
-
-
-def _lease_transfer(
-    ports: List[int],
-    host: str,
-    contact_node: int,
-    client_id: int,
-    successor: int,
-    timeout: float,
-    log_path: Path,
-) -> Optional[Tuple[int, int]]:
-    """Run one ``repro lease transfer`` round trip; return (grant, handoff)
-    fencing tokens, or None if either line never appeared.
-
-    The client acquires ``handoff-lock`` and immediately hands it to
-    ``successor``; the handoff must mint a strictly larger token than the
-    grant (checked by the caller) — the same fencing contract the kill
-    smoke asserts, but across a voluntary transfer instead of a failover.
-    """
-    command = _lease_cli(
-        "transfer", "handoff-lock", ports, host, contact_node, client_id,
-        "--successor", str(successor), "--ttl", "2.0", "--timeout", str(timeout),
-    )
-    output = _run_logged(command, timeout, log_path)
-    granted = _GRANTED_RE.search(output)
-    transferred = _TRANSFERRED_RE.search(output)
-    if granted is None or transferred is None:
-        return None
-    return int(granted.group(1)), int(transferred.group(1))
-
-
 def _pump_output(
-    node_id: int, stream: IO[str], queue: "Queue[Tuple[int, str]]", log: IO[str]
+    label: str, stream: IO[str], queue: "Queue[Tuple[str, str]]", log: IO[str]
 ) -> None:
     for line in stream:
         line = line.rstrip("\n")
         log.write(f"{time.time():.6f} {line}\n")
         log.flush()
-        queue.put((node_id, line))
-
-
-def _parse_leader(line: str) -> Optional[Tuple[int, int, Optional[int]]]:
-    """``LEADER node=2 group=1 leader=0 t=...`` → (2, 1, 0); else None."""
-    if not line.startswith("LEADER "):
-        return None
-    fields = dict(
-        part.split("=", 1) for part in line.split()[1:] if "=" in part
-    )
-    try:
-        node = int(fields["node"])
-        group = int(fields["group"])
-        leader = None if fields["leader"] == "none" else int(fields["leader"])
-    except (KeyError, ValueError):
-        return None
-    return node, group, leader
+        queue.put((label, line))
 
 
 class _LeaderBoard:
@@ -500,6 +382,17 @@ class _LeaderBoard:
 
     def record(self, node: int, group: int, leader: Optional[int]) -> None:
         self.views[(group, node)] = leader
+
+    def observe(self, kind: str, fields: Dict[str, str]) -> None:
+        """Record a parsed ``LEADER`` line; ignore any other line."""
+        if kind != "LEADER":
+            return
+        with contextlib.suppress(KeyError, ValueError):
+            leader = fields["leader"]
+            self.record(
+                int(fields["node"]), int(fields["group"]),
+                None if leader == "none" else int(leader),
+            )
 
     def agreed_leader(self, group: int, alive: List[int]) -> Optional[int]:
         """The single leader all ``alive`` nodes agree on for ``group``."""
@@ -567,6 +460,7 @@ def run_cluster(
 
     report = ClusterReport(n_nodes=n_nodes, n_groups=groups, log_dir=log_dir)
     group_ids = list(range(1, groups + 1))
+    port_list = ",".join(map(str, ports))
     # Children outlive every phase timeout, then exit on their own even if
     # this orchestrator dies mid-run.  The lease smoke adds the acquire and
     # transfer round trips, a post-kill acquire that rides out the takeover
@@ -578,38 +472,62 @@ def run_cluster(
         if echo:
             print(line, flush=True)
 
-    queue: "Queue[Tuple[int, str]]" = Queue()
-    children: Dict[int, subprocess.Popen] = {}
-    logs: Dict[int, IO[str]] = {}
-    threads: List[threading.Thread] = []
+    queue: "Queue[Tuple[str, str]]" = Queue()
+    children: Dict[str, subprocess.Popen] = {}  # by label, which names the log
+    pumps: Dict[str, threading.Thread] = {}
+    logs: List[IO[str]] = []
+    heard: List[Tuple[str, str, Dict[str, str]]] = []  # (label, kind, fields)
     board = _LeaderBoard()
-    watch_child: Optional[subprocess.Popen] = None
-    watch_log: Optional[IO[str]] = None
-    watch_log_path = log_dir / "lease-watch.log"
+
+    def spawn(label: str, *argv: str) -> None:
+        """Start ``repro.cli <argv>``; its lines reach ``drain`` and
+        ``<label>.log``."""
+        child = children[label] = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=_child_env(),
+            text=True,
+        )
+        logs.append(open(log_dir / f"{label}.log", "w"))
+        pumps[label] = threading.Thread(
+            target=_pump_output, args=(label, child.stdout, queue, logs[-1]), daemon=True
+        )
+        pumps[label].start()
+
+    def lease_client(label: str, op: str, name: str, contact: int, client: int,
+                     *extra: str) -> None:
+        """Start a ``repro lease <op>`` client: the code path a user's
+        ``repro lease`` takes, real UDP included."""
+        spawn(label, "lease", op, "--ports", port_list, "--host", host, "--name", name,
+              "--contact-node", str(contact), "--client-id", str(client), *extra)
 
     def drain(deadline: float) -> None:
-        """Feed queued child lines into the leader board until ``deadline``."""
+        """Take one queued child line, if one comes before ``deadline``."""
         budget = max(0.0, deadline - time.time())
         try:
-            node, line = queue.get(timeout=min(budget, 0.2) or 0.01)
+            label, line = queue.get(timeout=min(budget, 0.2) or 0.01)
         except Empty:
             return
-        parsed = _parse_leader(line)
-        if parsed is not None:
-            board.record(*parsed)
-            note(f"  [{node}] {line}")
+        kind, fields = _parse_line(line)
+        board.observe(kind, fields)
+        heard.append((label, kind, fields))
+        note(f"  [{label}] {line}")
 
-    def dead_children(alive: List[int]) -> List[Tuple[int, int]]:
-        """(node, exit code) for alive-set members whose process died."""
-        return [
-            (node, children[node].poll())
-            for node in alive
-            if node in children and children[node].poll() is not None
-        ]
+    def await_line(label: str, kind: str, seconds: float, **want: str) -> Dict[str, str]:
+        """The fields of the first ``kind`` line ``label`` printed that has
+        ``want``, waiting up to ``seconds`` (+10 s to start a process)."""
+        deadline = time.time() + seconds + 10.0
+        while True:
+            for source, said, fields in heard:
+                if source == label and said == kind and want.items() <= fields.items():
+                    return fields
+            # Its pump ends after queueing the child's last line.
+            if time.time() >= deadline or (not pumps[label].is_alive() and queue.empty()):
+                raise _Abort(f"lease smoke: no {kind} line from {label} (see {label}.log)")
+            drain(deadline)
 
-    def await_agreement(
-        group: int, alive: List[int], deadline: float, label: str
-    ) -> Optional[int]:
+    def await_agreement(group: int, alive: List[int], deadline: float, label: str) -> int:
         """Wait for one leader all ``alive`` nodes agree on, held stably.
 
         Fails fast (rather than burning the whole timeout) when any node
@@ -619,12 +537,15 @@ def run_cluster(
         agreed_since: Optional[float] = None
         agreed: Optional[int] = None
         while time.time() < deadline:
-            dead = dead_children(alive)
+            dead = [
+                f"node {n} (exit {code})"
+                for n in alive
+                if (code := children[f"node-{n}"].poll()) is not None
+            ]
             if dead:
-                losses = ", ".join(f"node {n} (exit {code})" for n, code in dead)
+                losses = ", ".join(dead)
                 note(f"daemon process died during {label}: {losses}")
-                report.reason = f"daemon exited early during {label}: {losses}"
-                return None
+                raise _Abort(f"daemon exited early during {label}: {losses}")
             drain(deadline)
             current = board.agreed_leader(group, alive)
             if current is None:
@@ -635,7 +556,7 @@ def run_cluster(
             elif agreed_since is not None and time.time() - agreed_since >= stable_seconds:
                 return agreed
         note(f"timeout waiting for {label}; views={board.views}")
-        return None
+        raise _Abort(f"no whole-cluster leader agreement within timeout ({label})")
 
     try:
         note(
@@ -644,127 +565,76 @@ def run_cluster(
         )
         start_time = time.time()
         for node_id in range(n_nodes):
-            child = _spawn_node(node_id, ports, host, service, child_duration, groups)
-            children[node_id] = child
-            log = open(log_dir / f"node-{node_id}.log", "w")
-            logs[node_id] = log
-            thread = threading.Thread(
-                target=_pump_output,
-                args=(node_id, child.stdout, queue, log),
-                daemon=True,
+            spawn(
+                f"node-{node_id}", "node", "--node-id", str(node_id), "--ports", port_list,
+                "--host", host, "--groups", str(groups), *flag_argv(service, NODE_FLAGS),
+                "--duration", str(child_duration),
             )
-            thread.start()
-            threads.append(thread)
 
         alive = list(range(n_nodes))
-        deadline = start_time + timeout
         for group in group_ids:
-            leader = await_agreement(
-                group, alive, deadline, f"first election (group {group})"
+            report.first_leaders[group] = await_agreement(
+                group, alive, start_time + timeout, f"first election (group {group})",
             )
-            if leader is None:
-                report.reason = report.reason or (
-                    f"no whole-cluster leader agreement for group {group} "
-                    "within timeout"
-                )
-                return report
-            report.first_leaders[group] = leader
-        report.first_leader = report.first_leaders[group_ids[0]]
         report.election_seconds = time.time() - start_time
         note(
             f"cluster agreed on leader(s) {report.first_leaders} after "
             f"{report.election_seconds:.2f}s"
         )
 
+        first = report.first_leader
         if lease_smoke:
             note("lease smoke: acquiring smoke-lock via a client subprocess")
-            token = _lease_acquire(
-                ports, host, report.first_leader, 1000, timeout,
-                log_dir / "lease-before-kill.log",
-            )
-            if token is None:
-                report.reason = (
-                    "lease smoke: no grant before the kill (see "
-                    "lease-before-kill.log)"
-                )
-                return report
+            lease_client("lease-before-kill", "acquire", "smoke-lock", first, 1000,
+                         "--ttl", "2.0", "--timeout", str(timeout))
+            token = int(await_line("lease-before-kill", "GRANTED", timeout)["token"])
             report.lease_first_token = token
             note(f"lease smoke: granted token {token}")
 
+            # The client acquires handoff-lock and at once hands it to a
+            # successor: the same fencing contract as across the kill.
             note("lease smoke: transferring handoff-lock to a successor")
-            tokens = _lease_transfer(
-                ports, host, report.first_leader, 1003, 1004, timeout,
-                log_dir / "lease-transfer.log",
-            )
-            if tokens is None:
-                report.reason = (
-                    "lease smoke: transfer did not complete (see "
-                    "lease-transfer.log)"
-                )
-                return report
-            report.lease_transfer_first_token = tokens[0]
-            report.lease_transfer_token = tokens[1]
-            if tokens[1] <= tokens[0]:
-                report.reason = (
+            lease_client("lease-transfer", "transfer", "handoff-lock", first, 1003,
+                         "--successor", "1004", "--ttl", "2.0", "--timeout", str(timeout))
+            before = int(await_line("lease-transfer", "GRANTED", timeout)["token"])
+            after = int(await_line("lease-transfer", "TRANSFERRED", timeout)["token"])
+            report.lease_transfer_first_token, report.lease_transfer_token = before, after
+            if after <= before:
+                raise _Abort(
                     "lease smoke: fencing token did not advance across the "
-                    f"transfer ({tokens[0]} -> {tokens[1]})"
+                    f"transfer ({before} -> {after})"
                 )
-                return report
-            note(
-                f"lease smoke: transfer advanced token {tokens[0]} -> "
-                f"{tokens[1]}"
-            )
+            note(f"lease smoke: transfer advanced token {before} -> {after}")
 
             if kill_leader:
                 # Subscribe a watcher that spans the kill.  Its contact
                 # node must survive the kill so the resubscribe after the
                 # failover (deadman poll → redirect) can reach the new
                 # leader; the first leader is the node about to die.
-                contact = next(
-                    node for node in alive if node != report.first_leader
-                )
-                watch_log = open(watch_log_path, "w")
-                watch_child = subprocess.Popen(
-                    _lease_cli(
-                        "watch", "smoke-lock", ports, host, contact, 1002,
-                        "--period", "1.0", "--duration", str(4 * timeout + 30.0),
-                    ),
-                    stdout=watch_log,  # HOLDER ... via=push|poll lines
-                    stderr=subprocess.STDOUT,
-                    env=_child_env(),
-                    text=True,
-                )
+                contact = next(node for node in alive if node != first)
+                lease_client("lease-watch", "watch", "smoke-lock", contact, 1002,
+                             "--period", "1.0", "--duration", str(4 * timeout + 30.0))
                 note(
                     "lease smoke: watcher (client 1002) subscribed via "
                     f"node {contact}, spanning the kill"
                 )
 
         if kill_leader:
-            leader = report.first_leader
-            note(f"killing group-1 leader process (node {leader}) with SIGKILL")
-            children[leader].kill()
-            children[leader].wait()
-            report.killed_leader = leader
+            note(f"killing group-1 leader process (node {first}) with SIGKILL")
+            children[f"node-{first}"].kill()
+            children[f"node-{first}"].wait()
+            report.killed_leader = first
             kill_time = time.time()
-            alive = [node for node in alive if node != leader]
+            alive = [node for node in alive if node != first]
             # The dead node's stale views must not satisfy any agreement.
-            board.drop_node(leader)
-            deadline = kill_time + timeout
+            board.drop_node(first)
             for group in group_ids:
-                new_leader = await_agreement(
-                    group, alive, deadline, f"re-election (group {group})"
-                )
-                if new_leader is None:
-                    report.reason = report.reason or (
-                        f"survivors did not re-elect group {group} within "
-                        "timeout"
-                    )
-                    return report
                 # agreed_leader only returns members of `alive`, and the
                 # killed node was removed from it, so every group ends on
                 # an alive leader — for group 1 necessarily a *new* one.
-                report.new_leaders[group] = new_leader
-            report.new_leader = report.new_leaders[group_ids[0]]
+                report.new_leaders[group] = await_agreement(
+                    group, alive, kill_time + timeout, f"re-election (group {group})",
+                )
             report.reelection_seconds = time.time() - kill_time
             note(
                 f"survivors re-elected leader(s) {report.new_leaders} after "
@@ -775,73 +645,41 @@ def run_cluster(
                 # The new leader holds grants until its takeover grace
                 # runs out, so this client may retry for several seconds.
                 note("lease smoke: re-acquiring smoke-lock from a survivor")
-                token = _lease_acquire(
-                    ports, host, report.new_leader, 1001, 2 * timeout,
-                    log_dir / "lease-after-kill.log",
-                )
-                if token is None:
-                    report.reason = (
-                        "lease smoke: no grant after the kill (see "
-                        "lease-after-kill.log)"
-                    )
-                    return report
+                lease_client("lease-after-kill", "acquire", "smoke-lock", report.new_leader,
+                             1001, "--ttl", "2.0", "--timeout", str(2 * timeout))
+                token = int(await_line("lease-after-kill", "GRANTED", 2 * timeout)["token"])
                 report.lease_new_token = token
                 note(f"lease smoke: re-granted token {token}")
                 if token <= report.lease_first_token:
-                    report.reason = (
+                    raise _Abort(
                         "lease smoke: fencing token did not advance across "
                         f"the kill ({report.lease_first_token} -> {token})"
                     )
-                    return report
-
                 # The post-kill grant just changed smoke-lock's holder;
                 # the spanning watcher must have seen that change arrive
                 # as a push notification from the *new* leader.
-                push_re = re.compile(
-                    r"^HOLDER lease=smoke-lock holder=1001 token=(\d+) "
-                    r"via=push",
-                    re.MULTILINE,
-                )
-                push_deadline = time.time() + timeout
-                push_token = None
-                while time.time() < push_deadline:
-                    if watch_log_path.exists():
-                        match = push_re.search(watch_log_path.read_text())
-                        if match is not None:
-                            push_token = int(match.group(1))
-                            break
-                    time.sleep(0.2)
-                if push_token is None:
-                    report.reason = (
-                        "lease smoke: watcher never saw the post-kill "
-                        "holder change via push (see lease-watch.log)"
-                    )
-                    return report
-                report.lease_watch_push_token = push_token
+                push = await_line("lease-watch", "HOLDER", timeout, holder="1001", via="push")
+                report.lease_watch_push_token = int(push["token"])
                 note(
                     "lease smoke: watcher saw post-kill holder 1001 via "
-                    f"push (token {push_token})"
+                    f"push (token {report.lease_watch_push_token})"
                 )
 
         report.ok = True
-        return report
+    except _Abort as exc:
+        report.reason = str(exc)
     finally:
-        if watch_child is not None and watch_child.poll() is None:
-            watch_child.terminate()
-            with contextlib.suppress(subprocess.TimeoutExpired):
-                watch_child.wait(timeout=5.0)
-        if watch_log is not None:
-            watch_log.close()
         for child in children.values():
             if child.poll() is None:
                 child.terminate()
         for child in children.values():
             with contextlib.suppress(subprocess.TimeoutExpired):
                 child.wait(timeout=5.0)
-        for thread in threads:
+        for thread in pumps.values():
             thread.join(timeout=2.0)
-        for log in logs.values():
+        for log in logs:
             log.close()
         (log_dir / "timeline.log").write_text(
             "\n".join(report.timeline) + "\n"
         )
+    return report

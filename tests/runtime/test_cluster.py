@@ -6,7 +6,8 @@ pure pieces — config validation, line-protocol parsing, agreement logic,
 port reservation — and the argument parser, so failures localize.
 """
 
-import re
+import asyncio
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,11 +15,14 @@ from repro.cli import build_parser, main
 from repro.core.service import ServiceConfig
 from repro.fd.qos import FDQoS
 from repro.flags import NODE_FLAGS, apply_flags, flag_argv
+from repro.lease import live
+from repro.net.message import LeaseReplyMessage
 from repro.runtime.cluster import (
     LiveNodeConfig,
     _LeaderBoard,
-    _parse_leader,
+    _parse_line,
     _reserve_udp_ports,
+    run_node,
 )
 
 
@@ -42,15 +46,26 @@ class TestLiveNodeConfig:
 
 
 class TestLineProtocol:
+    """Every child line is ``KIND key=value ...``: ``emit_line`` writes it,
+    ``_parse_line`` reads it, the leader board keeps the LEADER ones."""
+
+    @staticmethod
+    def _board(*lines):
+        board = _LeaderBoard()
+        for line in lines:
+            board.observe(*_parse_line(line))
+        return board
+
     def test_parse_leader_line(self):
-        assert _parse_leader("LEADER node=2 group=3 leader=0 t=17.5") == (2, 3, 0)
+        line = "LEADER node=2 group=3 leader=0 t=17.5"
+        assert _parse_line(line) == (
+            "LEADER", {"node": "2", "group": "3", "leader": "0", "t": "17.5"}
+        )
+        assert self._board(line).views == {(3, 2): 0}
 
     def test_parse_none_leader(self):
-        assert _parse_leader("LEADER node=1 group=2 leader=none t=3.25") == (
-            1,
-            2,
-            None,
-        )
+        board = self._board("LEADER node=1 group=2 leader=none t=3.25")
+        assert board.views == {(2, 1): None}
 
     @pytest.mark.parametrize(
         "line",
@@ -65,7 +80,17 @@ class TestLineProtocol:
         ],
     )
     def test_non_leader_lines_are_ignored(self, line):
-        assert _parse_leader(line) is None
+        assert self._board(line).views == {}
+
+    def test_a_daemons_lines_round_trip(self, capsys):
+        """A lone daemon elects itself: its real LEADER line reaches the board."""
+        ports = tuple(_reserve_udp_ports("127.0.0.1", 1))
+        asyncio.run(run_node(LiveNodeConfig(node_id=0, ports=ports, duration=0.3)))
+        out = capsys.readouterr().out.splitlines()
+        parsed = [_parse_line(line) for line in out]
+        assert sorted(kind for kind, _ in parsed) == ["DONE", "LEADER", "READY"]
+        assert ("READY", {"node": "0", "port": str(ports[0])}) in parsed
+        assert self._board(*out).views == {(1, 0): 0}
 
 
 class TestLeaderBoard:
@@ -162,45 +187,94 @@ class TestCli:
         out = capsys.readouterr().out
         assert "repro-experiment" in out  # the experiments parser answered
 
+    def test_self_transfer_is_a_usage_error(self, capsys):
+        exit_code = main([
+            "lease", "transfer", "--ports", "1,2", "--name", "x",
+            "--client-id", "7", "--successor", "7", "--timeout", "1",
+        ])
+        assert exit_code == 2
+        assert "--successor" in capsys.readouterr().err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fly"])
 
 
+class _AnsweringClient:
+    """A lease client that answers at once: a grant (token 5), a transfer
+    (token 9) unless told to refuse it, and two holder changes — one from
+    a (re-)subscribe poll, then one pushed."""
+
+    on_lost = None
+
+    def __init__(self, transfers=True):
+        self.transfers = transfers
+
+    def acquire(self, name, ttl, callback):
+        callback(LeaseReplyMessage(0, 0, status="granted", token=5, expiry=2.5))
+
+    def transfer(self, name, successor, callback):
+        if self.transfers:
+            callback(LeaseReplyMessage(0, 0, status="granted", token=9, holder=successor))
+        return self.transfers
+
+    def watch(self, name, callback, period):
+        callback(LeaseReplyMessage(0, 0, holder=1000, token=5, nonce=4))
+        callback(LeaseReplyMessage(0, 0, holder=1001, token=7, nonce=0))
+        return lambda: None
+
+    def release(self, name):
+        return False
+
+    def close(self):
+        pass
+
+
 class TestLeaseSmokeLineProtocol:
-    def test_granted_line_parses(self):
-        from repro.runtime.cluster import _GRANTED_RE
+    """The lease clients' real lines, read back by the orchestrator's parser
+    with the fields ``run_cluster`` asks for."""
 
-        match = _GRANTED_RE.search("GRANTED lease=smoke-lock token=42 expiry=17.5\n")
-        assert match and int(match.group(1)) == 42
+    @staticmethod
+    def _run(monkeypatch, capsys, entry, client=None, **kwargs):
+        async def open_client(**_):
+            return SimpleNamespace(close=lambda: None), client or _AnsweringClient()
 
-    def test_transferred_line_parses(self):
-        from repro.runtime.cluster import _TRANSFERRED_RE
+        monkeypatch.setattr(live, "_open_client", open_client)
+        code = asyncio.run(entry(name="smoke-lock", host="127.0.0.1", ports=(1,), **kwargs))
+        return code, [_parse_line(line) for line in capsys.readouterr().out.splitlines()]
 
-        line = "TRANSFERRED lease=handoff-lock successor=1004 token=99\n"
-        match = _TRANSFERRED_RE.search(line)
-        assert match and int(match.group(1)) == 99
+    def test_granted_line_parses(self, monkeypatch, capsys):
+        code, lines = self._run(monkeypatch, capsys, live.acquire_main)
+        assert code == 0
+        assert lines == [("GRANTED", {"lease": "smoke-lock", "token": "5", "expiry": "2.500000"})]
 
-    def test_transferred_regex_ignores_other_lines(self):
-        from repro.runtime.cluster import _TRANSFERRED_RE
+    def test_transferred_line_parses(self, monkeypatch, capsys):
+        code, lines = self._run(monkeypatch, capsys, live.transfer_main, successor=1004)
+        assert code == 0
+        assert [kind for kind, _ in lines] == ["GRANTED", "TRANSFERRED"]
+        assert lines[1][1] == {"lease": "smoke-lock", "successor": "1004", "token": "9"}
 
+    def test_only_a_transferred_line_is_transferred(self):
         for line in (
             "GRANTED lease=handoff-lock token=42 expiry=17.5",
             "DENIED lease=handoff-lock",
             "noise TRANSFERRED lease=x successor=1 token=2",
         ):
-            assert _TRANSFERRED_RE.search(line) is None
+            assert _parse_line(line)[0] != "TRANSFERRED"
 
-    def test_push_holder_line_shape(self):
-        # The watcher assertion in run_cluster keys on via=push; pin the
-        # exact line the CLI emits so the two sides cannot drift apart.
-        pattern = re.compile(
-            r"^HOLDER lease=smoke-lock holder=1001 token=(\d+) via=push",
-            re.MULTILINE,
+    def test_push_holder_line_shape(self, monkeypatch, capsys):
+        code, lines = self._run(monkeypatch, capsys, live.watch_main, duration=0.0)
+        assert code == 0
+        wanted = {"holder": "1001", "via": "push"}.items()  # what run_cluster awaits
+        assert [fields["token"] for kind, fields in lines
+                if kind == "HOLDER" and wanted <= fields.items()] == ["7"]
+        assert ("HOLDER", {"lease": "smoke-lock", "holder": "1000", "token": "5",
+                           "via": "poll"}) in lines
+
+    def test_a_transfer_the_client_will_not_send_is_refused(self, monkeypatch, capsys):
+        client = _AnsweringClient(transfers=False)
+        code, lines = self._run(
+            monkeypatch, capsys, live.transfer_main, client=client, successor=1004
         )
-        assert pattern.search(
-            "HOLDER lease=smoke-lock holder=1001 token=7 via=push\n"
-        )
-        assert not pattern.search(
-            "HOLDER lease=smoke-lock holder=1001 token=7 via=poll\n"
-        )
+        assert code == 1
+        assert [kind for kind, _ in lines] == ["GRANTED", "REFUSED"]

@@ -1,9 +1,11 @@
 """Wire codec: round-trips for every message type, strict rejection."""
 
 import struct
+from dataclasses import fields
 
 import pytest
 
+from repro.net import message as message_module
 from repro.net.message import (
     AccEntry,
     AccuseMessage,
@@ -31,6 +33,7 @@ from repro.runtime.codec import (
     encode_message_into,
 )
 from repro.lease.server import LEDGER_SEGMENT_CAP
+from repro.runtime import codec
 
 MEMBERS = (
     MemberInfo(pid=1, node=4, incarnation=2_000_007, candidate=True,
@@ -389,6 +392,46 @@ class TestRoundTrip:
             assert encode_message(message) == encode_message(message)
 
 
+def _init_fields(cls) -> tuple:
+    return tuple(spec.name for spec in fields(cls) if spec.init)
+
+
+class TestLayoutTable:
+    """The codec's table states every field of its dataclasses, in declaration
+    order (decoders construct positionally): a field added to a message
+    without a wire slot fails here instead of decoding as its default."""
+
+    def test_a_message_row_is_its_fields_after_the_routing_pair(self):
+        for layout in codec._MESSAGES.values():
+            names = _init_fields(layout.cls)
+            assert names[:2] == ("sender_node", "dest_node")
+            assert layout.fields == names[2:], layout.cls.__name__
+
+    def test_a_record_row_is_all_its_fields(self):
+        assert {layout.cls for layout in codec._RECORDS} == {
+            MemberInfo, AccEntry, LeaseRecord, SwimUpdate,
+        }
+        for layout in codec._RECORDS:
+            assert layout.fields == _init_fields(layout.cls), layout.cls.__name__
+
+    def test_a_format_packs_one_value_per_field(self):
+        for layout in (*codec._RECORDS, *codec._MESSAGES.values()):
+            values = struct.unpack(layout.fmt, bytes(struct.calcsize(layout.fmt)))
+            assert len(values) == len(layout.fields), layout.cls.__name__
+
+    def test_every_message_type_has_exactly_one_encoding(self):
+        message_types = {
+            cls for cls in map(vars(message_module).get, message_module.__all__)
+            if isinstance(cls, type) and issubclass(cls, Message) and cls is not Message
+        }
+        rows = [layout.cls for layout in codec._MESSAGES.values()]
+        assert len(rows) == len(set(rows))
+        # The two bodies with optional blocks are written out by hand.
+        assert set(rows) | {BatchFrame, HelloMessage} == message_types
+        assert not {BatchFrame, HelloMessage} & set(rows)
+        assert set(codec._ENCODERS) == message_types
+
+
 class TestGoldenFrames:
     """Byte-for-byte wire compatibility with the recorded v8 layout."""
 
@@ -492,6 +535,28 @@ class TestRejection:
     def test_unknown_lease_status_is_rejected_on_encode(self):
         message = LeaseReplyMessage(sender_node=0, dest_node=1, status="maybe")
         with pytest.raises(CodecError, match="status"):
+            encode_message(message)
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            BatchFrame(sender_node=0, dest_node=1, cells=(AliveCell(group=1, pid=0),) * 0x8000),
+            SwimPingMessage(sender_node=0, dest_node=1, updates=SWIM_UPDATES[:1] * 256),
+            SwimAckMessage(sender_node=0, dest_node=1, nonce=-1),
+            LeaseEventMessage(sender_node=0, dest_node=1, lease=2**64),
+            LeaseRequestMessage(sender_node=0, dest_node=1, token=-1),
+            HelloMessage(sender_node=0, dest_node=1,
+                         leases=(LeaseRecord(1, 1, 1, 0.0, 0.0, False, 2**32),)),
+            HelloMessage(sender_node=0, dest_node=1,
+                         swim_updates=(SwimUpdate(node=1, incarnation=0, state="zombie"),)),
+            BatchFrame(sender_node=0, dest_node=1, swim_updates=(
+                SwimUpdate(node=1, incarnation=-1, state="alive"),)),
+        ],
+        ids=["cells", "swim-count", "nonce", "lease-id", "token", "record-seq",
+             "swim-state", "swim-incarnation"],
+    )
+    def test_out_of_range_counts_and_fields_are_refused_on_encode(self, message):
+        with pytest.raises(CodecError):
             encode_message(message)
 
     def test_unregistered_message_type_is_rejected_on_encode(self):
