@@ -286,27 +286,19 @@ class MembershipView:
         return self._digest64
 
     def delta_since(self, version: int) -> Tuple[MemberInfo, ...]:
-        """Records changed after ``version``, in change order.
+        """Records changed after ``version``, in change order: the uncut
+        :meth:`delta_window`.
 
-        Empty in steady state (the common case, checked without allocation);
+        Empty in steady state (the common case, checked without sorting);
         ``delta_since(0)`` is the full view, which is what bootstraps a
         destination never gossiped to before.
         """
-        if version >= self.version:
-            return ()
-        versions = self._record_versions
-        changed = [
-            (versions[pid], record)
-            for pid, record in self._records.items()
-            if versions[pid] > version
-        ]
-        changed.sort(key=lambda item: item[0])
-        return tuple(record for _, record in changed)
+        return self.delta_window(version, len(self._records))[0]
 
     def delta_window(
         self, version: int, limit: int
     ) -> Tuple[Tuple[MemberInfo, ...], int]:
-        """Like :meth:`delta_since`, but at most ``limit`` records.
+        """The records changed after ``version``, at most ``limit`` of them.
 
         Returns ``(records, high)`` where ``high`` is the version watermark
         the caller may advance its per-destination cursor to: the highest

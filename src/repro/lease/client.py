@@ -4,13 +4,13 @@ A :class:`LeaseClient` is a small asynchronous state machine driven by a
 scheduler (simulated or realtime — the same duck type).  It speaks
 :class:`~repro.net.message.LeaseRequestMessage` /
 :class:`~repro.net.message.LeaseReplyMessage` through a *channel*, an
-object with two members (plus one optional attribute)::
+object with three members::
 
     channel.node_id                      # node the client rides on
     channel.submit(message, reply_to)    # route one request; replies for
                                          # this client id reach reply_to
-    channel.on_event                     # if assignable, the client hooks
-                                         # it to receive push LeaseEvents
+    channel.on_event                     # assignable: the client hooks it
+                                         # to receive push LeaseEvents
 
 :class:`HostLeaseChannel` adapts an in-process group runtime (the path
 behind ``GroupHandle.lease()``); the live CLI builds an equivalent channel
@@ -38,10 +38,7 @@ Protocol behaviour:
   which doubles as the polling fallback.
 * a holder can :meth:`~LeaseClient.transfer` its lease to a successor
   without waiting out the TTL (the successor's fencing token still
-  strictly advances), and a preferred client can
-  :meth:`~LeaseClient.request_handoff`: the wish rides the holder's next
-  renew reply, the holder's ``on_handoff_request`` callback decides, and
-  the requester learns the outcome through a push event.
+  strictly advances).
 
 Nothing here blocks: results arrive through callbacks, which keeps one
 event loop able to drive thousands of simulated clients.
@@ -61,9 +58,7 @@ from repro.net.message import (
 
 __all__ = ["HostLeaseChannel", "LeaseClient", "LeaseGrant"]
 
-#: Read-only ops may run concurrently for one lease (each is tracked by
-#: its nonce, not the lease id — see LeaseClient._reads).
-_READ_OPS = frozenset(("query", "watch", "handoff"))
+Callback = Callable[[LeaseReplyMessage], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,11 +98,7 @@ class HostLeaseChannel:
     def node_id(self) -> int:
         return self._host.node.node_id
 
-    def submit(
-        self,
-        message: LeaseRequestMessage,
-        reply_to: Callable[[LeaseReplyMessage], None],
-    ) -> None:
+    def submit(self, message: LeaseRequestMessage, reply_to: Callback) -> None:
         service = self._host.service
         if service is None:
             return  # daemon down (node crashed): drop, client will retry
@@ -116,72 +107,38 @@ class HostLeaseChannel:
             runtime.submit_lease_request(message, reply_to, self.on_event)
 
 
+@dataclass(slots=True, eq=False)
 class _Op:
-    """One in-flight request (mutating ops: at most one per lease id;
-    read-only ops: any number, tracked per nonce)."""
+    """One in-flight request, tracked under its current nonce."""
 
-    __slots__ = (
-        "kind",
-        "name",
-        "lease",
-        "token",
-        "ttl",
-        "wait",
-        "successor",
-        "nonce",
-        "attempts",
-        "timer",
-        "callback",
-    )
-
-    def __init__(
-        self,
-        kind: str,
-        name: str,
-        lease: int,
-        token: int,
-        ttl: float,
-        wait: bool,
-        callback: Optional[Callable[[LeaseReplyMessage], None]],
-        successor: int = -1,
-    ) -> None:
-        self.kind = kind
-        self.name = name
-        self.lease = lease
-        self.token = token
-        self.ttl = ttl
-        self.wait = wait
-        self.successor = successor
-        self.nonce = 0
-        self.attempts = 0
-        self.timer = None
-        self.callback = callback
+    kind: str
+    name: str
+    lease: int
+    token: int = 0
+    ttl: float = 0.0
+    wait: bool = False
+    callback: Optional[Callback] = None
+    successor: int = -1
+    nonce: int = 0
+    attempts: int = 0
+    timer: object = None
 
 
+@dataclass(slots=True, eq=False)
 class _Watch:
     """One active watch subscription on one lease."""
 
-    __slots__ = ("name", "lease", "callback", "period", "last",
-                 "timer", "op", "stopped")
-
-    def __init__(
-        self,
-        name: str,
-        lease: int,
-        callback: Callable[[LeaseReplyMessage], None],
-        period: float,
-    ) -> None:
-        self.name = name
-        self.lease = lease
-        self.callback = callback
-        self.period = period
-        #: Last (holder, token) delivered; None until the first reply.
-        self.last: Optional[Tuple[int, int]] = None
-        #: Deadman timer: fires a re-subscribe.
-        self.timer = None
-        #: The in-flight subscribe op, cancellable on stop.
-        self.op: Optional[_Op] = None
-        self.stopped = False
+    name: str
+    lease: int
+    callback: Callback
+    period: float
+    #: Last (holder, token) delivered; None until the first reply.
+    last: Optional[Tuple[int, int]] = None
+    #: Deadman timer: fires a re-subscribe.
+    timer: object = None
+    #: The in-flight subscribe op, cancellable on stop.
+    op: Optional[_Op] = None
+    stopped: bool = False
 
 
 class LeaseClient:
@@ -198,7 +155,6 @@ class LeaseClient:
         request_timeout: float = 0.25,
         max_backoff: float = 2.0,
         on_lost: Optional[Callable[[str], None]] = None,
-        on_handoff_request: Optional[Callable[[str, int], bool]] = None,
     ) -> None:
         self.channel = channel
         self.scheduler = scheduler
@@ -208,30 +164,21 @@ class LeaseClient:
         self.request_timeout = request_timeout
         self.max_backoff = max_backoff
         self.on_lost = on_lost
-        #: Asked while holding a lease someone requested a handoff for:
-        #: ``on_handoff_request(name, requester) -> bool`` — True hands the
-        #: lease over (a transfer is sent); None/False keeps it.
-        self.on_handoff_request = on_handoff_request
         #: Leader location learned from redirects/replies (None = ask the
         #: local node, which answers or redirects).
         self.leader_node: Optional[int] = None
         self._nonce = 0
-        #: Mutating in-flight ops, one per lease id.
-        self._ops: Dict[int, _Op] = {}
-        #: Read-only in-flight ops, keyed by their current nonce so any
-        #: number may coexist per lease (re-keyed on every resend).
-        self._reads: Dict[int, _Op] = {}
+        #: Every in-flight op, keyed by its current nonce (re-keyed on every
+        #: send): a reply is matched by its nonce alone.
+        self._inflight: Dict[int, _Op] = {}
+        #: The one mutating op per lease id; a new one supersedes it.
+        self._mutating: Dict[int, _Op] = {}
         self._grants: Dict[int, LeaseGrant] = {}
         self._renew_timers: Dict[int, object] = {}
         #: Active watches per lease id.
         self._watches: Dict[int, List[_Watch]] = {}
-        #: lease id -> (name, callback) for a pending handoff request.
-        self._handoff_pending: Dict[int, Tuple[str, Optional[Callable]]] = {}
         self._closed = False
-        try:
-            channel.on_event = self._on_event
-        except AttributeError:
-            pass  # event-less channel: watches fall back to polling
+        channel.on_event = self._on_event
 
     # ------------------------------------------------------------------
     # Public API
@@ -240,7 +187,7 @@ class LeaseClient:
         self,
         name: str,
         ttl: float = 0.0,
-        callback: Optional[Callable[[LeaseReplyMessage], None]] = None,
+        callback: Optional[Callback] = None,
         *,
         wait: bool = True,
     ) -> None:
@@ -252,32 +199,22 @@ class LeaseClient:
         """
         self._start(_Op("acquire", name, lease_id(name), 0, ttl, wait, callback))
 
-    def release(
-        self,
-        name: str,
-        callback: Optional[Callable[[LeaseReplyMessage], None]] = None,
-    ) -> bool:
+    def release(self, name: str, callback: Optional[Callback] = None) -> bool:
         """Release a held lease; False (no send) if not currently held."""
         grant = self._grants.pop(lease_id(name), None)
         if grant is None:
             return False
         self._cancel_renew(grant.lease)
-        self._start(
-            _Op("release", name, grant.lease, grant.token, 0.0, False, callback)
-        )
+        self._start(_Op("release", name, grant.lease, grant.token, callback=callback))
         return True
 
-    def query(
-        self, name: str, callback: Callable[[LeaseReplyMessage], None]
-    ) -> None:
+    def query(self, name: str, callback: Callback) -> None:
         """One-shot holder/token lookup (an ``info`` reply)."""
-        self._start(_Op("query", name, lease_id(name), 0, 0.0, False, callback))
+        self._start(_Op("query", name, lease_id(name), callback=callback),
+                    mutating=False)
 
     def watch(
-        self,
-        name: str,
-        callback: Callable[[LeaseReplyMessage], None],
-        period: float = 1.0,
+        self, name: str, callback: Callback, period: float = 1.0
     ) -> Callable[[], None]:
         """Watch ``name``; fire ``callback`` whenever (holder, token) moves.
 
@@ -304,33 +241,25 @@ class LeaseClient:
             if watch.timer is not None:
                 self.scheduler.cancel(watch.timer)
                 watch.timer = None
-            op = watch.op
-            if op is not None:
+            if watch.op is not None:
                 # The in-flight subscribe op dies with the watch — it
                 # must not keep resending through the timeout machinery.
+                self._drop(watch.op)
                 watch.op = None
-                self._cancel_read(op)
-            peers = self._watches.get(watch.lease)
-            if peers is not None:
-                try:
-                    peers.remove(watch)
-                except ValueError:
-                    pass
-                if not peers:
-                    del self._watches[watch.lease]
-                    if not self._closed:
-                        # Best-effort unsubscribe: fire-and-forget (no
-                        # reply, no retries — a lost unwatch merely costs
-                        # ignored events until the tenure ends).
-                        self._send_oneshot("unwatch", watch.lease)
+            # Not stopped, so not closed: the watch is still listed.
+            peers = self._watches[watch.lease]
+            peers.remove(watch)
+            if not peers:
+                del self._watches[watch.lease]
+                # Best-effort unsubscribe: fire-and-forget (no reply, no
+                # retries — a lost unwatch merely costs ignored events
+                # until the tenure ends).
+                self._submit(_Op("unwatch", name, watch.lease))
 
         return stop
 
     def transfer(
-        self,
-        name: str,
-        successor: int,
-        callback: Optional[Callable[[LeaseReplyMessage], None]] = None,
+        self, name: str, successor: int, callback: Optional[Callback] = None
     ) -> bool:
         """Hand a held lease to ``successor`` without waiting out the TTL.
 
@@ -347,38 +276,9 @@ class LeaseClient:
         # mutating ops for the lease and would supersede each other); it
         # resumes from the kept grant if the transfer is denied.
         self._cancel_renew(grant.lease)
-        self._start(
-            _Op(
-                "transfer",
-                name,
-                grant.lease,
-                grant.token,
-                grant.ttl,
-                False,
-                callback,
-                successor=successor,
-            )
-        )
+        self._start(_Op("transfer", name, grant.lease, grant.token, grant.ttl,
+                        callback=callback, successor=successor))
         return True
-
-    def request_handoff(
-        self,
-        name: str,
-        callback: Optional[Callable[[LeaseReplyMessage], None]] = None,
-    ) -> None:
-        """Ask the current holder of ``name`` to hand the lease over.
-
-        The wish is registered at the leader and rides the holder's next
-        renew reply; if the holder's ``on_handoff_request`` agrees, the
-        resulting transfer reaches this client as a push event (the
-        request implicitly subscribes it), the grant is installed with
-        auto-renewal, and ``callback`` fires with the synthesized
-        ``info`` reply.  If the lease is free the request is a no-op
-        server-side — acquire instead.
-        """
-        lease = lease_id(name)
-        self._handoff_pending[lease] = (name, callback)
-        self._start(_Op("handoff", name, lease, 0, 0.0, False, None))
 
     def grant(self, name: str) -> Optional[LeaseGrant]:
         """The currently-held grant for ``name``, if any (expiry-checked)."""
@@ -391,22 +291,16 @@ class LeaseClient:
         """Drop all state; in-flight requests and held grants are abandoned
         (their validities simply run out — safe by construction)."""
         self._closed = True
-        for op in self._ops.values():
-            if op.timer is not None:
-                self.scheduler.cancel(op.timer)
-        self._ops.clear()
-        for op in self._reads.values():
-            if op.timer is not None:
-                self.scheduler.cancel(op.timer)
-        self._reads.clear()
+        for op in self._inflight.values():
+            self.scheduler.cancel(op.timer)
+        self._inflight.clear()
+        self._mutating.clear()
         for watches in self._watches.values():
             for watch in watches:
                 watch.stopped = True
-                if watch.timer is not None:
-                    self.scheduler.cancel(watch.timer)
-                    watch.timer = None
+                self.scheduler.cancel(watch.timer)
+                watch.timer = None
         self._watches.clear()
-        self._handoff_pending.clear()
         for timer in self._renew_timers.values():
             self.scheduler.cancel(timer)
         self._renew_timers.clear()
@@ -415,14 +309,15 @@ class LeaseClient:
     # ------------------------------------------------------------------
     # Request machinery
     # ------------------------------------------------------------------
-    def _start(self, op: _Op) -> None:
+    def _start(self, op: _Op, *, mutating: bool = True) -> None:
+        """Send a new op; a mutating one supersedes the lease's last."""
         if self._closed:
             return
-        if op.kind not in _READ_OPS:
-            stale = self._ops.get(op.lease)
-            if stale is not None and stale.timer is not None:
-                self.scheduler.cancel(stale.timer)
-            self._ops[op.lease] = op
+        if mutating:
+            stale = self._mutating.get(op.lease)
+            if stale is not None:
+                self._drop(stale)
+            self._mutating[op.lease] = op
         self._send(op)
 
     def _send(self, op: _Op) -> None:
@@ -433,18 +328,19 @@ class LeaseClient:
             # backoff of expiry instead of never.
             grant = self._grants.get(op.lease)
             if grant is None or grant.expiry <= self.scheduler.now:
-                if self._ops.get(op.lease) is op:
-                    del self._ops[op.lease]
+                self._drop(op)
                 if grant is not None:
                     self._lose(op.name, op.lease)
                 return
-        old_nonce = op.nonce
+        self._inflight.pop(op.nonce, None)
         self._nonce += 1
         op.nonce = self._nonce
-        if op.kind in _READ_OPS:
-            # Read ops are keyed by nonce; re-key on every send.
-            self._reads.pop(old_nonce, None)
-            self._reads[op.nonce] = op
+        self._inflight[op.nonce] = op
+        op.timer = self.scheduler.schedule(self._timeout(op), self._on_timeout, op)
+        self._submit(op)
+
+    def _submit(self, op: _Op) -> None:
+        """Route one datagram for ``op`` (an untracked ``unwatch`` too)."""
         dest = self.leader_node if self.leader_node is not None else self.channel.node_id
         message = LeaseRequestMessage(
             sender_node=self.channel.node_id,
@@ -458,38 +354,22 @@ class LeaseClient:
             successor=op.successor,
             nonce=op.nonce,
         )
-        op.timer = self.scheduler.schedule(self._timeout(op), self._on_timeout, op)
         self.channel.submit(message, self._on_reply)
-
-    def _send_oneshot(self, kind: str, lease: int) -> None:
-        """One untracked, unretried datagram (used for ``unwatch``)."""
-        dest = self.leader_node if self.leader_node is not None else self.channel.node_id
-        self.channel.submit(
-            LeaseRequestMessage(
-                sender_node=self.channel.node_id,
-                dest_node=dest,
-                group=self.group,
-                op=kind,
-                lease=lease,
-                client=self.client_id,
-            ),
-            self._on_reply,
-        )
 
     def _timeout(self, op: _Op) -> float:
         base = min(self.request_timeout * (2.0 ** op.attempts), self.max_backoff)
         return base * (1.0 + 0.1 * float(self.rng.uniform(0.0, 1.0)))
 
     def _active(self, op: _Op) -> bool:
-        if op.kind in _READ_OPS:
-            return self._reads.get(op.nonce) is op
-        return self._ops.get(op.lease) is op
+        return self._inflight.get(op.nonce) is op
 
-    def _cancel_read(self, op: _Op) -> None:
-        """Abort an in-flight read op: timer cancelled, tracking dropped."""
-        if self._reads.pop(op.nonce, None) is not None and op.timer is not None:
-            self.scheduler.cancel(op.timer)
-            op.timer = None
+    def _drop(self, op: _Op) -> None:
+        """Take ``op`` out of flight: untracked, its timer cancelled."""
+        self._inflight.pop(op.nonce, None)
+        if self._mutating.get(op.lease) is op:
+            del self._mutating[op.lease]
+        self.scheduler.cancel(op.timer)
+        op.timer = None
 
     def _retry(self, op: _Op, delay: float) -> None:
         """Re-send ``op`` after ``delay`` (its timeout slot doubles as the
@@ -517,11 +397,9 @@ class LeaseClient:
     def _on_reply(self, reply: LeaseReplyMessage) -> None:
         if self._closed:
             return
-        op = self._reads.get(reply.nonce)
+        op = self._inflight.get(reply.nonce)
         if op is None:
-            op = self._ops.get(reply.lease)
-            if op is None or reply.nonce != op.nonce:
-                return  # stale duplicate of a superseded attempt
+            return  # stale duplicate of a superseded attempt
         if op.timer is not None:
             self.scheduler.cancel(op.timer)
             op.timer = None
@@ -565,23 +443,11 @@ class LeaseClient:
                 # handoff drops the grant without firing on_lost.
                 self._grants.pop(reply.lease, None)
                 self._cancel_renew(reply.lease)
-            self._finish(op, reply)
-            if (
-                op.kind == "renew"
-                and reply.handoff >= 0
-                and self.on_handoff_request is not None
-                and self.on_handoff_request(op.name, reply.handoff)
-            ):
-                self.transfer(op.name, reply.handoff)
-            return
-        # "info" (query/watch/handoff) — terminal.
+        # "granted", or "info" (query/watch) — terminal.
         self._finish(op, reply)
 
     def _finish(self, op: _Op, reply: LeaseReplyMessage) -> None:
-        if op.kind in _READ_OPS:
-            self._reads.pop(op.nonce, None)
-        elif self._ops.get(op.lease) is op:
-            del self._ops[op.lease]
+        self._drop(op)
         if op.callback is not None:
             op.callback(reply)
 
@@ -598,70 +464,50 @@ class LeaseClient:
         """
         if watch.stopped or self._closed:
             return
-        op = _Op(
-            "watch",
-            watch.name,
-            watch.lease,
-            0,
-            0.0,
-            False,
-            lambda reply: self._on_watch_reply(watch, reply),
-        )
-        watch.op = op
-        self._start(op)
+        watch.op = _Op("watch", watch.name, watch.lease,
+                       callback=lambda reply: self._on_watch_reply(watch, reply))
+        self._start(watch.op, mutating=False)
 
     def _watch_tick(self, watch: _Watch) -> None:
         watch.timer = None
         if watch.op is None:
             self._watch_subscribe(watch)
 
-    def _watch_deliver(self, watch: _Watch, reply: LeaseReplyMessage) -> None:
-        """Dedupe on (holder, token) and fire the watch callback."""
+    def _on_watch_reply(self, watch: _Watch, reply: LeaseReplyMessage) -> None:
+        watch.op = None
+        if not (watch.stopped or self._closed):
+            self._watch_saw(watch, reply)
+
+    def _watch_saw(self, watch: _Watch, reply: LeaseReplyMessage) -> None:
+        """Fire the watch on a (holder, token) change and re-arm its deadman.
+
+        With a live holder the next event should arrive well before the
+        reply's ``expiry`` (renewals extend it), so the deadman fires only
+        when pushes stopped — leader died or moved, events lost.  No holder
+        (or no reliable expiry): fall back to pacing at ``period``.
+        """
         key = (reply.holder, reply.token)
         if key != watch.last:
             watch.last = key
             watch.callback(reply)
-
-    def _watch_arm(self, watch: _Watch, holder: int, expiry: float) -> None:
-        """Arm the deadman timer.
-
-        With a live holder the next event should arrive well before
-        ``expiry`` (renewals extend it), so the deadman fires only when
-        pushes stopped — leader died or moved, events lost.  No holder (or
-        no reliable expiry): fall back to pacing at ``period``.
-        """
-        if watch.timer is not None:
-            self.scheduler.cancel(watch.timer)
+        self.scheduler.cancel(watch.timer)
         now = self.scheduler.now
-        if holder >= 0 and expiry > now:
-            delay = (expiry - now) + 0.5 * watch.period
+        if reply.holder >= 0 and reply.expiry > now:
+            delay = (reply.expiry - now) + 0.5 * watch.period
         else:
             delay = watch.period
         watch.timer = self.scheduler.schedule(delay, self._watch_tick, watch)
 
-    def _on_watch_reply(self, watch: _Watch, reply: LeaseReplyMessage) -> None:
-        watch.op = None
-        if watch.stopped or self._closed:
-            return
-        self._watch_deliver(watch, reply)
-        self._watch_arm(watch, reply.holder, reply.expiry)
-
-    # ------------------------------------------------------------------
-    # Push events
-    # ------------------------------------------------------------------
     def _on_event(self, event: LeaseEventMessage) -> None:
         """One pushed ledger change from the leader (fire-and-forget).
 
-        Feeds every watch on the lease (normalized to the same
+        Feeds every watch on the lease, normalized to the same
         (holder, token) key space as query replies — a released or expired
-        record reads as "no holder") and completes a pending handoff
-        request when the lease just became ours.
+        record reads as "no holder".
         """
         if self._closed or event.group != self.group:
             return
-        now = self.scheduler.now
-        held = not event.released and event.expiry > now and event.holder >= 0
-        if held:
+        if not event.released and event.expiry > self.scheduler.now and event.holder >= 0:
             holder, token, expiry = event.holder, event.token, event.expiry
         else:
             holder, token, expiry = -1, 0, 0.0
@@ -679,25 +525,9 @@ class LeaseClient:
             expiry=expiry,
             nonce=0,
         )
-        pending = self._handoff_pending.get(event.lease)
-        if pending is not None and held and event.holder == self.client_id:
-            name, callback = pending
-            del self._handoff_pending[event.lease]
-            if event.lease not in self._grants:
-                self._grants[event.lease] = LeaseGrant(
-                    name=name,
-                    lease=event.lease,
-                    token=event.token,
-                    expiry=event.expiry,
-                )
-                self._schedule_renew(name, event.lease, event.expiry)
-            if callback is not None:
-                callback(reply)
         for watch in tuple(self._watches.get(event.lease, ())):
-            if watch.stopped:
-                continue
-            self._watch_deliver(watch, reply)
-            self._watch_arm(watch, holder, expiry)
+            if not watch.stopped:
+                self._watch_saw(watch, reply)
 
     # ------------------------------------------------------------------
     # Renewal
@@ -710,9 +540,7 @@ class LeaseClient:
         )
 
     def _cancel_renew(self, lease: int) -> None:
-        timer = self._renew_timers.pop(lease, None)
-        if timer is not None:
-            self.scheduler.cancel(timer)
+        self.scheduler.cancel(self._renew_timers.pop(lease, None))
 
     def _auto_renew(self, name: str, lease: int) -> None:
         self._renew_timers.pop(lease, None)
@@ -726,7 +554,7 @@ class LeaseClient:
             del self._grants[lease]
             self._lose(name, lease)
             return
-        self._start(_Op("renew", name, lease, grant.token, grant.ttl, False, None))
+        self._start(_Op("renew", name, lease, grant.token, grant.ttl))
 
     def _lose(self, name: str, lease: int) -> None:
         self._grants.pop(lease, None)
@@ -737,5 +565,5 @@ class LeaseClient:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LeaseClient(id={self.client_id}, group={self.group}, "
-            f"held={len(self._grants)}, inflight={len(self._ops)})"
+            f"held={len(self._grants)}, inflight={len(self._inflight)})"
         )

@@ -69,9 +69,6 @@ class LeaseDecision:
     retry_after: float = 0.0
     #: True iff the ledger changed (watchers are pushed the new record).
     changed: bool = False
-    #: Client id of a pending handoff requester attached to a granted
-    #: renew (-1 when none) — the holder's cue to transfer the lease.
-    handoff: int = -1
 
 
 class LeaseManager:
@@ -105,11 +102,6 @@ class LeaseManager:
         self._counter = 0
         #: client id -> (tokens remaining, last refill time).
         self._buckets: Dict[int, Tuple[float, float]] = {}
-        #: lease id -> client id wanting the lease handed to it.  Tenure
-        #: scoped (a requester must re-ask a new leader); the pending
-        #: requester rides every granted renew reply until the holder
-        #: transfers, releases, or the lease changes hands.
-        self._handoff_wanted: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Tenure lifecycle (driven by the election's leader view)
@@ -140,13 +132,11 @@ class LeaseManager:
         self._epoch = None
         self._counter = 0
         self._buckets.clear()
-        self._handoff_wanted.clear()
 
     def on_tenure_end(self) -> None:
         """Local pid stopped leading: refuse everything until re-elected."""
         self._tenure_start = None
         self._buckets.clear()
-        self._handoff_wanted.clear()
 
     # ------------------------------------------------------------------
     # Request handling
@@ -180,8 +170,6 @@ class LeaseManager:
             return self._query(lease, now)
         if op == "transfer":
             return self._transfer(lease, client, token, ttl, successor, now)
-        if op == "handoff":
-            return self._handoff(lease, client, now)
         return LeaseDecision(status="denied")
 
     def _acquire(
@@ -257,18 +245,12 @@ class LeaseManager:
         )
         changed = self.ledger.merge_record(record)
         self._record("renew", lease, client, token, record.expiry, now)
-        handoff = self._handoff_wanted.get(lease, -1)
-        if handoff == client:
-            # The requester acquired the lease some other way; drop the ask.
-            del self._handoff_wanted[lease]
-            handoff = -1
         return LeaseDecision(
             status="granted",
             token=token,
             holder=client,
             expiry=record.expiry,
             changed=changed,
-            handoff=handoff,
         )
 
     def _release(
@@ -293,7 +275,6 @@ class LeaseManager:
         )
         changed = self.ledger.merge_record(record)
         self._record("release", lease, client, token, record.expiry, now)
-        self._handoff_wanted.pop(lease, None)
         return LeaseDecision(
             status="granted", token=token, holder=client, changed=changed
         )
@@ -338,32 +319,12 @@ class LeaseManager:
         )
         changed = self.ledger.merge_record(record)
         self._record("transfer", lease, successor, new_token, expiry, now)
-        wanted = self._handoff_wanted.get(lease, -1)
-        if wanted == successor or wanted == client:
-            del self._handoff_wanted[lease]
         return LeaseDecision(
             status="granted",
             token=new_token,
             holder=successor,
             expiry=expiry,
             changed=changed,
-        )
-
-    def _handoff(self, lease: int, client: int, now: float) -> LeaseDecision:
-        """Register ``client``'s wish to take over the lease; answered like
-        a query.  The wish rides the holder's next renew reply (see
-        :meth:`_renew`); nothing is registered for an unheld lease — the
-        requester can simply acquire."""
-        holder = self.ledger.holder(lease, now)
-        if holder is None:
-            return LeaseDecision(status="info")
-        if holder.holder != client:
-            self._handoff_wanted[lease] = client
-        return LeaseDecision(
-            status="info",
-            token=holder.token,
-            holder=holder.holder,
-            expiry=holder.expiry,
         )
 
     def _query(self, lease: int, now: float) -> LeaseDecision:

@@ -240,16 +240,8 @@ class LeaseServer:
                 self.scheduler.now,
                 successor=message.successor,
             )
-            if (
-                decision is not None
-                and decision.status == "info"
-                and message.op in ("watch", "handoff")
-            ):
-                # Subscribe the watcher (a handoff requester implicitly
-                # watches: the transfer reaches it as a push event).
-                self._watchers.setdefault(message.lease, {})[
-                    message.client
-                ] = message.sender_node
+            if decision is not None and decision.status == "info" and message.op == "watch":
+                self._watchers.setdefault(message.lease, {})[message.client] = message.sender_node
         my_node = self.node_id
         if decision is None:
             # Not the leader (or tenure not yet active): redirect with our
@@ -278,7 +270,6 @@ class LeaseServer:
                 expiry=decision.expiry,
                 retry_after=decision.retry_after,
                 leader_node=my_node,
-                handoff=decision.handoff,
                 nonce=message.nonce,
             )
         if reply.dest_node == my_node:

@@ -483,7 +483,7 @@ class LeaseRequestMessage(Message):
     """A client's lease operation, addressed to the group's leader node.
 
     ``op`` is one of ``"acquire"``, ``"renew"``, ``"release"``, ``"query"``,
-    ``"transfer"``, ``"watch"``, ``"unwatch"`` or ``"handoff"``; ``lease``
+    ``"transfer"``, ``"watch"`` or ``"unwatch"``; ``lease``
     the 64-bit name hash (:func:`repro.lease.ledger.lease_id`); ``client``
     the requesting client's id (client ids share no namespace with process
     ids — live clients use synthetic node ids).  ``token`` carries the
@@ -521,8 +521,6 @@ class LeaseReplyMessage(Message):
     when retrying might succeed.  On a redirect, ``leader_node`` names the
     node the sender believes hosts the leader (-1 when it knows none).
     ``holder`` reports the current holder for queries and denials.
-    ``handoff`` carries, on a granted renew, the client id of a pending
-    handoff requester (-1 when none) — the holder's cue to transfer.
     """
 
     group: int = 0
@@ -534,13 +532,12 @@ class LeaseReplyMessage(Message):
     expiry: float = 0.0
     retry_after: float = 0.0
     leader_node: int = -1
-    handoff: int = -1
     nonce: int = 0
 
     #: group (4) + status (1) + lease (8) + client (4) + token (8) +
     #: holder (4) + expiry (8) + retry_after (8) + leader_node (4) +
-    #: handoff (4) + nonce (4).
-    _PAYLOAD_BYTES = 57
+    #: nonce (4).
+    _PAYLOAD_BYTES = 53
 
     def payload_bytes(self) -> int:
         return self._PAYLOAD_BYTES

@@ -84,7 +84,7 @@ __all__ = [
 ]
 
 _MAGIC = 0x03A9  # Ω, fittingly
-_VERSION = 8
+_VERSION = 9
 
 #: Upper bound on a frame we are willing to decode (or encode).  Generous —
 #: a 64-cell batch with 4096-member deltas would not fit a datagram anyway —
@@ -102,9 +102,7 @@ _HEAD_SIZE = _HEADER.size + _ROUTING.size
 
 _HELLO_KINDS = ("gossip", "join", "reply", "sync")
 _SWIM_STATES = ("alive", "suspect", "confirm")
-_LEASE_OPS = (
-    "acquire", "renew", "release", "query", "transfer", "watch", "unwatch", "handoff",
-)
+_LEASE_OPS = ("acquire", "renew", "release", "query", "transfer", "watch", "unwatch")
 _LEASE_STATUSES = ("granted", "denied", "redirect", "throttled", "info")
 
 
@@ -142,9 +140,9 @@ _MESSAGES = {
     6: _Layout(LeaseRequestMessage, "!iBQiQdiI",
                ("group", "op", "lease", "client", "token", "ttl", "successor", "nonce"),
                enum=("op", _LEASE_OPS)),
-    7: _Layout(LeaseReplyMessage, "!iBQiQiddiiI",
+    7: _Layout(LeaseReplyMessage, "!iBQiQiddiI",
                ("group", "status", "lease", "client", "token", "holder", "expiry",
-                "retry_after", "leader_node", "handoff", "nonce"),
+                "retry_after", "leader_node", "nonce"),
                enum=("status", _LEASE_STATUSES)),
     8: _Layout(LeaseEventMessage, "!iQiiQd?I",
                ("group", "lease", "client", "holder", "token", "expiry", "released", "seq")),

@@ -27,7 +27,7 @@ class ScriptedChannel:
         self.reply_to = reply_to
 
     def reply(self, request, status, *, token=0, holder=-1, expiry=0.0,
-              retry_after=0.0, leader_node=-1, handoff=-1):
+              retry_after=0.0, leader_node=-1):
         self.reply_to(
             LeaseReplyMessage(
                 sender_node=request.dest_node,
@@ -41,7 +41,6 @@ class ScriptedChannel:
                 expiry=expiry,
                 retry_after=retry_after,
                 leader_node=leader_node,
-                handoff=handoff,
                 nonce=request.nonce,
             )
         )
@@ -169,6 +168,36 @@ class TestRoutingAndRetry:
                       expiry=sim.now + 3.0, leader_node=0)
         assert client.grant("lock-a") is None
 
+    def test_stale_replies_to_a_read_and_to_a_superseded_op_are_ignored(self):
+        sim, channel, client = make_client(request_timeout=0.1)
+        answers = []
+        client.query("lock-a", answers.append)
+        sim.run_until(0.15)  # one timeout: the query's nonce moved on
+        first, current = channel.requests[0], channel.requests[-1]
+        assert first.nonce != current.nonce
+        channel.reply(first, "info", holder=1001, token=5)
+        assert answers == []
+        channel.reply(current, "info", holder=1001, token=5)
+        assert [r.nonce for r in answers] == [current.nonce]
+
+        client.acquire("lock-b", ttl=4.0)
+        sim.run_until(sim.now + 0.01)
+        channel.reply(channel.requests[-1], "granted", token=42,
+                      holder=CLIENT_ID, expiry=sim.now + 4.0, leader_node=0)
+        sim.run_until(sim.now + 2.05)  # the renew goes out, unanswered
+        renew = channel.requests[-1]
+        assert renew.op == "renew"
+        done = []
+        client.transfer("lock-b", 1001, callback=done.append)
+        transfer = channel.requests[-1]
+        assert transfer.op == "transfer"
+        channel.reply(renew, "denied")  # would drop the grant were it live
+        assert done == []
+        assert client.grant("lock-b").token == 42
+        channel.reply(transfer, "granted", token=43, holder=1001,
+                      expiry=sim.now + 4.0, leader_node=0)
+        assert [r.token for r in done] == [43]
+
 
 class TestRenewal:
     def granted(self, sim, channel, client, ttl=4.0):
@@ -264,8 +293,7 @@ class TestWatchStopRegression:
         sent = len(channel.requests)
         sim.run_until(30.0)
         assert len(channel.requests) == sent
-        assert client._ops == {}
-        assert client._reads == {}
+        assert client._inflight == {}
 
     def test_stopping_the_last_push_watch_unsubscribes(self):
         sim, channel, client = make_client()
@@ -443,63 +471,3 @@ class TestTransfer:
         sim, channel, client = make_client()
         self.granted(sim, channel, client)
         assert client.transfer("lock-a", CLIENT_ID) is False
-
-
-class TestHandoff:
-    def granted(self, sim, channel, client, ttl=4.0):
-        client.acquire("lock-a", ttl=ttl)
-        sim.run_until(0.01)
-        channel.reply(channel.requests[-1], "granted", token=42,
-                      holder=CLIENT_ID, expiry=sim.now + ttl, leader_node=0)
-
-    def test_agreed_handoff_request_triggers_a_transfer(self):
-        asked = []
-
-        def on_handoff(name, requester):
-            asked.append((name, requester))
-            return True
-
-        sim, channel, client = make_client(on_handoff_request=on_handoff)
-        self.granted(sim, channel, client, ttl=4.0)
-        sim.run_until(3.0)  # the renew goes out
-        renew = channel.requests[-1]
-        assert renew.op == "renew"
-        channel.reply(renew, "granted", token=42, holder=CLIENT_ID,
-                      expiry=sim.now + 4.0, leader_node=0, handoff=1002)
-        assert asked == [("lock-a", 1002)]
-        sim.run_until(sim.now + 0.1)
-        transfer = channel.requests[-1]
-        assert transfer.op == "transfer"
-        assert transfer.successor == 1002
-
-    def test_declined_handoff_request_keeps_the_lease(self):
-        sim, channel, client = make_client(
-            on_handoff_request=lambda name, requester: False
-        )
-        self.granted(sim, channel, client, ttl=4.0)
-        sim.run_until(3.0)
-        channel.reply(channel.requests[-1], "granted", token=42,
-                      holder=CLIENT_ID, expiry=sim.now + 4.0, leader_node=0,
-                      handoff=1002)
-        sim.run_until(sim.now + 0.5)
-        assert not any(r.op == "transfer" for r in channel.requests)
-        assert client.grant("lock-a").token == 42
-
-    def test_request_handoff_installs_the_grant_from_the_push_event(self):
-        done = []
-        sim, channel, client = make_client()
-        client.request_handoff("lock-a", done.append)
-        sim.run_until(0.01)
-        request = channel.requests[-1]
-        assert request.op == "handoff"
-        channel.reply(request, "info", holder=1001, token=5)
-        assert done == []  # wish registered; nothing granted yet
-        # The holder agreed; the transfer reaches us as a push event.
-        channel.push(lease_id("lock-a"), holder=CLIENT_ID, token=9,
-                     expiry=sim.now + 4.0)
-        assert [r.token for r in done] == [9]
-        grant = client.grant("lock-a")
-        assert grant is not None and grant.token == 9
-        sim.run_until(sim.now + 3.0)  # the new grant auto-renews
-        assert any(r.op == "renew" and r.token == 9
-                   for r in channel.requests)

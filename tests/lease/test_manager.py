@@ -299,70 +299,3 @@ class TestTransfer:
         decision = m.handle("transfer", LEASE, CLIENT, granted.token, 3.0,
                             now=now + 1.0, successor=OTHER)
         assert decision.status == "denied"
-
-
-class TestHandoffWish:
-    def test_wish_rides_the_holders_next_renew_reply(self):
-        m = started(now=0.0)
-        now = m.grace
-        granted = m.handle("acquire", LEASE, CLIENT, 0, 3.0, now=now)
-        info = m.handle("handoff", LEASE, OTHER, 0, 0.0, now=now + 0.5)
-        assert info.status == "info"
-        renew = m.handle("renew", LEASE, CLIENT, granted.token, 3.0,
-                         now=now + 1.0)
-        assert renew.status == "granted"
-        assert renew.handoff == OTHER
-
-    def test_wish_for_a_free_lease_is_not_registered(self):
-        m = started(now=0.0)
-        now = m.grace
-        m.handle("handoff", LEASE, OTHER, 0, 0.0, now=now)
-        granted = m.handle("acquire", LEASE, CLIENT, 0, 3.0, now=now + 0.5)
-        renew = m.handle("renew", LEASE, CLIENT, granted.token, 3.0,
-                         now=now + 1.0)
-        assert renew.handoff == -1
-
-    def test_wish_by_the_holder_itself_is_dropped(self):
-        m = started(now=0.0)
-        now = m.grace
-        granted = m.handle("acquire", LEASE, CLIENT, 0, 3.0, now=now)
-        m.handle("handoff", LEASE, CLIENT, 0, 0.0, now=now + 0.5)
-        renew = m.handle("renew", LEASE, CLIENT, granted.token, 3.0,
-                         now=now + 1.0)
-        assert renew.handoff == -1
-
-    def test_transfer_to_the_requester_clears_the_wish(self):
-        m = started(now=0.0)
-        now = m.grace
-        granted = m.handle("acquire", LEASE, CLIENT, 0, 3.0, now=now)
-        m.handle("handoff", LEASE, OTHER, 0, 0.0, now=now + 0.5)
-        transfer = m.handle("transfer", LEASE, CLIENT, granted.token, 3.0,
-                            now=now + 1.0, successor=OTHER)
-        assert transfer.status == "granted"
-        renew = m.handle("renew", LEASE, OTHER, transfer.token, 3.0,
-                         now=now + 1.5)
-        assert renew.handoff == -1
-
-    def test_release_clears_the_wish(self):
-        m = started(now=0.0)
-        now = m.grace
-        granted = m.handle("acquire", LEASE, CLIENT, 0, 3.0, now=now)
-        m.handle("handoff", LEASE, OTHER, 0, 0.0, now=now + 0.5)
-        m.handle("release", LEASE, CLIENT, granted.token, 0.0, now=now + 1.0)
-        second = m.handle("acquire", LEASE, CLIENT, 0, 3.0, now=now + 1.5)
-        renew = m.handle("renew", LEASE, CLIENT, second.token, 3.0,
-                         now=now + 2.0)
-        assert renew.handoff == -1
-
-    def test_tenure_end_clears_the_wish(self):
-        m = started(now=0.0)
-        now = m.grace
-        m.handle("acquire", LEASE, CLIENT, 0, 3.0, now=now)
-        m.handle("handoff", LEASE, OTHER, 0, 0.0, now=now + 0.5)
-        m.on_tenure_end()
-        m.on_tenure_start(now + 1.0)
-        granted = m.handle("acquire", LEASE, CLIENT, 0, 3.0,
-                           now=now + 1.0 + m.grace)
-        renew = m.handle("renew", LEASE, CLIENT, granted.token, 3.0,
-                         now=now + 1.5 + m.grace)
-        assert renew.handoff == -1

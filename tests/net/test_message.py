@@ -126,7 +126,7 @@ class TestWireSizes:
             sender_node=0, dest_node=12, group=1, status="granted",
             lease=7, client=1000, token=42, holder=1000, expiry=10.0,
         )
-        assert msg.payload_bytes() == 57
+        assert msg.payload_bytes() == 53
 
     def test_lease_event_fixed_size(self):
         msg = LeaseEventMessage(

@@ -123,17 +123,18 @@ ROUND_TRIP_CASES = [
                         lease=7, client=1001, nonce=18),
     LeaseRequestMessage(sender_node=12, dest_node=0, group=1, op="unwatch",
                         lease=7, client=1001),
-    LeaseRequestMessage(sender_node=12, dest_node=0, group=1, op="handoff",
-                        lease=7, client=1002, nonce=19),
+    LeaseRequestMessage(sender_node=12, dest_node=0, group=1, op="renew",
+                        lease=7, client=1000, token=(5 << 28) | 260, ttl=3.0,
+                        nonce=19),
     LeaseReplyMessage(sender_node=0, dest_node=12, group=1, status="granted",
                       lease=7, client=1000, token=(5 << 28) | 260, holder=1000,
                       expiry=108.5, leader_node=0, nonce=9),
     LeaseReplyMessage(sender_node=0, dest_node=12, group=1, status="redirect",
                       lease=7, client=1000, holder=-1, retry_after=0.5,
                       leader_node=-1),
-    LeaseReplyMessage(sender_node=0, dest_node=12, group=1, status="granted",
-                      lease=7, client=1000, token=(5 << 28) | 260, holder=1000,
-                      expiry=108.5, leader_node=0, handoff=1002, nonce=21),
+    LeaseReplyMessage(sender_node=0, dest_node=12, group=1, status="info",
+                      lease=7, client=1001, token=(5 << 28) | 260, holder=1000,
+                      expiry=108.5, leader_node=0, nonce=21),
     LeaseEventMessage(sender_node=0, dest_node=12, group=1, lease=2**64 - 1,
                       client=1001, holder=1000, token=(5 << 28) | 260,
                       expiry=108.5, released=False, seq=3),
@@ -155,7 +156,7 @@ ROUND_TRIP_CASES = [
 ]
 
 
-#: Golden codec-v8 frames, one per wire tag (2-11) plus both shapes of every
+#: Golden codec-v9 frames, one per wire tag (2-11) plus both shapes of every
 #: optional: HELLO with and without ``leader_hint`` and ``lease_version``,
 #: cells with and without ``local_leader``/``local_leader_acc`` and a ledger
 #: segment, frames with and without an echo, non-empty members / accusation
@@ -165,13 +166,14 @@ ROUND_TRIP_CASES = [
 #: version byte moved and a zero presence byte inserted after each cell and
 #: before each HELLO's piggyback block, and the three v7 shapes were packed
 #: by hand from the layout in the codec's docstring; v8 moved the version
-#: byte again, and the echo's shape was packed by hand.  So these bytes,
+#: byte again, and the echo's shape was packed by hand; v9 moved it once more
+#: and took the reply's 4-byte handoff field out.  So these bytes,
 #: not a twin implementation, are what pins the layout.
 GOLDEN_FRAMES = [
     (
         "hello-bare",
         HelloMessage(sender_node=0, dest_node=1),
-        "0000003003a90802000000000000000100000000000000000000000000000000"
+        "0000003003a90902000000000000000100000000000000000000000000000000"
         "0000000000000000000000000000000000000000",
     ),
     (
@@ -183,7 +185,7 @@ GOLDEN_FRAMES = [
             acc_table=ACC_TABLE, trusted=(0, 5, 2**31 - 1), leases=LEASES,
             lease_digest=0xDEADBEEF, swim_updates=SWIM_UPDATES,
         ),
-        "0000012703a9080200000004000000050000000102000300020003010000000c"
+        "0000012703a9090200000004000000050000000102000300020003010000000c"
         "ffffffffffffffff00000003404bc00000000000000000010000000100000004"
         "00000000001e8487010140294000000000000000000900000000000000000000"
         "0000000000000000000000007fffffffffffffff4000000000000000010141da"
@@ -200,7 +202,7 @@ GOLDEN_FRAMES = [
             sender_node=5, dest_node=0, group=1, view_version=4, view_digest=77,
             lease_digest=0xDEADBEEF, lease_version=2**32 - 1,
         ),
-        "0000003403a90802000000050000000000000001000000000000000000000004"
+        "0000003403a90902000000050000000000000001000000000000000000000004"
         "000000000000004d000000000000deadbeef01ffffffff00",
     ),
     (
@@ -209,7 +211,7 @@ GOLDEN_FRAMES = [
             sender_node=0, dest_node=5, group=1, kind="sync", leases=LEASES,
             lease_digest=2**64 - 1, lease_version=12,
         ),
-        "0000008603a90802000000000000000500000001030000000000000000000000"
+        "0000008603a90902000000000000000500000001030000000000000000000000"
         "00000000000000000002ffffffffffffffffffffffffffffffff000003e80000"
         "001f50000302405b200000000000405920000000000000000000000000000000"
         "000000ffffffff00000000000000000000000000000000000000000000000001"
@@ -221,12 +223,12 @@ GOLDEN_FRAMES = [
             sender_node=1, dest_node=2, group=3, accuser=4, accused=5,
             accused_phase=6,
         ),
-        "0000001c03a90803000000010000000200000003000000040000000500000006",
+        "0000001c03a90903000000010000000200000003000000040000000500000006",
     ),
     (
         "rate-request",
         RateRequestMessage(sender_node=9, dest_node=8, interval=0.0625),
-        "0000001403a9080400000009000000083fb0000000000000",
+        "0000001403a9090400000009000000083fb0000000000000",
     ),
     (
         "batch-cells",
@@ -243,7 +245,7 @@ GOLDEN_FRAMES = [
             ),
             swim_updates=SWIM_UPDATES,
         ),
-        "0000012303a90805000000030000000b000001000000000041da13b860000000"
+        "0000012303a90905000000030000000b000001000000000041da13b860000000"
         "3fd000000000000000030000000100000005405ee00000000000000000070101"
         "000000024058c800000000008000000080000000000000110003000000010000"
         "000400000000001e848701014029400000000000000000090000000000000000"
@@ -263,7 +265,7 @@ GOLDEN_FRAMES = [
                 AliveCell(group=2, pid=0, leases=LedgerSegment(7, 7, 0xDEADBEEF)),
             ),
         ),
-        "000000ff03a90805000000000000000400000000000000094029000000000000"
+        "000000ff03a90905000000000000000400000000000000094029000000000000"
         "3fc999999999999a000200000001000000000000000000000000000000000000"
         "0000000000000000000000000000000000000000000000000000010000000500"
         "000007ffffffffffffffff0002ffffffffffffffff000003e80000001f500003"
@@ -276,7 +278,7 @@ GOLDEN_FRAMES = [
     (
         "batch-ack",
         BatchFrame(sender_node=2, dest_node=7, seq=5, send_time=3.5, interval=0.25, ack=2**40 + 3),
-        "0000002f03a908050000000200000007000000000000000540"
+        "0000002f03a909050000000200000007000000000000000540"
         "0c0000000000003fd00000000000008000000001000000000300",
     ),
     (
@@ -285,7 +287,7 @@ GOLDEN_FRAMES = [
             sender_node=12, dest_node=0, group=1, op="transfer", lease=7,
             client=1000, token=(5 << 28) | 260, ttl=2.0, successor=1001, nonce=17,
         ),
-        "0000003503a908060000000c0000000000000001040000000000000007000003"
+        "0000003503a909060000000c0000000000000001040000000000000007000003"
         "e800000000500001044000000000000000000003e900000011",
     ),
     (
@@ -293,11 +295,11 @@ GOLDEN_FRAMES = [
         LeaseReplyMessage(
             sender_node=0, dest_node=12, group=1, status="granted", lease=7,
             client=1000, token=(5 << 28) | 260, holder=1000, expiry=108.5,
-            retry_after=0.5, leader_node=0, handoff=1002, nonce=21,
+            retry_after=0.5, leader_node=0, nonce=21,
         ),
-        "0000004503a90807000000000000000c00000001000000000000000007000003"
+        "0000004103a90907000000000000000c00000001000000000000000007000003"
         "e80000000050000104000003e8405b2000000000003fe0000000000000000000"
-        "00000003ea00000015",
+        "0000000015",
     ),
     (
         "lease-event",
@@ -305,7 +307,7 @@ GOLDEN_FRAMES = [
             sender_node=0, dest_node=12, group=1, lease=2**64 - 1, client=1001,
             holder=1000, token=(5 << 28) | 260, expiry=108.5, released=False, seq=3,
         ),
-        "0000003503a90808000000000000000c00000001ffffffffffffffff000003e9"
+        "0000003503a90908000000000000000c00000001ffffffffffffffff000003e9"
         "000003e80000000050000104405b2000000000000000000003",
     ),
     (
@@ -314,7 +316,7 @@ GOLDEN_FRAMES = [
             sender_node=3, dest_node=7, nonce=2**32 - 1, origin=5,
             send_time=1.75e9, updates=SWIM_UPDATES,
         ),
-        "0000003803a908090000000300000007ffffffff0000000541da13b860000000"
+        "0000003803a909090000000300000007ffffffff0000000541da13b860000000"
         "030000000000000000007fffffff7fffffff01000000070000000302",
     ),
     (
@@ -323,7 +325,7 @@ GOLDEN_FRAMES = [
             sender_node=4, dest_node=6, target=9, nonce=12, origin=4,
             send_time=44.5, updates=SWIM_UPDATES,
         ),
-        "0000003c03a9080a0000000400000006000000090000000c0000000440464000"
+        "0000003c03a9090a0000000400000006000000090000000c0000000440464000"
         "00000000030000000000000000007fffffff7fffffff01000000070000000302",
     ),
     (
@@ -332,7 +334,7 @@ GOLDEN_FRAMES = [
             sender_node=9, dest_node=4, nonce=12, incarnation=2**31 - 1,
             echo_send_time=44.5, updates=SWIM_UPDATES,
         ),
-        "0000003803a9080b00000009000000040000000c7fffffff4046400000000000"
+        "0000003803a9090b00000009000000040000000c7fffffff4046400000000000"
         "030000000000000000007fffffff7fffffff01000000070000000302",
     ),
 ]
@@ -433,7 +435,7 @@ class TestLayoutTable:
 
 
 class TestGoldenFrames:
-    """Byte-for-byte wire compatibility with the recorded v8 layout."""
+    """Byte-for-byte wire compatibility with the recorded v9 layout."""
 
     @pytest.mark.parametrize(
         "message, frame",
@@ -452,7 +454,7 @@ class TestGoldenFrames:
     def test_every_tag_has_a_fixture(self):
         tags = sorted({bytes.fromhex(h)[7] for _, _, h in GOLDEN_FRAMES})
         assert tags == list(range(2, 12))
-        assert all(bytes.fromhex(h)[6] == 8 for _, _, h in GOLDEN_FRAMES)
+        assert all(bytes.fromhex(h)[6] == 9 for _, _, h in GOLDEN_FRAMES)
 
 
 class TestRejection:
