@@ -267,7 +267,8 @@ class LeaseClient:
         is this client.  On a granted reply the grant is dropped locally
         (``on_lost`` does **not** fire — the handoff was voluntary) and
         ``callback`` sees the successor's new token/expiry; on a denial the
-        grant is kept and auto-renewal resumes.
+        grant is kept and auto-renewal resumes.  A transfer still unanswered
+        when the grant lapses ends in ``on_lost`` and a local ``denied``.
         """
         grant = self.grant(name)
         if grant is None or successor == self.client_id:
@@ -328,9 +329,13 @@ class LeaseClient:
             # backoff of expiry instead of never.
             grant = self._grants.get(op.lease)
             if grant is None or grant.expiry <= self.scheduler.now:
-                self._drop(op)
                 if grant is not None:
                     self._lose(op.name, op.lease)
+                # Abandoned, but still answered: its caller may be waiting.
+                self._finish(op, LeaseReplyMessage(
+                    sender_node=self.channel.node_id, dest_node=self.channel.node_id,
+                    group=self.group, status="denied", lease=op.lease,
+                    client=self.client_id, nonce=op.nonce))
                 return
         self._inflight.pop(op.nonce, None)
         self._nonce += 1

@@ -471,3 +471,22 @@ class TestTransfer:
         sim, channel, client = make_client()
         self.granted(sim, channel, client)
         assert client.transfer("lock-a", CLIENT_ID) is False
+
+
+class TestTransferLapse:
+    def test_an_unanswered_transfer_completes_once_when_the_grant_lapses(self):
+        lost, done = [], []
+        sim, channel, client = make_client(request_timeout=0.1, on_lost=lost.append)
+        client.acquire("lock-a", ttl=2.0)
+        sim.run_until(0.01)
+        channel.reply(channel.requests[-1], "granted", token=42,
+                      holder=CLIENT_ID, expiry=sim.now + 2.0, leader_node=0)
+        client.transfer("lock-a", 1001, callback=done.append)
+        sim.run_until(10.0)  # every reply to the transfer is lost
+        assert lost == ["lock-a"]
+        assert [r.status for r in done] == ["denied"]
+        assert all(r.op == "transfer" for r in channel.requests[1:])
+        sent = len(channel.requests)
+        sim.run_until(30.0)
+        assert len(channel.requests) == sent
+        assert len(done) == 1

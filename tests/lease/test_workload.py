@@ -108,3 +108,31 @@ class TestTransferRatio:
         assert [e.label for e in legacy.trace.events] == [
             e.label for e in gated.trace.events
         ]
+
+    def test_every_client_cycles_again_after_a_leader_kill(self):
+        # Renewal pauses while a transfer is in flight, so a transfer the
+        # dead leader never answers outlives its grant; the workload loop
+        # waiting on its callback must still get an answer and go on.
+        system = self.build(16, 1.0)
+        sim = system.sim
+        sim.run_until(25.0)
+        group = system.lease_workload.group
+        leader = next(
+            host.service.group_runtime(group)._leader_view
+            for host in system.hosts
+            if host.service.group_runtime(group)._leader_view is not None
+        )
+        system.network.node(leader).crash()
+        killed_at = sim.now
+        sim.run_until(killed_at + 5.0)
+        system.network.node(leader).recover()
+        sim.run_until(killed_at + 80.0)
+        granted_after = {
+            int(event.label.split("client=")[1].split()[0])
+            for event in system.trace.events
+            if event.kind == "lease" and event.time > killed_at
+            and event.label.startswith("grant ")
+        }
+        assert granted_after == {
+            client.client_id for client in system.lease_workload.clients
+        }
