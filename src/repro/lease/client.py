@@ -238,23 +238,23 @@ class LeaseClient:
             if watch.stopped:
                 return
             watch.stopped = True
-            if watch.timer is not None:
-                self.scheduler.cancel(watch.timer)
-                watch.timer = None
+            self.scheduler.cancel(watch.timer)
+            watch.timer = None
             if watch.op is not None:
                 # The in-flight subscribe op dies with the watch — it
                 # must not keep resending through the timeout machinery.
                 self._drop(watch.op)
                 watch.op = None
-            # Not stopped, so not closed: the watch is still listed.
+            # A watch not stopped is listed: close() stops every one it clears.
             peers = self._watches[watch.lease]
             peers.remove(watch)
             if not peers:
                 del self._watches[watch.lease]
-                # Best-effort unsubscribe: fire-and-forget (no reply, no
-                # retries — a lost unwatch merely costs ignored events
-                # until the tenure ends).
-                self._submit(_Op("unwatch", name, watch.lease))
+                if not self._closed:
+                    # Best-effort unsubscribe: fire-and-forget (no reply, no
+                    # retries — a lost unwatch merely costs ignored events
+                    # until the tenure ends).
+                    self._submit(_Op("unwatch", name, watch.lease))
 
         return stop
 

@@ -277,6 +277,7 @@ class TestWatch:
         sim.run_until(0.01)
         client.close()
         sent = len(channel.requests)
+        client.watch("lock-c", lambda reply: None, period=1.0)()
         sim.run_until(10.0)
         assert len(channel.requests) == sent
 
