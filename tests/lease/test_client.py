@@ -333,8 +333,8 @@ class TestRenewLossAtExpiry:
 
 class TestConcurrentReadOps:
     def test_watch_and_query_for_the_same_name_run_concurrently(self):
-        # Regression: _ops was keyed by lease id, so a query() for a
-        # watched name silently cancelled the watch's op (and vice versa).
+        # Read ops do not supersede one another: a query() for a watched
+        # name must not cancel the watch's op (nor the other way round).
         sim, channel, client = make_client()
         seen_watch, seen_query = [], []
         client.watch("lock-a", seen_watch.append, period=1.0)
