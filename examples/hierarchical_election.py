@@ -66,7 +66,7 @@ class HierarchyCoordinator:
         elif not should_be_in_top and self.in_top:
             self.in_top = False
             if self.app.bound:
-                self.app.leave(TOP_GROUP)
+                self.app.group(TOP_GROUP).leave()
             print(
                 f"  [{self.sim.now:8.3f}s] node {my_pid}: no longer regional "
                 "leader, leaving top-level group"
@@ -106,11 +106,13 @@ def build(seed=21):
 def show_state(sim, apps):
     print(f"\nState at t={sim.now:.1f}s:")
     for region, nodes in REGIONS.items():
-        views = {apps[n].leader(region_group(region)) for n in nodes if apps[n].bound}
+        views = {
+            apps[n].group(region_group(region)).leader() for n in nodes if apps[n].bound
+        }
         views.discard(None)
         print(f"  region {region}: leader = {sorted(views)}")
     top_views = {
-        apps[n].leader(TOP_GROUP)
+        apps[n].group(TOP_GROUP).leader()
         for n in range(len(apps))
         if apps[n].bound and TOP_GROUP in apps[n].joined_groups
     }

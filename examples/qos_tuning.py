@@ -53,7 +53,6 @@ def main():
     print("Sweeping the FD detection bound T_D^U for Ω_l (6 nodes, LAN):\n")
     print(f"{'T_D^U (s)':>10} | {'leader recovery (s)':>20} | {'group traffic (KB/s)':>21}")
     print("-" * 58)
-    previous_recovery = None
     for t_d in (1.0, 0.75, 0.5, 0.25, 0.1):
         recovery, kb_s = run_one(t_d)
         recovery_text = f"{recovery:.3f}" if recovery is not None else "n/a"

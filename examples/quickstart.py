@@ -82,7 +82,7 @@ def main():
     print(f"\nAt t={sim.now:.1f}s the group recovered: new leader = worker-{new_leader}")
     assert all(a.group(GROUP).leader() == new_leader for a in survivors)
 
-    print(f"\n--- old leader's workstation recovers at t=20s ---")
+    print("\n--- old leader's workstation recovers at t=20s ---")
     sim.schedule_at(20.0, lambda: network.node(leader).recover())
     sim.run_until(30.0)
     final = {a.group(GROUP).leader() for a in apps}

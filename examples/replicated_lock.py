@@ -5,7 +5,7 @@ This is the classic application the paper motivates ("a leader can be used
 as a central coordinator that enforces consistent behavior among
 processes", §1) — and the reason the repo grew a lease plane.  The elected
 leader runs the lock manager; clients on every workstation acquire through
-:meth:`GroupHandle.lease`, and every grant carries a **fencing token**:
+:meth:`GroupHandle.lease_client`, and every grant carries a **fencing token**:
 a monotonically increasing integer that downstream resources can compare
 to fence off stale holders.  When the manager's workstation crashes, its
 successor inherits the lease ledger through gossip and waits out a
@@ -54,7 +54,7 @@ class Client:
 
     def __init__(self, sim, handle, rng, stats):
         self.sim = sim
-        self.lock = handle.lease(LOCK, ttl=TTL)
+        self.locks = handle.lease_client()
         self.rng = rng
         self.stats = stats
 
@@ -62,7 +62,7 @@ class Client:
         self.sim.schedule(float(self.rng.uniform(0.0, 2.0)), self._acquire)
 
     def _acquire(self):
-        self.lock.acquire(self._on_granted)
+        self.locks.acquire(LOCK, TTL, self._on_granted)
 
     def _on_granted(self, reply):
         self.stats["grants"] += 1
@@ -70,7 +70,7 @@ class Client:
         self.sim.schedule(float(self.rng.uniform(1.0, 2.5)), self._release)
 
     def _release(self):
-        if not self.lock.release(self._on_released):
+        if not self.locks.release(LOCK, self._on_released):
             self._idle()  # grant lost mid-hold (failover): just retry later
 
     def _on_released(self, reply):

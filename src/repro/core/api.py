@@ -1,17 +1,12 @@
 """Application-facing API: processes, group handles, crash-surviving hosts.
 
 :class:`Application` is the shared-library side of the paper's architecture:
-an application process registers once, then joins and leaves groups, chooses
-whether it is a leadership candidate, picks interrupt- or query-style leader
-notifications, and sets the FD QoS per group.
-
-:meth:`Application.join` returns a first-class :class:`GroupHandle` — the
-redesigned service surface.  Instead of threading a single
-``on_leader_change`` callback through the join call, applications subscribe
-any number of watchers with :meth:`GroupHandle.watch_leader`, read the
-leader with :meth:`GroupHandle.leader`, and reach the lease/lock tier
-anchored on the group's stable leader through :meth:`GroupHandle.lease`
-(per-name) or :meth:`GroupHandle.lease_client` (the raw client).
+an application process registers once, then joins groups.  Each join returns
+the group's :class:`GroupHandle`, the one object through which the process
+uses that group: it holds the standing join (candidacy, FD QoS, algorithm),
+reads the leader (query mode), fans leader changes out to any number of
+watchers (interrupt mode), makes lease clients for the lease/lock tier
+anchored on the group's stable leader, and leaves.
 
 :class:`ServiceHost` ties a daemon to a workstation's lifecycle: when the
 node crashes the daemon dies with it; when the node recovers, the host boots
@@ -22,121 +17,79 @@ processes rejoining, e.g. S1's lower-id rejoin demotions, §6.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.commands import CommandHandler, Join, Leave, QueryLeader, Register
+from repro.core.commands import CommandHandler
 from repro.core.service import LeaderElectionService, ServiceConfig
 from repro.fd.configurator import ConfiguratorCache
 from repro.fd.qos import FDQoS
-from repro.lease.client import HostLeaseChannel, LeaseClient, LeaseGrant
+from repro.lease.client import HostLeaseChannel, LeaseClient
 from repro.metrics.trace import TraceRecorder
-from repro.net.message import LeaseReplyMessage
 from repro.net.node import Node
 from repro.runtime.base import Scheduler, Transport
 from repro.sim.rng import RngRegistry
 
-__all__ = ["Application", "GroupHandle", "LeaseHandle", "ServiceHost"]
+__all__ = ["Application", "GroupHandle", "ServiceHost"]
 
 LeaderCallback = Callable[[int, Optional[int]], None]
 
 
-@dataclass
-class _JoinSpec:
-    group: int
-    candidate: bool
-    qos: Optional[FDQoS]
-    algorithm: Optional[str]
-
-
-class LeaseHandle:
-    """One named lease as seen by one application (see :class:`GroupHandle`).
-
-    A thin veneer over the group's shared :class:`~repro.lease.client
-    .LeaseClient`: the name and requested TTL are fixed at construction,
-    the fencing token of the current grant is one property away.
-    """
-
-    __slots__ = ("client", "name", "ttl")
-
-    def __init__(self, client: LeaseClient, name: str, ttl: float) -> None:
-        self.client = client
-        self.name = name
-        self.ttl = ttl
-
-    def acquire(
-        self,
-        callback: Optional[Callable[[LeaseReplyMessage], None]] = None,
-        *,
-        wait: bool = True,
-    ) -> None:
-        """Acquire (and then auto-renew) the lease; see
-        :meth:`repro.lease.client.LeaseClient.acquire`."""
-        self.client.acquire(self.name, self.ttl, callback, wait=wait)
-
-    def release(
-        self, callback: Optional[Callable[[LeaseReplyMessage], None]] = None
-    ) -> bool:
-        return self.client.release(self.name, callback)
-
-    def query(self, callback: Callable[[LeaseReplyMessage], None]) -> None:
-        self.client.query(self.name, callback)
-
-    def watch(
-        self,
-        callback: Callable[[LeaseReplyMessage], None],
-        period: float = 1.0,
-    ) -> Callable[[], None]:
-        return self.client.watch(self.name, callback, period)
-
-    @property
-    def grant(self) -> Optional[LeaseGrant]:
-        """The live grant (None if not currently held)."""
-        return self.client.grant(self.name)
-
-    @property
-    def token(self) -> Optional[int]:
-        """The held grant's fencing token (None if not held) — pass it to
-        downstream resources so stale holders can be fenced off."""
-        grant = self.client.grant(self.name)
-        return grant.token if grant is not None else None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        held = self.grant
-        state = f"token={held.token}" if held is not None else "unheld"
-        return f"LeaseHandle({self.name!r}, {state})"
-
-
 class GroupHandle:
-    """A joined group, as a first-class object.
+    """A joined group: its standing join, leader watchers and lease clients.
 
     Returned by :meth:`Application.join`; stays valid across daemon
     restarts (the standing join is replayed on rebind) until
     :meth:`leave` is called.
     """
 
-    __slots__ = ("app", "group", "_lease_client")
+    __slots__ = ("app", "group", "candidate", "qos", "algorithm", "_watchers", "_clients")
 
     def __init__(self, app: "Application", group: int) -> None:
         self.app = app
         self.group = group
-        self._lease_client: Optional[LeaseClient] = None
+        self.candidate = True
+        self.qos: Optional[FDQoS] = None
+        self.algorithm: Optional[str] = None
+        self._watchers: List[LeaderCallback] = []
+        self._clients: List[LeaseClient] = []
 
     def leader(self) -> Optional[int]:
-        """Query-mode readout of the group's current leader."""
-        return self.app.leader(self.group)
+        """Query-mode readout of the group's current leader (None while the
+        app is unbound)."""
+        handler = self.app._handler
+        return handler.leader(self.group) if handler is not None else None
 
     def leave(self) -> None:
-        """Leave the group; the handle (and its lease client) go dead."""
-        if self._lease_client is not None:
-            self._lease_client.close()
-            self._lease_client = None
-        self.app.leave(self.group)
+        """Leave the group.  The standing join, the watchers and every lease
+        client this handle made go with it; a left handle is dead."""
+        app = self.app
+        if app._groups.get(self.group) is not self:
+            return
+        for client in self._clients:
+            client.close()
+        self._clients.clear()
+        self._watchers.clear()
+        del app._groups[self.group]
+        if app._handler is not None:
+            app._handler.leave(app.pid, self.group)
 
     def watch_leader(self, callback: LeaderCallback) -> Callable[[], None]:
         """Interrupt-style leader notifications: ``callback(group, leader)``
         on every change.  Returns an unsubscribe function."""
-        return self.app._add_leader_listener(self.group, callback)
+        watchers = self._watchers
+        watchers.append(callback)
+
+        def unsubscribe() -> None:
+            if callback in watchers:  # not already unsubscribed or left
+                watchers.remove(callback)
+
+        return unsubscribe
+
+    def _notify(self, group: int, leader: Optional[int]) -> None:
+        # Snapshot: a watcher may (un)subscribe — or join/leave groups, as
+        # the hierarchical-election example does — from inside the callback.
+        for callback in list(self._watchers):
+            callback(group, leader)
 
     def lease_client(
         self,
@@ -145,8 +98,9 @@ class GroupHandle:
         on_lost: Optional[Callable[[str], None]] = None,
         **kwargs,
     ) -> LeaseClient:
-        """A dedicated lease client for this group (advanced use; most code
-        wants :meth:`lease`).  Defaults the client id to the app's pid."""
+        """A lease client for the lease/lock tier anchored on this group's
+        stable leader; the client id defaults to the app's pid.  It is
+        closed when the handle leaves."""
         host = self.app.host
         if host is None:
             raise RuntimeError(
@@ -154,7 +108,7 @@ class GroupHandle:
                 "call ServiceHost.add_application first"
             )
         cid = client_id if client_id is not None else self.app.pid
-        return LeaseClient(
+        client = LeaseClient(
             HostLeaseChannel(host, self.group),
             host.scheduler,
             host.rng.stream(f"lease.app.{cid}.group.{self.group}"),
@@ -163,13 +117,8 @@ class GroupHandle:
             on_lost=on_lost,
             **kwargs,
         )
-
-    def lease(self, name: str, ttl: float = 0.0) -> LeaseHandle:
-        """A handle on the named lease/lock anchored on this group's stable
-        leader (``ttl`` 0.0 = the server's maximum)."""
-        if self._lease_client is None:
-            self._lease_client = self.lease_client()
-        return LeaseHandle(self._lease_client, name, ttl)
+        self._clients.append(client)
+        return client
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GroupHandle(group={self.group}, app={self.app.pid})"
@@ -182,11 +131,10 @@ class Application:
         self.pid = pid
         self.name = name or f"app-{pid}"
         self._handler: Optional[CommandHandler] = None
-        self._joins: Dict[int, _JoinSpec] = {}
-        self._handles: Dict[int, GroupHandle] = {}
-        self._leader_listeners: Dict[int, List[LeaderCallback]] = {}
-        #: Set by :meth:`ServiceHost.add_application`; GroupHandle.lease()
-        #: needs the host's scheduler/rng and its live daemon.
+        #: The standing joins, in the order a rebind replays them.
+        self._groups: Dict[int, GroupHandle] = {}
+        #: Set by :meth:`ServiceHost.add_application`; lease clients need
+        #: the host's scheduler/rng and its live daemon.
         self.host: Optional["ServiceHost"] = None
 
     # ------------------------------------------------------------------
@@ -200,9 +148,10 @@ class Application:
         elections do exactly this) — hence the snapshot.
         """
         self._handler = handler
-        handler.execute(Register(pid=self.pid, name=self.name))
-        for spec in list(self._joins.values()):
-            self._execute_join(spec)
+        handler.register(self.pid, self.name)
+        for handle in list(self._groups.values()):
+            handler.join(self.pid, handle.group, handle.candidate, handle.qos,
+                         handle._notify, handle.algorithm)
 
     def unbind(self) -> None:
         """The daemon died (node crash); API calls will fail until rebind."""
@@ -222,78 +171,30 @@ class Application:
         qos: Optional[FDQoS] = None,
         algorithm: Optional[str] = None,
     ) -> GroupHandle:
-        """Join ``group``; the join is standing (re-applied after crashes).
+        """Join ``group`` and return its :class:`GroupHandle` (the same
+        object on a re-join).
 
-        Returns the group's :class:`GroupHandle`; subscribe to leader
-        changes through :meth:`GroupHandle.watch_leader` (any number of
-        watchers).
+        The join stands (it is replayed after crashes) once the daemon
+        accepts it, or at once while the app is unbound.  A rejected join
+        raises :class:`~repro.core.commands.CommandError` and leaves nothing
+        standing.
         """
-        spec = _JoinSpec(group, candidate, qos, algorithm)
-        self._joins[group] = spec
-        if self._handler is not None:
-            self._execute_join(spec)
-        handle = self._handles.get(group)
+        handle = self._groups.get(group)
         if handle is None:
-            handle = self._handles[group] = GroupHandle(self, group)
-        return handle
-
-    def leave(self, group: int) -> None:
-        """Leave ``group`` (also removes the standing join)."""
-        self._joins.pop(group, None)
-        self._handles.pop(group, None)
-        self._leader_listeners.pop(group, None)
+            handle = GroupHandle(self, group)
         if self._handler is not None:
-            self._handler.execute(Leave(pid=self.pid, group=group))
-
-    def leader(self, group: int) -> Optional[int]:
-        """Query-mode readout of the group's current leader."""
-        if self._handler is None:
-            return None
-        return self._handler.execute(QueryLeader(group=group))
+            self._handler.join(self.pid, group, candidate, qos, handle._notify, algorithm)
+        handle.candidate, handle.qos, handle.algorithm = candidate, qos, algorithm
+        self._groups[group] = handle
+        return handle
 
     @property
     def joined_groups(self) -> List[int]:
-        return sorted(self._joins)
+        return sorted(self._groups)
 
     def group(self, group: int) -> Optional[GroupHandle]:
         """The handle for a joined group (None if not joined)."""
-        return self._handles.get(group)
-
-    # ------------------------------------------------------------------
-    # Leader-change fan-out (GroupHandle.watch_leader)
-    # ------------------------------------------------------------------
-    def _add_leader_listener(
-        self, group: int, callback: LeaderCallback
-    ) -> Callable[[], None]:
-        listeners = self._leader_listeners.setdefault(group, [])
-        listeners.append(callback)
-
-        def unsubscribe() -> None:
-            try:
-                listeners.remove(callback)
-            except ValueError:
-                pass  # already unsubscribed (or the group was left)
-
-        return unsubscribe
-
-    def _dispatch_leader_change(self, group: int, leader: Optional[int]) -> None:
-        # Snapshot: a watcher may (un)subscribe — or join/leave groups, as
-        # the hierarchical-election example does — from inside the callback.
-        for callback in list(self._leader_listeners.get(group, ())):
-            callback(group, leader)
-
-    def _execute_join(self, spec: _JoinSpec) -> None:
-        assert self._handler is not None
-        self._handler.execute(
-            Join(
-                pid=self.pid,
-                group=spec.group,
-                candidate=spec.candidate,
-                qos=spec.qos,
-                on_leader_change=self._dispatch_leader_change,
-                algorithm=spec.algorithm,
-            )
-        )
+        return self._groups.get(group)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Application(pid={self.pid}, groups={self.joined_groups})"

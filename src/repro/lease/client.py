@@ -13,7 +13,7 @@ object with three members::
                                          # to receive push LeaseEvents
 
 :class:`HostLeaseChannel` adapts an in-process group runtime (the path
-behind ``GroupHandle.lease()``); the live CLI builds an equivalent channel
+behind ``GroupHandle.lease_client()``); the live CLI builds an equivalent channel
 over a UDP transport.  Either way the channel is lossy — every request is
 guarded by a timeout timer with doubling, jittered backoff.
 

@@ -59,19 +59,19 @@ class TestApplication:
         network, hosts, _ = build_hosts(sim)
         apps = start_group(sim, hosts)
         sim.run_until(5.0)
-        leaders = {app.leader(1) for app in apps}
+        leaders = {app.group(1).leader() for app in apps}
         assert len(leaders) == 1
         assert leaders.pop() is not None
 
     def test_leader_query_unbound_returns_none(self, sim):
         app = Application(pid=0)
-        assert app.leader(1) is None
+        assert app.join(1).leader() is None
 
     def test_leave_removes_standing_join(self, sim):
         network, hosts, _ = build_hosts(sim)
         apps = start_group(sim, hosts)
         sim.run_until(5.0)
-        apps[0].leave(1)
+        apps[0].group(1).leave()
         assert apps[0].joined_groups == []
         assert hosts[0].service.group_runtime(1) is None
 
@@ -83,6 +83,24 @@ class TestApplication:
         dup = Application(pid=0)
         with pytest.raises(CommandError):
             hosts[0].add_application(dup)
+
+    def test_rejected_join_does_not_stand(self, sim):
+        network, hosts, _ = build_hosts(sim)
+        apps = start_group(sim, hosts)
+        sim.run_until(5.0)
+        second = Application(pid=100)
+        hosts[0].add_application(second)
+        with pytest.raises(CommandError):
+            second.join(1)  # node 0 already serves group 1 for pid 0
+        assert second.joined_groups == []
+        assert second.group(1) is None
+        # The reboot replays only the joins that stood: nothing to reject.
+        network.node(0).crash()
+        sim.run_until(6.0)
+        network.node(0).recover()
+        sim.run_until(10.0)
+        assert second.bound
+        assert hosts[0].service.group_runtime(1).pid == apps[0].pid
 
 
 class TestServiceHost:
@@ -110,7 +128,7 @@ class TestServiceHost:
         assert hosts[0].service.group_runtime(1) is not None
         # And converge back onto the group's leader.
         sim.run_until(12.0)
-        assert apps[0].leader(1) == apps[1].leader(1)
+        assert apps[0].group(1).leader() == apps[1].group(1).leader()
 
     def test_double_crash_before_restart(self, sim):
         network, hosts, _ = build_hosts(sim)
@@ -220,7 +238,7 @@ class TestGroupHandle:
             apps.append(app)
         sim.run_until(5.0)
         assert handles[0].leader() is not None
-        assert handles[0].leader() == apps[0].leader(1)
+        assert handles[0].leader() == hosts[0].service.leader_of(1)
 
     def test_watch_leader_fires_and_unsubscribes(self, sim):
         network, hosts, _ = build_hosts(sim)
@@ -236,7 +254,7 @@ class TestGroupHandle:
         hosts[0].start()
         sim.run_until(5.0)
         assert seen, "watcher never fired"
-        assert seen[-1] == app.leader(1)
+        assert seen[-1] == handle.leader()
         count = len(seen)
         unsubscribe()
         unsubscribe()  # double-unsubscribe is harmless
@@ -269,6 +287,26 @@ class TestGroupHandle:
         assert apps[0].group(1) is None
         assert hosts[0].service.group_runtime(1) is None
 
+    def test_leave_closes_every_lease_client_and_drops_watchers(self, sim):
+        network, hosts, _ = build_hosts(sim)
+        apps = start_group(sim, hosts)
+        handle = apps[0].group(1)
+        seen = []
+        handle.watch_leader(lambda g, leader: seen.append(leader))
+        sim.run_until(12.0)  # election + takeover grace
+        clients = [handle.lease_client(), handle.lease_client(client_id=500)]
+        for client, name in zip(clients, ("a", "b")):
+            client.acquire(name, 3.0)
+        sim.run_until(sim.now + 5.0)
+        assert all(c.grant(n) is not None for c, n in zip(clients, ("a", "b")))
+        handle.leave()
+        assert all(c.grant(n) is None for c, n in zip(clients, ("a", "b")))
+        # The left handle's watcher hears nothing of a later re-join.
+        count = len(seen)
+        apps[0].join(1)
+        sim.run_until(sim.now + 5.0)
+        assert len(seen) == count
+
     def test_lease_client_requires_an_attached_host(self, sim):
         app = Application(pid=0)
         handle = app.join(1)
@@ -281,28 +319,27 @@ class TestLeaseOverGroupHandle:
         network, hosts, _ = build_hosts(sim)
         apps = start_group(sim, hosts)
         sim.run_until(12.0)  # election + takeover grace
-        handle = apps[0].group(1)
-        lock = handle.lease("config-writer", ttl=3.0)
+        lock = apps[0].group(1).lease_client()
         results = []
-        lock.acquire(results.append)
+        lock.acquire("config-writer", 3.0, results.append)
         sim.run_until(sim.now + 5.0)
         assert [r.status for r in results] == ["granted"]
-        assert lock.token is not None
-        assert lock.grant.name == "config-writer"
+        assert lock.grant("config-writer").token is not None
+        assert lock.grant("config-writer").name == "config-writer"
 
         # A second app contends and is denied while we hold it.
-        other = apps[1].group(1).lease("config-writer", ttl=3.0)
+        other = apps[1].group(1).lease_client()
         denied = []
-        other.acquire(denied.append, wait=False)
+        other.acquire("config-writer", 3.0, denied.append, wait=False)
         sim.run_until(sim.now + 2.0)
         assert [r.status for r in denied] == ["denied"]
 
         # Release; the contender can now take it with a larger token.
-        ours = lock.token
-        assert lock.release() is True
+        ours = lock.grant("config-writer").token
+        assert lock.release("config-writer") is True
         granted = []
         sim.run_until(sim.now + 1.0)
-        other.acquire(granted.append)
+        other.acquire("config-writer", 3.0, granted.append)
         sim.run_until(sim.now + 3.0)
         assert [r.status for r in granted] == ["granted"]
         assert granted[0].token > ours

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.core.commands import (
-    CommandError,
-    CommandHandler,
-    Join,
-    Leave,
-    QueryLeader,
-    Register,
-    Unregister,
-)
+from repro.core.commands import CommandError, CommandHandler
 from repro.core.service import LeaderElectionService, ServiceConfig
 from repro.net.network import Network, NetworkConfig
 from repro.sim.rng import RngRegistry
@@ -33,45 +25,41 @@ def handler(sim):
 
 class TestCommandHandler:
     def test_register_join_query_leave_cycle(self, sim, handler):
-        handler.execute(Register(pid=0))
-        handler.execute(Join(pid=0, group=1))
+        handler.register(0)
+        handler.join(0, 1)
         sim.run_until(3.0)
-        assert handler.execute(QueryLeader(group=1)) == 0  # alone: self
-        handler.execute(Leave(pid=0, group=1))
-        assert handler.execute(QueryLeader(group=1)) is None
+        assert handler.leader(1) == 0  # alone: self
+        handler.leave(0, 1)
+        assert handler.leader(1) is None
 
     def test_unregister(self, handler):
-        handler.execute(Register(pid=0))
-        handler.execute(Unregister(pid=0))
+        handler.register(0)
+        handler.unregister(0)
         with pytest.raises(CommandError):
-            handler.execute(Unregister(pid=0))
+            handler.unregister(0)
 
     def test_rejections_become_command_errors(self, handler):
         with pytest.raises(CommandError):
-            handler.execute(Join(pid=0, group=1))  # unregistered
-        handler.execute(Register(pid=0))
-        handler.execute(Join(pid=0, group=1))
+            handler.join(0, 1)  # unregistered
+        handler.register(0)
+        handler.join(0, 1)
         with pytest.raises(CommandError):
-            handler.execute(Join(pid=0, group=1))  # double join
-
-    def test_unknown_command_rejected(self, handler):
-        with pytest.raises(CommandError, match="unknown command"):
-            handler.execute(object())
+            handler.join(0, 1)  # double join
+        with pytest.raises(CommandError):
+            handler.leave(0, 2)  # not a member
 
     def test_join_carries_all_four_paper_parameters(self, handler):
         """Paper §4: group id, candidacy, notification mode, FD QoS."""
         from repro.fd.qos import FDQoS
 
-        handler.execute(Register(pid=0))
+        handler.register(0)
         notifications = []
-        runtime = handler.execute(
-            Join(
-                pid=0,
-                group=9,
-                candidate=False,
-                qos=FDQoS(detection_time=0.25),
-                on_leader_change=lambda g, l: notifications.append((g, l)),
-            )
+        runtime = handler.join(
+            0,
+            9,
+            candidate=False,
+            qos=FDQoS(detection_time=0.25),
+            on_leader_change=lambda g, leader: notifications.append((g, leader)),
         )
         assert runtime.candidate is False
         assert runtime.qos.detection_time == 0.25

@@ -35,7 +35,7 @@ class TestNotificationModes:
             50,
             group=9,
             candidate=False,
-            on_leader_change=lambda g, l: interrupts.append((sim.now, l)),
+            on_leader_change=lambda g, leader: interrupts.append((sim.now, leader)),
         )
         # Other nodes populate group 9 as candidates.
         for host in system.hosts[1:]:
@@ -57,7 +57,7 @@ class TestNotificationModes:
         observer.register(50)
         observer.join(
             50, group=9, candidate=False,
-            on_leader_change=lambda g, l: interrupts.append(l),
+            on_leader_change=lambda g, leader: interrupts.append(leader),
         )
         for host in system.hosts[1:]:
             node_id = host.node.node_id
@@ -79,6 +79,6 @@ class TestNotificationModes:
         sim.run_until(30.0)
         # The experiment apps joined in query mode (no callback): polling
         # works and agrees across nodes.
-        views = {app.leader(1) for app in system.apps}
+        views = {app.group(1).leader() for app in system.apps}
         assert len(views) == 1
         assert views.pop() is not None

@@ -15,7 +15,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 MAX_LINES = 800
 #: Lines of Python under ``src/``.  Raised only by editing it here, in the
 #: diff that needs the room; lowered when the tree is 150 lines under it.
-SRC_LINES_CEILING = 17_944
+SRC_LINES_CEILING = 17_817
 
 
 def _module_sizes():
@@ -62,9 +62,9 @@ SHARED_SETTINGS = {
     "lease_transfer_ratio", "transfer_ratio", "n_nodes", "link_loss_prob",
 }
 #: Dataclasses that hold one of those names without copying a setting: the
-#: QoS triple itself, the simulated network's size, a join command's own
-#: algorithm, and a live cluster's observed report.
-NOT_COPIES = {"FDQoS", "NetworkConfig", "Join", "_JoinSpec", "ClusterReport"}
+#: QoS triple itself, the simulated network's size, and a live cluster's
+#: observed report.
+NOT_COPIES = {"FDQoS", "NetworkConfig", "ClusterReport"}
 
 
 def test_settings_are_declared_once():
