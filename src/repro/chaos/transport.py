@@ -33,7 +33,7 @@ a script's RNG consumption is exactly determined by its steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -198,7 +198,8 @@ class ChaosTransport:
                 # so RNG consumption stays exactly script-determined.  An
                 # echo acknowledges every cell its frame carried (a datagram
                 # arrives whole), which a frame stripped here makes a lie:
-                # echoes go while any group is faulted (cells are re-sent).
+                # echoes go while any group is faulted (cells are re-sent),
+                # a probe's and its answer's too.
                 kept = tuple(
                     cell
                     for cell in message.cells
@@ -207,14 +208,9 @@ class ChaosTransport:
                 )
                 if len(kept) != len(message.cells) or message.ack is not None:
                     self.stats.dropped_group_cells += len(message.cells) - len(kept)
-                    message = BatchFrame(
-                        sender_node=message.sender_node,
-                        dest_node=message.dest_node,
-                        seq=message.seq,
-                        send_time=message.send_time,
-                        interval=message.interval,
-                        cells=kept,
-                    )
+                    message = replace(message, cells=kept, ack=None)
+            elif getattr(message, "ack", None) is not None:
+                message = replace(message, ack=None)
         copies = 1
         if self.duplicate_prob > 0.0 and self._rng.random() < self.duplicate_prob:
             copies = 2

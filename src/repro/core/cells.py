@@ -7,24 +7,26 @@ payload, then the stream monitors Ω_l needs — unless their frame was
 overtaken.  A tenure-active leader's cells also carry the lease ledger to
 each follower (see :mod:`repro.lease.server`).
 
-On the all-pairs plane a cell is *owed* to a destination from the frame that
-first carried its current content (a changed payload, a membership delta, a
-ledger segment, a first contact or a refresh) until that destination echoes
-a frame that carried it (``BatchFrame.ack``, the node's newest in-order frame
-with cells: it may have carried only other groups').  Meanwhile it rides the
-early round, and every frame once the echo is overdue, a re-sent delta from
-what was last acknowledged: a crashed link is repaired by the first frame
-after the heal, and the refresh is pure anti-entropy.  A destination not
-heard from cannot echo: on a node that has seen loss its news is re-sent
-blind, on the early round and once overdue.  On swim an echo would cost a
-datagram: a change is sent once, the refresh repairs it.
+A cell is *owed* to a destination from the frame that first carried its
+current content (a changed payload, a membership delta, a ledger segment, a
+first contact or a refresh) until that destination echoes a frame that
+carried it: the node's newest in-order frame with cells (it may have carried
+only other groups'), on its next frame back (``BatchFrame.ack``) or, on swim,
+probe or probe answer.  The echo is overdue ``CELL_ECHO_WAIT`` periods after
+the send.  All-pairs frames flow every period, so the clock says so: the cell
+rides the early round, and every frame once overdue, a re-sent delta from
+what was last acknowledged; a destination not heard from cannot echo, and on
+a node that has seen loss its news is re-sent blind.  On swim only a carrier
+back that left once overdue without the echo does: the cell goes again as a
+first contact, once per such exchange.  A crashed link is repaired by the
+first exchange after the heal; the refresh is pure anti-entropy.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.fd.plane import CELL_ECHO_WAIT, StreamMonitor
+from repro.fd.plane import CELL_ECHO_WAIT, CELL_REFRESH, StreamMonitor
 from repro.net.message import AliveCell, BatchFrame
 
 __all__ = ["GroupCells"]
@@ -42,9 +44,9 @@ class GroupCells:
     __slots__ = (
         "group", "pid", "scheduler", "view", "algorithm", "plane",  # read off the membership
         "cell_state", "stream_monitors", "_membership", "_sent_version", "_batcher", "owing",
-        "_leases", "_ledger", "_dest_nodes", "refresh", "_emit_quiet_until", "_emit_stamp_version",
+        "_leases", "_ledger", "_dest_nodes", "_emit_quiet_until", "_emit_stamp_version",
         "_emit_stamp_alg", "_emit_head", "_emit_template", "_emit_payload", "cells_repeated",
-        "frame_anchor", "owed",
+        "frame_anchor", "owed", "_periodic",
     )
 
     def __init__(self, membership, batcher, leases) -> None:
@@ -64,18 +66,17 @@ class GroupCells:
         #: The lease server: the ledger segment each destination is owed.
         self._leases = leases
         self._ledger = leases.ledger
-        #: Steady-state re-send period of an unchanged cell under this plane
-        #: (the horizon inside which the gossip rounds call a peer covered).
-        self.refresh = plane.cell_refresh
+        #: Frames flow every period both ways (all-pairs): an echo is overdue
+        #: by the clock, not by a carrier back without it (swim).
+        self._periodic = plane.header_is_liveness
         #: Per-destination (election payload, time of its first send or last
         #: refresh, ledger head), for change-triggered emission and the refresh.
         self.cell_state: Dict[int, tuple] = {}
         #: Destination -> (first, last seq of the newest run of frames that
         #: all carried its current content, or ``_BLIND`` twice; the view
-        #: version it held before); ``all_candidates`` on all-pairs only.
+        #: version it held before); ``all_candidates`` only.
         self.owed: Optional[Dict[int, Tuple[int, int, int]]] = (
-            {} if plane.header_is_liveness and algorithm.monitor_policy == "all_candidates"
-            else None
+            {} if algorithm.monitor_policy == "all_candidates" else None
         )
         #: Instrumentation only: cells re-sent because they were still owed.
         self.cells_repeated = 0
@@ -191,19 +192,33 @@ class GroupCells:
             self.owed.pop(node, None)
         self._leases.forget(node)
 
+    def on_trust(self, node: int) -> None:
+        """``node`` is heard again.  On all-pairs what it was sent meanwhile
+        was not owed (or owed blind): its next frame is a first contact.  On
+        swim it was owed, and its next carrier shows what it lacks."""
+        if self._periodic:
+            self.forget_sent(node)
+
     def forget_sent(self, node: int) -> None:
-        """All-pairs: ``node`` restarted or was not heard: its next frame is a first contact."""
+        """``node`` restarted, was not heard or lost a cell: its next frame is a first contact."""
         if self.owed is not None and self.cell_state.pop(node, None) is not None:
             self.owed.pop(node, None)
             self._emit_quiet_until = float("-inf")
 
-    def on_ack(self, node: int, seq: int) -> None:
-        """``node`` echoes ``seq``: if that frame carried the owed cell, it arrived."""
-        owed = self.owed
-        if owed:
-            entry = owed.get(node)
-            if entry is not None and entry[0] <= seq <= entry[1]:
-                del owed[node]
+    def on_ack(self, node: int, seq: Optional[int], departure: float) -> None:
+        """A carrier from ``node`` left at ``departure`` echoing ``seq`` (None:
+        nothing): the owed cell arrived if the echoed frame carried it, and
+        on swim was lost if the carrier left once overdue."""
+        entry = self.owed.get(node) if self.owed else None
+        if entry is None:
+            return
+        if seq is not None and entry[0] <= seq <= entry[1]:
+            del self.owed[node]
+        elif not self._periodic and departure - self.cell_state[node][1] >= (
+            CELL_ECHO_WAIT * self._batcher.interval()
+        ):
+            self.cells_repeated += 1
+            self.forget_sent(node)
 
     def emit_cells(self, early: bool):
         """Yield ``(dest_node, cell)`` for one emission round.
@@ -211,12 +226,13 @@ class GroupCells:
         The FD header flows on every frame; under ``all_candidates`` a
         cell rides along only with *news* — a changed payload or ledger
         head, a membership or ledger delta, a first contact, the refresh —
-        or while owed (see the module docstring): on the ``early`` round and,
-        from ``CELL_ECHO_WAIT`` periods after its news, on every round.  A
-        changed payload on a node that has seen frame loss sets
-        :attr:`owing` (the batcher arms the early round).  ``senders_only``
-        groups (Ω_l) emit every round: their receivers' stream monitors feed
-        on the cells.  Destinations owing no delta share one template cell.
+        or while owed (see the module docstring): on all-pairs on the
+        ``early`` round and, from ``CELL_ECHO_WAIT`` periods after its news,
+        on every round; on swim at the refresh.  A changed payload on a node
+        that has seen frame loss sets :attr:`owing` (the batcher arms the
+        early round).  ``senders_only`` groups (Ω_l) emit every round: their
+        receivers' stream monitors feed on the cells.  Destinations owing no
+        delta share one template cell.
         """
         self.owing = False
         dests = self._dest_nodes
@@ -262,10 +278,11 @@ class GroupCells:
         seqs = self._batcher.seqs
         trusted = self.plane.trusted
         cell_state = self.cell_state
-        refresh = self.refresh
+        refresh = CELL_REFRESH
+        periodic = self._periodic
         sent = self._sent_version
         shipped = None if head is None else self._leases.shipped
-        overdue = CELL_ECHO_WAIT * self._batcher.interval() if owed else 0.0
+        overdue = CELL_ECHO_WAIT * self._batcher.interval() if owed and periodic else refresh
         wait = 0.0 if early else overdue
         lossy = None  # has this node seen frame loss?  Read at most once.
         #: One shared entry for every destination sent new content.
@@ -285,25 +302,25 @@ class GroupCells:
                 changed = changed or state is not None
             elif owed is not None and state[2] != head:
                 news = True  # the ledger head moved: its digest is content too
-            elif pending is not None and not news:
-                if now - state[1] < wait:
-                    continue
-                if pending[0] != _BLIND and not trusted(dest):
-                    del owed[dest]  # silent: re-trusted, it gets a first contact
-                    continue
-                self.cells_repeated += 1
-            elif suppressible and not news and now - state[1] < refresh:
+            elif not news and suppressible and now - state[1] < (wait if pending else refresh):
                 if state[1] < oldest:
                     oldest = state[1]
                 continue
-            if pending is not None:
+            elif pending is not None and not news:
+                if periodic and pending[0] != _BLIND and not trusted(dest):
+                    del owed[dest]  # silent: re-trusted, it gets a first contact
+                    continue
+                self.cells_repeated += 1
+                if not periodic:
+                    pending = None  # swim: unechoed since the refresh, it goes as one
+            if pending is not None and sent is not None:
                 held = pending[2]  # a re-sent delta starts at the last acked
             if news or pending is None:
                 cell_state[dest] = entry
             if owed is not None:
                 seq = seqs.get(dest, 0)
                 if news or pending is None:  # a new run; blind if no echo can cover it
-                    if trusted(dest):
+                    if trusted(dest) or not periodic:
                         owed[dest] = (seq, seq, held)
                     elif lossy or lossy is None and (lossy := self.plane.observed_loss() > 0.0):
                         owed[dest] = (_BLIND, _BLIND, held)
@@ -332,7 +349,7 @@ class GroupCells:
             self._emit_head = head
             self._emit_template = template
             self._emit_payload = payload
-            self._emit_quiet_until = now if owed else oldest + refresh
+            self._emit_quiet_until = now if owed and periodic else oldest + refresh
 
     def _cell(self, template: AliveCell, held: int, segment) -> AliveCell:
         """The template, or its copy carrying the membership records since

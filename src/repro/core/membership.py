@@ -27,6 +27,7 @@ import bisect
 from typing import Dict, List, Optional, Set, Tuple, Type
 
 from repro.core.group import MembershipView
+from repro.fd.plane import CELL_REFRESH
 from repro.net.message import HelloMessage, MemberInfo
 from repro.runtime.timers import PeriodicTimer
 
@@ -116,7 +117,7 @@ class Membership:
         self._cell_state = cells.cell_state
         #: A peer is *covered* while its last cell is younger than this (one
         #: hello period rides out the round on which the refresh falls due).
-        self._cover_horizon = cells.refresh + self.hello_period
+        self._cover_horizon = CELL_REFRESH + self.hello_period
         self._leases = leases
         self._ledger = leases.ledger
 

@@ -378,7 +378,7 @@ class GroupRuntime(GroupContext):
         """The shared plane started trusting ``node``: fan out per pid."""
         if self._shut_down:
             return
-        self.cells.forget_sent(node)
+        self.cells.on_trust(node)
         view = self.view
         for pid in view.pids_on_node(node):
             if pid != self.pid and view.is_present(pid):
@@ -464,8 +464,8 @@ class LeaderElectionService:
         )
         # A refutation of a suspicion about *us* must not wait a full
         # period: the plane flushes the frame round so the alive rumour
-        # races the suspicion's confirm timer.
-        self.plane.set_flush_hook(self.batcher.flush)
+        # races the suspicion's confirm timer.  Its probes carry echoes too.
+        self.plane.set_batcher(self.batcher)
         #: Node-level message types the plane consumes (probe traffic).
         self._plane_handlers = self.plane.message_handlers()
         #: Last η requested from each peer node and its monitor's suspicion
@@ -601,7 +601,6 @@ class LeaderElectionService:
         transition fans out (payload before trust, see
         :meth:`~repro.core.cells.GroupCells.handle_cell`); rumours
         piggybacked on the frame are the plane's to read, with the header.
-        An echo naming a frame never sent (stale across a restart) is ignored.
         """
         sender = frame.sender_node
         groups = self._groups
@@ -609,10 +608,7 @@ class LeaderElectionService:
             runtime = groups.get(cell.group)
             if runtime is not None:
                 runtime.handle_cell(sender, frame, cell)
-        ack = frame.ack
-        if ack is not None and ack < self.batcher.seqs.get(sender, 0):
-            for runtime in groups.values():
-                runtime.cells.on_ack(sender, ack)
+        self.batcher.on_carrier(sender, frame.ack, frame.send_time)
         self.plane.observe_frame(frame)
 
     # ------------------------------------------------------------------

@@ -41,19 +41,18 @@ from repro.net.message import BatchFrame
 from repro.runtime.base import FdPlane
 from repro.sim.vector import deadline_timer
 
-__all__ = ["CELL_REFRESH", "SWIM_CELL_REFRESH", "CELL_ECHO_WAIT", "CELL_EARLY_ROUND",
+__all__ = ["CELL_REFRESH", "CELL_ECHO_WAIT", "CELL_EARLY_ROUND",
            "PlaneListener", "FdPlaneBase", "NodeFdPlane", "StreamMonitor"]
 
-#: Cell refresh period, seconds.  Heartbeat *frames* flow at the negotiated
-#: η per node pair, but an ``all_candidates`` group's cell rides along only
-#: until its destination acknowledges it (see :mod:`repro.core.cells`) — and
-#: once per this period, the anti-entropy for view digests and ledger heads.
-#: This keeps heartbeat bytes O(node pairs), not O(groups × node pairs).
+#: Cell refresh period, seconds, on both planes.  An ``all_candidates``
+#: group's cell rides a frame only until its destination acknowledges it
+#: (see :mod:`repro.core.cells`) — and once per this period, the
+#: anti-entropy for view digests and ledger heads.  This keeps cell bytes
+#: O(node pairs), not O(groups × node pairs).
 CELL_REFRESH = 8.0
-#: Swim's: no echo travels there (it would cost a datagram), so it is loss repair too.
-SWIM_CELL_REFRESH = 4.0
-#: Periods after its news from which an unacknowledged cell rides every
-#: round (the destination's next frame, which echoes it, is due within one).
+#: Periods after a cell's send from which its echo is overdue: on all-pairs it
+#: then rides every round (the next frame back, which echoes it, is due within
+#: one); on swim a carrier back that leaves later without the echo shows it lost.
 CELL_ECHO_WAIT = 1.5
 #: A change on a node that has seen loss re-sends owed cells this many periods later.
 CELL_EARLY_ROUND = 0.125
@@ -73,9 +72,8 @@ class FdPlaneBase(FdPlane):
     guard and the listener fan-out.  Subclasses supply the evidence — how a
     peer's ``monitors`` entry is made, fed and torn down."""
 
-    #: See :class:`~repro.runtime.base.FdPlane`; the all-pairs defaults.
+    #: See :class:`~repro.runtime.base.FdPlane`; the all-pairs default.
     header_is_liveness = True
-    cell_refresh = CELL_REFRESH
 
     def __init__(
         self,

@@ -25,7 +25,8 @@ Per-destination state that must *not* be shared:
   sender emits at the fastest rate any *group* bootstraps or any *peer*
   requested (extra heartbeats only improve the slower receivers' detection);
 * echoes — the next frame to a peer whose cells were ingested carries the
-  newest such ``seq`` back (``BatchFrame.ack``; see :mod:`repro.core.cells`).
+  newest such ``seq`` back (``BatchFrame.ack``; see :mod:`repro.core.cells`),
+  or, on swim, the next probe or probe answer to it if that leaves first.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ class CellSource(Protocol):
         frame header alone (the node-level FD needs no payload).
         """
         ...
+
+    def on_ack(self, node: int, seq: Optional[int], departure: float) -> None:
+        """A carrier from ``node``, sent at ``departure``, echoes ``seq``."""
 
     #: Read-only, after a round: it sent a change on a node that saw loss.
     owing: bool
@@ -100,7 +104,7 @@ class AliveBatcher:
         self._requested: Dict[int, float] = {}
         #: dest node -> next sequence number (pauses during silence).
         self.seqs: Dict[int, int] = {}
-        #: peer node -> the seq its next frame echoes (set by cell ingestion).
+        #: peer node -> the seq its next frame or probe echoes (set by cell ingestion).
         self.acks: Dict[int, int] = {}
         #: Created on first resume so the random initial phase is drawn
         #: against the *actual* bootstrap interval of the hosted groups.
@@ -200,6 +204,15 @@ class AliveBatcher:
         self._requested.pop(node, None)
         self.seqs.pop(node, None)
         self.acks.pop(node, None)
+
+    def on_carrier(self, node: int, ack: Optional[int], departure: float) -> None:
+        """A frame or probe message from ``node`` left at ``departure`` echoing
+        ``ack``; where frames flow every period, one without an echo is none."""
+        if ack is not None and ack >= self.seqs.get(node, 0):
+            ack = None  # names a frame never sent (stale across a restart)
+        if ack is not None or self._payload_only:
+            for source in self._sources.values():
+                source.on_ack(node, ack, departure)
 
     # ------------------------------------------------------------------
     # Activity

@@ -22,7 +22,10 @@ suspicion to the whole group, on the flush it causes), probe traffic (one
 per ping, ping-req and ack) and HELLO gossip (one per round, shared by the
 round's messages; rare since quiet rounds send nothing).  A rumour is queued
 *before* the transition it reports is fanned to the listeners — state before
-the reaction to it, as with a cell's payload before trust.
+the reaction to it, as with a cell's payload before trust.  Pings and acks
+also carry a cell echo when the batcher holds one for their destination
+(``AliveBatcher.acks``), and hand the one they bring back to it: a frame
+back need not come soon on this plane.
 
 What stays the paper's math:
 
@@ -52,11 +55,12 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.fd.configurator import ConfiguratorCache, bootstrap_params
 from repro.fd.estimator import LinkQualityEstimator
-from repro.fd.plane import SWIM_CELL_REFRESH, FdPlaneBase, PlaneListener
+from repro.fd.plane import FdPlaneBase, PlaneListener
 from repro.fd.qos import FDParams, FDQoS
 from repro.metrics.usage import UsageMeter
 from repro.net.message import (
@@ -81,92 +85,64 @@ LINKS_CAP = max(16, 4 * (PROBE_FANOUT + INDIRECT_RELAYS))
 MAX_PIGGYBACK = 8
 #: Rumour buffer capacity; new rumours evict the most-disseminated one.
 RUMOUR_BUFFER = 128
+#: Minimum optimistic-trust horizon, seconds.  On wide rings first-hand
+#: evidence for a peer may take a ring round or a cell refresh to arrive, so
+#: grace must outlive that or a mass bootstrap dissolves into a
+#: cluster-wide false-suspicion wave.
+GRACE_FLOOR = 8.0
 
 _INF = float("inf")
 
 
+@dataclass(slots=True, eq=False)
 class SwimPeerState:
     """Per-peer SWIM state: a ``monitors`` entry of the
     :class:`~repro.runtime.base.FdPlane` contract (``trusted``,
     ``trusted_since``) plus the evidence counters and rumour precedence."""
 
-    __slots__ = (
-        "node",
-        "trusted",
-        "trusted_since",
-        "alives_received",
-        "suspicions",
-        "incarnation",
-        "status",
-        "last_evidence",
-        "grace_until",
-        "confirm_at",
-    )
-
-    def __init__(self, node: int) -> None:
-        self.node = node
-        #: Plane output.  Born untrusted, exactly like the default plane's
-        #: monitors: a membership record proves nothing about the process.
-        self.trusted = False
-        self.trusted_since = 0.0
-        #: First-hand evidence count (frames, pings, acks received from the
-        #: peer) — the same guard the default plane uses to ignore grace.
-        self.alives_received = 0
-        self.suspicions = 0
-        #: Highest incarnation seen for the peer, and the winning rumour
-        #: status at that incarnation (SWIM's override precedence).
-        self.incarnation = 0
-        self.status = "alive"
-        self.last_evidence = -_INF
-        #: Optimistic-trust horizon while no evidence exists (join hints).
-        self.grace_until = -_INF
-        #: When a local suspicion escalates to a ``confirm`` rumour.
-        self.confirm_at = _INF
+    node: int
+    #: Plane output.  Born untrusted, exactly like the default plane's
+    #: monitors: a membership record proves nothing about the process.
+    trusted: bool = False
+    trusted_since: float = 0.0
+    #: First-hand evidence count (frames, pings, acks received from the
+    #: peer) — the same guard the default plane uses to ignore grace.
+    alives_received: int = 0
+    suspicions: int = 0
+    #: Highest incarnation seen for the peer, and the winning rumour
+    #: status at that incarnation (SWIM's override precedence).
+    incarnation: int = 0
+    status: str = "alive"
+    last_evidence: float = -_INF
+    #: Optimistic-trust horizon while no evidence exists (join hints).
+    grace_until: float = -_INF
+    #: When a local suspicion escalates to a ``confirm`` rumour.
+    confirm_at: float = _INF
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "trusted" if self.trusted else "suspected"
         return f"SwimPeerState(node={self.node}, {state}, inc={self.incarnation})"
 
 
+@dataclass(slots=True)
 class _Probe:
     """One outstanding direct probe, swept (not timer-armed) per tick."""
 
-    __slots__ = (
-        "nonce",
-        "target",
-        "seq",
-        "sent_at",
-        "escalate_at",
-        "deadline",
-        "escalated",
-    )
-
-    def __init__(
-        self,
-        nonce: int,
-        target: int,
-        seq: int,
-        sent_at: float,
-        escalate_at: float,
-        deadline: float,
-    ) -> None:
-        self.nonce = nonce
-        self.target = target
-        self.seq = seq
-        self.sent_at = sent_at
-        self.escalate_at = escalate_at
-        self.deadline = deadline
-        self.escalated = False
+    nonce: int
+    target: int
+    seq: int
+    sent_at: float
+    escalate_at: float
+    deadline: float
+    escalated: bool = False
 
 
+@dataclass(slots=True)
 class _LinkState:
     """Bounded-LRU entry: estimator + probe sequence for one probed peer."""
 
-    __slots__ = ("estimator", "next_seq")
-
-    def __init__(self, estimator: LinkQualityEstimator) -> None:
-        self.estimator = estimator
-        self.next_seq = 0
+    estimator: LinkQualityEstimator
+    next_seq: int = 0
 
 
 class SwimFdPlane(FdPlaneBase):
@@ -174,7 +150,6 @@ class SwimFdPlane(FdPlaneBase):
 
     #: The probe ring, not the frame header, is the liveness signal.
     header_is_liveness = False
-    cell_refresh = SWIM_CELL_REFRESH
 
     def __init__(
         self,
@@ -188,12 +163,6 @@ class SwimFdPlane(FdPlaneBase):
         super().__init__(scheduler, node_id, cache, meter)
         self.transport = transport
         self._rng = rng
-        #: Minimum optimistic-trust horizon.  On wide rings first-hand
-        #: evidence for most peers arrives with their cell-refresh round
-        #: (the probe ring reaches any given peer only every ring/k
-        #: periods), so grace must outlive that delay or a mass bootstrap
-        #: dissolves into a cluster-wide false-suspicion wave.
-        self._grace_floor = 2.0 * self.cell_refresh
         #: Strictest QoS across every interest — the probed subset shares
         #: one (η, δ) because the probe schedule is plane-wide.
         self._plane_qos: Optional[FDQoS] = None
@@ -216,16 +185,16 @@ class SwimFdPlane(FdPlaneBase):
         self.batches_handed = {"frame": 0, "probe": 0, "hello": 0}
         #: Bounded estimator LRU over currently-probed peers.
         self._links: "OrderedDict[int, _LinkState]" = OrderedDict()
-        #: Urgent-dissemination hook (the batcher's flush), set by the
-        #: service once the batcher exists.
-        self._flush_hook: Optional[Callable[[], None]] = None
+        #: The frame batcher's flush (it spreads urgent rumours), its cell
+        #: echoes per peer (each rides once) and its carrier hook.
+        self._flush = self._carried = lambda *_: None
+        self._acks: Dict[int, int] = {}
         #: The plane's single timer, created at the first interest so its
         #: random initial phase is drawn then.
         self._timer: Optional[PeriodicTimer] = None
 
-    def set_flush_hook(self, hook: Callable[[], None]) -> None:
-        """Wire the urgent-dissemination hook (fresh rumours flush frames)."""
-        self._flush_hook = hook
+    def set_batcher(self, batcher) -> None:
+        self._flush, self._acks, self._carried = batcher.flush, batcher.acks, batcher.on_carrier
 
     def message_handlers(self):
         return {
@@ -299,7 +268,7 @@ class SwimFdPlane(FdPlaneBase):
         now = self.scheduler.now
         peer.trusted = True
         peer.trusted_since = now
-        peer.grace_until = now + max(2.0 * budget, self._grace_floor)
+        peer.grace_until = now + max(2.0 * budget, GRACE_FLOOR)
         self._fan_trust(node)
 
     def delta_for(self, node: int) -> float:
@@ -388,7 +357,6 @@ class SwimFdPlane(FdPlaneBase):
     def _send_probes(self, now: float) -> None:
         ring = self._ring
         params = self._params
-        updates_budgeted = self.piggyback  # one bounded batch per message
         for _ in range(PROBE_FANOUT):
             if self._ring_stale or self._ring_pos >= len(ring):
                 self._rebuild_ring()
@@ -414,16 +382,7 @@ class SwimFdPlane(FdPlaneBase):
                 now + 0.5 * params.delta,
                 now + params.delta,
             )
-            self.transport.send(
-                SwimPingMessage(
-                    sender_node=self.node_id,
-                    dest_node=target,
-                    nonce=nonce,
-                    origin=self.node_id,
-                    send_time=now,
-                    updates=updates_budgeted(),
-                )
-            )
+            self._ping(target, nonce, self.node_id, now)
 
     def _rebuild_ring(self) -> None:
         nodes = sorted(self._effective_qos)
@@ -477,8 +436,10 @@ class SwimFdPlane(FdPlaneBase):
         if self._shut_down:
             return
         # Updates first: a suspicion about *us* must bump our incarnation
-        # before the ACK snapshots it.
+        # before the ACK snapshots it.  ``send_time`` is the origin's: the
+        # relay's ping left no earlier.
         self.apply_updates(message.updates)
+        self._carried(message.sender_node, message.ack, message.send_time)
         self._evidence_alive(message.sender_node)
         self.transport.send(
             SwimAckMessage(
@@ -488,6 +449,7 @@ class SwimFdPlane(FdPlaneBase):
                 incarnation=self.incarnation,
                 echo_send_time=message.send_time,
                 updates=self.piggyback(),
+                ack=self._acks.pop(message.origin, None),
             )
         )
 
@@ -498,14 +460,20 @@ class SwimFdPlane(FdPlaneBase):
         self._evidence_alive(message.sender_node)
         # Relay hop: probe the target on the origin's behalf.  The target
         # ACKs the origin directly, so one hop each way suffices.
+        self._ping(message.target, message.nonce, message.origin, message.send_time)
+
+    def _ping(self, target: int, nonce: int, origin: int, send_time: float) -> None:
+        """Probe ``target`` for ``origin``'s round, carrying a rumour batch
+        and the cell echo this node owes it, if any."""
         self.transport.send(
             SwimPingMessage(
                 sender_node=self.node_id,
-                dest_node=message.target,
-                nonce=message.nonce,
-                origin=message.origin,
-                send_time=message.send_time,
+                dest_node=target,
+                nonce=nonce,
+                origin=origin,
+                send_time=send_time,
                 updates=self.piggyback(),
+                ack=self._acks.pop(target, None),
             )
         )
 
@@ -514,6 +482,8 @@ class SwimFdPlane(FdPlaneBase):
             return
         self.apply_updates(message.updates)
         responder = message.sender_node
+        # It left when our probe arrived: after the probe left, at least.
+        self._carried(responder, message.ack, message.echo_send_time)
         probe = self._probes.pop(message.nonce, None)
         self._evidence_alive(responder, incarnation=message.incarnation)
         if probe is not None and probe.target == responder:
@@ -577,8 +547,7 @@ class SwimFdPlane(FdPlaneBase):
                 self._queue_rumour(
                     SwimUpdate(self.node_id, self.incarnation, "alive")
                 )
-                if self._flush_hook is not None:
-                    self._flush_hook()  # spread the refutation now
+                self._flush()  # spread the refutation now
             return
         peer = self.monitors.get(node)
         if peer is None:

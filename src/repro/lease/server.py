@@ -60,7 +60,7 @@ class LeaseServer:
         "_gossip", "group", "pid", "node_id", "scheduler", "transport", "view",
         "hello_period", "plane",  # the gossip engine and what is read off it
         "universe", "ledger", "manager", "shipped", "_applied", "_head", "counts",
-        "_leader", "_clients", "_event_sinks", "_watchers", "_shut_down",
+        "_leader", "_clients", "_event_sinks", "_watchers", "_shut_down", "_diverged",
     )
 
     def __init__(self, gossip, detection_time: float, trace) -> None:
@@ -97,6 +97,10 @@ class LeaseServer:
         self.counts = {"shipped": 0, "nacks": 0, "resent": 0, "syncs": 0}
         #: The group's current leader view, as last told.
         self._leader: Optional[int] = None
+        #: Swim: a node whose segment showed divergence before this one
+        #: followed it (a view change can lag a new leader's first cells by a
+        #: probe round; echoed, they go again only at the refresh).
+        self._diverged: Optional[int] = None
         #: Local clients awaiting replies, keyed by client id.
         self._clients: Dict[int, Callable[[LeaseReplyMessage], None]] = {}
         #: Local clients receiving push events, keyed by client id.
@@ -111,6 +115,10 @@ class LeaseServer:
     def on_leader_view(self, leader: Optional[int]) -> None:
         """The group's leader view changed: start or end the local tenure."""
         self._leader = leader
+        node = self._leader_node()
+        if node is not None and node == self._diverged:
+            self._diverged = None
+            self._gossip.push_sync(node, view=False, leases=True)
         manager = self.manager
         if leader == self.pid:
             if not manager.tenure_active:
@@ -414,9 +422,10 @@ class LeaseServer:
         applied version moves to ``top`` — and a complete segment from the
         current leader that leaves the digests unequal shows divergence no
         cursor can see (records learned under another leader, a healed
-        partition): the full-ledger sync repairs it.  So does a cell from
-        the current leader with no segment while this ledger is not empty:
-        that leader's is (or its tenure has not started yet).
+        partition): the full-ledger sync repairs it — on swim also once this
+        node follows a sender whose segment showed it earlier.  So does a
+        cell from the current leader with no segment while this ledger is
+        not empty: that leader's is (or its tenure has not started yet).
         """
         if segment is None:
             if in_order and len(self.ledger) and sender == self._leader_node():
@@ -441,9 +450,11 @@ class LeaseServer:
         if (
             len(segment.records) < LEDGER_SEGMENT_CAP  # a full one may be cut short
             and segment.digest != self.ledger.digest64()
-            and sender == self._leader_node()
         ):
-            self._gossip.push_sync(sender, view=False, leases=True)
+            if sender == self._leader_node():
+                self._gossip.push_sync(sender, view=False, leases=True)
+            elif not self.plane.header_is_liveness:
+                self._diverged = sender
 
     def on_hello(self, message: HelloMessage) -> bool:
         """The ledger half of a HELLO; True when a ledger sync must answer.

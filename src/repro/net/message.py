@@ -307,9 +307,9 @@ class BatchFrame(Message):
     sequence pauses — never skips — while the sender has no cells for this
     destination, so voluntary silence is not scored as message loss.
 
-    ``ack`` (all-pairs only) echoes the newest ``seq`` of the destination's
-    stream to the sender whose cells were ingested since the last echo,
-    acknowledging them (see :mod:`repro.core.cells`); None costs no bytes.
+    ``ack`` echoes the newest ``seq`` of the destination's stream to the
+    sender whose cells were ingested since the last echo, acknowledging them
+    (see :mod:`repro.core.cells`); None costs no bytes.
     """
 
     seq: int = 0
@@ -573,8 +573,18 @@ class LeaseEventMessage(Message):
         return self._PAYLOAD_BYTES
 
 
+class _Probing:
+    """A probe message's size: its updates, and its cell echo (8) if any."""
+
+    __slots__ = ()
+
+    def payload_bytes(self) -> int:
+        size = self._BASE_BYTES + _SWIM_UPDATE_BYTES * len(self.updates)
+        return size if getattr(self, "ack", None) is None else size + BatchFrame._ACK_BYTES
+
+
 @dataclass(slots=True)
-class SwimPingMessage(Message):
+class SwimPingMessage(_Probing, Message):
     """A SWIM direct probe (also sent by a relay on behalf of ``origin``).
 
     ``origin`` is the node whose probe round this ping serves: for a direct
@@ -582,25 +592,23 @@ class SwimPingMessage(Message):
     path) it names the original prober, and the target acks *directly* to
     ``origin`` so one relay hop suffices in each direction.  ``nonce``
     matches acks to outstanding probes across loss and reordering;
-    ``send_time`` is echoed back for RTT estimation.  Node-level traffic —
-    no group routing, charged to the shared usage bucket like the FD
-    plane's frames.
+    ``send_time`` is echoed back for RTT estimation; ``ack`` is a cell echo
+    (see :class:`BatchFrame`).  Node-level traffic — no group routing,
+    charged to the shared usage bucket like the FD plane's frames.
     """
 
     nonce: int = 0
     origin: int = 0
     send_time: float = 0.0
     updates: Tuple[SwimUpdate, ...] = ()
+    ack: Optional[int] = None
 
     #: nonce (4) + origin (4) + send_time (8) + update count (1).
     _BASE_BYTES = 17
 
-    def payload_bytes(self) -> int:
-        return self._BASE_BYTES + _SWIM_UPDATE_BYTES * len(self.updates)
-
 
 @dataclass(slots=True)
-class SwimPingReqMessage(Message):
+class SwimPingReqMessage(_Probing, Message):
     """The indirect-probe request: "ping ``target`` for me" (SWIM §4.1).
 
     Sent to ``j`` relays when a direct probe's ack window lapses; each relay
@@ -618,27 +626,22 @@ class SwimPingReqMessage(Message):
     #: target (4) + nonce (4) + origin (4) + send_time (8) + count (1).
     _BASE_BYTES = 21
 
-    def payload_bytes(self) -> int:
-        return self._BASE_BYTES + _SWIM_UPDATE_BYTES * len(self.updates)
-
 
 @dataclass(slots=True)
-class SwimAckMessage(Message):
+class SwimAckMessage(_Probing, Message):
     """The probe answer, sent straight to the probe's ``origin``.
 
     ``incarnation`` is the responder's current incarnation number — fresh
     first-hand evidence that overrides any in-flight suspicion of the
     responder; ``echo_send_time`` returns the probe's timestamp for the
-    origin's RTT estimator.
+    origin's RTT estimator.  ``ack`` is a cell echo, as on a ping.
     """
 
     nonce: int = 0
     incarnation: int = 0
     echo_send_time: float = 0.0
     updates: Tuple[SwimUpdate, ...] = ()
+    ack: Optional[int] = None
 
     #: nonce (4) + incarnation (4) + echo_send_time (8) + count (1).
     _BASE_BYTES = 17
-
-    def payload_bytes(self) -> int:
-        return self._BASE_BYTES + _SWIM_UPDATE_BYTES * len(self.updates)

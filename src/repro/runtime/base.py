@@ -154,13 +154,13 @@ class FdPlane(Protocol):
     node_id: int
     monitors: Mapping[int, Any]
     #: Whether a frame *header* alone is the liveness signal (all pairs: one
-    #: freshness monitor per node pair, fed at η).  Where it is not, frames
-    #: and gossip are bounded dissemination carriers: the batcher skips
-    #: frames with nothing to say, no echo acknowledges a cell (the
-    #: ``cell_refresh``, seconds, is its repair), optimistic trust outlives
-    #: that refresh, and group gossip is bounded (see :mod:`repro.core.membership`).
+    #: freshness monitor per node pair, fed at η, so an echo is due within a
+    #: period).  Where it is not, frames and gossip are bounded dissemination
+    #: carriers: the batcher skips frames with nothing to say, a cell's echo
+    #: rides whatever flows back (a frame, a probe or its answer) and only
+    #: such a carrier without it shows the cell lost, and group gossip is
+    #: bounded (see :mod:`repro.core.cells` and :mod:`repro.core.membership`).
     header_is_liveness: bool
-    cell_refresh: float
 
     def register_interest(
         self, group: int, node: int, qos: "FDQoS", listener: "PlaneListener"
@@ -179,8 +179,8 @@ class FdPlane(Protocol):
     # The plane's own dissemination, with the defaults of a plane fed by
     # frame headers alone (an explicit subclass inherits them): the
     # node-level message types it consumes, by exact type; the rumours it
-    # piggybacks on frames and HELLOs and takes back; and how it asks for an
-    # out-of-schedule frame round.
+    # piggybacks on frames and HELLOs and takes back; and the frame batcher
+    # it asks for an out-of-schedule round and trades cell echoes with.
     def message_handlers(self) -> Dict[type, Callable[["Message"], None]]:
         return {}
 
@@ -192,7 +192,7 @@ class FdPlane(Protocol):
     def piggyback(self, carrier: str = "probe") -> Tuple["SwimUpdate", ...]:
         return ()
 
-    def set_flush_hook(self, hook: Callable[[], None]) -> None: ...
+    def set_batcher(self, batcher) -> None: ...
 
     def observed_loss(self) -> float:
         """Fraction of peers' frames this node saw go missing, pooled over

@@ -23,8 +23,10 @@ i32).  The rest is stated once, in this module:
   message type but two: a struct format whose values are the dataclass's
   fields, in declaration order.  An enumerated field travels as its index
   in the row's value list, one byte; a trailing record list (a probe's
-  ``updates``) as its count, the format's last value, then the records.
-  One encoder and one decoder per row are built from it at import.
+  ``updates``) as its count, the format's last value, then the records
+  (or, in ``echo`` rows, the count, the cell echo if the count's top bit
+  says so, then the records).  One encoder and one decoder per row are
+  built from it at import.
 * the BatchFrame (with its cells) and HELLO bodies, written out by hand in
   ``_batch_into`` / ``_batch_from`` and ``_hello_into`` / ``_hello_from``:
   presence flags, the echo's flag bit and optional blocks make them more
@@ -84,7 +86,7 @@ __all__ = [
 ]
 
 _MAGIC = 0x03A9  # Ω, fittingly
-_VERSION = 9
+_VERSION = 10
 
 #: Upper bound on a frame we are willing to decode (or encode).  Generous —
 #: a 64-cell batch with 4096-member deltas would not fit a datagram anyway —
@@ -121,6 +123,8 @@ class _Layout(NamedTuple):
     #: The record type of the last field, a tuple; ``fmt``'s last value is
     #: its count and the records follow the body.
     records: Optional[type] = None
+    #: The last field is an optional seq (``fmt``'s last value): a cell echo.
+    echo: bool = False
 
 
 _RECORDS = (
@@ -146,12 +150,13 @@ _MESSAGES = {
                enum=("status", _LEASE_STATUSES)),
     8: _Layout(LeaseEventMessage, "!iQiiQd?I",
                ("group", "lease", "client", "holder", "token", "expiry", "released", "seq")),
-    9: _Layout(SwimPingMessage, "!IidB", ("nonce", "origin", "send_time", "updates"),
-               records=SwimUpdate),
+    9: _Layout(SwimPingMessage, "!IidBq", ("nonce", "origin", "send_time", "updates", "ack"),
+               records=SwimUpdate, echo=True),
     10: _Layout(SwimPingReqMessage, "!iIidB",
                 ("target", "nonce", "origin", "send_time", "updates"), records=SwimUpdate),
-    11: _Layout(SwimAckMessage, "!IIdB", ("nonce", "incarnation", "echo_send_time", "updates"),
-                records=SwimUpdate),
+    11: _Layout(SwimAckMessage, "!IIdBq",
+                ("nonce", "incarnation", "echo_send_time", "updates", "ack"),
+                records=SwimUpdate, echo=True),
 }
 
 
@@ -224,7 +229,8 @@ _swim_into, _swim_from = _LISTS[SwimUpdate]
 def _message_codec(layout: _Layout):
     """``into(message, buf, pos) -> end`` and ``from_(data, pos, sender,
     dest) -> (message, end)`` for one message row's body."""
-    body = struct.Struct(layout.fmt)
+    echoed = struct.Struct(layout.fmt)
+    body = struct.Struct(layout.fmt[:-1]) if layout.echo else echoed
     pack, unpack, size = body.pack_into, body.unpack_from, body.size
     (get, named), cls = _accessors(layout), layout.cls
     many_into, many_from = _LISTS.get(layout.records, (None, None))
@@ -234,8 +240,14 @@ def _message_codec(layout: _Layout):
         if many_into is None:
             pack(buf, pos, *values)
             return pos + size
-        pack(buf, pos, *values[:-1], len(values[-1]))
-        return many_into(values[-1], buf, pos + size)
+        *head, records, ack = values if layout.echo else (*values, None)
+        if layout.echo and len(records) >= _HAS_ECHO:
+            raise CodecError(f"too many records to encode ({len(records)})")
+        if ack is None:
+            pack(buf, pos, *head, len(records))
+            return many_into(records, buf, pos + size)
+        echoed.pack_into(buf, pos, *head, len(records) | _HAS_ECHO, ack)
+        return many_into(records, buf, pos + echoed.size)
 
     def from_(data, pos: int, sender: int, dest: int):
         values = unpack(data, pos)
@@ -243,8 +255,13 @@ def _message_codec(layout: _Layout):
             values = named(values)
         if many_from is None:
             return cls(sender, dest, *values), pos + size
-        records, end = many_from(data, pos + size, values[-1])
-        return cls(sender, dest, *values[:-1], records), end
+        *head, count = values
+        ack, end = (None,) if layout.echo else (), pos + size
+        if layout.echo and count & _HAS_ECHO:
+            count ^= _HAS_ECHO
+            ack, end = echoed.unpack_from(data, pos)[-1:], pos + echoed.size
+        records, end = many_from(data, end, count)
+        return cls(sender, dest, *head, records, *ack), end
 
     return into, from_
 
@@ -257,6 +274,7 @@ _U8 = struct.Struct("!B")  # the SWIM piggyback block's record count
 _BATCH_HEAD = struct.Struct("!qddH")  # seq, send_time, interval, n_cells
 _BATCH_ACKED = struct.Struct("!qddHq")  # ... n_cells | _HAS_ACK, ack
 _HAS_ACK = 0x8000
+_HAS_ECHO = 0x80  # an echo row's record count: the echo follows it
 # Independent presence flags: a leader forward may carry no accusation time
 # (Ω_lc treats leader-without-acc differently from acc 0.0), so None must
 # survive the round trip rather than collapse to 0.0.

@@ -1,7 +1,8 @@
 """The fuzz seeds known to violate an invariant, tracked by the suite.
 
-Strict: the PR that fixes one must delete its marker, and a PR that
-promises no behaviour change visibly leaves both as they are.
+Strict: the change that fixes one deletes its marker and keeps the case as
+a regression test, and a change that promises no behaviour change visibly
+leaves every marker as it is.
 """
 
 import pytest
@@ -22,7 +23,6 @@ from repro.chaos.run import run_scripted
         pytest.param(
             1623593096556592143,
             FuzzProfile(system=FUZZ_SYSTEM.with_(fd_plane="swim")),
-            marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1b"),
             id="1b-swim",
         ),
     ],

@@ -2,15 +2,16 @@
 segments a leader's cells carry, and the overtaken-frame guard and echo on
 ingest (``GroupCells.handle_cell``).
 
-On the all-pairs plane a cell is owed to a destination from the frame that
-first carried its current content until that destination echoes a frame
-that carried it: it rides every early round meanwhile, and every frame once
-the echo is overdue; a destination not heard from cannot echo, and under
-loss is re-sent its news blind.  The swim plane sends a change once.  The
-fakes below stand in for everything a :class:`GroupCells` reads off its
-membership and batcher, so each test scripts exactly one thing: the
-payload, the clock, the echoes and the observed loss — or, on the receive
-side, the order frames arrive in.
+A cell is owed to a destination from the frame that first carried its
+current content until that destination echoes a frame that carried it.  On
+the all-pairs plane it rides every early round meanwhile, and every frame
+once the echo is overdue; a destination not heard from cannot echo, and
+under loss is re-sent its news blind.  On swim it goes again only once a
+carrier back that left when the echo was overdue does not echo it.  The fakes below stand
+in for everything a :class:`GroupCells` reads off its membership and
+batcher, so each test scripts exactly one thing: the payload, the clock,
+the echoes and the observed loss — or, on the receive side, the order
+frames arrive in.
 """
 
 from types import SimpleNamespace
@@ -18,7 +19,7 @@ from types import SimpleNamespace
 from repro.core.cells import GroupCells
 from repro.experiments.runner import build_system
 from repro.experiments.scenario import ExperimentConfig
-from repro.fd.plane import CELL_ECHO_WAIT, CELL_REFRESH, SWIM_CELL_REFRESH
+from repro.fd.plane import CELL_ECHO_WAIT, CELL_REFRESH
 from repro.lease.server import LEDGER_SEGMENT_CAP
 from repro.net.message import AliveCell, BatchFrame, LedgerSegment, MemberInfo
 
@@ -76,7 +77,6 @@ class Plane:
         self.header_is_liveness = not swim
         #: Destinations whose frames are not heard (no echo can come back).
         self.silent = set()
-        self.cell_refresh = SWIM_CELL_REFRESH if swim else CELL_REFRESH
 
     def observed_loss(self):
         self.reads += 1
@@ -184,7 +184,7 @@ def tick(cells, dt=ETA, early=False):
 def echo(cells, *dests):
     """Each destination's frame echoes the last frame it was sent."""
     for dest in dests or DESTS:
-        cells.on_ack(dest, cells._batcher.seqs[dest] - 1)
+        cells.on_ack(dest, cells._batcher.seqs[dest] - 1, cells.scheduler.now)
 
 
 def settle(cells):
@@ -249,7 +249,7 @@ def test_an_echo_of_a_frame_before_the_change_acknowledges_nothing():
     cells.algorithm.change()
     tick(cells)
     for dest, seq in before.items():
-        cells.on_ack(dest, seq)
+        cells.on_ack(dest, seq, cells.scheduler.now)
     assert set(cells.owed) == set(DESTS)
     assert tick(cells, dt=ETA / 8, early=True) == everyone(1.0)
 
@@ -297,7 +297,7 @@ def test_a_second_change_restarts_the_count_with_the_new_payload():
     first = cells._batcher.seqs[1] - 1
     cells.algorithm.change()
     assert tick(cells) == everyone(2.0)
-    cells.on_ack(1, first)  # an echo of 1.0 does not cover 2.0
+    cells.on_ack(1, first, cells.scheduler.now)  # an echo of 1.0 does not cover 2.0
     assert tick(cells, dt=ETA / 8, early=True) == everyone(2.0)
     echo(cells)
     assert tick(cells) == {}
@@ -425,7 +425,7 @@ def test_a_destination_not_heard_from_is_sent_a_change_once_and_again_when_heard
     echo(cells, 1, 2)
     assert tick(cells) == {} and tick(cells) == {}
     cells.plane.silent = set()
-    cells.forget_sent(3)
+    cells.on_trust(3)
     assert tick(cells) == {3: 1.0}
     assert tick(cells) == {}
     assert tick(cells) == {3: 1.0}  # owed now, until echoed
@@ -467,36 +467,118 @@ def test_a_destination_not_heard_from_is_re_sent_its_news_blind_under_loss():
     assert cells.cells_repeated == len(DESTS) + 2
 
 
-def test_bounded_membership_is_unaffected():
-    # The swim plane: no echo travels (it would cost a datagram), the
-    # refresh repairs, and the bounded membership carries no cell deltas.
+def carrier(cells, dest, ack=None):
+    """A frame or probe message back from ``dest``, sent now, echoing
+    ``ack`` (default: nothing)."""
+    cells.on_ack(dest, ack, cells.scheduler.now)
+
+
+def swim_changed():
+    """Swim cells that sent a change to every destination, echoed by none."""
     cells = make_cells(swim=True)
-    assert cells.owed is None and cells.refresh == SWIM_CELL_REFRESH
-    assert rounds_until_quiet(cells) == 1
+    settle(cells)
     cells.algorithm.change()
-    cells.scheduler.now += ETA
-    sent = list(cells.emit_cells(True))
-    assert [dest for dest, _ in sent] == list(DESTS)
-    assert len({id(cell) for _, cell in sent}) == 1
+    assert tick(cells) == everyone(1.0)
+    return cells
+
+
+def test_swim_re_sends_a_lost_cell_once_per_exchange_that_shows_it_lost():
+    # Node 1's frame was lost; nodes 2 and 3 echo theirs.  Rounds alone
+    # re-send nothing; a carrier back from node 1 that left once the echo
+    # was overdue, echoing nothing, re-sends it on the next round — once.
+    cells = swim_changed()
+    echo(cells, 2, 3)
+    sent = []
+    for round_ in range(12):
+        if round_ in (1, 2, 3, 4, 6):  # probes and answers from node 1
+            carrier(cells, 1)
+        sent.append(tick(cells))
+    # Round r's carrier left r·η after the send, and the echo is overdue
+    # 1.5·η after it.  Round 1's may have crossed the frame; round 2's
+    # shows the loss.  Rounds 3 and 4 are inside 1.5·η of that re-send,
+    # round 6's is not.
+    assert [index for index, cell in enumerate(sent) if cell] == [2, 6]
+    assert all(cell == {1: 1.0} for cell in sent if cell)
+    assert cells.cells_repeated == 2
+    echo(cells, 1)
+    assert cells.owed == {}
+
+
+def test_swim_never_re_sends_an_echoed_cell():
+    cells = swim_changed()
+    echo(cells)
+    for _ in range(12):
+        for dest in DESTS:
+            carrier(cells, dest)  # echo-less carriers after the echo prove nothing
+        assert tick(cells) == {}
+    assert cells.owed == {} and cells.cells_repeated == 0
+
+
+def test_swim_ack_direction_loss_costs_one_re_send_per_exchange():
+    # Node 1 got the change, but the probe answer that echoed it was lost:
+    # its next ping and answer carry no echo (an echo rides once).  One
+    # re-send answers both; the echo of that frame clears the debt.
+    cells = swim_changed()
+    echo(cells, 2, 3)
+    for _ in range(3):
+        tick(cells)
+    carrier(cells, 1)  # its ping, echo-less
+    carrier(cells, 1)  # the answer to ours, in the same exchange
+    assert tick(cells) == {1: 1.0}
+    resent = cells._batcher.seqs[1] - 1
+    carrier(cells, 1)  # the frame cannot have arrived yet: not a loss
     assert tick(cells) == {}
-    assert not cells.owing and cells.cells_repeated == 0
+    carrier(cells, 1, ack=resent)
+    assert cells.owed == {}
+    for _ in range(10):
+        carrier(cells, 1)
+        assert tick(cells) == {}
+    assert cells.cells_repeated == 1
+
+
+def test_swim_owes_an_unheard_destination_and_its_return_shows_what_it_lacks():
+    # A suspected peer is owed like any other (owing costs nothing while it
+    # sends nothing back): trusted again, it is sent no first contact, but
+    # its first carrier back re-sends what it missed.
+    cells = make_cells(swim=True)
+    settle(cells)
+    cells.plane.silent = {3}
+    cells.algorithm.change()
+    assert tick(cells) == everyone(1.0)
+    assert set(cells.owed) == set(DESTS)
+    echo(cells, 1, 2)
+    cells.plane.silent = set()
+    cells.on_trust(3)
+    assert tick(cells) == {} and tick(cells) == {}
+    carrier(cells, 3)
+    assert tick(cells) == {3: 1.0}
+    assert cells.cells_repeated == 1
+
+
+def test_bounded_membership_cells_are_owed_but_carry_no_deltas():
+    # The bounded membership gossips deltas itself: a re-sent cell carries
+    # none, even once the view moved while the cell was owed.
+    cells = swim_changed()
+    assert set(cells.owed) == set(DESTS)
+    record = MemberInfo(pid=9, node=9, incarnation=1, candidate=True, present=True, joined_at=0.0)
+    cells.view.records = (record,)
+    cells.view.version = 2
+    for _ in range(3):
+        assert tick(cells) == {}  # a view change is no cell news on swim
+    carrier(cells, 2)
+    sent = emit(cells)
+    assert list(sent) == [2] and sent[2].delta == ()
+    assert not cells.owing
+    # The refresh goes to every destination, owed or not, and starts a new run.
+    cells.scheduler.now += CELL_REFRESH
+    assert tick(cells) == everyone(1.0)
+    echo(cells)
+    assert cells.owed == {}
     ingest(cells, frame(5, 10.0, L))
-    assert cells._batcher.acks == {}
-    # A restarted sender takes its lease cursors only, as before.
+    assert cells._batcher.acks == {SENDER: 5}  # swim echoes what it ingests
+    # A restarted sender takes its lease cursors, and is sent a first contact.
     ingest(cells, frame(0, 11.0, L))
     assert cells._leases.forgotten == [SENDER] and SENDER not in cells.cell_state
-
-
-def rounds_until_quiet(cells, limit=10):
-    """Frames in a row that carry the cell to every destination."""
-    count = 0
-    while count < limit:
-        sent = tick(cells)
-        if not sent:
-            return count
-        assert set(sent) == set(DESTS)
-        count += 1
-    raise AssertionError("the cell never stopped riding")
 
 
 def segments(cells):

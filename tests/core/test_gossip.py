@@ -14,6 +14,7 @@ import pytest
 
 from repro.experiments.runner import build_system
 from repro.experiments.scenario import ExperimentConfig
+from repro.fd.plane import CELL_REFRESH
 from repro.net.message import AliveCell, BatchFrame, HelloMessage
 
 GROUP = 1
@@ -64,7 +65,7 @@ def test_a_quiet_swim_group_sends_no_round_hello():
     for runtime in runtimes(system):
         assert len(runtime.membership.peer_nodes()) == 31
         horizon = runtime.membership._cover_horizon
-        assert horizon == runtime.cells.refresh + HELLO_PERIOD
+        assert horizon == CELL_REFRESH + HELLO_PERIOD
         stamps = [state[1] for state in runtime.cells.cell_state.values()]
         assert len(stamps) == 31 and all(now - stamp < horizon for stamp in stamps)
     before = hellos(system)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.fd.configurator import ConfiguratorCache
 from repro.fd.monitor import NfdsMonitor
-from repro.fd.plane import SWIM_CELL_REFRESH, NodeFdPlane
+from repro.fd.plane import NodeFdPlane
 from repro.fd.qos import FDQoS
 from repro.fd.swim import SwimFdPlane
 from repro.net.message import (
@@ -39,6 +39,20 @@ class Wire:
 
     def send_batch(self, messages):
         self.sent.extend(messages)
+
+
+class Batcher:
+    """The frame batcher as a plane sees it, logging what it is asked;
+    ``acks`` are the cell echoes it holds per peer."""
+
+    def __init__(self, log, acks=()):
+        self.log, self.acks = log, dict(acks)
+
+    def flush(self):
+        self.log.append("flushed")
+
+    def on_carrier(self, node, ack, departure):
+        self.log.append(("carried", node, ack, departure))
 
 
 class Listener:
@@ -219,7 +233,7 @@ def test_a_plane_fed_by_headers_disseminates_nothing(sim):
     assert plane.header_is_liveness
     assert plane.message_handlers() == {}
     plane.apply_updates((SwimUpdate(PEER, 1, "suspect"),))
-    plane.set_flush_hook(lambda: log.append("flushed"))
+    plane.set_batcher(Batcher(log, {PEER: 3}))
     assert plane.trusted(PEER) and log == [("a", "trust", PEER)]
     assert plane.has_rumours() is False and plane.piggyback() == ()
 
@@ -230,7 +244,6 @@ def test_a_probing_plane_names_the_messages_it_consumes(sim, rng):
         cache=ConfiguratorCache(),
     )
     assert not plane.header_is_liveness
-    assert plane.cell_refresh == SWIM_CELL_REFRESH
     assert set(plane.message_handlers()) == {
         SwimPingMessage, SwimPingReqMessage, SwimAckMessage,
     }
@@ -240,3 +253,29 @@ def test_a_probing_plane_names_the_messages_it_consumes(sim, rng):
     plane.apply_updates((rumour,))
     assert not plane.trusted(PEER)
     assert plane.has_rumours() and plane.piggyback() == (rumour,)
+
+
+def test_a_probing_plane_trades_cell_echoes_on_its_probes(sim, rng):
+    # A frame back may be a long way off on this plane: the batcher's echo
+    # for a peer rides the next ping or answer to it, once, and every one
+    # received hands its echo (or the lack of one) and departure back.
+    wire = Wire()
+    plane = SwimFdPlane(
+        scheduler=sim, transport=wire, node_id=0, rng=rng.stream("swim"),
+        cache=ConfiguratorCache(),
+    )
+    log = watch(plane)
+    batcher = Batcher(log, {PEER: 4})
+    plane.set_batcher(batcher)
+    plane.on_ping(SwimPingMessage(PEER, 0, nonce=1, origin=PEER, send_time=2.0, ack=3))
+    plane.on_ping(SwimPingMessage(PEER, 0, nonce=2, origin=PEER, send_time=2.5))
+    assert [(type(m), m.ack) for m in wire.sent] == [(SwimAckMessage, 4), (SwimAckMessage, None)]
+    assert batcher.acks == {}  # taken: the next frame does not carry it again
+    batcher.acks[PEER] = 5
+    sim.run_until(5.0)  # the probe ring reaches the peer
+    assert [m.ack for m in wire.sent if type(m) is SwimPingMessage][:1] == [5]
+    # An answer left when our probe arrived: no earlier than the probe did.
+    plane.on_ack(SwimAckMessage(PEER, 0, nonce=9, echo_send_time=1.5, ack=6))
+    assert [entry for entry in log if entry[0] == "carried"] == [
+        ("carried", PEER, 3, 2.0), ("carried", PEER, None, 2.5), ("carried", PEER, 6, 1.5),
+    ]

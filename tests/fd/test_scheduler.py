@@ -43,6 +43,17 @@ class QuietSource(FakeSource):
         return ()
 
 
+class EchoLog(QuietSource):
+    """A quiet source that logs the carriers handed to it."""
+
+    def __init__(self, group, dests):
+        super().__init__(group, dests)
+        self.acks = []
+
+    def on_ack(self, node, seq, departure):
+        self.acks.append((node, seq, departure))
+
+
 class FakeRumours:
     """A scripted plane whose header is no liveness signal, holding
     ``batches`` one-update rumour batches."""
@@ -136,6 +147,24 @@ class TestEmission:
         batcher.acks[1] = 8
         batcher.forget_node(1)  # a departed peer's echo goes with its stream
         assert batcher.acks == {}
+
+    def test_a_carrier_hands_its_echo_to_every_group(self, sim, network, rng):
+        # All pairs: a frame without an echo says nothing (one is due within
+        # a period).  Swim: it may show a cell lost, so every carrier counts.
+        # Either way an echo naming a frame never sent is none.
+        for plane, expected in (
+            (None, [(1, 2, 5.0)]),
+            (FakeRumours(), [(1, 2, 5.0), (1, None, 6.0), (1, None, 7.0)]),
+        ):
+            batcher = make_batcher(sim, network, rng, plane=plane)
+            sources = [EchoLog(group, [1]) for group in (1, 2)]
+            for source in sources:
+                batcher.add_group(source.group, source, eta=0.25)
+            batcher.seqs[1] = 3  # frames 0-2 went to node 1
+            batcher.on_carrier(1, 2, 5.0)
+            batcher.on_carrier(1, None, 6.0)
+            batcher.on_carrier(1, 3, 7.0)
+            assert [source.acks for source in sources] == [expected, expected]
 
     def test_payload_fields_stamped(self, sim, network, rng):
         batcher = make_batcher(sim, network, rng)

@@ -180,7 +180,7 @@ class TestABumpAcrossACrashedLink:
         while monitor.alives_received == heard:
             sim.run_until(sim.now + 0.001)
         assert seen._info[leader] == (led.algorithm.acc_time, led.algorithm.phase)
-        assert sim.now < led.cells.cell_state[victim][1] + led.cells.refresh
+        assert sim.now < led.cells.cell_state[victim][1] + CELL_REFRESH
 
 
 class TestPassiveListenersUnderLoss:

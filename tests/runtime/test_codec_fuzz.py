@@ -186,6 +186,7 @@ swim_pings = st.builds(
     origin=I32,
     send_time=F64,
     updates=st.lists(swim_updates, max_size=8).map(tuple),
+    ack=st.none() | I64,
 )
 
 swim_ping_reqs = st.builds(
@@ -207,6 +208,7 @@ swim_acks = st.builds(
     incarnation=U32,
     echo_send_time=F64,
     updates=st.lists(swim_updates, max_size=8).map(tuple),
+    ack=st.none() | I64,
 )
 
 any_message = st.one_of(
