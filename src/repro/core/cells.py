@@ -19,7 +19,8 @@ what was last acknowledged; a destination not heard from cannot echo, and on
 a node that has seen loss its news is re-sent blind.  On swim only a carrier
 back that left once overdue without the echo does: the cell goes again as a
 first contact, once per such exchange.  A crashed link is repaired by the
-first exchange after the heal; the refresh is pure anti-entropy.
+first exchange after the heal; the refresh is pure anti-entropy.  Swim cells
+carry no membership delta, save the sender's own record on first contact.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class GroupCells:
         records merge, and it is not echoed.  One count alone would take a
         reboot or a clock resync for a late frame.
         """
-        changed = self.view.merge(cell.delta) if cell.delta else False
+        changed = self._membership.merge_from(sender, cell.delta) if cell.delta else False
         anchor = self.frame_anchor.get(sender)
         in_order = anchor is None or frame.seq >= anchor[0]
         if not in_order:
@@ -336,7 +337,11 @@ class GroupCells:
             if lease_owed:
                 segment = self._leases.segment(dest)
                 backlog = backlog or segment.top < head.top
-            yield dest, self._cell(template, held, segment)
+            if sent is not None:
+                delta = view.delta_since(held) if held < version else ()
+            else:  # swim: a first contact introduces the sender
+                delta = (view.record(self.pid),) if state is None else ()
+            yield dest, self._cell(template, delta, segment)
         if changed and owed is not None:
             self.owing = lossy if lossy is not None else self.plane.observed_loss() > 0.0
         if suppressible and stamp is not None and not backlog:
@@ -351,10 +356,10 @@ class GroupCells:
             self._emit_payload = payload
             self._emit_quiet_until = now if owed and periodic else oldest + refresh
 
-    def _cell(self, template: AliveCell, held: int, segment) -> AliveCell:
-        """The template, or its copy carrying the membership records since
-        version ``held`` and ``segment`` in place of the ledger head."""
-        if held >= template.view_version and segment is template.leases:
+    def _cell(self, template: AliveCell, delta: tuple, segment) -> AliveCell:
+        """The template, or its copy carrying the membership records
+        ``delta`` and ``segment`` in place of the ledger head."""
+        if not delta and segment is template.leases:
             return template
         return AliveCell(
             group=self.group,
@@ -363,7 +368,7 @@ class GroupCells:
             phase=template.phase,
             local_leader=template.local_leader,
             local_leader_acc=template.local_leader_acc,
-            delta=self.view.delta_since(held) if held < template.view_version else (),
+            delta=delta,
             view_version=template.view_version,
             view_digest=template.view_digest,
             leases=segment,

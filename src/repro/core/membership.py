@@ -17,8 +17,10 @@ liveness is probed (SWIM) the plane exists precisely so no single event
 touches more than O(k) peers or ships more than a bounded payload, and
 :class:`BoundedMembership` bounds each of those: joins contact a few
 id-ring successors, rounds have a fan-out budget, deltas and syncs stream
-in fixed-size windows, cells carry no deltas, reactions coalesce — and the
-epidemic plane carries the rest.
+in fixed-size windows, cells carry no deltas but the sender's own record on
+first contact, reactions coalesce.  A change costs O(n log n) HELLOs: a
+node's introduction is gossiped by nobody, other news goes to ⌈log₂ n⌉
+id-ring fingers, and a digest mismatch syncs once it lasts a hello period.
 """
 
 from __future__ import annotations
@@ -225,7 +227,8 @@ class Membership:
     def handle_hello(self, message: HelloMessage) -> None:
         if message.swim_updates:
             self.plane.apply_updates(message.swim_updates)
-        changed = self.view.merge(message.members) if message.members else False
+        sender = message.sender_node if message.kind == "join" else None  # a join introduces it
+        changed = self.merge_from(sender, message.members) if message.members else False
         if changed:
             self._realign()
         leases = self._leases.on_hello(message)
@@ -249,6 +252,10 @@ class Membership:
                 self.push_sync(message.sender_node, view, leases)
             if not view:
                 self.digests_agree(message.sender_node)
+
+    def merge_from(self, node: Optional[int], records) -> bool:
+        """Merge ``records`` from ``node``'s join HELLO or cell (None: another HELLO)."""
+        return self.view.merge(records)
 
     def digests_agree(self, node: int) -> None:
         """A HELLO (its members merged) or a cell from ``node`` carried our
@@ -336,14 +343,10 @@ class Membership:
         """Periodic gossip: a membership *delta* (and digest) per peer node.
 
         Steady state ships an empty delta — the digest doubles as the
-        anti-entropy heartbeat that lets a diverged peer notice and repair
-        even when this group's cells are silent.  A peer a cell still covers
-        already holds our current digest (cells carry it), so its gossip is
-        skipped entirely: in a healthy all-candidates group the cell
-        refreshes replace gossip wholesale, removing the last
-        O(groups × node pairs) steady-state message stream.  *Covered* is
-        one rule for both strategies: the peer's last cell is younger than
-        the emitter's refresh horizon (``_cover_horizon``, see :meth:`carry`).
+        anti-entropy heartbeat.  A peer a cell still *covers* (its last cell
+        is younger than ``_cover_horizon``, see :meth:`carry`) already holds
+        our digest, so its gossip is skipped: in a healthy all-candidates
+        group the cell refreshes replace gossip wholesale.
         """
         if self._shut_down:
             return
@@ -429,15 +432,12 @@ class FloodMembership(Membership):
 class BoundedMembership(Membership):
     """Gossip for a probed (SWIM) plane: nothing floods."""
 
-    __slots__ = ("_sync_cursor", "_gossip_cursor", "_sync_budget", "_reaction_pending")
+    __slots__ = ("_sync_cursor", "_gossip_cursor", "_sync_budget", "_reaction_pending", "_mismatch")
 
-    #: Membership flows exclusively through the bounded hello gossip (which
-    #: owns the shipped-version cursor), so a mass bootstrap costs the
-    #: epidemic O(k·n) instead of every node streaming its whole view to
-    #: every destination — a cell's delta is an O(view) scan per owing
-    #: destination, which at 1000 nodes is exactly the O(n²)-per-round
-    #: storm the plane exists to avoid.  (The cell's digest still lets a
-    #: diverged receiver trigger an anti-entropy sync.)
+    #: Membership flows through the bounded hello gossip (which owns the
+    #: shipped-version cursor): a cell's delta would be an O(view) scan per
+    #: owing destination, at 1000 nodes the O(n²)-per-round storm the plane
+    #: exists to avoid.  A first contact carries the sender's own record.
     cell_deltas = False
 
     def __init__(self, *args, **kwargs) -> None:
@@ -457,6 +457,8 @@ class BoundedMembership(Membership):
         #: True while a deferred election-recompute/dependent-alignment
         #: callback is pending (see ``_SWIM_MEMBERSHIP_COALESCE``).
         self._reaction_pending = False
+        #: Peer node -> time of the first carrier whose view digest differed.
+        self._mismatch: Dict[int, float] = {}
 
     def _realign(self) -> None:
         """Coalesce membership-change reactions.
@@ -484,17 +486,40 @@ class BoundedMembership(Membership):
     def _forget_node(self, node: int) -> None:
         super()._forget_node(node)
         self._sync_cursor.pop(node, None)
+        self._mismatch.pop(node, None)
+
+    def merge_from(self, node: Optional[int], records) -> bool:
+        # A node introduces itself to every peer (join HELLO, first-contact
+        # cell): peers that held our view before its record hold it after.
+        view, sent = self.view, self.sent_version
+        changed = False
+        for record in records:
+            before = view.version
+            if view.merge_record(record):
+                changed = True
+                if record.node == node:
+                    sent.update([(peer, view.version) for peer, at in sent.items() if at == before])
+        return changed
 
     def digests_agree(self, node: int) -> None:
         # Digest equality is view equality (anti-entropy's own premise): the
         # peer holds every record we do, so the delta our merge of *its* news
-        # just made us owe it — an echo, n² of them per membership change —
-        # is not owed.
+        # just made us owe it is not owed.
+        self._mismatch.pop(node, None)
         self.sent_version[node] = self.view.version
+
+    def push_sync(self, dest_node: int, view: bool = True, leases: bool = False) -> None:
+        # A digest differs while news is in flight: a view sync goes only
+        # once a carrier a hello period after the first still differs.
+        if view:
+            now = self.scheduler.now
+            view = now - self._mismatch.setdefault(dest_node, now) >= self.hello_period
+        if view or leases:
+            super().push_sync(dest_node, view, leases)
 
     def _join_targets(self, peers: List[int]) -> List[int]:
         """This node's id-ring successors only, whose replies seed the view;
-        gossip and the epidemic plane spread the newcomer to everyone else.
+        its first-contact cells then introduce it to everyone else.
         The cap is what keeps a mass bootstrap O(k·n) messages, not O(n²)."""
         if len(peers) <= _SWIM_JOIN_FANOUT:
             return peers
@@ -529,7 +554,7 @@ class BoundedMembership(Membership):
         return members
 
     def _round(self, now: float) -> None:
-        """Bounded fan-out, windowed deltas.
+        """Bounded fan-out, windowed deltas, news pushed ⌈log₂(peers + 1)⌉ times.
 
         At most :data:`_SWIM_GOSSIP_FANOUT` peers get a HELLO per period,
         chosen by rotating a cursor over the peer list so everyone is
@@ -538,8 +563,10 @@ class BoundedMembership(Membership):
         cursor advances only to the window's watermark, streaming the rest
         across rounds.  Peers that owe nothing and that a cell still covers
         are skipped for free: an empty-delta HELLO carries nothing but the
-        view digest the cell delivered.  So the steady-state cost matches
-        the flood round's quiet path — zero — while the worst case stays O(k).
+        view digest the cell delivered.  A covered peer that held an earlier
+        version is sent the news only if it is one of the ⌈log₂(peers + 1)⌉
+        :meth:`_fingers`, else stamped current: every receiver pushes in
+        turn, so a change costs O(n log n) HELLOs, not O(n²).
         """
         view = self.view
         version = view.version
@@ -553,13 +580,18 @@ class BoundedMembership(Membership):
         fields = None
         budget = _SWIM_GOSSIP_FANOUT
         start = self._gossip_cursor % count
+        fingers = None
         hellos = []
         for i in range(count):
             node = nodes[(start + i) % count]
             last = sent.get(node, 0)
             state = cell_state.get(node)
-            if state is not None and now - state[1] < horizon and last >= version:
-                continue
+            if state is not None and now - state[1] < horizon:
+                if last >= version:
+                    continue
+                if last and node not in (fingers := fingers or self._fingers(nodes)):
+                    sent[node] = version  # the fingers and the digests carry it
+                    continue
             if budget <= 0:
                 # Out of fan-out; resume here next period.
                 self._gossip_cursor = (start + i) % count
@@ -573,6 +605,13 @@ class BoundedMembership(Membership):
         else:
             self._gossip_cursor = start
         self._send_round(hellos)
+
+    def _fingers(self, nodes: Tuple[int, ...]) -> Set[int]:
+        """The peers 1, 2, 4, … places on in the id ring of the members'
+        nodes: pushing news to them reaches every node in ⌈log₂ n⌉ hops."""
+        ring = sorted(nodes + (self.node_id,))
+        me, size = ring.index(self.node_id), len(ring)
+        return {ring[(me + (1 << k)) % size] for k in range((size - 1).bit_length())}
 
 
 def membership_for(plane) -> Type[Membership]:

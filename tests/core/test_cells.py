@@ -69,6 +69,11 @@ class View:
     def delta_since(self, version):
         return self.records if version < self.version else ()
 
+    def record(self, pid):
+        return MemberInfo(
+            pid=pid, node=pid, incarnation=1, candidate=True, present=True, joined_at=0.0
+        )
+
 
 class Plane:
     def __init__(self, loss, swim):
@@ -157,6 +162,7 @@ def make_cells(loss=0.0, swim=False, dests=DESTS, leases=None, batcher=None, gro
         view_moves=[],
     )
     membership.push_sync = membership.syncs.append
+    membership.merge_from = lambda node, delta: membership.view.merge(delta)
     membership.view_changed_by_cell = lambda: membership.view_moves.append(True)
     membership.digests_agree = lambda node: None
     batcher = make_batcher() if batcher is None else batcher
@@ -555,10 +561,21 @@ def test_swim_owes_an_unheard_destination_and_its_return_shows_what_it_lacks():
     assert cells.cells_repeated == 1
 
 
+def deltas(cells):
+    """One round ETA later: ``{dest: membership records carried}``."""
+    return {dest: cell.delta for dest, cell in emit(cells).items()}
+
+
 def test_bounded_membership_cells_are_owed_but_carry_no_deltas():
-    # The bounded membership gossips deltas itself: a re-sent cell carries
-    # none, even once the view moved while the cell was owed.
-    cells = swim_changed()
+    # The bounded membership gossips deltas itself: a first contact carries
+    # exactly the sender's own record (it introduces itself), and every
+    # other cell none, even once the view moved while the cell was owed.
+    cells = make_cells(swim=True)
+    intro = (cells.view.record(cells.pid),)
+    assert deltas(cells) == {dest: intro for dest in DESTS}
+    echo(cells)
+    cells.algorithm.change()
+    assert deltas(cells) == {dest: () for dest in DESTS}
     assert set(cells.owed) == set(DESTS)
     record = MemberInfo(pid=9, node=9, incarnation=1, candidate=True, present=True, joined_at=0.0)
     cells.view.records = (record,)
@@ -566,12 +583,11 @@ def test_bounded_membership_cells_are_owed_but_carry_no_deltas():
     for _ in range(3):
         assert tick(cells) == {}  # a view change is no cell news on swim
     carrier(cells, 2)
-    sent = emit(cells)
-    assert list(sent) == [2] and sent[2].delta == ()
+    assert deltas(cells) == {2: intro}  # a lost cell goes again as a first contact
     assert not cells.owing
     # The refresh goes to every destination, owed or not, and starts a new run.
     cells.scheduler.now += CELL_REFRESH
-    assert tick(cells) == everyone(1.0)
+    assert deltas(cells) == {dest: () for dest in DESTS}
     echo(cells)
     assert cells.owed == {}
     ingest(cells, frame(5, 10.0, L))

@@ -2,10 +2,12 @@
 
 Counts only, through ``Membership.hellos_sent`` (round HELLOs with nothing
 owed / with a delta, and digest-repair syncs): a quiet group whose cells
-cover every peer sends no round HELLO at all, a rejoin costs the group a
-number of HELLOs linear in n, and a peer that shows our own view digest is
-owed no delta — while the flood strategy, which shares the shipped-version
-cursor with its cells, does exactly what it did.
+cover every peer sends no round HELLO at all, a rejoin (the node introduces
+itself) costs no delta or sync, other news is pushed ⌈log₂ n⌉ times a node,
+a peer that shows our own view digest is owed no delta, and a differing
+digest is synced only once it lasts a hello period — while the flood
+strategy, which shares the shipped-version cursor with its cells, does
+exactly what it did.
 """
 
 from collections import Counter
@@ -33,9 +35,9 @@ def group_of(n, plane):
 
 
 def runtimes(system):
-    return [
-        host.service.group_runtime(GROUP) for host in system.hosts if host.service is not None
-    ]
+    """The group's runtimes on the hosts running it."""
+    found = [host.service.group_runtime(GROUP) for host in system.hosts if host.service]
+    return [runtime for runtime in found if runtime is not None]
 
 
 def hellos(system):
@@ -78,12 +80,13 @@ def test_a_quiet_swim_group_sends_no_round_hello():
 @pytest.mark.parametrize("n", [32, 128])
 def test_a_rejoin_costs_the_swim_group_hellos_linear_in_n(n):
     spent = rejoin_hellos(group_of(n, "swim"))
-    # A pair settles the news with one HELLO, not one each way (n/2 a node),
-    # and a node spends at most its fan-out for the periods a cell refresh
-    # takes to bring it every peer's digest (16 × 4).  Measured 271 and
-    # 2 441; the parent, echoing every merged record back to all n − 1
-    # peers, spent 985 and 17 423 on deltas and syncs.
-    assert 0 < spent["delta"] + spent["sync"] <= n * min(n // 2, 64)
+    # The rebooted node introduces itself to every peer (its join HELLO,
+    # its first-contact cells), so its record is nobody's news to gossip,
+    # and the digests that differ while the introductions are in flight
+    # agree again within a hello period.  What is left is the join and its
+    # replies, which are not counted.  Gossiping the record on, every node
+    # spent 261 and 3 596 deltas and syncs here.
+    assert spent["delta"] == spent["sync"] == 0
     assert spent["empty"] <= n  # nor does coverage lapse meanwhile
 
 
@@ -138,12 +141,25 @@ def test_an_agreeing_digest_stamps_the_bounded_cursor_only(pair, kind):
 
 @pytest.mark.parametrize("kind", ["hello", "cell"])
 def test_a_differing_digest_never_stamps_and_asks_for_a_sync(pair, kind):
-    _, receiver, sender = pair
+    plane, receiver, sender = pair
     membership, peer = receiver.membership, sender.membership.node_id
     version = receiver.view.version
     membership.sent_version[peer] = version - 1
     membership._next_sync.pop(peer, None)
     syncs = membership.hellos_sent["sync"]
+    if plane == "swim":
+        # A digest differs while news is in flight: a mismatch only records
+        # the time, a match clears it, and a mismatch a hello period after
+        # the first with no match between is divergence.
+        clock, agreeing = receiver.scheduler, receiver.view.digest64()
+        deliver(kind, sender, receiver, agreeing)  # clears what an earlier case left
+        deliver(kind, sender, receiver, agreeing ^ 1)
+        clock.run_until(clock.now + HELLO_PERIOD)
+        deliver(kind, sender, receiver, agreeing)
+        deliver(kind, sender, receiver, agreeing ^ 1)
+        assert membership.hellos_sent["sync"] == syncs
+        clock.run_until(clock.now + HELLO_PERIOD)
+        membership.sent_version[peer] = version - 1
     deliver(kind, sender, receiver, receiver.view.digest64() ^ 1)
     assert membership.hellos_sent["sync"] == syncs + 1
     # (a flood sync ships the whole view and stamps; a bounded one streams a
@@ -174,3 +190,97 @@ def test_the_flood_strategy_gossips_exactly_as_before():
 
 
 FLOOD_DIGEST = "fee2d21d23949dcf8fc705104c2e6328989ab3770f5038ab146e9c92aa7f8e6f"
+
+
+def carriers(system, check):
+    """Route every message through ``check(message)`` (False: drop it)."""
+    send = system.network.send
+
+    def routed(message):
+        if check(message):
+            send(message)
+
+    system.network.send = routed  # send_batch then sends through it too
+
+
+def test_a_lost_introduction_goes_again_on_the_next_carrier_back():
+    # Node 25 is no join target of node 5 (its 16 id-ring successors), so
+    # only node 5's first-contact cell brings it the rebooted record.
+    system = group_of(32, "swim")
+    victim, peer = system.network.node(5), 25
+    introductions = []
+
+    def drop_the_first_introduction(message):
+        if (message.sender_node, message.dest_node) != (5, peer) or not (
+            isinstance(message, BatchFrame) and any(cell.delta for cell in message.cells)
+        ):
+            return True
+        introductions.append(system.sim.now)
+        return len(introductions) > 1
+
+    victim.crash()
+    system.sim.run_until(system.sim.now + 6.0)
+    carriers(system, drop_the_first_introduction)
+    before = hellos(system)
+    victim.recover()
+    system.sim.run_until(system.sim.now + 10.0)
+    # Unechoed, the introduction goes again on the round after the peer's
+    # next probe or frame back: no sync, no gossiped delta repairs it.
+    assert len(introductions) == 2 and introductions[1] - introductions[0] < HELLO_PERIOD
+    assert len({runtime.view.digest64() for runtime in runtimes(system)}) == 1
+    assert (hellos(system) - before)["sync"] == 0
+
+
+def test_a_divergence_outlasting_a_hello_period_is_synced():
+    # A leave on one side of a partition: after the heal only a sync repairs
+    # the other side (every cursor moved on while the links were down).
+    system = group_of(8, "swim")
+    side, other = range(4), range(4, 8)
+    links = [system.network.link(a, b) for a in side for b in other]
+    links += [system.network.link(b, a) for a in side for b in other]
+    for link in links:
+        link.set_down(True)
+    leaver = system.hosts[1].service
+    pid = leaver.group_runtime(GROUP).pid
+    leaver.leave(pid, GROUP)
+    system.sim.run_until(system.sim.now + 3.0)
+    assert {runtime.view.is_present(pid) for runtime in runtimes(system)} == {True, False}
+    crossing = []
+
+    def note_crossing_carriers(message):
+        crosses = (message.sender_node in side) != (message.dest_node in side)
+        if crosses and isinstance(message, (HelloMessage, BatchFrame)):
+            crossing.append(system.sim.now)
+        return True
+
+    carriers(system, note_crossing_carriers)
+    before = hellos(system)
+    for link in links:
+        link.set_down(False)
+    healed = system.sim.now
+    while not crossing and system.sim.now < healed + CELL_REFRESH:
+        system.sim.run_until(system.sim.now + 0.01)
+    assert crossing
+    system.sim.run_until(crossing[0] + 2 * HELLO_PERIOD)
+    assert len({runtime.view.digest64() for runtime in runtimes(system)}) == 1
+    assert not any(runtime.view.is_present(pid) for runtime in runtimes(system))
+    assert (hellos(system) - before)["sync"] > 0
+
+
+def test_news_its_owner_did_not_deliver_is_pushed_log_n_times_a_node():
+    # A leave's tombstone: the leaver's last round and then every node that
+    # learns it push it to its ⌈log₂ n⌉ id-ring fingers, which reaches every
+    # node within two hello periods.  Pushing it to every peer that
+    # trailed, the group spent 1 192 deltas.
+    n = 50
+    system = group_of(n, "swim")
+    leaver = system.hosts[7].service
+    leaving = leaver.group_runtime(GROUP)
+    before = hellos(system)
+    leaver.leave(leaving.pid, GROUP)
+    system.sim.run_until(system.sim.now + 2 * HELLO_PERIOD)
+    assert len({runtime.view.digest64() for runtime in runtimes(system)}) == 1
+    assert not any(runtime.view.is_present(leaving.pid) for runtime in runtimes(system))
+    system.sim.run_until(system.sim.now + 8 * HELLO_PERIOD)
+    spent = hellos(system) + Counter(leaving.membership.hellos_sent) - before
+    assert 0 < spent["delta"] <= n * n.bit_length()
