@@ -39,6 +39,9 @@ Scalar-fallback rules (the irregular paths stay on ``VariableTimer``):
   untouched for the same reason (wall clocks cannot batch-wake exactly);
 * :func:`force_scalar` disables pooling globally — the property tests use
   it to prove batch == scalar bit-exactness on the same configuration.
+  There a plain simulator's timers are :class:`SlotOrderedTimer`, which
+  fire an instant's expiries in slot order as the pool does (the survivors
+  of one broadcast share a freshness deadline to the bit).
 
 Crashes, elections and chaos steps need no special-casing: they arrive as
 ordinary callbacks that clear/extend slots, and a cleared slot is simply an
@@ -61,6 +64,7 @@ __all__ = [
     "DeadlinePool",
     "DeliveryBatch",
     "PoolTimer",
+    "SlotOrderedTimer",
     "deadline_timer",
     "delivery_batch_for",
     "force_scalar",
@@ -251,6 +255,44 @@ class PoolTimer:
             self._slot = -1
 
 
+class SlotOrderedTimer(VariableTimer):
+    """A :class:`VariableTimer` that fires through a pool slot (scalar path).
+
+    A true expiry sets the slot to ``now`` instead of firing, so the pool
+    fires an instant's expiries in slot order, as it fires pooled timers.
+    Moving or clearing the deadline withdraws a pending expiry; a closed
+    timer is inert, like a closed :class:`PoolTimer`.
+    """
+
+    __slots__ = ("_pool", "_slot")
+
+    def __init__(self, scheduler, pool: DeadlinePool, callback) -> None:
+        super().__init__(scheduler, lambda: pool.set_deadline(self._slot, scheduler.now))
+        self._pool = pool
+        self._slot = pool.register(callback)
+
+    def set_deadline(self, deadline: float) -> None:
+        if self._slot >= 0:
+            self._pool.clear(self._slot)
+            super().set_deadline(deadline)
+
+    def extend_to(self, deadline: float) -> None:
+        if self._slot >= 0:
+            self._pool.clear(self._slot)
+            super().extend_to(deadline)
+
+    def clear(self) -> None:
+        if self._slot >= 0:
+            self._pool.clear(self._slot)
+        super().clear()
+
+    def close(self) -> None:
+        self.clear()
+        if self._slot >= 0:
+            self._pool.release(self._slot)
+            self._slot = -1
+
+
 class DeliveryBatch:
     """In-flight message arrivals drained by the engine's own run loop.
 
@@ -342,9 +384,11 @@ def deadline_timer(scheduler, callback: Callable[[], None]):
     The single constructor the failure detectors use; see the module
     docstring for the scalar-fallback rules.
     """
-    if _POOLING and type(scheduler) is Simulator:
+    if type(scheduler) is Simulator:
         pool = scheduler.deadline_pool
         if pool is None:
             pool = scheduler.deadline_pool = DeadlinePool(scheduler)
-        return PoolTimer(pool, callback)
+        if _POOLING:
+            return PoolTimer(pool, callback)
+        return SlotOrderedTimer(scheduler, pool, callback)
     return VariableTimer(scheduler, callback)

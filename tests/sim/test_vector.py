@@ -13,12 +13,20 @@ Two layers:
   cells; here Hypothesis varies the configuration.
 """
 
-from hypothesis import given, settings
+from contextlib import nullcontext
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.timers import VariableTimer
 from repro.sim.engine import Simulator
-from repro.sim.vector import DeadlinePool, PoolTimer, deadline_timer, force_scalar
+from repro.sim.vector import (
+    DeadlinePool,
+    PoolTimer,
+    SlotOrderedTimer,
+    deadline_timer,
+    force_scalar,
+)
 
 
 class TestDeadlinePoolBasics:
@@ -109,6 +117,45 @@ class TestDeadlinePoolBasics:
         with force_scalar():
             assert isinstance(deadline_timer(sim, lambda: None), VariableTimer)
 
+    def test_scalar_timers_fire_one_instant_in_slot_order(self):
+        """A tie fires in slot order on both paths, not in arming order."""
+        for scalar in (False, True):
+            sim = Simulator()
+            fired = []
+            with force_scalar() if scalar else nullcontext():
+                first, second = (
+                    deadline_timer(sim, (lambda i=i: fired.append(i)))
+                    for i in range(2)
+                )
+            assert isinstance(first, SlotOrderedTimer) == scalar
+            second.set_deadline(1.0)
+            first.set_deadline(1.0)
+            sim.run()
+            assert fired == [0, 1]
+
+    def test_moving_a_pending_expiry_withdraws_it(self):
+        sim = Simulator()
+        fired = []
+        with force_scalar():
+            timer = deadline_timer(sim, lambda: fired.append(sim.now))
+        timer.set_deadline(1.0)
+        # Runs at 1.0 after the timer's heap entry handed its slot to the
+        # pool and before the pool fires it: the move must withdraw that
+        # pending expiry, so the timer fires once, at its new deadline.
+        sim.schedule_at(1.0, lambda: timer.extend_to(2.0))
+        sim.run()
+        assert fired == [2.0]
+
+    def test_closed_scalar_timer_is_inert(self):
+        sim = Simulator()
+        with force_scalar():
+            timer = deadline_timer(sim, lambda: None)
+        timer.set_deadline(1.0)
+        timer.close()
+        timer.set_deadline(2.0)
+        assert timer.deadline is None
+        sim.run()
+
     def test_closed_pool_timer_is_inert(self):
         sim = Simulator()
         timer = deadline_timer(sim, lambda: None)
@@ -182,6 +229,9 @@ class TestSystemBitExactness:
         st.booleans(),
         st.sampled_from(["omega_lc", "omega_id"]),
     )
+    # Both survivors of node 0's crash time it out at the same instant
+    # (their deadlines come off one frame): the tie must fire in slot order.
+    @example(seed=16777215, n_nodes=3, churn=True, algorithm="omega_id")
     @settings(max_examples=8, deadline=None)
     def test_full_simulation_digest_is_bit_identical(
         self, seed, n_nodes, churn, algorithm
