@@ -130,7 +130,7 @@ class GroupCells:
         any trust transition triggers a leader recomputation — otherwise
         every re-trust briefly elects the sender on stale state.  The
         node-level monitor is fed *after* every cell of the frame (see
-        ``LeaderElectionService._handle_frame``); the per-stream monitors
+        ``LeaderElectionService.handle_message``); the per-stream monitors
         below follow the same order within the cell.  A frame older in both
         ``seq`` and ``send_time`` than the newest ingested from its sender
         was overtaken: only its (order-free) membership delta and ledger

@@ -575,7 +575,20 @@ class LeaderElectionService:
             return
         message_type = type(message)
         if message_type is BatchFrame:
-            self._handle_frame(message)
+            # Every cell before the FD header: payload before trust (see
+            # GroupCells.handle_cell); piggybacked rumours are the plane's,
+            # with the header.  Where frames flow every period, one without
+            # an echo tells the batcher nothing (AliveBatcher.on_carrier).
+            sender = message.sender_node
+            groups = self._groups
+            for cell in message.cells:
+                runtime = groups.get(cell.group)
+                if runtime is not None:
+                    runtime.handle_cell(sender, message, cell)
+            batcher = self.batcher
+            if message.ack is not None or batcher.payload_only:
+                batcher.on_carrier(sender, message.ack, message.send_time)
+            self.plane.observe_frame(message)
             return
         if message_type is RateRequestMessage:
             if message.interval > 0:  # network input: never crash on junk
@@ -593,23 +606,6 @@ class LeaderElectionService:
         runtime = self._groups.get(message.group)
         if runtime is not None:
             handler(runtime)(message)
-
-    def _handle_frame(self, frame: BatchFrame) -> None:
-        """One frame: every group cell first, then the node-level FD header.
-
-        Cell payloads must be ingested before the node monitor's trust
-        transition fans out (payload before trust, see
-        :meth:`~repro.core.cells.GroupCells.handle_cell`); rumours
-        piggybacked on the frame are the plane's to read, with the header.
-        """
-        sender = frame.sender_node
-        groups = self._groups
-        for cell in frame.cells:
-            runtime = groups.get(cell.group)
-            if runtime is not None:
-                runtime.handle_cell(sender, frame, cell)
-        self.batcher.on_carrier(sender, frame.ack, frame.send_time)
-        self.plane.observe_frame(frame)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -282,9 +282,12 @@ class NodeFdPlane(FdPlaneBase):
 
     def observe_frame(self, frame: BatchFrame) -> None:
         """Feed one received frame header to the sender's node monitor."""
-        monitor = self.ensure_monitor(frame.sender_node)
-        if monitor is not None:
-            monitor.on_alive(frame.seq, frame.send_time, frame.interval)
+        monitor = self.monitors.get(frame.sender_node)
+        if monitor is None:
+            monitor = self.ensure_monitor(frame.sender_node)
+            if monitor is None:
+                return
+        monitor.on_alive(frame.seq, frame.send_time, frame.interval)
 
     def _grant(self, node: int, monitor: NfdsMonitor) -> None:
         monitor.grant_grace()  # one detection budget

@@ -91,7 +91,7 @@ class AliveBatcher:
         #: frames are skipped entirely — sequence numbers pause, which
         #: receivers already treat as silence rather than loss.  This is
         #: where the O(n²) steady header traffic actually disappears.
-        self._payload_only = plane is not None and not plane.header_is_liveness
+        self.payload_only = plane is not None and not plane.header_is_liveness
         #: Per-frame membership-rumour source (the plane's bounded
         #: piggyback batch; each call burns dissemination budget).
         self._rumours = plane
@@ -207,10 +207,11 @@ class AliveBatcher:
 
     def on_carrier(self, node: int, ack: Optional[int], departure: float) -> None:
         """A frame or probe message from ``node`` left at ``departure`` echoing
-        ``ack``; where frames flow every period, one without an echo is none."""
+        ``ack``; where frames flow every period, one without an echo is none
+        (the daemon does not report it)."""
         if ack is not None and ack >= self.seqs.get(node, 0):
             ack = None  # names a frame never sent (stale across a restart)
-        if ack is not None or self._payload_only:
+        if ack is not None or self.payload_only:
             for source in self._sources.values():
                 source.on_ack(node, ack, departure)
 
@@ -321,7 +322,7 @@ class AliveBatcher:
         if owing and self._flush_handle is None:
             delay = CELL_EARLY_ROUND * self.interval()
             self._flush_handle = self.scheduler.schedule(delay, self._flush_now, True)
-        payload_only = self._payload_only
+        payload_only = self.payload_only
         rumours = self._rumours
         # Read once per round: nothing below can queue a rumour, and while
         # any is pending every destination gets its piggyback() call — the
@@ -351,18 +352,13 @@ class AliveBatcher:
                 continue
             seq = seqs.get(dest, 0)
             seqs[dest] = seq + 1
-            frames.append(
-                BatchFrame(
-                    sender_node=node_id,
-                    dest_node=dest,
-                    seq=seq,
-                    send_time=now,
-                    interval=interval,
-                    cells=tuple(cells) if cells else self._NO_CELLS,
-                    swim_updates=updates,
-                    ack=acks.pop(dest, None) if acks else None,
-                )
-            )
+            # Positional, in field order: sender, dest, seq, send_time,
+            # interval, cells, swim_updates, ack.
+            frames.append(BatchFrame(
+                node_id, dest, seq, now, interval,
+                tuple(cells) if cells else self._NO_CELLS,
+                updates, acks.pop(dest, None) if acks else None,
+            ))
             cells.clear()
         # The whole fan-out in one transport call: a batch-aware transport
         # drains the burst through one delivery sentinel instead of one

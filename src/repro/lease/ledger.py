@@ -82,18 +82,18 @@ def lease_record_digest64(record: LeaseRecord) -> int:
     Packed-binary rendering, never Python ``hash`` (salted per process);
     XOR-combined into the ledger digest so the digest is order-independent
     and incrementally updatable — the same scheme as
-    :func:`repro.core.group.record_digest64`.
+    :func:`repro.core.group.record_digest64`.  Memoized on the (frozen)
+    record, so the XOR-out of a superseded record hashes nothing.
     """
-    packed = _RECORD_PACK.pack(
-        record.lease,
-        record.holder,
-        record.token,
-        record.expiry,
-        record.granted_at,
-        record.released,
-        record.seq,
-    )
-    return int.from_bytes(blake2b(packed, digest_size=8).digest(), "big")
+    digest = record._digest
+    if digest is None:
+        packed = _RECORD_PACK.pack(
+            record.lease, record.holder, record.token, record.expiry,
+            record.granted_at, record.released, record.seq,
+        )
+        digest = int.from_bytes(blake2b(packed, digest_size=8).digest(), "big")
+        object.__setattr__(record, "_digest", digest)
+    return digest
 
 
 class LeaseLedger:

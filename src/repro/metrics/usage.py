@@ -11,16 +11,21 @@ group size, the increase under worse links, the S2/S3 gap — emerges from the
 actual number and size of messages the protocols exchange, not from the
 calibration.
 
-Bandwidth is modelled too: the network counts :meth:`repro.net.message.
-Message.wire_bytes`, a per-type size model, not the bytes the codec writes.
+A meter *counts*: messages and bytes each way, timer dispatches and
+configurator runs.  CPU is derived — :attr:`UsageMeter.cpu_us` applies the
+cost model to the counts when read, exactly, as every :class:`CostModel`
+default is a multiple of 0.5 µs.  Bytes are modelled too: the network counts
+:meth:`repro.net.message.Message.wire_bytes`, not the bytes the codec writes.
 
-Since the multi-group scale-out, meters also keep a **per-group ledger**:
-each packet's bytes are attributed to the groups riding in it via
-:meth:`~repro.net.message.Message.group_shares` (the shared FD plane's
-envelope amortized across them), modeled CPU follows the byte shares, and
-group-owned timers charge their group directly.  Traffic no single group
-owns — cell-less frames, node-level rate requests, plane-wide timers —
-lands in the ``"shared"`` bucket, so the ledger always sums to the totals.
+Meters also keep a **per-group ledger**.  Only a message that carries a group
+— a frame with cells, or a group-scoped message — is charged to it, through
+:meth:`UsageMeter.on_send` / :meth:`~UsageMeter.on_receive`: its bytes split
+by :meth:`~repro.net.message.Message.wire_shares` (the shared FD plane's
+envelope amortized across the groups riding in it), its CPU following the
+byte shares; group-owned timers charge their group.  ``"shared"`` is the
+remainder of the totals — header-only frames (which the network counts
+inline, with no call), node-level messages, plane-wide timers and
+configurator runs — so the ledger always sums to the totals.
 """
 
 from __future__ import annotations
@@ -74,66 +79,52 @@ class UsageMeter:
     messages_received: int = 0
     bytes_sent: int = 0
     bytes_received: int = 0
-    cpu_us: float = 0.0
-    #: Per-group ledgers; keys are group ids plus :data:`SHARED_USAGE_KEY`.
-    group_bytes: Dict[int, float] = field(default_factory=dict)
+    timers: int = 0
+    reconfigs: int = 0
+    #: Per-group ledgers, keyed by group id; the remainder of the totals is
+    #: the ``"shared"`` bucket.
+    group_bytes: Dict[int, int] = field(default_factory=dict)
     group_cpu_us: Dict[int, float] = field(default_factory=dict)
 
-    # The per-group attribution loops are inlined into on_send/on_receive:
-    # both run once per message on the delivery hot path, and the extra
-    # call frame costs more than the two dict updates it would wrap.
+    @property
+    def cpu_us(self) -> float:
+        """Modelled CPU: the cost model applied to the counts."""
+        model = self.cost_model
+        return (
+            model.us_per_send * self.messages_sent
+            + model.us_per_recv * self.messages_received
+            + model.us_per_timer * self.timers
+            + model.us_per_reconfig * self.reconfigs
+        )
 
-    def __post_init__(self) -> None:
-        # Hot-path copies of the (frozen) cost scalars: two dataclass
-        # attribute hops per message cost more than the adds they feed.
-        self._us_send = self.cost_model.us_per_send
-        self._us_recv = self.cost_model.us_per_recv
-
-    def on_send(
-        self, wire_bytes: int, shares: Optional[Dict[int, int]] = None
-    ) -> None:
+    def on_send(self, wire_bytes: int, shares: Optional[Dict[int, int]] = None) -> None:
         self.messages_sent += 1
         self.bytes_sent += wire_bytes
-        cost = self._us_send
-        self.cpu_us += cost
         if shares is not None:
-            group_bytes = self.group_bytes
-            group_cpu = self.group_cpu_us
-            for key, share in shares.items():
-                group_bytes[key] = group_bytes.get(key, 0.0) + share
-                group_cpu[key] = group_cpu.get(key, 0.0) + cost * (
-                    share / wire_bytes
-                )
+            self._charge(shares, wire_bytes, self.cost_model.us_per_send)
 
-    def on_receive(
-        self, wire_bytes: int, shares: Optional[Dict[int, int]] = None
-    ) -> None:
+    def on_receive(self, wire_bytes: int, shares: Optional[Dict[int, int]] = None) -> None:
         self.messages_received += 1
         self.bytes_received += wire_bytes
-        cost = self._us_recv
-        self.cpu_us += cost
         if shares is not None:
-            group_bytes = self.group_bytes
-            group_cpu = self.group_cpu_us
-            for key, share in shares.items():
-                group_bytes[key] = group_bytes.get(key, 0.0) + share
-                group_cpu[key] = group_cpu.get(key, 0.0) + cost * (
-                    share / wire_bytes
-                )
+            self._charge(shares, wire_bytes, self.cost_model.us_per_recv)
+
+    def _charge(self, shares: Dict[int, int], wire_bytes: int, cost: float) -> None:
+        group_bytes, group_cpu = self.group_bytes, self.group_cpu_us
+        for key, share in shares.items():
+            if key != SHARED_USAGE_KEY:
+                group_bytes[key] = group_bytes.get(key, 0) + share
+                group_cpu[key] = group_cpu.get(key, 0.0) + cost * (share / wire_bytes)
 
     def on_timer(self, group: Optional[int] = None) -> None:
         """One timer dispatch; ``group`` attributes group-owned timers."""
-        cost = self.cost_model.us_per_timer
-        self.cpu_us += cost
-        key = SHARED_USAGE_KEY if group is None else group
-        self.group_cpu_us[key] = self.group_cpu_us.get(key, 0.0) + cost
+        self.timers += 1
+        if group is not None:
+            cpu = self.group_cpu_us
+            cpu[group] = cpu.get(group, 0.0) + self.cost_model.us_per_timer
 
     def on_reconfig(self) -> None:
-        cost = self.cost_model.us_per_reconfig
-        self.cpu_us += cost
-        self.group_cpu_us[SHARED_USAGE_KEY] = (
-            self.group_cpu_us.get(SHARED_USAGE_KEY, 0.0) + cost
-        )
+        self.reconfigs += 1
 
     def reset_counters(self) -> None:
         """Zero every counter (steady-state measurement after warm-up)."""
@@ -141,7 +132,8 @@ class UsageMeter:
         self.messages_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.cpu_us = 0.0
+        self.timers = 0
+        self.reconfigs = 0
         self.group_bytes.clear()
         self.group_cpu_us.clear()
 
@@ -149,18 +141,23 @@ class UsageMeter:
         """Summarize over ``duration`` seconds of (virtual) run time."""
         if duration <= 0:
             raise ValueError(f"duration must be positive (got {duration})")
-        per_group: Dict[str, Dict[str, float]] = {}
-        for key in sorted(set(self.group_bytes) | set(self.group_cpu_us)):
-            per_group[_group_label(key)] = {
-                "kb_per_second": self.group_bytes.get(key, 0.0) / (duration * 1000.0),
-                "cpu_percent": 100.0
-                * self.group_cpu_us.get(key, 0.0)
-                / (duration * 1e6),
+        cpu_us = self.cpu_us
+        total_bytes = self.bytes_sent + self.bytes_received
+        group_bytes, group_cpu = self.group_bytes, self.group_cpu_us
+        shared = (total_bytes - sum(group_bytes.values()), cpu_us - sum(group_cpu.values()))
+        rows = {SHARED_USAGE_KEY: shared}
+        for key in sorted(set(group_bytes) | set(group_cpu)):
+            rows[key] = (group_bytes.get(key, 0), group_cpu.get(key, 0.0))
+        per_group = {
+            _group_label(key): {
+                "kb_per_second": size / (duration * 1000.0),
+                "cpu_percent": 100.0 * cpu / (duration * 1e6),
             }
+            for key, (size, cpu) in rows.items()
+        }
         return UsageReport(
-            cpu_percent=100.0 * self.cpu_us / (duration * 1e6),
-            kb_per_second=(self.bytes_sent + self.bytes_received)
-            / (duration * 1000.0),
+            cpu_percent=100.0 * cpu_us / (duration * 1e6),
+            kb_per_second=total_bytes / (duration * 1000.0),
             messages_per_second=(self.messages_sent + self.messages_received)
             / duration,
             per_group=per_group,

@@ -124,6 +124,9 @@ class LeaseRecord:
     granted_at: float
     released: bool
     seq: int
+    #: Memoized :func:`~repro.lease.ledger.lease_record_digest64`; None until
+    #: first computed (every replica merging this record object shares it).
+    _digest: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,7 +229,7 @@ class Message:
 
     def wire_shares(self) -> Dict[int, int]:
         """Memoized :meth:`group_shares` (sender and receiver meters both
-        consult it once per delivered packet)."""
+        consult it once per delivered packet that carries a group)."""
         shares = self._shares
         if shares is None:
             shares = self._shares = self.group_shares()

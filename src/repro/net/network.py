@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.net.links import Link, LinkConfig
-from repro.net.message import Message
+from repro.net.message import BatchFrame, Message
 from repro.net.node import Node
 from repro.runtime.base import Scheduler
 from repro.sim.rng import RngRegistry
@@ -141,7 +141,13 @@ class Network:
         sender, link, deliver = route
         if not sender.up:
             return
-        sender.meter.on_send(message.wire_bytes(), message.wire_shares())
+        wire = message.wire_bytes()
+        meter = sender.meter
+        if type(message) is not BatchFrame or message.cells:
+            meter.on_send(wire, message.wire_shares())
+        else:  # a header-only frame carries no group: counted, not charged
+            meter.messages_sent += 1
+            meter.bytes_sent += wire
         link.transmit(message, deliver)
 
     def send_batch(self, messages: Iterable[Message]) -> None:
@@ -171,7 +177,13 @@ class Network:
             sender, link, deliver = route
             if not sender.up:
                 continue
-            sender.meter.on_send(message.wire_bytes(), message.wire_shares())
+            wire = message.wire_bytes()
+            meter = sender.meter
+            if type(message) is not BatchFrame or message.cells:
+                meter.on_send(wire, message.wire_shares())
+            else:
+                meter.messages_sent += 1
+                meter.bytes_sent += wire
             link.transmit_batched(message, deliver, batch)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -133,7 +133,9 @@ class Simulator:
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current virtual time, in seconds: a plain attribute the run loops
+        #: write, read on every heartbeat's send and receive.
+        self.now = float(start_time)
         self._heap: list[_HeapEntry] = []
         self._seq = 0
         self._running = False
@@ -158,14 +160,6 @@ class Simulator:
         self.delivery_batch = None
 
     # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time, in seconds."""
-        return self._now
-
-    # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., None], *args) -> Event:
@@ -176,7 +170,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq + 1
         self._seq = seq
         event = Event(time, seq, fn, args, owner=self)
@@ -187,9 +181,9 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule into the past (t={time} < now={self._now})"
+                f"cannot schedule into the past (t={time} < now={self.now})"
             )
         seq = self._seq + 1
         self._seq = seq
@@ -268,7 +262,7 @@ class Simulator:
             dheap = batch._heap
             if dheap and dheap[0][0] <= head_time:
                 arrival, _, link, message, deliver = heapq.heappop(dheap)
-                self._now = arrival
+                self.now = arrival
                 self.events_executed += 1
                 wire = message._wire
                 stats = link.stats
@@ -282,7 +276,7 @@ class Simulator:
         if not heap:
             return False
         _, _, event = heapq.heappop(heap)
-        self._now = event.time
+        self.now = event.time
         fn = event.fn
         args = event.args
         event.fn = None
@@ -299,8 +293,8 @@ class Simulator:
         ``now`` equals ``time`` (even when the event queue drained early), so
         successive ``run_until`` calls compose predictably.
         """
-        if time < self._now:
-            raise SimulationError(f"cannot run backwards (t={time} < now={self._now})")
+        if time < self.now:
+            raise SimulationError(f"cannot run backwards (t={time} < now={self.now})")
         heap = self._heap
         heappop = heapq.heappop
         drop_cancelled_head = self._drop_cancelled_head
@@ -328,7 +322,7 @@ class Simulator:
                         if arrival > time:
                             break
                         _, _, link, message, deliver = heappop(dheap)
-                        self._now = arrival
+                        self.now = arrival
                         executed += 1
                         # The scalar path's Link._deliver, inlined: link
                         # counters move at delivery time, in delivery order.
@@ -345,7 +339,7 @@ class Simulator:
                 if head_time > time:
                     break
                 _, _, event = heappop(heap)
-                self._now = head_time
+                self.now = head_time
                 fn = event.fn
                 args = event.args
                 event.fn = None
@@ -357,7 +351,7 @@ class Simulator:
             self._running = False
             self.events_executed += executed
         if not self._stopped:
-            self._now = max(self._now, time)
+            self.now = max(self.now, time)
 
     def run(self) -> None:
         """Run until the event queue is exhausted or :meth:`stop` is called."""
@@ -408,7 +402,7 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(now={self._now:.6f}, pending={len(self._heap)}, "
+            f"Simulator(now={self.now:.6f}, pending={len(self._heap)}, "
             f"executed={self.events_executed})"
         )
 

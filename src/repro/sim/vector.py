@@ -51,6 +51,7 @@ ordinary callbacks that clear/extend slots, and a cleared slot is simply an
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from heapq import heappush
 from math import inf
 from typing import Callable, List, Optional
@@ -100,8 +101,6 @@ class DeadlinePool:
         "_free",
         "_handle",
         "_armed_at",
-        "wakes",
-        "fires",
     )
 
     def __init__(self, scheduler) -> None:
@@ -115,10 +114,6 @@ class DeadlinePool:
         self._handle = None
         #: Virtual time the pending sentinel entry targets (inf = none).
         self._armed_at = inf
-        #: Sentinel wake-ups (bookkeeping; mostly find nothing expired).
-        self.wakes = 0
-        #: Slot callbacks actually fired (true expirations).
-        self.fires = 0
 
     # ------------------------------------------------------------------
     # Slot lifecycle
@@ -187,7 +182,6 @@ class DeadlinePool:
     def _fire(self) -> None:
         self._handle = None
         self._armed_at = inf
-        self.wakes += 1
         now = self._scheduler.now
         view = self._data
         if len(view) >= _NUMPY_MIN_SLOTS:
@@ -202,7 +196,6 @@ class DeadlinePool:
                 self._data[slot] = inf
                 callback = self._callbacks[slot]
                 if callback is not None:
-                    self.fires += 1
                     callback()
         # Re-arm at the new minimum (callbacks may already have re-armed).
         minimum = float(self._data.min())
@@ -211,20 +204,26 @@ class DeadlinePool:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         armed = int((self._data != inf).sum())
-        return (
-            f"DeadlinePool(slots={len(self._data)}, armed={armed}, "
-            f"wakes={self.wakes}, fires={self.fires})"
-        )
+        return f"DeadlinePool(slots={len(self._data)}, armed={armed})"
+
+
+def _closed(deadline: float) -> None:
+    """A closed :class:`PoolTimer`'s ``extend_to``: its slot may be reused."""
 
 
 class PoolTimer:
-    """Drop-in :class:`VariableTimer` facade over one pool slot."""
+    """Drop-in :class:`VariableTimer` facade over one pool slot.
 
-    __slots__ = ("_pool", "_slot")
+    ``extend_to``, once per heartbeat, is the pool's own bound to the slot:
+    a monitor's extension reaches the slot in one call.
+    """
+
+    __slots__ = ("_pool", "_slot", "extend_to")
 
     def __init__(self, pool: DeadlinePool, callback: Callable[[], None]) -> None:
         self._pool = pool
-        self._slot = pool.register(callback)
+        self._slot = slot = pool.register(callback)
+        self.extend_to = partial(pool.extend_to, slot)
 
     @property
     def deadline(self) -> Optional[float]:
@@ -240,10 +239,6 @@ class PoolTimer:
         if self._slot >= 0:
             self._pool.set_deadline(self._slot, deadline)
 
-    def extend_to(self, deadline: float) -> None:
-        if self._slot >= 0:
-            self._pool.extend_to(self._slot, deadline)
-
     def clear(self) -> None:
         if self._slot >= 0:
             self._pool.clear(self._slot)
@@ -253,6 +248,7 @@ class PoolTimer:
         if self._slot >= 0:
             self._pool.release(self._slot)
             self._slot = -1
+            self.extend_to = _closed
 
 
 class SlotOrderedTimer(VariableTimer):

@@ -6,6 +6,8 @@ single-group stacks — heartbeat frames stay O(node pairs) while every group
 still elects, re-elects and isolates correctly.
 """
 
+import pytest
+
 from repro.experiments.runner import build_system, run_experiment
 from repro.experiments.scenario import ExperimentConfig
 from repro.net.message import BatchFrame
@@ -103,7 +105,38 @@ class TestMultiGroupElection:
             )
             # The ledger counts both directions, like kb_per_second.
             assert ledger_kb == pytest_approx(report.kb_per_second)
+            ledger_cpu = sum(values["cpu_percent"] for values in report.per_group.values())
+            assert ledger_cpu == pytest.approx(report.cpu_percent, rel=1e-9)
         assert {"1", "2", "3"} <= set(result.usage.per_group)
+        for label in ("1", "2", "3"):
+            assert result.usage.per_group[label]["cpu_percent"] > 0.0
+
+    def test_meters_count_and_cpu_is_the_cost_model_over_the_counts(self):
+        """``cpu_us`` is derived from the counts, to the last bit; a delivered
+        header-only frame is counted without its group shares ever built."""
+        _, system = build(n_groups=3, n_nodes=4)
+        delivered = []
+        for node in system.network.nodes.values():
+            def tap(message, inner=node.deliver):
+                delivered.append(message)
+                inner(message)
+
+            node.deliver = tap
+        system.sim.run_until(30.0)
+        for node in system.network.nodes.values():
+            meter, model = node.meter, node.meter.cost_model
+            assert meter.timers > 0 and meter.reconfigs > 0
+            assert meter.cpu_us == (
+                model.us_per_send * meter.messages_sent
+                + model.us_per_recv * meter.messages_received
+                + model.us_per_timer * meter.timers
+                + model.us_per_reconfig * meter.reconfigs
+            )
+        header_only = [m for m in delivered if type(m) is BatchFrame and not m.cells]
+        with_cells = [m for m in delivered if type(m) is BatchFrame and m.cells]
+        assert header_only and with_cells
+        assert all(frame._shares is None for frame in header_only)
+        assert all(frame._shares is not None for frame in with_cells)
 
     def test_groups_share_the_fd_plane_monitors(self):
         _, system = build(n_groups=8, n_nodes=4)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.usage import CostModel, UsageMeter, UsageReport
+from repro.metrics.usage import SHARED_USAGE_KEY, CostModel, UsageMeter, UsageReport
 
 
 class TestUsageMeter:
@@ -21,6 +21,23 @@ class TestUsageMeter:
         assert meter.cpu_us == pytest.approx(
             2 * cm.us_per_send + cm.us_per_recv + cm.us_per_timer + cm.us_per_reconfig
         )
+
+    def test_only_group_traffic_is_charged_and_shared_is_the_remainder(self):
+        meter = UsageMeter()
+        meter.on_send(100, {7: 60, SHARED_USAGE_KEY: 40})
+        meter.on_receive(50)  # a header-only frame: counted, not charged
+        meter.on_timer(7)
+        meter.on_timer()
+        meter.on_reconfig()
+        assert (meter.timers, meter.reconfigs) == (2, 1)
+        assert meter.group_bytes == {7: 60}
+        cm = meter.cost_model
+        assert meter.group_cpu_us == {7: 0.6 * cm.us_per_send + cm.us_per_timer}
+        per_group = meter.report(1.0).per_group
+        assert list(per_group) == ["shared", "7"]
+        assert per_group["shared"]["kb_per_second"] == pytest.approx(0.09)
+        shared_us = 0.4 * cm.us_per_send + cm.us_per_recv + cm.us_per_timer + cm.us_per_reconfig
+        assert per_group["shared"]["cpu_percent"] == pytest.approx(shared_us / 1e4)
 
     def test_report_units(self):
         meter = UsageMeter(cost_model=CostModel(us_per_send=10.0, us_per_recv=10.0))

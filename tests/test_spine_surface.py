@@ -12,6 +12,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+from repro.metrics.usage import UsageMeter
+from repro.net.message import Message
 from repro.runtime.realtime import TransportStats, UdpTransport
 
 SPINE = Path(__file__).resolve().parents[1] / "benchmarks" / "spine"
@@ -70,3 +72,30 @@ def test_stat_fields_are_transport_stats_fields():
 def test_udp_transport_keeps_send_batch():
     # The spine's CountingTransport forwards send_batch unconditionally.
     assert callable(UdpTransport.send_batch)
+
+
+def _attributes_read_through(name: str) -> set:
+    """Attribute names the spine reads off ``name`` or ``<anything>.name``."""
+    return {
+        node.attr
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and name in (getattr(node.value, "id", None), getattr(node.value, "attr", None))
+    }
+
+
+def test_what_the_spine_reads_off_a_usage_meter_exists():
+    """``node.meter.reset_counters()``, ``.report(span)``, ``.bytes_sent``,
+    ``.messages_received``: read at run time, so a renamed meter field
+    would only fail when the benchmark runs."""
+    read = _attributes_read_through("meter")
+    assert {"reset_counters", "report", "bytes_sent", "messages_received"} <= read
+    meter = UsageMeter()
+    assert [name for name in sorted(read) if not hasattr(meter, name)] == []
+
+
+def test_the_spine_splits_frame_bytes_by_wire_shares():
+    # tracing.CountingTransport reads message.wire_shares() per frame with cells.
+    assert "wire_shares" in _attributes_read_through("message")
+    assert callable(Message.wire_shares)
