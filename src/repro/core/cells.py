@@ -8,19 +8,20 @@ overtaken.  A tenure-active leader's cells also carry the lease ledger to
 each follower (see :mod:`repro.lease.server`).
 
 A cell is *owed* to a destination from the frame that first carried its
-current content (a changed payload, a membership delta, a ledger segment, a
-first contact or a refresh) until that destination echoes a frame that
-carried it: the node's newest in-order frame with cells (it may have carried
-only other groups'), on its next frame back (``BatchFrame.ack``) or, on swim,
-probe or probe answer.  The echo is overdue ``CELL_ECHO_WAIT`` periods after
-the send.  All-pairs frames flow every period, so the clock says so: the cell
-rides the early round, and every frame once overdue, a re-sent delta from
-what was last acknowledged; a destination not heard from cannot echo, and on
-a node that has seen loss its news is re-sent blind.  On swim only a carrier
-back that left once overdue without the echo does: the cell goes again as a
-first contact, once per such exchange.  A crashed link is repaired by the
-first exchange after the heal; the refresh is pure anti-entropy.  Swim cells
-carry no membership delta, save the sender's own record on first contact.
+current content (a changed payload, a ledger segment, a first contact or a
+refresh) until that destination echoes a frame that carried it: the node's
+newest in-order frame with cells (it may have carried only other groups'),
+on its next frame back (``BatchFrame.ack``) or, on swim, probe or probe
+answer.  The echo is overdue ``CELL_ECHO_WAIT`` periods after the send.
+All-pairs frames flow every period, so the clock says so: the cell rides the
+early round, and every frame once overdue; a destination not heard from
+cannot echo, and on a node that has seen loss its news is re-sent blind.  On
+swim only a carrier back that left once overdue without the echo does: the
+cell goes again as a first contact, once per such exchange.  A crashed link
+is repaired by the first exchange after the heal; the refresh is pure
+anti-entropy.  Membership news travels by HELLO (see
+:mod:`repro.core.membership`): on both planes a cell carries no membership
+delta, save the sender's own record on first contact.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class GroupCells:
 
     __slots__ = (
         "group", "pid", "scheduler", "view", "algorithm", "plane",  # read off the membership
-        "cell_state", "stream_monitors", "_membership", "_sent_version", "_batcher", "owing",
+        "cell_state", "stream_monitors", "_membership", "_batcher", "owing",
         "_leases", "_ledger", "_dest_nodes", "_emit_quiet_until", "_emit_stamp_version",
         "_emit_stamp_alg", "_emit_head", "_emit_template", "_emit_payload", "cells_repeated",
         "frame_anchor", "owed", "_periodic",
@@ -59,11 +60,9 @@ class GroupCells:
         self.plane = plane = membership.plane
         #: Its ``seqs`` (next per destination) and ``acks`` (echo per peer).
         self._batcher = batcher
-        #: The group's gossip engine: told when a cell moved the view or
-        #: showed a diverged digest; its shipped-version cursors say which
-        #: destinations are owed a delta (None: cells carry none).
+        #: The group's gossip engine: told when a cell moved the view and
+        #: whether its digest agreed.
         self._membership = membership
-        self._sent_version = membership.sent_version if membership.cell_deltas else None
         #: The lease server: the ledger segment each destination is owed.
         self._leases = leases
         self._ledger = leases.ledger
@@ -74,9 +73,9 @@ class GroupCells:
         #: refresh, ledger head), for change-triggered emission and the refresh.
         self.cell_state: Dict[int, tuple] = {}
         #: Destination -> (first, last seq of the newest run of frames that
-        #: all carried its current content, or ``_BLIND`` twice; the view
-        #: version it held before); ``all_candidates`` only.
-        self.owed: Optional[Dict[int, Tuple[int, int, int]]] = (
+        #: all carried its current content, or ``_BLIND`` twice);
+        #: ``all_candidates`` only.
+        self.owed: Optional[Dict[int, Tuple[int, int]]] = (
             {} if algorithm.monitor_policy == "all_candidates" else None
         )
         #: Instrumentation only: cells re-sent because they were still owed.
@@ -133,7 +132,7 @@ class GroupCells:
         ``LeaderElectionService.handle_message``); the per-stream monitors
         below follow the same order within the cell.  A frame older in both
         ``seq`` and ``send_time`` than the newest ingested from its sender
-        was overtaken: only its (order-free) membership delta and ledger
+        was overtaken: only its (order-free) membership record and ledger
         records merge, and it is not echoed.  One count alone would take a
         reboot or a clock resync for a late frame.
         """
@@ -153,7 +152,7 @@ class GroupCells:
             self._leases.ingest(sender, cell.leases, in_order)
         if not in_order:
             if changed:
-                self._membership.view_changed_by_cell()
+                self._membership.view_changed()
             return
         self.frame_anchor[sender] = (frame.seq, frame.send_time)
         if self.owed is not None:
@@ -168,10 +167,10 @@ class GroupCells:
                 frame.send_time + frame.interval + self.plane.delta_for(sender)
             )
         if changed:
-            self._membership.view_changed_by_cell()
+            self._membership.view_changed()
         if cell.view_digest != self.view.digest64():
             self._membership.push_sync(sender)
-        elif self._sent_version is None:  # a no-op where cells carry deltas
+        else:
             self._membership.digests_agree(sender)
 
     def dest_nodes(self) -> Tuple[int, ...]:
@@ -226,14 +225,14 @@ class GroupCells:
 
         The FD header flows on every frame; under ``all_candidates`` a
         cell rides along only with *news* — a changed payload or ledger
-        head, a membership or ledger delta, a first contact, the refresh —
-        or while owed (see the module docstring): on all-pairs on the
-        ``early`` round and, from ``CELL_ECHO_WAIT`` periods after its news,
-        on every round; on swim at the refresh.  A changed payload on a node
-        that has seen frame loss sets :attr:`owing` (the batcher arms the
-        early round).  ``senders_only`` groups (Ω_l) emit every round: their
-        receivers' stream monitors feed on the cells.  Destinations owing no
-        delta share one template cell.
+        head, a ledger delta, a first contact, the refresh — or while owed
+        (see the module docstring): on all-pairs on the ``early`` round and,
+        from ``CELL_ECHO_WAIT`` periods after its news, on every round; on
+        swim at the refresh.  A view change alone is no news.  A changed
+        payload on a node that has seen frame loss sets :attr:`owing` (the
+        batcher arms the early round).  ``senders_only`` groups (Ω_l) emit every round: their
+        receivers' stream monitors feed on the cells.  Destinations owed
+        neither an introduction nor a ledger segment share one template cell.
         """
         self.owing = False
         dests = self._dest_nodes
@@ -281,7 +280,6 @@ class GroupCells:
         cell_state = self.cell_state
         refresh = CELL_REFRESH
         periodic = self._periodic
-        sent = self._sent_version
         shipped = None if head is None else self._leases.shipped
         overdue = CELL_ECHO_WAIT * self._batcher.interval() if owed and periodic else refresh
         wait = 0.0 if early else overdue
@@ -296,8 +294,7 @@ class GroupCells:
             lease_owed = shipped is not None and shipped.get(dest, 0) < head.top
             state = cell_state.get(dest)
             pending = owed.get(dest) if owed else None
-            held = version if sent is None else sent.get(dest, 0)
-            news = lease_owed or held < version
+            news = lease_owed
             if state is None or state[0] != payload:
                 news = True
                 changed = changed or state is not None
@@ -314,41 +311,35 @@ class GroupCells:
                 self.cells_repeated += 1
                 if not periodic:
                     pending = None  # swim: unechoed since the refresh, it goes as one
-            if pending is not None and sent is not None:
-                held = pending[2]  # a re-sent delta starts at the last acked
             if news or pending is None:
                 cell_state[dest] = entry
             if owed is not None:
                 seq = seqs.get(dest, 0)
                 if news or pending is None:  # a new run; blind if no echo can cover it
                     if trusted(dest) or not periodic:
-                        owed[dest] = (seq, seq, held)
+                        owed[dest] = (seq, seq)
                     elif lossy or lossy is None and (lossy := self.plane.observed_loss() > 0.0):
-                        owed[dest] = (_BLIND, _BLIND, held)
+                        owed[dest] = (_BLIND, _BLIND)
                     elif pending is not None:
                         del owed[dest]
                 elif pending[0] != _BLIND:  # the run grows while every frame carries it
-                    owed[dest] = (pending[0] if pending[1] == seq - 1 else seq, seq, held)
+                    owed[dest] = (pending[0] if pending[1] == seq - 1 else seq, seq)
                 elif now - state[1] >= overdue:
                     del owed[dest]  # sent blind on the early round and once overdue
-            if held < version:
-                sent[dest] = version
             segment = head
             if lease_owed:
                 segment = self._leases.segment(dest)
                 backlog = backlog or segment.top < head.top
-            if sent is not None:
-                delta = view.delta_since(held) if held < version else ()
-            else:  # swim: a first contact introduces the sender
-                delta = (view.record(self.pid),) if state is None else ()
+            # A first contact introduces the sender.
+            delta = (view.record(self.pid),) if state is None else ()
             yield dest, self._cell(template, delta, segment)
         if changed and owed is not None:
             self.owing = lossy if lossy is not None else self.plane.observed_loss() > 0.0
         if suppressible and stamp is not None and not backlog:
-            # Every destination now holds the current payload, version and
-            # ledger, or is owed them; the guards above re-run this full
-            # round the moment the membership version, the payload stamp or
-            # the head moves.
+            # Every destination now holds the current payload and ledger, or
+            # is owed them; the guards above re-run this full round the
+            # moment the membership version, the payload stamp or the head
+            # moves.
             self._emit_stamp_version = version
             self._emit_stamp_alg = stamp
             self._emit_head = head
@@ -357,7 +348,7 @@ class GroupCells:
             self._emit_quiet_until = now if owed and periodic else oldest + refresh
 
     def _cell(self, template: AliveCell, delta: tuple, segment) -> AliveCell:
-        """The template, or its copy carrying the membership records
+        """The template, or its copy carrying the sender's own record
         ``delta`` and ``segment`` in place of the ledger head."""
         if not delta and segment is template.leases:
             return template

@@ -22,7 +22,7 @@ last sent to a destination instead of the full view.  Lost deltas are
 repaired by anti-entropy: every delta-carrying message also carries
 :meth:`digest64` — a 64-bit order-independent digest of the full record set
 — and a receiver whose own digest differs after merging answers with a
-full-view sync.  Because the merge is a join-semilattice, any interleaving
+sync (see :mod:`repro.core.membership`).  Because the merge is a join-semilattice, any interleaving
 of deltas, syncs, duplicates and reorderings converges to the same view as
 full-view merge (property-tested in ``tests/core/test_group_delta.py``).
 """

@@ -7,47 +7,42 @@ HELLO protocol around the group's :class:`~repro.core.group.MembershipView`
 shipped-version cursors — and aligns what depends on who the members are
 (FD-plane interest, frame destinations, per-peer state).
 
-**Flood or bounded dissemination** is one decision, taken once from the FD
-plane (:func:`membership_for`) and stated as two subclasses.  Where every
-frame header is a heartbeat the plane costs O(n²) anyway, so
-:class:`FloodMembership` may flood: the join goes to the whole bootstrap
-set, a round may message every peer, a sync ships the full view, cells
-carry owed deltas, and a view change is reacted to on the spot.  Where
-liveness is probed (SWIM) the plane exists precisely so no single event
-touches more than O(k) peers or ships more than a bounded payload, and
-:class:`BoundedMembership` bounds each of those: joins contact a few
-id-ring successors, rounds have a fan-out budget, deltas and syncs stream
-in fixed-size windows, cells carry no deltas but the sender's own record on
-first contact, reactions coalesce.  A change costs O(n log n) HELLOs: a
-node's introduction is gossiped by nobody, other news goes to ⌈log₂ n⌉
-id-ring fingers, and a digest mismatch syncs once it lasts a hello period.
+**One rule on both FD planes.**  No single event touches more than O(k)
+peers or ships more than a bounded payload: a join contacts at most
+:data:`_JOIN_FANOUT` id-ring successors (every bootstrap peer in a group
+that small), rounds have a fan-out budget, deltas and syncs stream in
+fixed-size windows, cells carry no deltas but the sender's own record on
+first contact, and reactions to a view change coalesce.  A change costs
+O(n log n) HELLOs: a node's introduction is gossiped by nobody, other news
+goes to ⌈log₂ n⌉ id-ring fingers, and a digest mismatch syncs once it lasts
+a hello period.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Set, Tuple, Type
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.group import MembershipView
 from repro.fd.plane import CELL_REFRESH
-from repro.net.message import HelloMessage, MemberInfo
+from repro.net.message import HelloMessage
 from repro.runtime.timers import PeriodicTimer
 
-__all__ = ["Membership", "FloodMembership", "BoundedMembership", "membership_for"]
+__all__ = ["Membership"]
 
-#: Bounded-dissemination limits (see the module docstring).
-_SWIM_JOIN_FANOUT = 16
-_SWIM_GOSSIP_FANOUT = 16
-_SWIM_DELTA_CAP = 64
-_SWIM_SYNC_CAP = 128
-#: Bounded-mode membership-reaction coalescing window, seconds.  During an
-#: epidemic bootstrap every gossip message mutates the view; re-aligning
-#: FD interests and recomputing the O(candidates) election *per message*
-#: multiplies the O(n²) convergence traffic by another O(n) — the storm
-#: that melts a 1000-node bring-up.  Reactions are idempotent view
-#: re-alignments, so they coalesce to one run per window; 50 ms is far
-#: inside every detection/suspicion budget the plane hands out.
-_SWIM_MEMBERSHIP_COALESCE = 0.05
+#: Dissemination limits (see the module docstring).
+_JOIN_FANOUT = 16
+_GOSSIP_FANOUT = 16
+_DELTA_CAP = 64
+_SYNC_CAP = 128
+#: Membership-reaction coalescing window, seconds.  During an epidemic
+#: bootstrap every gossip message mutates the view; re-aligning FD interests
+#: and recomputing the O(candidates) election *per message* multiplies the
+#: O(n²) convergence traffic by another O(n) — the storm that melts a
+#: 1000-node bring-up.  Reactions are idempotent view re-alignments, so they
+#: coalesce to one run per window; 50 ms is far inside every
+#: detection/suspicion budget the plane hands out.
+_REACTION_COALESCE = 0.05
 
 
 class Membership:
@@ -60,12 +55,10 @@ class Membership:
         # owned
         "sent_version", "_next_sync", "_peer_nodes_cache", "_peer_nodes_version",
         "_interested_nodes", "_hello_timer", "_shut_down", "hellos_sent",
+        "_sync_cursor", "_gossip_cursor", "_sync_budget", "_reaction_pending", "_mismatch",
         # the two riders and what the rounds read of them (see carry)
         "_cells", "_cell_state", "_leases", "_ledger", "_cover_horizon",
     )
-
-    #: Whether ALIVE cells carry the membership delta a destination is owed.
-    cell_deltas: bool
 
     def __init__(self, ctx, bootstrap, hello_period, first_round, meter, forget_peer) -> None:
         #: The group runtime: election context, plane listener, and where
@@ -86,8 +79,8 @@ class Membership:
         self.meter = meter
         #: Drops a peer's daemon-level state once no group watches it.
         self.forget_peer = forget_peer
-        #: Highest own-view version already shipped (as delta or full view)
-        #: to each peer node — shared by ALIVE cells and gossip HELLOs.
+        #: Highest own-view version already shipped (as a delta or
+        #: introduced) to each peer node; the gossip rounds own it.
         self.sent_version: Dict[int, int] = {}
         #: Anti-entropy rate limit: earliest time a full sync may be pushed
         #: to each peer node again.
@@ -108,6 +101,23 @@ class Membership:
         #: view delta, and digest-repair syncs pushed (the join and reply
         #: handshake, bounded by the join fan-out, is not counted).
         self.hellos_sent = {"empty": 0, "delta": 0, "sync": 0}
+        #: Sync rotation: per-destination version cursor through the record
+        #: set, so bounded sync windows cover everything over successive
+        #: pushes.
+        self._sync_cursor: Dict[int, int] = {}
+        #: Gossip rotation cursor (bounded hello fan-out).
+        self._gossip_cursor = 0
+        #: Anti-entropy budget: outgoing digest-repair syncs per hello
+        #: period (window start, syncs spent).  The per-destination limit
+        #: alone still allows O(peers) syncs per second while the whole
+        #: cluster is diverged — a mass bootstrap would answer every
+        #: received message with a sync.  Regular gossip converges the rest.
+        self._sync_budget = (0.0, 0)
+        #: True while a deferred election-recompute/dependent-alignment
+        #: callback is pending (see ``_REACTION_COALESCE``).
+        self._reaction_pending = False
+        #: Peer node -> time of the first carrier whose view digest differed.
+        self._mismatch: Dict[int, float] = {}
 
     def carry(self, cells, leases) -> None:
         """Hand over the two riders built on top of this object: the cell
@@ -183,13 +193,30 @@ class Membership:
     def _forget_node(self, node: int) -> None:
         self._next_sync.pop(node, None)
         # Forget what we shipped: if the node id returns with a fresh
-        # daemon, its first cell must bootstrap with the full view.
+        # daemon, gossip starts it from the beginning.
         self.sent_version.pop(node, None)
+        self._sync_cursor.pop(node, None)
+        self._mismatch.pop(node, None)
 
-    def view_changed_by_cell(self) -> None:
-        """A cell's delta moved the view: election first, then alignment."""
-        self._recompute()
-        self._realign()
+    def view_changed(self) -> None:
+        """A HELLO or a cell moved the view: coalesce the reactions.
+
+        The election recompute and the dependent re-alignment are pure
+        functions of the *current* view, so when gossip lands a burst of
+        mutations only the last state matters.  One callback per
+        ``_REACTION_COALESCE`` window serves the whole burst.
+        """
+        if self._reaction_pending or self._shut_down:
+            return
+        self._reaction_pending = True
+        self.scheduler.schedule(_REACTION_COALESCE, self._react)
+
+    def _react(self) -> None:
+        self._reaction_pending = False
+        if self._shut_down:
+            return
+        self.algorithm.on_membership_changed()
+        self.align()
 
     def peer_nodes(self) -> Tuple[int, ...]:
         """Remote nodes hosting present members, each once, in member
@@ -228,9 +255,8 @@ class Membership:
         if message.swim_updates:
             self.plane.apply_updates(message.swim_updates)
         sender = message.sender_node if message.kind == "join" else None  # a join introduces it
-        changed = self.merge_from(sender, message.members) if message.members else False
-        if changed:
-            self._realign()
+        if message.members and self.merge_from(sender, message.members):
+            self.view_changed()
         leases = self._leases.on_hello(message)
         if message.kind == "join":
             self._send_hello_reply(message.sender_node)
@@ -241,11 +267,9 @@ class Membership:
                 if pid != self.pid and self.view.is_present(pid):
                     self.ctx.ensure_monitor(pid)
             self.algorithm.on_hello_seed(message)
-        if changed:
-            self._recompute()
         # Anti-entropy: a view digest still diverging after the merge
-        # triggers a full-view sync (a join is already answered with a
-        # full-view reply); a ledger sync left unequal is answered too.
+        # triggers a sync (a join is already answered with a full-view
+        # reply); a ledger sync left unequal is answered too.
         if message.kind != "join":
             view = message.view_digest != self.view.digest64()
             if view or leases:
@@ -254,32 +278,62 @@ class Membership:
                 self.digests_agree(message.sender_node)
 
     def merge_from(self, node: Optional[int], records) -> bool:
-        """Merge ``records`` from ``node``'s join HELLO or cell (None: another HELLO)."""
-        return self.view.merge(records)
+        """Merge ``records`` from ``node``'s join HELLO or cell (None: another HELLO).
+
+        A node introduces itself to every peer (join HELLO, first-contact
+        cell): peers that held our view before its record hold it after."""
+        view, sent = self.view, self.sent_version
+        changed = False
+        for record in records:
+            before = view.version
+            if view.merge_record(record):
+                changed = True
+                if record.node == node:
+                    sent.update([(peer, view.version) for peer, at in sent.items() if at == before])
+        return changed
 
     def digests_agree(self, node: int) -> None:
         """A HELLO (its members merged) or a cell from ``node`` carried our
-        own view digest.  Nothing to do where cells share the shipped-version
-        cursor (flood); bounded gossip stops owing the peer a delta."""
+        own view digest.  Digest equality is view equality (anti-entropy's
+        own premise): the peer holds every record we do, so the delta our
+        merge of *its* news just made us owe it is not owed."""
+        self._mismatch.pop(node, None)
+        self.sent_version[node] = self.view.version
 
     def push_sync(
         self, dest_node: int, view: bool = True, leases: bool = False
     ) -> None:
-        """Push the diverged half (full view, full ledger or both) to a
-        peer — rate-limited anti-entropy.
+        """Push the diverged half (a view window, the full ledger or both)
+        to a peer — rate-limited, budgeted anti-entropy.
 
-        Convergence takes at most two pushes: after the peer merges our full
-        view its records are a superset of ours, and its answering sync (its
-        digest still differs) makes our view the same superset.
+        A digest differs while news is in flight: a view sync goes only once
+        a carrier a hello period after the first still differs.  The view
+        streams in fixed windows, one per push, rotating a per-destination
+        cursor through version space (wrapping back to 0 so records the
+        peer lost long ago are re-covered): convergence takes O(V / window)
+        pushes instead of one unbounded message.  The shipped-version
+        cursor is left alone: the window is keyed to the sync rotation, not
+        to what the rounds owe.
         """
-        if self._shut_down:
-            return
         now = self.scheduler.now
+        if view:
+            view = now - self._mismatch.setdefault(dest_node, now) >= self.hello_period
+        if not (view or leases) or self._shut_down:
+            return
         if now < self._next_sync.get(dest_node, 0.0):
             return
-        members = self._sync_members(dest_node, view, now)
-        if members is None:
+        window, spent = self._sync_budget
+        if now - window >= self.hello_period:
+            window, spent = now, 0
+        if spent >= _GOSSIP_FANOUT:
             return  # budget exhausted; the gossip rounds converge the rest
+        self._sync_budget = (window, spent + 1)
+        members = ()
+        if view:
+            cursor = self._sync_cursor.get(dest_node, 0)
+            if cursor >= self.view.version:
+                cursor = 0
+            members, self._sync_cursor[dest_node] = self.view.delta_window(cursor, _SYNC_CAP)
         self._next_sync[dest_node] = now + self.hello_period
         self.hellos_sent["sync"] += 1
         records, version = self._leases.ledger_for(dest_node, sync=True) if leases else ((), None)
@@ -295,13 +349,21 @@ class Membership:
 
     def announce_join(self) -> None:
         """Announce the join to the bootstrap peer set (paper: the
-        workstations configured to run the service)."""
+        workstations configured to run the service) — in a large one to
+        this node's id-ring successors only, whose replies seed the view;
+        its first-contact cells then introduce it to everyone else.  The
+        cap is what keeps a mass bootstrap O(k·n) messages, not O(n²)."""
         my_node = self.node_id
         view = self.view
         digest = view.digest()
         fields = self.hello_fields("join")
+        peers = [n for n in self.bootstrap if n != my_node]
+        if len(peers) > _JOIN_FANOUT:
+            peers.sort()
+            start = bisect.bisect_left(peers, my_node)
+            peers = [peers[(start + i) % len(peers)] for i in range(_JOIN_FANOUT)]
         hellos = []
-        for node_id in self._join_targets([n for n in self.bootstrap if n != my_node]):
+        for node_id in peers:
             self.sent_version[node_id] = view.version
             hellos.append(HelloMessage(dest_node=node_id, members=digest, **fields))
         if hellos:
@@ -332,242 +394,27 @@ class Membership:
             )
         )
 
-    def _send_round(self, hellos: List[HelloMessage]) -> None:
-        if hellos:
-            self.transport.send_batch(hellos)
-            deltas = sum(1 for hello in hellos if hello.members)
-            self.hellos_sent["delta"] += deltas
-            self.hellos_sent["empty"] += len(hellos) - deltas
-
     def send_hellos(self) -> None:
-        """Periodic gossip: a membership *delta* (and digest) per peer node.
+        """Periodic gossip: bounded fan-out, windowed deltas, news pushed
+        ⌈log₂(peers + 1)⌉ times.
 
-        Steady state ships an empty delta — the digest doubles as the
-        anti-entropy heartbeat.  A peer a cell still *covers* (its last cell
-        is younger than ``_cover_horizon``, see :meth:`carry`) already holds
-        our digest, so its gossip is skipped: in a healthy all-candidates
-        group the cell refreshes replace gossip wholesale.
+        At most :data:`_GOSSIP_FANOUT` peers get a HELLO per period, chosen
+        by rotating a cursor over the peer list so everyone is eventually
+        visited, and each carries at most :data:`_DELTA_CAP` membership
+        records — the shipped-version cursor advances only to the window's
+        watermark, streaming the rest across rounds.  Peers that owe nothing
+        and that a cell still *covers* (its last cell is younger than
+        ``_cover_horizon``, see :meth:`carry`) are skipped for free: an
+        empty-delta HELLO carries nothing but the view digest the cell
+        delivered.  A covered peer that held an earlier version is sent the
+        news only if it is one of the ⌈log₂(peers + 1)⌉ :meth:`_fingers`,
+        else stamped current: every receiver pushes in turn, so a change
+        costs O(n log n) HELLOs, not O(n²).
         """
         if self._shut_down:
             return
         self.meter.on_timer(self.group)
-        self._round(self.scheduler.now)
-
-
-class FloodMembership(Membership):
-    """Gossip for a plane that heartbeats every node pair anyway."""
-
-    __slots__ = ("_hello_quiet_until", "_hello_stamp")
-
-    cell_deltas = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: The gossip-tick analogue of the cell emitter's quiet window:
-        #: while the view version is unchanged since the last full round,
-        #: every peer provably owes no delta — rounds iterate the cached
-        #: peer-node order and send (empty-delta) gossip only to peers not
-        #: covered by a fresh cell.
-        self._hello_quiet_until = float("-inf")
-        self._hello_stamp = -1
-
-    #: A view change is reacted to on the spot, in two steps whose order
-    #: around the rest of the HELLO handling is digest-pinned.
-    _realign = Membership.align
-
-    def _recompute(self) -> None:
-        self.algorithm.on_membership_changed()
-
-    def _join_targets(self, peers: List[int]) -> List[int]:
-        return peers
-
-    def _sync_members(
-        self, dest_node: int, view: bool, now: float
-    ) -> Optional[Tuple[MemberInfo, ...]]:
-        if not view:
-            return ()
-        self.sent_version[dest_node] = self.view.version
-        return self.view.digest()
-
-    def _round(self, now: float) -> None:
-        # Version unchanged since the last completed round: every peer
-        # provably owes no membership delta (a round either verified that
-        # or shipped the delta and stamped the peer current), so the round
-        # is skipped outright while every covering cell is still inside
-        # the horizon.
-        view = self.view
-        version = view.version
-        if self._hello_stamp == version and now < self._hello_quiet_until:
-            return
-        horizon = self._cover_horizon
-        cell_state = self._cell_state
-        sent = self.sent_version
-        fields = None
-        #: Oldest covering-cell send time among skipped peers — the first
-        #: coverage to lapse bounds the quiet window.
-        oldest = now
-        all_covered = True
-        hellos = []
-        for node in self.peer_nodes():
-            delta = view.delta_since(sent.get(node, 0))
-            if not delta:
-                state = cell_state.get(node)
-                if state is not None and now - state[1] < horizon:
-                    # A fresh cell already carried our view digest.
-                    if state[1] < oldest:
-                        oldest = state[1]
-                    continue
-            all_covered = False
-            if delta:
-                sent[node] = version
-            if fields is None:
-                fields = self.hello_fields()
-            hellos.append(HelloMessage(dest_node=node, members=delta, **fields))
-        self._send_round(hellos)
-        self._hello_stamp = version
-        # An uncovered peer gets gossip every round.
-        self._hello_quiet_until = oldest + horizon if all_covered else float("-inf")
-
-
-class BoundedMembership(Membership):
-    """Gossip for a probed (SWIM) plane: nothing floods."""
-
-    __slots__ = ("_sync_cursor", "_gossip_cursor", "_sync_budget", "_reaction_pending", "_mismatch")
-
-    #: Membership flows through the bounded hello gossip (which owns the
-    #: shipped-version cursor): a cell's delta would be an O(view) scan per
-    #: owing destination, at 1000 nodes the O(n²)-per-round storm the plane
-    #: exists to avoid.  A first contact carries the sender's own record.
-    cell_deltas = False
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: Sync rotation: per-destination version cursor through the record
-        #: set, so bounded sync windows cover everything over successive
-        #: pushes.
-        self._sync_cursor: Dict[int, int] = {}
-        #: Gossip rotation cursor (bounded hello fan-out).
-        self._gossip_cursor = 0
-        #: Anti-entropy budget: outgoing digest-repair syncs per hello
-        #: period (window start, syncs spent).  The per-destination limit
-        #: alone still allows O(peers) syncs per second while the whole
-        #: cluster is diverged — a mass bootstrap would answer every
-        #: received message with a sync.  Regular gossip converges the rest.
-        self._sync_budget = (0.0, 0)
-        #: True while a deferred election-recompute/dependent-alignment
-        #: callback is pending (see ``_SWIM_MEMBERSHIP_COALESCE``).
-        self._reaction_pending = False
-        #: Peer node -> time of the first carrier whose view digest differed.
-        self._mismatch: Dict[int, float] = {}
-
-    def _realign(self) -> None:
-        """Coalesce membership-change reactions.
-
-        The election recompute and the dependent re-alignment are pure
-        functions of the *current* view, so when gossip lands a burst of
-        mutations only the last state matters.  One callback per
-        ``_SWIM_MEMBERSHIP_COALESCE`` window serves the whole burst.
-        """
-        if self._reaction_pending or self._shut_down:
-            return
-        self._reaction_pending = True
-        self.scheduler.schedule(_SWIM_MEMBERSHIP_COALESCE, self._react)
-
-    def _recompute(self) -> None:
-        pass  # queued with the re-alignment above
-
-    def _react(self) -> None:
-        self._reaction_pending = False
-        if self._shut_down:
-            return
-        self.algorithm.on_membership_changed()
-        self.align()
-
-    def _forget_node(self, node: int) -> None:
-        super()._forget_node(node)
-        self._sync_cursor.pop(node, None)
-        self._mismatch.pop(node, None)
-
-    def merge_from(self, node: Optional[int], records) -> bool:
-        # A node introduces itself to every peer (join HELLO, first-contact
-        # cell): peers that held our view before its record hold it after.
-        view, sent = self.view, self.sent_version
-        changed = False
-        for record in records:
-            before = view.version
-            if view.merge_record(record):
-                changed = True
-                if record.node == node:
-                    sent.update([(peer, view.version) for peer, at in sent.items() if at == before])
-        return changed
-
-    def digests_agree(self, node: int) -> None:
-        # Digest equality is view equality (anti-entropy's own premise): the
-        # peer holds every record we do, so the delta our merge of *its* news
-        # just made us owe it is not owed.
-        self._mismatch.pop(node, None)
-        self.sent_version[node] = self.view.version
-
-    def push_sync(self, dest_node: int, view: bool = True, leases: bool = False) -> None:
-        # A digest differs while news is in flight: a view sync goes only
-        # once a carrier a hello period after the first still differs.
-        if view:
-            now = self.scheduler.now
-            view = now - self._mismatch.setdefault(dest_node, now) >= self.hello_period
-        if view or leases:
-            super().push_sync(dest_node, view, leases)
-
-    def _join_targets(self, peers: List[int]) -> List[int]:
-        """This node's id-ring successors only, whose replies seed the view;
-        its first-contact cells then introduce it to everyone else.
-        The cap is what keeps a mass bootstrap O(k·n) messages, not O(n²)."""
-        if len(peers) <= _SWIM_JOIN_FANOUT:
-            return peers
-        peers.sort()
-        start = bisect.bisect_left(peers, self.node_id)
-        return [peers[(start + i) % len(peers)] for i in range(_SWIM_JOIN_FANOUT)]
-
-    def _sync_members(
-        self, dest_node: int, view: bool, now: float
-    ) -> Optional[Tuple[MemberInfo, ...]]:
-        window, spent = self._sync_budget
-        if now - window >= self.hello_period:
-            window, spent = now, 0
-        if spent >= _SWIM_GOSSIP_FANOUT:
-            return None
-        self._sync_budget = (window, spent + 1)
-        if not view:
-            return ()
-        # Bounded sync: stream the record set in fixed windows, one per
-        # rate-limited push, rotating a per-destination cursor through
-        # version space (wrapping back to 0 so records the peer lost
-        # long ago are re-covered).  Convergence takes O(V / window)
-        # pushes instead of one unbounded message — the trade the SWIM
-        # plane exists to make.  The shipped-version cursor is left
-        # alone: the window is keyed to the sync rotation, not to what
-        # the delta path owes.
-        cursor = self._sync_cursor.get(dest_node, 0)
-        if cursor >= self.view.version:
-            cursor = 0
-        members, high = self.view.delta_window(cursor, _SWIM_SYNC_CAP)
-        self._sync_cursor[dest_node] = high
-        return members
-
-    def _round(self, now: float) -> None:
-        """Bounded fan-out, windowed deltas, news pushed ⌈log₂(peers + 1)⌉ times.
-
-        At most :data:`_SWIM_GOSSIP_FANOUT` peers get a HELLO per period,
-        chosen by rotating a cursor over the peer list so everyone is
-        eventually visited, and each carries at most
-        :data:`_SWIM_DELTA_CAP` membership records — the shipped-version
-        cursor advances only to the window's watermark, streaming the rest
-        across rounds.  Peers that owe nothing and that a cell still covers
-        are skipped for free: an empty-delta HELLO carries nothing but the
-        view digest the cell delivered.  A covered peer that held an earlier
-        version is sent the news only if it is one of the ⌈log₂(peers + 1)⌉
-        :meth:`_fingers`, else stamped current: every receiver pushes in
-        turn, so a change costs O(n log n) HELLOs, not O(n²).
-        """
+        now = self.scheduler.now
         view = self.view
         version = view.version
         horizon = self._cover_horizon
@@ -578,7 +425,7 @@ class BoundedMembership(Membership):
         if not count:
             return
         fields = None
-        budget = _SWIM_GOSSIP_FANOUT
+        budget = _GOSSIP_FANOUT
         start = self._gossip_cursor % count
         fingers = None
         hellos = []
@@ -597,14 +444,18 @@ class BoundedMembership(Membership):
                 self._gossip_cursor = (start + i) % count
                 break
             budget -= 1
-            delta, high = view.delta_window(last, _SWIM_DELTA_CAP)
+            delta, high = view.delta_window(last, _DELTA_CAP)
             sent[node] = high
             if fields is None:
                 fields = self.hello_fields()
             hellos.append(HelloMessage(dest_node=node, members=delta, **fields))
         else:
             self._gossip_cursor = start
-        self._send_round(hellos)
+        if hellos:
+            self.transport.send_batch(hellos)
+            deltas = sum(1 for hello in hellos if hello.members)
+            self.hellos_sent["delta"] += deltas
+            self.hellos_sent["empty"] += len(hellos) - deltas
 
     def _fingers(self, nodes: Tuple[int, ...]) -> Set[int]:
         """The peers 1, 2, 4, … places on in the id ring of the members'
@@ -612,8 +463,3 @@ class BoundedMembership(Membership):
         ring = sorted(nodes + (self.node_id,))
         me, size = ring.index(self.node_id), len(ring)
         return {ring[(me + (1 << k)) % size] for k in range((size - 1).bit_length())}
-
-
-def membership_for(plane) -> Type[Membership]:
-    """The gossip strategy that matches ``plane``'s cost model."""
-    return FloodMembership if plane.header_is_liveness else BoundedMembership

@@ -5,10 +5,10 @@ group the local application joined, a :class:`GroupRuntime` that wires
 together the four core modules of the paper's architecture:
 
 * **Group Maintenance** — a :class:`~repro.core.group.MembershipView`
-  maintained by HELLO gossip and membership *deltas* piggybacked on ALIVE
-  cells, with digest-triggered full-view anti-entropy (a receiver whose
-  64-bit view digest differs from the sender's after merging pushes a full
-  ``"sync"`` HELLO);
+  maintained by HELLO gossip of membership *deltas* (ALIVE cells carry the
+  sender's own record on first contact), with digest-triggered
+  anti-entropy (a receiver whose 64-bit view digest differs from the
+  sender's for a hello period pushes a ``"sync"`` HELLO);
 * **Failure Detector** — the node-level plane shared by every group: one
   :class:`~repro.fd.monitor.NfdsMonitor` per *peer node* (see
   :mod:`repro.fd.plane`), periodically re-configured against the strictest
@@ -51,7 +51,7 @@ from repro.core.cells import GroupCells
 from repro.core.election.base import GroupContext
 from repro.core.election.registry import available_algorithms, create_algorithm
 from repro.core.group import MembershipView, make_incarnation
-from repro.core.membership import membership_for
+from repro.core.membership import Membership
 from repro.fd.configurator import ConfiguratorCache, bootstrap_params
 from repro.fd.monitor import NfdsMonitor
 from repro.fd.nfde import NfdeMonitor
@@ -171,8 +171,8 @@ class GroupRuntime(GroupContext):
         self.algorithm = create_algorithm(algorithm_name, self)
         hello_period = service.config.hello_period
         rng = service.rng.stream(f"service.{plane.node_id}.group.{group}")
-        #: Group maintenance: gossip flooded or bounded as the plane allows.
-        self.membership = membership = membership_for(plane)(
+        #: Group maintenance: one bounded gossip rule on either plane.
+        self.membership = membership = Membership(
             self,
             bootstrap=service.peer_nodes,
             hello_period=hello_period,

@@ -97,9 +97,9 @@ class LeaseServer:
         self.counts = {"shipped": 0, "nacks": 0, "resent": 0, "syncs": 0}
         #: The group's current leader view, as last told.
         self._leader: Optional[int] = None
-        #: Swim: a node whose segment showed divergence before this one
-        #: followed it (a view change can lag a new leader's first cells by a
-        #: probe round; echoed, they go again only at the refresh).
+        #: A node whose segment showed divergence before this one followed
+        #: it (a view change can lag a new leader's first cells by a probe
+        #: round or a frame; echoed, they go again only at the refresh).
         self._diverged: Optional[int] = None
         #: Local clients awaiting replies, keyed by client id.
         self._clients: Dict[int, Callable[[LeaseReplyMessage], None]] = {}
@@ -422,7 +422,7 @@ class LeaseServer:
         applied version moves to ``top`` — and a complete segment from the
         current leader that leaves the digests unequal shows divergence no
         cursor can see (records learned under another leader, a healed
-        partition): the full-ledger sync repairs it — on swim also once this
+        partition): the full-ledger sync repairs it — also once this
         node follows a sender whose segment showed it earlier.  So does a
         cell from the current leader with no segment while this ledger is
         not empty: that leader's is (or its tenure has not started yet).
@@ -453,7 +453,7 @@ class LeaseServer:
         ):
             if sender == self._leader_node():
                 self._gossip.push_sync(sender, view=False, leases=True)
-            elif not self.plane.header_is_liveness:
+            else:
                 self._diverged = sender
 
     def on_hello(self, message: HelloMessage) -> bool:

@@ -14,9 +14,9 @@ failure-detection header (sequence number, send time, period) plus one
 :class:`AliveCell` per hosted group that is currently emitting.  The shared
 FD plane (one monitor per node pair, see :mod:`repro.fd.plane`) consumes the
 header; each group's election consumes its cell.  Membership is no longer
-piggybacked in full: cells and gossip HELLOs carry **version-stamped
-deltas** plus a 64-bit order-independent digest of the sender's full view,
-and a full-view exchange (HELLO kind ``"sync"``) happens only on digest
+piggybacked in full: gossip HELLOs carry **version-stamped deltas**, cells
+and HELLOs a 64-bit order-independent digest of the sender's full view, and
+a view exchange (HELLO kind ``"sync"``) happens only on a lasting digest
 mismatch (anti-entropy).
 
 Bandwidth in the paper is measured on the wire, so each message declares its
@@ -264,11 +264,11 @@ class AliveCell:
     * ``local_leader``/``local_leader_acc`` — the sender's *local* leader and
       that leader's accusation time (Ω_lc's forwarding stage; Ω_id/Ω_l leave
       them None);
-    * ``delta`` — membership records changed since the last frame this
-      destination was sent (usually empty in steady state);
+    * ``delta`` — the sender's own membership record on first contact
+      (it introduces itself), else empty;
     * ``view_version``/``view_digest`` — the sender's full-view version and
       64-bit order-independent digest; a receiver whose merged view hashes
-      differently triggers a full HELLO sync (anti-entropy);
+      differently for a hello period triggers a HELLO sync (anti-entropy);
     * ``leases`` — only on a tenure-active leader's cells, while its lease
       ledger is non-empty: the :class:`LedgerSegment` this destination is
       owed (the lease tier's replication carrier; absent, it costs nothing).
@@ -377,9 +377,10 @@ class HelloMessage(Message):
 
     ``kind`` distinguishes periodic anti-entropy (``"gossip"``, carrying a
     membership *delta* since the last send to this destination), the
-    announcement a joiner floods (``"join"``, full view), the unicast answer
-    members send back (``"reply"``, full view) and the digest-mismatch
-    repair (``"sync"``, full view).  Every kind carries the sender's view
+    announcement a joiner sends its bootstrap peers, at most 16 id-ring
+    successors (``"join"``, full view), the unicast answer members send back
+    (``"reply"``, full view) and the digest-mismatch repair (``"sync"``, a
+    window of the view).  Every kind carries the sender's view
     ``view_version`` and ``view_digest`` so the receiver can detect
     divergence after merging.
 

@@ -155,11 +155,11 @@ class FdPlane(Protocol):
     monitors: Mapping[int, Any]
     #: Whether a frame *header* alone is the liveness signal (all pairs: one
     #: freshness monitor per node pair, fed at η, so an echo is due within a
-    #: period).  Where it is not, frames and gossip are bounded dissemination
-    #: carriers: the batcher skips frames with nothing to say, a cell's echo
-    #: rides whatever flows back (a frame, a probe or its answer) and only
-    #: such a carrier without it shows the cell lost, and group gossip is
-    #: bounded (see :mod:`repro.core.cells` and :mod:`repro.core.membership`).
+    #: period).  Where it is not, frames are bounded dissemination carriers:
+    #: the batcher skips frames with nothing to say, a cell's echo rides
+    #: whatever flows back (a frame, a probe or its answer) and only such a
+    #: carrier without it shows the cell lost (see :mod:`repro.core.cells`).
+    #: Group gossip reads no plane flag.
     header_is_liveness: bool
 
     def register_interest(

@@ -7,14 +7,17 @@ current content until that destination echoes a frame that carried it.  On
 the all-pairs plane it rides every early round meanwhile, and every frame
 once the echo is overdue; a destination not heard from cannot echo, and
 under loss is re-sent its news blind.  On swim it goes again only once a
-carrier back that left when the echo was overdue does not echo it.  The fakes below stand
-in for everything a :class:`GroupCells` reads off its membership and
-batcher, so each test scripts exactly one thing: the payload, the clock,
-the echoes and the observed loss — or, on the receive side, the order
-frames arrive in.
+carrier back that left when the echo was overdue does not echo it.  On both
+planes a cell carries no membership delta but its sender's own record on
+first contact.  The fakes below stand in for everything a
+:class:`GroupCells` reads off its membership and batcher, so each test
+scripts exactly one thing: the payload, the clock, the echoes and the
+observed loss — or, on the receive side, the order frames arrive in.
 """
 
 from types import SimpleNamespace
+
+import pytest
 
 from repro.core.cells import GroupCells
 from repro.experiments.runner import build_system
@@ -56,7 +59,6 @@ class View:
     version = 1
 
     def __init__(self):
-        self.records = ()
         self.merged = []
 
     def merge(self, delta):
@@ -65,9 +67,6 @@ class View:
 
     def digest64(self):
         return 7
-
-    def delta_since(self, version):
-        return self.records if version < self.version else ()
 
     def record(self, pid):
         return MemberInfo(
@@ -156,14 +155,12 @@ def make_cells(loss=0.0, swim=False, dests=DESTS, leases=None, batcher=None, gro
         view=View(),
         algorithm=Algorithm(),
         plane=Plane(loss, swim),
-        cell_deltas=not swim,
-        sent_version={dest: 1 for dest in dests},
         syncs=[],
         view_moves=[],
     )
     membership.push_sync = membership.syncs.append
     membership.merge_from = lambda node, delta: membership.view.merge(delta)
-    membership.view_changed_by_cell = lambda: membership.view_moves.append(True)
+    membership.view_changed = lambda: membership.view_moves.append(True)
     membership.digests_agree = lambda node: None
     batcher = make_batcher() if batcher is None else batcher
     cells = GroupCells(membership, batcher, NoLedger() if leases is None else leases)
@@ -385,27 +382,6 @@ def test_after_the_last_repeat_rounds_are_skipped_until_the_refresh():
     assert tick(cells) == {}
 
 
-def test_a_delta_owing_destination_gets_its_delta_cell_once_as_before():
-    cells = make_cells()
-    settle(cells)
-    record = MemberInfo(pid=9, node=9, incarnation=1, candidate=True, present=True, joined_at=0.0)
-    cells.view.records = (record,)
-    cells.view.version = 2
-    cells._sent_version[1] = 2  # a HELLO already brought node 1 to version 2
-    sent = emit(cells)
-    assert sent[2].delta == sent[3].delta == (record,)
-    assert 1 not in sent  # version-current, payload unchanged, refresh fresh
-    echo(cells, 2)
-    # Not echoed: once overdue the delta goes again, from the version last
-    # echoed.
-    assert emit(cells) == {}
-    sent = emit(cells)
-    assert list(sent) == [3] and sent[3].delta == (record,)
-    assert cells._sent_version[3] == 2
-    echo(cells, 3)
-    assert tick(cells) == {}
-
-
 def test_a_restarted_destination_is_re_sent_the_payload_on_the_next_frame():
     cells = make_cells()
     settle(cells)
@@ -460,17 +436,7 @@ def test_a_destination_not_heard_from_is_re_sent_its_news_blind_under_loss():
     assert tick(cells) == {3: 1.0}  # overdue
     assert cells.owed == {}
     assert tick(cells) == {} and tick(cells) == {}
-    record = MemberInfo(pid=9, node=9, incarnation=1, candidate=True, present=True, joined_at=0.0)
-    cells.view.records = (record,)
-    cells.view.version = 2  # a delta arms no early round
-    assert list(emit(cells)) == list(DESTS)
-    echo(cells, 1, 2)
-    assert emit(cells) == {}
-    sent = emit(cells)
-    assert list(sent) == [3] and sent[3].delta == (record,)
-    assert cells.owed == {}
-    assert tick(cells) == {} and tick(cells) == {}
-    assert cells.cells_repeated == len(DESTS) + 2
+    assert cells.cells_repeated == len(DESTS) + 1
 
 
 def carrier(cells, dest, ack=None):
@@ -566,10 +532,26 @@ def deltas(cells):
     return {dest: cell.delta for dest, cell in emit(cells).items()}
 
 
+@pytest.mark.parametrize("swim", [True, False], ids=["swim", "all_pairs"])
+def test_a_view_change_is_no_cell_news(swim):
+    # The membership gossips deltas itself: a first contact carries exactly
+    # the sender's own record (it introduces itself), every other cell none,
+    # and a moved view alone sends no cell.
+    cells = make_cells(swim=swim)
+    intro = (cells.view.record(cells.pid),)
+    assert deltas(cells) == {dest: intro for dest in DESTS}
+    echo(cells)
+    cells.algorithm.change()
+    assert deltas(cells) == {dest: () for dest in DESTS}
+    echo(cells)
+    cells.view.version = 2
+    for _ in range(3):
+        assert deltas(cells) == {}
+
+
 def test_bounded_membership_cells_are_owed_but_carry_no_deltas():
-    # The bounded membership gossips deltas itself: a first contact carries
-    # exactly the sender's own record (it introduces itself), and every
-    # other cell none, even once the view moved while the cell was owed.
+    # A swim cell left unechoed goes again only as a first contact, and the
+    # refresh starts a new run.
     cells = make_cells(swim=True)
     intro = (cells.view.record(cells.pid),)
     assert deltas(cells) == {dest: intro for dest in DESTS}
@@ -577,11 +559,9 @@ def test_bounded_membership_cells_are_owed_but_carry_no_deltas():
     cells.algorithm.change()
     assert deltas(cells) == {dest: () for dest in DESTS}
     assert set(cells.owed) == set(DESTS)
-    record = MemberInfo(pid=9, node=9, incarnation=1, candidate=True, present=True, joined_at=0.0)
-    cells.view.records = (record,)
     cells.view.version = 2
     for _ in range(3):
-        assert tick(cells) == {}  # a view change is no cell news on swim
+        assert tick(cells) == {}  # rounds alone re-send nothing on swim
     carrier(cells, 2)
     assert deltas(cells) == {2: intro}  # a lost cell goes again as a first contact
     assert not cells.owing

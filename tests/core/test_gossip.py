@@ -1,15 +1,16 @@
-"""What the bounded (swim) gossip spends on news everyone already has.
+"""What the membership gossip spends on news everyone already has, on
+either FD plane.
 
 Counts only, through ``Membership.hellos_sent`` (round HELLOs with nothing
 owed / with a delta, and digest-repair syncs): a quiet group whose cells
 cover every peer sends no round HELLO at all, a rejoin (the node introduces
-itself) costs no delta or sync, other news is pushed ⌈log₂ n⌉ times a node,
-a peer that shows our own view digest is owed no delta, and a differing
-digest is synced only once it lasts a hello period — while the flood
-strategy, which shares the shipped-version cursor with its cells, does
-exactly what it did.
+itself) costs no delta or sync and every view agrees again within a hello
+period, other news is pushed ⌈log₂ n⌉ times a node, a peer that shows our
+own view digest is owed no delta, and a differing digest is synced only
+once it lasts a hello period.
 """
 
+import functools
 from collections import Counter
 
 import pytest
@@ -47,18 +48,30 @@ def hellos(system):
     return total
 
 
-def rejoin_hellos(system, node=5):
-    """HELLOs the survivors and the rebooted daemon spend on one rejoin (the
-    crash itself moves no view; the victim's counters die with its daemon)."""
+def views(system):
+    return {runtime.view.digest64() for runtime in runtimes(system)}
+
+
+@functools.lru_cache(maxsize=None)
+def rejoin(n, plane, node=5):
+    """(HELLOs the survivors and the rebooted daemon spend on one rejoin,
+    seconds from the reboot until every member's view has one digest) in a
+    group of ``n`` (the crash itself moves no view; the victim's counters
+    die with its daemon)."""
+    system = group_of(n, plane)
     victim = system.network.node(node)
     victim.crash()
     system.sim.run_until(system.sim.now + 6.0)
     before = hellos(system)
     victim.recover()
-    system.sim.run_until(system.sim.now + 10.0)
-    views = {runtime.view.digest64() for runtime in runtimes(system)}
-    assert len(views) == 1 and len(runtimes(system)) == len(system.hosts)
-    return hellos(system) - before
+    rebooted = system.sim.now
+    while len(runtimes(system)) < len(system.hosts) or len(views(system)) > 1:
+        assert system.sim.now < rebooted + 10.0
+        system.sim.run_until(system.sim.now + 0.01)
+    converged = system.sim.now - rebooted
+    system.sim.run_until(rebooted + 10.0)
+    assert len(views(system)) == 1 and len(runtimes(system)) == len(system.hosts)
+    return hellos(system) - before, converged
 
 
 def test_a_quiet_swim_group_sends_no_round_hello():
@@ -77,17 +90,30 @@ def test_a_quiet_swim_group_sends_no_round_hello():
     assert hellos(system) - before == Counter()
 
 
-@pytest.mark.parametrize("n", [32, 128])
-def test_a_rejoin_costs_the_swim_group_hellos_linear_in_n(n):
-    spent = rejoin_hellos(group_of(n, "swim"))
+@pytest.mark.parametrize(
+    "plane, n", [("swim", 32), ("swim", 128), ("all_pairs", 12), ("all_pairs", 100)],
+    ids=str,
+)
+def test_a_rejoin_costs_the_group_hellos_linear_in_n(plane, n):
+    spent, _ = rejoin(n, plane)
     # The rebooted node introduces itself to every peer (its join HELLO,
     # its first-contact cells), so its record is nobody's news to gossip,
     # and the digests that differ while the introductions are in flight
     # agree again within a hello period.  What is left is the join and its
-    # replies, which are not counted.  Gossiping the record on, every node
-    # spent 261 and 3 596 deltas and syncs here.
+    # replies, which are not counted.  Gossiping the record on, every swim
+    # node spent 261 and 3 596 deltas and syncs here; flooding it on
+    # all-pairs, 28 and 2 064.
     assert spent["delta"] == spent["sync"] == 0
     assert spent["empty"] <= n  # nor does coverage lapse meanwhile
+
+
+@pytest.mark.parametrize("n", [12, 100])
+def test_an_all_pairs_rejoin_converges_within_a_hello_period(n):
+    # The paper's cell and a wide one: a join that reaches only its id-ring
+    # successors (every peer at n = 12) still brings every member's view to
+    # one digest within a hello period, by its first-contact cells.
+    _, converged = rejoin(n, "all_pairs")
+    assert converged <= HELLO_PERIOD
 
 
 def hello_from(sender, receiver, digest):
@@ -121,75 +147,47 @@ def deliver(kind, sender, receiver, digest):
 
 @pytest.fixture(scope="module", params=["swim", "all_pairs"])
 def pair(request):
-    """(plane, receiver, sender) of a converged four-node group."""
+    """(receiver, sender) of a converged four-node group."""
     receiver, sender = runtimes(group_of(4, request.param))[:2]
     assert receiver.view.digest64() == sender.view.digest64()
-    return request.param, receiver, sender
+    return receiver, sender
 
 
 @pytest.mark.parametrize("kind", ["hello", "cell"])
 def test_an_agreeing_digest_stamps_the_bounded_cursor_only(pair, kind):
-    plane, receiver, sender = pair
+    receiver, sender = pair
     membership, peer = receiver.membership, sender.membership.node_id
     version = receiver.view.version
     membership.sent_version[peer] = version - 1  # as after merging the peer's news
     deliver(kind, sender, receiver, receiver.view.digest64())
-    # Flood shares the cursor with its cells: stamping it would move which
-    # cell carries a delta, and with it every all-pairs digest.
-    assert membership.sent_version[peer] == (version if plane == "swim" else version - 1)
+    assert membership.sent_version[peer] == version
 
 
 @pytest.mark.parametrize("kind", ["hello", "cell"])
 def test_a_differing_digest_never_stamps_and_asks_for_a_sync(pair, kind):
-    plane, receiver, sender = pair
+    receiver, sender = pair
     membership, peer = receiver.membership, sender.membership.node_id
     version = receiver.view.version
     membership.sent_version[peer] = version - 1
     membership._next_sync.pop(peer, None)
     syncs = membership.hellos_sent["sync"]
-    if plane == "swim":
-        # A digest differs while news is in flight: a mismatch only records
-        # the time, a match clears it, and a mismatch a hello period after
-        # the first with no match between is divergence.
-        clock, agreeing = receiver.scheduler, receiver.view.digest64()
-        deliver(kind, sender, receiver, agreeing)  # clears what an earlier case left
-        deliver(kind, sender, receiver, agreeing ^ 1)
-        clock.run_until(clock.now + HELLO_PERIOD)
-        deliver(kind, sender, receiver, agreeing)
-        deliver(kind, sender, receiver, agreeing ^ 1)
-        assert membership.hellos_sent["sync"] == syncs
-        clock.run_until(clock.now + HELLO_PERIOD)
-        membership.sent_version[peer] = version - 1
+    # A digest differs while news is in flight: a mismatch only records the
+    # time, a match clears it, and a mismatch a hello period after the first
+    # with no match between is divergence.
+    clock, agreeing = receiver.scheduler, receiver.view.digest64()
+    deliver(kind, sender, receiver, agreeing)  # clears what an earlier case left
+    deliver(kind, sender, receiver, agreeing ^ 1)
+    clock.run_until(clock.now + HELLO_PERIOD)
+    deliver(kind, sender, receiver, agreeing)
+    deliver(kind, sender, receiver, agreeing ^ 1)
+    assert membership.hellos_sent["sync"] == syncs
+    clock.run_until(clock.now + HELLO_PERIOD)
+    membership.sent_version[peer] = version - 1
     deliver(kind, sender, receiver, receiver.view.digest64() ^ 1)
     assert membership.hellos_sent["sync"] == syncs + 1
-    # (a flood sync ships the whole view and stamps; a bounded one streams a
-    # window off its own rotation and leaves the delta cursor alone)
-    assert membership.sent_version[peer] == (version if membership.cell_deltas else version - 1)
-
-
-def test_the_flood_strategy_gossips_exactly_as_before():
-    # Same two scenarios on the all-pairs plane, pinned.  Re-pinned when
-    # "covered" became one rule (the emitter's refresh horizon, refresh +
-    # one hello period, for both strategies): the flood round used to call
-    # a peer uncovered once its cell was a hello period old, but the
-    # emitter refreshes on the first frame *after* that — a window of up to
-    # one η per cycle in which the round sent an empty HELLO the next cell
-    # made redundant (1 382 of them in ten quiet periods here, 1 273 around
-    # the rejoin).  The deltas a rejoin owes are unchanged; the digest
-    # moved with η (no invented loss: the LAN's η from the first
-    # reconfiguration) and the coalesced flushes.  Re-pinned when changes
-    # became acknowledged: a survivor that sees the rebooted daemon's frames
-    # numbered afresh forgets what it sent it, so until its next frame
-    # carries the payload that peer is uncovered — three rounds fell there.
-    system = group_of(32, "all_pairs")
-    before = hellos(system)
-    system.sim.run_until(system.sim.now + 10 * HELLO_PERIOD)
-    assert hellos(system) - before == Counter()
-    assert rejoin_hellos(system) == Counter(delta=90, sync=30, empty=3)
-    assert system.trace.digest() == FLOOD_DIGEST
-
-
-FLOOD_DIGEST = "fee2d21d23949dcf8fc705104c2e6328989ab3770f5038ab146e9c92aa7f8e6f"
+    # (a sync streams a window off its own rotation and leaves the delta
+    # cursor alone)
+    assert membership.sent_version[peer] == version - 1
 
 
 def carriers(system, check):

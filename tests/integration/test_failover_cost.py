@@ -225,12 +225,14 @@ def test_on_a_network_that_loses_nothing_nothing_is_sent_twice():
     # from the first reconfiguration, η is the LAN's 0.33 s, and a quiet
     # group whose cells cover every peer sends no empty HELLO: 1 025 188.
     # With a cell acknowledged instead of refreshed every second: 919 038.
+    # With one gossip rule on both planes (a cell carries no membership
+    # delta, and a join reaches at most 16 id-ring successors): 901 162.
     system, leader = lossy_system(3, link_delay_mean=0.0, link_loss_prob=0.0)
     system.network.node(leader).crash()
     system.sim.run_until(30.0)
     assert agreed_leader(system, 11) not in (None, leader)
     assert repeats(system) == 0
-    assert sum(system.network.node(n).meter.bytes_sent for n in range(12)) == 919_038
+    assert sum(system.network.node(n).meter.bytes_sent for n in range(12)) == 901_162
 
 
 class RateRequests(ChaosTransport):

@@ -185,8 +185,9 @@ class TestWireContract:
         settled = min(t for t, _ in samples if all(equal for u, equal in samples if u >= t))
         assert settled <= last + 2 * eta + 0.05
         # Re-pinned when changes became acknowledged (the ack's η timing
-        # moved every lossy run; was 10 305 / 44 / 199 / 0).
-        assert counts(system) == {"shipped": 10_302, "nacks": 40, "resent": 212, "syncs": 0}
+        # moved every lossy run; was 10 305 / 44 / 199 / 0), and when one
+        # gossip rule served both planes (was 10 302 / 40 / 212 / 0).
+        assert counts(system) == {"shipped": 10_329, "nacks": 43, "resent": 187, "syncs": 0}
 
 
 class TestRepairDeadline:
@@ -364,7 +365,7 @@ class Node:
         self.transport = self
         self.view = SimpleNamespace(node_of=lambda pid: pid)
         self.hello_period = HELLO_PERIOD
-        self.plane = SimpleNamespace(header_is_liveness=True)  # all-pairs rules
+        self.plane = SimpleNamespace()
         self.bootstrap = ()
         self.server = LeaseServer(self, detection_time=1.0, trace=None)
         #: Frames numbered per destination, from 0 in every daemon; the
@@ -646,27 +647,24 @@ class TestCounters:
         replicas.drain()  # the learned record rides to the spoke: it has it
         assert spoke.counts["syncs"] == 1
 
-    def test_on_swim_a_diverged_segment_that_beat_the_view_change_is_synced_once_followed(self):
+    def test_a_diverged_segment_syncs_once_its_sender_is_followed(self):
         # A new leader's first cells can reach a follower that still follows
-        # the old one.  On all-pairs nothing is kept; on swim, where those
-        # cells once echoed go again only at the refresh, the follower syncs
-        # the moment it follows the new leader.
-        for swim, syncs in ((False, 0), (True, 1)):
-            replicas = Replicas(3)
-            spoke = replicas.nodes[2].server
-            spoke.plane = SimpleNamespace(header_is_liveness=not swim)
-            spoke.ledger.merge_record(record(5, token=9, seq=0), relay=False)
-            replicas.writer = 1  # node 1 leads; node 2 still follows node 0
-            replicas.nodes[1].server.on_leader_view(1)
-            replicas.mutate(record(0, token=1, seq=0))
-            replicas.frame(2)
-            replicas.drain()
-            assert spoke.counts["syncs"] == 0
-            spoke.on_leader_view(1)
-            assert spoke.counts["syncs"] == syncs
-            spoke.on_leader_view(0)
-            spoke.on_leader_view(1)
-            assert spoke.counts["syncs"] == syncs  # once
+        # the old one.  Those cells, once echoed, go again only at the
+        # refresh, so the follower syncs the moment it follows the new leader.
+        replicas = Replicas(3)
+        spoke = replicas.nodes[2].server
+        spoke.ledger.merge_record(record(5, token=9, seq=0), relay=False)
+        replicas.writer = 1  # node 1 leads; node 2 still follows node 0
+        replicas.nodes[1].server.on_leader_view(1)
+        replicas.mutate(record(0, token=1, seq=0))
+        replicas.frame(2)
+        replicas.drain()
+        assert spoke.counts["syncs"] == 0
+        spoke.on_leader_view(1)
+        assert spoke.counts["syncs"] == 1
+        spoke.on_leader_view(0)
+        spoke.on_leader_view(1)
+        assert spoke.counts["syncs"] == 1  # once
 
 
 class TestRestarts:

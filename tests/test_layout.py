@@ -15,7 +15,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 MAX_LINES = 800
 #: Lines of Python under ``src/``.  Raised only by editing it here, in the
 #: diff that needs the room; lowered when the tree is 150 lines under it.
-SRC_LINES_CEILING = 17_927
+SRC_LINES_CEILING = 17_764
 
 
 def _module_sizes():
@@ -111,3 +111,18 @@ def test_components_are_slotted_and_do_not_import_the_service():
             for target in node.targets
             if isinstance(target, ast.Name)
         }, name
+
+
+def test_one_gossip_rule_serves_both_planes():
+    """``Membership`` has no subclass, and neither it nor the lease server
+    asks which FD plane it runs on."""
+    for name in ("core/membership.py", "lease/server.py"):
+        assert "header_is_liveness" not in (PACKAGE / name).read_text(), name
+    subclasses = [
+        node.name
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).endswith("Membership") for base in node.bases)
+    ]
+    assert subclasses == []
