@@ -17,9 +17,9 @@ counter in the low bits — see :meth:`make_incarnation`.
 
 Since the multi-group scale-out, views support **delta gossip**: every
 effective change bumps :attr:`MembershipView.version` and stamps the changed
-record with it, so a sender can ship only :meth:`delta_since` the version it
-last sent to a destination instead of the full view.  Lost deltas are
-repaired by anti-entropy: every delta-carrying message also carries
+record with it, so a sender can ship only :meth:`delta_window` past the
+version it last sent to a destination instead of the full view.  Lost
+deltas are repaired by anti-entropy: every delta-carrying message also carries
 :meth:`digest64` — a 64-bit order-independent digest of the full record set
 — and a receiver whose own digest differs after merging answers with a
 sync (see :mod:`repro.core.membership`).  Because the merge is a join-semilattice, any interleaving
@@ -284,16 +284,6 @@ class MembershipView:
         sender's after merging requests a full sync.
         """
         return self._digest64
-
-    def delta_since(self, version: int) -> Tuple[MemberInfo, ...]:
-        """Records changed after ``version``, in change order: the uncut
-        :meth:`delta_window`.
-
-        Empty in steady state (the common case, checked without sorting);
-        ``delta_since(0)`` is the full view, which is what bootstraps a
-        destination never gossiped to before.
-        """
-        return self.delta_window(version, len(self._records))[0]
 
     def delta_window(
         self, version: int, limit: int

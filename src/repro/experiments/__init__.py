@@ -7,14 +7,12 @@ a configuration, runs it, and returns the paper's metrics;
 :mod:`repro.experiments.figures` encodes the exact parameter grids of
 Figures 3-8 together with the paper's reported numbers, so the CLI's
 ``--figure`` sweeps (and RESULTS.md) print paper-vs-measured side by side;
-:mod:`repro.experiments.orchestrator` shards a sweep of cells across worker
-processes, with resumable on-disk caching
-(:mod:`repro.experiments.cache`) and lossless JSON persistence
-(:mod:`repro.experiments.serialize`);
+:mod:`repro.experiments.orchestrator` runs a grid of cells across worker
+processes and returns their results in input order;
 :mod:`repro.experiments.report` renders ASCII tables.
 """
 
-from repro.experiments.orchestrator import SweepResult, run_sweep
+from repro.experiments.orchestrator import run_cells
 from repro.experiments.report import format_table
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.scenario import ExperimentConfig, LossyNetwork
@@ -23,8 +21,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "LossyNetwork",
-    "SweepResult",
     "format_table",
+    "run_cells",
     "run_experiment",
-    "run_sweep",
 ]

@@ -5,30 +5,27 @@ Single cell (the paper's CLI of old)::
     python -m repro.experiments.cli --algorithm omega_lc --nodes 12 \
         --duration 1800 --delay 0.1 --loss 0.1 --seed 7
 
-Whole-figure sweeps run through the parallel orchestrator::
+Whole-figure sweeps shard their cells across worker processes::
 
-    python -m repro.experiments.cli --figure fig7 --workers 4 \
-        --duration 1800 --resume --artifact fig7.sweep.json
+    python -m repro.experiments.cli --figure fig7 --workers 4 --duration 1800
 
-    python -m repro.experiments.cli --figure all --workers 8 --resume
+    python -m repro.experiments.cli --figure all --workers 8
 
 Single-cell mode prints the paper's QoS metrics (Tr with 95% CI, λu,
 Pleader) and the per-workstation cost, in the same units as the paper's
-figures; sweep mode prints per-cell progress (with events/sec), the
-paper-vs-measured table, and the sweep totals.  ``--resume`` skips cells
-whose results already sit in the cache directory; ``--artifact`` persists
-the sweep as one structured JSON file.
+figures; sweep mode prints per-cell progress, the paper-vs-measured table,
+and the sweep totals.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+import time
 from typing import Optional, Sequence
 
 from repro.experiments.figures import cells_for, figure_names
-from repro.experiments.orchestrator import CellOutcome, format_progress, run_sweep
+from repro.experiments.orchestrator import run_cells
 from repro.experiments.report import format_figure_results
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.scenario import ExperimentConfig
@@ -36,9 +33,6 @@ from repro.flags import SIMULATOR_FLAGS, add_flags, apply_flags
 from repro.metrics.stats import rate_confidence_interval
 
 __all__ = ["build_parser", "main"]
-
-#: Default cache directory for ``--resume`` (repo-local, git-ignorable).
-DEFAULT_CACHE_DIR = Path(".repro-cache")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,29 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes to shard the sweep across",
     )
-    sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip cells whose (config-hash, seed) result is already cached",
-    )
-    sweep.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=DEFAULT_CACHE_DIR,
-        help=f"per-cell result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    sweep.add_argument(
-        "--artifact",
-        type=Path,
-        default=None,
-        help="write the sweep's structured JSON artifact here",
-    )
-    sweep.add_argument(
-        "--sweep-seed",
-        type=int,
-        default=None,
-        help="derive independent per-cell seeds from this sweep-level seed",
-    )
     return parser
 
 
@@ -123,10 +94,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         node_mttr=args.node_mttr,
     )
     return apply_flags(args, cell)
-
-
-def _print_progress(done: int, total: int, outcome: CellOutcome) -> None:
-    print(format_progress(done, total, outcome), file=sys.stderr)
 
 
 def _run_single_cell(config: ExperimentConfig) -> int:
@@ -187,31 +154,30 @@ def _run_figure_sweep(args: argparse.Namespace, cells_by_figure: dict) -> int:
     )
     print(
         f"sweeping {len(cells)} cells ({', '.join(figures)}) with "
-        f"{args.workers} worker(s), {horizon} "
-        f"{'[resume]' if args.resume else ''}...",
+        f"{args.workers} worker(s), {horizon} ...",
         file=sys.stderr,
     )
-    sweep = run_sweep(
-        [cell.config for cell in cells],
-        name=f"cli/{args.figure}",
-        workers=args.workers,
-        resume=args.resume,
-        cache_dir=args.cache_dir,
-        artifact_path=args.artifact,
-        sweep_seed=args.sweep_seed,
-        progress=_print_progress,
-    )
-    results = iter(sweep.experiment_results())
+    started = time.perf_counter()
+
+    def progress(done: int, total: int, result: ExperimentResult) -> None:
+        print(
+            f"[{done}/{total}] {result.config.name:<30} "
+            f"{time.perf_counter() - started:7.1f}s  "
+            f"{result.events_executed:>10,} events",
+            file=sys.stderr,
+        )
+
+    results = run_cells([cell.config for cell in cells], args.workers, progress)
+    wall = time.perf_counter() - started
+    events = sum(result.events_executed for result in results)
+    pairs = iter(zip(cells, results))
     for figure in figures:
-        figure_pairs = [(cell, next(results)) for cell in cells_by_figure[figure]]
+        figure_pairs = [next(pairs) for _ in cells_by_figure[figure]]
         print(format_figure_results(f"Sweep — {figure}", figure_pairs))
     print(
-        f"swept {len(sweep.outcomes)} cells ({sweep.cells_cached} from cache) "
-        f"in {sweep.wall_seconds:.1f} s wall — "
-        f"{sweep.events_executed:,} events, {sweep.events_per_sec:,.0f} ev/s"
+        f"swept {len(results)} cells in {wall:.1f} s wall — "
+        f"{events:,} events, {events / wall:,.0f} ev/s"
     )
-    if sweep.artifact_path is not None:
-        print(f"artifact written to {sweep.artifact_path}")
     return 0
 
 
@@ -221,8 +187,6 @@ _SINGLE_CELL_ONLY = (
     *SIMULATOR_FLAGS, "delay", "loss", "link_mttf", "link_mttr", "no_churn",
     "node_mttf", "node_mttr",
 )
-#: Flags that only the orchestrated sweep mode consumes.
-_SWEEP_ONLY = ("resume", "artifact", "sweep_seed")
 
 
 def _reject_inapplicable_flags(parser: argparse.ArgumentParser, args) -> None:
@@ -239,15 +203,8 @@ def _reject_inapplicable_flags(parser: argparse.ArgumentParser, args) -> None:
                 f"{flags}: single-cell flags do not apply to --figure sweeps "
                 "(the figure's grid fixes these parameters)"
             )
-    else:
-        wrong = [
-            name
-            for name in (*_SWEEP_ONLY, "workers")
-            if getattr(args, name) != parser.get_default(name)
-        ]
-        if wrong:
-            flags = ", ".join("--" + name.replace("_", "-") for name in wrong)
-            parser.error(f"{flags}: sweep flags require --figure")
+    elif args.workers != parser.get_default("workers"):
+        parser.error("--workers requires --figure")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

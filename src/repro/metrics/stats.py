@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from scipy import stats as scipy_stats
+from scipy import special
 
 __all__ = [
     "Summary",
@@ -58,7 +58,7 @@ def mean_confidence_interval(
         return (mean, 0.0)
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     sem = math.sqrt(variance / n)
-    t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    t_crit = float(special.stdtrit(n - 1, 0.5 + confidence / 2.0))
     return (mean, t_crit * sem)
 
 
@@ -81,5 +81,5 @@ def rate_confidence_interval(
     rate = count / exposure_hours
     if count == 0:
         return (0.0, 3.0 / exposure_hours)
-    z = float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    z = float(special.ndtri(0.5 + confidence / 2.0))
     return (rate, z * math.sqrt(count) / exposure_hours)

@@ -222,12 +222,12 @@ class RngRegistry:
     def derive_seed(root_seed: int, name: str) -> int:
         """A stable child seed for ``(root_seed, name)``.
 
-        The experiment orchestrator uses this to give every cell of a sweep
-        an independent seed from one sweep-level seed: the derivation is pure
-        (same inputs, same seed, on every platform and Python version), and
-        keyed by the cell *name* so adding or reordering cells never perturbs
-        the seeds of the others — the sweep-level analogue of the stream
-        independence this registry provides within one experiment.
+        The chaos fuzzer uses this to give every case of a batch an
+        independent seed from one master seed: the derivation is pure (same
+        inputs, same seed, on every platform and Python version), and keyed
+        by *name* so adding or reordering cases never perturbs the seeds of
+        the others — the batch-level analogue of the stream independence
+        this registry provides within one experiment.
         """
         material = f"{int(root_seed)}/{name}".encode("utf-8")
         digest = hashlib.sha256(material).digest()

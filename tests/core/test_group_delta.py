@@ -42,15 +42,17 @@ records = st.builds(
 
 
 class TestDeltaBookkeeping:
-    def test_delta_since_zero_is_the_full_view(self):
+    def test_delta_window_from_zero_is_the_full_view(self):
         view = MembershipView(1)
         view.merge([member(1), member(2), member(3)])
-        assert set(view.delta_since(0)) == set(view.digest())
+        records, high = view.delta_window(0, len(view.digest()))
+        assert set(records) == set(view.digest())
+        assert high == view.version
 
-    def test_delta_since_current_version_is_empty(self):
+    def test_delta_window_from_current_version_is_empty(self):
         view = MembershipView(1)
         view.merge([member(1), member(2)])
-        assert view.delta_since(view.version) == ()
+        assert view.delta_window(view.version, 8) == ((), view.version)
 
     def test_delta_carries_only_changes(self):
         view = MembershipView(1)
@@ -58,7 +60,7 @@ class TestDeltaBookkeeping:
         mark = view.version
         view.merge_record(member(3))
         view.merge_record(member(1, incarnation=9))
-        delta = view.delta_since(mark)
+        delta, _ = view.delta_window(mark, 8)
         assert {record.pid for record in delta} == {1, 3}
 
     def test_noop_merge_does_not_grow_the_delta(self):
@@ -66,7 +68,7 @@ class TestDeltaBookkeeping:
         view.merge([member(1)])
         mark = view.version
         view.merge_record(member(1))  # identical: loses to the incumbent
-        assert view.delta_since(mark) == ()
+        assert view.delta_window(mark, 8)[0] == ()
 
     def test_digest64_is_order_independent(self):
         a = MembershipView(1)
@@ -111,12 +113,12 @@ class TestConvergenceProperty:
                 label="action",
             )
             if action == "delta":
-                packets.append(source.delta_since(sent_version))
+                packets.append(source.delta_window(sent_version, len(source_records))[0])
                 sent_version = source.version
             elif action == "drop":
                 sent_version = source.version  # delta sent but lost
             elif action == "defer":
-                packets.append(source.delta_since(sent_version))
+                packets.append(source.delta_window(sent_version, len(source_records))[0])
                 # ...but do NOT advance sent_version: next delta overlaps
                 # (duplication of records in flight).
             # deliver some queued packets, possibly out of order / twice

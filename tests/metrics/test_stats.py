@@ -1,6 +1,9 @@
 """Unit tests for statistics helpers."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +66,18 @@ class TestRateCI:
     def test_rejects_zero_exposure(self):
         with pytest.raises(ValueError):
             rate_confidence_interval(1, 0.0)
+
+
+def test_the_entry_points_do_not_import_scipy_stats():
+    """The quantiles come from ``scipy.special``: ``scipy.stats`` alone
+    costs ~45 MB of resident memory in every process that imports it."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "import repro, repro.cli, repro.chaos.cli, repro.runtime.cluster; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert completed.stdout.strip() == "False"

@@ -59,3 +59,16 @@ class TestRngRegistry:
 
     def test_seed_property(self):
         assert RngRegistry(99).seed == 99
+
+
+class TestSeedDerivation:
+    def test_derive_seed_is_pure(self):
+        a = RngRegistry.derive_seed(42, "fig3/S1/(10ms, 0.01)")
+        b = RngRegistry.derive_seed(42, "fig3/S1/(10ms, 0.01)")
+        assert a == b
+        assert a >= 0
+
+    def test_derive_seed_varies_with_both_inputs(self):
+        base = RngRegistry.derive_seed(42, "cell-a")
+        assert base != RngRegistry.derive_seed(43, "cell-a")
+        assert base != RngRegistry.derive_seed(42, "cell-b")
