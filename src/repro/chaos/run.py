@@ -17,7 +17,7 @@ replay digest (:func:`repro.metrics.trace.trace_digest`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.chaos.controller import ChaosController
 from repro.chaos.invariants import (
@@ -47,8 +47,6 @@ class ChaosRunConfig:
     system: ExperimentConfig
     #: Seconds an agreed leader must hold to count as stable.
     hold: float = 15.0
-    #: Override the QoS-derived post-heal stabilization bound (None = derive).
-    stabilize_bound: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.script.heal_time is None:
@@ -196,7 +194,6 @@ def run_scripted(config: ChaosRunConfig) -> ChaosRunResult:
         heal_time=config.script.heal_time,
         qos=config.system.qos,
         hold=config.hold,
-        stabilize_bound=config.stabilize_bound,
     )
     for group in groups[1:]:
         secondary = check_invariants(
@@ -206,7 +203,6 @@ def run_scripted(config: ChaosRunConfig) -> ChaosRunResult:
             heal_time=config.script.heal_time,
             qos=config.system.qos,
             hold=config.hold,
-            stabilize_bound=config.stabilize_bound,
         )
         for violation in secondary.violations:
             report.violations.append(

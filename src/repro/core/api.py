@@ -33,6 +33,10 @@ __all__ = ["Application", "GroupHandle", "ServiceHost"]
 
 LeaderCallback = Callable[[int, Optional[int]], None]
 
+#: A recovered node reboots its daemon after a delay drawn uniformly from
+#: this range, in seconds.
+RESTART_DELAY_RANGE = (0.02, 0.2)
+
 
 class GroupHandle:
     """A joined group: its standing join, leader watchers and lease clients.
@@ -213,7 +217,6 @@ class ServiceHost:
         rng: Optional[RngRegistry] = None,
         trace: Optional[TraceRecorder] = None,
         configurator_cache: Optional[ConfiguratorCache] = None,
-        restart_delay_range: Tuple[float, float] = (0.02, 0.2),
     ) -> None:
         self.scheduler = scheduler
         self.transport = transport
@@ -225,7 +228,6 @@ class ServiceHost:
         self.configurator_cache = (
             configurator_cache if configurator_cache is not None else ConfiguratorCache()
         )
-        self.restart_delay_range = restart_delay_range
         self.apps: List[Application] = []
         self.service: Optional[LeaderElectionService] = None
         self.restarts = 0
@@ -274,7 +276,7 @@ class ServiceHost:
 
     def on_node_recover(self, node: Node) -> None:
         self.trace.record_recover(self.scheduler.now, node.node_id)
-        low, high = self.restart_delay_range
+        low, high = RESTART_DELAY_RANGE
         stream = self.rng.stream(f"host.{node.node_id}.restart")
         delay = float(stream.uniform(low, high))
         self.scheduler.schedule(delay, self._restart_after_recovery)

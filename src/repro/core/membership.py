@@ -413,7 +413,7 @@ class Membership:
         """
         if self._shut_down:
             return
-        self.meter.on_timer(self.group)
+        self.meter.on_timer()
         now = self.scheduler.now
         view = self.view
         version = view.version

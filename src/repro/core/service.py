@@ -91,6 +91,12 @@ FD_PLANES = ("all_pairs", "swim")
 #: Relative η change that triggers a RATE-REQUEST to the peer node.
 RATE_CHANGE_THRESHOLD = 0.15
 
+#: Period of group-maintenance gossip, in seconds.
+HELLO_PERIOD = 1.0
+
+#: How often the FD plane re-runs the configurator over its node pairs.
+RECONFIG_INTERVAL = 5.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -100,10 +106,6 @@ class ServiceConfig:
     algorithm: str = "omega_lc"
     #: Default FD QoS for joins that do not specify one (paper §6.1 values).
     default_qos: FDQoS = field(default_factory=FDQoS)
-    #: Period of group-maintenance gossip.
-    hello_period: float = 1.0
-    #: How often the FD plane re-runs the configurator over its node pairs.
-    reconfig_interval: float = 5.0
     #: Failure-detector variant (see :data:`FD_MONITORS`).
     fd_variant: str = "nfds"
     #: Node-level FD plane: "all_pairs" (the paper's — every node pair
@@ -129,12 +131,6 @@ class ServiceConfig:
             raise ValueError(
                 f"unknown fd_plane {self.fd_plane!r} "
                 f"(expected one of {', '.join(FD_PLANES)})"
-            )
-        if self.hello_period <= 0:
-            raise ValueError(f"hello_period must be positive (got {self.hello_period})")
-        if self.reconfig_interval <= 0:
-            raise ValueError(
-                f"reconfig_interval must be positive (got {self.reconfig_interval})"
             )
 
 
@@ -169,14 +165,13 @@ class GroupRuntime(GroupContext):
         self.is_present_candidate = view.is_present_candidate
         self.member_joined_at = view.joined_at
         self.algorithm = create_algorithm(algorithm_name, self)
-        hello_period = service.config.hello_period
         rng = service.rng.stream(f"service.{plane.node_id}.group.{group}")
         #: Group maintenance: one bounded gossip rule on either plane.
         self.membership = membership = Membership(
             self,
             bootstrap=service.peer_nodes,
-            hello_period=hello_period,
-            first_round=float(rng.uniform(0.0, hello_period)),
+            hello_period=HELLO_PERIOD,
+            first_round=float(rng.uniform(0.0, HELLO_PERIOD)),
             meter=service.node.meter,
             forget_peer=service.forget_peer,
         )
@@ -473,10 +468,9 @@ class LeaderElectionService:
         self._last_requested_rate: Dict[int, Tuple[float, int]] = {}
         self._reconfig_timer = PeriodicTimer(
             scheduler,
-            period_fn=lambda: service_config.reconfig_interval,
+            period_fn=lambda: RECONFIG_INTERVAL,
             callback=self._reconfigure,
-            initial_delay=float(stream.uniform(0.5, 1.0))
-            * service_config.reconfig_interval,
+            initial_delay=float(stream.uniform(0.5, 1.0)) * RECONFIG_INTERVAL,
         )
         self._reconfig_timer.start()
         node.service = self

@@ -68,7 +68,6 @@ class ExperimentResult:
     config: ExperimentConfig
     leadership: LeadershipMetrics
     usage: UsageReport
-    usage_per_node: Dict[int, UsageReport]
     node_crashes: int
     link_crashes: int
     #: Simulator event count — a cheap proxy for run cost, used in tests.
@@ -229,16 +228,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         measure_from=config.warmup,
     )
     measured = config.measured_duration
-    usage_per_node = {
-        node_id: node.meter.report(measured)
-        for node_id, node in system.network.nodes.items()
-    }
-    usage = UsageReport.average(list(usage_per_node.values()))
+    usage = UsageReport.average(
+        [node.meter.report(measured) for node in system.network.nodes.values()]
+    )
     return ExperimentResult(
         config=config,
         leadership=leadership,
         usage=usage,
-        usage_per_node=usage_per_node,
         node_crashes=sum(i.crashes_injected for i in system.node_injectors),
         link_crashes=sum(i.crashes_injected for i in system.link_injectors),
         events_executed=sim.events_executed,

@@ -22,10 +22,9 @@ from repro.metrics.leadership import (
 )
 from repro.metrics.stats import Summary, mean_confidence_interval, summarize
 from repro.metrics.trace import TraceEvent, TraceRecorder, trace_digest
-from repro.metrics.usage import CostModel, UsageMeter, UsageReport
+from repro.metrics.usage import UsageMeter, UsageReport
 
 __all__ = [
-    "CostModel",
     "DemotionEvent",
     "LeaderInterval",
     "LeadershipMetrics",

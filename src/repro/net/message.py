@@ -197,10 +197,6 @@ class Message:
     dest_node: int
     #: Memoized wire_bytes() result; None until first computed.
     _wire: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-    #: Memoized group_shares() result; None until first computed.
-    _shares: Optional[Dict[int, int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def payload_bytes(self) -> int:
         """Serialized payload size in bytes (excluding packet overhead)."""
@@ -213,7 +209,7 @@ class Message:
             wire = self._wire = WIRE_OVERHEAD_BYTES + self.payload_bytes()
         return wire
 
-    def group_shares(self) -> Dict[int, int]:
+    def wire_shares(self) -> Dict[int, int]:
         """Per-group attribution of this packet's wire bytes.
 
         Returns ``{group_or_SHARED_USAGE_KEY: bytes}`` summing exactly to
@@ -227,20 +223,12 @@ class Message:
             return {SHARED_USAGE_KEY: self.wire_bytes()}
         return {group: self.wire_bytes()}
 
-    def wire_shares(self) -> Dict[int, int]:
-        """Memoized :meth:`group_shares` (sender and receiver meters both
-        consult it once per delivered packet that carries a group)."""
-        shares = self._shares
-        if shares is None:
-            shares = self._shares = self.group_shares()
-        return shares
-
     def __copy__(self) -> "Message":
-        """Shallow copy with the size memos reset.
+        """Shallow copy with the size memo reset.
 
         ``dataclasses.replace`` re-runs ``__init__`` and therefore starts
         the clone unmemoized, but a plain ``copy.copy`` duplicates every
-        slot — including ``_wire``/``_shares``.  A caller copies precisely
+        slot — including ``_wire``.  A caller copies precisely
         to mutate (rewrite cells, redirect routing), and a carried-over
         memo would then feed a stale size to the codec and both usage
         meters.  The clone always starts unmemoized instead.
@@ -250,7 +238,6 @@ class Message:
         for spec in fields(cls):
             setattr(clone, spec.name, getattr(self, spec.name))
         clone._wire = None
-        clone._shares = None
         return clone
 
 
@@ -343,7 +330,7 @@ class BatchFrame(Message):
             return size
         return size + sum(cell.payload_bytes() for cell in cells)
 
-    def group_shares(self) -> Dict[int, int]:
+    def wire_shares(self) -> Dict[int, int]:
         """Cells charge their group; the shared envelope is split evenly.
 
         The frame header + packet overhead is the amortized cost of the
@@ -597,8 +584,8 @@ class SwimPingMessage(_Probing, Message):
     ``origin`` so one relay hop suffices in each direction.  ``nonce``
     matches acks to outstanding probes across loss and reordering;
     ``send_time`` is echoed back for RTT estimation; ``ack`` is a cell echo
-    (see :class:`BatchFrame`).  Node-level traffic — no group routing,
-    charged to the shared usage bucket like the FD plane's frames.
+    (see :class:`BatchFrame`).  Node-level traffic — no group routing; its
+    :meth:`wire_shares` go to :data:`SHARED_USAGE_KEY`, like a bare frame's.
     """
 
     nonce: int = 0

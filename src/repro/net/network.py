@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.net.links import Link, LinkConfig
-from repro.net.message import BatchFrame, Message
+from repro.net.message import Message
 from repro.net.node import Node
 from repro.runtime.base import Scheduler
 from repro.sim.rng import RngRegistry
@@ -141,13 +141,9 @@ class Network:
         sender, link, deliver = route
         if not sender.up:
             return
-        wire = message.wire_bytes()
         meter = sender.meter
-        if type(message) is not BatchFrame or message.cells:
-            meter.on_send(wire, message.wire_shares())
-        else:  # a header-only frame carries no group: counted, not charged
-            meter.messages_sent += 1
-            meter.bytes_sent += wire
+        meter.messages_sent += 1
+        meter.bytes_sent += message.wire_bytes()
         link.transmit(message, deliver)
 
     def send_batch(self, messages: Iterable[Message]) -> None:
@@ -177,13 +173,9 @@ class Network:
             sender, link, deliver = route
             if not sender.up:
                 continue
-            wire = message.wire_bytes()
             meter = sender.meter
-            if type(message) is not BatchFrame or message.cells:
-                meter.on_send(wire, message.wire_shares())
-            else:
-                meter.messages_sent += 1
-                meter.bytes_sent += wire
+            meter.messages_sent += 1
+            meter.bytes_sent += message.wire_bytes()
             link.transmit_batched(message, deliver, batch)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

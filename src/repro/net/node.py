@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Protocol
 
 from repro.metrics.usage import UsageMeter
-from repro.net.message import BatchFrame, Message
+from repro.net.message import Message
 from repro.runtime.base import Clock
 
 __all__ = ["Node", "NodeObserver"]
@@ -84,16 +84,11 @@ class Node:
         """Hand a message that survived the link to this node."""
         if not self.up or self._receiver is None:
             return  # a crashed workstation receives nothing
-        # Size memos are warm on anything that came through a send path;
-        # fall back to the computing accessors for hand-delivered messages.
-        # A header-only frame carries no group: it is counted, not charged.
-        wire = message._wire or message.wire_bytes()
+        # The size memo is warm on anything that came through a send path;
+        # fall back to the computing accessor for hand-delivered messages.
         meter = self.meter
-        if type(message) is not BatchFrame or message.cells:
-            meter.on_receive(wire, message._shares or message.wire_shares())
-        else:
-            meter.messages_received += 1
-            meter.bytes_received += wire
+        meter.messages_received += 1
+        meter.bytes_received += message._wire or message.wire_bytes()
         self._receiver(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -14,11 +14,9 @@ while the identical service code also runs on the realtime asyncio engine
 
 from repro.runtime.timers import PeriodicTimer, VariableTimer
 from repro.sim.engine import DriftingScheduler, Event, SimulationError, Simulator
-from repro.sim.process import Component
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "Component",
     "DriftingScheduler",
     "Event",
     "PeriodicTimer",

@@ -51,7 +51,6 @@ class TestRunExperiment:
         assert result.node_crashes == 0
         assert result.link_crashes == 0
         assert result.events_executed > 0
-        assert len(result.usage_per_node) == 3
         assert result.usage.kb_per_second > 0.0
         assert result.usage.cpu_percent > 0.0
 

@@ -139,11 +139,11 @@ class TestWireSizes:
 class TestGroupShares:
     def test_group_scoped_message_charges_its_group(self):
         msg = HelloMessage(sender_node=0, dest_node=1, group=7)
-        assert msg.group_shares() == {7: msg.wire_bytes()}
+        assert msg.wire_shares() == {7: msg.wire_bytes()}
 
     def test_rate_request_is_shared_fd_traffic(self):
         msg = RateRequestMessage(sender_node=0, dest_node=1)
-        assert msg.group_shares() == {SHARED_USAGE_KEY: msg.wire_bytes()}
+        assert msg.wire_shares() == {SHARED_USAGE_KEY: msg.wire_bytes()}
 
     def test_frame_shares_sum_to_wire_bytes(self):
         frame = BatchFrame(
@@ -151,7 +151,7 @@ class TestGroupShares:
             dest_node=1,
             cells=(cell(group=1), cell(group=2, delta=(member(5),)), cell(group=3)),
         )
-        shares = frame.group_shares()
+        shares = frame.wire_shares()
         assert sum(shares.values()) == frame.wire_bytes()
         assert set(shares) <= {1, 2, 3, SHARED_USAGE_KEY}
         # The delta-carrying cell pays for its own extra bytes.
@@ -159,11 +159,7 @@ class TestGroupShares:
 
     def test_cellless_frame_is_shared(self):
         frame = BatchFrame(sender_node=0, dest_node=1)
-        assert frame.group_shares() == {SHARED_USAGE_KEY: frame.wire_bytes()}
-
-    def test_wire_shares_memoized(self):
-        frame = BatchFrame(sender_node=0, dest_node=1, cells=(cell(),))
-        assert frame.wire_shares() is frame.wire_shares()
+        assert frame.wire_shares() == {SHARED_USAGE_KEY: frame.wire_bytes()}
 
 
 class TestMemberInfo:
@@ -179,8 +175,8 @@ class TestMemberInfo:
 
 class TestCopyInvalidatesMemos:
     """``copy.copy`` on a slots dataclass copies *every* slot — including
-    the ``_wire``/``_shares`` memo fields.  ``Message.__copy__`` must reset
-    them, or a clone mutated in place reports the original's wire size."""
+    the ``_wire`` memo field.  ``Message.__copy__`` must reset it, or a
+    clone mutated in place reports the original's wire size."""
 
     def test_copy_resets_wire_memo(self):
         import copy
@@ -189,7 +185,6 @@ class TestCopyInvalidatesMemos:
         original_bytes = frame.wire_bytes()  # primes the memo
         clone = copy.copy(frame)
         assert clone._wire is None
-        assert clone._shares is None
         # The stale-memo bug: grow the clone's payload, then ask for its
         # size.  Before __copy__ this returned original_bytes.
         clone.cells = (cell(group=1), cell(group=2, delta=(member(7),)))
