@@ -5,7 +5,12 @@ Performance is measured by ``BENCHMARK.json`` / ``benchmarks/spine/``.
 This file keeps only what the spine does not: eight fixed-seed cells no
 spine workload covers, each run once and compared **exactly** on trace
 digest, executed event count and bytes on the wire, plus a tracemalloc
-pass bounding what a run keeps allocated.
+pass bounding what a run keeps allocated, and Python calls per layer per
+virtual second over a window of the run, which may not rise by more than
+:data:`CALL_MARGIN` in any layer.  A call count is the deterministic view
+of host time: it reads the same on a busy box, so a layer whose work grew
+is named without timing anything.  It does not see C work (numpy, heapq),
+which is why the spine's ``--trace 1`` sampler stays the other view.
 
     python benchmarks/bench_core.py --check    # CI's ``pins`` job; exit 1 on any moved pin
     python benchmarks/bench_core.py --update   # after an intentional behaviour change
@@ -27,8 +32,9 @@ The cells:
 * ``swim_lan`` — the same deployment and seed on the SWIM plane, so the
   two cells' ``wire_bytes`` read as the all-pairs vs swim wire cost;
 * ``swim_wide`` — **1000 nodes** on the SWIM plane, which the all-pairs
-  plane cannot run at all.  No allocation pass: tracemalloc multiplies
-  the heaviest cell several-fold, and ``swim_lan`` pins swim's profile.
+  plane cannot run at all.  No allocation pass and no call count:
+  tracemalloc and the profile hook multiply the heaviest cell several-fold,
+  and ``swim_lan`` pins swim's profile.
 
 The tracemalloc pass is a second run of the same cell, so its digest and
 event count must equal the first run's: a cell that does not repeat is
@@ -51,8 +57,12 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
+if str(ROOT / "benchmarks" / "spine") not in sys.path:
+    sys.path.append(str(ROOT / "benchmarks" / "spine"))
+
 from repro.experiments.runner import build_system  # noqa: E402
 from repro.experiments.scenario import ExperimentConfig  # noqa: E402
+from tracing import LAYERS, layer_of  # noqa: E402  (the spine's layer map, read-only)
 
 __all__ = ["CORE_CELLS", "run_cell", "compare_results", "load_baseline", "main"]
 
@@ -68,8 +78,22 @@ EXACT_PINS = ("digest", "events", "wire_bytes")
 #: recorded value; tracemalloc readings move a little with the interpreter.
 ALLOC_TOLERANCE = 0.20
 
-#: Cells that skip the tracemalloc pass (see the module docstring).
-NO_ALLOC_CELLS = frozenset({"swim_wide"})
+#: Cells that skip the tracemalloc pass and the call count (see the
+#: module docstring).
+NO_TRACE_CELLS = frozenset({"swim_wide"})
+
+#: Virtual seconds whose Python calls are counted, from the cell's warm-up
+#: on (less where the run ends sooner).
+CALL_WINDOW = 5.0
+
+#: Allowed rise of one layer's calls per virtual second over the recorded
+#: value.  Counts are exact for one tree on one Python version; the margin
+#: absorbs interpreter versions (comprehensions, which Python 3.12 inlines,
+#: are not counted at all), not noise.  A drop always passes.
+CALL_MARGIN = 0.05
+
+#: Code objects that are frames on Python 3.11 and inlined on 3.12 (PEP 709).
+_COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 
 #: Absolute live-block budgets on top of the relative tolerance, which only
 #: catches drift per PR; the budget stops the slow creep.  many_groups
@@ -133,18 +157,53 @@ def _pins(system) -> dict:
     }
 
 
+def _count_calls(system, start: float, stop: float) -> Dict[str, float]:
+    """Run ``system`` from ``start`` to ``stop``, counting the Python calls
+    each layer makes; returns calls per virtual second, in layer order."""
+    system.sim.run_until(start)
+    layers: Dict[object, str] = {}  # code object -> layer, "" for none
+    counts: Dict[str, int] = dict.fromkeys(LAYERS, 0)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            layer = layers.get(code)
+            if layer is None:
+                layer = layers[code] = (
+                    "" if code.co_name in _COMPREHENSIONS
+                    else layer_of(code.co_filename) or ""
+                )
+            if layer:
+                counts[layer] += 1
+
+    sys.setprofile(profile)
+    try:
+        system.sim.run_until(stop)
+    finally:
+        sys.setprofile(None)
+    return {
+        layer: round(count / (stop - start), 1) for layer, count in counts.items() if count
+    }
+
+
 def run_cell(name: str) -> dict:
     """Run one cell and return its ``BENCH_core.json`` entry."""
     config = CORE_CELLS[name]
     system = build_system(config)
+    calls = None
+    if name not in NO_TRACE_CELLS:
+        # The profile hook only watches: the run stays bit-identical.
+        start = config.warmup
+        calls = _count_calls(system, start, min(start + CALL_WINDOW, config.duration))
     system.sim.run_until(config.duration)
     cell = {
         "duration_virtual_s": config.duration,
         **_pins(system),
         "alloc_peak_kib": None,
         "alloc_live_blocks": None,
+        "calls_per_virtual_s": calls,
     }
-    if name in NO_ALLOC_CELLS:
+    if name in NO_TRACE_CELLS:
         return cell
     # tracemalloc counts a block only when the allocator is asked for it; a
     # tuple, float or dict handed back by one of the interpreter's free
@@ -189,7 +248,9 @@ def compare_results(baseline: Dict[str, dict], current: Dict[str, dict]) -> List
 
     ``digest`` / ``events`` / ``wire_bytes`` must be equal; the allocation
     readings may not grow past :data:`ALLOC_TOLERANCE` or the cell's entry
-    in :data:`ALLOC_BUDGETS`.  Empty list = pass.
+    in :data:`ALLOC_BUDGETS`; no layer's calls per virtual second may rise
+    past :data:`CALL_MARGIN` (a layer the record lacks counts as 0).  A
+    side without call counts compares none.  Empty list = pass.
     """
     failures: List[str] = []
     for name, cell in current.items():
@@ -214,6 +275,15 @@ def compare_results(baseline: Dict[str, dict], current: Dict[str, dict]) -> List
                     f"{name}: {label} grew {base[reading]} -> {cell[reading]} "
                     f"(tolerance {ALLOC_TOLERANCE * 100:.0f}%)"
                 )
+        recorded = base.get("calls_per_virtual_s")
+        if recorded and cell.get("calls_per_virtual_s"):
+            for layer, rate in cell["calls_per_virtual_s"].items():
+                was = recorded.get(layer, 0.0)
+                if rate > (1.0 + CALL_MARGIN) * was:
+                    failures.append(
+                        f"{name}: {layer} calls per virtual s rose {was} -> {rate} "
+                        f"(margin {CALL_MARGIN * 100:.0f}%)"
+                    )
         budget = ALLOC_BUDGETS.get(name)
         if budget and cell["alloc_live_blocks"] and cell["alloc_live_blocks"] > budget:
             failures.append(
@@ -269,6 +339,9 @@ def main(argv=None) -> int:
             f"blocks, {cell['alloc_peak_kib']} KiB peak",
             flush=True,
         )
+        if cell["calls_per_virtual_s"]:
+            rates = ", ".join(f"{k} {v:.0f}" for k, v in cell["calls_per_virtual_s"].items())
+            print(f"  calls per virtual s: {rates}", flush=True)
 
     exit_code = 0
     if args.check:

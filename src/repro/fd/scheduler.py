@@ -282,9 +282,6 @@ class AliveBatcher:
         self._tick(early)
         self._timer.start()  # next regular tick one full period from now
 
-    #: Shared empty-cells tuple: steady-state frames are mostly cell-less.
-    _NO_CELLS: Tuple[AliveCell, ...] = ()
-
     def _tick(self, early: bool = False) -> None:
         """One round.  If it left a source :attr:`~CellSource.owing`, the
         ``early`` one leaves ``CELL_EARLY_ROUND · interval()`` later via the
@@ -352,14 +349,20 @@ class AliveBatcher:
                 continue
             seq = seqs.get(dest, 0)
             seqs[dest] = seq + 1
+            ack = acks.pop(dest, None) if acks else None
             # Positional, in field order: sender, dest, seq, send_time,
             # interval, cells, swim_updates, ack.
-            frames.append(BatchFrame(
-                node_id, dest, seq, now, interval,
-                tuple(cells) if cells else self._NO_CELLS,
-                updates, acks.pop(dest, None) if acks else None,
-            ))
-            cells.clear()
+            if cells or updates or ack is not None:
+                frames.append(BatchFrame(
+                    node_id, dest, seq, now, interval, tuple(cells), updates, ack
+                ))
+                cells.clear()
+            else:
+                # A header-only frame (most of them) is sized here, once:
+                # the send path and the meters read the memo, not the model.
+                frame = BatchFrame(node_id, dest, seq, now, interval)
+                frame._wire = BatchFrame.HEADER_WIRE_BYTES
+                frames.append(frame)
         # The whole fan-out in one transport call: a batch-aware transport
         # drains the burst through one delivery sentinel instead of one
         # engine event per frame.

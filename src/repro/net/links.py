@@ -20,6 +20,7 @@ flight — exactly like UDP datagrams on the authors' testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, Optional
 
 from repro.net.message import Message
@@ -123,51 +124,35 @@ class Link:
         """Crash (``True``) or recover (``False``) this link."""
         self.down = down
 
-    def transmit(self, message: Message, deliver: Callable[[Message], None]) -> None:
-        """Offer ``message`` to the link; maybe schedule its delivery."""
-        stats = self.stats
-        stats.offered += 1
-        if self.down:
-            stats.dropped_down += 1
-            return
-        loss_prob = self._loss_prob
-        if loss_prob > 0.0 and self._rng.random() < loss_prob:
-            stats.dropped_loss += 1
-            return
-        delay_mean = self._delay_mean
-        delay = self._rng.exponential(delay_mean) if delay_mean else 0.0
-        # Prebound method + carried args: no per-message closure allocation.
-        self.sim.schedule(delay, self._deliver, message, deliver)
+    def transmit(self, message: Message, deliver: Callable[[Message], None], batch=None) -> None:
+        """Offer ``message`` to the link; maybe schedule its delivery.
 
-    def transmit_batched(self, message: Message, deliver, batch) -> None:
-        """:meth:`transmit`, but surviving arrivals go to a shared batch.
-
-        Same state checks and the same RNG draws in the same order; the only
-        difference is where the arrival waits.  Zero-delay links keep the
-        scalar engine event: an exact-``now`` arrival must occupy its own
-        engine-seq position among same-time events, while a positive
-        exponential delay lands at an almost-surely unique time, where the
-        batch's ``(arrival, submission)`` order is the scalar order.
+        A surviving arrival waits in ``batch`` (the simulator's shared
+        :class:`~repro.sim.vector.DeliveryBatch`) if one is given, else as
+        its own engine event; the state checks and RNG draws are the same.
+        Zero-delay links keep the engine event: an exact-``now`` arrival must
+        occupy its own engine-seq position among same-time events, while a
+        positive exponential delay lands at an almost-surely unique time,
+        where the batch's ``(arrival, submission)`` order is the scalar order.
         """
         stats = self.stats
         stats.offered += 1
         if self.down:
             stats.dropped_down += 1
             return
-        loss_prob = self._loss_prob
-        if loss_prob > 0.0 and self._rng.random() < loss_prob:
-            stats.dropped_loss += 1
-            return
         delay_mean = self._delay_mean
-        if delay_mean:
-            batch.submit(
-                self.sim.now + self._rng.exponential(delay_mean),
-                self,
-                message,
-                deliver,
-            )
+        if self._loss_prob:
+            delay = self._rng.lossy_delay(self._loss_prob, delay_mean)
+            if delay is None:
+                stats.dropped_loss += 1
+                return
         else:
-            self.sim.schedule(0.0, self._deliver, message, deliver)
+            delay = self._rng.exponential(delay_mean) if delay_mean else 0.0
+        if batch is not None and delay_mean:
+            heappush(batch.heap, (self.sim.now + delay, next(batch.order), self, message, deliver))
+        else:
+            # Prebound method + carried args: no per-message closure allocation.
+            self.sim.schedule(delay, self._deliver, message, deliver)
 
     def _deliver(self, message: Message, deliver: Callable[[Message], None]) -> None:
         # A message already "on the wire" when the link crashes is still
@@ -176,7 +161,7 @@ class Link:
         # LAN-scale delays the distinction is negligible; we keep in-flight
         # messages for determinism of the delivered/dropped accounting.
         self.stats.delivered += 1
-        self.stats.bytes_delivered += message.wire_bytes()
+        self.stats.bytes_delivered += message._wire or message.wire_bytes()
         deliver(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

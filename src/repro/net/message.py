@@ -314,6 +314,8 @@ class BatchFrame(Message):
     #: seq (4) + send_time (8) + interval (8) + cell count (2); the echo (8).
     _BASE_BYTES = 22
     _ACK_BYTES = 8
+    #: wire_bytes() of a frame with no cells, rumours or echo.
+    HEADER_WIRE_BYTES = WIRE_OVERHEAD_BYTES + _BASE_BYTES
 
     def payload_bytes(self) -> int:
         size = self._BASE_BYTES

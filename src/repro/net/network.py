@@ -84,12 +84,8 @@ class Network:
         if src == dst:
             raise ValueError(f"no self-link for node {src}")
         link = self._links.get((src, dst))
-        if link is None:
-            link = self._make_link(src, dst, self.config.default_link)
-            self._links[(src, dst)] = link
-        route = (self.nodes[src], link, self.nodes[dst].deliver)
-        self._routes[src][dst] = route
-        return route
+        self._install_link(link or self._make_link(src, dst, self.config.default_link))
+        return self._routes[src][dst]
 
     def _install_link(self, link: Link) -> None:
         self._links[(link.src, link.dst)] = link
@@ -135,16 +131,7 @@ class Network:
         Sending from a crashed node is a no-op (a dead daemon sends nothing);
         this is checked here so fault injection cannot race with send timers.
         """
-        route = self._routes[message.sender_node][message.dest_node]
-        if route is None:
-            route = self._ensure_route(message.sender_node, message.dest_node)
-        sender, link, deliver = route
-        if not sender.up:
-            return
-        meter = sender.meter
-        meter.messages_sent += 1
-        meter.bytes_sent += message.wire_bytes()
-        link.transmit(message, deliver)
+        self._offer((message,), None)
 
     def send_batch(self, messages: Iterable[Message]) -> None:
         """Transmit a whole per-tick fan-out through the batched datapath.
@@ -155,16 +142,17 @@ class Network:
         :class:`~repro.sim.vector.DeliveryBatch` heap (drained by the
         engine's run loop) instead of one engine event each.  Off the
         batched path (chaos/drifting schedulers, realtime,
-        :func:`~repro.sim.vector.force_scalar`) this degrades to a plain
-        send loop — as it does when :meth:`send` has been replaced on the
-        instance (test/instrumentation hooks must keep seeing every
-        message).
+        :func:`~repro.sim.vector.force_scalar`) each waits as its own
+        event.  A :meth:`send` replaced on the instance (test and
+        instrumentation hooks) sees every message.
         """
-        batch = delivery_batch_for(self.sim)
-        if batch is None or "send" in self.__dict__:
+        if "send" in self.__dict__:
             for message in messages:
                 self.send(message)
-            return
+        else:
+            self._offer(messages, delivery_batch_for(self.sim))
+
+    def _offer(self, messages: Iterable[Message], batch) -> None:
         routes = self._routes
         for message in messages:
             route = routes[message.sender_node][message.dest_node]
@@ -175,8 +163,9 @@ class Network:
                 continue
             meter = sender.meter
             meter.messages_sent += 1
-            meter.bytes_sent += message.wire_bytes()
-            link.transmit_batched(message, deliver, batch)
+            # A header-only frame comes sized (see AliveBatcher._tick).
+            meter.bytes_sent += message._wire or message.wire_bytes()
+            link.transmit(message, deliver, batch)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Network(n={len(self.nodes)})"

@@ -259,17 +259,14 @@ class Simulator:
         head_time = heap[0][0] if heap else _INF
         batch = self.delivery_batch
         if batch is not None:
-            dheap = batch._heap
+            dheap = batch.heap
             if dheap and dheap[0][0] <= head_time:
                 arrival, _, link, message, deliver = heapq.heappop(dheap)
                 self.now = arrival
                 self.events_executed += 1
-                wire = message._wire
                 stats = link.stats
                 stats.delivered += 1
-                stats.bytes_delivered += (
-                    wire if wire is not None else message.wire_bytes()
-                )
+                stats.bytes_delivered += message._wire or message.wire_bytes()
                 batch.deliveries += 1
                 deliver(message)
                 return True
@@ -316,7 +313,7 @@ class Simulator:
                 # attaches lazily on the first batched send, mid-run).
                 batch = self.delivery_batch
                 if batch is not None:
-                    dheap = batch._heap
+                    dheap = batch.heap
                     if dheap and dheap[0][0] <= head_time:
                         arrival = dheap[0][0]
                         if arrival > time:
@@ -327,12 +324,9 @@ class Simulator:
                         # The scalar path's Link._deliver, inlined: link
                         # counters move at delivery time, in delivery order.
                         # The wire-size memo is warm (send charged it).
-                        wire = message._wire
                         stats = link.stats
                         stats.delivered += 1
-                        stats.bytes_delivered += (
-                            wire if wire is not None else message.wire_bytes()
-                        )
+                        stats.bytes_delivered += message._wire or message.wire_bytes()
                         batch.deliveries += 1
                         deliver(message)
                         continue
@@ -381,7 +375,7 @@ class Simulator:
         """
         batch = self.delivery_batch
         if batch is not None:
-            return self._live + len(batch._heap)
+            return self._live + len(batch.heap)
         return self._live
 
     def peek_time(self) -> Optional[float]:
@@ -394,8 +388,8 @@ class Simulator:
         self._drop_cancelled_head()
         head_time = self._heap[0][0] if self._heap else None
         batch = self.delivery_batch
-        if batch is not None and batch._heap:
-            arrival = batch._heap[0][0]
+        if batch is not None and batch.heap:
+            arrival = batch.heap[0][0]
             if head_time is None or arrival < head_time:
                 return arrival
         return head_time

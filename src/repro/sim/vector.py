@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import partial
-from heapq import heappush
+from itertools import count
 from math import inf
 from typing import Callable, List, Optional
 
@@ -315,7 +315,7 @@ class DeliveryBatch:
       arrival fire first — the drain-everything-due behaviour of the
       per-arrival event the scalar path would have scheduled earlier);
     * zero-delay links never reach the batch at all —
-      :meth:`~repro.net.links.Link.transmit_batched` keeps their exact-"now"
+      :meth:`~repro.net.links.Link.transmit` keeps their exact-"now"
       arrivals on the scalar path, where each occupies its own engine-seq
       position among same-time events.
 
@@ -331,12 +331,14 @@ class DeliveryBatch:
     traffic and ``Event`` allocation around each of those dispatches.
     """
 
-    __slots__ = ("_heap", "_seq", "deliveries")
+    __slots__ = ("heap", "order", "deliveries")
 
     def __init__(self, scheduler) -> None:
-        #: Pending arrivals: ``(arrival, submit_seq, link, message, deliver)``.
-        self._heap: list = []
-        self._seq = 0
+        #: Pending arrivals: ``(arrival, submission, link, message, deliver)``,
+        #: pushed by :meth:`~repro.net.links.Link.transmit` itself, its
+        #: ``submission`` drawn from :attr:`order`.
+        self.heap: list = []
+        self.order = count()
         #: Messages delivered through the batch.
         self.deliveries = 0
         # The engine's run loop is what drains the batch, so attach at
@@ -345,15 +347,9 @@ class DeliveryBatch:
         # :func:`delivery_batch_for` lazily installs.
         scheduler.delivery_batch = self
 
-    def submit(self, arrival: float, link, message, deliver) -> None:
-        """Enqueue one surviving transmission for delivery at ``arrival``."""
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (arrival, seq, link, message, deliver))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DeliveryBatch(pending={len(self._heap)}, "
+            f"DeliveryBatch(pending={len(self.heap)}, "
             f"deliveries={self.deliveries})"
         )
 

@@ -7,11 +7,14 @@ whose code lives in the ``repro`` package are counted, which keeps the
 figure equal across Python versions (interpreter and numpy internals are
 not counted).  The datapath this budget guards made 26.1 calls per
 received message before the meters became counters and the receive path
-lost its hops; it makes about 15 now.  A lossy cell with lease clients
+lost its hops, 14.5 before a link drew from an active block inline and
+pushed its own arrival and a header-only frame came sized; it makes about
+10.6 now.  The same cell over (10 ms, 1 %) links, ``failover_lossy``'s
+datapath, adds the loss coin: 16.5 calls while the coin and the delay were
+two façade draws, about 10.8 as one.  A lossy cell with lease clients
 guards the other half of the datapath — frames with cells and ledger
-segments, loss repair, lease traffic — at about 20 calls per received
-message, down from 21.2 while a message carrying a group still charged a
-per-group ledger.
+segments, loss repair, lease traffic — at about 14.7 calls per received
+message, down from 20.2.
 """
 
 import sys
@@ -24,12 +27,16 @@ from repro.experiments.scenario import ExperimentConfig
 PACKAGE = str(Path(repro.__file__).resolve().parent) + "/"
 
 #: Calls per received message the heartbeat datapath may make (12-node LAN).
-CALL_BUDGET = 16.0
+CALL_BUDGET = 11.0
+
+#: Calls per received message on the same cell over (10 ms, 1 %) links.
+LOSSY_CALL_BUDGET = 11.0
 
 #: Calls per received message on a lossy cell with 40 lease clients.
-LEASE_CALL_BUDGET = 21.0
+LEASE_CALL_BUDGET = 15.0
 
 LAN_CELL = ExperimentConfig(name="call-budget", duration=30.0, warmup=10.0, seed=3)
+LOSSY_CELL = LAN_CELL.with_(name="call-budget-lossy", link_delay_mean=0.010, link_loss_prob=0.01)
 LEASE_CELL = ExperimentConfig(
     name="call-budget-lease",
     duration=60.0,
@@ -67,6 +74,10 @@ def calls_per_received_message(
 
 def test_a_received_message_stays_inside_the_call_budget():
     assert calls_per_received_message() <= CALL_BUDGET
+
+
+def test_a_message_on_lossy_links_stays_inside_its_call_budget():
+    assert calls_per_received_message(LOSSY_CELL) <= LOSSY_CALL_BUDGET
 
 
 def test_a_message_on_the_lease_cell_stays_inside_its_call_budget():

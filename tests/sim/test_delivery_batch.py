@@ -12,6 +12,8 @@ Mirrors ``test_vector.py``'s two layers for the message datapath:
   a bit-identical trace digest across the seed/size/churn/loss grid.
 """
 
+from heapq import heappush
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,11 @@ from repro.net.network import Network, NetworkConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.vector import DeliveryBatch, delivery_batch_for, force_scalar
+
+
+def submit(batch, arrival, link, message, deliver):
+    """Enqueue one arrival the way ``Link.transmit`` does."""
+    heappush(batch.heap, (arrival, next(batch.order), link, message, deliver))
 
 
 class TestDeliveryBatchBasics:
@@ -37,7 +44,7 @@ class TestDeliveryBatchBasics:
                 bytes_delivered = 0
 
         frame = BatchFrame(sender_node=0, dest_node=1)
-        batch.submit(2.5, _Link, frame, lambda m: log.append(sim.now))
+        submit(batch, 2.5, _Link, frame, lambda m: log.append(sim.now))
         sim.run()
         assert log == [2.5]
         assert _Link.stats.delivered == 1
@@ -55,7 +62,7 @@ class TestDeliveryBatchBasics:
 
         for i in range(5):
             frame = BatchFrame(sender_node=0, dest_node=1, seq=i)
-            batch.submit(1.0, _Link, frame, lambda m: log.append(m.seq))
+            submit(batch, 1.0, _Link, frame, lambda m: log.append(m.seq))
         sim.run()
         assert log == [0, 1, 2, 3, 4]
 
@@ -71,8 +78,8 @@ class TestDeliveryBatchBasics:
 
         a = BatchFrame(sender_node=0, dest_node=1, seq=10)
         b = BatchFrame(sender_node=0, dest_node=1, seq=20)
-        batch.submit(5.0, _Link, a, lambda m: log.append((sim.now, m.seq)))
-        batch.submit(1.0, _Link, b, lambda m: log.append((sim.now, m.seq)))
+        submit(batch, 5.0, _Link, a, lambda m: log.append((sim.now, m.seq)))
+        submit(batch, 1.0, _Link, b, lambda m: log.append((sim.now, m.seq)))
         sim.run()
         assert log == [(1.0, 20), (5.0, 10)]
 
@@ -92,12 +99,12 @@ class TestDeliveryBatchBasics:
 
         def on_first(message):
             log.append((sim.now, message.seq))
-            batch.submit(sim.now + 1.0, _Link, reply, on_second)
+            submit(batch, sim.now + 1.0, _Link, reply, on_second)
 
         def on_second(message):
             log.append((sim.now, message.seq))
 
-        batch.submit(1.0, _Link, BatchFrame(sender_node=0, dest_node=1), on_first)
+        submit(batch, 1.0, _Link, BatchFrame(sender_node=0, dest_node=1), on_first)
         sim.run()
         assert log == [(1.0, 0), (2.0, 99)]
 

@@ -1,8 +1,11 @@
 """Unit tests for the named RNG stream registry."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import BufferedStream, RngRegistry
 
 
 class TestRngRegistry:
@@ -72,3 +75,43 @@ class TestSeedDerivation:
         base = RngRegistry.derive_seed(42, "cell-a")
         assert base != RngRegistry.derive_seed(43, "cell-a")
         assert base != RngRegistry.derive_seed(42, "cell-b")
+
+
+#: (name, call on a BufferedStream, the same call on a plain Generator).
+_CALLS = {
+    "random": (lambda s: s.random(), lambda g: g.random()),
+    "uniform": (lambda s: s.uniform(-2.0, 3.0), lambda g: g.uniform(-2.0, 3.0)),
+    "exponential": (lambda s: s.exponential(0.01), lambda g: g.exponential(0.01)),
+    "lossy": (
+        lambda s: s.lossy_delay(0.3, 0.01),
+        lambda g: None if g.random() < 0.3 else g.exponential(0.01),
+    ),
+    "lossy_no_delay": (
+        lambda s: s.lossy_delay(0.3, 0.0),
+        lambda g: None if g.random() < 0.3 else 0.0,
+    ),
+    "integers": (lambda s: s.integers(0, 1000), lambda g: g.integers(0, 1000)),
+}
+
+
+class TestBufferedStreamIsAPlainGenerator:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        runs=st.lists(
+            st.tuples(st.sampled_from(sorted(_CALLS)), st.integers(1, 150)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_any_call_sequence_draws_what_numpy_draws(self, seed, runs):
+        """Runs long enough to buffer (8 same-kind draws), empty a block
+        (32, then doubling) and refill it, broken by kind switches, lossy
+        links' coin-plus-delay calls and delegated calls that resync."""
+        stream = BufferedStream(np.random.default_rng(seed))
+        plain = np.random.default_rng(seed)
+        for name, length in runs:
+            buffered_call, plain_call = _CALLS[name]
+            for _ in range(length):
+                assert buffered_call(stream) == plain_call(plain)
+        assert stream.generator.bit_generator.state == plain.bit_generator.state

@@ -21,6 +21,7 @@ def make_cell(**changes):
         "wire_bytes": 9_000,
         "alloc_peak_kib": 1000.0,
         "alloc_live_blocks": 5_000,
+        "calls_per_virtual_s": {"sim": 1000.0, "net": 1000.0, "metrics": 80.0},
     }
     cell.update(changes)
     return {"heartbeat": cell}
@@ -76,6 +77,30 @@ class TestCompareResults:
         exempt = make_cell(alloc_peak_kib=None, alloc_live_blocks=None)
         assert compare_results(exempt, exempt) == []
 
+    def test_a_layer_whose_calls_rise_past_the_margin_fails_by_name(self):
+        rates = make_cell()["heartbeat"]["calls_per_virtual_s"]
+        inside = {**rates, "metrics": 80.0 * (1 + bench_core.CALL_MARGIN)}
+        assert compare_results(make_cell(), make_cell(calls_per_virtual_s=inside)) == []
+        risen = {**rates, "metrics": 400.0}
+        failures = compare_results(make_cell(), make_cell(calls_per_virtual_s=risen))
+        assert failures == [
+            "heartbeat: metrics calls per virtual s rose 80.0 -> 400.0 (margin 5%)"
+        ]
+
+    def test_fewer_calls_pass(self):
+        fewer = {"sim": 700.0, "net": 650.0}
+        assert compare_results(make_cell(), make_cell(calls_per_virtual_s=fewer)) == []
+
+    def test_a_layer_the_record_lacks_counts_as_zero(self):
+        rates = {**make_cell()["heartbeat"]["calls_per_virtual_s"], "lease": 1.0}
+        failures = compare_results(make_cell(), make_cell(calls_per_virtual_s=rates))
+        assert failures == ["heartbeat: lease calls per virtual s rose 0.0 -> 1.0 (margin 5%)"]
+
+    def test_uncounted_calls_are_not_compared(self):
+        uncounted = make_cell(calls_per_virtual_s=None)
+        assert compare_results(uncounted, make_cell()) == []
+        assert compare_results(make_cell(), uncounted) == []
+
     def test_missing_cell_reported(self):
         assert compare_results({}, make_cell()) == ["heartbeat: not present in baseline"]
 
@@ -89,12 +114,15 @@ class TestRunCell:
         assert len(cell["digest"]) == 64
         assert cell["alloc_live_blocks"] > 0
         assert cell["alloc_peak_kib"] > 0
+        calls = cell["calls_per_virtual_s"]
+        assert set(calls) <= set(bench_core.LAYERS) and calls["net"] > 0
 
     def test_fixed_seed_cell_is_deterministic(self, tiny_heartbeat):
         first, second = run_cell("heartbeat"), run_cell("heartbeat")
         assert [first[pin] for pin in bench_core.EXACT_PINS] == [
             second[pin] for pin in bench_core.EXACT_PINS
         ]
+        assert first["calls_per_virtual_s"] == second["calls_per_virtual_s"]
 
     def test_repeats_must_agree(self, tiny_heartbeat, monkeypatch):
         """The traced run is the cell's repeat: one that disagrees with the
@@ -111,9 +139,10 @@ class TestRunCell:
 
     def test_agreeing_repeats_pass(self, tiny_heartbeat, monkeypatch):
         traced = run_cell("heartbeat")
-        monkeypatch.setattr(bench_core, "NO_ALLOC_CELLS", frozenset({"heartbeat"}))
+        monkeypatch.setattr(bench_core, "NO_TRACE_CELLS", frozenset({"heartbeat"}))
         exempt = run_cell("heartbeat")
         assert exempt["alloc_live_blocks"] is None
+        assert exempt["calls_per_virtual_s"] is None
         assert exempt["digest"] == traced["digest"]
 
     def test_unknown_cell_raises(self):
@@ -133,6 +162,11 @@ class TestMain:
         capsys.readouterr()
         assert main(common + ["--check"]) == 1
         assert "FAIL heartbeat: events changed" in capsys.readouterr().out
+        blob["cells"]["heartbeat"]["events"] -= 1
+        blob["cells"]["heartbeat"]["calls_per_virtual_s"]["net"] /= 2
+        path.write_text(json.dumps(blob))
+        assert main(common + ["--check"]) == 1
+        assert "FAIL heartbeat: net calls per virtual s rose" in capsys.readouterr().out
 
     def test_update_cells_keeps_the_other_cells_pins(self, tiny_heartbeat, tmp_path):
         path = tmp_path / "pins.json"
