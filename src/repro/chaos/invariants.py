@@ -6,8 +6,12 @@ network is nominal again, which keeps them sound under arbitrarily
 hostile mid-run conditions (during a partition "eventually one leader"
 is simply not decidable, so nothing is asserted there).
 
-Four invariants, all folded from :func:`repro.metrics.leadership.leader_intervals`
-and the raw event list:
+Six invariants, in :data:`INVARIANTS` order.  The first three are
+statements about the group's
+:func:`~repro.metrics.leadership.leader_intervals`; leader-validity reads
+views and liveness off :func:`~repro.metrics.leadership.replay`;
+no-double-grant and the chaos windows of cross-group-isolation fold the raw
+event list:
 
 * **single-stable-leader** — by the end of the run the group has one
   commonly-agreed alive leader, held for at least ``hold`` seconds.
@@ -21,14 +25,6 @@ and the raw event list:
 * **no-flapping** — once stabilized after the heal, leadership never
   changes again (a stable leader that is demoted without cause is exactly
   the paper's "unjustified demotion", λu).
-* **no-double-grant** — the lease tier's safety property: folded from the
-  ``lease`` trace events, no lease is ever held by two different clients
-  with overlapping validities, and the fencing tokens granted for one
-  lease are strictly monotonic — across renewals, releases, leader kills
-  and re-elections.  A small slack absorbs bounded clock drift between
-  leaders (lease events are stamped with the granting leader's local
-  clock, which drifts in chaos builds).
-
 * **leader-validity** — no *alive* process keeps a crashed leader in its
   view longer than ``validity_bound`` seconds past the crash.  Detecting
   a dead leader needs no connectivity at all — a crashed process sends no
@@ -38,16 +34,26 @@ and the raw event list:
   the checker that catches a disabled-demotion regression even when the
   crashed leader later reboots and the group looks healthy again by the
   end of the run.
+* **no-double-grant** — the lease tier's safety property: folded from the
+  ``lease`` trace events, no lease is ever held by two different clients
+  with overlapping validities, and the fencing tokens granted for one
+  lease are strictly monotonic — across renewals, releases, leader kills
+  and re-elections.  A small slack absorbs bounded clock drift between
+  leaders (lease events are stamped with the granting leader's local
+  clock, which drifts in chaos builds).
+* **cross-group-isolation** — in a multi-group run, a ``group_fault``
+  window must not flip any *other* group's stable leader
+  (:func:`check_cross_group_isolation`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.fd.qos import FDQoS
-from repro.metrics.leadership import leader_intervals
+from repro.metrics.leadership import LeaderInterval, leader_intervals, replay
 from repro.metrics.trace import TraceEvent
 
 __all__ = [
@@ -94,6 +100,8 @@ class InvariantReport:
     #: the run never stabilized).
     stabilized_at: Optional[float] = None
     final_leader: Optional[int] = None
+    #: The group's common-leader intervals the verdicts were folded from.
+    intervals: List[LeaderInterval] = field(default_factory=list, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -164,8 +172,8 @@ def check_invariants(
         validity_bound = default_validity_bound(qos, hello_period)
 
     events = list(events)
-    report = InvariantReport(end_time=end_time, heal_time=heal_time)
     intervals = leader_intervals(events, group, end_time)
+    report = InvariantReport(end_time=end_time, heal_time=heal_time, intervals=intervals)
 
     # --- single-stable-leader -----------------------------------------
     final = intervals[-1] if intervals else None
@@ -406,9 +414,9 @@ def check_no_double_grant(
 
 
 def check_cross_group_isolation(
-    events: Iterable[TraceEvent],
+    events: Sequence[TraceEvent],
     *,
-    groups: Sequence[int],
+    intervals: Mapping[int, Sequence[LeaderInterval]],
     end_time: float,
     pre_stability: float = 5.0,
 ) -> List[Violation]:
@@ -426,11 +434,14 @@ def check_cross_group_isolation(
 
     Windows that overlap global faults or crashes are skipped — a flip
     there cannot be attributed to the group-scoped fault.
+
+    ``intervals`` maps every hosted group to its :func:`leader_intervals`
+    (each :class:`InvariantReport` carries its group's).
     """
-    events = sorted(events, key=lambda e: e.time)
-    chaos: List[Tuple[float, str]] = [
-        (e.time, e.label or "") for e in events if e.kind == "chaos"
-    ]
+    chaos: List[Tuple[float, str]] = sorted(
+        ((e.time, e.label or "") for e in events if e.kind == "chaos"),
+        key=lambda step: step[0],
+    )
     crash_times = [e.time for e in events if e.kind == "crash"]
 
     # Walk the chaos timeline: a group_fault window qualifies only while no
@@ -461,17 +472,12 @@ def check_cross_group_isolation(
         windows.append((time, window_end, frozenset(active_targets)))
 
     violations: List[Violation] = []
-    if not windows:
-        return violations
-    intervals_by_group = {
-        group: leader_intervals(events, group, end_time) for group in groups
-    }
     for start, window_end, targets in windows:
         target = ", ".join(str(t) for t in sorted(targets))
-        for group in groups:
+        for group, group_intervals in intervals.items():
             if group in targets:
                 continue
-            for interval in intervals_by_group[group]:
+            for interval in group_intervals:
                 if not (interval.start <= start < interval.end):
                     continue
                 if start - interval.start < pre_stability:
@@ -514,28 +520,11 @@ def _check_leader_validity(
     view, crashes itself, or the leader's process rejoins (the view
     became valid again).
     """
-    relevant = sorted(
-        (e for e in events if e.group == group or e.group is None),
-        key=lambda e: e.time,
-    )
-    views: Dict[int, Optional[int]] = {}
-    pid_to_node: Dict[int, int] = {}
-    node_pids: Dict[int, set] = {}
-    process_up: Dict[int, bool] = {}
-    deadlines: Dict[int, float] = {}  # viewer pid -> deadline
-    stale_leader: Dict[int, int] = {}  # viewer pid -> the dead leader it trusts
+    armed: Dict[int, Tuple[float, int]] = {}  # viewer pid -> (deadline, dead leader)
     violations: List[Violation] = []
 
-    def arm(viewer: int, leader: int, when: float) -> None:
-        deadlines[viewer] = when + bound
-        stale_leader[viewer] = leader
-
-    def clear(viewer: int) -> None:
-        deadlines.pop(viewer, None)
-        stale_leader.pop(viewer, None)
-
     def flush(now: float) -> None:
-        for viewer, deadline in list(deadlines.items()):
+        for viewer, (deadline, leader) in list(armed.items()):
             if now > deadline:
                 violations.append(
                     Violation(
@@ -543,62 +532,36 @@ def _check_leader_validity(
                         time=deadline,
                         detail=(
                             f"process {viewer} still viewed crashed leader "
-                            f"{stale_leader[viewer]} at t={deadline:.2f} "
-                            f"(bound {bound:.2f}s)"
+                            f"{leader} at t={deadline:.2f} (bound {bound:.2f}s)"
                         ),
                     )
                 )
-                clear(viewer)
+                del armed[viewer]
 
-    for event in relevant:
-        if event.time > end_time:
-            break
+    for event, state in replay(events, group, end_time):
         flush(event.time)
         if event.kind == "join":
-            pid_to_node[event.pid] = event.node
-            node_pids.setdefault(event.node, set()).add(event.pid)
-            process_up[event.pid] = True
-            views[event.pid] = None
-            clear(event.pid)
+            armed.pop(event.pid, None)
             # The rejoined process is a valid leader again for its viewers.
-            for viewer, leader in list(stale_leader.items()):
+            for viewer, (_, leader) in list(armed.items()):
                 if leader == event.pid:
-                    clear(viewer)
+                    del armed[viewer]
         elif event.kind == "view":
-            views[event.pid] = event.leader
-            clear(event.pid)
+            armed.pop(event.pid, None)
             if (
-                event.leader is not None
-                and not process_up.get(event.leader, False)
-                and event.leader in pid_to_node
-                and process_up.get(event.pid, False)
+                event.leader in state.node_of
+                and event.leader not in state.up
+                and event.pid in state.up
             ):
-                arm(event.pid, event.leader, event.time)
+                armed[event.pid] = (event.time + bound, event.leader)
         elif event.kind == "crash":
-            dead_pids = node_pids.get(event.node, set())
+            dead_pids = state.pids_of.get(event.node, ())
             for pid in dead_pids:
-                process_up[pid] = False
-                clear(pid)  # a dead viewer owes nothing
+                armed.pop(pid, None)  # a dead viewer owes nothing
             for pid in dead_pids:
-                for viewer, view in views.items():
-                    if (
-                        view == pid
-                        and viewer not in dead_pids
-                        and process_up.get(viewer, False)
-                    ):
-                        arm(viewer, pid, event.time)
+                for viewer, view in state.views.items():
+                    if view == pid and viewer not in dead_pids and viewer in state.up:
+                        armed[viewer] = (event.time + bound, pid)
 
     flush(end_time)
-    for viewer, deadline in deadlines.items():
-        if deadline < end_time:  # pragma: no cover - caught by flush above
-            violations.append(
-                Violation(
-                    invariant="leader-validity",
-                    time=deadline,
-                    detail=(
-                        f"process {viewer} still viewed crashed leader "
-                        f"{stale_leader[viewer]} at end of run"
-                    ),
-                )
-            )
     return violations

@@ -16,7 +16,7 @@ replay digest (:func:`repro.metrics.trace.trace_digest`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List
 
 from repro.chaos.controller import ChaosController
@@ -187,16 +187,8 @@ def run_scripted(config: ChaosRunConfig) -> ChaosRunResult:
     system.sim.run_until(config.script.duration)
 
     groups = config.system.groups
-    report = check_invariants(
-        system.trace.events,
-        group=groups[0],
-        end_time=config.script.duration,
-        heal_time=config.script.heal_time,
-        qos=config.system.qos,
-        hold=config.hold,
-    )
-    for group in groups[1:]:
-        secondary = check_invariants(
+    reports = {
+        group: check_invariants(
             system.trace.events,
             group=group,
             end_time=config.script.duration,
@@ -204,7 +196,11 @@ def run_scripted(config: ChaosRunConfig) -> ChaosRunResult:
             qos=config.system.qos,
             hold=config.hold,
         )
-        for violation in secondary.violations:
+        for group in groups
+    }
+    report = reports[groups[0]]
+    for group in groups[1:]:
+        for violation in reports[group].violations:
             report.violations.append(
                 replace(violation, detail=f"[group {group}] {violation.detail}")
             )
@@ -212,7 +208,7 @@ def run_scripted(config: ChaosRunConfig) -> ChaosRunResult:
         report.violations.extend(
             check_cross_group_isolation(
                 system.trace.events,
-                groups=groups,
+                intervals={group: reports[group].intervals for group in groups},
                 end_time=config.script.duration,
             )
         )
@@ -225,16 +221,5 @@ def run_scripted(config: ChaosRunConfig) -> ChaosRunResult:
         trace_digest=trace_digest(system.trace.events),
         events_executed=system.sim.events_executed,
         chaos_steps_applied=controller.steps_applied,
-        transport_stats={
-            "forwarded": stats.forwarded,
-            "dropped_partition": stats.dropped_partition,
-            "dropped_cut": stats.dropped_cut,
-            "dropped_rate": stats.dropped_rate,
-            "dropped_group": stats.dropped_group,
-            "dropped_group_cells": stats.dropped_group_cells,
-            "duplicated": stats.duplicated,
-            "delayed": stats.delayed,
-        }
-        if stats is not None
-        else {},
+        transport_stats=asdict(stats) if stats is not None else {},
     )

@@ -30,7 +30,8 @@ time zero so the predicate is exact at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.metrics.stats import Summary, summarize
 from repro.metrics.trace import TraceEvent
@@ -40,8 +41,10 @@ __all__ = [
     "DemotionEvent",
     "LeadershipMetrics",
     "LeaderInterval",
+    "LeaderReplay",
     "analyze_leadership",
     "leader_intervals",
+    "replay",
 ]
 
 
@@ -130,36 +133,85 @@ class LeadershipMetrics:
         return summarize([s.duration for s in self.recovery_samples])
 
 
-def _common_leader(
-    membership: Dict[int, Tuple[int, bool]],
-    process_up: Dict[int, bool],
-    views: Dict[int, Optional[int]],
-) -> Optional[int]:
-    """The commonly agreed alive leader, or None.
+class LeaderReplay:
+    """The state the paper's predicate reads, folded one event at a time.
 
-    ``process_up`` tracks *process* liveness: a process dies with its node's
-    crash and is reborn only at its next join (a recovered workstation whose
-    application has not rejoined yet hosts no process, so its stale pre-crash
-    view must not count).
+    Every reader of "the group has a leader" — the §5 metrics, the chaos
+    invariants and the live orchestrator's agreement wait — keeps its
+    process bookkeeping here.  Feed it one group's events in time order
+    (:func:`replay` does the filtering and the sort).
+
+    A process dies with its node's crash and is reborn only at its next
+    join: a recovered workstation whose application has not rejoined yet
+    hosts no process, so its stale pre-crash view must not count.
     """
-    alive = [
-        pid
-        for pid, (node, present) in membership.items()
-        if present and process_up.get(pid, False)
-    ]
-    if not alive:
-        return None
-    leader = views.get(alive[0])
-    if leader is None:
-        return None
-    for pid in alive:
-        if views.get(pid) != leader:
+
+    __slots__ = ("views", "node_of", "pids_of", "up", "alive", "crashed_at")
+
+    def __init__(self) -> None:
+        #: pid -> its leader view (None = no leader known).
+        self.views: Dict[int, Optional[int]] = {}
+        #: pid -> the node it last joined from; node -> every pid it hosted.
+        self.node_of: Dict[int, int] = {}
+        self.pids_of: Dict[int, Set[int]] = {}
+        #: pids whose process lives (joined since their node last crashed).
+        self.up: Set[int] = set()
+        #: pids that are present members with a live process.
+        self.alive: Set[int] = set()
+        #: node -> time of its last crash.
+        self.crashed_at: Dict[int, float] = {}
+
+    def apply(self, event: TraceEvent) -> None:
+        kind = event.kind
+        if kind == "view":
+            self.views[event.pid] = event.leader
+        elif kind == "join":
+            pid = event.pid
+            self.node_of[pid] = event.node
+            self.pids_of.setdefault(event.node, set()).add(pid)
+            self.up.add(pid)
+            self.alive.add(pid)
+            self.views[pid] = None  # fresh runtime: no leader view yet
+        elif kind == "leave":
+            self.alive.discard(event.pid)
+        elif kind == "crash":
+            self.crashed_at[event.node] = event.time
+            for pid in self.pids_of.get(event.node, ()):
+                self.up.discard(pid)
+                self.alive.discard(pid)
+
+    def common_leader(self) -> Optional[int]:
+        """The alive, present ℓ every alive member views as leader, or None."""
+        alive = self.alive
+        if not alive:
             return None
-    # The leader must itself be an alive, present member.
-    info = membership.get(leader)
-    if info is None or not info[1] or not process_up.get(leader, False):
-        return None
-    return leader
+        views = self.views
+        leader = views[next(iter(alive))]
+        if leader not in alive:  # None, a dead process or a departed member
+            return None
+        for pid in alive:
+            if views[pid] != leader:
+                return None
+        return leader
+
+
+def replay(
+    events: Iterable[TraceEvent], group: int, end_time: float
+) -> Iterator[Tuple[TraceEvent, LeaderReplay]]:
+    """Each event of ``group`` (and each node event) up to ``end_time``, in
+    time order, with the :class:`LeaderReplay` it leaves.
+
+    The state object is the same on every step: read it before advancing.
+    """
+    state = LeaderReplay()
+    for event in sorted(
+        (e for e in events if e.group == group or e.group is None),
+        key=attrgetter("time"),
+    ):
+        if event.time > end_time:
+            return
+        state.apply(event)
+        yield event, state
 
 
 @dataclass(frozen=True)
@@ -187,39 +239,11 @@ def leader_intervals(
     flapping and re-election latency are all statements about the interval
     list.
     """
-    relevant = sorted(
-        (e for e in events if e.group == group or e.group is None),
-        key=lambda e: e.time,
-    )
-    membership: Dict[int, Tuple[int, bool]] = {}
-    process_up: Dict[int, bool] = {}
-    views: Dict[int, Optional[int]] = {}
-    pid_to_node: Dict[int, int] = {}
-    node_pids: Dict[int, set] = {}
-
     intervals: List[LeaderInterval] = []
     current: Optional[int] = None
     started = 0.0
-
-    for event in relevant:
-        if event.time > end_time:
-            break
-        if event.kind == "view":
-            views[event.pid] = event.leader
-        elif event.kind == "join":
-            membership[event.pid] = (event.node, True)
-            pid_to_node[event.pid] = event.node
-            node_pids.setdefault(event.node, set()).add(event.pid)
-            process_up[event.pid] = True
-            views[event.pid] = None
-        elif event.kind == "leave":
-            node = pid_to_node.get(event.pid, 0)
-            membership[event.pid] = (node, False)
-        elif event.kind == "crash":
-            for pid in node_pids.get(event.node, ()):
-                process_up[pid] = False
-
-        new_leader = _common_leader(membership, process_up, views)
+    for event, state in replay(events, group, end_time):
+        new_leader = state.common_leader()
         if new_leader == current:
             continue
         if current is not None and event.time > started:
@@ -253,18 +277,6 @@ def analyze_leadership(
         raise ValueError(
             f"end_time {end_time} precedes measure_from {measure_from}"
         )
-    relevant = sorted(
-        (e for e in events if e.group == group or e.group is None),
-        key=lambda e: e.time,
-    )
-
-    membership: Dict[int, Tuple[int, bool]] = {}
-    process_up: Dict[int, bool] = {}
-    views: Dict[int, Optional[int]] = {}
-    pid_to_node: Dict[int, int] = {}
-    node_pids: Dict[int, set] = {}
-    last_crash: Dict[int, float] = {}  # node -> last crash time
-
     current: Optional[int] = None
     interval_start = 0.0
     leader_time = 0.0
@@ -287,57 +299,23 @@ def analyze_leadership(
             if hi > lo:
                 leader_time += hi - lo
 
-    for event in relevant:
-        if event.time > end_time:
-            break
+    for event, state in replay(events, group, end_time):
         accumulate(event.time)
-
-        # --- apply the event -------------------------------------------
-        if event.kind == "view":
-            views[event.pid] = event.leader
-        elif event.kind == "join":
-            membership[event.pid] = (event.node, True)
-            pid_to_node[event.pid] = event.node
-            node_pids.setdefault(event.node, set()).add(event.pid)
-            process_up[event.pid] = True
-            views[event.pid] = None  # fresh runtime: no leader view yet
-        elif event.kind == "leave":
-            node = pid_to_node.get(event.pid, 0)
-            membership[event.pid] = (node, False)
-        elif event.kind == "crash":
-            last_crash[event.node] = event.time
-            # Processes die with the workstation and are reborn only at
-            # their next join (a recovered node hosts no processes yet).
-            for pid in node_pids.get(event.node, ()):
-                process_up[pid] = False
-        elif event.kind == "recover":
-            pass  # process liveness returns at the rejoin, not here
-
-        # --- predicate transition ---------------------------------------
-        new_leader = _common_leader(membership, process_up, views)
+        interval_start = event.time
+        new_leader = state.common_leader()
         if new_leader == current:
-            interval_start = event.time
             continue
 
         if current is not None:
-            # Leadership of `current` ended at event.time.  Classify cause.
-            info = membership.get(current)
-            alive = (
-                info is not None and info[1] and process_up.get(current, False)
-            )
-            left = info is not None and not info[1]
-            if not alive and not left:
-                # Ended by the leader's crash (this very event, or an
-                # earlier one that only now broke commonality).
-                recovery_open = (event.time, current)
-                demotion_open = None
-            elif left:
-                # Voluntary leave: justified, no sample, no demotion.
-                recovery_open = None
-                demotion_open = None
-            else:
+            # Leadership of `current` ended at event.time: this very event
+            # either left `current` alive (a demotion), killed its process
+            # (a crash, which opens a Tr sample) or took it out of the group
+            # (a voluntary leave: justified, no sample, no demotion).
+            recovery_open = demotion_open = None
+            if current in state.alive:
                 demotion_open = (event.time, current)
-                recovery_open = None
+            elif current not in state.up:
+                recovery_open = (event.time, current)
 
         if new_leader is not None:
             if recovery_open is not None:
@@ -356,8 +334,7 @@ def analyze_leadership(
             if demotion_open is not None:
                 lost_at, old_leader = demotion_open
                 if lost_at >= measure_from:
-                    leader_node = pid_to_node.get(old_leader)
-                    crashed_at = last_crash.get(leader_node)
+                    crashed_at = state.crashed_at.get(state.node_of[old_leader])
                     crashed_recently = (
                         crashed_at is not None
                         and lost_at - crashed_at <= crash_grace
@@ -374,7 +351,6 @@ def analyze_leadership(
                 demotion_open = None
 
         current = new_leader
-        interval_start = event.time
 
     accumulate(end_time)
     if recovery_open is not None and recovery_open[0] >= measure_from:

@@ -2,7 +2,11 @@
 
 During a simulation the service and the fault injectors append events to a
 :class:`TraceRecorder`; after the run, :mod:`repro.metrics.leadership` folds
-the trace into the paper's QoS metrics.  Keeping the analysis offline (pure
+the trace into the paper's QoS metrics.  The ``view``/``join``/``leave``/
+``crash`` events are read in one place, its
+:class:`~repro.metrics.leadership.LeaderReplay`, which the chaos invariants
+and the live orchestrator (whose ``LEADER`` lines become ``view`` events)
+fold through as well.  Keeping the analysis offline (pure
 functions over an event list) makes it unit-testable against hand-written
 traces, independent of the protocol stack.
 
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 __all__ = [
     "TraceEvent",
@@ -133,19 +137,6 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def groups(self) -> List[int]:
-        """All group ids that appear in the trace, in first-seen order.
-
-        O(n) via a dict-as-ordered-set; the previous ``list.__contains__``
-        membership test made this quadratic in the number of groups.
-        """
-        seen: Dict[int, None] = {}
-        for event in self.events:
-            group = event.group
-            if group is not None and group not in seen:
-                seen[group] = None
-        return list(seen)
-
     def digest(self) -> str:
         """The :func:`trace_digest` of everything recorded so far."""
         return trace_digest(self.events)

@@ -28,8 +28,11 @@ and read back by ``_parse_line``::
 
 ``leader=none`` means the node currently sees no leader for that group.
 Since the multi-group scale-out a daemon hosts ``--groups N`` groups over
-one shared FD plane; every group elects (and re-elects) independently and
-the orchestrator tracks one leader board per group.  The lease clients'
+one shared FD plane; every group elects (and re-elects) independently.  The
+orchestrator turns the ``LEADER`` lines into ``view`` trace events
+(:attr:`ClusterReport.trace`) and waits on each group's
+:class:`~repro.metrics.leadership.LeaderReplay`, the predicate the
+simulator's metrics fold.  The lease clients'
 lines are documented in :mod:`repro.lease.live`.
 """
 
@@ -53,6 +56,8 @@ from repro.core.api import Application
 from repro.core.commands import CommandHandler
 from repro.core.service import LeaderElectionService, ServiceConfig
 from repro.flags import NODE_FLAGS, flag_argv
+from repro.metrics.leadership import LeaderReplay
+from repro.metrics.trace import TraceEvent
 from repro.net.node import Node
 from repro.runtime.realtime import RealtimeScheduler, UdpTransport
 from repro.sim.rng import RngRegistry
@@ -107,6 +112,19 @@ def _parse_line(line: str) -> Tuple[str, Dict[str, str]]:
     are dropped, and a blank line is ("", {})."""
     kind, *words = line.split() or [""]
     return kind, dict(word.split("=", 1) for word in words if "=" in word)
+
+
+def _view_event(kind: str, fields: Dict[str, str], now: float) -> Optional[TraceEvent]:
+    """A parsed ``LEADER`` line as the ``view`` trace event it reports
+    (pid = node id); None for any other or malformed line."""
+    if kind == "LEADER":
+        with contextlib.suppress(KeyError, ValueError):
+            leader = fields["leader"]
+            return TraceEvent(
+                time=now, kind="view", group=int(fields["group"]), pid=int(fields["node"]),
+                leader=None if leader == "none" else int(leader),
+            )
+    return None
 
 
 async def run_node(config: LiveNodeConfig) -> None:
@@ -280,6 +298,10 @@ class ClusterReport:
     lease_watch_push_token: Optional[int] = None
     log_dir: Optional[Path] = None
     timeline: List[str] = field(default_factory=list)
+    #: The run as a trace of the daemons' processes (pid = node id, stamped
+    #: with the orchestrator's clock): a ``join`` per hosted group at spawn,
+    #: every ``LEADER`` line as a ``view``, a ``crash`` at the SIGKILL.
+    trace: List[TraceEvent] = field(default_factory=list)
 
     @property
     def first_leader(self) -> Optional[int]:
@@ -374,41 +396,6 @@ def _pump_output(
         queue.put((label, line))
 
 
-class _LeaderBoard:
-    """Tracks every node's last announced leader view, per group."""
-
-    def __init__(self) -> None:
-        self.views: Dict[Tuple[int, int], Optional[int]] = {}  # (group, node)
-
-    def record(self, node: int, group: int, leader: Optional[int]) -> None:
-        self.views[(group, node)] = leader
-
-    def observe(self, kind: str, fields: Dict[str, str]) -> None:
-        """Record a parsed ``LEADER`` line; ignore any other line."""
-        if kind != "LEADER":
-            return
-        with contextlib.suppress(KeyError, ValueError):
-            leader = fields["leader"]
-            self.record(
-                int(fields["node"]), int(fields["group"]),
-                None if leader == "none" else int(leader),
-            )
-
-    def agreed_leader(self, group: int, alive: List[int]) -> Optional[int]:
-        """The single leader all ``alive`` nodes agree on for ``group``."""
-        views = {self.views.get((group, node), None) for node in alive}
-        if len(views) == 1:
-            (leader,) = views
-            if leader is not None and leader in alive:
-                return leader
-        return None
-
-    def drop_node(self, node: int) -> None:
-        """Forget a dead node's views (they must not satisfy agreement)."""
-        for key in [key for key in self.views if key[1] == node]:
-            del self.views[key]
-
-
 def run_cluster(
     n_nodes: int = 3,
     *,
@@ -477,7 +464,14 @@ def run_cluster(
     pumps: Dict[str, threading.Thread] = {}
     logs: List[IO[str]] = []
     heard: List[Tuple[str, str, Dict[str, str]]] = []  # (label, kind, fields)
-    board = _LeaderBoard()
+    # Each group's agreement is its replay's common leader.
+    replays = {group: LeaderReplay() for group in group_ids}
+
+    def record(event: TraceEvent) -> None:
+        report.trace.append(event)
+        for group, replay in replays.items():
+            if event.group is None or event.group == group:
+                replay.apply(event)
 
     def spawn(label: str, *argv: str) -> None:
         """Start ``repro.cli <argv>``; its lines reach ``drain`` and
@@ -510,7 +504,9 @@ def run_cluster(
         except Empty:
             return
         kind, fields = _parse_line(line)
-        board.observe(kind, fields)
+        view = _view_event(kind, fields, time.time())
+        if view is not None:
+            record(view)
         heard.append((label, kind, fields))
         note(f"  [{label}] {line}")
 
@@ -527,19 +523,19 @@ def run_cluster(
                 raise _Abort(f"lease smoke: no {kind} line from {label} (see {label}.log)")
             drain(deadline)
 
-    def await_agreement(group: int, alive: List[int], deadline: float, label: str) -> int:
-        """Wait for one leader all ``alive`` nodes agree on, held stably.
+    def await_agreement(group: int, deadline: float, label: str) -> int:
+        """Wait for the group's common leader, held stably.
 
         Fails fast (rather than burning the whole timeout) when any node
-        that should be participating has exited — e.g. a lost port-reserve
+        the replay holds alive has exited — e.g. a lost port-reserve
         race at startup; the real cause is in its node-N.log.
         """
-        agreed_since: Optional[float] = None
         agreed: Optional[int] = None
+        agreed_since = 0.0
         while time.time() < deadline:
             dead = [
                 f"node {n} (exit {code})"
-                for n in alive
+                for n in sorted(replays[group].alive)
                 if (code := children[f"node-{n}"].poll()) is not None
             ]
             if dead:
@@ -547,15 +543,12 @@ def run_cluster(
                 note(f"daemon process died during {label}: {losses}")
                 raise _Abort(f"daemon exited early during {label}: {losses}")
             drain(deadline)
-            current = board.agreed_leader(group, alive)
-            if current is None:
-                agreed_since, agreed = None, None
-                continue
+            current = replays[group].common_leader()
             if current != agreed:
                 agreed, agreed_since = current, time.time()
-            elif agreed_since is not None and time.time() - agreed_since >= stable_seconds:
+            elif agreed is not None and time.time() - agreed_since >= stable_seconds:
                 return agreed
-        note(f"timeout waiting for {label}; views={board.views}")
+        note(f"timeout waiting for {label}; views={replays[group].views}")
         raise _Abort(f"no whole-cluster leader agreement within timeout ({label})")
 
     try:
@@ -570,11 +563,14 @@ def run_cluster(
                 "--host", host, "--groups", str(groups), *flag_argv(service, NODE_FLAGS),
                 "--duration", str(child_duration),
             )
+            for group in group_ids:
+                record(TraceEvent(
+                    time=time.time(), kind="join", group=group, pid=node_id, node=node_id,
+                ))
 
-        alive = list(range(n_nodes))
         for group in group_ids:
             report.first_leaders[group] = await_agreement(
-                group, alive, start_time + timeout, f"first election (group {group})",
+                group, start_time + timeout, f"first election (group {group})",
             )
         report.election_seconds = time.time() - start_time
         note(
@@ -611,7 +607,7 @@ def run_cluster(
                 # node must survive the kill so the resubscribe after the
                 # failover (deadman poll → redirect) can reach the new
                 # leader; the first leader is the node about to die.
-                contact = next(node for node in alive if node != first)
+                contact = next(node for node in range(n_nodes) if node != first)
                 lease_client("lease-watch", "watch", "smoke-lock", contact, 1002,
                              "--period", "1.0", "--duration", str(4 * timeout + 30.0))
                 note(
@@ -625,15 +621,13 @@ def run_cluster(
             children[f"node-{first}"].wait()
             report.killed_leader = first
             kill_time = time.time()
-            alive = [node for node in alive if node != first]
-            # The dead node's stale views must not satisfy any agreement.
-            board.drop_node(first)
+            # The crash takes the node's processes, its stale views and its
+            # candidacy out of every group's replay, so every group ends on
+            # an alive leader — for group 1 necessarily a *new* one.
+            record(TraceEvent(time=kill_time, kind="crash", node=first))
             for group in group_ids:
-                # agreed_leader only returns members of `alive`, and the
-                # killed node was removed from it, so every group ends on
-                # an alive leader — for group 1 necessarily a *new* one.
                 report.new_leaders[group] = await_agreement(
-                    group, alive, kill_time + timeout, f"re-election (group {group})",
+                    group, kill_time + timeout, f"re-election (group {group})",
                 )
             report.reelection_seconds = time.time() - kill_time
             note(

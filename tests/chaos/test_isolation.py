@@ -8,6 +8,7 @@ from repro.chaos.run import ChaosRunConfig, run_scripted
 from repro.chaos.script import ChaosScript, GroupFault, group_fault, heal
 from repro.chaos.transport import ChaosTransport
 from repro.experiments.scenario import ExperimentConfig
+from repro.metrics.leadership import leader_intervals
 from repro.metrics.trace import TraceRecorder
 from repro.net.message import AccuseMessage, AliveCell, BatchFrame, HelloMessage
 from repro.sim.engine import Simulator
@@ -115,6 +116,12 @@ def _trace(events):
     return recorder.events
 
 
+def _isolation(events, end_time=100.0):
+    """The checker as ``run_scripted`` calls it, on groups 1 and 2."""
+    intervals = {group: leader_intervals(events, group, end_time) for group in (1, 2)}
+    return check_cross_group_isolation(events, intervals=intervals, end_time=end_time)
+
+
 class TestCrossGroupIsolationChecker:
     def _stable_two_groups(self, until=100.0):
         """Both groups agree on leaders from t=1 on (pids 0 and 10)."""
@@ -130,9 +137,7 @@ class TestCrossGroupIsolationChecker:
         events = self._stable_two_groups()
         events.append(("chaos", 30.0, ("group_fault(group=1, rate=0.9)",)))
         events.append(("chaos", 60.0, ("heal()",)))
-        violations = check_cross_group_isolation(
-            _trace(events), groups=(1, 2), end_time=100.0
-        )
+        violations = _isolation(_trace(events))
         assert violations == []
 
     def test_other_group_flip_during_window_is_a_violation(self):
@@ -141,9 +146,7 @@ class TestCrossGroupIsolationChecker:
         # Group 2 (NOT the target) loses its agreed leader mid-window.
         events.append(("view", 40.0, (2, 11, 12)))
         events.append(("chaos", 60.0, ("heal()",)))
-        violations = check_cross_group_isolation(
-            _trace(events), groups=(1, 2), end_time=100.0
-        )
+        violations = _isolation(_trace(events))
         assert len(violations) == 1
         assert violations[0].invariant == "cross-group-isolation"
         assert "group 2" in violations[0].detail
@@ -153,9 +156,7 @@ class TestCrossGroupIsolationChecker:
         events.append(("chaos", 30.0, ("group_fault(group=1, rate=0.9)",)))
         events.append(("view", 40.0, (1, 1, 2)))  # the faulted group itself
         events.append(("chaos", 60.0, ("heal()",)))
-        violations = check_cross_group_isolation(
-            _trace(events), groups=(1, 2), end_time=100.0
-        )
+        violations = _isolation(_trace(events))
         assert violations == []
 
     def test_flip_explained_by_crash_is_skipped(self):
@@ -164,9 +165,7 @@ class TestCrossGroupIsolationChecker:
         events.append(("crash", 35.0, (1,)))  # node 1 dies mid-window
         events.append(("view", 40.0, (2, 11, 12)))
         events.append(("chaos", 60.0, ("heal()",)))
-        violations = check_cross_group_isolation(
-            _trace(events), groups=(1, 2), end_time=100.0
-        )
+        violations = _isolation(_trace(events))
         assert violations == []
 
     def test_window_overlapping_global_fault_is_skipped(self):
@@ -175,9 +174,7 @@ class TestCrossGroupIsolationChecker:
         events.append(("chaos", 30.0, ("group_fault(group=1, rate=0.9)",)))
         events.append(("view", 40.0, (2, 11, 12)))
         events.append(("chaos", 60.0, ("heal()",)))
-        violations = check_cross_group_isolation(
-            _trace(events), groups=(1, 2), end_time=100.0
-        )
+        violations = _isolation(_trace(events))
         assert violations == []  # the global drop makes attribution unsound
 
     def test_earlier_group_fault_target_not_judged_in_later_window(self):
@@ -190,9 +187,7 @@ class TestCrossGroupIsolationChecker:
         # Group 2's own starvation flips its leader after the second step.
         events.append(("view", 40.0, (2, 11, 12)))
         events.append(("chaos", 60.0, ("heal()",)))
-        violations = check_cross_group_isolation(
-            _trace(events), groups=(1, 2), end_time=100.0
-        )
+        violations = _isolation(_trace(events))
         assert violations == []
 
     def test_window_closes_at_the_next_group_fault_step(self):
@@ -202,11 +197,7 @@ class TestCrossGroupIsolationChecker:
         events = self._stable_two_groups()
         events.append(("chaos", 30.0, ("group_fault(group=1, rate=1.0)",)))
         events.append(("chaos", 35.0, ("group_fault(group=1, rate=0.5)",)))
-        violations = check_cross_group_isolation(
-            _trace(events + [("view", 35.5, (2, 11, 12))]),
-            groups=(1, 2),
-            end_time=100.0,
-        )
+        violations = _isolation(_trace(events + [("view", 35.5, (2, 11, 12))]))
         # The flip lands in the second window (35-100), which still only
         # faults group 1 — a genuine violation there.
         assert len(violations) == 1
@@ -217,9 +208,7 @@ class TestCrossGroupIsolationChecker:
         events.append(("chaos", 35.0, ("drop(rate=0.5)",)))
         events.append(("view", 40.0, (2, 11, 12)))  # after the global step
         events.append(("chaos", 60.0, ("heal()",)))
-        violations = check_cross_group_isolation(
-            _trace(events), groups=(1, 2), end_time=100.0
-        )
+        violations = _isolation(_trace(events))
         assert violations == []
 
 

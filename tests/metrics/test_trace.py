@@ -29,22 +29,6 @@ class TestTraceRecorder:
         }
         assert ends == {1: [(0.5, 2.0)], 2: [(0.5, 1.0)]}
 
-    def test_groups_enumeration(self):
-        trace = TraceRecorder()
-        trace.record_join(0.0, group=3, pid=1, node=1)
-        trace.record_join(0.0, group=1, pid=1, node=1)
-        trace.record_view(1.0, group=3, pid=1, leader=1)
-        assert trace.groups() == [3, 1]
-
-    def test_groups_first_seen_order_many_groups(self):
-        """The dict-backed ordered set must keep first-seen order exactly
-        (the output feeds per-group analysis in deterministic order)."""
-        trace = TraceRecorder()
-        order = [7, 3, 11, 3, 7, 5, 11, 2]
-        for group in order:
-            trace.record_join(0.0, group=group, pid=1, node=1)
-        assert trace.groups() == [7, 3, 11, 5, 2]
-
     def test_trace_event_is_slotted(self):
         """TraceEvent carries no per-instance __dict__ (memory: traces hold
         hundreds of thousands of events)."""

@@ -4,23 +4,28 @@ The analysis is a pure fold over traces, so we can fire arbitrary (but
 well-formed) event sequences at it and check structural invariants.
 """
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.leadership import analyze_leadership
+from repro.metrics.leadership import analyze_leadership, leader_intervals, replay
 from repro.metrics.trace import TraceEvent
 
 
 @st.composite
 def traces(draw):
-    """Random well-formed traces over 3 pids on 3 nodes."""
+    """Random well-formed traces over 3 pids on 3 nodes, ties included."""
     n = 3
     events = []
     time = 0.0
     up = [False] * n
     joined = [False] * n
     for _ in range(draw(st.integers(min_value=0, max_value=60))):
-        time += draw(st.floats(min_value=0.01, max_value=5.0))
+        # Zero steps make same-instant events: the predicate passes through
+        # several states at one time, where interval- and event-based folds
+        # would part ways.
+        time += draw(st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=5.0)))
         pid = draw(st.integers(min_value=0, max_value=n - 1))
         kind = draw(
             st.sampled_from(["join", "leave", "crash", "recover", "view", "view"])
@@ -113,3 +118,27 @@ class TestAnalysisInvariants:
         b = analyze_leadership(events, group=1, end_time=end)
         assert a.availability == b.availability
         assert len(a.demotions) == len(b.demotions)
+
+    @given(traces(), st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_availability_integrates_the_intervals(self, trace_and_end, share):
+        events, end = trace_and_end
+        measure_from = share * end
+        m = analyze_leadership(events, group=1, end_time=end, measure_from=measure_from)
+        held = sum(
+            max(0.0, min(i.end, end) - max(i.start, measure_from))
+            for i in leader_intervals(events, group=1, end_time=end)
+        )
+        assert math.isclose(m.availability * (end - measure_from), held, abs_tol=1e-9)
+
+    @given(traces())
+    @settings(max_examples=200, deadline=None)
+    def test_recoveries_close_where_the_replay_has_a_leader(self, trace_and_end):
+        events, end = trace_and_end
+        led = {
+            (event.time, state.common_leader())
+            for event, state in replay(events, group=1, end_time=end)
+        }
+        m = analyze_leadership(events, group=1, end_time=end)
+        for sample in m.recovery_samples:
+            assert (sample.recovered_time, sample.new_leader) in led

@@ -16,12 +16,14 @@ from repro.core.service import ServiceConfig
 from repro.fd.qos import FDQoS
 from repro.flags import NODE_FLAGS, apply_flags, flag_argv
 from repro.lease import live
+from repro.metrics.leadership import replay
+from repro.metrics.trace import TraceEvent
 from repro.net.message import LeaseReplyMessage
 from repro.runtime.cluster import (
     LiveNodeConfig,
-    _LeaderBoard,
     _parse_line,
     _reserve_udp_ports,
+    _view_event,
     run_node,
 )
 
@@ -45,27 +47,51 @@ class TestLiveNodeConfig:
             )
 
 
+def _spawned(nodes, groups=(1,)):
+    """The orchestrator's spawn record: one join per (node, group), pid =
+    node id."""
+    return [
+        TraceEvent(time=0.0, kind="join", group=group, pid=node, node=node)
+        for node in nodes
+        for group in groups
+    ]
+
+
+def _views(*lines):
+    """The view events the orchestrator makes of child lines."""
+    events = [_view_event(*_parse_line(line), 1.0) for line in lines]
+    return [event for event in events if event is not None]
+
+
+def _killed(node):
+    return [TraceEvent(time=2.0, kind="crash", node=node)]
+
+
+def _agreed(events, group=1):
+    """What ``run_cluster`` waits on: the group's replay's common leader."""
+    leader = None
+    for _, state in replay(events, group, float("inf")):
+        leader = state.common_leader()
+    return leader
+
+
 class TestLineProtocol:
     """Every child line is ``KIND key=value ...``: ``emit_line`` writes it,
-    ``_parse_line`` reads it, the leader board keeps the LEADER ones."""
-
-    @staticmethod
-    def _board(*lines):
-        board = _LeaderBoard()
-        for line in lines:
-            board.observe(*_parse_line(line))
-        return board
+    ``_parse_line`` reads it, and each LEADER one becomes a ``view`` event."""
 
     def test_parse_leader_line(self):
         line = "LEADER node=2 group=3 leader=0 t=17.5"
         assert _parse_line(line) == (
             "LEADER", {"node": "2", "group": "3", "leader": "0", "t": "17.5"}
         )
-        assert self._board(line).views == {(3, 2): 0}
+        assert _views(line) == [
+            TraceEvent(time=1.0, kind="view", group=3, pid=2, leader=0)
+        ]
 
     def test_parse_none_leader(self):
-        board = self._board("LEADER node=1 group=2 leader=none t=3.25")
-        assert board.views == {(2, 1): None}
+        assert _views("LEADER node=1 group=2 leader=none t=3.25") == [
+            TraceEvent(time=1.0, kind="view", group=2, pid=1, leader=None)
+        ]
 
     @pytest.mark.parametrize(
         "line",
@@ -80,66 +106,70 @@ class TestLineProtocol:
         ],
     )
     def test_non_leader_lines_are_ignored(self, line):
-        assert self._board(line).views == {}
+        assert _views(line) == []
 
     def test_a_daemons_lines_round_trip(self, capsys):
-        """A lone daemon elects itself: its real LEADER line reaches the board."""
+        """A lone daemon elects itself: its real LEADER line makes it the
+        replay's common leader."""
         ports = tuple(_reserve_udp_ports("127.0.0.1", 1))
         asyncio.run(run_node(LiveNodeConfig(node_id=0, ports=ports, duration=0.3)))
         out = capsys.readouterr().out.splitlines()
         parsed = [_parse_line(line) for line in out]
         assert sorted(kind for kind, _ in parsed) == ["DONE", "LEADER", "READY"]
         assert ("READY", {"node": "0", "port": str(ports[0])}) in parsed
-        assert self._board(*out).views == {(1, 0): 0}
+        assert _agreed(_spawned([0]) + _views(*out)) == 0
 
 
 class TestLeaderBoard:
+    """The live agreement: spawn joins, LEADER views and the SIGKILL's
+    crash, folded by the same replay as the simulator's metrics."""
+
     def test_agreement_requires_every_alive_node(self):
-        board = _LeaderBoard()
-        board.record(0, 1, 2)
-        board.record(1, 1, 2)
-        assert board.agreed_leader(1, [0, 1, 2]) is None  # node 2 silent
-        board.record(2, 1, 2)
-        assert board.agreed_leader(1, [0, 1, 2]) == 2
+        events = _spawned([0, 1, 2]) + _views(
+            "LEADER node=0 group=1 leader=2", "LEADER node=1 group=1 leader=2"
+        )
+        assert _agreed(events) is None  # node 2 silent
+        assert _agreed(events + _views("LEADER node=2 group=1 leader=2")) == 2
 
     def test_split_views_are_not_agreement(self):
-        board = _LeaderBoard()
-        board.record(0, 1, 0)
-        board.record(1, 1, 1)
-        assert board.agreed_leader(1, [0, 1]) is None
+        events = _spawned([0, 1]) + _views(
+            "LEADER node=0 group=1 leader=0", "LEADER node=1 group=1 leader=1"
+        )
+        assert _agreed(events) is None
 
     def test_agreeing_on_none_is_not_agreement(self):
-        board = _LeaderBoard()
-        board.record(0, 1, None)
-        board.record(1, 1, None)
-        assert board.agreed_leader(1, [0, 1]) is None
+        events = _spawned([0, 1]) + _views(
+            "LEADER node=0 group=1 leader=none", "LEADER node=1 group=1 leader=none"
+        )
+        assert _agreed(events) is None
 
     def test_agreeing_on_a_dead_node_is_not_agreement(self):
         """Survivors still pointing at the killed leader must not count."""
-        board = _LeaderBoard()
-        board.record(0, 1, 2)
-        board.record(1, 1, 2)
-        assert board.agreed_leader(1, [0, 1]) is None  # 2 is not alive
+        events = _spawned([0, 1, 2]) + _views(
+            "LEADER node=0 group=1 leader=2", "LEADER node=1 group=1 leader=2"
+        )
+        assert _agreed(events + _killed(2)) is None  # 2 is not alive
 
     def test_groups_are_tracked_independently(self):
-        board = _LeaderBoard()
-        board.record(0, 1, 2)
-        board.record(1, 1, 2)
-        board.record(2, 1, 2)
-        board.record(0, 2, 0)
-        board.record(1, 2, 0)
-        board.record(2, 2, 0)
-        assert board.agreed_leader(1, [0, 1, 2]) == 2
-        assert board.agreed_leader(2, [0, 1, 2]) == 0
+        events = _spawned([0, 1, 2], groups=(1, 2)) + _views(
+            *(f"LEADER node={node} group=1 leader=2" for node in (0, 1, 2)),
+            *(f"LEADER node={node} group=2 leader=0" for node in (0, 1, 2)),
+        )
+        assert _agreed(events, group=1) == 2
+        assert _agreed(events, group=2) == 0
 
     def test_drop_node_forgets_all_its_views(self):
-        board = _LeaderBoard()
-        board.record(0, 1, 0)
-        board.record(0, 2, 0)
-        board.record(1, 1, 0)
-        board.drop_node(0)
-        assert board.agreed_leader(1, [1]) is None  # 0 is not alive anyway
-        assert (1, 0) not in board.views and (2, 0) not in board.views
+        """A killed node's views count in no group: its stale self-view
+        neither makes it leader nor blocks the survivors' agreement."""
+        events = _spawned([0, 1], groups=(1, 2)) + _views(
+            "LEADER node=0 group=1 leader=0",
+            "LEADER node=0 group=2 leader=0",
+            "LEADER node=1 group=1 leader=0",
+        )
+        assert _agreed(events + _killed(0)) is None  # 0 is not alive anyway
+        survivors = _views("LEADER node=1 group=1 leader=1", "LEADER node=1 group=2 leader=1")
+        assert _agreed(events + _killed(0) + survivors, group=1) == 1
+        assert _agreed(events + _killed(0) + survivors, group=2) == 1
 
 
 class TestPortReservation:

@@ -12,6 +12,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+from repro.metrics.leadership import analyze_leadership
+from repro.metrics.trace import TraceEvent
 from repro.metrics.usage import UsageMeter
 from repro.net.message import Message
 from repro.runtime.realtime import TransportStats, UdpTransport
@@ -99,3 +101,30 @@ def test_the_spine_splits_frame_bytes_by_wire_shares():
     # tracing.CountingTransport reads message.wire_shares() per frame with cells.
     assert "wire_shares" in _attributes_read_through("message")
     assert callable(Message.wire_shares)
+
+
+def test_what_the_spine_reads_off_the_leadership_fold_exists():
+    """``simload`` reads T_r, censoring, availability, disruptions and λu
+    off ``analyze_leadership``'s result, and each recovery sample's
+    ``.duration`` (``tracing.fold_episodes`` its times and crashed leader):
+    a refactor of the fold must keep every one of them."""
+    read = _attributes_read_through("leadership")
+    assert {
+        "recovery_samples", "censored_recoveries", "availability", "disruptions",
+        "mistake_rate",
+    } <= read
+    sample_read = _attributes_read_through("sample")
+    assert "duration" in sample_read
+    trace = [
+        TraceEvent(time=0.0, kind="join", group=1, pid=0, node=0),
+        TraceEvent(time=0.0, kind="join", group=1, pid=1, node=1),
+        TraceEvent(time=1.0, kind="view", group=1, pid=0, leader=0),
+        TraceEvent(time=1.0, kind="view", group=1, pid=1, leader=0),
+        TraceEvent(time=2.0, kind="crash", node=0),
+        TraceEvent(time=3.0, kind="view", group=1, pid=1, leader=1),
+    ]
+    leadership = analyze_leadership(trace, group=1, end_time=4.0)
+    assert [name for name in sorted(read) if not hasattr(leadership, name)] == []
+    (sample,) = leadership.recovery_samples
+    assert [name for name in sorted(sample_read) if not hasattr(sample, name)] == []
+    assert sample.duration == 1.0 and leadership.availability == 0.5
