@@ -50,10 +50,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.fd.qos import FDQoS
-from repro.metrics.leadership import LeaderInterval, leader_intervals, replay
+from repro.metrics.leadership import LeaderInterval, LeaderReplay, leader_intervals
 from repro.metrics.trace import TraceEvent
 
 __all__ = [
@@ -172,7 +172,8 @@ def check_invariants(
         validity_bound = default_validity_bound(qos, hello_period)
 
     events = list(events)
-    intervals = leader_intervals(events, group, end_time)
+    validity = _LeaderValidity(validity_bound)
+    intervals = leader_intervals(events, group, end_time, validity.step)
     report = InvariantReport(end_time=end_time, heal_time=heal_time, intervals=intervals)
 
     # --- single-stable-leader -----------------------------------------
@@ -270,14 +271,8 @@ def check_invariants(
             )
 
     # --- leader-validity ----------------------------------------------
-    report.violations.extend(
-        _check_leader_validity(
-            events,
-            group=group,
-            end_time=end_time,
-            bound=validity_bound,
-        )
-    )
+    validity.flush(end_time)
+    report.violations.extend(validity.violations)
 
     # --- no-double-grant ----------------------------------------------
     report.violations.extend(check_no_double_grant(events, group=group))
@@ -503,65 +498,74 @@ def check_cross_group_isolation(
     return violations
 
 
-def _check_leader_validity(
-    events: List[TraceEvent],
-    *,
-    group: int,
-    end_time: float,
-    bound: float,
-) -> List[Violation]:
+class _LeaderValidity:
     """Alive processes must drop a crashed leader from their view in time.
 
-    For every (viewer, dead leader) pair a deadline is armed at
-    ``crash_time + bound``.  No heal gating is needed: a dead leader
-    sends nothing, so the viewer's *local* failure detector starves and
-    fires regardless of partitions or cuts between the viewer and the
+    A fold over the group's :func:`~repro.metrics.leadership.replay`, fed
+    one step at a time.  For every (viewer, dead leader) pair a deadline is
+    armed at ``crash_time + bound``.  No heal gating is needed: a dead
+    leader sends nothing, so the viewer's *local* failure detector starves
+    and fires regardless of partitions or cuts between the viewer and the
     rest of the group.  The deadline clears when the viewer changes its
-    view, crashes itself, or the leader's process rejoins (the view
-    became valid again).
+    view, crashes itself, or the leader's process rejoins (the view became
+    valid again).
     """
-    armed: Dict[int, Tuple[float, int]] = {}  # viewer pid -> (deadline, dead leader)
-    violations: List[Violation] = []
 
-    def flush(now: float) -> None:
-        for viewer, (deadline, leader) in list(armed.items()):
+    def __init__(self, bound: float) -> None:
+        self.bound = bound
+        self.violations: List[Violation] = []
+        #: viewer pid -> (deadline, dead leader).
+        self._armed: Dict[int, Tuple[float, int]] = {}
+        #: leader pid -> pids that have viewed it (pruned at its crash).
+        self._viewers: Dict[int, Set[int]] = {}
+        #: pid -> its place in the replay's view table (a crash arms the
+        #: viewers in that order).
+        self._rank: Dict[int, int] = {}
+
+    def flush(self, now: float) -> None:
+        for viewer, (deadline, leader) in list(self._armed.items()):
             if now > deadline:
-                violations.append(
+                self.violations.append(
                     Violation(
                         invariant="leader-validity",
                         time=deadline,
                         detail=(
                             f"process {viewer} still viewed crashed leader "
-                            f"{leader} at t={deadline:.2f} (bound {bound:.2f}s)"
+                            f"{leader} at t={deadline:.2f} (bound {self.bound:.2f}s)"
                         ),
                     )
                 )
-                del armed[viewer]
+                del self._armed[viewer]
 
-    for event, state in replay(events, group, end_time):
-        flush(event.time)
-        if event.kind == "join":
+    def step(self, event: TraceEvent, state: LeaderReplay) -> None:
+        armed = self._armed
+        self.flush(event.time)
+        if event.kind in ("join", "view"):
+            self._rank.setdefault(event.pid, len(self._rank))
             armed.pop(event.pid, None)
+        if event.kind == "join":
             # The rejoined process is a valid leader again for its viewers.
             for viewer, (_, leader) in list(armed.items()):
                 if leader == event.pid:
                     del armed[viewer]
-        elif event.kind == "view":
-            armed.pop(event.pid, None)
+        elif event.kind == "view" and event.leader is not None:
+            self._viewers.setdefault(event.leader, set()).add(event.pid)
             if (
                 event.leader in state.node_of
                 and event.leader not in state.up
                 and event.pid in state.up
             ):
-                armed[event.pid] = (event.time + bound, event.leader)
+                armed[event.pid] = (event.time + self.bound, event.leader)
         elif event.kind == "crash":
             dead_pids = state.pids_of.get(event.node, ())
             for pid in dead_pids:
                 armed.pop(pid, None)  # a dead viewer owes nothing
+            views = state.views
             for pid in dead_pids:
-                for viewer, view in state.views.items():
-                    if view == pid and viewer not in dead_pids and viewer in state.up:
-                        armed[viewer] = (event.time + bound, pid)
-
-    flush(end_time)
-    return violations
+                viewers = self._viewers.get(pid)
+                if not viewers:
+                    continue
+                viewers = self._viewers[pid] = {v for v in viewers if views[v] == pid}
+                for viewer in sorted(viewers, key=self._rank.__getitem__):
+                    if viewer not in dead_pids and viewer in state.up:
+                        armed[viewer] = (event.time + self.bound, pid)

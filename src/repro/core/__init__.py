@@ -8,8 +8,9 @@ The architecture follows the paper's Figure 2:
 * :mod:`repro.core.commands` — the *command handler* between applications
   and the daemon.
 * :mod:`repro.core.group` + :mod:`repro.core.membership` — *group
-  maintenance*: the dynamic membership of each group (last-writer-wins
-  records) and the HELLO gossip that maintains it.
+  maintenance*: the dynamic membership of each group (a
+  :mod:`repro.core.table` of last-writer-wins records) and the HELLO
+  gossip that maintains it.
 * :mod:`repro.core.cells` — each group's share of the batched ALIVE frames.
 * :mod:`repro.core.election` — the pluggable *leader election algorithm*
   module: Ω_id (service S1), Ω_lc (service S2) and Ω_l (service S3).

@@ -1,46 +1,30 @@
-"""Group maintenance: dynamic membership with last-writer-wins records.
+"""Group maintenance: the membership view and its record order.
 
 For each group, the paper's Group Maintenance module "builds and maintains
 the set of processes that are currently in g" (§4).  Groups are dynamic —
 processes join and leave at any time, possibly concurrently with crashes —
-so membership is maintained as a conflict-free replicated map: one
-:class:`~repro.net.message.MemberInfo` record per process id, merged by a
-total order on records.  Records travel on HELLO messages and piggybacked on
-ALIVEs; merge is commutative, associative and idempotent, so views converge
-regardless of message ordering, duplication or loss.
+so a view is a replicated :class:`~repro.core.table.RecordTable` (delta
+gossip, digest, full sync) with one :class:`~repro.net.message.MemberInfo`
+record per process id.
 
 Record order: higher ``incarnation`` wins; within one incarnation a tombstone
 (``present=False``, i.e. a voluntary leave) wins over the join it refers to.
-Incarnations are globally monotonic per pid because they encode the node's
-boot counter (which survives crashes) in the high bits and a per-boot join
-counter in the low bits — see :meth:`make_incarnation`.
-
-Since the multi-group scale-out, views support **delta gossip**: every
-effective change bumps :attr:`MembershipView.version` and stamps the changed
-record with it, so a sender can ship only :meth:`delta_window` past the
-version it last sent to a destination instead of the full view.  Lost
-deltas are repaired by anti-entropy: every delta-carrying message also carries
-:meth:`digest64` — a 64-bit order-independent digest of the full record set
-— and a receiver whose own digest differs after merging answers with a
-sync (see :mod:`repro.core.membership`).  Because the merge is a join-semilattice, any interleaving
-of deltas, syncs, duplicates and reorderings converges to the same view as
-full-view merge (property-tested in ``tests/core/test_group_delta.py``).
+In the protocol an incarnation identifies one join, so the other fields
+coincide; ``(joined_at, candidate, node)`` break the remaining ties, which
+keeps the order total over arbitrary records.  Incarnations are globally
+monotonic per pid because they encode the node's boot counter (which
+survives crashes) in the high bits and a per-boot join counter in the low
+bits — see :func:`make_incarnation`.
 """
 
 from __future__ import annotations
 
-import struct
-from hashlib import blake2b
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.core.table import RecordTable
 from repro.net.message import MemberInfo
 
-__all__ = [
-    "MembershipView",
-    "make_incarnation",
-    "prefer_record",
-    "record_digest64",
-]
+__all__ = ["MembershipView", "make_incarnation"]
 
 #: Joins per node boot supported by the incarnation encoding.
 _JOINS_PER_BOOT = 1_000_000
@@ -59,67 +43,11 @@ def make_incarnation(boot_count: int, join_seq: int) -> int:
     return boot_count * _JOINS_PER_BOOT + join_seq
 
 
-def prefer_record(a: MemberInfo, b: MemberInfo) -> MemberInfo:
-    """The winner of two records for the same pid (a total order).
-
-    Higher incarnation wins; at equal incarnation the tombstone wins (a leave
-    overrides the join it refers to).  In the protocol an incarnation
-    identifies one join event, so the remaining fields coincide; the extra
-    deterministic tie-breaks below make the order *total* over arbitrary
-    records anyway, keeping the merge a join-semilattice even for corrupted
-    or hand-built inputs.
-    """
-    if a.pid != b.pid:
-        raise ValueError(f"cannot merge records of different pids ({a.pid}, {b.pid})")
-    # Key: (incarnation, tombstone-wins, joined_at, candidate, node).
-    # Compared inline — this runs once per gossiped record, and a nested
-    # key() closure costs more than the comparison itself.
-    if (a.incarnation, not a.present, a.joined_at, a.candidate, a.node) >= (
-        b.incarnation,
-        not b.present,
-        b.joined_at,
-        b.candidate,
-        b.node,
-    ):
-        return a
-    return b
-
-
-_RECORD_PACK = struct.Struct("!iiq??d")
-
-
-def record_digest64(record: MemberInfo) -> int:
-    """A stable 64-bit hash of one record (process-independent).
-
-    Built from a packed binary rendering (never Python ``hash``, which is
-    salted per process — live nodes must agree on digests).  Individual
-    record hashes are XOR-combined into the view digest, which makes the
-    view digest order-independent and incrementally updatable.
-    """
-    packed = _RECORD_PACK.pack(
-        record.pid,
-        record.node,
-        record.incarnation,
-        record.candidate,
-        record.present,
-        record.joined_at,
-    )
-    return int.from_bytes(blake2b(packed, digest_size=8).digest(), "big")
-
-
-class MembershipView:
-    """One node's replica of a group's membership map."""
+class MembershipView(RecordTable, record_type=MemberInfo):
+    """One node's replica of a group's membership map, keyed by pid."""
 
     def __init__(self, group: int) -> None:
-        self.group = group
-        self._records: Dict[int, MemberInfo] = {}
-        #: Bumped on every effective change; cheap "did anything change" check.
-        self.version = 0
-        #: Version at which each pid's record last changed (delta stamps).
-        self._record_versions: Dict[int, int] = {}
-        #: XOR of per-record 64-bit hashes; maintained incrementally.
-        self._digest64 = 0
-        self._digest_cache: Optional[Tuple[MemberInfo, ...]] = None
+        super().__init__(group)
         #: Memoized members()/candidates() tuples; the election recompute
         #: asks for the candidate set on every refresh, and in steady state
         #: the view does not change between refreshes.
@@ -135,42 +63,33 @@ class MembershipView:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def merge_record(self, record: MemberInfo) -> bool:
+    def merge_record(self, record: MemberInfo, relay: bool = True) -> bool:
         """Merge one record; returns True if the view changed."""
-        current = self._records.get(record.pid)
-        if current is None:
-            self._records[record.pid] = record
-            self.version += 1
-            self._record_versions[record.pid] = self.version
-            self._digest64 ^= record_digest64(record)
-            self._digest_cache = None
-            self._members_cache = None
-            self._candidates_cache = None
-            self._node_pids.setdefault(record.node, {})[record.pid] = None
-            return True
-        winner = prefer_record(current, record)
-        if winner is not current:
-            self._records[record.pid] = winner
-            self.version += 1
-            self._record_versions[record.pid] = self.version
-            self._digest64 ^= record_digest64(current) ^ record_digest64(winner)
-            self._digest_cache = None
-            self._members_cache = None
-            self._candidates_cache = None
-            if winner.node != current.node:  # defensive: pids don't migrate
-                old = self._node_pids.get(current.node)
-                if old is not None:
-                    old.pop(record.pid, None)
-                self._node_pids.setdefault(winner.node, {})[record.pid] = None
-            return True
-        return False
-
-    def merge(self, records: Iterable[MemberInfo]) -> bool:
-        """Merge many records; returns True if any changed the view."""
-        changed = False
-        for record in records:
-            changed |= self.merge_record(record)
-        return changed
+        pid = record.pid
+        current = self._records.get(pid)
+        if current is not None:
+            # The record order, discriminating fields first: gossip delivers
+            # each record many times, so most merges change nothing and
+            # must decide in one or two scalar compares.
+            if record.incarnation != current.incarnation:
+                if record.incarnation < current.incarnation:
+                    return False
+            elif record.present != current.present:
+                if record.present:
+                    return False  # the tombstone wins
+            elif (record.joined_at, record.candidate, record.node) <= (
+                current.joined_at,
+                current.candidate,
+                current.node,
+            ):
+                return False
+        self._put(pid, record, current, relay)
+        self._members_cache = self._candidates_cache = None
+        if current is None or current.node != record.node:
+            if current is not None:  # defensive: pids don't migrate
+                self._node_pids[current.node].pop(pid, None)
+            self._node_pids.setdefault(record.node, {})[pid] = None
+        return True
 
     def apply_join(
         self,
@@ -211,16 +130,12 @@ class MembershipView:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def record(self, pid: int) -> Optional[MemberInfo]:
-        """The current record for ``pid`` (possibly a tombstone), or None."""
-        return self._records.get(pid)
-
     def members(self) -> Tuple[MemberInfo, ...]:
         """Records of processes currently in the group (memoized tuple)."""
         cached = self._members_cache
         if cached is None:
             cached = self._members_cache = tuple(
-                r for r in self._records.values() if r.present
+                [r for r in self._records.values() if r.present]
             )
         return cached
 
@@ -229,7 +144,7 @@ class MembershipView:
         cached = self._candidates_cache
         if cached is None:
             cached = self._candidates_cache = tuple(
-                r for r in self._records.values() if r.present and r.candidate
+                [r for r in self._records.values() if r.present and r.candidate]
             )
         return cached
 
@@ -264,55 +179,6 @@ class MembershipView:
     def joined_at(self, pid: int) -> Optional[float]:
         record = self._records.get(pid)
         return record.joined_at if record is not None else None
-
-    def digest(self) -> Tuple[MemberInfo, ...]:
-        """All records (including tombstones) for full-view gossip.
-
-        The tuple is cached until the view changes, so every message carrying
-        an unchanged view shares one object.
-        """
-        if self._digest_cache is None:
-            self._digest_cache = tuple(self._records.values())
-        return self._digest_cache
-
-    def digest64(self) -> int:
-        """64-bit order-independent digest of the full record set.
-
-        Two views hash equal iff they hold identical record sets (up to the
-        astronomically unlikely XOR collision), regardless of merge order —
-        the anti-entropy trigger: a receiver whose digest differs from the
-        sender's after merging requests a full sync.
-        """
-        return self._digest64
-
-    def delta_window(
-        self, version: int, limit: int
-    ) -> Tuple[Tuple[MemberInfo, ...], int]:
-        """The records changed after ``version``, at most ``limit`` of them.
-
-        Returns ``(records, high)`` where ``high`` is the version watermark
-        the caller may advance its per-destination cursor to: the highest
-        record version *included* when the window truncated, or the full
-        view version when everything fit.  Resuming from ``high`` streams
-        the remainder in change order across subsequent rounds — the
-        bounded-gossip shape large SWIM deployments need, where a cold
-        destination must not receive the entire view in one message.
-        """
-        if version >= self.version:
-            return (), self.version
-        versions = self._record_versions
-        changed = [
-            (versions[pid], record)
-            for pid, record in self._records.items()
-            if versions[pid] > version
-        ]
-        changed.sort(key=lambda item: item[0])
-        if len(changed) > limit:
-            changed = changed[:limit]
-            high = changed[-1][0]
-        else:
-            high = self.version
-        return tuple(record for _, record in changed), high
 
     def __len__(self) -> int:
         return len(self.members())

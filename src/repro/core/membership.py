@@ -355,7 +355,7 @@ class Membership:
         cap is what keeps a mass bootstrap O(k·n) messages, not O(n²)."""
         my_node = self.node_id
         view = self.view
-        digest = view.digest()
+        members = view.full()
         fields = self.hello_fields("join")
         peers = [n for n in self.bootstrap if n != my_node]
         if len(peers) > _JOIN_FANOUT:
@@ -365,7 +365,7 @@ class Membership:
         hellos = []
         for node_id in peers:
             self.sent_version[node_id] = view.version
-            hellos.append(HelloMessage(dest_node=node_id, members=digest, **fields))
+            hellos.append(HelloMessage(dest_node=node_id, members=members, **fields))
         if hellos:
             self.transport.send_batch(hellos)
 
@@ -384,7 +384,7 @@ class Membership:
         self.transport.send(
             HelloMessage(
                 dest_node=dest_node,
-                members=self.view.digest(),
+                members=self.view.full(),
                 leader_hint=self.algorithm.leader_hint(),
                 acc_table=self.algorithm.acc_entries(),
                 trusted=trusted_pids,

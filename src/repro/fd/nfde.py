@@ -74,4 +74,5 @@ class NfdeMonitor(NfdsMonitor):
         self._timer.extend_to(deadline)
         if not self.trusted:
             self.trusted = True
+            self.trusted_since = now
             self._events.on_trust(self.pid)

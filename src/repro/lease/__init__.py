@@ -5,8 +5,8 @@ the application.  This package supplies the canonical answer — a lease
 (lock) service in the style of Chubby — anchored on each group's elected
 leader and made safe under churn by **fencing tokens**:
 
-* :mod:`repro.lease.ledger` — the replicated lease table (a last-writer-
-  wins CRDT mirroring the membership view);
+* :mod:`repro.lease.ledger` — the replicated lease table (the membership
+  view's :mod:`repro.core.table` with its own record order);
 * :mod:`repro.lease.manager` — the leader-side grant logic: TTLs,
   monotonically increasing fencing tokens, takeover grace, majority
   guard and per-client throttling;

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.metrics.stats import Summary, summarize
 from repro.metrics.trace import TraceEvent
@@ -228,7 +228,10 @@ class LeaderInterval:
 
 
 def leader_intervals(
-    events: Iterable[TraceEvent], group: int, end_time: float
+    events: Iterable[TraceEvent],
+    group: int,
+    end_time: float,
+    watch: Optional[Callable[[TraceEvent, LeaderReplay], None]] = None,
 ) -> List[LeaderInterval]:
     """Maximal common-leader intervals of ``group`` over ``[0, end_time]``.
 
@@ -237,12 +240,15 @@ def leader_intervals(
     commonly-agreed, alive, present leader — an interval — or it has none.
     The chaos invariant checkers consume this view directly: stability,
     flapping and re-election latency are all statements about the interval
-    list.
+    list.  ``watch(event, state)``, if given, sees every step of the same
+    replay (another fold that needs no second walk).
     """
     intervals: List[LeaderInterval] = []
     current: Optional[int] = None
     started = 0.0
     for event, state in replay(events, group, end_time):
+        if watch is not None:
+            watch(event, state)
         new_leader = state.common_leader()
         if new_leader == current:
             continue

@@ -93,6 +93,9 @@ class MemberInfo:
     candidate: bool
     present: bool
     joined_at: float
+    #: Memoized record digest (:class:`~repro.core.table.RecordTable`); None
+    #: until first computed (every replica merging this object shares it).
+    _digest: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,8 +127,7 @@ class LeaseRecord:
     granted_at: float
     released: bool
     seq: int
-    #: Memoized :func:`~repro.lease.ledger.lease_record_digest64`; None until
-    #: first computed (every replica merging this record object shares it).
+    #: Memoized record digest, as :class:`MemberInfo`'s.
     _digest: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -135,7 +137,7 @@ class LedgerSegment:
 
     ``records`` are the leader's own changes with versions in (``base``,
     ``top``]: ``base`` is what it had shipped that follower, ``top`` where
-    these records bring it (see :meth:`repro.lease.ledger.LeaseLedger.
+    these records bring it (see :meth:`repro.core.table.RecordTable.
     delta_window`), ``digest`` the leader's whole-ledger digest.  With no
     records it is the ledger's anti-entropy heartbeat (``base == top``).
     """

@@ -83,6 +83,7 @@ __all__ = [
     "encode_message_into",
     "decode_message",
     "MAX_FRAME_BYTES",
+    "record_packer",
 ]
 
 _MAGIC = 0x03A9  # Ω, fittingly
@@ -224,6 +225,13 @@ _members_into, _members_from = _LISTS[MemberInfo]
 _acc_into, _acc_from = _LISTS[AccEntry]
 _leases_into, _leases_from = _LISTS[LeaseRecord]
 _swim_into, _swim_from = _LISTS[SwimUpdate]
+
+
+def record_packer(cls: type):
+    """``(pack, values)`` of one record row: ``pack(*values(record))`` is the
+    record's fixed layout, what a replicated table's digest hashes."""
+    (layout,) = [layout for layout in _RECORDS if layout.cls is cls]
+    return struct.Struct(layout.fmt).pack, attrgetter(*layout.fields)
 
 
 def _message_codec(layout: _Layout):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.group import MembershipView, make_incarnation, prefer_record
+from repro.core.group import MembershipView, make_incarnation
 from repro.net.message import MemberInfo
 
 
@@ -29,26 +29,29 @@ class TestIncarnations:
             make_incarnation(0, 10**6)
 
 
+def winner(*records):
+    """The record a view keeps after merging ``records`` in this order."""
+    view = MembershipView(1)
+    view.merge(records)
+    return view.record(records[0].pid)
+
+
 class TestPreferRecord:
     def test_higher_incarnation_wins(self):
         old, new = record(1, incarnation=1), record(1, incarnation=2)
-        assert prefer_record(old, new) is new
-        assert prefer_record(new, old) is new
+        assert winner(old, new) is new
+        assert winner(new, old) is new
 
     def test_tombstone_wins_within_incarnation(self):
         joined = record(1, incarnation=3, present=True)
         left = record(1, incarnation=3, present=False)
-        assert prefer_record(joined, left) is left
-        assert prefer_record(left, joined) is left
+        assert winner(joined, left) is left
+        assert winner(left, joined) is left
 
     def test_rejoin_overrides_tombstone(self):
         left = record(1, incarnation=3, present=False)
         rejoined = record(1, incarnation=4, present=True)
-        assert prefer_record(left, rejoined) is rejoined
-
-    def test_mixed_pids_rejected(self):
-        with pytest.raises(ValueError):
-            prefer_record(record(1), record(2))
+        assert winner(left, rejoined) is rejoined
 
 
 class TestMembershipView:
@@ -104,10 +107,10 @@ class TestMembershipView:
     def test_digest_cached_until_change(self):
         view = MembershipView(1)
         view.merge([record(1)])
-        first = view.digest()
-        assert view.digest() is first
+        first = view.full()
+        assert view.full() is first
         view.merge([record(2)])
-        assert view.digest() is not first
+        assert view.full() is not first
 
     def test_digest_roundtrip_reconstructs_view(self):
         a = MembershipView(1)
@@ -115,8 +118,8 @@ class TestMembershipView:
         a.apply_join(pid=2, node=2, incarnation=1, candidate=False, now=1.0)
         a.apply_leave(2)
         b = MembershipView(1)
-        b.merge(a.digest())
-        assert {r.pid: r for r in b.digest()} == {r.pid: r for r in a.digest()}
+        b.merge(a.full())
+        assert {r.pid: r for r in b.full()} == {r.pid: r for r in a.full()}
 
     def test_two_views_converge_regardless_of_order(self):
         updates = [
@@ -129,6 +132,6 @@ class TestMembershipView:
         forward.merge(updates)
         backward = MembershipView(1)
         backward.merge(reversed(updates))
-        assert {r.pid: r for r in forward.digest()} == {
-            r.pid: r for r in backward.digest()
+        assert {r.pid: r for r in forward.full()} == {
+            r.pid: r for r in backward.full()
         }

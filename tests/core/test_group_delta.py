@@ -13,8 +13,9 @@ delta/digest bookkeeping itself.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.group import MembershipView, record_digest64
+from repro.core.group import MembershipView
 from repro.net.message import MemberInfo
+from tests.core.test_table import reference_digest
 
 
 def member(pid, node=0, incarnation=1, candidate=True, present=True, joined=0.0):
@@ -45,8 +46,8 @@ class TestDeltaBookkeeping:
     def test_delta_window_from_zero_is_the_full_view(self):
         view = MembershipView(1)
         view.merge([member(1), member(2), member(3)])
-        records, high = view.delta_window(0, len(view.digest()))
-        assert set(records) == set(view.digest())
+        records, high = view.delta_window(0, len(view.full()))
+        assert set(records) == set(view.full())
         assert high == view.version
 
     def test_delta_window_from_current_version_is_empty(self):
@@ -86,9 +87,12 @@ class TestDeltaBookkeeping:
         assert a.digest64() != b.digest64()
 
     def test_record_digest_is_process_stable(self):
-        """A fixed value, so live nodes on different machines agree."""
-        assert record_digest64(member(1)) == record_digest64(member(1))
-        assert record_digest64(member(1)) != record_digest64(member(2))
+        """The hand-packed layout's hash, so live nodes on different
+        machines agree."""
+        view = MembershipView(1)
+        view.merge_record(member(1))
+        assert view.digest64() == reference_digest(member(1))
+        assert reference_digest(member(1)) != reference_digest(member(2))
 
 
 class TestConvergenceProperty:
@@ -136,12 +140,12 @@ class TestConvergenceProperty:
         # Anti-entropy: on digest mismatch the sender pushes its full view
         # (exactly what GroupRuntime._push_sync ships).
         if replica.digest64() != source.digest64():
-            replica.merge(source.digest())
+            replica.merge(source.full())
 
         reference = MembershipView(1)
         reference.merge(source_records)
-        assert {r.pid: r for r in replica.digest()} == {
-            r.pid: r for r in reference.digest()
+        assert {r.pid: r for r in replica.full()} == {
+            r.pid: r for r in reference.full()
         }
         assert replica.digest64() == reference.digest64()
 
@@ -152,8 +156,8 @@ class TestConvergenceProperty:
         source = MembershipView(1)
         source.merge(source_records)
         replica = MembershipView(1)
-        replica.merge(source.digest())
+        replica.merge(source.full())
         assert replica.digest64() == source.digest64()
-        assert {r.pid: r for r in replica.digest()} == {
-            r.pid: r for r in source.digest()
+        assert {r.pid: r for r in replica.full()} == {
+            r.pid: r for r in source.full()
         }

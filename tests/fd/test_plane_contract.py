@@ -13,6 +13,7 @@ import pytest
 
 from repro.fd.configurator import ConfiguratorCache
 from repro.fd.monitor import NfdsMonitor
+from repro.fd.nfde import NfdeMonitor
 from repro.fd.plane import NodeFdPlane
 from repro.fd.qos import FDQoS
 from repro.fd.swim import SwimFdPlane
@@ -142,6 +143,22 @@ def test_trusted_for_measures_continuous_trust(plane, sim):
     assert plane.trusted_for(PEER, sim.now) == 0.0
     feed(plane, sim, PEER, 0.5)  # ... and re-trusted: the clock restarts
     assert 0.0 < plane.trusted_for(PEER, sim.now) < 1.0
+
+
+def test_an_nfde_peer_re_trusted_after_suspicion_is_trusted_afresh(sim):
+    """NFD-E stamps its trust transitions too: the lease quorum's trust-age
+    guard reads them on either monitor variant."""
+    plane = NodeFdPlane(
+        monitor_class=NfdeMonitor, scheduler=sim, node_id=0, cache=ConfiguratorCache()
+    )
+    watch(plane)
+    feed(plane, sim, PEER, 3.0)
+    assert plane.trusted_for(PEER, sim.now) == pytest.approx(3.0, abs=0.15)
+    sim.run_until(sim.now + 10.0)
+    assert not plane.trusted(PEER)
+    plane.observe_frame(frame(PEER, 0, sim.now))
+    assert plane.trusted(PEER)
+    assert plane.trusted_for(PEER, sim.now) == pytest.approx(0.0)
 
 
 def test_the_last_unregister_drops_the_peer(plane, sim):

@@ -4,15 +4,9 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from repro.lease.ledger import (
-    LeaseLedger,
-    lease_id,
-    lease_record_digest64,
-    prefer_lease_record,
-)
+from repro.lease.ledger import LeaseLedger, lease_id
 from repro.net.message import LeaseRecord
+from tests.core.test_table import reference_digest
 
 
 def record(lease=1, holder=1000, token=1, expiry=10.0, granted_at=5.0,
@@ -38,26 +32,29 @@ class TestLeaseId:
         assert lease_id("lock-0") != lease_id("lock-1")
 
 
+def winner(*records):
+    """The record a ledger keeps after merging ``records`` in this order."""
+    ledger = LeaseLedger(group=1)
+    ledger.merge(records)
+    return ledger.record(records[0].lease)
+
+
 class TestPreferLeaseRecord:
     def test_higher_token_wins_outright(self):
         older = record(token=5, seq=99, expiry=100.0)
         newer = record(token=6, seq=0, expiry=1.0)
-        assert prefer_lease_record(older, newer) is newer
-        assert prefer_lease_record(newer, older) is newer
+        assert winner(older, newer) is newer
+        assert winner(newer, older) is newer
 
     def test_same_token_higher_seq_wins(self):
         grant = record(token=5, seq=0)
         renew = record(token=5, seq=1, expiry=20.0)
-        assert prefer_lease_record(grant, renew) is renew
+        assert winner(grant, renew) is renew
 
     def test_release_beats_the_grant_it_refers_to(self):
         grant = record(token=5, seq=1, released=False)
         release = record(token=5, seq=1, released=True, expiry=7.0)
-        assert prefer_lease_record(grant, release) is release
-
-    def test_different_leases_rejected(self):
-        with pytest.raises(ValueError):
-            prefer_lease_record(record(lease=1), record(lease=2))
+        assert winner(grant, release) is release
 
 
 class TestMerge:
@@ -109,7 +106,7 @@ class TestDigest:
         ledger.merge_record(record(lease=1, token=8))  # supersede lease 1
         expected = 0
         for rec in ledger.full():
-            expected ^= lease_record_digest64(rec)
+            expected ^= reference_digest(rec)
         assert ledger.digest64() == expected
 
     def test_empty_ledger_digest_is_zero(self):
@@ -147,9 +144,3 @@ class TestHolder:
         assert ledger.holder(1, now=10.0) is None  # expired
         ledger.merge_record(record(lease=1, seq=1, released=True, expiry=6.0))
         assert ledger.holder(1, now=5.0) is None  # released
-
-    def test_active_lists_only_held_records(self):
-        ledger = LeaseLedger(group=1)
-        ledger.merge_record(record(lease=1, expiry=10.0))
-        ledger.merge_record(record(lease=2, expiry=3.0))
-        assert [r.lease for r in ledger.active(now=5.0)] == [1]

@@ -27,9 +27,10 @@ from repro.experiments.scenario import ExperimentConfig
 from repro.fd.plane import CELL_REFRESH
 from repro.fd.qos import FDQoS
 from repro.lease.client import HostLeaseChannel, LeaseClient
-from repro.lease.ledger import LeaseLedger, prefer_lease_record
+from repro.lease.ledger import LeaseLedger
 from repro.lease.server import LeaseServer
 from repro.net.message import BatchFrame, HelloMessage, LeaseRecord, LedgerSegment, MemberInfo
+from tests.core.test_table import prefer_lease_record
 
 GROUP = 1
 HELLO_PERIOD = 1.0

@@ -8,7 +8,7 @@ idempotent, and record preference must be a total order.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.group import MembershipView, prefer_record
+from repro.core.group import MembershipView
 from repro.net.message import MemberInfo
 
 pids = st.integers(min_value=0, max_value=5)
@@ -25,7 +25,7 @@ record_lists = st.lists(records, max_size=12)
 
 
 def snapshot(view):
-    return {r.pid: r for r in view.digest()}
+    return {r.pid: r for r in view.full()}
 
 
 def merged(*record_groups):
@@ -78,26 +78,24 @@ class TestMergeLattice:
             assert view.record(pid).incarnation >= incarnation
 
 
+def winner(*records):
+    """The record a view keeps after merging ``records`` in this order."""
+    view = MembershipView(1)
+    view.merge(records)
+    return view.record(records[0].pid)
+
+
 class TestPreferRecordOrder:
     @given(records, records)
     @settings(max_examples=200)
     def test_antisymmetric_choice(self, a, b):
         if a.pid != b.pid:
             return
-        winner_ab = prefer_record(a, b)
-        winner_ba = prefer_record(b, a)
-        # The same *content* must win regardless of argument order
-        # (object identity may differ when records are equal-keyed).
-        assert (winner_ab.incarnation, winner_ab.present) == (
-            winner_ba.incarnation,
-            winner_ba.present,
-        )
+        assert winner(a, b) == winner(b, a)
 
     @given(records, records, records)
     @settings(max_examples=200)
     def test_transitive_choice(self, a, b, c):
         if not (a.pid == b.pid == c.pid):
             return
-        ab_c = prefer_record(prefer_record(a, b), c)
-        a_bc = prefer_record(a, prefer_record(b, c))
-        assert (ab_c.incarnation, ab_c.present) == (a_bc.incarnation, a_bc.present)
+        assert winner(winner(a, b), c) == winner(a, winner(b, c))
