@@ -503,7 +503,8 @@ class _LeaderValidity:
 
     A fold over the group's :func:`~repro.metrics.leadership.replay`, fed
     one step at a time.  For every (viewer, dead leader) pair a deadline is
-    armed at ``crash_time + bound``.  No heal gating is needed: a dead
+    armed at ``crash_time + bound``, from the first crash (a repeat crash of
+    the node moves no armed deadline).  No heal gating is needed: a dead
     leader sends nothing, so the viewer's *local* failure detector starves
     and fires regardless of partitions or cuts between the viewer and the
     rest of the group.  The deadline clears when the viewer changes its
@@ -568,4 +569,4 @@ class _LeaderValidity:
                 viewers = self._viewers[pid] = {v for v in viewers if views[v] == pid}
                 for viewer in sorted(viewers, key=self._rank.__getitem__):
                     if viewer not in dead_pids and viewer in state.up:
-                        armed[viewer] = (event.time + self.bound, pid)
+                        armed.setdefault(viewer, (event.time + self.bound, pid))

@@ -225,12 +225,12 @@ class ChaosTransport:
         self.stats.forwarded += 1
 
     def send_batch(self, messages) -> None:
-        """Per-message :meth:`send` loop — never the batched inner path.
+        """Per-message :meth:`send` loop.
 
         Every chaos overlay (partition, cut, drop, duplicate, jitter) draws
         per message from the script-pinned RNG stream, and jittered copies
-        re-enter through ``inner.send`` as their own engine events; batching
-        any of it would reorder draws and break chaos replay digests.
+        re-enter through ``inner.send`` as their own engine events; each
+        message takes its overlay draws and its link draws in turn.
         """
         for message in messages:
             self.send(message)

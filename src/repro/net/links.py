@@ -24,7 +24,7 @@ from heapq import heappush
 from typing import Callable, Optional
 
 from repro.net.message import Message
-from repro.runtime.base import Scheduler
+from repro.sim.engine import Simulator
 
 __all__ = ["LinkConfig", "LinkStats", "Link"]
 
@@ -78,14 +78,15 @@ class Link:
     """One directed communication link between two nodes.
 
     The link does not know about nodes; it accepts a message plus a delivery
-    callback and either schedules the callback after the sampled delay or
-    silently drops the message.  Crash-prone state transitions are driven by
-    :class:`~repro.net.faults.LinkChurnInjector` through :meth:`set_down`.
+    callback and either pushes its arrival onto the simulator's heap, the
+    sampled delay ahead, or silently drops it.  Crash-prone state
+    transitions are driven by :class:`~repro.net.faults.LinkChurnInjector`
+    through :meth:`set_down`.
     """
 
     def __init__(
         self,
-        sim: Scheduler,
+        sim: Simulator,
         src: int,
         dst: int,
         config: LinkConfig,
@@ -124,16 +125,14 @@ class Link:
         """Crash (``True``) or recover (``False``) this link."""
         self.down = down
 
-    def transmit(self, message: Message, deliver: Callable[[Message], None], batch=None) -> None:
-        """Offer ``message`` to the link; maybe schedule its delivery.
+    def transmit(self, message: Message, deliver: Callable[[Message], None]) -> None:
+        """Offer ``message`` to the link; maybe push its arrival.
 
-        A surviving arrival waits in ``batch`` (the simulator's shared
-        :class:`~repro.sim.vector.DeliveryBatch`) if one is given, else as
-        its own engine event; the state checks and RNG draws are the same.
-        Zero-delay links keep the engine event: an exact-``now`` arrival must
-        occupy its own engine-seq position among same-time events, while a
-        positive exponential delay lands at an almost-surely unique time,
-        where the batch's ``(arrival, submission)`` order is the scalar order.
+        A surviving message becomes a ``(arrival, seq, link, message,
+        deliver)`` entry of the simulator's one heap, ``seq`` drawn from its
+        :attr:`~repro.sim.engine.Simulator.order` (zero delay included: an
+        exact-``now`` arrival takes its push-order place among same-time
+        events).  The run loop delivers it and bumps :attr:`stats`.
         """
         stats = self.stats
         stats.offered += 1
@@ -148,21 +147,8 @@ class Link:
                 return
         else:
             delay = self._rng.exponential(delay_mean) if delay_mean else 0.0
-        if batch is not None and delay_mean:
-            heappush(batch.heap, (self.sim.now + delay, next(batch.order), self, message, deliver))
-        else:
-            # Prebound method + carried args: no per-message closure allocation.
-            self.sim.schedule(delay, self._deliver, message, deliver)
-
-    def _deliver(self, message: Message, deliver: Callable[[Message], None]) -> None:
-        # A message already "on the wire" when the link crashes is still
-        # delivered: a link crash stops the *sender's* messages from getting
-        # through from the moment of the crash (paper footnote 5), and with
-        # LAN-scale delays the distinction is negligible; we keep in-flight
-        # messages for determinism of the delivered/dropped accounting.
-        self.stats.delivered += 1
-        self.stats.bytes_delivered += message._wire or message.wire_bytes()
-        deliver(message)
+        sim = self.sim
+        heappush(sim.heap, (sim.now + delay, next(sim.order), self, message, deliver))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "down" if self.down else "up"

@@ -16,9 +16,8 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 from repro.net.links import Link, LinkConfig
 from repro.net.message import Message
 from repro.net.node import Node
-from repro.runtime.base import Scheduler
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.vector import delivery_batch_for
 
 __all__ = ["NetworkConfig", "Network"]
 
@@ -51,7 +50,7 @@ class Network:
     :class:`~repro.runtime.realtime.UdpTransport`.
     """
 
-    def __init__(self, sim: Scheduler, config: NetworkConfig, rng: RngRegistry) -> None:
+    def __init__(self, sim: Simulator, config: NetworkConfig, rng: RngRegistry) -> None:
         self.sim = sim
         self.config = config
         self._rng = rng
@@ -131,28 +130,23 @@ class Network:
         Sending from a crashed node is a no-op (a dead daemon sends nothing);
         this is checked here so fault injection cannot race with send timers.
         """
-        self._offer((message,), None)
+        self._offer((message,))
 
     def send_batch(self, messages: Iterable[Message]) -> None:
-        """Transmit a whole per-tick fan-out through the batched datapath.
+        """Transmit a whole per-tick fan-out.
 
         Per message this is exactly :meth:`send` — same state checks, same
-        meter charges, same RNG draws in transmit order — but surviving
-        arrivals wait in the simulator's shared
-        :class:`~repro.sim.vector.DeliveryBatch` heap (drained by the
-        engine's run loop) instead of one engine event each.  Off the
-        batched path (chaos/drifting schedulers, realtime,
-        :func:`~repro.sim.vector.force_scalar`) each waits as its own
-        event.  A :meth:`send` replaced on the instance (test and
-        instrumentation hooks) sees every message.
+        meter charges, same RNG draws, same heap entries in transmit order —
+        less one Python call each.  A :meth:`send` replaced on the instance
+        (test and instrumentation hooks) sees every message.
         """
         if "send" in self.__dict__:
             for message in messages:
                 self.send(message)
         else:
-            self._offer(messages, delivery_batch_for(self.sim))
+            self._offer(messages)
 
-    def _offer(self, messages: Iterable[Message], batch) -> None:
+    def _offer(self, messages: Iterable[Message]) -> None:
         routes = self._routes
         for message in messages:
             route = routes[message.sender_node][message.dest_node]
@@ -165,7 +159,7 @@ class Network:
             meter.messages_sent += 1
             # A header-only frame comes sized (see AliveBatcher._tick).
             meter.bytes_sent += message._wire or message.wire_bytes()
-            link.transmit(message, deliver, batch)
+            link.transmit(message, deliver)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Network(n={len(self.nodes)})"

@@ -126,7 +126,7 @@ class Transport(Protocol):
     def send_batch(self, messages: Iterable["Message"]) -> None:
         """One per-round fan-out: per message exactly :meth:`send`, in
         order; an engine may carry the burst more cheaply (the simulator
-        drains it through one delivery sentinel, not one event each)."""
+        offers it in one loop, not one ``send`` call each)."""
         ...
 
 

@@ -70,8 +70,6 @@ class RealtimeScheduler:
         self._loop = loop if loop is not None else asyncio.get_running_loop()
         #: Callbacks executed (for parity with Simulator.events_executed).
         self.events_executed = 0
-        #: Callbacks scheduled.
-        self.events_scheduled = 0
 
     @property
     def now(self) -> float:
@@ -107,7 +105,6 @@ class RealtimeScheduler:
             fn(*args)
 
         handle._timer = self._loop.call_later(delay, run)
-        self.events_scheduled += 1
         return handle
 
     def cancel(self, handle: Optional[RealtimeHandle]) -> None:

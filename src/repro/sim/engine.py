@@ -1,9 +1,20 @@
 """The discrete-event simulation engine.
 
-The engine is a classic calendar queue built on :mod:`heapq`: heap entries
-are ``(time, sequence_number, event)`` tuples, so heap sifts compare plain
-floats and ints at C speed — an :class:`Event` is never compared (sequence
-numbers are unique) and needs no ``__lt__``.  Cancellation is lazy (events
+The engine is a classic calendar queue built on :mod:`heapq`, and it has
+one heap, :attr:`Simulator.heap`, holding two kinds of entry:
+
+* ``(time, seq, event)`` — a scheduled callback (:meth:`Simulator.schedule`,
+  :meth:`Simulator.schedule_at`);
+* ``(time, seq, link, message, deliver)`` — a message arrival, pushed by
+  :meth:`~repro.net.links.Link.transmit` itself.  The run loop fires it
+  inline: it bumps the link's delivered counters and calls ``deliver``, so
+  an arrival costs one tuple push and one pop — no :class:`Event`, no
+  handle — and still counts into ``events_executed``.
+
+Both kinds draw ``seq`` from the one counter :attr:`Simulator.order`, so heap
+sifts compare plain floats and ints at C speed (sequence numbers are unique:
+an entry's third field is never compared) and every entry, arrival or
+callback, fires in ``(time, push order)``.  Cancellation is lazy (events
 are flagged and skipped when popped), which keeps both
 :meth:`Simulator.cancel` and the hot pop path O(log n) amortized.
 
@@ -14,31 +25,20 @@ re-armed on every heartbeat) from degrading the pop path:
   cancelled entries dominate the heap it is *compacted* in one O(n) pass —
   a batch drain that bounds the fraction of dead entries every pop has to
   step over.  Cancelled entries that reach the heap top are popped eagerly
-  by :meth:`Simulator._drop_cancelled_head`, the one place that skips dead
-  entries for ``step``/``run_until``/``peek_time`` alike.
+  by :meth:`Simulator._drop_cancelled_head` (``step``, ``peek_time``) or
+  skipped as they are popped (``run_until``).
 * The ``run_until`` loop binds the heap and ``heappop`` locally and counts
   executed events in a local, so the per-event cost is one pop, one clock
   store and the callback itself.
 
 Callbacks may be scheduled with positional arguments
 (``schedule(delay, fn, *args)``), which lets hot paths pass per-event data
-without allocating a fresh closure per event — the network delivery path
-relies on this.
-
-Batched message arrivals bypass the event heap entirely: when a
-:class:`~repro.sim.vector.DeliveryBatch` is attached, the run loops merge
-its private arrival heap with the event heap (whichever head is earlier
-fires next; an arrival wins exact ties, matching the drain-everything-due
-behaviour of a per-arrival event that would have been scheduled first).
-A batched delivery therefore costs one tuple pop — no :class:`Event`
-allocation, no heap push, no handle — but still counts into
-``events_executed``, so event counts stay comparable with the scalar
-datapath.
+without allocating a fresh closure per event.
 
 Determinism guarantees:
 
-* Two events scheduled for the same virtual time fire in scheduling order
-  (the monotonically increasing sequence number breaks ties).
+* Two entries due at the same virtual time fire in push order (the
+  monotonically increasing sequence number breaks ties).
 * The engine itself draws no randomness; all stochastic behaviour lives in
   :class:`~repro.sim.rng.RngRegistry` streams owned by components.
 
@@ -54,13 +54,12 @@ from __future__ import annotations
 
 import heapq
 from heapq import heappush as _heappush
-from typing import Callable, Optional, Tuple
+from itertools import count
+from typing import Callable, Optional
 
 __all__ = ["Event", "SimulationError", "Simulator", "DriftingScheduler"]
 
 _NO_ARGS: tuple = ()
-
-_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -95,9 +94,9 @@ class Event:
     def cancel(self) -> None:
         """Mark this event as cancelled; it will never fire.
 
-        Delegates to the owning simulator so its live/cancelled accounting
-        (O(1) pending counts, heap compaction) stays exact no matter which
-        cancellation entry point callers use.
+        Delegates to the owning simulator so its count of cancelled heap
+        entries (behind pending counts and compaction) stays exact no matter
+        which cancellation entry point callers use.
         """
         if self._owner is not None:
             self._owner.cancel(self)
@@ -108,10 +107,6 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
-
-
-#: One heap entry: (fire time, tie-break sequence number, event record).
-_HeapEntry = Tuple[float, int, Event]
 
 
 class Simulator:
@@ -136,28 +131,25 @@ class Simulator:
         #: Current virtual time, in seconds: a plain attribute the run loops
         #: write, read on every heartbeat's send and receive.
         self.now = float(start_time)
-        self._heap: list[_HeapEntry] = []
-        self._seq = 0
+        #: The one event heap: ``(time, seq, event)`` callbacks and
+        #: ``(time, seq, link, message, deliver)`` arrivals (module notes).
+        self.heap: list = []
+        #: Tie-break sequence numbers of every heap entry, in push order.
+        self.order = count(1)
         self._running = False
         self._stopped = False
+        #: Cancelled entries still in the heap; exact, so pending_count()
+        #: is ``len(heap)`` minus this.
         self._cancelled_pending = 0
-        #: Live (scheduled, not fired, not cancelled) events; kept exact
-        #: across schedule/pop/cancel/compact so pending_count() is O(1).
-        self._live = 0
-        #: Number of events executed so far (skipped cancellations excluded).
+        #: Number of events executed so far (arrivals included, skipped
+        #: cancellations excluded).
         self.events_executed = 0
-        #: Number of events scheduled so far.
-        self.events_scheduled = 0
         #: Number of O(n) batch drains of cancelled entries performed.
         self.compactions = 0
         #: Lazily-attached :class:`~repro.sim.vector.DeadlinePool` — the
         #: vectorized deadline kernel shared by every failure-detector
         #: timer on this simulator (None until the first pooled timer).
         self.deadline_pool = None
-        #: Lazily-attached :class:`~repro.sim.vector.DeliveryBatch` — the
-        #: batched message-arrival kernel shared by every network datapath
-        #: on this simulator (None until the first batched send).
-        self.delivery_batch = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -171,12 +163,9 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
-        seq = self._seq + 1
-        self._seq = seq
+        seq = next(self.order)
         event = Event(time, seq, fn, args, owner=self)
-        _heappush(self._heap, (time, seq, event))
-        self.events_scheduled += 1
-        self._live += 1
+        _heappush(self.heap, (time, seq, event))
         return event
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args) -> Event:
@@ -185,12 +174,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (t={time} < now={self.now})"
             )
-        seq = self._seq + 1
-        self._seq = seq
+        seq = next(self.order)
         event = Event(time, seq, fn, args, owner=self)
-        _heappush(self._heap, (time, seq, event))
-        self.events_scheduled += 1
-        self._live += 1
+        _heappush(self.heap, (time, seq, event))
         return event
 
     def cancel(self, event: Optional[Event]) -> None:
@@ -209,11 +195,10 @@ class Simulator:
             event.fn = None  # break reference cycles early
             event.args = _NO_ARGS
             if pending:
-                self._live -= 1
                 self._cancelled_pending += 1
                 if (
                     self._cancelled_pending >= self.COMPACT_MIN_CANCELLED
-                    and self._cancelled_pending * 2 >= len(self._heap)
+                    and self._cancelled_pending * 2 >= len(self.heap)
                 ):
                     self._compact()
 
@@ -224,63 +209,46 @@ class Simulator:
         the heap list, so the object identity must survive a compaction
         triggered from inside an event callback.
         """
-        heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap = self.heap
+        heap[:] = [entry for entry in heap if len(entry) > 3 or not entry[2].cancelled]
         heapq.heapify(heap)
         self._cancelled_pending = 0
         self.compactions += 1
 
     def _drop_cancelled_head(self) -> None:
-        """Pop cancelled entries off the heap top, keeping counters exact.
-
-        The single owner of the "skip dead heads" logic: ``step``,
-        ``run_until`` and ``peek_time`` all call it, so the heap head is
-        always the next event that will actually fire and the
-        cancelled-entry accounting cannot drift between entry points.
-        """
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
+        """Pop cancelled entries off the heap top, keeping the count exact."""
+        heap = self.heap
+        while heap and len(heap[0]) == 3 and heap[0][2].cancelled:
             heapq.heappop(heap)
-            if self._cancelled_pending:
-                self._cancelled_pending -= 1
+            self._cancelled_pending -= 1
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Execute the next pending event or batched message arrival.
+        """Execute the next pending event or message arrival.
 
-        Returns False if neither remain.  An arrival due no later than the
-        event-heap head fires first (see the module notes on the merged
-        delivery heap).
+        Returns False if none remain.
         """
         self._drop_cancelled_head()
-        heap = self._heap
-        head_time = heap[0][0] if heap else _INF
-        batch = self.delivery_batch
-        if batch is not None:
-            dheap = batch.heap
-            if dheap and dheap[0][0] <= head_time:
-                arrival, _, link, message, deliver = heapq.heappop(dheap)
-                self.now = arrival
-                self.events_executed += 1
-                stats = link.stats
-                stats.delivered += 1
-                stats.bytes_delivered += message._wire or message.wire_bytes()
-                batch.deliveries += 1
-                deliver(message)
-                return True
-        if not heap:
+        if not self.heap:
             return False
-        _, _, event = heapq.heappop(heap)
-        self.now = event.time
-        fn = event.fn
-        args = event.args
-        event.fn = None
-        event.args = _NO_ARGS
+        entry = heapq.heappop(self.heap)
+        self.now = entry[0]
         self.events_executed += 1
-        self._live -= 1
-        fn(*args)  # type: ignore[misc]  (non-cancelled events keep their fn)
+        if len(entry) == 3:
+            event = entry[2]
+            fn = event.fn
+            args = event.args
+            event.fn = None
+            event.args = _NO_ARGS
+            fn(*args)  # type: ignore[misc]  (non-cancelled events keep their fn)
+        else:
+            _, _, link, message, deliver = entry
+            stats = link.stats
+            stats.delivered += 1
+            stats.bytes_delivered += message._wire or message.wire_bytes()
+            deliver(message)
         return True
 
     def run_until(self, time: float) -> None:
@@ -292,55 +260,43 @@ class Simulator:
         """
         if time < self.now:
             raise SimulationError(f"cannot run backwards (t={time} < now={self.now})")
-        heap = self._heap
+        heap = self.heap
         heappop = heapq.heappop
-        drop_cancelled_head = self._drop_cancelled_head
         executed = 0
         self._stopped = False
         self._running = True
         try:
-            while not self._stopped:
-                if heap:
-                    head = heap[0]
-                    if head[2].cancelled:
-                        drop_cancelled_head()
-                        continue
-                    head_time = head[0]
-                else:
-                    head_time = _INF
-                # Merged delivery heap: an arrival due no later than the
-                # event head fires first (re-read the attribute — the batch
-                # attaches lazily on the first batched send, mid-run).
-                batch = self.delivery_batch
-                if batch is not None:
-                    dheap = batch.heap
-                    if dheap and dheap[0][0] <= head_time:
-                        arrival = dheap[0][0]
-                        if arrival > time:
-                            break
-                        _, _, link, message, deliver = heappop(dheap)
-                        self.now = arrival
-                        executed += 1
-                        # The scalar path's Link._deliver, inlined: link
-                        # counters move at delivery time, in delivery order.
-                        # The wire-size memo is warm (send charged it).
-                        stats = link.stats
-                        stats.delivered += 1
-                        stats.bytes_delivered += message._wire or message.wire_bytes()
-                        batch.deliveries += 1
-                        deliver(message)
-                        continue
-                if head_time > time:
+            while heap and not self._stopped:
+                entry = heap[0]
+                at = entry[0]
+                if at > time:
                     break
-                _, _, event = heappop(heap)
-                self.now = head_time
-                fn = event.fn
-                args = event.args
-                event.fn = None
-                event.args = _NO_ARGS
-                executed += 1
-                self._live -= 1
-                fn(*args)  # type: ignore[misc]
+                heappop(heap)
+                if len(entry) == 3:
+                    event = entry[2]
+                    fn = event.fn
+                    if fn is None:  # cancelled (a fired event has left the heap)
+                        self._cancelled_pending -= 1
+                        continue
+                    self.now = at
+                    args = event.args
+                    event.fn = None
+                    event.args = _NO_ARGS
+                    executed += 1
+                    fn(*args)
+                else:
+                    # A message arrival.  A message already on the wire when
+                    # its link goes down is still delivered (a crash stops
+                    # the sender's messages from the moment of the crash,
+                    # paper footnote 5).  The wire-size memo is warm: the
+                    # send charged it.
+                    _, _, link, message, deliver = entry
+                    self.now = at
+                    executed += 1
+                    stats = link.stats
+                    stats.delivered += 1
+                    stats.bytes_delivered += message._wire or message.wire_bytes()
+                    deliver(message)
         finally:
             self._running = False
             self.events_executed += executed
@@ -365,38 +321,27 @@ class Simulator:
     # Introspection
     # ------------------------------------------------------------------
     def pending_count(self) -> int:
-        """Number of scheduled, not-yet-fired, not-cancelled events.
+        """Number of scheduled, not-yet-fired, not-cancelled entries.
 
-        O(1): a live counter maintained across schedule/pop/cancel/compact
-        instead of a heap scan — introspection stays cheap even against the
-        million-entry heaps of large sweeps.  Batched message arrivals
-        count too (their heap length is equally O(1)), so "pending == 0"
-        still means "nothing left to run".
+        O(1) and exact: the heap length less the cancelled entries still in
+        it.  Message arrivals count, so "pending == 0" means "nothing left
+        to run".
         """
-        batch = self.delivery_batch
-        if batch is not None:
-            return self._live + len(batch.heap)
-        return self._live
+        return len(self.heap) - self._cancelled_pending
 
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next pending event or arrival, or None.
 
         Pops any cancelled entries sitting at the head (via
-        :meth:`_drop_cancelled_head`) so the answer is the next event that
+        :meth:`_drop_cancelled_head`) so the answer is the next entry that
         will actually fire.
         """
         self._drop_cancelled_head()
-        head_time = self._heap[0][0] if self._heap else None
-        batch = self.delivery_batch
-        if batch is not None and batch.heap:
-            arrival = batch.heap[0][0]
-            if head_time is None or arrival < head_time:
-                return arrival
-        return head_time
+        return self.heap[0][0] if self.heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(now={self.now:.6f}, pending={len(self._heap)}, "
+            f"Simulator(now={self.now:.6f}, pending={self.pending_count()}, "
             f"executed={self.events_executed})"
         )
 

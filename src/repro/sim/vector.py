@@ -52,7 +52,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import partial
-from itertools import count
 from math import inf
 from typing import Callable, List, Optional
 
@@ -63,11 +62,9 @@ from repro.sim.engine import Simulator
 
 __all__ = [
     "DeadlinePool",
-    "DeliveryBatch",
     "PoolTimer",
     "SlotOrderedTimer",
     "deadline_timer",
-    "delivery_batch_for",
     "force_scalar",
 ]
 
@@ -287,87 +284,6 @@ class SlotOrderedTimer(VariableTimer):
         if self._slot >= 0:
             self._pool.release(self._slot)
             self._slot = -1
-
-
-class DeliveryBatch:
-    """In-flight message arrivals drained by the engine's own run loop.
-
-    The scalar datapath turns every transmitted message into its own engine
-    event (``schedule(delay, link._deliver, message, deliver)``): an
-    :class:`~repro.sim.engine.Event` allocation, a heap push and a heap pop
-    per datagram.  The batch instead keeps pending arrivals in a private
-    heap of plain tuples that the engine merges with its event heap inside
-    ``run_until``/``step`` — whichever head is earlier fires next, and a
-    popped arrival bumps its link counters immediately before delivery
-    exactly as the scalar ``Link._deliver`` would.  No engine event exists
-    per message: no :class:`~repro.sim.engine.Event` allocation, no
-    sentinel to cancel and re-arm, no handle bookkeeping — one heap push at
-    transmit and one pop at delivery.
-
-    Bit-identity argument (the same discipline as :class:`DeadlinePool`):
-
-    * entries drain in ``(arrival, submission)`` order — submission order
-      is transmit order, which is the scalar path's engine-seq tie-break
-      for equal-time arrivals;
-    * positive exponential delays produce almost-surely distinct arrival
-      times, so ordering against unrelated engine events is decided by time
-      alone, identically on both paths (on an exact tie the engine lets the
-      arrival fire first — the drain-everything-due behaviour of the
-      per-arrival event the scalar path would have scheduled earlier);
-    * zero-delay links never reach the batch at all —
-      :meth:`~repro.net.links.Link.transmit` keeps their exact-"now"
-      arrivals on the scalar path, where each occupies its own engine-seq
-      position among same-time events.
-
-    Like the pool, only a plain :class:`~repro.sim.engine.Simulator` gets a
-    batch (see :func:`delivery_batch_for`): chaos overlays draw per-message
-    faults and jitter, and drifting clocks remap fire points, so those paths
-    stay scalar — as does everything under :func:`force_scalar`.
-
-    Honest accounting: the engine still counts each drained arrival into
-    ``events_executed`` (it is a dispatched callback, exactly as on the
-    scalar path), so event counts and events/sec stay comparable across
-    the two datapaths; what disappears is the per-message engine-heap
-    traffic and ``Event`` allocation around each of those dispatches.
-    """
-
-    __slots__ = ("heap", "order", "deliveries")
-
-    def __init__(self, scheduler) -> None:
-        #: Pending arrivals: ``(arrival, submission, link, message, deliver)``,
-        #: pushed by :meth:`~repro.net.links.Link.transmit` itself, its
-        #: ``submission`` drawn from :attr:`order`.
-        self.heap: list = []
-        self.order = count()
-        #: Messages delivered through the batch.
-        self.deliveries = 0
-        # The engine's run loop is what drains the batch, so attach at
-        # construction — this keeps a hand-built ``DeliveryBatch(sim)``
-        # (kernel tests) behaviourally identical to the shared instance
-        # :func:`delivery_batch_for` lazily installs.
-        scheduler.delivery_batch = self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DeliveryBatch(pending={len(self.heap)}, "
-            f"deliveries={self.deliveries})"
-        )
-
-
-def delivery_batch_for(scheduler) -> Optional[DeliveryBatch]:
-    """The scheduler's shared :class:`DeliveryBatch`, or None off the path.
-
-    Mirrors :func:`deadline_timer`'s fallback rules: only a plain
-    :class:`Simulator` batches (chaos' drifting schedulers and the realtime
-    scheduler stay scalar), and :func:`force_scalar` disables batching so the
-    property tests can A/B the two paths on identical configurations.
-    """
-    if _POOLING and type(scheduler) is Simulator:
-        batch = scheduler.delivery_batch
-        if batch is None:
-            batch = scheduler.delivery_batch = DeliveryBatch(scheduler)
-        return batch
-    return None
 
 
 def deadline_timer(scheduler, callback: Callable[[], None]):

@@ -172,6 +172,19 @@ class TestLeaderValidity:
         stale = [v for v in report.violations if v.invariant == "leader-validity"]
         assert any(v.time == pytest.approx(70.0) for v in stale)
 
+    def test_repeat_crash_keeps_the_first_deadline(self):
+        """A dead leader's node that crashes again (after another process
+        rejoined on it) must not postpone its viewers' deadlines."""
+        trace = build_trace()
+        all_view(trace, 1.0, 1)
+        trace.record_crash(10.0, 1)
+        trace.record_recover(12.0, 1)
+        trace.record_join(12.0, GROUP, 3, 1)  # a new process on node 1
+        trace.record_crash(14.0, 1)
+        report = check(trace, validity_bound=5.0)
+        stale = [v for v in report.violations if v.invariant == "leader-validity"]
+        assert [v.time for v in stale] == [pytest.approx(15.0)] * 2
+
 
 class TestReportShape:
     def test_requires_a_settle_window(self):

@@ -8,13 +8,14 @@ figure equal across Python versions (interpreter and numpy internals are
 not counted).  The datapath this budget guards made 26.1 calls per
 received message before the meters became counters and the receive path
 lost its hops, 14.5 before a link drew from an active block inline and
-pushed its own arrival and a header-only frame came sized; it makes about
-10.6 now.  The same cell over (10 ms, 1 %) links, ``failover_lossy``'s
+pushed its own arrival and a header-only frame came sized, 10.6 while
+arrivals waited in a second heap beside the engine's; it makes about 10.5
+now.  The same cell over (10 ms, 1 %) links, ``failover_lossy``'s
 datapath, adds the loss coin: 16.5 calls while the coin and the delay were
-two façade draws, about 10.8 as one.  A lossy cell with lease clients
-guards the other half of the datapath — frames with cells and ledger
-segments, loss repair, lease traffic — at about 14.7 calls per received
-message, down from 20.2.
+two façade draws, 10.8 as one, about 10.6 with one heap.  A lossy cell
+with lease clients guards the other half of the datapath — frames with
+cells and ledger segments, loss repair, lease traffic — at about 14.0
+calls per received message, down from 20.2 and then 14.3.
 """
 
 import sys

@@ -115,7 +115,7 @@ class TestCrashProneLink:
 
     def test_in_flight_messages_survive_crash(self, sim, rng):
         """A message already on the wire is delivered even if the link
-        crashes before its arrival (see Link._deliver docstring)."""
+        crashes before its arrival (see Simulator.run_until)."""
         link = make_link(sim, rng, delay_mean=0.1)
         received = []
         link.transmit(make_message(), received.append)
@@ -152,20 +152,12 @@ class TestWithConfig:
         registry2 = type(rng)(rng.seed)
         link = Link(sim, 0, 1, LinkConfig(delay_mean=0.5),
                     registry2.stream("link.cont.a"))
-        delays = []
-        original_schedule = sim.schedule
-
-        def capture(delay, fn, *args):
-            delays.append(delay)
-            return original_schedule(delay, fn, *args)
-
-        sim.schedule = capture
-        try:
-            for _ in range(3):
-                link.transmit(make_message(), lambda m: None)
-            link = link.with_config(LinkConfig(delay_mean=0.5))
-            for _ in range(3):
-                link.transmit(make_message(), lambda m: None)
-        finally:
-            del sim.schedule  # restore the class method
+        for _ in range(3):
+            link.transmit(make_message(), lambda m: None)
+        link = link.with_config(LinkConfig(delay_mean=0.5))
+        for _ in range(3):
+            link.transmit(make_message(), lambda m: None)
+        # Each arrival is a heap entry (time, seq, link, message, deliver)
+        # pushed at now = 0: its time is the drawn delay.
+        delays = [entry[0] for entry in sorted(sim.heap, key=lambda e: e[1])]
         assert delays == reference

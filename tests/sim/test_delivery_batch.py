@@ -1,15 +1,22 @@
-"""Batched-vs-scalar delivery equivalence (repro.sim.vector.DeliveryBatch).
+"""Message arrivals in the simulator's one event heap.
 
-Mirrors ``test_vector.py``'s two layers for the message datapath:
+``Link.transmit`` pushes each surviving message onto ``Simulator.heap`` as a
+``(time, seq, link, message, deliver)`` entry, and the run loop delivers it
+inline.  Two layers:
 
-* kernel-level tests of :class:`DeliveryBatch` ordering through the
-  engine's merged delivery heap;
-* Hypothesis properties — arbitrary frame mixes through
-  :meth:`Network.send_batch`, with and without chaos overlays
-  (loss/dup/jitter), must produce the *identical* delivery log (same
-  arrival times, same order, same link stats) as the scalar path under
-  :func:`force_scalar`; and a full ``build_system`` simulation must give
-  a bit-identical trace digest across the seed/size/churn/loss grid.
+* kernel tests of arrival entries (exact times, push order at ties, a
+  delivery that transmits more, a ``send_batch`` fan-out that creates no
+  :class:`~repro.sim.engine.Event`);
+* one Hypothesis property whose reference is the per-event path: a link that
+  schedules each arrival as its own ``Event``.  Both take ``seq`` from
+  ``Simulator.order`` at the same moment, so a mix of zero and positive
+  delays, loss, crashed senders, chaos drop/dup/jitter, replies sent from a
+  delivery, and callbacks pinned with ``schedule_at`` to the very instant of
+  a pending arrival must give the same delivery log, link stats, meters,
+  ``events_executed`` and ``pending_count`` after every ``step``;
+
+and a full ``build_system`` run that must give a bit-identical trace digest
+with the pooled deadline kernel and under :func:`force_scalar`.
 """
 
 from heapq import heappush
@@ -19,271 +26,292 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.transport import ChaosTransport
-from repro.net.links import LinkConfig
+from repro.net.links import Link, LinkConfig, LinkStats
 from repro.net.message import BatchFrame
 from repro.net.network import Network, NetworkConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.vector import DeliveryBatch, delivery_batch_for, force_scalar
+from repro.sim.vector import force_scalar
+
+_N_NODES = 4
 
 
-def submit(batch, arrival, link, message, deliver):
-    """Enqueue one arrival the way ``Link.transmit`` does."""
-    heappush(batch.heap, (arrival, next(batch.order), link, message, deliver))
+class _Link:
+    """The two attributes the run loop reads off an arrival's link."""
+
+    def __init__(self):
+        self.stats = LinkStats()
+
+
+def push(sim, arrival, link, message, deliver):
+    """Push one arrival entry the way ``Link.transmit`` does."""
+    heappush(sim.heap, (arrival, next(sim.order), link, message, deliver))
 
 
 class TestDeliveryBatchBasics:
     def test_delivers_at_exact_arrival_time(self):
         sim = Simulator()
-        batch = DeliveryBatch(sim)
+        link = _Link()
         log = []
-
-        class _Link:
-            class stats:
-                delivered = 0
-                bytes_delivered = 0
-
         frame = BatchFrame(sender_node=0, dest_node=1)
-        submit(batch, 2.5, _Link, frame, lambda m: log.append(sim.now))
+        push(sim, 2.5, link, frame, lambda m: log.append(sim.now))
+        assert sim.pending_count() == 1
         sim.run()
         assert log == [2.5]
-        assert _Link.stats.delivered == 1
-        assert batch.deliveries == 1
+        assert link.stats.delivered == 1
+        assert link.stats.bytes_delivered == frame.wire_bytes()
+        assert sim.events_executed == 1
 
     def test_equal_time_arrivals_drain_in_submission_order(self):
+        """Arrivals and callbacks due at one instant fire in push order."""
         sim = Simulator()
-        batch = DeliveryBatch(sim)
+        link = _Link()
         log = []
-
-        class _Link:
-            class stats:
-                delivered = 0
-                bytes_delivered = 0
-
         for i in range(5):
             frame = BatchFrame(sender_node=0, dest_node=1, seq=i)
-            submit(batch, 1.0, _Link, frame, lambda m: log.append(m.seq))
+            push(sim, 1.0, link, frame, lambda m: log.append(m.seq))
+            if i == 2:
+                sim.schedule_at(1.0, log.append, "timer")
         sim.run()
-        assert log == [0, 1, 2, 3, 4]
+        assert log == [0, 1, 2, "timer", 3, 4]
 
     def test_earlier_submission_moves_the_head(self):
         sim = Simulator()
-        batch = DeliveryBatch(sim)
+        link = _Link()
         log = []
-
-        class _Link:
-            class stats:
-                delivered = 0
-                bytes_delivered = 0
-
         a = BatchFrame(sender_node=0, dest_node=1, seq=10)
         b = BatchFrame(sender_node=0, dest_node=1, seq=20)
-        submit(batch, 5.0, _Link, a, lambda m: log.append((sim.now, m.seq)))
-        submit(batch, 1.0, _Link, b, lambda m: log.append((sim.now, m.seq)))
+        push(sim, 5.0, link, a, lambda m: log.append((sim.now, m.seq)))
+        assert sim.peek_time() == 5.0
+        push(sim, 1.0, link, b, lambda m: log.append((sim.now, m.seq)))
+        assert sim.peek_time() == 1.0
         sim.run()
         assert log == [(1.0, 20), (5.0, 10)]
 
     def test_delivery_callback_may_submit_more(self):
         """A delivery that triggers a fresh fan-out (handle_message sending
-        replies) must leave the new arrivals drainable by the run loop."""
+        replies) leaves the new arrivals drainable by the run loop."""
         sim = Simulator()
-        batch = DeliveryBatch(sim)
+        link = _Link()
         log = []
-
-        class _Link:
-            class stats:
-                delivered = 0
-                bytes_delivered = 0
-
         reply = BatchFrame(sender_node=1, dest_node=0, seq=99)
 
         def on_first(message):
             log.append((sim.now, message.seq))
-            submit(batch, sim.now + 1.0, _Link, reply, on_second)
+            push(sim, sim.now + 1.0, link, reply, on_second)
 
         def on_second(message):
             log.append((sim.now, message.seq))
 
-        submit(batch, 1.0, _Link, BatchFrame(sender_node=0, dest_node=1), on_first)
+        push(sim, 1.0, link, BatchFrame(sender_node=0, dest_node=1), on_first)
         sim.run()
         assert log == [(1.0, 0), (2.0, 99)]
 
-    def test_delivery_batch_for_only_on_plain_simulator(self):
-        sim = Simulator()
-        assert delivery_batch_for(sim) is not None
-        assert delivery_batch_for(sim) is delivery_batch_for(sim)  # shared
-        with force_scalar():
-            assert delivery_batch_for(sim) is None
+
+#: Per directed link: (delay_mean, loss_prob).
+_LAN, _LOSSY, _ZERO, _ZERO_LOSSY = (0.001, 0.0), (0.001, 0.3), (0.0, 0.0), (0.0, 0.3)
 
 
-#: One scripted round: up to 12 (src, dst) frame sends over 4 nodes.
-_rounds = st.lists(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=3),
-            st.integers(min_value=0, max_value=3),
-        ),
-        max_size=12,
-    ),
-    min_size=1,
-    max_size=8,
+class ReferenceLink(Link):
+    """The per-event path: each surviving arrival is its own engine Event."""
+
+    def transmit(self, message, deliver):
+        stats = self.stats
+        stats.offered += 1
+        if self.down:
+            stats.dropped_down += 1
+            return
+        if self._loss_prob:
+            delay = self._rng.lossy_delay(self._loss_prob, self._delay_mean)
+            if delay is None:
+                stats.dropped_loss += 1
+                return
+        else:
+            mean = self._delay_mean
+            delay = self._rng.exponential(mean) if mean else 0.0
+        self.sim.schedule(delay, self._arrive, message, deliver)
+
+    def _arrive(self, message, deliver):
+        self.stats.delivered += 1
+        self.stats.bytes_delivered += message._wire or message.wire_bytes()
+        deliver(message)
+
+
+_SEND = st.tuples(
+    st.just("send"),
+    st.integers(0, _N_NODES - 1),
+    st.integers(0, _N_NODES - 1),
+    st.booleans(),  # through send_batch (else send)
+)
+_PIN = st.tuples(st.just("pin"))  # schedule_at the next pending instant
+_TOGGLE = st.tuples(st.just("toggle"), st.integers(0, _N_NODES - 1))  # crash/recover
+_CANCEL = st.tuples(st.just("cancel"))  # schedule a callback and cancel it
+_CHAOS = st.tuples(
+    st.sampled_from([0.0, 0.25]),  # drop
+    st.sampled_from([0.0, 0.5]),  # duplicate
+    st.sampled_from([0.0, 0.002]),  # jitter
 )
 
-_N_NODES = 4
 
-
-def _run_mix(rounds, *, scalar, loss=0.0, delay=0.001, chaos=None, crash=None):
-    """Drive one frame-mix script; return (delivery log, link stats, meters).
-
-    Every source of randomness is seeded identically across invocations, so
-    the batched and scalar runs draw the same streams — any divergence in
-    the log is a real datapath difference, not noise.
-    """
-
-    def build_and_run():
-        sim = Simulator()
-        registry = RngRegistry(seed=42)
-        net = Network(
-            sim,
-            NetworkConfig(
-                n_nodes=_N_NODES,
-                default_link=LinkConfig(delay_mean=delay, loss_prob=loss),
+def _scenarios(links, ops, chaos):
+    return st.fixed_dictionaries(
+        {
+            "links": st.lists(
+                st.sampled_from(links),
+                min_size=_N_NODES * _N_NODES,
+                max_size=_N_NODES * _N_NODES,
             ),
-            registry,
-        )
-        log = []
-        for node in net.nodes.values():
-            node.set_receiver(
-                lambda m, nid=node.node_id: log.append(
-                    (sim.now, nid, m.sender_node, m.seq)
-                )
+            "rounds": st.lists(st.lists(st.one_of(*ops), max_size=10), min_size=1, max_size=6),
+            "chaos": chaos,
+            "replies": st.integers(0, 8),
+        }
+    )
+
+
+def _run(scenario, link_class):
+    """Drive one scenario; return everything the two paths must agree on."""
+    sim = Simulator()
+    links = scenario["links"]
+
+    class _Network(Network):
+        def _make_link(self, src, dst, link_config):
+            delay, loss = links[src * _N_NODES + dst]
+            config = LinkConfig(delay_mean=delay, loss_prob=loss)
+            return link_class(self.sim, src, dst, config, self._rng.stream(f"link.{src}.{dst}"))
+
+    net = _Network(sim, NetworkConfig(n_nodes=_N_NODES), RngRegistry(seed=42))
+    transport = net
+    if scenario["chaos"] is not None:
+        drop, dup, jitter = scenario["chaos"]
+        transport = ChaosTransport(net, sim, np.random.default_rng(7))
+        transport.set_drop(drop)
+        transport.set_duplicate(dup)
+        transport.set_reorder(jitter)
+
+    log = []
+    replies = [scenario["replies"]]
+    seqs = iter(range(10**6))
+
+    def receive(message, node):
+        log.append((sim.now, node, message.sender_node, message.seq))
+        if replies[0]:  # a delivery that sends: its arrival joins the heap
+            replies[0] -= 1
+            transport.send(
+                BatchFrame(sender_node=node, dest_node=message.sender_node, seq=next(seqs))
             )
-        transport = net
-        if chaos is not None:
-            drop, dup, jitter = chaos
-            transport = ChaosTransport(
-                net, sim, np.random.default_rng(np.random.SeedSequence(entropy=7))
-            )
-            transport.set_drop(drop)
-            transport.set_duplicate(dup)
-            transport.set_reorder(jitter)
-        if crash is not None:
-            net.nodes[crash].crash()
-        seq = 0
-        for index, round_ops in enumerate(rounds):
-            frames = []
-            for src, dst in round_ops:
+
+    def listen(node):
+        node.set_receiver(lambda m, n=node.node_id: receive(m, n))
+
+    for node in net.nodes.values():
+        listen(node)
+
+    def run_round(ops):
+        frames = []
+        for op in ops:
+            if op[0] == "send":
+                _, src, dst, batched = op
                 if src == dst:
                     continue
-                frames.append(
-                    BatchFrame(sender_node=src, dest_node=dst, seq=seq)
-                )
-                seq += 1
-            sim.schedule(0.01 * (index + 1), transport.send_batch, frames)
-        sim.run()
-        stats = {
-            (link.src, link.dst): (link.stats.delivered, link.stats.bytes_delivered)
-            for link in net.links()
-        }
-        meters = {
-            nid: (
-                node.meter.messages_sent,
-                node.meter.bytes_sent,
-                node.meter.messages_received,
-                node.meter.bytes_received,
-            )
-            for nid, node in net.nodes.items()
-        }
-        return log, stats, meters
+                frame = BatchFrame(sender_node=src, dest_node=dst, seq=next(seqs))
+                if batched:
+                    frames.append(frame)
+                else:
+                    transport.send(frame)
+            elif op[0] == "pin":
+                at = sim.peek_time()
+                if at is not None:
+                    sim.schedule_at(at, lambda: log.append((sim.now, "pin")))
+            elif op[0] == "toggle":
+                node = net.nodes[op[1]]
+                if node.up:
+                    node.crash()
+                else:
+                    node.recover()
+                    listen(node)
+            else:
+                sim.cancel(sim.schedule(0.0005, lambda: log.append("cancelled")))
+        transport.send_batch(frames)
 
-    if scalar:
-        with force_scalar():
-            return build_and_run()
-    return build_and_run()
+    for index, ops in enumerate(scenario["rounds"]):
+        sim.schedule_at(0.001 * (index + 1), run_round, ops)
+
+    steps = []
+    while sim.step():
+        steps.append((sim.now, sim.pending_count(), sim.events_executed))
+    stats = {(link.src, link.dst): vars(link.stats) for link in net.links()}
+    meters = {
+        nid: (m.messages_sent, m.bytes_sent, m.messages_received, m.bytes_received)
+        for nid, m in ((nid, node.meter) for nid, node in net.nodes.items())
+    }
+    return log, steps, stats, meters
+
+
+def _assert_matches_reference(scenario):
+    """Same key, same counter: a heap arrival fires exactly where its own
+    engine event would have."""
+    assert _run(scenario, Link) == _run(scenario, ReferenceLink)
 
 
 class TestBatchedScalarEquivalence:
-    @given(_rounds, st.sampled_from([0.0, 0.3]))
-    @settings(max_examples=60, deadline=None)
-    def test_lossy_mix_is_bit_identical(self, rounds, loss):
-        """Same RNG streams, same arrivals, same order, same counters —
-        the batched fan-out must be invisible to everything downstream."""
-        batched = _run_mix(rounds, scalar=False, loss=loss)
-        scalar = _run_mix(rounds, scalar=True, loss=loss)
-        assert batched == scalar
+    @given(_scenarios([_LAN, _LOSSY, _ZERO, _ZERO_LOSSY], [_SEND, _PIN, _TOGGLE, _CANCEL],
+                      st.none() | _CHAOS))
+    @settings(max_examples=100, deadline=None)
+    def test_arrival_mix_matches_per_event_reference(self, scenario):
+        _assert_matches_reference(scenario)
 
-    @given(
-        _rounds,
-        st.sampled_from([0.0, 0.25]),
-        st.sampled_from([0.0, 0.5]),
-        st.sampled_from([0.0, 0.005]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_chaos_overlay_mix_is_bit_identical(self, rounds, drop, dup, jitter):
-        """ChaosTransport.send_batch deliberately stays per-message so the
-        script-pinned RNG draw order is preserved; the surviving traffic
-        still reaches Network.send (scalar, draw-for-draw identical)."""
-        overlay = (drop, dup, jitter)
-        batched = _run_mix(rounds, scalar=False, chaos=overlay)
-        scalar = _run_mix(rounds, scalar=True, chaos=overlay)
-        assert batched == scalar
+    @given(_scenarios([_LAN, _LOSSY], [_SEND, _PIN], st.none()))
+    @settings(max_examples=30, deadline=None)
+    def test_lossy_mix_is_bit_identical(self, scenario):
+        _assert_matches_reference(scenario)
 
-    @given(_rounds)
-    @settings(max_examples=20, deadline=None)
-    def test_zero_delay_mix_is_bit_identical(self, rounds):
-        """delay_mean=0 arrivals stay on the scalar path (each needs its own
-        engine-seq position among same-time events) — and must still agree."""
-        batched = _run_mix(rounds, scalar=False, delay=0.0)
-        scalar = _run_mix(rounds, scalar=True, delay=0.0)
-        assert batched == scalar
+    @given(_scenarios([_LAN, _LOSSY, _ZERO], [_SEND, _PIN], _CHAOS))
+    @settings(max_examples=30, deadline=None)
+    def test_chaos_overlay_mix_is_bit_identical(self, scenario):
+        """ChaosTransport.send_batch stays per-message; jittered copies
+        re-enter through Network.send and take their place in the heap."""
+        _assert_matches_reference(scenario)
 
-    @given(_rounds, st.integers(min_value=0, max_value=_N_NODES - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_crashed_sender_mix_is_bit_identical(self, rounds, crashed):
+    @given(_scenarios([_ZERO, _ZERO_LOSSY], [_SEND, _PIN, _CANCEL], st.none()))
+    @settings(max_examples=30, deadline=None)
+    def test_zero_delay_mix_is_bit_identical(self, scenario):
+        """An exact-``now`` arrival takes its push-order place among the
+        callbacks due at the same instant."""
+        _assert_matches_reference(scenario)
+
+    @given(_scenarios([_LAN, _ZERO], [_SEND, _TOGGLE], st.none()))
+    @settings(max_examples=30, deadline=None)
+    def test_crashed_sender_mix_is_bit_identical(self, scenario):
         """A crashed node's sends vanish without meter charges or RNG draws
         on both paths (the down-check precedes everything)."""
-        batched = _run_mix(rounds, scalar=False, crash=crashed)
-        scalar = _run_mix(rounds, scalar=True, crash=crashed)
-        assert batched == scalar
+        _assert_matches_reference(scenario)
 
     def test_all_deliveries_route_through_the_batch(self):
-        """On the batched path, every positive-delay arrival must drain
-        through the shared batch heap (not fall back to per-message engine
-        events) — the engine's run loop pops arrivals directly, so the
-        batched run schedules *no* engine events for message traffic at
-        all, strictly fewer than the scalar path's one per message."""
-        rounds = [[(0, 1), (0, 2), (0, 3), (1, 0), (2, 0)] for _ in range(20)]
-
-        def run():
+        """Every frame of a ``send_batch`` fan-out, zero delay included,
+        becomes one arrival entry: no :class:`Event` per message."""
+        for delay in (0.001, 0.0):
             sim = Simulator()
             net = Network(
                 sim,
-                NetworkConfig(
-                    n_nodes=_N_NODES,
-                    default_link=LinkConfig(delay_mean=0.001),
-                ),
+                NetworkConfig(n_nodes=_N_NODES, default_link=LinkConfig(delay_mean=delay)),
                 RngRegistry(seed=42),
             )
-            seq = 0
-            for index, round_ops in enumerate(rounds):
-                frames = [
-                    BatchFrame(sender_node=s, dest_node=d, seq=(seq := seq + 1))
-                    for s, d in round_ops
-                ]
-                sim.schedule(0.01 * (index + 1), net.send_batch, frames)
+            received = []
+            for node in net.nodes.values():
+                node.set_receiver(received.append)
+            frames = [
+                BatchFrame(sender_node=s, dest_node=d, seq=i)
+                for i, (s, d) in enumerate([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0)] * 20)
+            ]
+            net.send_batch(frames)
+            assert len(sim.heap) == sim.pending_count() == 100
+            assert all(len(entry) == 5 for entry in sim.heap)
             sim.run()
-            return sim
-
-        sim = run()
-        with force_scalar():
-            scalar_sim = run()
-        batch = sim.delivery_batch
-        assert batch is not None
-        assert batch.deliveries == 100  # every frame, none leaked to scalar
-        assert scalar_sim.delivery_batch is None
-        # The merged loop needs no engine entries for deliveries at all:
-        # only the per-round trigger events remain.
-        assert sim.events_scheduled == scalar_sim.events_scheduled - 100
+            assert sorted(received, key=frames.index) == frames
+            if not delay:  # one instant: push order
+                assert received == frames
+            assert sim.events_executed == 100
+            assert sum(link.stats.delivered for link in net.links()) == 100
 
 
 class TestSystemBitExactness:
@@ -297,9 +325,9 @@ class TestSystemBitExactness:
     def test_full_simulation_digest_is_bit_identical(
         self, seed, n_nodes, churn, loss
     ):
-        """The tentpole contract, full-system edition: the batched datapath
-        (and the pooled deadline kernel it composes with) changes nothing
-        observable — same digest, same event count, fewer engine events."""
+        """The pooled deadline kernel changes nothing observable against
+        its scalar reference (:func:`force_scalar`): same digest, same
+        event count, no more engine events."""
         from repro.experiments.runner import build_system
         from repro.experiments.scenario import ExperimentConfig
 
@@ -313,11 +341,11 @@ class TestSystemBitExactness:
             node_churn=churn,
             link_loss_prob=loss,
         )
-        batched = build_system(config)
-        batched.sim.run_until(config.duration)
+        pooled = build_system(config)
+        pooled.sim.run_until(config.duration)
         with force_scalar():
             scalar = build_system(config)
             scalar.sim.run_until(config.duration)
-        assert batched.trace.digest() == scalar.trace.digest()
-        assert len(batched.trace.events) == len(scalar.trace.events)
-        assert batched.sim.events_executed <= scalar.sim.events_executed
+        assert pooled.trace.digest() == scalar.trace.digest()
+        assert len(pooled.trace.events) == len(scalar.trace.events)
+        assert pooled.sim.events_executed <= scalar.sim.events_executed
