@@ -52,7 +52,7 @@ from repro.core.election.base import GroupContext
 from repro.core.election.registry import available_algorithms, create_algorithm
 from repro.core.group import MembershipView, make_incarnation
 from repro.core.membership import Membership
-from repro.fd.configurator import ConfiguratorCache, bootstrap_params
+from repro.fd.configurator import ConfiguratorCache, bootstrap_params, eta_range
 from repro.fd.monitor import NfdsMonitor
 from repro.fd.nfde import NfdeMonitor
 from repro.fd.plane import NodeFdPlane
@@ -463,6 +463,8 @@ class LeaderElectionService:
         self.plane.set_batcher(self.batcher)
         #: Node-level message types the plane consumes (probe traffic).
         self._plane_handlers = self.plane.message_handlers()
+        #: The monitor a frame header goes to straight, by sender node.
+        self._header_monitor = self.plane.header_monitors.get
         #: Last η requested from each peer node and its monitor's suspicion
         #: count then (rate-change hysteresis).
         self._last_requested_rate: Dict[int, Tuple[float, int]] = {}
@@ -574,19 +576,25 @@ class LeaderElectionService:
             # with the header.  Where frames flow every period, one without
             # an echo tells the batcher nothing (AliveBatcher.on_carrier).
             sender = message.sender_node
-            groups = self._groups
             for cell in message.cells:
-                runtime = groups.get(cell.group)
+                runtime = self._groups.get(cell.group)
                 if runtime is not None:
                     runtime.handle_cell(sender, message, cell)
-            batcher = self.batcher
-            if message.ack is not None or batcher.payload_only:
-                batcher.on_carrier(sender, message.ack, message.send_time)
-            self.plane.observe_frame(message)
+            if message.ack is not None or self.batcher.payload_only:
+                self.batcher.on_carrier(sender, message.ack, message.send_time)
+            monitor = self._header_monitor(sender)
+            if monitor is None:
+                self.plane.observe_frame(message)
+            else:
+                monitor.on_alive(message.seq, message.send_time, message.interval)
             return
         if message_type is RateRequestMessage:
-            if message.interval > 0:  # network input: never crash on junk
-                self.batcher.set_requested(message.sender_node, message.interval)
+            # Network input: obey only a period the configurator can ask for
+            # a hosted group (1 µs would flood this daemon, inf blind its peers).
+            budgets = [runtime.qos.detection_time for runtime in self._groups.values()]
+            interval = message.interval
+            if budgets and eta_range(min(budgets))[0] <= interval <= eta_range(max(budgets))[1]:
+                self.batcher.set_requested(message.sender_node, interval)
             return
         handler = self._DISPATCH.get(message_type)
         if handler is None:
@@ -645,7 +653,8 @@ class LeaderElectionService:
 
     def forget_peer(self, node: int) -> None:
         """A peer left every hosted group: drop its node-level state —
-        requested rate, outbound stream counter, link-quality history."""
+        requested rate, outbound stream counter, the plane's probe state
+        (its monitor and link history went with the last interest)."""
         self.batcher.forget_node(node)
         self.plane.forget_node(node)
         self._last_requested_rate.pop(node, None)

@@ -13,11 +13,13 @@ This package implements the three modules of the paper's Figure 1:
 * :mod:`repro.fd.monitor` + :mod:`repro.fd.scheduler` — the **Scheduler**:
   the sender side emits one batched frame per destination node every ``η``;
   the receiver side applies the NFD-S freshness-point rule and raises
-  trust/suspect notifications.
+  trust/suspect notifications.  A monitor is its stream's estimator: one
+  received heartbeat is one deadline update and one folded sample.
 * :mod:`repro.fd.plane` — the **shared node-level FD plane**: one monitor
-  and estimator per node pair, shared by every hosted group, with a
-  trust/suspect fan-out bus toward the groups' elections
-  (:mod:`repro.fd.swim` is the probing alternative on the same base).
+  per node pair, shared by every hosted group, with a trust/suspect fan-out
+  bus toward the groups' elections (:mod:`repro.fd.swim` is the probing
+  alternative on the same base, whose probe LRU keeps standalone
+  estimators).
 
 :mod:`repro.fd.qos` holds the QoS types and the closed-form NFD-S analysis
 used by the configurator; :mod:`repro.fd.nfde` adds Chen et al.'s NFD-E
@@ -27,7 +29,7 @@ clocks, as an extension beyond the paper's service.
 
 from repro.fd.configurator import ConfiguratorCache, configure
 from repro.fd.estimator import LinkQualityEstimator
-from repro.fd.monitor import MonitorEvents, NfdsMonitor
+from repro.fd.monitor import NfdsMonitor
 from repro.fd.nfde import NfdeMonitor
 from repro.fd.qos import (
     FDParams,
@@ -50,7 +52,6 @@ __all__ = [
     "AliveBatcher",
     "LinkEstimate",
     "LinkQualityEstimator",
-    "MonitorEvents",
     "NodeFdPlane",
     "NfdeMonitor",
     "NfdsMonitor",

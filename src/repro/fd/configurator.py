@@ -35,11 +35,16 @@ from repro.fd.qos import (
     expected_mistake_duration,
 )
 
-__all__ = ["configure", "ConfiguratorCache", "bootstrap_params"]
+__all__ = ["configure", "ConfiguratorCache", "bootstrap_params", "eta_range"]
 
 #: Candidate η values span [T_D^U / MAX_PERIODS_IN_BUDGET, 0.96·T_D^U].
 _MAX_PERIODS_IN_BUDGET = 48
 _GRID_POINTS = 256
+
+
+def eta_range(budget: float) -> Tuple[float, float]:
+    """The least and the greatest η the configurator may choose for ``budget``."""
+    return budget / _MAX_PERIODS_IN_BUDGET, budget * 0.96
 
 
 def bootstrap_params(qos: FDQoS) -> FDParams:
@@ -59,9 +64,7 @@ _GRID_CACHE: Dict[float, Tuple] = {}
 def _grid(budget: float) -> Tuple:
     grid = _GRID_CACHE.get(budget)
     if grid is None:
-        etas = np.geomspace(
-            budget / _MAX_PERIODS_IN_BUDGET, budget * 0.96, _GRID_POINTS
-        )
+        etas = np.geomspace(*eta_range(budget), _GRID_POINTS)
         deltas = budget - etas
         k_max = int(np.floor((deltas / etas).max()))
         ks = np.arange(k_max + 1, dtype=float)[:, np.newaxis]

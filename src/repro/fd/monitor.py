@@ -1,10 +1,12 @@
 """Receiver side of NFD-S: freshness points and trust/suspect output.
 
-One :class:`NfdsMonitor` watches one remote process in one group.  The
-freshness-point rule is implemented incrementally: an ALIVE stamped σ_j whose
-sender interval is η keeps the remote trusted until σ_j + η + δ (this equals
-"at freshness point τ_i, trust iff some m_j with j ≥ i arrived" — see
-:mod:`repro.fd.qos`).  A single lazy timer per monitor fires the suspicion.
+One :class:`NfdsMonitor` watches one incoming heartbeat stream, and is that
+stream's :class:`~repro.fd.estimator.LinkQualityEstimator` (Figure 1 pairs one
+with each detector).  The freshness-point rule is implemented incrementally: an
+ALIVE stamped σ_j whose sender interval is η keeps the remote trusted until
+σ_j + η + δ (this equals "at freshness point τ_i, trust iff some m_j with
+j ≥ i arrived" — see :mod:`repro.fd.qos`).  A single lazy timer per monitor
+fires the suspicion.
 
 A monitor's initial opinion is configurable.  Monitors created from a bare
 membership record start *suspected* — the record proves nothing about the
@@ -21,31 +23,18 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.fd.configurator import ConfiguratorCache, bootstrap_params
-from repro.fd.estimator import LinkQualityEstimator
+from repro.fd.estimator import _WINDOW_MASK, LinkQualityEstimator
 from repro.fd.qos import FDParams, FDQoS
 from repro.metrics.usage import UsageMeter
 from repro.runtime.base import Scheduler
 from repro.sim.vector import deadline_timer
 
-__all__ = ["MonitorEvents", "NfdsMonitor"]
+__all__ = ["NfdsMonitor"]
 
 
-class MonitorEvents:
-    """Callback bundle for trust/suspect transitions."""
-
-    __slots__ = ("on_trust", "on_suspect")
-
-    def __init__(
-        self,
-        on_trust: Callable[[int], None],
-        on_suspect: Callable[[int], None],
-    ) -> None:
-        self.on_trust = on_trust
-        self.on_suspect = on_suspect
-
-
-class NfdsMonitor:
-    """Monitors one remote process with Chen et al.'s NFD-S."""
+class NfdsMonitor(LinkQualityEstimator):
+    """Monitors one remote process with Chen et al.'s NFD-S; the estimator
+    of its stream (``ready``, ``estimate()``, ``loss_counts()``)."""
 
     # One instance per directed node pair — 9 900 on the 100-node cell —
     # and ``on_alive`` runs once per received heartbeat, so attribute
@@ -54,36 +43,39 @@ class NfdsMonitor:
         "scheduler",
         "pid",
         "qos",
-        "estimator",
         "_cache",
-        "_events",
+        "_on_trust",
+        "_on_suspect",
         "_meter",
         "delta",
         "desired_eta",
         "trusted",
         "trusted_since",
         "suspicions",
-        "alives_received",
         "_timer",
     )
+
+    #: Every received ALIVE is one estimator sample.
+    alives_received = LinkQualityEstimator.samples
 
     def __init__(
         self,
         scheduler: Scheduler,
         pid: int,
         qos: FDQoS,
-        estimator: LinkQualityEstimator,
         cache: ConfiguratorCache,
-        events: MonitorEvents,
+        on_trust: Callable[[int], None],
+        on_suspect: Callable[[int], None],
         meter: Optional[UsageMeter] = None,
         start_trusted: bool = False,
     ) -> None:
+        super().__init__()
         self.scheduler = scheduler
         self.pid = pid
         self.qos = qos
-        self.estimator = estimator
         self._cache = cache
-        self._events = events
+        self._on_trust = on_trust
+        self._on_suspect = on_suspect
         self._meter = meter
         params = bootstrap_params(qos)
         #: Current timeout shift δ (receiver side).
@@ -96,7 +88,6 @@ class NfdsMonitor:
         #: *continuous* trust over a window, not just instantaneous trust.
         self.trusted_since = 0.0
         self.suspicions = 0
-        self.alives_received = 0
         self._timer = deadline_timer(scheduler, self._on_timeout)
         if start_trusted:
             self.trusted = True
@@ -107,10 +98,34 @@ class NfdsMonitor:
     # Input
     # ------------------------------------------------------------------
     def on_alive(self, seq: int, send_time: float, sender_interval: float) -> None:
-        """Process one received ALIVE from the monitored process."""
+        """Process one received ALIVE.  The stream's next frame folds its
+        sample here, in ``observe``'s arithmetic; any other frame (a gap, a
+        late frame, a duplicate, a restart) takes ``observe`` itself."""
         now = self.scheduler.now
-        self.alives_received += 1
-        self.estimator.observe(seq, send_time, now)
+        if seq - 1 == self._last_seq:
+            self._last_seq = seq
+            if self._gaps:
+                self._gaps = self._gaps << 1 & _WINDOW_MASK
+            decay = self._loss_decay
+            self._received = self._received * decay + 1.0
+            if self._lost:
+                self._lost *= decay
+            delay = now - send_time
+            if delay < 0.0:
+                delay = 0.0
+            # Not the first sample: the stream has a previous seq.
+            samples = self._samples + 1
+            self._samples = samples
+            alpha = self._delay_alpha
+            inverse = 1.0 / samples
+            if inverse > alpha:
+                alpha = inverse
+            previous_mean = self._delay_mean
+            centered = delay - previous_mean
+            self._delay_mean = previous_mean + alpha * centered
+            self._delay_var = (1.0 - alpha) * (self._delay_var + alpha * centered * centered)
+        else:
+            self.observe(seq, send_time, now)
         deadline = send_time + sender_interval + self.delta
         if deadline <= now:
             return  # stale: its freshness interval already expired
@@ -118,10 +133,10 @@ class NfdsMonitor:
         if not self.trusted:
             self.trusted = True
             self.trusted_since = now
-            self._events.on_trust(self.pid)
+            self._on_trust(self.pid)
 
-    def grant_grace(self, horizon: Optional[float] = None) -> None:
-        """Optimistically trust for ``horizon`` seconds (default: T_D^U).
+    def grant_grace(self) -> None:
+        """Optimistically trust for one detection budget (T_D^U).
 
         Only applies when this monitor has no direct evidence of its own
         (no ALIVE received, no suspicion raised): it exists to seed a
@@ -132,10 +147,8 @@ class NfdsMonitor:
             return
         self.trusted = True
         self.trusted_since = self.scheduler.now
-        if horizon is None:
-            horizon = self.qos.detection_time
-        self._timer.extend_to(self.scheduler.now + horizon)
-        self._events.on_trust(self.pid)
+        self._timer.extend_to(self.scheduler.now + self.qos.detection_time)
+        self._on_trust(self.pid)
 
     def _on_timeout(self) -> None:
         if self._meter is not None:
@@ -143,7 +156,7 @@ class NfdsMonitor:
         if self.trusted:
             self.trusted = False
             self.suspicions += 1
-            self._events.on_suspect(self.pid)
+            self._on_suspect(self.pid)
 
     # ------------------------------------------------------------------
     # Reconfiguration
@@ -154,7 +167,7 @@ class NfdsMonitor:
         Updates δ immediately (applied from the next ALIVE on) and returns
         the parameters so the caller can renegotiate the sender rate η.
         """
-        params = self._cache.configure(self.qos, self.estimator.estimate())
+        params = self._cache.configure(self.qos, self.estimate())
         self.delta = params.delta
         self.desired_eta = params.eta
         if self._meter is not None:

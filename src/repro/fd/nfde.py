@@ -49,8 +49,7 @@ class NfdeMonitor(NfdsMonitor):
         measurements); the *freshness deadline* below never uses it.
         """
         now = self.scheduler.now
-        self.alives_received += 1
-        self.estimator.observe(seq, send_time, now)
+        self.observe(seq, send_time, now)
 
         if self._arrivals:
             last_seq, last_arrival = self._arrivals[-1]
@@ -75,4 +74,4 @@ class NfdeMonitor(NfdsMonitor):
         if not self.trusted:
             self.trusted = True
             self.trusted_since = now
-            self._events.on_trust(self.pid)
+            self._on_trust(self.pid)

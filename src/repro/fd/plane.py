@@ -13,9 +13,9 @@ nodes to the pids hosted there.
 contract that every plane shares (interest table, strictest-QoS rule, trust
 readout, listener fan-out); :class:`~repro.fd.swim.SwimFdPlane` is its other
 subclass.  :class:`NodeFdPlane` owns, per peer node: one monitor (NFD-S or
-NFD-E), one persistent :class:`~repro.fd.estimator.LinkQualityEstimator`, and the set of
-*interested* groups with their FD QoS.  The effective QoS of a node pair is
-the strictest (smallest detection time) among the interested groups, so no
+NFD-E), which is also its stream's link-quality estimator and goes with the
+last interested group, and the set of *interested* groups with their FD QoS.
+The effective QoS of a node pair is the strictest (smallest detection time) among the interested groups, so no
 group's detection bound is ever loosened by sharing.  Trust transitions fan
 out through the registered listeners (the group runtimes), which map the
 node to their local pids — the trust/suspect bus of the service layer.
@@ -33,8 +33,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, Optional, Protocol, Tuple, Type
 
 from repro.fd.configurator import ConfiguratorCache, bootstrap_params
-from repro.fd.estimator import LinkQualityEstimator
-from repro.fd.monitor import MonitorEvents, NfdsMonitor
+from repro.fd.monitor import NfdsMonitor
 from repro.fd.qos import FDParams, FDQoS
 from repro.metrics.usage import UsageMeter
 from repro.net.message import BatchFrame
@@ -213,7 +212,8 @@ class FdPlaneBase(FdPlane):
 
 
 class NodeFdPlane(FdPlaneBase):
-    """One failure detector per peer *node*, shared by every hosted group."""
+    """One failure detector per peer *node*, shared by every hosted group;
+    each is the link-quality estimator of that node's frame stream."""
 
     def __init__(
         self,
@@ -225,25 +225,13 @@ class NodeFdPlane(FdPlaneBase):
     ) -> None:
         super().__init__(scheduler, node_id, cache, meter)
         self._monitor_class = monitor_class
-        #: Estimators persist across monitor churn: link quality outlives
-        #: any one group's interest in the peer.
-        self._estimators: Dict[int, LinkQualityEstimator] = {}
+        #: Every frame header is its sender's heartbeat.
+        self.header_monitors = self.monitors
 
     def _drop_peer(self, node: int) -> None:
         monitor = self.monitors.pop(node, None)
         if monitor is not None:
             monitor.stop()
-
-    def forget_node(self, node: int) -> None:
-        """Drop the departed peer's link-quality history.
-
-        Estimators deliberately outlive their monitor across *re*-monitoring
-        of a live pair, but once no group cares about the node the history
-        describes a process that may never come back — keeping it leaks one
-        estimator per departed node over a long churn run.  A returning node
-        simply warms up a fresh estimator, exactly like a first contact.
-        """
-        self._estimators.pop(node, None)
 
     def _qos_changed(self, node: int, qos: FDQoS) -> None:
         monitor = self.monitors.get(node)
@@ -254,7 +242,7 @@ class NodeFdPlane(FdPlaneBase):
             # next periodic reconfiguration comes around.  With a warm
             # estimator the configurator gives the exact parameters; before
             # that, the bootstrap values of the new QoS bound δ from above.
-            if monitor.estimator.ready:
+            if monitor.ready:
                 monitor.reconfigure()
             else:
                 params = bootstrap_params(qos)
@@ -267,21 +255,19 @@ class NodeFdPlane(FdPlaneBase):
     # Monitor plumbing
     # ------------------------------------------------------------------
     def _new_monitor(self, node: int, qos: FDQoS) -> NfdsMonitor:
-        estimator = self._estimators.get(node)
-        if estimator is None:
-            estimator = self._estimators[node] = LinkQualityEstimator()
         return self._monitor_class(
             scheduler=self.scheduler,
             pid=node,  # the monitored identity is the peer node
             qos=qos,
-            estimator=estimator,
             cache=self._cache,
-            events=MonitorEvents(on_trust=self._fan_trust, on_suspect=self._fan_suspect),
+            on_trust=self._fan_trust,
+            on_suspect=self._fan_suspect,
             meter=self._meter,
         )
 
     def observe_frame(self, frame: BatchFrame) -> None:
-        """Feed one received frame header to the sender's node monitor."""
+        """Feed a frame header to its sender's monitor, created if some group
+        watches the sender (the daemon feeds an existing one itself)."""
         monitor = self.monitors.get(frame.sender_node)
         if monitor is None:
             monitor = self.ensure_monitor(frame.sender_node)
@@ -296,8 +282,8 @@ class NodeFdPlane(FdPlaneBase):
         # Pooled, not per link: one stream at 1 % loss shows its first gap
         # after ~100 frames — blind for ~20 s after either end reboots.
         lost = received = 0.0
-        for estimator in self._estimators.values():
-            stream_lost, stream_received = estimator.loss_counts()
+        for monitor in self.monitors.values():
+            stream_lost, stream_received = monitor.loss_counts()
             lost += stream_lost
             received += stream_received
         return lost / (lost + received) if lost else 0.0
@@ -314,7 +300,7 @@ class NodeFdPlane(FdPlaneBase):
     # Reconfiguration
     # ------------------------------------------------------------------
     def reconfigure_ready(self) -> Iterator[Tuple[int, FDParams]]:
-        """Re-run the configurator for every monitor with a ready estimator.
+        """Re-run the configurator for every monitor whose estimate is ready.
 
         One pass covers every node pair — the per-group reconfiguration
         timers this plane replaced ran the same computation once per
@@ -322,7 +308,7 @@ class NodeFdPlane(FdPlaneBase):
         renegotiate the node-level heartbeat rate.
         """
         for node, monitor in self.monitors.items():
-            if monitor.estimator.ready:
+            if monitor.ready:
                 yield node, monitor.reconfigure()
 
     def shutdown(self) -> None:

@@ -32,6 +32,7 @@ Per-destination state that must *not* be shared:
 from __future__ import annotations
 
 from bisect import bisect_right
+from math import inf
 from typing import Dict, Iterable, Optional, Protocol, Tuple
 
 import numpy as np
@@ -187,8 +188,8 @@ class AliveBatcher:
 
     def set_requested(self, node: int, interval: float) -> None:
         """Apply a peer node's requested rate (RATE-REQUEST handler)."""
-        if interval <= 0:
-            raise ValueError(f"interval must be positive (got {interval})")
+        if not 0.0 < interval < inf:
+            raise ValueError(f"interval must be positive and finite (got {interval})")
         self._requested[node] = interval
         # Takes effect from the next firing; rate renegotiations move η by
         # modest factors, so the one-period transient is harmless.
@@ -335,6 +336,7 @@ class AliveBatcher:
         seqs = self.seqs
         acks = self.acks
         node_id = self.node_id
+        header_bytes = BatchFrame.HEADER_WIRE_BYTES
         if gossiping:
             ring = sorted(per_dest)
             after = bisect_right(ring, node_id)
@@ -361,7 +363,7 @@ class AliveBatcher:
                 # A header-only frame (most of them) is sized here, once:
                 # the send path and the meters read the memo, not the model.
                 frame = BatchFrame(node_id, dest, seq, now, interval)
-                frame._wire = BatchFrame.HEADER_WIRE_BYTES
+                frame._wire = header_bytes
                 frames.append(frame)
         # The whole fan-out in one transport call (one Python call per
         # frame fewer than a send loop).

@@ -56,7 +56,8 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.fd.configurator import ConfiguratorCache, bootstrap_params
 from repro.fd.estimator import LinkQualityEstimator
@@ -150,6 +151,7 @@ class SwimFdPlane(FdPlaneBase):
 
     #: The probe ring, not the frame header, is the liveness signal.
     header_is_liveness = False
+    header_monitors: Mapping[int, SwimPeerState] = MappingProxyType({})
 
     def __init__(
         self,

@@ -15,7 +15,7 @@ Every group of ``n`` processes communicates over ``n·(n-1)`` independent
 directed links, exactly as in the paper.
 """
 
-from repro.net.links import Link, LinkConfig, LinkStats
+from repro.net.links import Link, LinkConfig
 from repro.net.message import (
     WIRE_OVERHEAD_BYTES,
     AccEntry,
@@ -40,7 +40,6 @@ __all__ = [
     "Link",
     "LinkChurnInjector",
     "LinkConfig",
-    "LinkStats",
     "MemberInfo",
     "Message",
     "Network",

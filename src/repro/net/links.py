@@ -20,13 +20,9 @@ flight — exactly like UDP datagrams on the authors' testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappush
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.net.message import Message
-from repro.sim.engine import Simulator
-
-__all__ = ["LinkConfig", "LinkStats", "Link"]
+__all__ = ["LinkConfig", "Link"]
 
 
 @dataclass(frozen=True)
@@ -59,96 +55,46 @@ class LinkConfig:
         return self.mttf is not None
 
 
-@dataclass
-class LinkStats:
-    """Counters kept by every link (used by tests and the usage metrics)."""
-
-    offered: int = 0
-    delivered: int = 0
-    dropped_loss: int = 0
-    dropped_down: int = 0
-    bytes_delivered: int = 0
-
-    @property
-    def dropped(self) -> int:
-        return self.dropped_loss + self.dropped_down
-
-
 class Link:
-    """One directed communication link between two nodes.
+    """One directed communication link between two nodes: its behaviour,
+    its RNG stream and its up/down state.
 
-    The link does not know about nodes; it accepts a message plus a delivery
-    callback and either pushes its arrival onto the simulator's heap, the
-    sampled delay ahead, or silently drops it.  Crash-prone state
-    transitions are driven by :class:`~repro.net.faults.LinkChurnInjector`
-    through :meth:`set_down`.
+    :meth:`~repro.net.network.Network.send` reads them per message: a down
+    link drops it, a lossy one draws the loss coin and the delay in one
+    call, and a surviving message's arrival is pushed the sampled delay
+    ahead.  A link counts nothing: what was sent and received is on the
+    nodes' meters.  Crash-prone state transitions are driven by
+    :class:`~repro.net.faults.LinkChurnInjector` through :meth:`set_down`.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        src: int,
-        dst: int,
-        config: LinkConfig,
-        rng,
-    ) -> None:
-        self.sim = sim
+    __slots__ = ("src", "dst", "config", "rng", "loss_prob", "delay_mean", "down")
+
+    def __init__(self, src: int, dst: int, config: LinkConfig, rng) -> None:
         self.src = src
         self.dst = dst
         self.config = config
-        self._rng = rng
-        # Hot-path copies of the (frozen) config scalars: transmit() runs
-        # once per offered message, and attribute-hopping through the
-        # dataclass costs more than the draws it guards.
-        self._loss_prob = config.loss_prob
-        self._delay_mean = config.delay_mean
+        #: The link's stream, shared by rebuilt links (see with_config).
+        self.rng = rng
+        # Hot-path copies of the (frozen) config scalars: read once per
+        # offered message, where hopping through the dataclass costs more
+        # than the draws they guard.
+        self.loss_prob = config.loss_prob
+        self.delay_mean = config.delay_mean
         self.down = False
-        self.stats = LinkStats()
-
-    @property
-    def rng(self):
-        """The link's RNG stream (shared by rebuilt links, see with_config)."""
-        return self._rng
 
     def with_config(self, config: LinkConfig) -> "Link":
         """A link with new stochastic behaviour but this link's identity.
 
         Keeps the RNG stream (so reconfiguring one link never perturbs the
-        draws of any other) and the up/down state; counters start fresh,
-        matching the semantics of installing a new link.
+        draws of any other) and the up/down state.
         """
-        new = Link(self.sim, self.src, self.dst, config, self._rng)
+        new = Link(self.src, self.dst, config, self.rng)
         new.down = self.down
         return new
 
     def set_down(self, down: bool) -> None:
         """Crash (``True``) or recover (``False``) this link."""
         self.down = down
-
-    def transmit(self, message: Message, deliver: Callable[[Message], None]) -> None:
-        """Offer ``message`` to the link; maybe push its arrival.
-
-        A surviving message becomes a ``(arrival, seq, link, message,
-        deliver)`` entry of the simulator's one heap, ``seq`` drawn from its
-        :attr:`~repro.sim.engine.Simulator.order` (zero delay included: an
-        exact-``now`` arrival takes its push-order place among same-time
-        events).  The run loop delivers it and bumps :attr:`stats`.
-        """
-        stats = self.stats
-        stats.offered += 1
-        if self.down:
-            stats.dropped_down += 1
-            return
-        delay_mean = self._delay_mean
-        if self._loss_prob:
-            delay = self._rng.lossy_delay(self._loss_prob, delay_mean)
-            if delay is None:
-                stats.dropped_loss += 1
-                return
-        else:
-            delay = self._rng.exponential(delay_mean) if delay_mean else 0.0
-        sim = self.sim
-        heappush(sim.heap, (sim.now + delay, next(sim.order), self, message, deliver))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "down" if self.down else "up"

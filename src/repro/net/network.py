@@ -1,9 +1,9 @@
 """The network: nodes plus a full mesh of directed links.
 
 ``Network`` owns the topology and the send path.  Sending charges the sender
-node's usage meter, offers the message to the directed link, and — if the
-link delivers — hands it to the destination node (which drops it when
-crashed).  Per-link behaviour defaults to :attr:`NetworkConfig.default_link`
+node's usage meter, draws each message's fate from its directed link's stream
+and — if the link delivers — pushes its arrival at the destination node
+(which drops it when crashed).  Per-link behaviour defaults to :attr:`NetworkConfig.default_link`
 and can be overridden per directed pair, which tests and examples use to
 build asymmetric topologies (e.g. a single crashed input link).
 """
@@ -11,7 +11,8 @@ build asymmetric topologies (e.g. a single crashed input link).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from heapq import heappush
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.net.links import Link, LinkConfig
 from repro.net.message import Message
@@ -59,10 +60,9 @@ class Network:
         }
         self._links: Dict[Tuple[int, int], Link] = {}
         #: Node-id-indexed routes: ``_routes[src][dst]`` is
-        #: ``(sender_node, link, dest_node.deliver)``, or None while the
-        #: pair has never been used (and on the diagonal).  One send costs
-        #: two list indexings instead of three dict lookups plus a
-        #: tuple-key allocation.
+        #: ``(link, dest_node.deliver)``, or None while the pair has never
+        #: been used (and on the diagonal).  A send looks up its sender's
+        #: row once and indexes it per message.
         #:
         #: Links materialize *lazily*, on a pair's first send (or first
         #: topology access): eagerly building all n·(n-1) links dominated
@@ -71,15 +71,14 @@ class Network:
         #: exercises.  Laziness is invisible to replay because each link's
         #: stream is derived from its *name* (``link.{src}.{dst}``), never
         #: from creation order.
-        self._routes: list[list[Optional[Tuple[Node, Link, Callable]]]] = [
+        self._routes: list[list[Optional[Tuple[Link, Callable]]]] = [
             [None] * config.n_nodes for _ in range(config.n_nodes)
         ]
 
     def _make_link(self, src: int, dst: int, link_config: LinkConfig) -> Link:
-        stream = self._rng.stream(f"link.{src}.{dst}")
-        return Link(self.sim, src, dst, link_config, stream)
+        return Link(src, dst, link_config, self._rng.stream(f"link.{src}.{dst}"))
 
-    def _ensure_route(self, src: int, dst: int) -> Tuple[Node, Link, Callable]:
+    def _ensure_route(self, src: int, dst: int) -> Tuple[Link, Callable]:
         if src == dst:
             raise ValueError(f"no self-link for node {src}")
         link = self._links.get((src, dst))
@@ -88,11 +87,7 @@ class Network:
 
     def _install_link(self, link: Link) -> None:
         self._links[(link.src, link.dst)] = link
-        self._routes[link.src][link.dst] = (
-            self.nodes[link.src],
-            link,
-            self.nodes[link.dst].deliver,
-        )
+        self._routes[link.src][link.dst] = (link, self.nodes[link.dst].deliver)
 
     # ------------------------------------------------------------------
     # Topology access
@@ -105,7 +100,7 @@ class Network:
         """The directed link from ``src`` to ``dst``."""
         link = self._links.get((src, dst))
         if link is None:
-            link = self._ensure_route(src, dst)[1]
+            link = self._ensure_route(src, dst)[0]
         return link
 
     def links(self) -> Iterable[Link]:
@@ -132,8 +127,9 @@ class Network:
         """
         self._offer((message,))
 
-    def send_batch(self, messages: Iterable[Message]) -> None:
-        """Transmit a whole per-tick fan-out.
+    def send_batch(self, messages: Sequence[Message]) -> None:
+        """Transmit one node's per-round fan-out: every message has the
+        same sender (the frame batcher's round, a gossip round).
 
         Per message this is exactly :meth:`send` — same state checks, same
         meter charges, same RNG draws, same heap entries in transmit order —
@@ -146,20 +142,46 @@ class Network:
         else:
             self._offer(messages)
 
-    def _offer(self, messages: Iterable[Message]) -> None:
-        routes = self._routes
+    def _offer(self, messages: Sequence[Message]) -> None:
+        """Offer one sender's messages to their links, in order.
+
+        The sender's liveness, its route row and its meter are read once.
+        A surviving message becomes a ``(arrival, seq, message, deliver)``
+        entry of the simulator's one heap, ``seq`` drawn from its
+        :attr:`~repro.sim.engine.Simulator.order` (zero delay included: an
+        exact-``now`` arrival takes its push-order place among same-time
+        events); the run loop calls ``deliver(message)``.
+        """
+        if not messages:
+            return
+        src = messages[0].sender_node
+        sender = self.nodes[src]
+        if not sender.up:
+            return
+        row = self._routes[src]
+        sim = self.sim
+        heap, order, now = sim.heap, sim.order, sim.now
+        size = 0
         for message in messages:
-            route = routes[message.sender_node][message.dest_node]
+            route = row[message.dest_node]
             if route is None:
-                route = self._ensure_route(message.sender_node, message.dest_node)
-            sender, link, deliver = route
-            if not sender.up:
-                continue
-            meter = sender.meter
-            meter.messages_sent += 1
+                route = self._ensure_route(src, message.dest_node)
+            link, deliver = route
             # A header-only frame comes sized (see AliveBatcher._tick).
-            meter.bytes_sent += message._wire or message.wire_bytes()
-            link.transmit(message, deliver)
+            size += message._wire or message.wire_bytes()
+            if link.down:
+                continue
+            mean = link.delay_mean
+            if link.loss_prob:
+                delay = link.rng.lossy_delay(link.loss_prob, mean)
+                if delay is None:
+                    continue
+            else:
+                delay = link.rng.exponential(mean) if mean else 0.0
+            heappush(heap, (now + delay, next(order), message, deliver))
+        meter = sender.meter
+        meter.messages_sent += len(messages)
+        meter.bytes_sent += size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Network(n={len(self.nodes)})"

@@ -124,9 +124,10 @@ class Transport(Protocol):
         ...
 
     def send_batch(self, messages: Iterable["Message"]) -> None:
-        """One per-round fan-out: per message exactly :meth:`send`, in
-        order; an engine may carry the burst more cheaply (the simulator
-        offers it in one loop, not one ``send`` call each)."""
+        """One node's per-round fan-out (every message has the same
+        sender): per message exactly :meth:`send`, in order; an engine may
+        carry the burst more cheaply (the simulator offers it in one loop,
+        not one ``send`` call each)."""
         ...
 
 
@@ -143,9 +144,12 @@ class FdPlane(Protocol):
     registration order.  ``monitors`` maps a peer node to its state, born
     *untrusted* — a membership record proves nothing about the process —
     and exposing at least ``trusted`` / ``trusted_since`` (the election's
-    fused trust check indexes it).  ``observe_frame`` runs after a frame's
-    cells were ingested.  ``grant_grace`` is optimistic trust for one
-    budget, ignored once evidence or a suspicion exists; ``trusted_for`` is
+    fused trust check indexes it).  After a frame's cells were ingested the
+    daemon hands its header to the sender's ``header_monitors`` entry
+    (``on_alive(seq, send_time, interval)``), or the frame to
+    ``observe_frame`` if there is none; ``forget_node`` drops what a plane
+    keeps of a peer beyond its ``monitors`` entry.  ``grant_grace`` is
+    optimistic trust for one budget, ignored once evidence or a suspicion exists; ``trusted_for`` is
     seconds of *continuous* trust (``now`` for the local node);
     ``reconfigure_ready`` yields the pairs whose heartbeat rate the daemon
     should renegotiate.  After ``shutdown`` every call is inert.
@@ -161,6 +165,10 @@ class FdPlane(Protocol):
     #: carrier without it shows the cell lost (see :mod:`repro.core.cells`).
     #: Group gossip reads no plane flag.
     header_is_liveness: bool
+    #: The peers whose frame header alone is their heartbeat, by node: each
+    #: entry takes ``on_alive`` straight from the daemon, with no plane call
+    #: between.  Empty where a frame carries more than a header to the plane.
+    header_monitors: Mapping[int, Any]
 
     def register_interest(
         self, group: int, node: int, qos: "FDQoS", listener: "PlaneListener"

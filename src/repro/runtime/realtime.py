@@ -118,7 +118,7 @@ class RealtimeScheduler:
 
 @dataclass
 class TransportStats:
-    """Counters kept by :class:`UdpTransport` (mirrors link stats in sim)."""
+    """Counters kept by :class:`UdpTransport`."""
 
     frames_sent: int = 0
     bytes_sent: int = 0

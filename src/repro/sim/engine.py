@@ -5,11 +5,11 @@ one heap, :attr:`Simulator.heap`, holding two kinds of entry:
 
 * ``(time, seq, event)`` — a scheduled callback (:meth:`Simulator.schedule`,
   :meth:`Simulator.schedule_at`);
-* ``(time, seq, link, message, deliver)`` — a message arrival, pushed by
-  :meth:`~repro.net.links.Link.transmit` itself.  The run loop fires it
-  inline: it bumps the link's delivered counters and calls ``deliver``, so
-  an arrival costs one tuple push and one pop — no :class:`Event`, no
-  handle — and still counts into ``events_executed``.
+* ``(time, seq, message, deliver)`` — a message arrival, pushed by the
+  send loop of :class:`~repro.net.network.Network` itself.  The run loop fires it
+  inline, ``deliver(message)``, so an arrival costs one tuple push and one
+  pop — no :class:`Event`, no handle — and still counts into
+  ``events_executed``.
 
 Both kinds draw ``seq`` from the one counter :attr:`Simulator.order`, so heap
 sifts compare plain floats and ints at C speed (sequence numbers are unique:
@@ -132,7 +132,7 @@ class Simulator:
         #: write, read on every heartbeat's send and receive.
         self.now = float(start_time)
         #: The one event heap: ``(time, seq, event)`` callbacks and
-        #: ``(time, seq, link, message, deliver)`` arrivals (module notes).
+        #: ``(time, seq, message, deliver)`` arrivals (module notes).
         self.heap: list = []
         #: Tie-break sequence numbers of every heap entry, in push order.
         self.order = count(1)
@@ -244,10 +244,7 @@ class Simulator:
             event.args = _NO_ARGS
             fn(*args)  # type: ignore[misc]  (non-cancelled events keep their fn)
         else:
-            _, _, link, message, deliver = entry
-            stats = link.stats
-            stats.delivered += 1
-            stats.bytes_delivered += message._wire or message.wire_bytes()
+            _, _, message, deliver = entry
             deliver(message)
         return True
 
@@ -288,14 +285,10 @@ class Simulator:
                     # A message arrival.  A message already on the wire when
                     # its link goes down is still delivered (a crash stops
                     # the sender's messages from the moment of the crash,
-                    # paper footnote 5).  The wire-size memo is warm: the
-                    # send charged it.
-                    _, _, link, message, deliver = entry
+                    # paper footnote 5).
+                    _, _, message, deliver = entry
                     self.now = at
                     executed += 1
-                    stats = link.stats
-                    stats.delivered += 1
-                    stats.bytes_delivered += message._wire or message.wire_bytes()
                     deliver(message)
         finally:
             self._running = False

@@ -1,11 +1,14 @@
 """Unit/functional tests for the service daemon and group runtime."""
 
+import math
+
 import pytest
 
 from repro.core.service import LeaderElectionService, ServiceConfig
+from repro.fd.configurator import eta_range
 from repro.fd.qos import FDQoS
 from repro.metrics.trace import TraceRecorder
-from repro.net.message import BatchFrame
+from repro.net.message import BatchFrame, RateRequestMessage
 from repro.net.network import Network, NetworkConfig
 from repro.sim.rng import RngRegistry
 
@@ -258,23 +261,34 @@ class TestQoSPlumbing:
         runtime = services[0].join(0, group=1, qos=qos)
         assert runtime.qos.detection_time == 0.5
 
-    def test_estimators_persist_across_monitor_churn(self, sim):
-        """The plane keeps one estimator per peer *node*, shared by every
-        group and surviving monitor teardown."""
+    def test_a_peers_link_history_goes_with_its_last_groups_interest(self, sim):
+        """A peer node's monitor is its stream's estimator, shared by every
+        group that watches the node: frames the daemon receives feed it
+        while any group does, and it goes with the last one."""
         _, services, _ = build(sim)
-        plane = services[0].plane
+        service = services[0]
+        plane = service.plane
 
         class Quiet:
             def on_node_trust(self, node): ...
             def on_node_suspect(self, node): ...
 
-        for node in (2, 3):
-            plane.register_interest(1, node, FDQoS(), Quiet())
-        est1 = plane.ensure_monitor(2).estimator
-        assert plane.unregister_interest(1, 2)  # the last leaver: monitor gone
+        for group in (1, 2):
+            plane.register_interest(group, 2, FDQoS(), Quiet())
+        for seq in range(10):
+            service.handle_message(
+                BatchFrame(sender_node=2, dest_node=0, seq=seq, send_time=sim.now, interval=0.25)
+            )
+        monitor = plane.monitors[2]
+        assert monitor.samples == 10 and monitor.ready
+        assert not plane.unregister_interest(1, 2)  # group 2 still watches
+        assert plane.monitors[2] is monitor and monitor.ready
+        assert plane.unregister_interest(2, 2)  # the last leaver
+        assert 2 not in plane.monitors
         plane.register_interest(1, 2, FDQoS(), Quiet())
-        assert plane.ensure_monitor(2).estimator is est1
-        assert plane.ensure_monitor(3).estimator is not est1
+        fresh = plane.ensure_monitor(2)
+        assert fresh is not monitor
+        assert fresh.samples == 0 and not fresh.ready and fresh.loss_counts() == (0.0, 0.0)
 
     def test_departed_peer_rate_no_longer_pins_the_interval(self, sim):
         """A peer that left every hosted group must stop forcing the
@@ -327,3 +341,53 @@ class TestQoSPlumbing:
         sim.run_until(1.1)  # the join announcement reaches node 0
         tight = bootstrap_params(FDQoS(detection_time=0.5))
         assert monitor.delta <= tight.delta < loose_delta
+
+
+class TestRateRequests:
+    """A RATE-REQUEST is network input: a daemon obeys one only inside the
+    range of periods the configurator can ask for a group it hosts."""
+
+    def _cell(self, sim):
+        network, services, _ = build(sim, n=3)
+        for node_id in range(3):
+            services[node_id].register(node_id)
+            services[node_id].join(node_id, group=1)
+        sim.run_until(5.0)
+        return network, services
+
+    def _forge(self, network, interval):
+        for peer in (1, 2):
+            network.send(RateRequestMessage(sender_node=peer, dest_node=0, interval=interval))
+
+    def test_a_tiny_request_cannot_make_the_daemon_tick_every_microsecond(self, sim):
+        network, services = self._cell(sim)
+        interval = services[0].batcher.interval()
+        self._forge(network, 1e-6)
+        sim.run_until(5.001)  # delivered
+        assert services[0].batcher.interval() == interval
+        events = sim.events_executed
+        sim.run_until(5.5)
+        assert sim.events_executed - events < 100
+
+    def test_an_infinite_request_cannot_blind_the_peers(self, sim):
+        network, services = self._cell(sim)
+        self._forge(network, math.inf)
+        sim.run_until(6.0)  # node 0 has advertised its period since
+        network.node(0).crash()
+        services[0].shutdown()
+        sim.run_until(6.0 + 2 * FDQoS().detection_time)
+        assert not services[1].plane.trusted(0)
+        assert not services[2].plane.trusted(0)
+
+    def test_every_period_the_configurator_can_ask_is_obeyed(self, sim):
+        _, services = self._cell(sim)
+        requested = services[0].batcher._requested
+        low, high = eta_range(FDQoS().detection_time)
+        for interval, obeyed in (
+            (low, low), (high, high),
+            (low * 0.999, high), (high * 1.001, high), (math.nan, high), (0.0, high), (-1.0, high),
+        ):
+            services[0].handle_message(
+                RateRequestMessage(sender_node=1, dest_node=0, interval=interval)
+            )
+            assert requested[1] == obeyed

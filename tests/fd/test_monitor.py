@@ -3,8 +3,7 @@
 import pytest
 
 from repro.fd.configurator import ConfiguratorCache
-from repro.fd.estimator import LinkQualityEstimator
-from repro.fd.monitor import MonitorEvents, NfdsMonitor
+from repro.fd.monitor import NfdsMonitor
 from repro.fd.qos import FDQoS
 
 
@@ -13,7 +12,7 @@ class Events:
         self.log = []
 
     def bundle(self):
-        return MonitorEvents(
+        return dict(
             on_trust=lambda pid: self.log.append(("trust", pid)),
             on_suspect=lambda pid: self.log.append(("suspect", pid)),
         )
@@ -29,9 +28,8 @@ def make_monitor(sim, events, start_trusted=False, qos=None):
         scheduler=sim,
         pid=7,
         qos=qos or FDQoS(),
-        estimator=LinkQualityEstimator(),
         cache=ConfiguratorCache(),
-        events=events.bundle(),
+        **events.bundle(),
         start_trusted=start_trusted,
     )
 

@@ -1,8 +1,6 @@
 """Unit tests for the NFD-E (expected-arrival) monitor extension."""
 
 from repro.fd.configurator import ConfiguratorCache
-from repro.fd.estimator import LinkQualityEstimator
-from repro.fd.monitor import MonitorEvents
 from repro.fd.nfde import NfdeMonitor
 from repro.fd.qos import FDQoS
 
@@ -12,7 +10,7 @@ class Events:
         self.log = []
 
     def bundle(self):
-        return MonitorEvents(
+        return dict(
             on_trust=lambda pid: self.log.append(("trust", pid)),
             on_suspect=lambda pid: self.log.append(("suspect", pid)),
         )
@@ -23,9 +21,8 @@ def make_monitor(sim, events):
         scheduler=sim,
         pid=5,
         qos=FDQoS(),
-        estimator=LinkQualityEstimator(),
         cache=ConfiguratorCache(),
-        events=events.bundle(),
+        **events.bundle(),
     )
 
 

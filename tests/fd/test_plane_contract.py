@@ -226,7 +226,7 @@ def test_all_pairs_pools_the_observed_loss_over_its_streams(sim):
     for seq in (0, 2):  # one frame of this young stream went missing
         plane.observe_frame(frame(PEER + 1, seq, sim.now))
     assert 1 / 60 < plane.observed_loss() < 1 / 40  # ≈ 1 lost of 53, not 1 of 3
-    plane.forget_node(PEER + 1)
+    assert plane.unregister_interest(1, PEER + 1)  # its history goes with it
     assert plane.observed_loss() == 0.0
 
 

@@ -271,7 +271,7 @@ def test_on_a_lan_that_loses_nothing_eta_is_the_configurators_answer_for_it():
         return [host.service for host in system.hosts if host.service is not None]
 
     def lan_eta(monitor):
-        measured = monitor.estimator.estimate()
+        measured = monitor.estimate()
         floor = LinkEstimate(1.0 / 512.0, measured.delay_mean, measured.delay_std)
         return configure(config.qos, floor).eta
 
@@ -279,7 +279,7 @@ def test_on_a_lan_that_loses_nothing_eta_is_the_configurators_answer_for_it():
         for service in services():
             assert service.plane.observed_loss() == 0.0
             for monitor in service.plane.monitors.values():
-                assert monitor.estimator.ready
+                assert monitor.ready
                 assert monitor.desired_eta == lan_eta(monitor)
                 assert service.batcher.interval() >= monitor.desired_eta
         assert repeats(system) == 0

@@ -52,7 +52,7 @@ class TestNodeChurn:
 
 class TestLinkChurn:
     def test_link_goes_down_and_up(self, sim, rng):
-        link = Link(sim, 0, 1, LinkConfig(), rng.stream("l"))
+        link = Link(0, 1, LinkConfig(), rng.stream("l"))
         injector = LinkChurnInjector(
             scheduler=sim, link=link, rng=rng.stream("churn"),
             mean_uptime=10.0, mean_downtime=3.0,
@@ -70,7 +70,7 @@ class TestLinkChurn:
         assert 0.08 < down_frac < 0.45
 
     def test_stop_halts_churn(self, sim, rng):
-        link = Link(sim, 0, 1, LinkConfig(), rng.stream("l"))
+        link = Link(0, 1, LinkConfig(), rng.stream("l"))
         injector = LinkChurnInjector(
             sim, link, rng.stream("churn"), mean_uptime=1.0, mean_downtime=0.5
         )

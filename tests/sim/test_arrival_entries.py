@@ -1,18 +1,18 @@
 """Message arrivals in the simulator's one event heap.
 
-``Link.transmit`` pushes each surviving message onto ``Simulator.heap`` as a
-``(time, seq, link, message, deliver)`` entry, and the run loop delivers it
-inline.  Two layers:
+``Network.send`` / ``send_batch`` push each surviving message onto
+``Simulator.heap`` as a ``(time, seq, message, deliver)`` entry, and the run
+loop delivers it inline.  Two layers:
 
 * kernel tests of arrival entries (exact times, push order at ties, a
   delivery that transmits more, a ``send_batch`` fan-out that creates no
   :class:`~repro.sim.engine.Event`);
-* one Hypothesis property whose reference is the per-event path: a link that
-  schedules each arrival as its own ``Event``.  Both take ``seq`` from
+* one Hypothesis property whose reference is the per-event path: a network
+  that schedules each arrival as its own ``Event``.  Both take ``seq`` from
   ``Simulator.order`` at the same moment, so a mix of zero and positive
   delays, loss, crashed senders, chaos drop/dup/jitter, replies sent from a
   delivery, and callbacks pinned with ``schedule_at`` to the very instant of
-  a pending arrival must give the same delivery log, link stats, meters,
+  a pending arrival must give the same delivery log, meters,
   ``events_executed`` and ``pending_count`` after every ``step``;
 
 and a full ``build_system`` run that must give a bit-identical trace digest
@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.transport import ChaosTransport
-from repro.net.links import Link, LinkConfig, LinkStats
+from repro.net.links import LinkConfig
 from repro.net.message import BatchFrame
 from repro.net.network import Network, NetworkConfig
 from repro.sim.engine import Simulator
@@ -36,40 +36,29 @@ from repro.sim.vector import force_scalar
 _N_NODES = 4
 
 
-class _Link:
-    """The two attributes the run loop reads off an arrival's link."""
-
-    def __init__(self):
-        self.stats = LinkStats()
+def push(sim, arrival, message, deliver):
+    """Push one arrival entry the way ``Network.send`` does."""
+    heappush(sim.heap, (arrival, next(sim.order), message, deliver))
 
 
-def push(sim, arrival, link, message, deliver):
-    """Push one arrival entry the way ``Link.transmit`` does."""
-    heappush(sim.heap, (arrival, next(sim.order), link, message, deliver))
-
-
-class TestDeliveryBatchBasics:
+class TestArrivalEntries:
     def test_delivers_at_exact_arrival_time(self):
         sim = Simulator()
-        link = _Link()
         log = []
         frame = BatchFrame(sender_node=0, dest_node=1)
-        push(sim, 2.5, link, frame, lambda m: log.append(sim.now))
+        push(sim, 2.5, frame, lambda m: log.append((sim.now, m)))
         assert sim.pending_count() == 1
         sim.run()
-        assert log == [2.5]
-        assert link.stats.delivered == 1
-        assert link.stats.bytes_delivered == frame.wire_bytes()
+        assert log == [(2.5, frame)]
         assert sim.events_executed == 1
 
     def test_equal_time_arrivals_drain_in_submission_order(self):
         """Arrivals and callbacks due at one instant fire in push order."""
         sim = Simulator()
-        link = _Link()
         log = []
         for i in range(5):
             frame = BatchFrame(sender_node=0, dest_node=1, seq=i)
-            push(sim, 1.0, link, frame, lambda m: log.append(m.seq))
+            push(sim, 1.0, frame, lambda m: log.append(m.seq))
             if i == 2:
                 sim.schedule_at(1.0, log.append, "timer")
         sim.run()
@@ -77,13 +66,12 @@ class TestDeliveryBatchBasics:
 
     def test_earlier_submission_moves_the_head(self):
         sim = Simulator()
-        link = _Link()
         log = []
         a = BatchFrame(sender_node=0, dest_node=1, seq=10)
         b = BatchFrame(sender_node=0, dest_node=1, seq=20)
-        push(sim, 5.0, link, a, lambda m: log.append((sim.now, m.seq)))
+        push(sim, 5.0, a, lambda m: log.append((sim.now, m.seq)))
         assert sim.peek_time() == 5.0
-        push(sim, 1.0, link, b, lambda m: log.append((sim.now, m.seq)))
+        push(sim, 1.0, b, lambda m: log.append((sim.now, m.seq)))
         assert sim.peek_time() == 1.0
         sim.run()
         assert log == [(1.0, 20), (5.0, 10)]
@@ -92,18 +80,17 @@ class TestDeliveryBatchBasics:
         """A delivery that triggers a fresh fan-out (handle_message sending
         replies) leaves the new arrivals drainable by the run loop."""
         sim = Simulator()
-        link = _Link()
         log = []
         reply = BatchFrame(sender_node=1, dest_node=0, seq=99)
 
         def on_first(message):
             log.append((sim.now, message.seq))
-            push(sim, sim.now + 1.0, link, reply, on_second)
+            push(sim, sim.now + 1.0, reply, on_second)
 
         def on_second(message):
             log.append((sim.now, message.seq))
 
-        push(sim, 1.0, link, BatchFrame(sender_node=0, dest_node=1), on_first)
+        push(sim, 1.0, BatchFrame(sender_node=0, dest_node=1), on_first)
         sim.run()
         assert log == [(1.0, 0), (2.0, 99)]
 
@@ -112,29 +99,28 @@ class TestDeliveryBatchBasics:
 _LAN, _LOSSY, _ZERO, _ZERO_LOSSY = (0.001, 0.0), (0.001, 0.3), (0.0, 0.0), (0.0, 0.3)
 
 
-class ReferenceLink(Link):
-    """The per-event path: each surviving arrival is its own engine Event."""
+class ReferenceNetwork(Network):
+    """The per-event path: each message is its own send, and each
+    surviving arrival its own engine Event."""
 
-    def transmit(self, message, deliver):
-        stats = self.stats
-        stats.offered += 1
-        if self.down:
-            stats.dropped_down += 1
-            return
-        if self._loss_prob:
-            delay = self._rng.lossy_delay(self._loss_prob, self._delay_mean)
-            if delay is None:
-                stats.dropped_loss += 1
-                return
-        else:
-            mean = self._delay_mean
-            delay = self._rng.exponential(mean) if mean else 0.0
-        self.sim.schedule(delay, self._arrive, message, deliver)
-
-    def _arrive(self, message, deliver):
-        self.stats.delivered += 1
-        self.stats.bytes_delivered += message._wire or message.wire_bytes()
-        deliver(message)
+    def _offer(self, messages):
+        for message in messages:
+            sender = self.nodes[message.sender_node]
+            if not sender.up:
+                continue
+            sender.meter.messages_sent += 1
+            sender.meter.bytes_sent += message.wire_bytes()
+            link = self.link(message.sender_node, message.dest_node)
+            if link.down:
+                continue
+            if link.loss_prob:
+                delay = link.rng.lossy_delay(link.loss_prob, link.delay_mean)
+                if delay is None:
+                    continue
+            else:
+                mean = link.delay_mean
+                delay = link.rng.exponential(mean) if mean else 0.0
+            self.sim.schedule(delay, self.nodes[message.dest_node].deliver, message)
 
 
 _SEND = st.tuples(
@@ -168,16 +154,16 @@ def _scenarios(links, ops, chaos):
     )
 
 
-def _run(scenario, link_class):
+def _run(scenario, network_class):
     """Drive one scenario; return everything the two paths must agree on."""
     sim = Simulator()
     links = scenario["links"]
 
-    class _Network(Network):
+    class _Network(network_class):
         def _make_link(self, src, dst, link_config):
             delay, loss = links[src * _N_NODES + dst]
             config = LinkConfig(delay_mean=delay, loss_prob=loss)
-            return link_class(self.sim, src, dst, config, self._rng.stream(f"link.{src}.{dst}"))
+            return super()._make_link(src, dst, config)
 
     net = _Network(sim, NetworkConfig(n_nodes=_N_NODES), RngRegistry(seed=42))
     transport = net
@@ -207,7 +193,7 @@ def _run(scenario, link_class):
         listen(node)
 
     def run_round(ops):
-        frames = []
+        frames = {}  # sender -> its fan-out: a send_batch is one node's
         for op in ops:
             if op[0] == "send":
                 _, src, dst, batched = op
@@ -215,7 +201,7 @@ def _run(scenario, link_class):
                     continue
                 frame = BatchFrame(sender_node=src, dest_node=dst, seq=next(seqs))
                 if batched:
-                    frames.append(frame)
+                    frames.setdefault(src, []).append(frame)
                 else:
                     transport.send(frame)
             elif op[0] == "pin":
@@ -231,7 +217,8 @@ def _run(scenario, link_class):
                     listen(node)
             else:
                 sim.cancel(sim.schedule(0.0005, lambda: log.append("cancelled")))
-        transport.send_batch(frames)
+        for fan_out in frames.values():
+            transport.send_batch(fan_out)
 
     for index, ops in enumerate(scenario["rounds"]):
         sim.schedule_at(0.001 * (index + 1), run_round, ops)
@@ -239,18 +226,17 @@ def _run(scenario, link_class):
     steps = []
     while sim.step():
         steps.append((sim.now, sim.pending_count(), sim.events_executed))
-    stats = {(link.src, link.dst): vars(link.stats) for link in net.links()}
     meters = {
         nid: (m.messages_sent, m.bytes_sent, m.messages_received, m.bytes_received)
         for nid, m in ((nid, node.meter) for nid, node in net.nodes.items())
     }
-    return log, steps, stats, meters
+    return log, steps, meters
 
 
 def _assert_matches_reference(scenario):
     """Same key, same counter: a heap arrival fires exactly where its own
     engine event would have."""
-    assert _run(scenario, Link) == _run(scenario, ReferenceLink)
+    assert _run(scenario, Network) == _run(scenario, ReferenceNetwork)
 
 
 class TestBatchedScalarEquivalence:
@@ -286,7 +272,7 @@ class TestBatchedScalarEquivalence:
         on both paths (the down-check precedes everything)."""
         _assert_matches_reference(scenario)
 
-    def test_all_deliveries_route_through_the_batch(self):
+    def test_every_sent_frame_is_one_arrival_entry(self):
         """Every frame of a ``send_batch`` fan-out, zero delay included,
         becomes one arrival entry: no :class:`Event` per message."""
         for delay in (0.001, 0.0):
@@ -299,19 +285,22 @@ class TestBatchedScalarEquivalence:
             received = []
             for node in net.nodes.values():
                 node.set_receiver(received.append)
+            pairs = [(0, 1), (0, 2), (0, 3)] * 20 + [(1, 0)] * 20 + [(2, 0)] * 20
             frames = [
-                BatchFrame(sender_node=s, dest_node=d, seq=i)
-                for i, (s, d) in enumerate([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0)] * 20)
+                BatchFrame(sender_node=s, dest_node=d, seq=i) for i, (s, d) in enumerate(pairs)
             ]
-            net.send_batch(frames)
+            for sender in (0, 1, 2):  # one fan-out per sending node
+                net.send_batch([frame for frame in frames if frame.sender_node == sender])
             assert len(sim.heap) == sim.pending_count() == 100
-            assert all(len(entry) == 5 for entry in sim.heap)
+            assert all(len(entry) == 4 for entry in sim.heap)
             sim.run()
             assert sorted(received, key=frames.index) == frames
             if not delay:  # one instant: push order
                 assert received == frames
             assert sim.events_executed == 100
-            assert sum(link.stats.delivered for link in net.links()) == 100
+            meters = [net.node(node).meter for node in range(_N_NODES)]
+            assert [meter.messages_sent for meter in meters] == [60, 20, 20, 0]
+            assert [meter.messages_received for meter in meters] == [40, 20, 20, 20]
 
 
 class TestSystemBitExactness:

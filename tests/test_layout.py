@@ -15,7 +15,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 MAX_LINES = 800
 #: Lines of Python under ``src/``.  Raised only by editing it here, in the
 #: diff that needs the room; lowered when the tree is 150 lines under it.
-SRC_LINES_CEILING = 16_664
+SRC_LINES_CEILING = 16_647
 
 
 def _module_sizes():
